@@ -59,12 +59,7 @@ from repro.exceptions import (
     ReproError,
     StoreError,
 )
-from repro.service.executor import (
-    MultiSelectResult,
-    SelectResult,
-    SimulateResult,
-)
-from repro.util.jsonio import canonical_dumps
+from repro.util.jsonio import canonical_dumps, scalar_time
 
 __all__ = [
     "MAX_STATEMENT_CHARS",
@@ -75,9 +70,8 @@ __all__ = [
     "error_type",
     "loads_frame",
     "result_frame",
-    "serialize_multi_select",
     "serialize_result",
-    "serialize_simulate",
+    "serialize_view",
 ]
 
 #: Hard cap on one statement's character count; longer statements are
@@ -142,33 +136,6 @@ def error_type(exc: BaseException) -> str:
     return "internal"
 
 
-def serialize_select(result: SelectResult) -> dict[str, Any]:
-    """A catalog-wide SELECT result as a JSON-ready dict.
-
-    Thin shim over :meth:`~repro.service.executor.SelectResult.to_dict`
-    — the payload shape (and its bytes under :func:`canonical_dumps`)
-    lives with the result object; the wire just sends it.
-    """
-    return result.to_dict()
-
-
-def serialize_multi_select(result: MultiSelectResult) -> dict[str, Any]:
-    """A multi-aggregate select list as a JSON-ready dict (``to_dict`` shim)."""
-    return result.to_dict()
-
-
-def serialize_simulate(result: SimulateResult) -> dict[str, Any]:
-    """A SIMULATE result as a JSON-ready dict (``to_dict`` shim)."""
-    return result.to_dict()
-
-
-def _scalar_time(value: Any) -> int | float:
-    """JSON-safe time key: integral times stay ints, others floats."""
-    number = float(value)
-    integral = int(number)
-    return integral if number == integral else number
-
-
 def serialize_view(view: ProbabilisticView) -> dict[str, Any]:
     """A created probabilistic view as a JSON-ready dict."""
     cols = view.columns
@@ -178,7 +145,7 @@ def serialize_view(view: ProbabilisticView) -> dict[str, Any]:
         "name": view.name,
         "tuples": [
             [
-                _scalar_time(t),
+                scalar_time(t),
                 float(low),
                 float(high),
                 float(probability),
@@ -196,15 +163,17 @@ def serialize_view(view: ProbabilisticView) -> dict[str, Any]:
 
 
 def serialize_result(result: Any) -> dict[str, Any]:
-    """Serialize whatever ``Database.execute`` returned."""
-    if isinstance(result, SelectResult):
-        return serialize_select(result)
-    if isinstance(result, MultiSelectResult):
-        return serialize_multi_select(result)
-    if isinstance(result, SimulateResult):
-        return serialize_simulate(result)
+    """Serialize whatever ``Database.execute`` returned.
+
+    The payload shape (and its bytes under :func:`canonical_dumps`) lives
+    with the result object; the wire just sends its ``to_dict()``.  A
+    bare created view is the one result without one.
+    """
     if isinstance(result, ProbabilisticView):
         return serialize_view(result)
-    raise TypeError(
-        f"cannot serialize {type(result).__name__} over the wire"
-    )
+    to_dict = getattr(result, "to_dict", None)
+    if to_dict is None:
+        raise TypeError(
+            f"cannot serialize {type(result).__name__} over the wire"
+        )
+    return to_dict()

@@ -14,13 +14,17 @@ segment.
 * :mod:`repro.service.planner` — physical lowering: kernel resolution +
   argument checks + snapshot fan-out list per select-list item, plus
   the picklable per-series task envelopes backends consume;
-* :mod:`repro.service.backends` — the executor backends and the single
-  per-envelope compute path they all share;
+* :mod:`repro.service.kernels` — the one compute path:
+  ``compute_chunk`` turns a chunk of envelopes into array-form answers
+  (chunk-stacked ``reduceat`` kernels, scores included);
+* :mod:`repro.service.backends` — the executor backends: three
+  schedulers for that one function;
 * :mod:`repro.service.shm` — the shared-memory result transport the
-  process backend ships numeric result columns through (descriptor
-  pickling, chunk-batched kernels, crash-safe arena lifecycle);
+  process backend ships those arrays through (descriptor pickling,
+  crash-safe arena lifecycle);
 * :mod:`repro.service.executor` — runs the plan through the selected
-  backend and ranks the per-series results;
+  backend, ranks the per-series results, and renders them to JSON
+  straight from the arrays;
 * :mod:`repro.service.cache` — the shared materialised-view cache.
 """
 

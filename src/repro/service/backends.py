@@ -1,29 +1,30 @@
 """Pluggable executor backends for catalog-wide SELECT fan-out.
 
 One :class:`~repro.service.executor.CatalogQueryService` delegates its
-per-series work to an :class:`ExecutorBackend`.  Three implementations
-cover the execution spectrum:
+per-series work to an :class:`ExecutorBackend`.  Every backend runs the
+same function — :func:`~repro.service.kernels.compute_chunk` — over
+*chunks* of picklable :class:`~repro.service.planner.TaskEnvelope`
+objects; they differ only in who calls it:
 
-* :class:`SequentialBackend` — a plain loop, the parity reference every
-  other backend must match bit-for-bit;
-* :class:`ThreadBackend` — the historical default: one persistent
+* :class:`SequentialBackend` — one inline call, the parity reference
+  every other backend must match bit-for-bit;
+* :class:`ThreadBackend` — the default: chunks on one persistent
   :class:`~concurrent.futures.ThreadPoolExecutor` sharing the service's
-  :class:`~repro.service.cache.MatrixCache`.  Scales where the per-task
+  :class:`~repro.service.cache.MatrixCache`.  Scales where the per-chunk
   work releases the GIL (bulk numpy, file IO), serialises where it does
   not;
 * :class:`ProcessBackend` — true multi-core execution over a
   :class:`~concurrent.futures.ProcessPoolExecutor`.  Workers start under
   the ``spawn`` method (the only one safe on every platform and the
   default on macOS/Windows), warm a per-worker catalog cache via a
-  spawn-safe initializer, and receive work as *chunks* of picklable
-  :class:`~repro.service.planner.TaskEnvelope` objects so IPC overhead
-  amortises across many series.  Combined with the store's layout-v2
-  mmap segments, workers share page-cache pages instead of each
-  rehydrating its own copy of every segment.
+  spawn-safe initializer, and ship each chunk's arrays back through one
+  shared-memory block (:mod:`repro.service.shm`).  Combined with the
+  store's layout-v2 mmap segments, workers share page-cache pages
+  instead of each rehydrating its own copy of every segment.
 
-All backends consume envelopes and produce :class:`ResultEnvelope`
-objects in input order; per-series failures travel *inside* the envelope
-(as a message, never a pickled traceback) so one broken series aborts the
+All backends return :class:`~repro.service.kernels.ArrayResult` objects
+in input order; per-series failures travel *inside* the result (as a
+message, never a pickled traceback) so one broken series aborts the
 statement with a diagnostic naming that series.  A worker process dying
 outright surfaces as :class:`~repro.exceptions.QueryError` naming every
 series whose chunk was lost, and the pool is rebuilt lazily on the next
@@ -41,44 +42,28 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
-from dataclasses import dataclass
 from multiprocessing import get_context
-from pathlib import Path
 from typing import Any
 
-import numpy as np
-
-from repro.db.prob_view import ProbabilisticView
-from repro.exceptions import (
-    InvalidParameterError,
-    QueryError,
-    ReproError,
-)
+from repro.exceptions import InvalidParameterError, QueryError
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.service.cache import MatrixCache
-from repro.service.planner import KERNELS, TaskEnvelope
+from repro.service.kernels import ArrayResult, compute_chunk
+from repro.service.planner import TaskEnvelope
 from repro.service.shm import (
-    ArrayResult,
     ChunkDescriptor,
-    PackedResult,
     ShmArena,
-    compute_chunk,
-    decode_result,
     pack_chunk,
     shm_available,
 )
-from repro.store.catalog import _load_view_from_segments
 
 __all__ = [
     "BACKEND_NAMES",
     "ExecutorBackend",
     "ProcessBackend",
-    "ResultEnvelope",
     "SequentialBackend",
     "ThreadBackend",
     "make_backend",
-    "restrict_time_range",
-    "run_envelope",
 ]
 
 #: Histogram buckets for per-chunk shared-memory block sizes: the
@@ -102,129 +87,10 @@ BACKEND_NAMES = ("sequential", "thread", "process")
 #: service itself.
 _CRASH_ENV = "REPRO_FAULT_WORKER_CRASH"
 
-
-def restrict_time_range(
-    view: ProbabilisticView, lo: float | None, hi: float | None
-) -> ProbabilisticView:
-    """The sub-view whose tuples satisfy ``lo <= t <= hi``.
-
-    Returns the input unchanged when no bound cuts anything — the common
-    unbounded query never copies columns.
-    """
-    if lo is None and hi is None:
-        return view
-    cols = view.columns
-    mask = np.ones(cols.t.size, dtype=bool)
-    if lo is not None:
-        mask &= cols.t >= lo
-    if hi is not None:
-        mask &= cols.t <= hi
-    if bool(mask.all()):
-        return view
-    indices = np.flatnonzero(mask)
-    return ProbabilisticView.from_columns(
-        view.name,
-        cols.t[indices],
-        cols.low[indices],
-        cols.high[indices],
-        cols.probability[indices],
-        label_code=cols.label_code[indices],
-        label_pool=cols.labels,
-    )
-
-
-@dataclass(frozen=True)
-class ResultEnvelope:
-    """What one envelope produced: a result or a one-line diagnostic.
-
-    ``error`` carries the failure message instead of an exception object
-    so the envelope pickles identically no matter which backend produced
-    it — a worker process never ships a traceback across the pipe.
-
-    ``load_s``/``compute_s``/``cache_hit`` are the worker-side trace
-    span, carried as three plain numbers so it crosses a process
-    boundary under any start method; the executor merges them into the
-    parent :class:`~repro.obs.trace.QueryTrace`.  All three stay at
-    their defaults when the producing backend ran with timings off.
-    """
-
-    series_id: str
-    score: float
-    result: Any
-    error: str | None = None
-    load_s: float = 0.0
-    compute_s: float = 0.0
-    cache_hit: bool = True
-
-
-def run_envelope(
-    envelope: TaskEnvelope,
-    cache: MatrixCache,
-    *,
-    mmap: bool = False,
-    timings: bool = True,
-) -> ResultEnvelope:
-    """Execute one envelope against a materialised-view cache.
-
-    The single compute path every backend runs — sequentially, on a pool
-    thread, or inside a worker process — which is what makes the parity
-    guarantee (identical results across backends) structural rather than
-    coincidental.  ``timings=True`` (the default) records the per-series
-    load/compute split and cache outcome onto the result envelope;
-    ``timings=False`` is the fully uninstrumented path the overhead
-    benchmark baselines against.
-    """
-    spec = KERNELS[envelope.aggregate]
-    hit = True
-    load_s = 0.0
-    compute_s = 0.0
-
-    def _load() -> ProbabilisticView:
-        nonlocal hit, load_s
-        hit = False
-        start = time.perf_counter() if timings else 0.0
-        view = _load_view_from_segments(
-            Path(envelope.directory),
-            envelope.series_id,
-            envelope.segments,
-            mmap=mmap,
-            shadows=envelope.shadows or None,
-        )
-        if timings:
-            load_s = time.perf_counter() - start
-        return view
-
-    try:
-        view = cache.get(envelope.cache_key, _load)
-        start = time.perf_counter() if timings else 0.0
-        view = restrict_time_range(view, envelope.time_lo, envelope.time_hi)
-        result, score = spec.compute(
-            view, envelope.arguments, envelope.series_id
-        )
-        if timings:
-            compute_s = time.perf_counter() - start
-    except (ReproError, OSError) as exc:
-        # Loading counts too: in a fan-out over hundreds of series,
-        # "which series is broken" is the whole diagnostic.
-        return ResultEnvelope(
-            series_id=envelope.series_id,
-            score=0.0,
-            result=None,
-            error=(
-                f"aggregate {envelope.aggregate!r} failed on series "
-                f"{envelope.series_id!r}: {exc}"
-            ),
-            load_s=load_s,
-            cache_hit=hit,
-        )
-    return ResultEnvelope(
-        series_id=envelope.series_id,
-        score=score,
-        result=result,
-        load_s=load_s,
-        compute_s=compute_s,
-        cache_hit=hit,
-    )
+#: Chunks a pooled backend cuts one fan-out into, per worker: enough
+#: that a slow chunk does not leave the other workers idle, few enough
+#: that submission (and, for processes, IPC) amortises over its series.
+_CHUNKS_PER_WORKER = 2
 
 
 class ExecutorBackend:
@@ -239,8 +105,9 @@ class ExecutorBackend:
 
     name: str = "abstract"
     max_workers: int = 1
-    #: Worker-side load/compute timing on result envelopes (see
-    #: :func:`run_envelope`); subclass ``__init__`` may turn it off.
+    #: Worker-side load/compute timing on the results (see
+    #: :func:`~repro.service.kernels.compute_chunk`); off when the
+    #: registry is a null one.
     timings: bool = True
     #: How results travel from workers to the caller: ``"inline"`` for
     #: same-process backends, ``"shm"``/``"pickle"`` for the process
@@ -264,7 +131,7 @@ class ExecutorBackend:
             "Wall time of one backend fan-out (map call), by backend",
         )
 
-    def map(self, envelopes: list[TaskEnvelope]) -> list[ResultEnvelope]:
+    def map(self, envelopes: list[TaskEnvelope]) -> list[ArrayResult]:
         start = time.perf_counter()
         try:
             return self._map(envelopes)
@@ -274,8 +141,23 @@ class ExecutorBackend:
                 time.perf_counter() - start, backend=self.name
             )
 
-    def _map(self, envelopes: list[TaskEnvelope]) -> list[ResultEnvelope]:
+    def _map(self, envelopes: list[TaskEnvelope]) -> list[ArrayResult]:
         raise NotImplementedError
+
+    def _chunks(
+        self, envelopes: list[TaskEnvelope]
+    ) -> list[list[TaskEnvelope]]:
+        """Cut one fan-out into ``_CHUNKS_PER_WORKER`` chunks per worker."""
+        size = max(
+            1,
+            math.ceil(
+                len(envelopes) / (self.max_workers * _CHUNKS_PER_WORKER)
+            ),
+        )
+        return [
+            envelopes[start : start + size]
+            for start in range(0, len(envelopes), size)
+        ]
 
     def close(self) -> None:  # pragma: no cover - trivial default.
         pass
@@ -288,7 +170,7 @@ class ExecutorBackend:
 
 
 class SequentialBackend(ExecutorBackend):
-    """The parity reference: a plain in-order loop, no pool at all."""
+    """The parity reference: one inline chunk, no pool at all."""
 
     name = "sequential"
 
@@ -304,13 +186,10 @@ class SequentialBackend(ExecutorBackend):
         self.max_workers = 1
         self._init_metrics(registry)
 
-    def _map(self, envelopes: list[TaskEnvelope]) -> list[ResultEnvelope]:
-        return [
-            run_envelope(
-                envelope, self.cache, mmap=self.mmap, timings=self.timings
-            )
-            for envelope in envelopes
-        ]
+    def _map(self, envelopes: list[TaskEnvelope]) -> list[ArrayResult]:
+        return compute_chunk(
+            envelopes, self.cache, mmap=self.mmap, timings=self.timings
+        )
 
 
 class ThreadBackend(ExecutorBackend):
@@ -348,41 +227,34 @@ class ThreadBackend(ExecutorBackend):
         self._pool_lock = threading.Lock()
         self._pool: ThreadPoolExecutor | None = None
 
-    def _map(self, envelopes: list[TaskEnvelope]) -> list[ResultEnvelope]:
+    def _run(self, chunk: list[TaskEnvelope]) -> list[ArrayResult]:
+        return compute_chunk(
+            chunk, self.cache, mmap=self.mmap, timings=self.timings
+        )
+
+    def _map(self, envelopes: list[TaskEnvelope]) -> list[ArrayResult]:
         if self.max_workers == 1 or len(envelopes) <= 1:
-            return [
-                run_envelope(
-                    envelope,
-                    self.cache,
-                    mmap=self.mmap,
-                    timings=self.timings,
+            return self._run(envelopes)
+        with self._pool_lock:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=self.max_workers,
+                    thread_name_prefix="repro-service",
                 )
-                for envelope in envelopes
-            ]
+            pool = self._pool
         try:
-            with self._pool_lock:
-                if self._pool is None:
-                    self._pool = ThreadPoolExecutor(
-                        max_workers=self.max_workers,
-                        thread_name_prefix="repro-service",
-                    )
-                pool = self._pool
-            return list(
-                pool.map(
-                    lambda envelope: run_envelope(
-                        envelope,
-                        self.cache,
-                        mmap=self.mmap,
-                        timings=self.timings,
-                    ),
-                    envelopes,
-                )
-            )
+            futures = [
+                pool.submit(self._run, chunk)
+                for chunk in self._chunks(envelopes)
+            ]
         except RuntimeError as exc:
             # "cannot schedule new futures after (interpreter) shutdown".
+            # Only the scheduling call is translated: a RuntimeError
+            # raised while a chunk runs is that chunk's own failure.
             raise QueryError(
                 f"catalog query service is shut down: {exc}"
             ) from exc
+        return [result for future in futures for result in future.result()]
 
     def close(self) -> None:
         with self._pool_lock:
@@ -418,14 +290,12 @@ def _run_chunk(
 ) -> "ChunkDescriptor | list[ArrayResult]":
     """Worker-side entry point: run one chunk against the warm cache.
 
-    Results come back in array form (:func:`~repro.service.shm.compute_chunk`
-    — batched kernels, no per-time boxing on the worker).  With a parent-
-    assigned ``shm_name`` the arrays are packed into that shared-memory
-    block and only the descriptor is pickled; without one — or when the
-    block cannot be created (``/dev/shm`` full, platform without POSIX
-    shm) — the array results themselves cross the pipe as the plain
-    pickle fallback.  Either way the parent's decode builds identical
-    result objects.
+    With a parent-assigned ``shm_name`` the results' arrays are packed
+    into that shared-memory block and only the descriptor is pickled;
+    without one — or when the block cannot be created (``/dev/shm`` full,
+    platform without POSIX shm) — the array results themselves cross the
+    pipe as the plain pickle fallback.  Either way the parent ends up
+    holding the same arrays.
     """
     crash = os.environ.get(_CRASH_ENV)
     if crash and any(envelope.series_id == crash for envelope in chunk):
@@ -446,35 +316,11 @@ def _run_chunk(
     return results
 
 
-def _envelope_from_arrays(
-    packed: "PackedResult | ArrayResult", result: Any, score: float
-) -> ResultEnvelope:
-    """One decoded array-form result as the classic envelope."""
-    if packed.error is not None:
-        return ResultEnvelope(
-            series_id=packed.series_id,
-            score=0.0,
-            result=None,
-            error=packed.error,
-            load_s=packed.load_s,
-            cache_hit=packed.cache_hit,
-        )
-    return ResultEnvelope(
-        series_id=packed.series_id,
-        score=score,
-        result=result,
-        load_s=packed.load_s,
-        compute_s=packed.compute_s,
-        cache_hit=packed.cache_hit,
-    )
-
-
 class ProcessBackend(ExecutorBackend):
     """Process-pool fan-out: true multi-core, per-worker warm caches.
 
-    Envelopes are batched into at most ``chunks_per_worker`` chunks per
-    worker and each chunk crosses the pipe as one submission, so the
-    per-task IPC cost amortises.  Workers always start under ``spawn`` —
+    Each chunk crosses the pipe as one submission, so the per-task IPC
+    cost amortises.  Workers always start under ``spawn`` —
     fork would duplicate the parent's pool locks and (on macOS) deadlock
     outright — and each builds its own :class:`MatrixCache`, so repeated
     statements hit worker-resident views exactly like the thread backend
@@ -484,10 +330,11 @@ class ProcessBackend(ExecutorBackend):
     it (``transport == "shm"``): one block per chunk, allocated under a
     parent-assigned name from the backend's :class:`~repro.service.shm.ShmArena`
     so crashes can never orphan a block, with only a small descriptor
-    pickled.  ``shm=None`` probes availability; ``shm=False`` (or
-    ``REPRO_SHM_TRANSPORT=0``) forces the plain-pickle transport, and a
-    worker that cannot allocate a block falls back per chunk — counted
-    in :meth:`transport_stats`, never silently different results.
+    pickled.  Availability (and the ``REPRO_SHM_TRANSPORT=0`` kill
+    switch, which forces the plain-pickle transport) is read once, here
+    at construction; a worker that cannot allocate a block falls back
+    per chunk — counted in :meth:`transport_stats`, never silently
+    different results.
 
     ``mmap`` defaults to on: combined with layout-v2 segments the workers
     map the same bytes the page cache already holds.  The flag is a no-op
@@ -502,25 +349,16 @@ class ProcessBackend(ExecutorBackend):
         *,
         cache_budget_bytes: int = 64 << 20,
         mmap: bool = True,
-        chunks_per_worker: int = 2,
-        shm: bool | None = None,
         registry: MetricsRegistry | None = None,
     ) -> None:
         if max_workers < 1:
             raise InvalidParameterError(
                 f"max_workers must be >= 1, got {max_workers}"
             )
-        if chunks_per_worker < 1:
-            raise InvalidParameterError(
-                f"chunks_per_worker must be >= 1, got {chunks_per_worker}"
-            )
         self.max_workers = int(max_workers)
         self.cache_budget_bytes = int(cache_budget_bytes)
         self.mmap = bool(mmap)
-        self.chunks_per_worker = int(chunks_per_worker)
-        self.shm = shm_available() if shm is None else (
-            bool(shm) and shm_available()
-        )
+        self.shm = shm_available()
         self.transport = "shm" if self.shm else "pickle"
         self._arena = ShmArena()
         self._transport_lock = threading.Lock()
@@ -572,26 +410,12 @@ class ProcessBackend(ExecutorBackend):
                 )
             return self._pool
 
-    def _chunks(
-        self, envelopes: list[TaskEnvelope]
-    ) -> list[list[TaskEnvelope]]:
-        size = max(
-            1,
-            math.ceil(
-                len(envelopes) / (self.max_workers * self.chunks_per_worker)
-            ),
-        )
-        return [
-            envelopes[start : start + size]
-            for start in range(0, len(envelopes), size)
-        ]
-
     def _collect(
         self, outcome: "ChunkDescriptor | list[ArrayResult]", name: str | None
-    ) -> list[ResultEnvelope]:
-        """Rehydrate one chunk's worker outcome, whichever transport ran."""
+    ) -> list[ArrayResult]:
+        """One chunk's results out of whichever transport carried them."""
         if isinstance(outcome, ChunkDescriptor):
-            decoded = self._arena.unpack(outcome)
+            results = self._arena.unpack(outcome)
             with self._transport_lock:
                 self._shm_chunks += 1
                 self._shm_bytes += outcome.nbytes
@@ -599,25 +423,15 @@ class ProcessBackend(ExecutorBackend):
             self._obs_shm_alloc.observe(
                 float(outcome.nbytes), backend=self.name
             )
-            return [
-                _envelope_from_arrays(packed, result, score)
-                for packed, result, score in decoded
-            ]
-        envelopes: list[ResultEnvelope] = []
-        for arrays in outcome:
-            if arrays.error is not None:
-                envelopes.append(_envelope_from_arrays(arrays, None, 0.0))
-                continue
-            result, score = decode_result(arrays)
-            envelopes.append(_envelope_from_arrays(arrays, result, score))
+            return results
         with self._transport_lock:
             self._pickle_chunks += 1
             if name is not None:
                 # A block was assigned but the worker could not use it.
                 self._shm_fallbacks += 1
-        return envelopes
+        return outcome
 
-    def _map(self, envelopes: list[TaskEnvelope]) -> list[ResultEnvelope]:
+    def _map(self, envelopes: list[TaskEnvelope]) -> list[ArrayResult]:
         if not envelopes:
             return []
         chunks = self._chunks(envelopes)
@@ -640,7 +454,7 @@ class ProcessBackend(ExecutorBackend):
                 raise QueryError(
                     f"catalog query service is shut down: {exc}"
                 ) from exc
-            results: list[ResultEnvelope] = []
+            results: list[ArrayResult] = []
             lost: list[str] = []
             broken: BaseException | None = None
             for future, chunk, name in zip(futures, chunks, names):
@@ -683,7 +497,6 @@ def make_backend(
     cache: MatrixCache,
     cache_budget_bytes: int = 64 << 20,
     mmap: bool | None = None,
-    shm: bool | None = None,
     registry: MetricsRegistry | None = None,
 ) -> ExecutorBackend:
     """Resolve a backend spec (name or instance) into an instance.
@@ -692,10 +505,8 @@ def make_backend(
     work overlaps beyond the core count) but exactly ``cpus`` for
     processes (a process per core is the point; more only costs memory).
     ``mmap=None`` resolves to on for the process backend and off
-    otherwise.  ``shm`` (process backend only) selects the result
-    transport: ``None`` probes shared-memory availability, ``False``
-    forces the pickle fallback.  A ``max_workers=1`` thread backend
-    degrades to the sequential reference — same per-task code, no pool.
+    otherwise.  A ``max_workers=1`` thread backend degrades to the
+    sequential reference — same kernel code, no pool.
     """
     if isinstance(backend, ExecutorBackend):
         return backend
@@ -716,7 +527,6 @@ def make_backend(
             max_workers,
             cache_budget_bytes=cache_budget_bytes,
             mmap=True if mmap is None else mmap,
-            shm=shm,
             registry=registry,
         )
     mmap = False if mmap is None else mmap

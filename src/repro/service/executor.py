@@ -9,10 +9,12 @@ runs on true multi-core worker processes with per-worker warm caches and
 (with layout-v2 segments) zero-copy mmap reads.  Results come back in
 deterministic order: series id, or score-descending when ``TOP k`` ranks.
 
-Every backend runs the exact same per-task code
-(:func:`repro.service.backends.run_envelope`); the parity tests pin all
-of them — and the ad-hoc one-series-at-a-time loop they replaced — to
-identical results.
+Every backend runs the same kernel code
+(:func:`repro.service.kernels.compute_chunk`) and hands back the same
+array-form answers; :class:`SeriesResult` keeps them as arrays, so a
+statement's JSON payload is built straight from ``ndarray.tolist()`` and
+the per-series python objects of the one-shot query API exist only for
+callers that ask for ``entry.result``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
+from repro.db.prob_view import ProbTuple
 from repro.exceptions import (
     InvalidParameterError,
     QueryError,
@@ -30,12 +35,13 @@ from repro.exceptions import (
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.slowlog import DEFAULT_SLOW_QUERY_MS, SlowQueryLog
 from repro.obs.trace import NULL_TRACE, QueryTrace
-from repro.service.backends import (
-    ExecutorBackend,
-    make_backend,
+from repro.service.backends import ExecutorBackend, make_backend
+from repro.service.cache import MatrixCache
+from repro.service.kernels import (
+    ArrayResult,
+    empty_result,
     restrict_time_range,
 )
-from repro.service.cache import MatrixCache
 from repro.service.planner import (
     ItemPlan,
     PlanStats,
@@ -66,61 +72,130 @@ __all__ = [
 ]
 
 
-# The statement renderer moved next to the grammar; the old private
-# names stay importable because tests and the slow log use them.
-_statement_text = render_statement
-
-
-def _scalar_time(value: Any) -> int | float:
-    """JSON-safe time key: integral times stay ints, others floats."""
-    number = float(value)
-    integral = int(number)
-    return integral if number == integral else number
-
-
-def _serialize_rows(result: Any) -> list[list[Any]]:
-    """One series' per-query payload as a deterministic row list.
-
-    ``threshold`` returns :class:`ProbTuple` lists (5-column rows); every
-    other aggregate returns a per-time mapping (2-column rows, sorted by
-    time so dict ordering can never leak into the payload).
-    """
-    if isinstance(result, list):
-        return [
-            [
-                _scalar_time(tup.t),
-                float(tup.low),
-                float(tup.high),
-                float(tup.probability),
-                str(tup.label),
-            ]
-            for tup in result
-        ]
-    return [
-        [_scalar_time(t), float(v)] for t, v in sorted(result.items())
-    ]
-
-
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class SeriesResult:
-    """One series' contribution to a catalog-wide SELECT.
+    """One series' contribution to a catalog-wide statement.
 
-    ``result`` is whatever the aggregate's underlying one-shot query
-    returns for this series (a tuple list for ``threshold``, a per-time
-    dict otherwise); ``score`` is the scalar ``TOP k`` ranked by.
+    Holds the answer as the arrays the kernel produced (``kind`` /
+    ``arrays`` / ``meta`` as on
+    :class:`~repro.service.kernels.ArrayResult`); ``score`` is the scalar
+    ``TOP k`` ranked by.  :meth:`rows` renders the JSON payload straight
+    from the arrays.  ``result`` is the object the aggregate's one-shot
+    query returns for this series — a :class:`ProbTuple` list for
+    ``threshold``, a per-time dict for the other aggregates, a list of
+    ``[t, value]`` worlds for ``SIMULATE`` — built on first access and
+    kept.  APPROX entries (``kind == "approx"``) have no arrays: their
+    estimate/error-bound mapping is ``meta[0]``.
     """
 
     series_id: str
     score: float
-    result: Any
+    kind: str
+    arrays: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
+    meta: tuple[Any, ...] = field(default=(), repr=False)
+    _result: Any = field(default=None, init=False, repr=False)
+
+    @classmethod
+    def from_arrays(cls, answer: ArrayResult) -> "SeriesResult":
+        return cls(
+            answer.series_id,
+            answer.score,
+            answer.kind,
+            answer.arrays,
+            answer.meta,
+        )
+
+    def rows(self) -> Any:
+        """This entry's JSON-ready payload, no per-row objects built.
+
+        Mapping rows are ``[t, value]`` in the arrays' (ascending-time)
+        order; ``threshold`` rows are 5-column; worlds are ``[t, value]``
+        lists with ``None`` for the OUTSIDE alternative.
+        """
+        arrays = self.arrays
+        if self.kind == "mapping":
+            return [
+                list(pair)
+                for pair in zip(
+                    arrays["times"].tolist(), arrays["values"].tolist()
+                )
+            ]
+        if self.kind == "rows":
+            pool = self.meta[0]
+            return [
+                [t, low, high, probability, pool[code]]
+                for t, low, high, probability, code in zip(
+                    arrays["t"].tolist(),
+                    arrays["low"].tolist(),
+                    arrays["high"].tolist(),
+                    arrays["probability"].tolist(),
+                    arrays["code"].tolist(),
+                )
+            ]
+        if self.kind == "worlds":
+            times = arrays["times"].tolist()
+            # NaN (the only value unequal to itself) marks OUTSIDE.
+            return [
+                [[t, v if v == v else None] for t, v in zip(times, world)]
+                for world in arrays["values"].tolist()
+            ]
+        return {
+            key: float(value) for key, value in sorted(self.meta[0].items())
+        }
+
+    @property
+    def result(self) -> Any:
+        if self._result is None:
+            if self.kind == "mapping":
+                self._result = dict(
+                    zip(
+                        self.arrays["times"].tolist(),
+                        self.arrays["values"].tolist(),
+                    )
+                )
+            elif self.kind == "rows":
+                self._result = [ProbTuple(*row) for row in self.rows()]
+            elif self.kind == "worlds":
+                self._result = self.rows()
+            else:
+                self._result = self.meta[0]
+        return self._result
 
     @property
     def size(self) -> int:
-        return len(self.result)
+        if self.kind == "approx":
+            return len(self.meta[0])
+        return len(self.arrays["t" if self.kind == "rows" else "values"])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SeriesResult):
+            return NotImplemented
+        return (self.series_id, self.score, self.result) == (
+            other.series_id,
+            other.score,
+            other.result,
+        )
+
+
+class _StatementResult:
+    """``json()`` / ``len()`` / iteration shared by the statement results."""
+
+    def _entries(self) -> tuple[Any, ...]:
+        return self.results
+
+    def json(self) -> str:
+        """Canonical JSON of :meth:`to_dict` (deterministic bytes)."""
+        return canonical_dumps(self.to_dict())
+
+    def __len__(self) -> int:
+        return len(self._entries())
+
+    def __iter__(self):
+        return iter(self._entries())
 
 
 @dataclass(frozen=True)
-class SelectResult:
+class SelectResult(_StatementResult):
     """Everything one SELECT statement produced.
 
     ``results`` holds the (possibly TOP-k-truncated) per-series results in
@@ -159,27 +234,15 @@ class SelectResult:
         payload's ``kind`` stays ``"select"`` with an ``approx`` flag —
         the wire shape predates :attr:`kind` and is pinned by clients.
         """
-        if self.approx:
-            entries = [
-                {
-                    "series": entry.series_id,
-                    "score": float(entry.score),
-                    "approx": {
-                        key: float(value)
-                        for key, value in sorted(entry.result.items())
-                    },
-                }
-                for entry in self.results
-            ]
-        else:
-            entries = [
-                {
-                    "series": entry.series_id,
-                    "score": float(entry.score),
-                    "rows": _serialize_rows(entry.result),
-                }
-                for entry in self.results
-            ]
+        payload_key = "approx" if self.approx else "rows"
+        entries = [
+            {
+                "series": entry.series_id,
+                "score": float(entry.score),
+                payload_key: entry.rows(),
+            }
+            for entry in self.results
+        ]
         payload: dict[str, Any] = {
             "kind": "select",
             "aggregate": self.aggregate,
@@ -192,16 +255,6 @@ class SelectResult:
         if self.stats is not None:
             payload["pruning"] = self.stats.as_dict()
         return payload
-
-    def json(self) -> str:
-        """Canonical JSON of :meth:`to_dict` (deterministic bytes)."""
-        return canonical_dumps(self.to_dict())
-
-    def __len__(self) -> int:
-        return len(self.results)
-
-    def __iter__(self):
-        return iter(self.results)
 
     def __repr__(self) -> str:
         return (
@@ -217,7 +270,7 @@ ApproxResult = SelectResult
 
 
 @dataclass(frozen=True)
-class SimulateResult:
+class SimulateResult(_StatementResult):
     """Everything one SIMULATE statement produced.
 
     ``results`` holds one :class:`SeriesResult` per matched series (in
@@ -254,16 +307,7 @@ class SimulateResult:
         reproduction recipe.
         """
         entries = [
-            {
-                "series": entry.series_id,
-                "worlds": [
-                    [
-                        [_scalar_time(t), None if v is None else float(v)]
-                        for t, v in world
-                    ]
-                    for world in entry.result
-                ],
-            }
+            {"series": entry.series_id, "worlds": entry.rows()}
             for entry in self.results
         ]
         payload: dict[str, Any] = {
@@ -277,16 +321,6 @@ class SimulateResult:
             payload["pruning"] = self.stats.as_dict()
         return payload
 
-    def json(self) -> str:
-        """Canonical JSON of :meth:`to_dict` (deterministic bytes)."""
-        return canonical_dumps(self.to_dict())
-
-    def __len__(self) -> int:
-        return len(self.results)
-
-    def __iter__(self):
-        return iter(self.results)
-
     def __repr__(self) -> str:
         return (
             f"SimulateResult(n_worlds={self.n_worlds}, seed={self.seed}, "
@@ -295,7 +329,7 @@ class SimulateResult:
 
 
 @dataclass(frozen=True)
-class MultiSelectResult:
+class MultiSelectResult(_StatementResult):
     """A multi-aggregate select list's results, one entry per item.
 
     ``items`` holds one complete :class:`SelectResult` per select-list
@@ -333,15 +367,8 @@ class MultiSelectResult:
             "statements": [item.to_dict() for item in self.items],
         }
 
-    def json(self) -> str:
-        """Canonical JSON of :meth:`to_dict` (deterministic bytes)."""
-        return canonical_dumps(self.to_dict())
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __iter__(self):
-        return iter(self.items)
+    def _entries(self) -> tuple[SelectResult, ...]:
+        return self.items
 
     def __repr__(self) -> str:
         return f"MultiSelectResult(aggregates={self.aggregate!r})"
@@ -513,7 +540,7 @@ class CatalogQueryService:
             trace.statement = (
                 statement
                 if isinstance(statement, str)
-                else _statement_text(statement)
+                else render_statement(statement)
             )
         # An already-parsed statement (the engine parses before routing
         # here) is only re-validated — keep the span contiguous but do
@@ -671,7 +698,7 @@ class CatalogQueryService:
         process pool in particular must never surface a pickled
         ``BrokenProcessPool`` traceback for a deliberate ``close()``.
 
-        Worker-side per-series spans come back on the result envelopes
+        Worker-side per-series spans come back on the array results
         and are merged into ``trace`` here, on the driving thread — the
         merge looks identical whether the work ran inline, on pool
         threads, or in spawn-started worker processes.
@@ -695,13 +722,7 @@ class CatalogQueryService:
                     outcome.compute_s,
                     outcome.cache_hit,
                 )
-            results.append(
-                SeriesResult(
-                    series_id=outcome.series_id,
-                    score=outcome.score,
-                    result=outcome.result,
-                )
-            )
+            results.append(SeriesResult.from_arrays(outcome))
         return results
 
     def _finalize_item(
@@ -718,11 +739,10 @@ class CatalogQueryService:
         cannot tell a skipped series from a scanned-and-empty one.
         """
         if item.skipped:
-            empty = item.kernel.empty_result(item.arguments)
             by_id = {entry.series_id: entry for entry in gathered}
             for series_id in item.skipped:
-                by_id[series_id] = SeriesResult(
-                    series_id=series_id, score=0.0, result=empty
+                by_id[series_id] = SeriesResult.from_arrays(
+                    empty_result(series_id, item.kernel.name, item.arguments)
                 )
             gathered = [by_id[series_id] for series_id in item.series_ids]
         top_k = getattr(query, "top_k", None)
@@ -828,9 +848,10 @@ class CatalogQueryService:
                     ) from exc
                 gathered.append(
                     SeriesResult(
-                        series_id=task.series_id,
-                        score=estimate.estimate,
-                        result=estimate.as_result(),
+                        task.series_id,
+                        estimate.estimate,
+                        "approx",
+                        meta=(estimate.as_result(),),
                     )
                 )
         with trace.stage("finalize"):

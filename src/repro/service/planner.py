@@ -12,13 +12,10 @@ matched series becomes one :class:`SeriesTask` carrying a read-only
 executor (:mod:`repro.service.executor`) then runs tasks in any order, on
 any thread or process, without touching shared catalog state.
 
-Kernels map onto the one-shot query functions of :mod:`repro.db` — the
-paper's point that standard probabilistic query machinery applies
-directly.  Aggregate kernels also define a per-series *score*, the scalar
-``TOP k`` ranks by; the ``simulate`` kernel samples possible worlds
-(:mod:`repro.db.worlds`) under deterministic per-series seeding, and
-``probability_of`` answers the BQL-style row expression exactly via
-:func:`~repro.db.worlds.conjunctive_range_query`.
+This module owns what a kernel *is called* and what arguments it takes
+(:class:`KernelSpec`: arity, domain checks, the label of the per-series
+score ``TOP k`` ranks by); :mod:`repro.service.kernels` owns what it
+computes.
 """
 
 from __future__ import annotations
@@ -28,19 +25,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
-from repro.db.prob_view import ProbabilisticView
-from repro.db.queries import expected_value_query, threshold_query
-from repro.db.stream_queries import (
-    exceedance_probability,
-    expected_time_above,
-)
-from repro.db.worlds import (
-    WorldSampler,
-    conjunctive_range_query,
-    derive_series_seed,
-)
 from repro.exceptions import InvalidParameterError, QueryError
 from repro.obs.trace import NULL_TRACE
 from repro.service.plan import FinalizeNode, logical_plan
@@ -53,7 +37,6 @@ from repro.view.sql import SelectItem, SelectQuery, SimulateQuery
 __all__ = [
     "AGGREGATES",
     "APPROX_KERNELS",
-    "AggregateSpec",
     "ItemPlan",
     "KERNELS",
     "KernelSpec",
@@ -64,78 +47,6 @@ __all__ = [
     "plan_select",
     "plan_statement",
 ]
-
-
-def _compute_threshold(
-    view: ProbabilisticView, arguments: tuple[float, ...], series_id: str
-) -> tuple[Any, float]:
-    hits = threshold_query(view, arguments[0])
-    return hits, float(len(hits))
-
-
-def _compute_expected_value(
-    view: ProbabilisticView, arguments: tuple[float, ...], series_id: str
-) -> tuple[Any, float]:
-    values = expected_value_query(view)
-    score = sum(values.values()) / len(values) if values else 0.0
-    return values, float(score)
-
-
-def _compute_exceedance(
-    view: ProbabilisticView, arguments: tuple[float, ...], series_id: str
-) -> tuple[Any, float]:
-    values = exceedance_probability(view, arguments[0])
-    return values, float(max(values.values(), default=0.0))
-
-
-def _compute_time_above(
-    view: ProbabilisticView, arguments: tuple[float, ...], series_id: str
-) -> tuple[Any, float]:
-    values = expected_time_above(view, arguments[0], int(arguments[1]))
-    return values, float(max(values.values(), default=0.0))
-
-
-def _compute_probability_of(
-    view: ProbabilisticView, arguments: tuple[float, ...], series_id: str
-) -> tuple[Any, float]:
-    """Per-time P(value in the half-open range) — the BQL row expression.
-
-    Each time is one single-predicate
-    :func:`~repro.db.worlds.conjunctive_range_query` over the view's
-    block-independent-disjoint tuples, so the result is exact (the
-    probability mass of every overlapping alternative, scaled by its
-    overlap fraction) rather than a Monte Carlo estimate.
-    """
-    low, high = arguments
-    values = {
-        int(t): conjunctive_range_query(view, {int(t): (low, high)})
-        for t in view.times
-    }
-    return values, float(max(values.values(), default=0.0))
-
-
-def _compute_simulate(
-    view: ProbabilisticView, arguments: tuple[float, ...], series_id: str
-) -> tuple[Any, float]:
-    """Draw ``n_worlds`` complete possible worlds for one series.
-
-    The sampling stream is seeded from ``(seed, series_id)`` alone
-    (:func:`~repro.db.worlds.derive_series_seed`), so the drawn worlds
-    are bit-identical no matter which backend, worker, or fan-out order
-    executed the series.  Each world serialises as ``[t, value]`` pairs
-    in ascending time order, ``value`` ``None`` for the OUTSIDE
-    alternative.
-    """
-    n_worlds = int(arguments[0])
-    seed = int(arguments[1])
-    rng = np.random.default_rng(derive_series_seed(seed, series_id))
-    sampler = WorldSampler(view)
-    times = [int(t) for t in view.times]
-    worlds = []
-    for _ in range(n_worlds):
-        world = sampler.sample(rng)
-        worlds.append([[t, world.values[t]] for t in times])
-    return worlds, float(len(times))
 
 
 def _check_tau(arguments: tuple[float, ...]) -> tuple[float, ...]:
@@ -182,24 +93,17 @@ def _check_simulate(arguments: tuple[float, ...]) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """One per-series kernel: arity, domain checks, and computation.
+    """One per-series kernel's signature: arity, domains, score label.
 
-    ``compute(view, arguments, series_id)`` returns ``(result, score)``
-    where ``result`` is whatever the underlying one-shot query returns
-    for that series and ``score`` the scalar used for ``TOP k`` ranking.
-    ``empty`` synthesises the exact result the kernel returns over an
-    empty restricted view — what the executor emits for series the prune
-    phase skipped entirely.
+    The computation itself lives in
+    :func:`repro.service.kernels.compute_chunk`, which dispatches on
+    ``name`` — the registry entry never crosses a process boundary.
     """
 
     name: str
     parameters: tuple[str, ...]
-    compute: Callable[
-        [ProbabilisticView, tuple[float, ...], str], tuple[Any, float]
-    ]
     score_label: str
     validate: Callable[[tuple[float, ...]], tuple[float, ...]] | None = None
-    empty: Callable[[tuple[float, ...]], Any] | None = None
 
     def bind(self, arguments: tuple[float, ...]) -> tuple[float, ...]:
         """Check arity and domains; returns the normalised arguments."""
@@ -211,17 +115,6 @@ class KernelSpec:
             )
         return self.validate(arguments) if self.validate else arguments
 
-    def empty_result(self, arguments: tuple[float, ...]) -> Any:
-        """The exact result over an empty (fully pruned) view."""
-        if self.empty is not None:
-            return self.empty(arguments)
-        return {}
-
-
-#: Backwards-compatible alias: the registry entries used to be
-#: aggregate-only, and external callers may still import the old name.
-AggregateSpec = KernelSpec
-
 
 #: Kernels usable in a SELECT list, keyed by grammar name.
 AGGREGATES: dict[str, KernelSpec] = {
@@ -230,34 +123,28 @@ AGGREGATES: dict[str, KernelSpec] = {
         KernelSpec(
             name="threshold",
             parameters=("tau",),
-            compute=_compute_threshold,
             score_label="hits",
             validate=_check_tau,
-            empty=lambda arguments: [],
         ),
         KernelSpec(
             name="expected_value",
             parameters=(),
-            compute=_compute_expected_value,
             score_label="mean_ev",
         ),
         KernelSpec(
             name="exceedance",
             parameters=("threshold",),
-            compute=_compute_exceedance,
             score_label="max_p",
         ),
         KernelSpec(
             name="time_above",
             parameters=("threshold", "window"),
-            compute=_compute_time_above,
             score_label="max_expected_count",
             validate=_check_window,
         ),
         KernelSpec(
             name="probability_of",
             parameters=("low", "high"),
-            compute=_compute_probability_of,
             score_label="max_p",
             validate=_check_value_range,
         ),
@@ -268,10 +155,8 @@ AGGREGATES: dict[str, KernelSpec] = {
 SIMULATE_KERNEL = KernelSpec(
     name="simulate",
     parameters=("n_worlds", "seed"),
-    compute=_compute_simulate,
     score_label="times",
     validate=_check_simulate,
-    empty=lambda arguments: [[] for _ in range(int(arguments[0]))],
 )
 
 #: Every kernel a worker can be asked to run, keyed by envelope name.

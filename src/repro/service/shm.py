@@ -1,30 +1,23 @@
 """Shared-memory result transport for the process backend.
 
-The process backend's worker→parent hop used to pickle whole
-:class:`~repro.service.backends.ResultEnvelope` objects — per-time dicts
-with thousands of boxed floats, ``ProbTuple`` lists, world matrices —
-through the pool's result pipe.  On CPU-bound catalog scans that
-round-trip dominated: the numeric kernels are vectorised, the transport
-was not.  This module moves the numeric payload out of the pickle stream:
+The numeric kernels are vectorised; pickling their answers through the
+pool's result pipe is not.  This module moves the numeric payload of a
+worker's :class:`~repro.service.kernels.ArrayResult` list out of the
+pickle stream:
 
-* workers compute **array-form** results (:class:`ArrayResult`) — plain
-  numpy arrays per series, no per-time dict or tuple materialisation on
-  the worker at all;
-* the per-time-dense aggregates (``exceedance``, ``expected_value``,
-  ``time_above``) are additionally **batched per chunk**
-  (:func:`compute_chunk`): the chunk's restricted views are stacked into
-  one concatenated column set and each kernel runs as a single
-  ``reduceat``/broadcast pass over the stack — one numpy dispatch per
-  aggregate per chunk instead of one per series;
 * each chunk's arrays land in **one**
   :class:`multiprocessing.shared_memory.SharedMemory` block
-  (:func:`pack_chunk`), and only a small :class:`ChunkDescriptor`
-  (block name, per-array dtype/shape/offset slices, scalar metadata)
-  crosses the pipe;
-* the parent rehydrates (:func:`decode_result`) into exactly the objects
-  :func:`~repro.service.backends.run_envelope` would have produced —
-  same dict keys, same ``ProbTuple`` values, same scores — so the
-  cross-backend canonical-JSON bit-identity gate holds unchanged.
+  (:func:`pack_chunk`), and only a small :class:`ChunkDescriptor` (block
+  name, the results with per-array dtype/shape/offset
+  :class:`ArraySpec` slices in place of the arrays) crosses the pipe;
+* the parent copies every array back out of the block
+  (:meth:`ShmArena.unpack` — one ``memcpy`` per array) and unlinks it, so
+  no array ever outlives the block it came from.
+
+No kernel arithmetic lives here: what is packed is whatever
+:func:`~repro.service.kernels.compute_chunk` produced, and what is
+unpacked is value-identical to it — which is why the pickle fallback and
+the shm path answer with the same bytes.
 
 Lifecycle is crash-proof by construction: the **parent** names every
 block before submitting the chunk (:class:`ShmArena`), so even when a
@@ -43,40 +36,23 @@ from __future__ import annotations
 import os
 import secrets
 import threading
-import time
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from dataclasses import dataclass, replace
+from typing import Any
 
 import numpy as np
 
-from repro.db.prob_view import ProbTuple
-from repro.db.stream_queries import _check_windowed
-from repro.exceptions import ReproError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only.
-    from repro.db.prob_view import ProbabilisticView
-    from repro.service.planner import TaskEnvelope
+from repro.service.kernels import ArrayResult
 
 __all__ = [
-    "ArrayResult",
     "ArraySpec",
-    "BATCHED_KERNELS",
     "ChunkDescriptor",
-    "PackedResult",
     "ShmArena",
-    "compute_chunk",
-    "decode_result",
     "pack_chunk",
     "shm_available",
 ]
 
 #: Kill switch: ``REPRO_SHM_TRANSPORT=0`` forces the pickle transport.
 _SHM_ENV = "REPRO_SHM_TRANSPORT"
-
-#: Aggregates computed as one stacked pass per chunk (per-time-dense
-#: mapping kernels whose group reductions never cross series).
-BATCHED_KERNELS = frozenset(("exceedance", "expected_value", "time_above"))
 
 #: Array offsets inside a block are aligned to this many bytes so every
 #: ``np.frombuffer`` view is safely aligned for its dtype.
@@ -95,8 +71,9 @@ def shm_available() -> bool:
 
     Probed once per process with a tiny create/unlink round-trip (the
     import alone does not prove ``/dev/shm`` is writable); the
-    ``REPRO_SHM_TRANSPORT=0`` kill switch is consulted on every call so
-    tests and operators can flip it without restarting.
+    ``REPRO_SHM_TRANSPORT=0`` kill switch is consulted on every call.  A
+    :class:`~repro.service.backends.ProcessBackend` asks once, when it
+    is constructed, and keeps that answer for its lifetime.
     """
     if os.environ.get(_SHM_ENV, "").strip() == "0":
         return False
@@ -157,442 +134,18 @@ class ArraySpec:
             total *= dim
         return total
 
-    @property
-    def nbytes(self) -> int:
-        return self.count * np.dtype(self.dtype).itemsize
-
-
-@dataclass(frozen=True)
-class PackedResult:
-    """One series' descriptor entry: scalars inline, arrays by reference.
-
-    ``kind`` selects the decode: ``"mapping"`` (per-time dict kernels),
-    ``"rows"`` (``threshold``'s tuple list, with the label pool carried
-    in ``meta``), ``"worlds"`` (``SIMULATE`` sample matrices), or
-    ``"error"`` (no arrays; ``error`` carries the one-line diagnostic).
-    ``arrays`` maps slot name → :class:`ArraySpec` into the chunk block.
-    """
-
-    series_id: str
-    kernel: str
-    kind: str
-    arrays: dict[str, ArraySpec] = field(default_factory=dict)
-    meta: tuple[Any, ...] = ()
-    error: str | None = None
-    load_s: float = 0.0
-    compute_s: float = 0.0
-    cache_hit: bool = True
-
 
 @dataclass(frozen=True)
 class ChunkDescriptor:
-    """Everything the parent needs to rehydrate one chunk's results."""
+    """Everything the parent needs to rehydrate one chunk's results.
+
+    ``results`` are the worker's :class:`ArrayResult` objects with every
+    array replaced by its :class:`ArraySpec` slice of the block.
+    """
 
     shm_name: str
     nbytes: int
-    results: tuple[PackedResult, ...]
-
-
-# ----------------------------------------------------------------------
-# Array-form results (worker side, before packing).
-# ----------------------------------------------------------------------
-@dataclass
-class ArrayResult:
-    """One series' result as plain arrays, residence-agnostic.
-
-    Produced by :func:`compute_chunk` on the worker; either packed into
-    a shared-memory block (``arrays`` become :class:`ArraySpec` slices)
-    or decoded locally when the transport falls back to pickle.  The
-    decode is the single place result objects are built, so both
-    transports produce identical values.
-    """
-
-    series_id: str
-    kernel: str
-    kind: str
-    arrays: dict[str, np.ndarray] = field(default_factory=dict)
-    meta: tuple[Any, ...] = ()
-    error: str | None = None
-    load_s: float = 0.0
-    compute_s: float = 0.0
-    cache_hit: bool = True
-
-
-def _error_result(
-    envelope: "TaskEnvelope",
-    exc: Exception,
-    *,
-    load_s: float,
-    cache_hit: bool,
-) -> ArrayResult:
-    """The array-form twin of ``run_envelope``'s error envelope."""
-    return ArrayResult(
-        series_id=envelope.series_id,
-        kernel=envelope.aggregate,
-        kind="error",
-        error=(
-            f"aggregate {envelope.aggregate!r} failed on series "
-            f"{envelope.series_id!r}: {exc}"
-        ),
-        load_s=load_s,
-        cache_hit=cache_hit,
-    )
-
-
-def _empty_mapping() -> dict[str, np.ndarray]:
-    return {
-        "times": np.empty(0, dtype=np.int64),
-        "values": np.empty(0, dtype=np.float64),
-    }
-
-
-def _mapping_arrays(
-    times: np.ndarray, values: np.ndarray
-) -> dict[str, np.ndarray]:
-    return {
-        "times": np.ascontiguousarray(times, dtype=np.int64),
-        "values": np.ascontiguousarray(values, dtype=np.float64),
-    }
-
-
-def _encode_mapping(result: dict[int, float]) -> dict[str, np.ndarray]:
-    """A per-time dict as (times, values) arrays, insertion order kept."""
-    times = np.fromiter(result.keys(), dtype=np.int64, count=len(result))
-    values = np.fromiter(result.values(), dtype=np.float64, count=len(result))
-    return {"times": times, "values": values}
-
-
-def _encode_worlds(worlds: list, n_worlds: int) -> dict[str, np.ndarray]:
-    """SIMULATE worlds as a value matrix plus an OUTSIDE mask.
-
-    Every world of one series lists the same times in the same order;
-    ``outside`` marks the alternatives whose value is ``None``.
-    """
-    length = len(worlds[0]) if worlds else 0
-    if length:
-        times = np.fromiter(
-            (pair[0] for pair in worlds[0]), dtype=np.int64, count=length
-        )
-    else:
-        times = np.empty(0, dtype=np.int64)
-    values = np.zeros((n_worlds, length), dtype=np.float64)
-    outside = np.zeros((n_worlds, length), dtype=np.uint8)
-    for row, world in enumerate(worlds):
-        for col, (_t, value) in enumerate(world):
-            if value is None:
-                outside[row, col] = 1
-            else:
-                values[row, col] = value
-    return {"times": times, "values": values, "outside": outside}
-
-
-# ----------------------------------------------------------------------
-# Chunk computation: batched kernels over stacked columns.
-# ----------------------------------------------------------------------
-def _batched_mapping(
-    kernel: str,
-    arguments: tuple[float, ...],
-    views: "list[ProbabilisticView]",
-) -> list[np.ndarray]:
-    """Per-series value vectors for one batched kernel, one numpy pass.
-
-    The stacked computation is bit-identical to the per-series kernels in
-    :mod:`repro.db.queries` / :mod:`repro.db.stream_queries`: every
-    elementwise op produces the same element values on a concatenation,
-    and the grouped ``reduceat`` boundaries are the per-series ``starts``
-    shifted by each series' offset — groups never cross series.  Windowed
-    post-passes (``time_above``'s cumulative sums) run on the per-series
-    slices so float accumulation order matches the solo kernel exactly.
-    """
-    columns = [view.columns for view in views]
-    sizes = [cols.t.size for cols in columns]
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    low = np.concatenate([cols.low for cols in columns])
-    high = np.concatenate([cols.high for cols in columns])
-    probability = np.concatenate([cols.probability for cols in columns])
-    order = np.concatenate(
-        [cols.order + offset for cols, offset in zip(columns, offsets)]
-    )
-    starts = np.concatenate(
-        [cols.starts + offset for cols, offset in zip(columns, offsets)]
-    )
-    if kernel == "expected_value":
-        weighted = (probability * 0.5 * (low + high))[order]
-        masses = np.add.reduceat(probability[order], starts)
-        sums = np.add.reduceat(weighted, starts)
-        lows = np.minimum.reduceat(low[order], starts)
-        highs = np.maximum.reduceat(high[order], starts)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            values = np.where(
-                masses > 0.0,
-                sums / np.where(masses > 0.0, masses, 1.0),
-                0.5 * (lows + highs),
-            )
-    else:  # exceedance / time_above share the exceedance vector.
-        threshold = arguments[0]
-        fraction = np.clip((high - threshold) / (high - low), 0.0, 1.0)
-        contribution = (probability * fraction)[order]
-        values = np.minimum(np.add.reduceat(contribution, starts), 1.0)
-    bounds = np.concatenate(
-        ([0], np.cumsum([cols.times.size for cols in columns]))
-    )
-    per_series = [
-        values[bounds[index] : bounds[index + 1]]
-        for index in range(len(views))
-    ]
-    if kernel == "time_above":
-        window = int(arguments[1])
-        windowed: list[np.ndarray] = []
-        for vector in per_series:
-            csum = np.concatenate(([0.0], np.cumsum(vector)))
-            windowed.append(csum[window:] - csum[:-window])
-        per_series = windowed
-    return per_series
-
-
-def _mapping_times(
-    cols: Any, kernel: str, arguments: tuple[float, ...]
-) -> np.ndarray:
-    if kernel == "time_above":
-        return cols.times[int(arguments[1]) - 1 :]
-    return cols.times
-
-
-def compute_chunk(
-    chunk: "list[TaskEnvelope]",
-    cache: Any,
-    *,
-    mmap: bool = False,
-    timings: bool = True,
-) -> list[ArrayResult]:
-    """Run one chunk of task envelopes into array-form results.
-
-    The process-backend twin of running
-    :func:`~repro.service.backends.run_envelope` per envelope: loads go
-    through the same per-worker cache with the same per-series error
-    isolation and trace timings, but results stay as arrays, and the
-    per-time-dense kernels (:data:`BATCHED_KERNELS`) are computed as one
-    stacked pass over the whole chunk.
-    """
-    from repro.service.backends import restrict_time_range
-    from repro.service.planner import KERNELS
-    from repro.store.catalog import _load_view_from_segments
-
-    out: list[ArrayResult | None] = [None] * len(chunk)
-    # (kernel, arguments) -> list of (chunk index, restricted view).
-    batches: dict[
-        tuple[str, tuple[float, ...]], list[tuple[int, Any]]
-    ] = {}
-    spans: dict[int, tuple[float, bool]] = {}
-    for index, envelope in enumerate(chunk):
-        hit = True
-        load_s = 0.0
-
-        def _load(envelope=envelope):
-            nonlocal hit, load_s
-            hit = False
-            start = time.perf_counter() if timings else 0.0
-            view = _load_view_from_segments(
-                Path(envelope.directory),
-                envelope.series_id,
-                envelope.segments,
-                mmap=mmap,
-                shadows=envelope.shadows or None,
-            )
-            if timings:
-                load_s = time.perf_counter() - start
-            return view
-
-        try:
-            view = cache.get(envelope.cache_key, _load)
-            start = time.perf_counter() if timings else 0.0
-            view = restrict_time_range(
-                view, envelope.time_lo, envelope.time_hi
-            )
-            if envelope.aggregate in BATCHED_KERNELS:
-                # Windowed validation runs per series before the batch
-                # forms, raising exactly what the solo kernel raises;
-                # empty views take the solo kernels' empty-result path.
-                if envelope.aggregate == "time_above":
-                    batchable = _check_windowed(
-                        view, int(envelope.arguments[1])
-                    )
-                else:
-                    batchable = bool(view.columns.times.size)
-                if batchable:
-                    key = (envelope.aggregate, envelope.arguments)
-                    batches.setdefault(key, []).append((index, view))
-                    spans[index] = (load_s, hit)
-                    continue
-                result = ArrayResult(
-                    series_id=envelope.series_id,
-                    kernel=envelope.aggregate,
-                    kind="mapping",
-                    arrays=_empty_mapping(),
-                )
-            elif envelope.aggregate == "threshold":
-                cols = view.columns
-                hits = np.flatnonzero(
-                    cols.probability >= envelope.arguments[0]
-                )
-                result = ArrayResult(
-                    series_id=envelope.series_id,
-                    kernel=envelope.aggregate,
-                    kind="rows",
-                    arrays={
-                        "t": np.ascontiguousarray(cols.t[hits]),
-                        "low": np.ascontiguousarray(cols.low[hits]),
-                        "high": np.ascontiguousarray(cols.high[hits]),
-                        "probability": np.ascontiguousarray(
-                            cols.probability[hits]
-                        ),
-                        "code": np.ascontiguousarray(cols.label_code[hits]),
-                    },
-                    meta=(cols.labels,),
-                )
-            else:
-                # probability_of / simulate: per-series kernels (python
-                # loops / sequential rng draws) — run the registered
-                # compute and encode its result object into arrays.
-                spec = KERNELS[envelope.aggregate]
-                value, _score = spec.compute(
-                    view, envelope.arguments, envelope.series_id
-                )
-                if envelope.aggregate == "simulate":
-                    n_worlds = int(envelope.arguments[0])
-                    result = ArrayResult(
-                        series_id=envelope.series_id,
-                        kernel=envelope.aggregate,
-                        kind="worlds",
-                        arrays=_encode_worlds(value, n_worlds),
-                        meta=(n_worlds,),
-                    )
-                else:
-                    result = ArrayResult(
-                        series_id=envelope.series_id,
-                        kernel=envelope.aggregate,
-                        kind="mapping",
-                        arrays=_encode_mapping(value),
-                    )
-        except (ReproError, OSError) as exc:
-            out[index] = _error_result(
-                envelope, exc, load_s=load_s, cache_hit=hit
-            )
-            continue
-        result.load_s = load_s
-        result.cache_hit = hit
-        if timings:
-            result.compute_s = time.perf_counter() - start
-        out[index] = result
-    # One stacked pass per (kernel, arguments) group; the batch's wall
-    # time is attributed evenly across its members.
-    for (kernel, arguments), members in batches.items():
-        start = time.perf_counter() if timings else 0.0
-        vectors = _batched_mapping(
-            kernel, arguments, [view for _index, view in members]
-        )
-        compute_s = (
-            (time.perf_counter() - start) / len(members) if timings else 0.0
-        )
-        for (index, view), values in zip(members, vectors):
-            envelope = chunk[index]
-            load_s, hit = spans[index]
-            times = _mapping_times(view.columns, kernel, arguments)
-            out[index] = ArrayResult(
-                series_id=envelope.series_id,
-                kernel=kernel,
-                kind="mapping",
-                arrays=_mapping_arrays(times, values),
-                load_s=load_s,
-                compute_s=compute_s,
-                cache_hit=hit,
-            )
-    return [result for result in out if result is not None]
-
-
-# ----------------------------------------------------------------------
-# Decode: arrays back into the objects run_envelope produces.
-# ----------------------------------------------------------------------
-def _score_of(kernel: str, result: Any) -> float:
-    """The TOP-k score, recomputed exactly as the solo kernels do."""
-    if kernel == "threshold":
-        return float(len(result))
-    if kernel == "expected_value":
-        return float(
-            sum(result.values()) / len(result) if result else 0.0
-        )
-    return float(max(result.values(), default=0.0))
-
-
-def decode_result(
-    packed: "PackedResult | ArrayResult", buffer: Any = None
-) -> tuple[Any, float]:
-    """Rehydrate one series' ``(result, score)`` from its arrays.
-
-    ``packed.arrays`` holds live numpy arrays (:class:`ArrayResult`, the
-    pickle fallback) or :class:`ArraySpec` slices into ``buffer`` (the
-    shared-memory path).  Either way the objects built here are
-    value-identical to what the per-series kernels return, which is what
-    keeps both transports inside the bit-identity gate.
-    """
-
-    def _array(name: str) -> np.ndarray:
-        entry = packed.arrays[name]
-        if isinstance(entry, ArraySpec):
-            return np.frombuffer(
-                buffer,
-                dtype=np.dtype(entry.dtype),
-                count=entry.count,
-                offset=entry.offset,
-            ).reshape(entry.shape)
-        return entry
-
-    if packed.kind == "mapping":
-        result: Any = {
-            int(t): float(v)
-            for t, v in zip(
-                _array("times").tolist(), _array("values").tolist()
-            )
-        }
-    elif packed.kind == "rows":
-        # Mirrors ProbabilisticView.take: the vectorised per-tuple checks
-        # ran at view construction, so __post_init__ is safely skipped.
-        pool = packed.meta[0]
-        new = ProbTuple.__new__
-        assign = object.__setattr__
-        result = []
-        for t, low, high, probability, code in zip(
-            _array("t").tolist(),
-            _array("low").tolist(),
-            _array("high").tolist(),
-            _array("probability").tolist(),
-            _array("code").tolist(),
-        ):
-            item = new(ProbTuple)
-            assign(item, "t", t)
-            assign(item, "low", low)
-            assign(item, "high", high)
-            assign(item, "probability", probability)
-            assign(item, "label", pool[code])
-            result.append(item)
-    elif packed.kind == "worlds":
-        times = _array("times").tolist()
-        values = _array("values")
-        outside = _array("outside")
-        n_worlds = int(packed.meta[0])
-        result = [
-            [
-                [t, None if outside[row, col] else float(values[row, col])]
-                for col, t in enumerate(times)
-            ]
-            for row in range(n_worlds)
-        ]
-        # The simulate score is the series' time count, not a result
-        # reduction — settle it here where the time axis is at hand.
-        return result, float(len(times))
-    else:  # pragma: no cover - "error" results never reach decode.
-        raise ValueError(f"cannot decode result kind {packed.kind!r}")
-    return result, _score_of(packed.kernel, result)
+    results: tuple[ArrayResult, ...]
 
 
 # ----------------------------------------------------------------------
@@ -611,23 +164,22 @@ def pack_chunk(results: list[ArrayResult], shm_name: str) -> ChunkDescriptor:
     from multiprocessing import shared_memory
 
     offset = 0
-    specs: list[dict[str, ArraySpec]] = []
+    placed: list[list[tuple[str, np.ndarray, ArraySpec]]] = []
     for result in results:
-        entry: dict[str, ArraySpec] = {}
+        entry = []
         for name, array in result.arrays.items():
             array = np.ascontiguousarray(array)
-            result.arrays[name] = array
-            entry[name] = ArraySpec(
+            spec = ArraySpec(
                 offset=offset, dtype=array.dtype.str, shape=array.shape
             )
+            entry.append((name, array, spec))
             offset = _aligned(offset + array.nbytes)
-        specs.append(entry)
+        placed.append(entry)
     nbytes = max(offset, _ALIGN)
     shm = shared_memory.SharedMemory(name=shm_name, create=True, size=nbytes)
     try:
-        for result, entry in zip(results, specs):
-            for name, spec in entry.items():
-                array = result.arrays[name]
+        for entry in placed:
+            for _name, array, spec in entry:
                 if not array.size:
                     continue
                 target = np.frombuffer(
@@ -638,20 +190,6 @@ def pack_chunk(results: list[ArrayResult], shm_name: str) -> ChunkDescriptor:
                 ).reshape(array.shape)
                 target[...] = array
                 del target
-        packed = tuple(
-            PackedResult(
-                series_id=result.series_id,
-                kernel=result.kernel,
-                kind=result.kind,
-                arrays=entry,
-                meta=result.meta,
-                error=result.error,
-                load_s=result.load_s,
-                compute_s=result.compute_s,
-                cache_hit=result.cache_hit,
-            )
-            for result, entry in zip(results, specs)
-        )
     except BaseException:
         shm.close()
         try:
@@ -661,6 +199,10 @@ def pack_chunk(results: list[ArrayResult], shm_name: str) -> ChunkDescriptor:
         raise
     _untrack(shm)
     shm.close()
+    packed = tuple(
+        replace(result, arrays={name: spec for name, _array, spec in entry})
+        for result, entry in zip(results, placed)
+    )
     return ChunkDescriptor(shm_name=shm_name, nbytes=nbytes, results=packed)
 
 
@@ -684,26 +226,34 @@ class ShmArena:
             self._counter += 1
             return f"{self._prefix}-{self._counter}"
 
-    def unpack(
-        self, descriptor: ChunkDescriptor
-    ) -> list[tuple[PackedResult, Any, float]]:
-        """Attach, decode every series, and always close + unlink.
+    def unpack(self, descriptor: ChunkDescriptor) -> list[ArrayResult]:
+        """Attach, copy every array out, and always close + unlink.
 
-        Returns ``(packed, result, score)`` triples in chunk order;
-        error entries decode to ``(packed, None, 0.0)``.
+        The returned results own their arrays: each is copied out of
+        ``shm.buf`` before the block goes away, because an
+        ``np.frombuffer`` view must never outlive its block.
         """
         from multiprocessing import shared_memory
 
         shm = shared_memory.SharedMemory(name=descriptor.shm_name)
         try:
-            out = []
-            for packed in descriptor.results:
-                if packed.error is not None:
-                    out.append((packed, None, 0.0))
-                    continue
-                result, score = decode_result(packed, buffer=shm.buf)
-                out.append((packed, result, score))
-            return out
+            return [
+                replace(
+                    packed,
+                    arrays={
+                        name: np.frombuffer(
+                            shm.buf,
+                            dtype=np.dtype(spec.dtype),
+                            count=spec.count,
+                            offset=spec.offset,
+                        )
+                        .reshape(spec.shape)
+                        .copy()
+                        for name, spec in packed.arrays.items()
+                    },
+                )
+                for packed in descriptor.results
+            ]
         finally:
             try:
                 shm.close()

@@ -9,7 +9,7 @@ The planner consults this module twice:
 
   - *Time pruning* (all aggregates): a segment whose ``[t_min, t_max]``
     misses the WHERE range entirely holds only rows
-    :func:`~repro.service.backends.restrict_time_range` would discard.
+    :func:`~repro.service.kernels.restrict_time_range` would discard.
     Each distinct time's tuples live in exactly one segment (appends emit
     whole-time matrix rows and times never repeat across appends; static
     views are single-segment), so dropping the segment removes no

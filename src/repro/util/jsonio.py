@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-__all__ = ["canonical_dumps"]
+__all__ = ["canonical_dumps", "scalar_time"]
 
 
 def canonical_dumps(payload: Any) -> str:
@@ -21,3 +21,10 @@ def canonical_dumps(payload: Any) -> str:
     return json.dumps(
         payload, sort_keys=True, separators=(",", ":"), allow_nan=False
     )
+
+
+def scalar_time(value: Any) -> int | float:
+    """JSON-safe time key: integral times stay ints, others floats."""
+    number = float(value)
+    integral = int(number)
+    return integral if number == integral else number

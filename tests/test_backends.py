@@ -3,7 +3,7 @@
 The contract under test: every backend — sequential (the reference),
 thread, process — produces **bit-identical** results for the same
 statement over the same catalog, because all three run the same
-per-envelope compute path.  Fault behaviour is part of the contract too:
+``compute_chunk`` kernel path.  Fault behaviour is part of the contract too:
 a broken series names itself through any backend, a worker process dying
 mid-query surfaces as a :class:`QueryError` naming the lost series (and
 the pool rebuilds), and a deliberately closed service refuses further
@@ -388,6 +388,29 @@ class TestBackendFaults:
             service.execute(
                 f"SELECT expected_value FROM CATALOG '{v2_root}'"
             )
+
+    def test_runtime_error_in_a_task_is_not_reported_as_shutdown(
+        self, v2_root, monkeypatch
+    ):
+        # Only a failed *scheduling* call means the pool is gone; a
+        # RuntimeError raised while a chunk runs is that chunk's own
+        # failure and must surface as itself.
+        from repro.service import kernels
+
+        statement = f"SELECT expected_value FROM CATALOG '{v2_root}'"
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        with CatalogQueryService(v2_root, max_workers=4) as service:
+            assert isinstance(service.backend, ThreadBackend)
+            with monkeypatch.context() as patch:
+                patch.setattr(kernels, "_load_view_from_segments", boom)
+                with pytest.raises(RuntimeError, match="boom") as excinfo:
+                    service.execute(statement)
+                assert "shut down" not in str(excinfo.value)
+            # The pool was never the problem: the backend stays usable.
+            assert len(service.execute(statement).results) == SERIES
 
     def test_closed_thread_service_raises_service_closed(self, v2_root):
         statement = f"SELECT expected_value FROM CATALOG '{v2_root}'"

@@ -33,10 +33,9 @@ from repro.obs import (
 from repro.server import Client, QueryServer, ServerThread
 from repro.server.app import ServerStats
 from repro.service import CatalogQueryService
-from repro.service.executor import _statement_text
 from repro.store import Catalog
 from repro.view.omega import OmegaGrid
-from repro.view.sql import parse_select_query
+from repro.view.sql import parse_select_query, render_statement
 
 H = 20
 GRID = OmegaGrid(delta=0.5, n=4)
@@ -478,7 +477,7 @@ class TestServiceTracing:
         ]
         for statement in statements:
             query = parse_select_query(statement)
-            assert parse_select_query(_statement_text(query)) == query
+            assert parse_select_query(render_statement(query)) == query
 
 
 # ---------------------------------------------------------------------------

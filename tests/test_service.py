@@ -13,6 +13,11 @@ from repro.db.stream_queries import (
     exceedance_probability,
     expected_time_above,
 )
+from repro.db.worlds import (
+    WorldSampler,
+    conjunctive_range_query,
+    derive_series_seed,
+)
 from repro.exceptions import (
     InvalidParameterError,
     ParseError,
@@ -60,47 +65,95 @@ def _sql(catalog: Catalog, body: str) -> str:
     return f"SELECT {body} FROM CATALOG '{catalog.root}'"
 
 
+def _one_shot_reference(view, series_id):
+    """Each kernel's answer and score from the public one-shot API."""
+    times = view.times
+
+    def by_time(values):
+        return max(values.values(), default=0.0)
+
+    hits = threshold_query(view, 0.4)
+    expected = expected_value_query(view)
+    exceedance = exceedance_probability(view, 21.0)
+    above = expected_time_above(view, 21.0, 5)
+    in_range = {
+        t: conjunctive_range_query(view, {t: (20.5, 22.0)}) for t in times
+    }
+    rng = np.random.default_rng(derive_series_seed(7, series_id))
+    sampler = WorldSampler(view)
+    worlds = [
+        [[t, world.values[t]] for t in times]
+        for world in (sampler.sample(rng) for _ in range(3))
+    ]
+    return {
+        "threshold(0.4)": (hits, float(len(hits))),
+        "expected_value": (
+            expected,
+            sum(expected.values()) / len(expected),
+        ),
+        "exceedance(21.0)": (exceedance, by_time(exceedance)),
+        "time_above(21.0, 5)": (above, by_time(above)),
+        "PROBABILITY OF v BETWEEN 20.5 AND 22.0": (
+            in_range,
+            by_time(in_range),
+        ),
+        "SIMULATE 3 SEED 7": (worlds, float(len(times))),
+    }
+
+
 class TestParity:
     """The acceptance criterion: SELECT == the per-series sequential loop."""
 
-    def test_exceedance_matches_per_series_loop(self, catalog):
-        result = CatalogQueryService(catalog, max_workers=4).execute(
-            _sql(catalog, "exceedance(21.0)")
-        )
-        assert result.matched == tuple(catalog.list_series())
-        for entry in result.results:
-            expected = exceedance_probability(
-                catalog.view(entry.series_id), 21.0
+    @pytest.mark.parametrize("backend", ["sequential", "thread", "process"])
+    @pytest.mark.parametrize(
+        "where, lo, hi",
+        [("", None, None), (" WHERE t BETWEEN 30 AND 60", 30, 60)],
+        ids=["unbounded", "between"],
+    )
+    def test_every_kernel_matches_the_one_shot_queries(
+        self, catalog, backend, where, lo, hi
+    ):
+        references = {
+            series_id: _one_shot_reference(
+                restrict_time_range(catalog.view(series_id), lo, hi),
+                series_id,
             )
-            assert entry.result == expected
-            assert entry.score == max(expected.values())
+            for series_id in catalog.list_series()
+        }
+        with CatalogQueryService(
+            catalog, backend=backend, max_workers=2
+        ) as service:
+            for body in next(iter(references.values())):
+                statement = (
+                    f"{body} FROM CATALOG '{catalog.root}'{where}"
+                    if body.startswith("SIMULATE")
+                    else _sql(catalog, body) + where
+                )
+                result = service.execute(statement)
+                assert result.matched == tuple(catalog.list_series())
+                for entry in result.results:
+                    expected, score = references[entry.series_id][body]
+                    assert entry.result == expected, (body, entry.series_id)
+                    assert entry.score == score, (body, entry.series_id)
+                    assert entry.size == len(expected)
 
-    def test_threshold_matches_per_series_loop(self, catalog):
-        result = CatalogQueryService(catalog, max_workers=4).execute(
-            _sql(catalog, "threshold(0.4)")
-        )
-        for entry in result.results:
-            expected = threshold_query(catalog.view(entry.series_id), 0.4)
-            assert entry.result == expected
-            assert entry.score == float(len(expected))
-
-    def test_expected_value_matches_per_series_loop(self, catalog):
-        result = CatalogQueryService(catalog, max_workers=3).execute(
-            _sql(catalog, "expected_value")
-        )
-        for entry in result.results:
-            assert entry.result == expected_value_query(
-                catalog.view(entry.series_id)
-            )
-
-    def test_time_above_matches_per_series_loop(self, catalog):
-        result = CatalogQueryService(catalog, max_workers=3).execute(
-            _sql(catalog, "time_above(21.0, 5)")
-        )
-        for entry in result.results:
-            assert entry.result == expected_time_above(
-                catalog.view(entry.series_id), 21.0, 5
-            )
+    def test_json_never_builds_the_legacy_objects(self, catalog):
+        # The hot path (server, result.json()) renders rows straight
+        # from the arrays; entry.result is built only on request.
+        with CatalogQueryService(catalog, max_workers=2) as service:
+            for statement in (
+                _sql(catalog, "threshold(0.4)"),
+                _sql(catalog, "expected_value, exceedance(21.0)"),
+                f"SIMULATE 2 SEED 7 FROM CATALOG '{catalog.root}'",
+            ):
+                result = service.execute(statement)
+                rendered = result.json()
+                items = getattr(result, "items", (result,))
+                entries = [entry for item in items for entry in item.results]
+                assert entries
+                assert all(entry._result is None for entry in entries)
+                assert entries[0].result is entries[0].result
+                assert result.json() == rendered
 
     def test_parallel_equals_sequential(self, catalog):
         statement = _sql(catalog, "exceedance(20.5)") + " TOP 3"
@@ -112,15 +165,6 @@ class TestParity:
         )
         assert sequential.results == parallel.results
         assert sequential.matched == parallel.matched
-
-    def test_where_clause_matches_sliced_loop(self, catalog):
-        result = CatalogQueryService(catalog, max_workers=2).execute(
-            _sql(catalog, "exceedance(21.0)") + " WHERE t BETWEEN 30 AND 60"
-        )
-        for entry in result.results:
-            full = exceedance_probability(catalog.view(entry.series_id), 21.0)
-            expected = {t: v for t, v in full.items() if 30 <= t <= 60}
-            assert entry.result == expected
 
 
 class TestSelection:
@@ -206,14 +250,27 @@ class TestPlannerValidation:
         with pytest.raises(QueryError, match="sensor-00"):
             execute_select(_sql(catalog, "time_above(21.0, 5000)"))
 
-    def test_corrupt_segment_failure_names_the_series(self, catalog):
+    @pytest.mark.parametrize("backend", ["sequential", "thread", "process"])
+    def test_corrupt_segment_failure_names_the_series(self, catalog, backend):
         # Load failures count too: truncate one series' segment and the
-        # error must still say which of the five broke.
+        # error must still say which of the five broke — even though
+        # expected_value runs as one stacked pass over the whole chunk.
         segment = next((catalog.root / "sensor-02").glob("seg-*.npz"))
-        segment.write_bytes(b"PK\x03\x04 truncated")
-        with pytest.raises(QueryError, match="sensor-02"):
-            CatalogQueryService(catalog, max_workers=4).execute(
-                _sql(catalog, "expected_value")
+        intact = segment.read_bytes()
+        statement = _sql(catalog, "expected_value")
+        with CatalogQueryService(
+            catalog, backend=backend, max_workers=2
+        ) as service:
+            segment.write_bytes(b"PK\x03\x04 truncated")
+            with pytest.raises(QueryError, match="sensor-02"):
+                service.execute(statement)
+            # One bad series must not poison its chunk-mates or the
+            # service: with the file restored the statement answers.
+            segment.write_bytes(intact)
+            result = service.execute(statement)
+        for entry in result.results:
+            assert entry.result == expected_value_query(
+                catalog.view(entry.series_id)
             )
 
 

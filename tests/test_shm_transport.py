@@ -5,14 +5,16 @@ Four contracts:
 1. **Descriptor round-trip**: any array set packed into a block
    rehydrates bit-identically through its :class:`ArraySpec` slices —
    property-tested over random dtypes, shapes (including empty), and
-   raw bit patterns (NaNs and all).
-2. **Arena lifecycle**: blocks are unlinked on success, on decode
+   raw bit patterns (NaNs and all) — and the arrays
+   :meth:`ShmArena.unpack` returns own their bytes: they stay readable
+   after the block is unlinked.
+2. **Arena lifecycle**: blocks are unlinked on success, on unpack
    errors, on pack failures, and :meth:`ShmArena.reap` is idempotent —
    no path leaks a ``/dev/shm`` segment.
 3. **Fallback parity**: the pickle transport (``REPRO_SHM_TRANSPORT=0``
-   or a per-chunk pack failure) produces envelopes equal to the shm
-   path, and the fallback is counted in the backend's transport stats,
-   never silent.
+   or a per-chunk pack failure) hands the parent the same results as
+   the shm path, and the fallback is counted in the backend's transport
+   stats, never silent.
 4. **Bit-identity**: canonical result bytes match across sequential,
    thread, and process backends — cold and warm, shm on and off —
    including ``SIMULATE`` (seeded) and multi-aggregate selects.
@@ -20,6 +22,7 @@ Four contracts:
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from multiprocessing import shared_memory
 from pathlib import Path
@@ -36,7 +39,8 @@ from repro.service import (
     ShmArena,
     shm_available,
 )
-from repro.service.shm import ArrayResult, decode_result, pack_chunk
+from repro.service.kernels import ArrayResult
+from repro.service.shm import ArraySpec, pack_chunk
 from repro.store import Catalog
 from repro.view.omega import OmegaGrid
 
@@ -93,98 +97,66 @@ def _random_arrays(draw) -> dict[str, np.ndarray]:
 @settings(max_examples=30, deadline=None)
 @given(chunk=st.lists(_random_arrays(), min_size=1, max_size=3))
 def test_descriptor_roundtrip_bit_identical(chunk):
-    """Random arrays rehydrate from the block byte-for-byte, aligned."""
+    """Random arrays come back byte-for-byte, aligned, and self-owned.
+
+    ``unpack`` copies out of the block before unlinking it, so the
+    arrays are read here *after* the block is gone.
+    """
     arena = ShmArena()
     results = [
         ArrayResult(
             series_id=f"s-{index}",
-            kernel="expected_value",
             kind="raw",
             arrays=arrays,
+            score=float(index),
         )
         for index, arrays in enumerate(chunk)
     ]
-    originals = [
-        {name: array.copy() for name, array in result.arrays.items()}
-        for result in results
-    ]
     descriptor = pack_chunk(results, arena.next_name())
-    shm = shared_memory.SharedMemory(name=descriptor.shm_name)
-    try:
-        for packed, original in zip(descriptor.results, originals):
-            assert packed.arrays.keys() == original.keys()
-            for name, spec in packed.arrays.items():
-                source = original[name]
-                assert spec.offset % np.dtype(spec.dtype).itemsize == 0
-                rehydrated = (
-                    np.frombuffer(
-                        shm.buf,
-                        dtype=np.dtype(spec.dtype),
-                        count=spec.count,
-                        offset=spec.offset,
-                    )
-                    .reshape(spec.shape)
-                    .copy()
-                )
-                assert rehydrated.dtype == source.dtype
-                assert rehydrated.shape == source.shape
-                assert rehydrated.tobytes() == source.tobytes()
-    finally:
-        shm.close()
-        shm.unlink()
+    for packed in descriptor.results:
+        for spec in packed.arrays.values():
+            assert spec.offset % np.dtype(spec.dtype).itemsize == 0
+    unpacked = arena.unpack(descriptor)
+    with pytest.raises(FileNotFoundError):
+        shared_memory.SharedMemory(name=descriptor.shm_name)
     assert not _leaked_blocks()
-
-
-@needs_shm
-@settings(max_examples=25, deadline=None)
-@given(
-    pairs=st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=10**6),
-            st.floats(allow_nan=False, allow_infinity=False, width=64),
-        ),
-        max_size=12,
-        unique_by=lambda pair: pair[0],
-    )
-)
-def test_mapping_decode_matches_pickle_path(pairs):
-    """Both transports decode one mapping to identical dict and score."""
-    times = np.array([pair[0] for pair in pairs], dtype=np.int64)
-    values = np.array([pair[1] for pair in pairs], dtype=np.float64)
-
-    def result() -> ArrayResult:
-        return ArrayResult(
-            series_id="s-0",
-            kernel="exceedance",
-            kind="mapping",
-            arrays={"times": times.copy(), "values": values.copy()},
+    for before, after in zip(results, unpacked):
+        assert dataclasses.replace(after, arrays={}) == dataclasses.replace(
+            before, arrays={}
         )
-
-    arena = ShmArena()
-    descriptor = pack_chunk([result()], arena.next_name())
-    [(_packed, via_shm, shm_score)] = arena.unpack(descriptor)
-    via_pickle, pickle_score = decode_result(result())
-    assert via_shm == via_pickle
-    assert shm_score == pickle_score
-    assert not _leaked_blocks()
+        assert after.arrays.keys() == before.arrays.keys()
+        for name, source in before.arrays.items():
+            array = after.arrays[name]
+            assert array.flags.owndata
+            assert array.dtype == source.dtype
+            assert array.shape == source.shape
+            assert array.tobytes() == source.tobytes()
 
 
 # ----------------------------------------------------------------------
 # 2. Arena lifecycle under exceptions.
 # ----------------------------------------------------------------------
 @needs_shm
-def test_unpack_unlinks_even_when_decode_raises():
+def test_unpack_unlinks_even_when_a_slice_is_bogus():
     arena = ShmArena()
-    bogus = ArrayResult(
+    result = ArrayResult(
         series_id="s-0",
-        kernel="expected_value",
-        kind="bogus",
+        kind="mapping",
         arrays={"times": np.arange(3, dtype=np.int64)},
     )
-    descriptor = pack_chunk([bogus], arena.next_name())
-    with pytest.raises(ValueError, match="kind"):
-        arena.unpack(descriptor)
-    # The finally branch unlinked the block despite the decode error.
+    descriptor = pack_chunk([result], arena.next_name())
+    beyond = ArraySpec(offset=1 << 24, dtype="<i8", shape=(3,))
+    corrupt = dataclasses.replace(
+        descriptor,
+        results=(
+            dataclasses.replace(
+                descriptor.results[0], arrays={"times": beyond}
+            ),
+        ),
+    )
+    with pytest.raises(ValueError):
+        arena.unpack(corrupt)
+    # The finally branch unlinked the block despite the failed copy.
     with pytest.raises(FileNotFoundError):
         shared_memory.SharedMemory(name=descriptor.shm_name)
     assert not _leaked_blocks()
@@ -198,7 +170,6 @@ def test_pack_failure_unlinks_its_own_block():
     # creates the block, fails mid-copy, and must unlink before raising.
     poison = ArrayResult(
         series_id="s-0",
-        kernel="expected_value",
         kind="mapping",
         arrays={"values": np.array([object()], dtype=object)},
     )
@@ -216,7 +187,6 @@ def test_reap_is_idempotent_and_tolerates_absent_blocks():
     arena.reap(name)  # Never created: silently nothing.
     result = ArrayResult(
         series_id="s-0",
-        kernel="expected_value",
         kind="raw",
         arrays={"x": np.arange(4.0)},
     )
@@ -231,7 +201,7 @@ def test_reap_is_idempotent_and_tolerates_absent_blocks():
 # ----------------------------------------------------------------------
 # 3. Fallback-to-pickle parity and accounting.
 # ----------------------------------------------------------------------
-def test_pickle_fallback_counted_and_envelope_identical():
+def test_pickle_fallback_counted_and_results_identical():
     times = np.array([1, 2, 3], dtype=np.int64)
     values = np.array([0.25, 0.5, 1.0], dtype=np.float64)
 
@@ -239,7 +209,6 @@ def test_pickle_fallback_counted_and_envelope_identical():
         return [
             ArrayResult(
                 series_id="s-0",
-                kernel="exceedance",
                 kind="mapping",
                 arrays={"times": times.copy(), "values": values.copy()},
             )
@@ -262,9 +231,12 @@ def test_pickle_fallback_counted_and_envelope_identical():
             assert stats["shm_chunks"] == 1
             first, second = via_shm[0], via_pickle[0]
             assert first.series_id == second.series_id
-            assert first.result == second.result
+            assert first.kind == second.kind
             assert first.score == second.score
             assert first.error == second.error
+            assert first.arrays.keys() == second.arrays.keys()
+            for name, array in first.arrays.items():
+                assert array.tobytes() == second.arrays[name].tobytes()
     finally:
         backend.close()
     assert not _leaked_blocks()

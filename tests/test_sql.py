@@ -13,6 +13,7 @@ from repro.view.sql import (
     parse_select_query,
     parse_statement,
     parse_view_query,
+    render_statement,
 )
 
 PAPER_QUERY = (
@@ -397,8 +398,6 @@ class TestStatementRoundTrips:
         ],
     )
     def test_round_trip(self, statement):
-        from repro.service.executor import _statement_text
-
         parsed = parse_statement(statement)
-        rendered = _statement_text(parsed)
+        rendered = render_statement(parsed)
         assert parse_statement(rendered) == parsed
