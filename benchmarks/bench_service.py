@@ -1,19 +1,11 @@
-"""Catalog-wide query service benchmark: thread scaling and cache gap.
+"""Catalog-wide query service benchmark: the cache gap.
 
-Two claims back the `repro.service` design, both recorded in
+One claim backs the `repro.service` design, recorded in
 ``BENCH_service.json`` at the repo root:
 
-1. **Fan-out scales**: one catalog-wide SELECT over a 200-series catalog
-   fans per-series work over a thread pool; the per-series work is numpy
-   (``.npz`` decoding, vectorised validation, grouped reductions), which
-   releases the GIL, so cold-query wall time drops near-linearly with
-   workers *on multi-core hosts*.  The JSON records the full worker sweep
-   plus ``cpu_count``; the pytest floor asserts >= 2x only where the
-   hardware has >= 2 cores (CI does), because a single-core host cannot
-   exhibit thread parallelism.
-2. **The matrix cache pays**: a warm statement (materialised views
-   resident in the byte-budgeted LRU cache) skips every segment reload
-   and runs several times faster than a cold one.
+**The matrix cache pays**: a warm statement over a 200-series catalog
+(materialised views resident in the byte-budgeted LRU cache) skips every
+segment reload and runs several times faster than a cold one.
 
 Run directly (``python benchmarks/bench_service.py``) or via pytest
 (``pytest benchmarks/bench_service.py``); the pytest entries assert the
@@ -32,7 +24,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from repro.service import CatalogQueryService, MatrixCache
 from repro.store import Catalog
@@ -43,7 +34,6 @@ _GRID = OmegaGrid(delta=0.5, n=8)
 _H = 40
 _SERIES_COUNT = 40 if _QUICK else 200
 _TIMES_PER_SERIES = 150 if _QUICK else 400
-_WORKER_SWEEP = (1, 2, 4, 8)
 _CACHE_BUDGET = 512 << 20
 _OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_service.json"
 
@@ -78,42 +68,11 @@ def _statement(catalog: Catalog) -> str:
     return f"SELECT exceedance(21.0) FROM CATALOG '{catalog.root}'"
 
 
-def bench_worker_sweep(catalog: Catalog) -> dict:
-    """Cold-query wall time per worker count (fresh cache each run)."""
-    statement = _statement(catalog)
-    out: dict = {}
-    reference_scores = None
-    for workers in _WORKER_SWEEP:
-        service = CatalogQueryService(
-            catalog, max_workers=workers, cache_budget_bytes=_CACHE_BUDGET
-        )
-
-        def cold_run():
-            service.cache.clear()
-            return service.execute(statement)
-
-        cold_s, result = _time(cold_run, repeat=3)
-        if reference_scores is None:
-            reference_scores = result.scores()
-        else:
-            # Parallel execution must not change a single result.
-            assert result.scores() == reference_scores
-        out[str(workers)] = {"cold_s": cold_s}
-        print(
-            f"cold SELECT over {_SERIES_COUNT} series, "
-            f"workers={workers}: {cold_s * 1e3:7.1f} ms"
-        )
-    return out
-
-
 def bench_cache_gap(catalog: Catalog) -> dict:
     """Cold-vs-warm gap on one long-lived service."""
     statement = _statement(catalog)
     cache = MatrixCache(_CACHE_BUDGET)
-    workers = min(8, max(2, os.cpu_count() or 1))
-    service = CatalogQueryService(
-        catalog, max_workers=workers, cache=cache
-    )
+    service = CatalogQueryService(catalog, cache=cache)
 
     def cold_run():
         cache.clear()
@@ -123,7 +82,6 @@ def bench_cache_gap(catalog: Catalog) -> dict:
     warm_s, _ = _time(lambda: service.execute(statement), repeat=5)
     stats = cache.stats
     out = {
-        "workers": workers,
         "cold_s": cold_s,
         "warm_s": warm_s,
         "warm_speedup": cold_s / warm_s,
@@ -132,7 +90,7 @@ def bench_cache_gap(catalog: Catalog) -> dict:
         "hit_rate": stats.hit_rate,
     }
     print(
-        f"cache gap (workers={workers}): cold {cold_s * 1e3:7.1f} ms, "
+        f"cache gap: cold {cold_s * 1e3:7.1f} ms, "
         f"warm {warm_s * 1e3:7.1f} ms ({out['warm_speedup']:.1f}x, "
         f"{stats.entries} views / {stats.current_bytes / 1e6:.1f} MB resident)"
     )
@@ -143,14 +101,9 @@ def run_benchmark() -> dict:
     workdir = Path(tempfile.mkdtemp(prefix="bench_service_"))
     try:
         catalog = build_catalog(workdir)
-        sweep = bench_worker_sweep(catalog)
         cache = bench_cache_gap(catalog)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
-    single = sweep["1"]["cold_s"]
-    best_workers, best = min(
-        sweep.items(), key=lambda item: item[1]["cold_s"]
-    )
     results = {
         "quick": _QUICK,
         "cpu_count": os.cpu_count(),
@@ -160,13 +113,8 @@ def run_benchmark() -> dict:
         "grid": {"delta": _GRID.delta, "n": _GRID.n},
         "H": _H,
         "statement": "SELECT exceedance(21.0) FROM CATALOG '<root>'",
-        "worker_sweep": sweep,
         "cache_gap": cache,
-        "headline": {
-            "parallel_speedup": single / best["cold_s"],
-            "best_workers": int(best_workers),
-            "warm_speedup": cache["warm_speedup"],
-        },
+        "headline": {"warm_speedup": cache["warm_speedup"]},
     }
     _OUTPUT.write_text(json.dumps(results, indent=2) + "\n")
     print(f"\nwrote {_OUTPUT}")
@@ -200,29 +148,6 @@ def test_cache_holds_every_series():
     results = _results()
     assert results["cache_gap"]["cached_entries"] == results["series_count"]
     assert results["cache_gap"]["hit_rate"] > 0.0
-
-
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 2,
-    reason="thread scaling needs >= 2 cores; single-core hosts record the "
-           "sweep without asserting the floor",
-)
-def test_parallel_execution_speedup():
-    results = _results()
-    speedup = results["headline"]["parallel_speedup"]
-    assert speedup >= 2.0, (
-        f"best worker count only {speedup:.1f}x faster than sequential on "
-        f"{results['cpu_count']} cores (floor 2x)"
-    )
-
-
-def test_parallel_overhead_bounded_on_any_host():
-    # Even where threads cannot win (1 core), the fan-out machinery must
-    # not add more than ~45% to the sequential wall time.
-    results = _results()
-    sweep = results["worker_sweep"]
-    worst = max(entry["cold_s"] for entry in sweep.values())
-    assert worst <= sweep["1"]["cold_s"] * 1.45
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ Two claims back the worlds/plan-tree work, recorded in
 
 1. **Seeded SIMULATE is bit-identical across backends**: the same
    ``SIMULATE n SEED s`` statement serialises to the same canonical JSON
-   bytes on the sequential, thread, and process backends (deterministic
+   bytes on the sequential and process backends (deterministic
    per-series seeding).  Recorded as ``bit_identical`` and gated as a
    boolean; the sampling throughput (``worlds_per_s``) is recorded for
    the curious but never gated — it is machine-absolute.
@@ -84,7 +84,7 @@ def bench_simulate(catalog: Catalog) -> tuple[dict, bool]:
     )
     wires: dict[str, str] = {}
     timings: dict[str, float] = {}
-    for backend in ("sequential", "thread", "process"):
+    for backend in ("sequential", "process"):
         with CatalogQueryService(
             catalog, backend=backend, cache_budget_bytes=_CACHE_BUDGET
         ) as service:
@@ -95,9 +95,7 @@ def bench_simulate(catalog: Catalog) -> tuple[dict, bool]:
             )
             timings[backend] = elapsed
             wires[backend] = canonical_dumps(serialize_result(result))
-    identical = (
-        wires["sequential"] == wires["thread"] == wires["process"]
-    )
+    identical = wires["sequential"] == wires["process"]
     total_worlds = _N_WORLDS * _SERIES_COUNT
     out = {
         "statement": statement,
@@ -192,7 +190,7 @@ def run_benchmark() -> dict:
         "bit_identical": bit_identical,
         "multi_identical": multi_identical,
         "headline": {
-            "simulate_worlds_per_s": simulate["worlds_per_s"]["thread"],
+            "simulate_worlds_per_s": simulate["worlds_per_s"]["sequential"],
             "shared_scan_speedup": multi["shared_scan_speedup"],
         },
     }

@@ -97,7 +97,7 @@ def main() -> None:
     # --- one question over the whole catalog ----------------------------
     # repro.connect(<path>) opens the catalog query service behind the
     # unified Connection facade: it plans a SELECT across every matched
-    # series, fans the work over a thread pool, and caches the
+    # series, runs the per-series work inline, and caches the
     # materialised views so a repeated statement skips the .npz reloads.
     conn = repro.connect(root, cache_budget_bytes=64 << 20)
     service = conn.service

@@ -201,13 +201,14 @@ def build_parser() -> argparse.ArgumentParser:
              "sharing the matrix cache",
     )
     vquery.add_argument("--workers", type=int, default=None,
-                        help="fan-out width (default: cpus + 4 for the "
-                             "thread backend, cpus for the process backend)")
-    vquery.add_argument("--backend", default="thread",
-                        choices=["sequential", "thread", "process"],
-                        help="executor backend: 'process' sidesteps the "
-                             "GIL for CPU-bound aggregates on multi-core "
-                             "hosts")
+                        help="worker processes for --backend process "
+                             "(default: one per core; must be >= 1, "
+                             "otherwise unused)")
+    vquery.add_argument("--backend", default="sequential",
+                        choices=["sequential", "process"],
+                        help="executor backend: 'sequential' runs inline, "
+                             "'process' sidesteps the GIL for CPU-bound "
+                             "aggregates on multi-core hosts")
     vquery.add_argument("--cache-mb", type=float, default=64.0,
                         help="matrix-cache byte budget in MiB")
     vquery.add_argument("--head", type=int, default=8,
@@ -244,10 +245,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="disable sharing one execution between "
                             "concurrent identical statements")
     serve.add_argument("--workers", type=int, default=None,
-                       help="per-statement fan-out width")
-    serve.add_argument("--backend", default="thread",
-                       choices=["sequential", "thread", "process"],
-                       help="per-statement executor backend")
+                       help="worker processes for --backend process "
+                            "(default: one per core; must be >= 1, "
+                            "otherwise unused)")
+    serve.add_argument("--backend", default="sequential",
+                       choices=["sequential", "process"],
+                       help="per-statement executor backend: "
+                            "'sequential' runs each statement inline on "
+                            "the --max-inflight pool, 'process' adds a "
+                            "worker-process pool")
     serve.add_argument("--cache-mb", type=float, default=64.0,
                        help="matrix-cache byte budget in MiB")
     serve.add_argument("--no-pruning", action="store_true",
@@ -276,13 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="answer from what was known at knowledge "
                              "time K (rewrites the statement with an "
                              "AS OF clause before sending)")
-    cquery.add_argument("--backend", default=None,
-                        choices=["sequential", "thread", "process"],
-                        help="accepted for flag parity with 'service "
-                             "query'; the executor backend is fixed by "
-                             "the serving process ('server serve "
-                             "--backend'), so this prints a notice and "
-                             "is otherwise ignored")
 
     sstats = server_sub.add_parser(
         "stats", help="print a running server's lifetime counters"
@@ -511,7 +510,7 @@ def _cmd_service(args: argparse.Namespace) -> int:
             pruning=pruning,
         ) as service:
             if args.trace:
-                # execute_many flattens every statement into one pool
+                # execute_many flattens every statement into one backend
                 # pass, which leaves no per-statement trace; run the
                 # batch statement-by-statement (still sharing the warm
                 # cache) so each result carries its own trace block.
@@ -647,12 +646,6 @@ def _cmd_server(args: argparse.Namespace) -> int:
         _print_server_slowlog(payload)
         return 0
 
-    if args.backend is not None:
-        print(
-            "note: --backend is fixed by the serving process "
-            "('server serve --backend'); ignoring",
-            file=sys.stderr,
-        )
     with Client(args.host, args.port) as client:
         result = client.query(args.sql, trace=args.trace, as_of=args.as_of)
     if args.json:

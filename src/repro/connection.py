@@ -194,7 +194,7 @@ class Connection:
 def connect(
     target: "str | Path | None" = None,
     *,
-    backend: str = "thread",
+    backend: str = "sequential",
     max_workers: int | None = None,
     cache_budget_bytes: int = 64 << 20,
     pruning: bool = True,
@@ -206,8 +206,11 @@ def connect(
     :class:`~repro.db.engine.Database` (CREATE VIEW plus one-shot
     catalog SELECTs); a local path opens a
     :class:`~repro.service.executor.CatalogQueryService` over that
-    catalog (persistent worker pool + warm matrix cache; ``backend``,
-    ``max_workers``, ``cache_budget_bytes``, ``pruning`` apply here); a
+    catalog (warm matrix cache; ``backend``, ``cache_budget_bytes``,
+    ``pruning`` apply here: ``"sequential"``, the default, runs each
+    statement inline on the calling thread, ``"process"`` on a
+    persistent pool of ``max_workers`` worker processes — ``None``: one
+    per core; validated ``>= 1``, otherwise unused); a
     ``tcp://host[:port]`` URL connects a
     :class:`~repro.server.client.Client` to a running query server
     (``timeout`` applies there).  Close the connection (or use it as a

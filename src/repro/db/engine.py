@@ -131,7 +131,7 @@ class Database:
         """Route catalog SELECTs for the service's catalog through it.
 
         A long-lived executor (the query server binds one per process)
-        brings its persistent worker pool and warm matrix cache to every
+        brings its executor backend and warm matrix cache to every
         statement this database executes; statements addressing *other*
         catalogs still fall back to the one-shot path.  Pass ``None`` to
         unbind.
@@ -142,15 +142,13 @@ class Database:
         self,
         query: "str | SelectQuery | SimulateQuery",
         *,
-        backend: str | None = None,
         trace: QueryTrace | None = None,
     ) -> "SelectResult":
         """Run a catalog-wide SELECT/SIMULATE through :mod:`repro.service`.
 
         A bound service (see :meth:`bind_select_service`) carries its own
-        executor backend, worker pool, and warm cache; ``backend`` only
-        steers the one-shot fallback path for statements addressing other
-        catalogs (``"sequential"``/``"thread"``/``"process"``).
+        executor backend and warm cache; statements addressing other
+        catalogs take the one-shot path (a throwaway default service).
         """
         # Imported lazily: the service layer sits above the engine.
         from repro.service.executor import execute_select
@@ -166,11 +164,7 @@ class Database:
         service = self._select_service
         if service is not None and service.accepts(query):
             return service.execute(query, trace=trace)
-        return execute_select(
-            query,
-            backend=backend if backend is not None else "thread",
-            trace=trace,
-        )
+        return execute_select(query, trace=trace)
 
     def execute_query(self, query: ViewQuery) -> ProbabilisticView:
         """Execute an already-parsed :class:`ViewQuery`."""

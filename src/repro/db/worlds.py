@@ -43,7 +43,7 @@ def derive_series_seed(seed: int, series_id: str) -> int:
     never Python's ``hash()``, whose string hashing varies with
     ``PYTHONHASHSEED`` and therefore across spawn-started worker
     processes.  This is what makes ``SIMULATE n SEED s`` bit-identical on
-    the sequential, thread, and process executor backends: each series'
+    the sequential and process executor backends: each series'
     stream depends only on ``(seed, series_id)``, never on which worker
     ran it or in what order.
     """

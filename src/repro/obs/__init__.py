@@ -11,7 +11,7 @@ Three small, dependency-free pieces every other layer threads through:
 * :mod:`repro.obs.trace` — per-query trace spans (parse → plan → prune →
   fan-out → per-series load/compute → serialize) carried on a
   :class:`~repro.obs.trace.QueryTrace` context object, with worker-side
-  spans from thread/process backends merged into the parent trace.
+  spans from either backend merged into the parent trace.
 * :mod:`repro.obs.slowlog` — a ring-buffer slow-query log keyed off the
   trace wall time, with a configurable threshold.
 

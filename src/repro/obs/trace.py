@@ -8,21 +8,21 @@ per-series load/compute → serialize.  Stage timings are recorded as
 *contiguous, non-overlapping* top-level spans, so their sum approximates
 the query's wall time (the acceptance tests pin the gap under 10%);
 per-series load/compute spans are children of the fan-out stage and are
-reported separately — they overlap each other under parallel backends and
-must not be summed with the stages.
+reported separately — they overlap each other under the process backend
+and must not be summed with the stages.
 
 Worker-side spans cross backend boundaries as three plain numbers on each
 :class:`~repro.service.kernels.ArrayResult` (``load_s``,
 ``compute_s``, ``cache_hit``) — picklable under any multiprocessing start
 method — and are merged into the parent trace by the executor, so a trace
-looks the same whether the work ran inline, on pool threads, or in
-spawn-started worker processes.
+looks the same whether the work ran inline or in spawn-started worker
+processes.
 
 The rendered block (``trace.as_dict()``, attached to wire results when
 the request asked for it)::
 
     {
-      "backend": "thread",
+      "backend": "sequential",
       "transport": "inline",
       "wall_ms": 12.41,
       "stages": [{"name": "parse", "ms": 0.05}, ...],

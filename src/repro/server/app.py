@@ -1,9 +1,10 @@
 """Asyncio query server over a persistent catalog.
 
 One :class:`QueryServer` owns a bound :class:`~repro.store.catalog.Catalog`,
-a shared :class:`~repro.service.executor.CatalogQueryService` (worker pool +
-byte-budgeted matrix cache), and a :class:`~repro.db.engine.Database` facade
-routed through that service.  Connections speak the NDJSON protocol of
+a shared :class:`~repro.service.executor.CatalogQueryService` (executor
+backend + byte-budgeted matrix cache), and a
+:class:`~repro.db.engine.Database` facade routed through that service.
+Connections speak the NDJSON protocol of
 :mod:`repro.server.protocol`; statements execute on a bounded thread pool so
 the event loop only ever parses frames and shuttles bytes.
 
@@ -117,8 +118,12 @@ class QueryServer:
         Share one execution between concurrent identical statements.
     max_workers, cache_budget_bytes, backend:
         Forwarded to the shared :class:`CatalogQueryService`; ``backend``
-        selects the per-statement executor (``"thread"`` default,
-        ``"process"`` for true multi-core aggregate execution).
+        selects the per-statement executor: ``"sequential"`` (default)
+        runs each statement inline on the server worker thread that
+        admitted it, so this server's ``max_inflight`` pool is the only
+        one; ``"process"`` adds ``max_workers`` worker processes
+        (``None``: one per core; validated ``>= 1``, otherwise unused)
+        for true multi-core aggregate execution.
     pruning:
         Forwarded to the service: use segment synopses to skip
         provably-irrelevant work (default on; results are identical
@@ -153,7 +158,7 @@ class QueryServer:
         frame_limit_bytes: int = protocol.DEFAULT_FRAME_LIMIT,
         max_workers: int | None = None,
         cache_budget_bytes: int = 64 << 20,
-        backend: str = "thread",
+        backend: str = "sequential",
         pruning: bool = True,
         registry: MetricsRegistry | None = None,
         slow_query_ms: float = DEFAULT_SLOW_QUERY_MS,

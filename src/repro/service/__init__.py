@@ -3,11 +3,11 @@
 The layer that turns a directory of persisted probabilistic views
 (:mod:`repro.store`) into something queryable *as a database*: one
 ``SELECT`` statement evaluates an aggregate over every (or a glob-selected
-subset of) series in a catalog, per-series work fans out over a pluggable
-executor backend (sequential / thread pool / spawn-safe process pool with
-zero-copy mmap segment reads), and materialised view matrices are kept
-warm in a byte-budgeted LRU cache so repeated statements never reload a
-segment.
+subset of) series in a catalog, per-series work runs on a pluggable
+executor backend (inline on the caller's thread, or a spawn-safe process
+pool with zero-copy mmap segment reads), and materialised view matrices
+are kept warm in a byte-budgeted LRU cache so repeated statements never
+reload a segment.
 
 * :mod:`repro.service.plan` — the logical plan tree every statement
   lowers through (scan → prune → kernels → combine → finalize);
@@ -17,7 +17,7 @@ segment.
 * :mod:`repro.service.kernels` — the one compute path:
   ``compute_chunk`` turns a chunk of envelopes into array-form answers
   (chunk-stacked ``reduceat`` kernels, scores included);
-* :mod:`repro.service.backends` — the executor backends: three
+* :mod:`repro.service.backends` — the executor backends: two
   schedulers for that one function;
 * :mod:`repro.service.shm` — the shared-memory result transport the
   process backend ships those arrays through (descriptor pickling,
@@ -33,7 +33,6 @@ from repro.service.backends import (
     ExecutorBackend,
     ProcessBackend,
     SequentialBackend,
-    ThreadBackend,
     make_backend,
 )
 from repro.service.cache import CacheStats, MatrixCache
@@ -77,7 +76,6 @@ __all__ = [
     "SeriesResult",
     "ShmArena",
     "SimulateResult",
-    "ThreadBackend",
     "execute_select",
     "explain",
     "logical_plan",

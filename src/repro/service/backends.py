@@ -1,18 +1,16 @@
 """Pluggable executor backends for catalog-wide SELECT fan-out.
 
 One :class:`~repro.service.executor.CatalogQueryService` delegates its
-per-series work to an :class:`ExecutorBackend`.  Every backend runs the
+per-series work to an :class:`ExecutorBackend`.  Both backends run the
 same function — :func:`~repro.service.kernels.compute_chunk` — over
-*chunks* of picklable :class:`~repro.service.planner.TaskEnvelope`
-objects; they differ only in who calls it:
+picklable :class:`~repro.service.planner.TaskEnvelope` objects; they
+differ only in who calls it:
 
-* :class:`SequentialBackend` — one inline call, the parity reference
-  every other backend must match bit-for-bit;
-* :class:`ThreadBackend` — the default: chunks on one persistent
-  :class:`~concurrent.futures.ThreadPoolExecutor` sharing the service's
-  :class:`~repro.service.cache.MatrixCache`.  Scales where the per-chunk
-  work releases the GIL (bulk numpy, file IO), serialises where it does
-  not;
+* :class:`SequentialBackend` — the default and the parity reference:
+  one inline call on the caller's thread against the service's
+  :class:`~repro.service.cache.MatrixCache`.  Concurrency between
+  statements comes from the callers (the server's worker pool, user
+  threads), never from inside a statement;
 * :class:`ProcessBackend` — true multi-core execution over a
   :class:`~concurrent.futures.ProcessPoolExecutor`.  Workers start under
   the ``spawn`` method (the only one safe on every platform and the
@@ -22,7 +20,7 @@ objects; they differ only in who calls it:
   store's layout-v2 mmap segments, workers share page-cache pages
   instead of each rehydrating its own copy of every segment.
 
-All backends return :class:`~repro.service.kernels.ArrayResult` objects
+Both backends return :class:`~repro.service.kernels.ArrayResult` objects
 in input order; per-series failures travel *inside* the result (as a
 message, never a pickled traceback) so one broken series aborts the
 statement with a diagnostic naming that series.  A worker process dying
@@ -37,11 +35,7 @@ import math
 import os
 import threading
 import time
-from concurrent.futures import (
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from multiprocessing import get_context
 from typing import Any
 
@@ -62,7 +56,6 @@ __all__ = [
     "ExecutorBackend",
     "ProcessBackend",
     "SequentialBackend",
-    "ThreadBackend",
     "make_backend",
 ]
 
@@ -78,7 +71,7 @@ _SHM_ALLOC_BUCKETS = (
 
 #: Spellings accepted wherever a backend is selected by name (service
 #: constructor, ``server serve --backend``, ``service query --backend``).
-BACKEND_NAMES = ("sequential", "thread", "process")
+BACKEND_NAMES = ("sequential", "process")
 
 #: Fault-injection hook for the crash tests: a worker *process* whose
 #: chunk contains this series id exits hard before computing, simulating
@@ -86,11 +79,6 @@ BACKEND_NAMES = ("sequential", "thread", "process")
 #: worker side — never in-process — so enabling it cannot kill the
 #: service itself.
 _CRASH_ENV = "REPRO_FAULT_WORKER_CRASH"
-
-#: Chunks a pooled backend cuts one fan-out into, per worker: enough
-#: that a slow chunk does not leave the other workers idle, few enough
-#: that submission (and, for processes, IPC) amortises over its series.
-_CHUNKS_PER_WORKER = 2
 
 
 class ExecutorBackend:
@@ -144,21 +132,6 @@ class ExecutorBackend:
     def _map(self, envelopes: list[TaskEnvelope]) -> list[ArrayResult]:
         raise NotImplementedError
 
-    def _chunks(
-        self, envelopes: list[TaskEnvelope]
-    ) -> list[list[TaskEnvelope]]:
-        """Cut one fan-out into ``_CHUNKS_PER_WORKER`` chunks per worker."""
-        size = max(
-            1,
-            math.ceil(
-                len(envelopes) / (self.max_workers * _CHUNKS_PER_WORKER)
-            ),
-        )
-        return [
-            envelopes[start : start + size]
-            for start in range(0, len(envelopes), size)
-        ]
-
     def close(self) -> None:  # pragma: no cover - trivial default.
         pass
 
@@ -183,84 +156,12 @@ class SequentialBackend(ExecutorBackend):
     ) -> None:
         self.cache = cache
         self.mmap = bool(mmap)
-        self.max_workers = 1
         self._init_metrics(registry)
 
     def _map(self, envelopes: list[TaskEnvelope]) -> list[ArrayResult]:
         return compute_chunk(
             envelopes, self.cache, mmap=self.mmap, timings=self.timings
         )
-
-
-class ThreadBackend(ExecutorBackend):
-    """Thread-pool fan-out sharing the service's matrix cache.
-
-    The pool is created on first use and reused for the backend's
-    lifetime — a warm statement must not pay pool setup.  A pool that was
-    shut down underneath a live statement (a ``close()`` racing a late
-    ``execute`` — the service-CLI shutdown path) surfaces as
-    :class:`~repro.exceptions.QueryError` instead of a bare
-    ``RuntimeError`` traceback.
-    """
-
-    name = "thread"
-
-    def __init__(
-        self,
-        max_workers: int,
-        cache: MatrixCache,
-        *,
-        mmap: bool = False,
-        registry: MetricsRegistry | None = None,
-    ) -> None:
-        if max_workers < 1:
-            raise InvalidParameterError(
-                f"max_workers must be >= 1, got {max_workers}"
-            )
-        self.max_workers = int(max_workers)
-        self.cache = cache
-        self.mmap = bool(mmap)
-        self._init_metrics(registry)
-        # Lazy pool creation is locked: a server fans concurrent first
-        # statements at one shared service, and an unsynchronised
-        # check-then-set would build (and leak) duplicate pools.
-        self._pool_lock = threading.Lock()
-        self._pool: ThreadPoolExecutor | None = None
-
-    def _run(self, chunk: list[TaskEnvelope]) -> list[ArrayResult]:
-        return compute_chunk(
-            chunk, self.cache, mmap=self.mmap, timings=self.timings
-        )
-
-    def _map(self, envelopes: list[TaskEnvelope]) -> list[ArrayResult]:
-        if self.max_workers == 1 or len(envelopes) <= 1:
-            return self._run(envelopes)
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.max_workers,
-                    thread_name_prefix="repro-service",
-                )
-            pool = self._pool
-        try:
-            futures = [
-                pool.submit(self._run, chunk)
-                for chunk in self._chunks(envelopes)
-            ]
-        except RuntimeError as exc:
-            # "cannot schedule new futures after (interpreter) shutdown".
-            # Only the scheduling call is translated: a RuntimeError
-            # raised while a chunk runs is that chunk's own failure.
-            raise QueryError(
-                f"catalog query service is shut down: {exc}"
-            ) from exc
-        return [result for future in futures for result in future.result()]
-
-    def close(self) -> None:
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
 
 
 # ----------------------------------------------------------------------
@@ -323,8 +224,8 @@ class ProcessBackend(ExecutorBackend):
     cost amortises.  Workers always start under ``spawn`` —
     fork would duplicate the parent's pool locks and (on macOS) deadlock
     outright — and each builds its own :class:`MatrixCache`, so repeated
-    statements hit worker-resident views exactly like the thread backend
-    hits the shared one.
+    statements hit worker-resident views exactly like the inline backend
+    hits the service's one.
 
     Results come back through shared memory when the platform supports
     it (``transport == "shm"``): one block per chunk, allocated under a
@@ -342,6 +243,10 @@ class ProcessBackend(ExecutorBackend):
     """
 
     name = "process"
+    #: Chunks one fan-out is cut into, per worker: enough that a slow
+    #: chunk does not leave the other workers idle, few enough that
+    #: submission and IPC amortise over its series.
+    _CHUNKS_PER_WORKER = 2
 
     def __init__(
         self,
@@ -379,8 +284,10 @@ class ProcessBackend(ExecutorBackend):
             "Size of one per-chunk shared-memory arena allocation",
             buckets=_SHM_ALLOC_BUCKETS,
         )
-        # Locked for the same reason as ThreadBackend — doubly so here,
-        # where a duplicate pool leaks whole worker *processes*.
+        # Lazy pool creation is locked: a server fans concurrent first
+        # statements at one shared service, and an unsynchronised
+        # check-then-set would build (and leak) duplicate pools of whole
+        # worker *processes*.
         self._pool_lock = threading.Lock()
         self._pool: ProcessPoolExecutor | None = None
 
@@ -409,6 +316,22 @@ class ProcessBackend(ExecutorBackend):
                     ),
                 )
             return self._pool
+
+    def _chunks(
+        self, envelopes: list[TaskEnvelope]
+    ) -> list[list[TaskEnvelope]]:
+        """Cut one fan-out into ``_CHUNKS_PER_WORKER`` chunks per worker."""
+        size = max(
+            1,
+            math.ceil(
+                len(envelopes)
+                / (self.max_workers * self._CHUNKS_PER_WORKER)
+            ),
+        )
+        return [
+            envelopes[start : start + size]
+            for start in range(0, len(envelopes), size)
+        ]
 
     def _collect(
         self, outcome: "ChunkDescriptor | list[ArrayResult]", name: str | None
@@ -501,13 +424,17 @@ def make_backend(
 ) -> ExecutorBackend:
     """Resolve a backend spec (name or instance) into an instance.
 
-    ``max_workers=None`` picks ``min(16, cpus + 4)`` for threads (IO-ish
-    work overlaps beyond the core count) but exactly ``cpus`` for
-    processes (a process per core is the point; more only costs memory).
+    ``max_workers`` is the number of worker processes of the process
+    backend (``None``: one per core — a process per core is the point;
+    more only costs memory).  It is validated either way and otherwise
+    unused: the sequential backend runs on its caller's thread.
     ``mmap=None`` resolves to on for the process backend and off
-    otherwise.  A ``max_workers=1`` thread backend degrades to the
-    sequential reference — same kernel code, no pool.
+    otherwise.
     """
+    if max_workers is not None and max_workers < 1:
+        raise InvalidParameterError(
+            f"max_workers must be >= 1, got {max_workers}"
+        )
     if isinstance(backend, ExecutorBackend):
         return backend
     if backend not in BACKEND_NAMES:
@@ -515,21 +442,13 @@ def make_backend(
             f"unknown executor backend {backend!r}; "
             f"one of {', '.join(BACKEND_NAMES)}"
         )
-    cpus = os.cpu_count() or 1
-    if max_workers is None:
-        max_workers = cpus if backend == "process" else min(16, cpus + 4)
-    if max_workers < 1:
-        raise InvalidParameterError(
-            f"max_workers must be >= 1, got {max_workers}"
-        )
     if backend == "process":
+        if max_workers is None:
+            max_workers = os.cpu_count() or 1
         return ProcessBackend(
             max_workers,
             cache_budget_bytes=cache_budget_bytes,
             mmap=True if mmap is None else mmap,
             registry=registry,
         )
-    mmap = False if mmap is None else mmap
-    if backend == "sequential" or max_workers == 1:
-        return SequentialBackend(cache, mmap=mmap, registry=registry)
-    return ThreadBackend(max_workers, cache, mmap=mmap, registry=registry)
+    return SequentialBackend(cache, mmap=bool(mmap), registry=registry)

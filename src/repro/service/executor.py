@@ -3,13 +3,14 @@
 One :class:`CatalogQueryService` owns a catalog, an executor backend, and
 a :class:`~repro.service.cache.MatrixCache`.  Executing a statement turns
 the plan's per-series tasks into picklable envelopes and hands them to
-the backend (:mod:`repro.service.backends`): ``sequential`` is the parity
-reference, ``thread`` fans out over a shared-memory pool, ``process``
-runs on true multi-core worker processes with per-worker warm caches and
-(with layout-v2 segments) zero-copy mmap reads.  Results come back in
-deterministic order: series id, or score-descending when ``TOP k`` ranks.
+the backend (:mod:`repro.service.backends`): ``sequential``, the default
+and the parity reference, runs them inline on the caller's thread;
+``process`` runs on true multi-core worker processes with per-worker
+warm caches and (with layout-v2 segments) zero-copy mmap reads.  Results
+come back in deterministic order: series id, or score-descending when
+``TOP k`` ranks.
 
-Every backend runs the same kernel code
+Both backends run the same kernel code
 (:func:`repro.service.kernels.compute_chunk`) and hands back the same
 array-form answers; :class:`SeriesResult` keeps them as arrays, so a
 statement's JSON payload is built straight from ``ndarray.tolist()`` and
@@ -27,11 +28,7 @@ from typing import Any
 import numpy as np
 
 from repro.db.prob_view import ProbTuple
-from repro.exceptions import (
-    InvalidParameterError,
-    QueryError,
-    ReproError,
-)
+from repro.exceptions import QueryError, ReproError
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.slowlog import DEFAULT_SLOW_QUERY_MS, SlowQueryLog
 from repro.obs.trace import NULL_TRACE, QueryTrace
@@ -383,9 +380,9 @@ class CatalogQueryService:
         A :class:`~repro.store.catalog.Catalog` or the path of one (opened
         read-only style: missing catalogs raise instead of being created).
     max_workers:
-        Fan-out width; ``1`` runs sequentially (the parity reference),
-        ``None`` picks ``min(16, cpus + 4)`` for threads and ``cpus`` for
-        processes.
+        Worker processes of ``backend="process"`` (``None``: one per
+        core).  Validated ``>= 1``; otherwise unused — the sequential
+        backend runs on its caller's thread.
     cache_budget_bytes:
         Byte budget of the materialised-view cache; repeated statements on
         an unchanged catalog skip every segment reload.  The process
@@ -393,8 +390,8 @@ class CatalogQueryService:
     cache:
         Share an existing :class:`MatrixCache` between services instead.
     backend:
-        ``"thread"`` (default), ``"process"``, ``"sequential"``, or an
-        :class:`~repro.service.backends.ExecutorBackend` instance.
+        ``"sequential"`` (default: inline, no pool), ``"process"``, or
+        an :class:`~repro.service.backends.ExecutorBackend` instance.
     mmap:
         Memory-map layout-v2 segments instead of copying them
         (``None``: on for the process backend, off otherwise; ignored
@@ -430,7 +427,7 @@ class CatalogQueryService:
         max_workers: int | None = None,
         cache_budget_bytes: int = 64 << 20,
         cache: MatrixCache | None = None,
-        backend: "str | ExecutorBackend" = "thread",
+        backend: "str | ExecutorBackend" = "sequential",
         mmap: bool | None = None,
         pruning: bool = True,
         registry: MetricsRegistry | None = None,
@@ -479,10 +476,6 @@ class CatalogQueryService:
             "repro_query_seconds",
             "End-to-end SELECT latency in seconds, by aggregate",
         )
-        if max_workers is not None and max_workers < 1:
-            raise InvalidParameterError(
-                f"max_workers must be >= 1, got {max_workers}"
-            )
         self.cache = cache if cache is not None else MatrixCache(
             cache_budget_bytes
         )
@@ -565,10 +558,10 @@ class CatalogQueryService:
         accepts several statements per invocation; library users get one
         warm-cache fan-out instead of N).  The per-series tasks of every
         item of every distinct exact plan are flattened into a single
-        pool pass, so a batch keeps all workers busy even when its
-        individual statements match only a few series each; APPROX
-        statements are answered from synopses without entering the pool
-        at all.  Results come back in request order.
+        backend pass, so a batch keeps all process-backend workers busy
+        even when its individual statements match only a few series
+        each; APPROX statements are answered from synopses without
+        entering the backend at all.  Results come back in request order.
         """
         queries = [self._coerce(statement) for statement in statements]
         plans: dict[SelectQuery | SimulateQuery, QueryPlan] = {}
@@ -633,7 +626,7 @@ class CatalogQueryService:
             result = self._execute_approx(plan, trace=trace)
         else:
             # One fan-out for the whole statement: every item's tasks in
-            # one pool pass, so a multi-aggregate select list shares the
+            # one backend pass, so a multi-aggregate select list shares the
             # warm cache (and, per cache key, the materialised views)
             # its items would otherwise each load alone.
             jobs = [
@@ -700,8 +693,8 @@ class CatalogQueryService:
 
         Worker-side per-series spans come back on the array results
         and are merged into ``trace`` here, on the driving thread — the
-        merge looks identical whether the work ran inline, on pool
-        threads, or in spawn-started worker processes.
+        merge looks identical whether the work ran inline or in
+        spawn-started worker processes.
         """
         if self._closed:
             raise QueryError(
@@ -927,8 +920,8 @@ class CatalogQueryService:
         """Shut down the backend and refuse further statements.
 
         Idempotent.  Subsequent ``execute``/``execute_many`` calls raise
-        ``QueryError("service closed: ...")`` — uniformly across thread
-        and process backends, never a pool-internal traceback.
+        ``QueryError("service closed: ...")`` — uniformly across
+        backends, never a pool-internal traceback.
         """
         self._closed = True
         self.registry.unregister_collector(self._cache_collector)
@@ -946,7 +939,7 @@ def execute_select(
     *,
     max_workers: int | None = None,
     cache_budget_bytes: int = 64 << 20,
-    backend: str = "thread",
+    backend: str = "sequential",
     mmap: bool | None = None,
     pruning: bool = True,
     registry: MetricsRegistry | None = None,

@@ -1,11 +1,10 @@
 """The per-series kernels: task envelopes in, array-form answers out.
 
 :func:`compute_chunk` is the only code that turns
-:class:`~repro.service.planner.TaskEnvelope` objects into answers.  Every
-executor backend calls it — the sequential backend inline, the thread
-backend on pool threads, the process backend inside spawn-started
-workers — so cross-backend parity is structural: one function, three
-schedulers.
+:class:`~repro.service.planner.TaskEnvelope` objects into answers.  Both
+executor backends call it — the sequential backend inline, the process
+backend inside spawn-started workers — so cross-backend parity is
+structural: one function, two schedulers.
 
 Answers are :class:`ArrayResult` objects — plain numpy arrays per series
 plus the ``TOP k`` score, computed here where the arrays are.  The

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -55,3 +57,45 @@ def gaussian_forecasts() -> DensitySeries:
             )
         )
     return DensitySeries(forecasts)
+
+
+@pytest.fixture
+def concurrent_callers():
+    """Run ``fn(index)`` on N caller threads at once; outcomes by index.
+
+    How a query server drives one shared service: concurrency comes from
+    the callers, never from inside a statement.  The threads leave a
+    barrier together, so they race on whatever state ``fn`` shares; an
+    exception is returned as that caller's outcome instead of being lost
+    with its thread.  The switch interval stays at its default: a
+    shortened one makes concurrent ``np.load`` header parsing
+    (``ast.literal_eval``) trip CPython 3.11's interpreter-wide AST
+    recursion counter (``SystemError: AST constructor recursion depth
+    mismatch``) — the interpreter's race, not one of this repo's locks.
+    """
+
+    timeout = 60.0  # Bounds every wait: a hang fails, never blocks.
+
+    def run(fn, callers: int) -> list:
+        barrier = threading.Barrier(callers)
+        outcomes: list = [None] * callers
+
+        def call(index: int) -> None:
+            try:
+                barrier.wait(timeout)
+                outcomes[index] = fn(index)
+            except BaseException as exc:  # noqa: BLE001 - reported below.
+                outcomes[index] = exc
+
+        threads = [
+            threading.Thread(target=call, args=(index,))
+            for index in range(callers)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout)
+        assert not any(thread.is_alive() for thread in threads)
+        return outcomes
+
+    return run

@@ -1,8 +1,8 @@
 """Executor-backend suite: parity, selection, faults, mmap reads.
 
-The contract under test: every backend — sequential (the reference),
-thread, process — produces **bit-identical** results for the same
-statement over the same catalog, because all three run the same
+The contract under test: both backends — sequential (the default and
+the reference) and process — produce **bit-identical** results for the
+same statement over the same catalog, because both run the same
 ``compute_chunk`` kernel path.  Fault behaviour is part of the contract too:
 a broken series names itself through any backend, a worker process dying
 mid-query surfaces as a :class:`QueryError` naming the lost series (and
@@ -23,7 +23,6 @@ from repro.service import (
     MatrixCache,
     ProcessBackend,
     SequentialBackend,
-    ThreadBackend,
     make_backend,
 )
 from repro.store import Catalog
@@ -80,16 +79,6 @@ def _canonical(result) -> str:
 
 
 class TestBackendParity:
-    def test_thread_and_sequential_bit_identical(self, v2_root):
-        for statement in _statements(v2_root):
-            seq = CatalogQueryService(
-                v2_root, backend="sequential"
-            ).execute(statement)
-            thr = CatalogQueryService(
-                v2_root, backend="thread", max_workers=4
-            ).execute(statement)
-            assert _canonical(seq) == _canonical(thr)
-
     def test_process_bit_identical_and_warm_cache_stable(self, v2_root):
         statements = _statements(v2_root)
         references = [
@@ -191,9 +180,6 @@ class TestPrunedPlanParity:
             )
             for s in statements
         ]
-        thread = CatalogQueryService(v2_root, backend="thread", max_workers=4)
-        for statement, reference in zip(statements, references):
-            assert _canonical(thread.execute(statement)) == reference
         with CatalogQueryService(
             v2_root, backend="process", max_workers=2
         ) as service:
@@ -215,23 +201,24 @@ class TestPrunedPlanParity:
 
 class TestBackendSelection:
     def test_unknown_backend_rejected(self, v2_root):
-        with pytest.raises(InvalidParameterError, match="unknown executor"):
-            CatalogQueryService(v2_root, backend="fiber")
+        for name in ("fiber", "thread"):
+            with pytest.raises(
+                InvalidParameterError,
+                match=f"unknown executor backend '{name}'; "
+                "one of sequential, process",
+            ):
+                CatalogQueryService(v2_root, backend=name)
 
-    def test_single_worker_thread_degrades_to_sequential(self):
+    def test_named_backends_resolve(self, v2_root):
         cache = MatrixCache()
-        backend = make_backend("thread", max_workers=1, cache=cache)
-        assert isinstance(backend, SequentialBackend)
-
-    def test_named_backends_resolve(self):
-        cache = MatrixCache()
-        assert isinstance(
-            make_backend("thread", max_workers=3, cache=cache), ThreadBackend
-        )
+        sequential = make_backend("sequential", max_workers=3, cache=cache)
+        assert isinstance(sequential, SequentialBackend)
+        assert not sequential.mmap
         process = make_backend("process", max_workers=2, cache=cache)
         assert isinstance(process, ProcessBackend)
         assert process.mmap  # Zero-copy reads on by default for processes.
-        assert not make_backend("thread", max_workers=3, cache=cache).mmap
+        with CatalogQueryService(v2_root) as service:
+            assert service.backend_name == "sequential"  # The default.
 
     def test_instance_passthrough(self, v2_root):
         backend = SequentialBackend(MatrixCache())
@@ -394,16 +381,29 @@ class TestBackendFaults:
     ):
         # Only a failed *scheduling* call means the pool is gone; a
         # RuntimeError raised while a chunk runs is that chunk's own
-        # failure and must surface as itself.
-        from repro.service import kernels
+        # failure and must surface as itself.  A spawn-started worker
+        # cannot be monkeypatched, so the process backend's pool runs
+        # its ``_run_chunk`` tasks on in-process threads here.
+        from concurrent.futures import ThreadPoolExecutor
 
+        from repro.service import backends, kernels
+
+        class InProcessPool(ThreadPoolExecutor):
+            def __init__(self, *, mp_context, **kwargs):
+                super().__init__(**kwargs)
+
+        monkeypatch.setattr(backends, "ProcessPoolExecutor", InProcessPool)
+        for state in ("_WORKER_CACHE", "_WORKER_MMAP", "_WORKER_TIMINGS"):
+            # Set by _worker_init, here in this process: restore after.
+            monkeypatch.setattr(backends, state, getattr(backends, state))
         statement = f"SELECT expected_value FROM CATALOG '{v2_root}'"
 
         def boom(*args, **kwargs):
             raise RuntimeError("boom")
 
-        with CatalogQueryService(v2_root, max_workers=4) as service:
-            assert isinstance(service.backend, ThreadBackend)
+        with CatalogQueryService(
+            v2_root, backend="process", max_workers=2
+        ) as service:
             with monkeypatch.context() as patch:
                 patch.setattr(kernels, "_load_view_from_segments", boom)
                 with pytest.raises(RuntimeError, match="boom") as excinfo:
@@ -413,8 +413,10 @@ class TestBackendFaults:
             assert len(service.execute(statement).results) == SERIES
 
     def test_closed_thread_service_raises_service_closed(self, v2_root):
+        # The default backend runs on the calling thread and holds no
+        # pool; a closed service must refuse statements all the same.
         statement = f"SELECT expected_value FROM CATALOG '{v2_root}'"
-        service = CatalogQueryService(v2_root, max_workers=4)
+        service = CatalogQueryService(v2_root)
         service.execute(statement)
         service.close()
         with pytest.raises(QueryError, match="service closed"):

@@ -20,6 +20,14 @@ from repro.experiments import (
     run_table02,
 )
 from repro.experiments.common import ExperimentTable, steps_for
+from repro.experiments.fig14 import (
+    PAPER_DELTA,
+    PAPER_DISTANCE,
+    PAPER_N,
+    synthetic_density_series,
+)
+from repro.view.builder import ViewBuilder
+from repro.view.omega import OmegaGrid
 
 TINY = 0.03
 
@@ -101,8 +109,23 @@ class TestFig12:
 
 class TestFig14:
     def test_cache_speedup_above_one(self):
+        # Why the sigma-cache wins, in counters instead of wall time:
+        # every tuple is one cache lookup, and the cached path evaluates
+        # one CDF row per cached distribution where the naive path
+        # evaluates one per tuple.  The timed columns stay in the table;
+        # a wall-clock ratio on a shared host is not asserted.
         table = run_fig14a(sizes=(2000, 4000))
-        assert all(s > 1.0 for s in table.column("speedup"))
+        distributions = table.column("cached distributions")
+        for tuples, cached in zip(table.column("tuples"), distributions):
+            assert 0 < cached * 10 <= tuples
+        forecasts = synthetic_density_series(2000, rng=0)
+        builder = ViewBuilder(
+            OmegaGrid(delta=PAPER_DELTA, n=PAPER_N)
+        ).with_cache_for(forecasts, distance_constraint=PAPER_DISTANCE)
+        assert len(builder.build_rows(forecasts)) == 2000
+        stats = builder.cache.stats
+        assert stats.hits + stats.misses == 2000
+        assert len(builder.cache) == distributions[0]
 
     def test_cache_size_grows_logarithmically(self):
         table = run_fig14b(ratios=(100.0, 10000.0))

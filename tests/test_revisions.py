@@ -220,7 +220,7 @@ class TestAsOfGrammar:
 
 
 class TestAsOfExecution:
-    @pytest.mark.parametrize("backend", ["sequential", "thread"])
+    @pytest.mark.parametrize("backend", ["sequential"])
     def test_as_of_zero_matches_base_only_catalog(
         self, revised, tmp_path, backend
     ):
@@ -427,19 +427,12 @@ class TestCliAsOf:
             server.stop()
 
     def test_server_query_backend_flag_is_noticed(self, revised, capsys):
-        server = ServerThread(QueryServer(str(revised.root), port=0))
-        host, port = server.start()
-        try:
-            assert main([
-                "server", "query", _sql(revised),
-                "--host", host, "--port", str(port),
-                "--backend", "process",
-            ]) == 0
-            captured = capsys.readouterr()
-            assert "--backend is fixed by the serving process" \
-                in captured.err
-        finally:
-            server.stop()
+        # The backend is fixed by the serving process: 'server query'
+        # has no such flag and says so instead of ignoring it.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["server", "query", _sql(revised), "--backend", "process"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
     def test_as_of_zero_changes_cli_answer(self, revised, capsys):
         statement = _sql(revised, "expected_value")

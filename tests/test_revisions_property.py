@@ -9,7 +9,7 @@ knowledge-time gaps) the bitemporal contract must hold:
   equals feeding the same revisions into a fresh catalog in knowledge
   order and querying it directly, at every recorded knowledge time;
 * shadowed-segment visibility never changes exact answers across the
-  sequential / thread / process backends, with and without pruning.
+  sequential / process backends, with and without pruning.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.db.prob_view import ProbTuple, ProbabilisticView
-from repro.service import CatalogQueryService
+from repro.service import CatalogQueryService, ProcessBackend
 from repro.store import Catalog
 from repro.util.jsonio import canonical_dumps
 
@@ -29,6 +29,18 @@ _SETTINGS = dict(
 )
 
 _counter = iter(range(10**9))
+
+
+@pytest.fixture(scope="module")
+def process_backend():
+    """One spawn-started pool for the whole sweep, not one per example.
+
+    Envelopes carry their catalog's path, so services over different
+    catalogs can share the backend.
+    """
+    backend = ProcessBackend(2)
+    yield backend
+    backend.close()
 
 
 @st.composite
@@ -174,7 +186,7 @@ class TestAsOfProperties:
     )
     @settings(max_examples=10, **_SETTINGS)
     def test_backends_agree_on_shadowed_answers(
-        self, tmp_path_factory, spec, as_of_offset, pruning
+        self, tmp_path_factory, process_backend, spec, as_of_offset, pruning
     ):
         root = tmp_path_factory.mktemp("prop") / f"c{next(_counter)}"
         catalog = _build(root, spec)
@@ -184,13 +196,13 @@ class TestAsOfProperties:
             f"SELECT exceedance(21.0) FROM CATALOG '{catalog.root}'"
             f" AS OF {k}"
         )
-        payloads = {
-            backend: CatalogQueryService(
+        payloads = [
+            CatalogQueryService(
                 catalog, backend=backend, pruning=pruning
             ).execute(statement).json()
-            for backend in ("sequential", "thread")
-        }
-        assert len(set(payloads.values())) == 1, payloads
+            for backend in ("sequential", process_backend)
+        ]
+        assert payloads[0] == payloads[1]
 
 
 class TestProcessBackendParity:

@@ -104,7 +104,7 @@ def _one_shot_reference(view, series_id):
 class TestParity:
     """The acceptance criterion: SELECT == the per-series sequential loop."""
 
-    @pytest.mark.parametrize("backend", ["sequential", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["sequential", "process"])
     @pytest.mark.parametrize(
         "where, lo, hi",
         [("", None, None), (" WHERE t BETWEEN 30 AND 60", 30, 60)],
@@ -157,12 +157,11 @@ class TestParity:
 
     def test_parallel_equals_sequential(self, catalog):
         statement = _sql(catalog, "exceedance(20.5)") + " TOP 3"
-        sequential = CatalogQueryService(catalog, max_workers=1).execute(
-            statement
-        )
-        parallel = CatalogQueryService(catalog, max_workers=8).execute(
-            statement
-        )
+        sequential = CatalogQueryService(catalog).execute(statement)
+        with CatalogQueryService(
+            catalog, backend="process", max_workers=2
+        ) as service:
+            parallel = service.execute(statement)
         assert sequential.results == parallel.results
         assert sequential.matched == parallel.matched
 
@@ -250,11 +249,14 @@ class TestPlannerValidation:
         with pytest.raises(QueryError, match="sensor-00"):
             execute_select(_sql(catalog, "time_above(21.0, 5000)"))
 
-    @pytest.mark.parametrize("backend", ["sequential", "thread", "process"])
-    def test_corrupt_segment_failure_names_the_series(self, catalog, backend):
+    @pytest.mark.parametrize("backend", ["sequential", "process"])
+    def test_corrupt_segment_failure_names_the_series(
+        self, catalog, backend, concurrent_callers
+    ):
         # Load failures count too: truncate one series' segment and the
         # error must still say which of the five broke — even though
-        # expected_value runs as one stacked pass over the whole chunk.
+        # expected_value runs as one stacked pass over the whole chunk,
+        # and to every one of several callers sharing the service.
         segment = next((catalog.root / "sensor-02").glob("seg-*.npz"))
         intact = segment.read_bytes()
         statement = _sql(catalog, "expected_value")
@@ -262,8 +264,11 @@ class TestPlannerValidation:
             catalog, backend=backend, max_workers=2
         ) as service:
             segment.write_bytes(b"PK\x03\x04 truncated")
-            with pytest.raises(QueryError, match="sensor-02"):
-                service.execute(statement)
+            for outcome in concurrent_callers(
+                lambda _index: service.execute(statement), callers=4
+            ):
+                assert isinstance(outcome, QueryError), outcome
+                assert "sensor-02" in str(outcome)
             # One bad series must not poison its chunk-mates or the
             # service: with the file restored the statement answers.
             segment.write_bytes(intact)

@@ -1,7 +1,7 @@
 """Tests for the service batch entry point and shutdown-race hardening.
 
 Covers the pieces the query server builds on: ``execute_many`` (dedup +
-single-pool fan-out, result order preserved, parity with one-at-a-time
+single-pass fan-out, result order preserved, parity with one-at-a-time
 execution), the closed-pool race fix (a ``close()`` racing a late
 statement surfaces as :class:`QueryError`, never a bare ``RuntimeError``
 traceback), and the catalog's stat-token snapshot memoisation that lets
@@ -9,8 +9,6 @@ many connections re-plan against an unchanged series for free.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 import pytest
@@ -76,9 +74,11 @@ class TestExecuteMany:
 
     def test_sequential_and_parallel_agree(self, catalog_root):
         statements = _statements(catalog_root)
-        with CatalogQueryService(catalog_root, max_workers=1) as seq:
+        with CatalogQueryService(catalog_root) as seq:
             sequential = seq.execute_many(statements)
-        with CatalogQueryService(catalog_root, max_workers=4) as par:
+        with CatalogQueryService(
+            catalog_root, backend="process", max_workers=2
+        ) as par:
             parallel = par.execute_many(statements)
         for left, right in zip(sequential, parallel):
             assert left.scores() == right.scores()
@@ -97,16 +97,19 @@ class TestExecuteMany:
 
 class TestClosedPoolRace:
     def test_shutdown_pool_maps_to_query_error(self, catalog_root):
-        service = CatalogQueryService(catalog_root, max_workers=4)
         statement = f"SELECT expected_value FROM CATALOG '{catalog_root}'"
-        service.execute(statement)  # Builds the persistent pool.
-        assert service.backend._pool is not None
-        # Simulate the shutdown race: the pool dies under a live service
-        # reference (what a Ctrl-C teardown interleaved with a late
-        # statement produces) without the service-level closed flag.
-        service.backend._pool.shutdown(wait=True)
-        with pytest.raises(QueryError, match="shut down"):
-            service.execute(statement)
+        with CatalogQueryService(
+            catalog_root, backend="process", max_workers=2
+        ) as service:
+            service.execute(statement)  # Builds the persistent pool.
+            assert service.backend._pool is not None
+            # Simulate the shutdown race: the pool dies under a live
+            # service reference (what a Ctrl-C teardown interleaved with
+            # a late statement produces) without the service-level
+            # closed flag.
+            service.backend._pool.shutdown(wait=True)
+            with pytest.raises(QueryError, match="shut down"):
+                service.execute(statement)
 
     def test_close_makes_further_statements_fail_clearly(self, catalog_root):
         statement = f"SELECT expected_value FROM CATALOG '{catalog_root}'"
@@ -119,32 +122,34 @@ class TestClosedPoolRace:
         with pytest.raises(QueryError, match="service closed"):
             service.execute_many([statement])
 
-    def test_concurrent_close_never_leaks_runtime_error(self, catalog_root):
+    def test_concurrent_close_never_leaks_runtime_error(
+        self, catalog_root, concurrent_callers
+    ):
+        # Caller threads share one default-backend service over a cold
+        # cache, the way a server's workers do, while one of them closes
+        # it: every statement either answers with a lone caller's bytes
+        # or fails with the documented shutdown error.
         statement = f"SELECT exceedance(20.5) FROM CATALOG '{catalog_root}'"
-        surprises: list[BaseException] = []
+        with CatalogQueryService(catalog_root) as lone:
+            reference = lone.execute(statement).json()
 
         for _ in range(8):
-            service = CatalogQueryService(catalog_root, max_workers=4)
-            service.execute(statement)
-            started = threading.Event()
+            service = CatalogQueryService(catalog_root)
 
-            def hammer(service=service) -> None:
-                started.set()
+            def hammer(index: int, service=service) -> list[str]:
+                answers = []
                 for _ in range(5):
                     try:
-                        service.execute(statement)
+                        answers.append(service.execute(statement).json())
                     except ReproError:
                         pass  # The documented shutdown outcome.
-                    except BaseException as exc:  # noqa: BLE001
-                        surprises.append(exc)
-                        return
+                    if index == 0:
+                        service.close()
+                return answers
 
-            thread = threading.Thread(target=hammer)
-            thread.start()
-            started.wait(5)
-            service.close()
-            thread.join(10)
-        assert not surprises, surprises[0]
+            for outcome in concurrent_callers(hammer, callers=4):
+                assert not isinstance(outcome, BaseException), outcome
+                assert all(answer == reference for answer in outcome)
 
 
 class TestSnapshotReuse:

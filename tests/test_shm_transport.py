@@ -15,8 +15,8 @@ Four contracts:
    or a per-chunk pack failure) hands the parent the same results as
    the shm path, and the fallback is counted in the backend's transport
    stats, never silent.
-4. **Bit-identity**: canonical result bytes match across sequential,
-   thread, and process backends — cold and warm, shm on and off —
+4. **Bit-identity**: canonical result bytes match across the
+   sequential and process backends — cold and warm, shm on and off —
    including ``SIMULATE`` (seeded) and multi-aggregate selects.
 """
 
@@ -284,16 +284,13 @@ def _canonical(result) -> str:
     return canonical_dumps(serialize_result(result))
 
 
-def _run_all(root, backend: str, **kwargs) -> list[str]:
-    with CatalogQueryService(root, backend=backend, **kwargs) as service:
-        return [_canonical(service.execute(s)) for s in _statements(root)]
-
-
 def test_bit_identity_across_backends_and_transports(
     catalog_root, monkeypatch
 ):
-    reference = _run_all(catalog_root, "sequential")
-    assert _run_all(catalog_root, "thread", max_workers=4) == reference
+    with CatalogQueryService(catalog_root, backend="sequential") as service:
+        reference = [_canonical(service.execute(s)) for s in _statements(
+            catalog_root
+        )]
 
     backend = ProcessBackend(2)
     with CatalogQueryService(catalog_root, backend=backend) as service:

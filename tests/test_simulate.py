@@ -3,7 +3,7 @@
 Pins the two bit-identity guarantees end to end:
 
 * ``SIMULATE n SEED s`` serialises to byte-identical canonical JSON on
-  the sequential, thread, and process backends (deterministic per-series
+  the sequential and process backends (deterministic per-series
   seeding via :func:`repro.db.worlds.derive_series_seed`);
 * a multi-aggregate select list returns results — and wire payloads —
   bit-identical to running each aggregate as its own statement.
@@ -60,11 +60,10 @@ class TestSimulate:
     def test_bit_identical_across_backends(self, catalog):
         statement = f"SIMULATE 4 SEED 7 FROM CATALOG '{catalog.root}'"
         wires = {}
-        for backend in ("sequential", "thread", "process"):
+        for backend in ("sequential", "process"):
             with CatalogQueryService(catalog, backend=backend) as service:
                 result = service.execute(statement)
                 wires[backend] = canonical_dumps(serialize_result(result))
-        assert wires["sequential"] == wires["thread"]
         assert wires["sequential"] == wires["process"]
 
     def test_matches_directly_seeded_sampler(self, catalog):
@@ -148,7 +147,7 @@ class TestMultiAggregate:
     )
 
     def test_bit_identical_to_single_statements(self, catalog):
-        with CatalogQueryService(catalog, backend="thread") as service:
+        with CatalogQueryService(catalog) as service:
             multi = service.execute(
                 f"SELECT {', '.join(self.STATEMENTS)} "
                 f"FROM CATALOG '{catalog.root}'"
@@ -177,7 +176,7 @@ class TestMultiAggregate:
             f"SELECT threshold(0.4), expected_value "
             f"FROM CATALOG '{catalog.root}'",
         ]
-        with CatalogQueryService(catalog, backend="thread") as service:
+        with CatalogQueryService(catalog) as service:
             batch = service.execute_many(statements)
             solo = [service.execute(s) for s in statements]
         for batched, single in zip(batch, solo):
