@@ -3,8 +3,8 @@
 from repro.experiments.ablation import run_ablation
 
 
-def test_ablations(benchmark, record_table):
-    table = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
+def test_ablations(record_table):
+    table = run_ablation()
     record_table(table)
     rows = {(row[0], row[1]): row for row in table.rows}
 

@@ -43,8 +43,8 @@ def _run_extension_study(scale=None, H=60, rng_seed=0):
     return table
 
 
-def test_extension_metric_ladder(benchmark, record_table):
-    table = benchmark.pedantic(_run_extension_study, rounds=1, iterations=1)
+def test_extension_metric_ladder(record_table):
+    table = _run_extension_study()
     record_table(table)
     rows = {row[0]: row for row in table.rows}
     # EWMA must be far cheaper than ARMA-GARCH...

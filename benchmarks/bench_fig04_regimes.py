@@ -3,8 +3,8 @@
 from repro.experiments.fig04 import run_fig04
 
 
-def test_fig04_volatility_regimes(benchmark, record_table):
-    table = benchmark.pedantic(run_fig04, rounds=1, iterations=1)
+def test_fig04_volatility_regimes(record_table):
+    table = run_fig04()
     record_table(table)
     assert all(table.column("regimes present"))
     ratios = table.column("volatile/quiet ratio")

@@ -3,8 +3,8 @@
 from repro.experiments.fig05 import run_fig05
 
 
-def test_fig05_garch_blowup_vs_cgarch(benchmark, record_table):
-    table = benchmark.pedantic(run_fig05, rounds=1, iterations=1)
+def test_fig05_garch_blowup_vs_cgarch(record_table):
+    table = run_fig05()
     record_table(table)
     rows = {row[0]: row for row in table.rows}
     garch_max = rows["ARMA-GARCH"][1]

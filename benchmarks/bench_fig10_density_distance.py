@@ -5,8 +5,8 @@ import numpy as np
 from repro.experiments.fig10 import run_fig10
 
 
-def test_fig10_density_distance(benchmark, record_table):
-    table = benchmark.pedantic(run_fig10, rounds=1, iterations=1)
+def test_fig10_density_distance(record_table):
+    table = run_fig10()
     record_table(table)
     # Expected shape: averaged over window sizes, the GARCH metrics beat
     # the naive ones on both datasets; ARMA-GARCH is the best overall.

@@ -5,8 +5,8 @@ import numpy as np
 from repro.experiments.fig11 import run_fig11
 
 
-def test_fig11_metric_efficiency(benchmark, record_table):
-    table = benchmark.pedantic(run_fig11, rounds=1, iterations=1)
+def test_fig11_metric_efficiency(record_table):
+    table = run_fig11()
     record_table(table)
     ut = np.array(table.column("UT"))
     vt = np.array(table.column("VT"))

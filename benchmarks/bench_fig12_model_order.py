@@ -3,8 +3,8 @@
 from repro.experiments.fig12 import run_fig12
 
 
-def test_fig12_model_order(benchmark, record_table):
-    table = benchmark.pedantic(run_fig12, rounds=1, iterations=1)
+def test_fig12_model_order(record_table):
+    table = run_fig12()
     record_table(table)
     dd = table.column("ARMA-GARCH")
     # Paper shape: the ARMA-GARCH density distance does not improve as the

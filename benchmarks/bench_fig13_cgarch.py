@@ -5,8 +5,8 @@ import numpy as np
 from repro.experiments.fig13 import run_fig13
 
 
-def test_fig13_cgarch_detection(benchmark, record_table):
-    table = benchmark.pedantic(run_fig13, rounds=1, iterations=1)
+def test_fig13_cgarch_detection(record_table):
+    table = run_fig13()
     record_table(table)
     cgarch = np.array(table.column("C-GARCH % captured"))
     garch = np.array(table.column("GARCH % captured"))

@@ -5,8 +5,8 @@ import numpy as np
 from repro.experiments.fig14 import run_fig14a, run_fig14b
 
 
-def test_fig14a_cache_speedup(benchmark, record_table):
-    table = benchmark.pedantic(run_fig14a, rounds=1, iterations=1)
+def test_fig14a_cache_speedup(record_table):
+    table = run_fig14a()
     record_table(table)
     speedups = table.column("speedup")
     # The cache must win at every database size, and decisively at 18k
@@ -15,8 +15,8 @@ def test_fig14a_cache_speedup(benchmark, record_table):
     assert speedups[-1] > 3.0
 
 
-def test_fig14b_cache_size_scaling(benchmark, record_table):
-    table = benchmark.pedantic(run_fig14b, rounds=1, iterations=1)
+def test_fig14b_cache_size_scaling(record_table):
+    table = run_fig14b()
     record_table(table)
     counts = np.array(table.column("distributions"), dtype=float)
     # Doubling Ds must add a roughly constant number of distributions

@@ -5,8 +5,8 @@ import numpy as np
 from repro.experiments.fig15 import run_fig15
 
 
-def test_fig15_time_varying_volatility(benchmark, record_table):
-    table = benchmark.pedantic(run_fig15, rounds=1, iterations=1)
+def test_fig15_time_varying_volatility(record_table):
+    table = run_fig15()
     record_table(table)
     by_dataset: dict[str, list[float]] = {}
     rejects: dict[str, list[bool]] = {}

@@ -3,8 +3,8 @@
 from repro.experiments.table02 import run_table02
 
 
-def test_table2_datasets(benchmark, record_table):
-    table = benchmark.pedantic(run_table02, rounds=1, iterations=1)
+def test_table2_datasets(record_table):
+    table = run_table02()
     record_table(table)
     datasets = table.column("dataset")
     assert datasets == ["campus-data", "car-data"]

@@ -3,8 +3,10 @@
 Each bench runs one experiment from :mod:`repro.experiments`, records the
 resulting table, and asserts the paper's qualitative shape.  Tables are
 written to ``benchmarks/results/`` and replayed in the terminal summary, so
-``pytest benchmarks/ --benchmark-only`` shows every reproduced figure even
-with output capture enabled.
+``pytest benchmarks/bench_*.py`` shows every reproduced figure even with
+output capture enabled.  The explicit glob matters: the wrappers do not
+match pytest's ``test_*.py`` pattern, so a bare ``pytest benchmarks/``
+collects only ``e2e/test_e2e_smoke.py``.
 
 Set ``REPRO_SCALE`` (default 0.08) to trade fidelity for runtime;
 ``REPRO_SCALE=1`` runs the paper-sized workloads.

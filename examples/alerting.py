@@ -8,25 +8,29 @@ A plant operator monitors a temperature sensor and wants principled alerts:
 * "What is the chance the *maximum* over the window exceeds 24 degC?"
   (a non-decomposable functional -> Monte Carlo over possible worlds)
 
-The densities are inferred once, persisted in a DensityStore, and every
-question is answered from the store-backed probabilistic view — no access
-to the raw stream is needed, which is the paper's core promise.
+The densities are inferred once, persisted as one ``.npz`` file, and every
+question is answered from the view built off the *loaded* densities — no
+access to the raw stream is needed, which is the paper's core promise.
 
 Run:  python examples/alerting.py
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
 from repro import (
     ARMAGARCHMetric,
-    DensityStore,
     OmegaGrid,
     ViewBuilder,
     campus_temperature,
     calibration_report,
     exceedance_probability,
     expected_time_above,
+    load_density_series_npz,
     monte_carlo_query,
+    save_density_series_npz,
     sustained_exceedance_probability,
 )
 from repro.db.prob_view import ProbabilisticView
@@ -41,9 +45,15 @@ def main() -> None:
     # Infer once, persist the densities.
     metric = ARMAGARCHMetric()
     forecasts = metric.run(series, H)
-    store = DensityStore()
-    store.append_series(forecasts)
-    print(f"persisted {store!r}")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "plant_densities.npz"
+        save_density_series_npz(forecasts, path)
+        stored = load_density_series_npz(path)
+        print(
+            f"persisted {len(stored)} densities, "
+            f"t=[{stored.times[0]}, {stored.times[-1]}], "
+            f"{path.stat().st_size} bytes"
+        )
 
     # Check the metric is calibrated before trusting its alerts.
     report = calibration_report(forecasts, series)
@@ -53,11 +63,10 @@ def main() -> None:
         f"{report.worst_coverage_gap():.3f}"
     )
 
-    # Build the probabilistic view from the *store*, not the stream.
+    # Build the view from the *stored* densities, not the stream.
     grid = OmegaGrid(delta=0.25, n=60)
-    builder = ViewBuilder(grid)
-    rows = builder.build_rows(store.all())
-    view = ProbabilisticView.from_rows("plant_view", rows, grid)
+    matrix = ViewBuilder(grid).build_matrix(stored)
+    view = ProbabilisticView.from_matrix("plant_view", matrix, grid)
     print(f"view: {len(view)} tuples over {len(view.times)} times\n")
 
     # Q1: instantaneous exceedance probability (last five readings).

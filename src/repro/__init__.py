@@ -34,7 +34,6 @@ from repro.data.synthetic import (
     car_gps,
     make_dataset,
 )
-from repro.db.density_store import DensityStore, StoredDensity
 from repro.db.stream_queries import (
     exceedance_probability,
     expected_time_above,
@@ -122,14 +121,6 @@ from repro.metrics import (
     create_metric,
 )
 from repro.metrics.ewma import EWMAMetric
-from repro.multivariate import (
-    MultiSeries,
-    Region,
-    RegionSet,
-    RegionView,
-    RegionViewBuilder,
-    VectorDensityMetric,
-)
 from repro.pipeline import OnlinePipeline, OnlineStep, create_probabilistic_view
 from repro.timeseries import (
     ARMAModel,
@@ -179,7 +170,6 @@ __all__ = [
     "Database",
     "DensityForecast",
     "DensitySeries",
-    "DensityStore",
     "Distribution",
     "DynamicDensityMetric",
     "EWMAMetric",
@@ -196,7 +186,6 @@ __all__ = [
     "MatrixCache",
     "MonteCarloEstimate",
     "MultiSelectResult",
-    "MultiSeries",
     "NotFittedError",
     "OmegaGrid",
     "OmegaRange",
@@ -209,10 +198,6 @@ __all__ = [
     "ProbabilityRow",
     "QueryError",
     "QueryServer",
-    "Region",
-    "RegionSet",
-    "RegionView",
-    "RegionViewBuilder",
     "ReproError",
     "SVRResult",
     "SchemaVersionError",
@@ -226,13 +211,11 @@ __all__ = [
     "StandingQuery",
     "StandingQueryHandle",
     "StoreError",
-    "StoredDensity",
     "Table",
     "TimeSeries",
     "Uniform",
     "UniformThresholdingMetric",
     "VariableThresholdingMetric",
-    "VectorDensityMetric",
     "ViewBuilder",
     "ViewQuery",
     "World",

@@ -241,9 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-inflight", type=int, default=8,
                        help="statements admitted concurrently before "
                             "new queries get a 'saturated' rejection")
-    serve.add_argument("--no-coalesce", action="store_true",
-                       help="disable sharing one execution between "
-                            "concurrent identical statements")
     serve.add_argument("--workers", type=int, default=None,
                        help="worker processes for --backend process "
                             "(default: one per core; must be >= 1, "
@@ -585,7 +582,6 @@ def _cmd_server(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             max_inflight=args.max_inflight,
-            coalesce=not args.no_coalesce,
             max_workers=args.workers,
             backend=args.backend,
             pruning=not args.no_pruning,
@@ -599,7 +595,6 @@ def _cmd_server(args: argparse.Namespace) -> int:
             print(
                 f"serving catalog {args.catalog} on {host}:{port} "
                 f"(max_inflight={args.max_inflight}, "
-                f"coalesce={not args.no_coalesce}, "
                 f"backend={args.backend}); Ctrl-C to drain and stop",
                 flush=True,
             )

@@ -15,7 +15,6 @@ from repro.db.queries import (
     range_probability_query,
     threshold_query,
 )
-from repro.db.storage import load_table_csv, save_table_csv
 from repro.db.table import Table
 
 __all__ = [
@@ -25,9 +24,7 @@ __all__ = [
     "Table",
     "ViewColumns",
     "expected_value_query",
-    "load_table_csv",
     "most_probable_range_query",
     "range_probability_query",
-    "save_table_csv",
     "threshold_query",
 ]

@@ -1,6 +1,6 @@
 """Ablations of the design decisions called out in DESIGN.md.
 
-Four micro-studies, each isolating one implementation choice:
+Three micro-studies, each isolating one implementation choice:
 
 1. **GARCH warm-start** — seeding each rolling GARCH fit with the previous
    window's optimum vs cold multi-start: time per inference and density
@@ -9,8 +9,6 @@ Four micro-studies, each isolating one implementation choice:
    finite differences inside L-BFGS-B.
 3. **Cache payload** — storing ready probability rows (CDF diffs) vs
    recomputing the Gaussian CDF at lookup time from the matched key.
-4. **Cache index** — B-tree floor-lookup vs a sorted numpy array with
-   ``searchsorted`` (both satisfy the paper's "sorted container").
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from repro.experiments.common import ExperimentTable, get_scale, steps_for
 from repro.experiments.fig14 import synthetic_density_series
 from repro.metrics.arma_garch import ARMAGARCHMetric
 from repro.timeseries.garch import GARCHModel
-from repro.util.btree import BTreeMap
 from repro.view.omega import OmegaGrid
 from repro.view.sigma_cache import SigmaCache
 
@@ -35,7 +32,7 @@ __all__ = ["run_ablation"]
 
 
 def run_ablation(scale: float | None = None, rng_seed: int = 0) -> ExperimentTable:
-    """Run all four ablations; one row per variant."""
+    """Run all three ablations; one row per variant."""
     scale = get_scale(scale)
     table = ExperimentTable(
         experiment_id="Ablation",
@@ -50,7 +47,6 @@ def run_ablation(scale: float | None = None, rng_seed: int = 0) -> ExperimentTab
     _ablate_warm_start(table, scale, rng_seed)
     _ablate_gradient(table, rng_seed)
     _ablate_cache_payload(table, rng_seed)
-    _ablate_cache_index(table, rng_seed)
     return table
 
 
@@ -143,29 +139,3 @@ def _ablate_cache_payload(table: ExperimentTable, rng_seed: int) -> None:
             round(1000.0 * elapsed, 2), "-",
         )
 
-
-def _ablate_cache_index(table: ExperimentTable, rng_seed: int) -> None:
-    rng = np.random.default_rng(rng_seed)
-    keys = np.sort(rng.uniform(0.01, 10.0, size=400))
-    probes = rng.uniform(0.01, 10.0, size=50000)
-    tree = BTreeMap()
-    for key in keys:
-        tree[float(key)] = key
-
-    def btree_lookups() -> None:
-        for probe in probes:
-            tree.floor_item(float(probe))
-
-    def array_lookups() -> None:
-        indices = np.searchsorted(keys, probes, side="right") - 1
-        _ = keys[np.maximum(indices, 0)]
-
-    for label, fn in (("B-tree floor lookup", btree_lookups),
-                      ("sorted-array searchsorted", array_lookups)):
-        start = time.perf_counter()
-        fn()
-        elapsed = time.perf_counter() - start
-        table.add_row(
-            "sigma-cache index", label,
-            round(1000.0 * elapsed, 2), "-",
-        )

@@ -114,8 +114,6 @@ class QueryServer:
     max_inflight:
         Concurrent statement executions admitted before new queries are
         rejected with ``saturated``.
-    coalesce:
-        Share one execution between concurrent identical statements.
     max_workers, cache_budget_bytes, backend:
         Forwarded to the shared :class:`CatalogQueryService`; ``backend``
         selects the per-statement executor: ``"sequential"`` (default)
@@ -153,7 +151,6 @@ class QueryServer:
         host: str = DEFAULT_HOST,
         port: int = DEFAULT_PORT,
         max_inflight: int = 8,
-        coalesce: bool = True,
         max_statement_chars: int = protocol.MAX_STATEMENT_CHARS,
         frame_limit_bytes: int = protocol.DEFAULT_FRAME_LIMIT,
         max_workers: int | None = None,
@@ -179,7 +176,6 @@ class QueryServer:
         self.host = host
         self.port = int(port)
         self.max_inflight = int(max_inflight)
-        self.coalesce = bool(coalesce)
         self.max_statement_chars = int(max_statement_chars)
         self.frame_limit_bytes = int(frame_limit_bytes)
         self.stats = ServerStats()
@@ -422,7 +418,7 @@ class QueryServer:
         # untraced arrival of the same statement must not share a
         # response payload.
         key = (statement.strip(), want_trace)
-        future = self._inflight.get(key) if self.coalesce else None
+        future = self._inflight.get(key)
         if future is not None:
             self.stats.increment("coalesced")
         elif self._draining:
@@ -447,8 +443,7 @@ class QueryServer:
             self._active += 1
             self.stats.increment("executed")
             self._tasks.add(future)
-            if self.coalesce:
-                self._inflight[key] = future
+            self._inflight[key] = future
             future.add_done_callback(
                 lambda fut, key=key: self._on_done(key, fut)
             )

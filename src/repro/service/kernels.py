@@ -332,7 +332,7 @@ def compute_chunk(
     broken" is the whole diagnostic — and never disturbs its
     chunk-mates.  ``timings=True`` records the per-series load/compute
     split and cache outcome; ``timings=False`` is the uninstrumented path
-    the overhead benchmark baselines against.
+    a :class:`~repro.obs.metrics.NullRegistry` service takes.
     """
     out: list[ArrayResult | None] = [None] * len(chunk)
     batches: dict[tuple[str, tuple[float, ...]], list[tuple]] = {}

@@ -1,8 +1,6 @@
 """Columnar ``.npz`` persistence for views and density series.
 
-The CSV formats in :mod:`repro.db.storage` / :mod:`repro.db.density_store`
-stay as human-readable debug formats; this module is the *system* backend:
-schema-versioned binary files holding the column arrays directly, so saving
+Schema-versioned binary files holding the column arrays directly, so saving
 and loading a million-tuple view is a handful of bulk array writes instead
 of a per-tuple Python loop, and the round trip is bit-exact (float64 in,
 float64 out).
@@ -586,7 +584,7 @@ def save_density_series_npz(series: DensitySeries, path: str | Path) -> None:
 
     Families are dictionary-coded per row (Gaussian/Uniform), so mixed
     series survive; anything else raises
-    :class:`~repro.exceptions.StoreError` like the CSV density store does.
+    :class:`~repro.exceptions.StoreError`.
     The exact variance column rides along when the series carries one, so
     reloaded Gaussians skip the lossy ``sqrt``/square round trip.
     """

@@ -1,13 +1,11 @@
 """Small generic substrates shared across the library.
 
-This subpackage deliberately contains no paper-specific logic: a B-tree
-sorted map (the backing store of the sigma-cache), ASCII table rendering used
-by the experiment harness, seeded random-number helpers, and argument
-validation utilities.
+This subpackage deliberately contains no paper-specific logic: ASCII table
+rendering used by the experiment harness, canonical JSON, seeded
+random-number helpers, and argument validation utilities.
 """
 
 from repro.util.arrays import readonly_view
-from repro.util.btree import BTreeMap
 from repro.util.jsonio import canonical_dumps
 from repro.util.rng import ensure_rng
 from repro.util.tables import format_table, render_pruning, render_result
@@ -18,7 +16,6 @@ from repro.util.validation import (
 )
 
 __all__ = [
-    "BTreeMap",
     "canonical_dumps",
     "ensure_rng",
     "format_table",

@@ -9,24 +9,25 @@ sigma.
 
 The cache pre-computes rows for a geometric grid of sigmas
 ``sigma_q = d_s^q * min(sigma)`` and serves a query sigma from the greatest
-grid key below it (floor lookup on a B-tree), which by Theorem 1 keeps the
-Hellinger approximation error within the distance constraint used to choose
-``d_s``.  Theorem 2 bounds the number of stored rows for a memory
-constraint.  The stored row count is ``ceil(Q) + 1`` where
-``max(sigma) = d_s^Q * min(sigma)`` — the ``+ 1`` stores the minimum sigma
-itself so every query has a key below it (see DESIGN.md).
+grid key below it (floor lookup on the sorted key array), which by
+Theorem 1 keeps the Hellinger approximation error within the distance
+constraint used to choose ``d_s``.  Theorem 2 bounds the number of stored
+rows for a memory constraint.  The stored row count is ``ceil(Q) + 1``
+where ``max(sigma) = d_s^Q * min(sigma)`` — the ``+ 1`` stores the minimum
+sigma itself so every query has a key below it (see DESIGN.md).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.distributions.gaussian import Gaussian
 from repro.exceptions import CacheConstraintError, InvalidParameterError
-from repro.util.btree import BTreeMap
+from repro.util.arrays import readonly_view
 from repro.view.hellinger import (
     ratio_threshold_for_distance,
     ratio_threshold_for_memory,
@@ -94,8 +95,6 @@ class SigmaCache:
         max_sigma: float,
         distance_constraint: float | None = None,
         memory_constraint: int | None = None,
-        *,
-        btree_degree: int = 16,
     ) -> None:
         if min_sigma <= 0 or not math.isfinite(min_sigma):
             raise InvalidParameterError(f"min_sigma must be > 0, got {min_sigma}")
@@ -115,10 +114,9 @@ class SigmaCache:
         max_ratio = self.max_sigma / self.min_sigma  # D_s of eq. (12).
         ratio = self._choose_ratio(max_ratio)
         self._ratio = ratio
-        self._tree = BTreeMap(min_degree=btree_degree)
         self._populate()
         self.stats = CacheStatistics(
-            n_distributions=len(self._tree),
+            n_distributions=len(self),
             ratio_threshold=ratio,
             max_ratio=max_ratio,
         )
@@ -171,14 +169,13 @@ class SigmaCache:
                 math.log(max_ratio) / math.log(self._ratio) - 1e-9
             )
         edges = self.grid.edges_around(0.0)  # Mean-shifted: centre at zero.
-        for q in range(q_count + 1):
-            sigma = self.min_sigma * self._ratio**q
-            cdf = np.asarray(Gaussian(0.0, sigma**2).cdf(edges))
-            self._tree[sigma] = np.diff(cdf)
-        # Flat mirrors of the tree for the vectorised batch lookup: keys
-        # ascending, one probability row per key.
-        self._keys_array = np.array(list(self._tree.keys()))
-        self._rows_matrix = np.vstack([self._tree[k] for k in self._keys_array])
+        # Keys ascending, one probability row per key.
+        sigmas = [self.min_sigma * self._ratio**q for q in range(q_count + 1)]
+        self._keys_array = np.array(sigmas)
+        self._rows_matrix = np.vstack([
+            np.diff(np.asarray(Gaussian(0.0, sigma**2).cdf(edges)))
+            for sigma in sigmas
+        ])
 
     # ------------------------------------------------------------------
     # Lookup.
@@ -193,15 +190,13 @@ class SigmaCache:
         """
         if sigma <= 0 or not math.isfinite(sigma):
             raise InvalidParameterError(f"sigma must be > 0, got {sigma}")
-        item = self._tree.floor_item(sigma)
-        if item is None:
+        index = bisect_right(self._keys_array, sigma) - 1
+        if index < 0:
             # Below the declared minimum: clamp to the smallest key.
             self.stats.misses += 1
-            _key, row = self._tree.min_item()
-            return row
-        _key, row = item
+            return self._rows_matrix[0]
         self.stats.hits += 1
-        return row
+        return self._rows_matrix[index]
 
     def probability_rows(self, sigmas: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`probability_row`: one ``(len(sigmas), n)`` matrix.
@@ -240,16 +235,16 @@ class SigmaCache:
         return self._ratio
 
     def __len__(self) -> int:
-        return len(self._tree)
+        return self._keys_array.size
 
     def size_bytes(self) -> int:
         """Approximate memory footprint: keys + float64 probability rows."""
         per_row = 8 + self.grid.n * 8
-        return len(self._tree) * per_row
+        return len(self) * per_row
 
     def keys(self) -> np.ndarray:
         """The cached sigma keys in ascending order (for tests/inspection)."""
-        return np.array(list(self._tree.keys()))
+        return readonly_view(self._keys_array)
 
     def __repr__(self) -> str:
         return (

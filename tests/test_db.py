@@ -1,4 +1,4 @@
-"""Tests for tables, probabilistic views, queries, storage and the engine."""
+"""Tests for tables, probabilistic views, queries and the engine."""
 
 from __future__ import annotations
 
@@ -12,12 +12,6 @@ from repro.db.queries import (
     most_probable_range_query,
     range_probability_query,
     threshold_query,
-)
-from repro.db.storage import (
-    load_table_csv,
-    load_view_csv,
-    save_table_csv,
-    save_view_csv,
 )
 from repro.db.table import Table
 from repro.exceptions import DataError, InvalidParameterError, QueryError
@@ -166,37 +160,6 @@ class TestQueries:
         out = expected_value_query(_sample_view())
         expected_t1 = 0.5 * 0.5 + 0.3 * 1.5 + 0.2 * 2.5
         assert out[1] == pytest.approx(expected_t1)
-
-
-class TestStorage:
-    def test_table_roundtrip(self, tmp_path):
-        table = Table("raw", ["t", "r"])
-        table.insert_many([(1.0, 2.5), (2.0, 3.25)])
-        path = tmp_path / "raw.csv"
-        save_table_csv(table, path)
-        loaded = load_table_csv(path)
-        assert loaded.columns == ("t", "r")
-        np.testing.assert_array_equal(loaded.column("r"), [2.5, 3.25])
-
-    def test_view_roundtrip(self, tmp_path):
-        view = _sample_view()
-        path = tmp_path / "view.csv"
-        save_view_csv(view, path)
-        loaded = load_view_csv(path)
-        assert len(loaded) == len(view)
-        assert loaded.tuples_at(1)[0].label == "room 1"
-
-    def test_load_missing_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("nonsense,header\n1,2\n")
-        with pytest.raises(DataError):
-            load_view_csv(path)
-
-    def test_load_empty_file_rejected(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.raises(DataError):
-            load_table_csv(path)
 
 
 class TestEngine:

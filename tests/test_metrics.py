@@ -44,6 +44,14 @@ class TestDensitySeries:
         assert gaussian_forecasts.means.shape == (5,)
         assert gaussian_forecasts.volatilities.shape == (5,)
         assert list(gaussian_forecasts.times) == [60, 61, 62, 63, 64]
+        # A time-range selection (a WHERE t BETWEEN 61 AND 63) is a slice
+        # of the sorted time column.
+        lo, hi = np.searchsorted(gaussian_forecasts.times, [61, 63])
+        window = DensitySeries(gaussian_forecasts[lo : hi + 1])
+        assert list(window.times) == [61, 62, 63]
+        np.testing.assert_array_equal(
+            window.means, gaussian_forecasts.means[lo : hi + 1]
+        )
 
     def test_pit_values_in_unit_interval(self, campus_series):
         metric = VariableThresholdingMetric()

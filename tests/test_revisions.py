@@ -112,10 +112,13 @@ class TestStoreRevisions:
     def test_unrevised_series_fast_path_token(self, revised):
         snapshot = revised.snapshot("beta")
         assert not snapshot.has_revisions
-        frontier = snapshot.as_of(None)
-        assert frontier.token == ()
-        assert frontier.segments == snapshot.segments
-        assert not any(frontier.shadows)
+        # Every knowledge time resolves the constant frontier, so AS OF
+        # on a never-revised series shares the default's cache entry.
+        for knowledge_time in (None, 0, 7):
+            frontier = snapshot.as_of(knowledge_time)
+            assert frontier.token == ()
+            assert frontier.segments == snapshot.segments
+            assert not any(frontier.shadows)
 
     def test_intermediate_as_of_points_share_one_frontier(self, revised):
         snapshot = revised.snapshot("alpha")

@@ -367,16 +367,6 @@ class TestAdmissionAndCoalescing:
         kinds = sorted(type(outcome).__name__ for outcome in outcomes)
         assert kinds == ["ServerError", "dict"]
 
-    def test_coalescing_can_be_disabled(self, catalog_root):
-        server = QueryServer(catalog_root, port=0, coalesce=False)
-        statement = _select(catalog_root)
-        with ServerThread(server) as (host, port):
-            with Client(host, port) as client:
-                client.query(statement)
-                client.query(statement)
-        assert server.stats.executed == 2
-        assert server.stats.coalesced == 0
-
 
 class TestShutdown:
     def test_shutdown_drains_inflight_work(self, catalog_root):

@@ -152,6 +152,10 @@ class TestMultiAggregate:
                 f"SELECT {', '.join(self.STATEMENTS)} "
                 f"FROM CATALOG '{catalog.root}'"
             )
+            # The select list shares one scan: on a cold cache each
+            # matched series is loaded once, not once per item.
+            matched = multi.items[0].matched
+            assert service.cache.stats.misses == len(matched) == 4
             singles = [
                 service.execute(
                     f"SELECT {body} FROM CATALOG '{catalog.root}'"

@@ -1,4 +1,4 @@
-"""Binary (.npz) persistence: round trips, schema versioning, CSV parity."""
+"""Binary (.npz) persistence: round trips and schema versioning."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import pytest
 
 from repro.data.synthetic import campus_temperature
 from repro.db.prob_view import ProbTuple, ProbabilisticView
-from repro.db.storage import load_view_csv, save_view_csv
 from repro.distributions.gaussian import Gaussian
 from repro.distributions.histogram import HistogramDistribution
 from repro.distributions.uniform import Uniform
@@ -30,6 +29,7 @@ from repro.store.binary import (
     save_view_columns,
     save_view_columns_v2,
 )
+from repro.view.builder import ViewBuilder
 from repro.view.omega import OmegaGrid
 
 
@@ -149,6 +149,13 @@ class TestDensitySeriesNpz:
         assert np.array_equal(loaded.lowers, forecasts.lowers)
         assert np.array_equal(loaded.uppers, forecasts.uppers)
         assert isinstance(loaded[0].distribution, Gaussian)
+        # A view built from the stored densities equals one built from
+        # the live forecasts.
+        builder = ViewBuilder(OmegaGrid(delta=0.5, n=6))
+        assert np.array_equal(
+            builder.build_matrix(loaded).probabilities,
+            builder.build_matrix(forecasts).probabilities,
+        )
 
     def test_exact_variance_column_round_trips(self, tmp_path):
         """Gaussians must not lose a ulp to the sqrt/square round trip."""
@@ -193,33 +200,6 @@ class TestDensitySeriesNpz:
         ])
         with pytest.raises(StoreError):
             save_density_series_npz(forecasts, tmp_path / "hist.npz")
-
-
-class TestCsvBinaryParity:
-    """The satellite round-trip fidelity check: CSV and binary agree."""
-
-    def test_view_csv_matches_binary(self, view, tmp_path):
-        csv_path = tmp_path / "view.csv"
-        npz_path = tmp_path / "view.npz"
-        save_view_csv(view, csv_path)
-        save_view_npz(view, npz_path)
-        from_csv = load_view_csv(csv_path)
-        from_npz = load_view_npz(npz_path)
-        # repr-formatted CSV floats parse back exactly, so the two backends
-        # must agree bit for bit — and with the original.
-        _assert_same_columns(from_csv, from_npz)
-        _assert_same_columns(view, from_npz)
-
-    def test_csv_header_still_validated(self, tmp_path):
-        path = tmp_path / "junk.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(DataError):
-            load_view_csv(path)
-
-    def test_csv_empty_view(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        save_view_csv(ProbabilisticView("empty", []), path)
-        assert len(load_view_csv(path)) == 0
 
 
 class TestSegmentLayoutV2:

@@ -16,6 +16,7 @@ from repro.exceptions import (
     SchemaVersionError,
     StoreError,
 )
+from repro.obs import default_registry
 from repro.pipeline import OnlinePipeline, create_probabilistic_view
 from repro.metrics.variable_threshold import VariableThresholdingMetric
 from repro.store import Catalog
@@ -157,9 +158,20 @@ class TestAppend:
         catalog = Catalog(tmp_path / "cat")
         _new_series(catalog)
         cursor = 0
+        reads = default_registry().counter("repro_store_segment_reads_total")
         for batch in (17, 1, 50, 3, 80, 49):
-            catalog.append("room", values[cursor : cursor + batch])
+            held = len(catalog.snapshot("room").segments)
+            before = reads.total()
+            result = catalog.append("room", values[cursor : cursor + batch])
             cursor += batch
+            # Append cost is flat in stored size: whatever the series
+            # already holds, no stored segment is read back and an
+            # emitting batch adds exactly one.
+            assert reads.total() == before
+            assert len(catalog.snapshot("room").segments) == held + (
+                result.emitted > 0
+            )
+        assert held == 3  # The last append landed on three segments.
         assert cursor == len(values)
         stored = catalog.view("room")
 

@@ -25,6 +25,7 @@ import pytest
 from repro.db.queries import expected_value_query
 from repro.db.prob_view import ProbabilisticView
 from repro.db.stream_queries import exceedance_vector
+from repro.obs import default_registry
 from repro.server.app import QueryServer, ServerThread
 from repro.server.client import Client
 from repro.service import CatalogQueryService
@@ -403,14 +404,23 @@ class TestApprox:
 
     def test_approx_without_synopses_falls_back_lazily(self, tmp_path):
         catalog = _build_catalog(tmp_path / "cat", series=2)
+        statement = (
+            f"SELECT APPROX expected_value FROM CATALOG '{catalog.root}'"
+        )
+        reads = default_registry().counter("repro_store_segment_reads_total")
+        # With synopses the estimator never opens a segment — that, not
+        # a wall-clock ratio, is what makes APPROX cheap.
+        before = reads.total()
+        with CatalogQueryService(catalog, backend="sequential") as service:
+            synopsized = service.execute(statement)
+        assert synopsized.approx
+        assert synopsized.stats.segments_scanned == 0
+        assert reads.total() == before
         _strip_synopses(catalog.root)
         with CatalogQueryService(
             Catalog(catalog.root), backend="sequential"
         ) as service:
-            result = service.execute(
-                f"SELECT APPROX expected_value FROM CATALOG "
-                f"'{catalog.root}'"
-            )
+            result = service.execute(statement)
         assert result.approx
         assert result.stats is not None
         assert result.stats.segments_scanned == 6  # All lazily loaded.
