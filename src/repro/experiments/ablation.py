@@ -9,6 +9,9 @@ Three micro-studies, each isolating one implementation choice:
    finite differences inside L-BFGS-B.
 3. **Cache payload** — storing ready probability rows (CDF diffs) vs
    recomputing the Gaussian CDF at lookup time from the matched key.
+
+Studies 1 and 2 also report likelihood evaluations per fit: the count
+behind their time column, and the one that does not depend on the host.
 """
 
 from __future__ import annotations
@@ -37,11 +40,14 @@ def run_ablation(scale: float | None = None, rng_seed: int = 0) -> ExperimentTab
     table = ExperimentTable(
         experiment_id="Ablation",
         title="Design-decision ablations (DESIGN.md Section 6)",
-        headers=["study", "variant", "time (ms)", "quality"],
+        headers=[
+            "study", "variant", "time (ms)", "quality", "evaluations per fit",
+        ],
         notes=(
             "quality column: density distance for metric studies, max "
             "probability-row error for cache studies, '-' when untimed "
-            "quality is identical by construction"
+            "quality is identical by construction; evaluations per fit: "
+            "objective calls L-BFGS-B made, '-' where nothing is fitted"
         ),
     )
     _ablate_warm_start(table, scale, rng_seed)
@@ -65,6 +71,7 @@ def _ablate_warm_start(table: ExperimentTable, scale: float, rng_seed: int) -> N
             label,
             round(1000.0 * elapsed / len(forecasts), 3),
             round(density_distance(forecasts, series), 4),
+            round(metric.garch_evaluations_ / len(forecasts), 1),
         )
 
 
@@ -72,12 +79,12 @@ def _ablate_gradient(table: ExperimentTable, rng_seed: int) -> None:
     rng = np.random.default_rng(rng_seed)
     windows = [rng.standard_normal(120) * (1.0 + 0.5 * i) for i in range(20)]
 
-    def fit_analytic() -> None:
-        for window in windows:
-            GARCHModel().fit(window)
+    def fit_analytic() -> int:
+        return sum(GARCHModel().fit(window).evaluations_ for window in windows)
 
-    def fit_numeric() -> None:
+    def fit_numeric() -> int:
         model = GARCHModel()
+        evaluations = 0
         for window in windows:
             # Same objective through scipy's finite-difference gradient.
             base_variance = float(np.var(window))
@@ -87,19 +94,21 @@ def _ablate_gradient(table: ExperimentTable, rng_seed: int) -> None:
                 return -model._log_likelihood(window, model._unpack(theta))
 
             for start in model._starting_points(base_variance):
-                optimize.minimize(
+                evaluations += optimize.minimize(
                     objective, start, method="L-BFGS-B", bounds=bounds,
                     options={"maxiter": 200},
-                )
+                ).nfev
+        return evaluations
 
     for label, fn in (("analytic gradient", fit_analytic),
                       ("finite differences", fit_numeric)):
         start = time.perf_counter()
-        fn()
+        evaluations = fn()
         elapsed = time.perf_counter() - start
         table.add_row(
             "garch(1,1) mle", label,
             round(1000.0 * elapsed / len(windows), 3), "-",
+            round(evaluations / len(windows), 1),
         )
 
 
@@ -136,6 +145,6 @@ def _ablate_cache_payload(table: ExperimentTable, rng_seed: int) -> None:
         elapsed = time.perf_counter() - start
         table.add_row(
             "sigma-cache payload", label,
-            round(1000.0 * elapsed, 2), "-",
+            round(1000.0 * elapsed, 2), "-", "-",
         )
 

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.distributions.gaussian import Gaussian
 from repro.exceptions import EstimationError
 from repro.metrics.base import (
     DensityForecast,
+    DensitySeries,
     DynamicDensityMetric,
+    gaussian_forecast,
+    gaussian_series,
     variance_floor,
 )
 from repro.timeseries.arma import ARMAModel
@@ -74,6 +76,8 @@ class ARMAGARCHMetric(DynamicDensityMetric):
         self.kappa = require_positive("kappa", kappa, strict=False)
         self.warm_start = bool(warm_start)
         self._last_garch_params = None
+        #: GARCH likelihood evaluations spent since construction.
+        self.garch_evaluations_ = 0
         arma_min = max(self.p, self.q) + max(self.p + self.q, 1) + 1
         garch_min = max(self.m, self.s) + 2
         self.min_window = max(arma_min, garch_min, 4)
@@ -86,20 +90,24 @@ class ARMAGARCHMetric(DynamicDensityMetric):
         3. Infer ``r_hat_t`` (ARMA) and ``sigma_hat_t^2`` (GARCH).
         4. Bounds ``r_hat_t +/- kappa * sigma_hat_t``.
         """
+        mean, variance = self._infer_moments(window)
+        return gaussian_forecast(t, mean, variance, self.kappa)
+
+    def _infer_moments(self, window: np.ndarray) -> tuple[float, float]:
+        """Steps 1-3: ``(r_hat_t, sigma_hat_t^2)`` from one window."""
         arma = ARMAModel(self.p, self.q).fit(window)
         mean = arma.predict_next()
         residuals = arma.residuals_[max(self.p, self.q):]
-        variance = self._garch_variance(residuals, variance_floor(window))
-        distribution = Gaussian(mean, variance)
-        sigma = distribution.std()
-        return DensityForecast(
-            t=t,
-            mean=mean,
-            distribution=distribution,
-            lower=mean - self.kappa * sigma,
-            upper=mean + self.kappa * sigma,
-            volatility=sigma,
-        )
+        return mean, self._garch_variance(residuals, variance_floor(window))
+
+    def infer_batch(self, windows: np.ndarray, ts: np.ndarray) -> DensitySeries:
+        """One fit per row, in time order — each GARCH fit starts from the
+        previous row's optimum — written straight into forecast columns."""
+        mean = np.empty(len(ts))
+        variance = np.empty(len(ts))
+        for row, window in enumerate(windows):
+            mean[row], variance[row] = self._infer_moments(window)
+        return gaussian_series(ts, mean, variance, self.kappa)
 
     def _garch_variance(self, residuals: np.ndarray, floor: float) -> float:
         """One-step GARCH variance forecast with a flat-variance fallback."""
@@ -108,6 +116,7 @@ class ARMAGARCHMetric(DynamicDensityMetric):
                 residuals,
                 warm_start=self._last_garch_params if self.warm_start else None,
             )
+            self.garch_evaluations_ += garch.evaluations_
             if self.warm_start:
                 self._last_garch_params = garch.params_
             return max(garch.forecast_variance(), floor)

@@ -13,9 +13,16 @@ Batch path
 the kappa bounds live in preallocated numpy arrays, and the per-forecast
 :class:`DensityForecast` objects are materialised lazily on item access.
 :meth:`DynamicDensityMetric.run` stacks all sliding windows into one
-``(T, H)`` matrix and hands it to :meth:`DynamicDensityMetric.infer_batch`,
-which vectorised metrics override; the base implementation falls back to
-looping :meth:`DynamicDensityMetric.infer`.
+``(T, H)`` matrix and hands it to :meth:`DynamicDensityMetric.infer_batch`.
+Every built-in metric but C-GARCH (whose ``run`` is its own sequential
+cleaning pass) overrides it and returns a column-backed series: ``ewma``
+and the two thresholding metrics compute all rows in vectorised passes;
+``arma_garch`` and ``kalman_garch`` still estimate one model per row, in
+time order by design — a GARCH fit warm-starts from the previous window's
+optimum, so the rows are a chain, not a batch — and only skip the
+per-row :class:`DensityForecast` objects.  The base implementation, for
+metrics that define nothing but :meth:`DynamicDensityMetric.infer`, loops
+it.
 """
 
 from __future__ import annotations
@@ -39,6 +46,8 @@ __all__ = [
     "DensitySeries",
     "DynamicDensityMetric",
     "batch_variance_floor",
+    "gaussian_forecast",
+    "gaussian_series",
     "variance_floor",
 ]
 
@@ -359,6 +368,38 @@ class DensitySeries:
         return hits / len(self)
 
 
+def gaussian_forecast(
+    t: int, mean: float, variance: float, kappa: float
+) -> DensityForecast:
+    """``N(mean, variance)`` at time ``t`` with ``mean -/+ kappa * sigma``."""
+    distribution = Gaussian(mean, variance)
+    sigma = distribution.std()
+    return DensityForecast(
+        t=t,
+        mean=mean,
+        distribution=distribution,
+        lower=mean - kappa * sigma,
+        upper=mean + kappa * sigma,
+        volatility=sigma,
+    )
+
+
+def gaussian_series(
+    ts: np.ndarray, mean: np.ndarray, variance: np.ndarray, kappa: float
+) -> DensitySeries:
+    """Columnar :func:`gaussian_forecast`: one row per entry of ``ts``."""
+    sigma = np.sqrt(variance)
+    return DensitySeries.from_columns(
+        np.asarray(ts, dtype=np.int64),
+        mean,
+        sigma,
+        mean - kappa * sigma,
+        mean + kappa * sigma,
+        family="gaussian",
+        variance=variance,
+    )
+
+
 class DynamicDensityMetric(ABC):
     """Base class for every dynamic density metric.
 
@@ -382,10 +423,8 @@ class DynamicDensityMetric(ABC):
         """Infer one density per row of the ``(T, H)`` window matrix.
 
         ``ts[i]`` is the inference index of row ``i``.  The base
-        implementation loops :meth:`infer` (in time order, so stateful
-        warm-start metrics behave exactly as under the legacy loop);
-        Gaussian-family metrics override it with fully vectorised
-        inference.
+        implementation loops :meth:`infer` in time order; the built-in
+        metrics override it (see *Batch path* in the module docstring).
         """
         return DensitySeries(
             [self.infer(window, int(t)) for window, t in zip(windows, ts)]

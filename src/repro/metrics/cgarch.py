@@ -20,6 +20,7 @@ about twice the longest expected error burst (paper guideline).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,12 @@ import numpy as np
 from repro.cleaning.svr_filter import learn_sv_max, successive_variance_reduction
 from repro.exceptions import InvalidParameterError
 from repro.metrics.arma_garch import ARMAGARCHMetric
-from repro.metrics.base import DensityForecast, DensitySeries, DynamicDensityMetric
+from repro.metrics.base import (
+    DensityForecast,
+    DensitySeries,
+    DynamicDensityMetric,
+    gaussian_series,
+)
 from repro.timeseries.series import TimeSeries
 
 __all__ = ["CGARCHMetric", "CGARCHReport"]
@@ -141,12 +147,12 @@ class CGARCHMetric(DynamicDensityMetric):
         The cleaning protocol is sequential, so ``step`` must be 1 and
         ``start`` cannot skip past the first full window.
         """
-        forecasts, _report = self.run_with_report(series, H, stop=stop)
         if step != 1 or (start is not None and start > H):
             raise InvalidParameterError(
                 "C-GARCH is an online sequential procedure: start/step "
                 "subsampling would break its cleaning state"
             )
+        forecasts, _report = self.run_with_report(series, H, stop=stop)
         return forecasts
 
     def run_with_report(
@@ -172,18 +178,20 @@ class CGARCHMetric(DynamicDensityMetric):
         flagged: set[int] = set()
         trend_changes: list[int] = []
         consecutive = 0
-        forecasts: list[DensityForecast] = []
+        kappa = self.base.kappa
+        means = np.empty(last - H)
+        variances = np.empty(last - H)
         for t in range(H, last):
-            forecast = self.base.infer(cleaned[t - H : t], t)
-            forecasts.append(forecast)
-            value = raw[t]
-            if forecast.lower <= value <= forecast.upper:
+            mean, variance = self.base._infer_moments(cleaned[t - H : t])
+            means[t - H], variances[t - H] = mean, variance
+            reach = kappa * math.sqrt(variance)
+            if mean - reach <= raw[t] <= mean + reach:
                 consecutive = 0
                 continue
             consecutive += 1
             if consecutive < self.oc_max:
                 flagged.add(t)
-                cleaned[t] = forecast.mean  # Replace with the inferred value.
+                cleaned[t] = mean  # Replace with the inferred value.
                 continue
             # oc_max consecutive out-of-bound values: genuine trend change.
             trend_changes.append(t)
@@ -203,7 +211,8 @@ class CGARCHMetric(DynamicDensityMetric):
             cleaned=cleaned,
             sv_max=float(sv_max),
         )
-        return DensitySeries(forecasts), report
+        ts = np.arange(H, last)
+        return gaussian_series(ts, means, variances, kappa), report
 
     @staticmethod
     def learn_sv_max(clean_values: np.ndarray, oc_max: int) -> float:

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.distributions.gaussian import Gaussian
 from repro.exceptions import InvalidParameterError
 from repro.metrics.base import (
     DensityForecast,
     DensitySeries,
     DynamicDensityMetric,
     batch_variance_floor,
+    gaussian_forecast,
+    gaussian_series,
     variance_floor,
 )
 from repro.util.validation import require_in_range, require_positive
@@ -74,16 +75,7 @@ class EWMAMetric(DynamicDensityMetric):
             variance = lam * variance + (1.0 - lam) * error * error
             level = d * level + (1.0 - d) * value
         variance = max(variance, floor)
-        distribution = Gaussian(float(level), variance)
-        sigma = distribution.std()
-        return DensityForecast(
-            t=t,
-            mean=float(level),
-            distribution=distribution,
-            lower=float(level) - self.kappa * sigma,
-            upper=float(level) + self.kappa * sigma,
-            volatility=sigma,
-        )
+        return gaussian_forecast(t, float(level), variance, self.kappa)
 
     def infer_batch(self, windows: np.ndarray, ts: np.ndarray) -> DensitySeries:
         """All windows at once: the recursion runs along the window axis
@@ -102,16 +94,7 @@ class EWMAMetric(DynamicDensityMetric):
             variance = lam * variance + (1.0 - lam) * error * error
             level = d * level + (1.0 - d) * value
         variance = np.maximum(variance, floors)
-        sigma = np.sqrt(variance)
-        return DensitySeries.from_columns(
-            np.asarray(ts, dtype=np.int64),
-            level,
-            sigma,
-            level - self.kappa * sigma,
-            level + self.kappa * sigma,
-            family="gaussian",
-            variance=variance,
-        )
+        return gaussian_series(ts, level, variance, self.kappa)
 
     def __repr__(self) -> str:
         return (

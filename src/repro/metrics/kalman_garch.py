@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.distributions.gaussian import Gaussian
 from repro.exceptions import EstimationError, InvalidParameterError
 from repro.metrics.base import (
     DensityForecast,
+    DensitySeries,
     DynamicDensityMetric,
+    gaussian_forecast,
+    gaussian_series,
     variance_floor,
 )
 from repro.timeseries.garch import GARCHModel
@@ -69,6 +71,11 @@ class KalmanGARCHMetric(DynamicDensityMetric):
 
     def infer(self, window: np.ndarray, t: int) -> DensityForecast:
         """EM-fit the Kalman filter, then GARCH on its prediction errors."""
+        mean, variance = self._infer_moments(window)
+        return gaussian_forecast(t, mean, variance, self.kappa)
+
+    def _infer_moments(self, window: np.ndarray) -> tuple[float, float]:
+        """``(r_hat_t, sigma_hat_t^2)`` from one window."""
         kalman = KalmanFilter().fit_em(
             window, c1=self.c1, c2=self.c2, max_iter=self.em_max_iter
         )
@@ -76,17 +83,17 @@ class KalmanGARCHMetric(DynamicDensityMetric):
         residuals = window - kalman.fitted_means()
         # The first prediction error reflects the diffuse prior, not the
         # dynamics; drop it before volatility estimation.
-        variance = self._garch_variance(residuals[1:], variance_floor(window))
-        distribution = Gaussian(mean, variance)
-        sigma = distribution.std()
-        return DensityForecast(
-            t=t,
-            mean=mean,
-            distribution=distribution,
-            lower=mean - self.kappa * sigma,
-            upper=mean + self.kappa * sigma,
-            volatility=sigma,
-        )
+        floor = variance_floor(window)
+        return mean, self._garch_variance(residuals[1:], floor)
+
+    def infer_batch(self, windows: np.ndarray, ts: np.ndarray) -> DensitySeries:
+        """One EM + GARCH fit per row, written straight into forecast
+        columns (the fits are independent, but each is a full estimation)."""
+        mean = np.empty(len(ts))
+        variance = np.empty(len(ts))
+        for row, window in enumerate(windows):
+            mean[row], variance[row] = self._infer_moments(window)
+        return gaussian_series(ts, mean, variance, self.kappa)
 
     def _garch_variance(self, residuals: np.ndarray, floor: float) -> float:
         try:

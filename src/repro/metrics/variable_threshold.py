@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.distributions.gaussian import Gaussian
 from repro.exceptions import EstimationError
 from repro.metrics.base import (
     DensityForecast,
     DensitySeries,
     DynamicDensityMetric,
     batch_variance_floor,
+    gaussian_forecast,
+    gaussian_series,
     variance_floor,
 )
 from repro.timeseries.arma import ARMAModel, batch_ar_predict
@@ -51,16 +52,7 @@ class VariableThresholdingMetric(DynamicDensityMetric):
         model = ARMAModel(self.p, self.q).fit(window)
         mean = model.predict_next()
         variance = max(sample_variance(window), variance_floor(window))
-        distribution = Gaussian(mean, variance)
-        sigma = distribution.std()
-        return DensityForecast(
-            t=t,
-            mean=mean,
-            distribution=distribution,
-            lower=mean - self.kappa * sigma,
-            upper=mean + self.kappa * sigma,
-            volatility=sigma,
-        )
+        return gaussian_forecast(t, mean, variance, self.kappa)
 
     def infer_batch(self, windows: np.ndarray, ts: np.ndarray) -> DensitySeries:
         """All windows at once: one batched AR(p) solve plus columnar
@@ -76,16 +68,7 @@ class VariableThresholdingMetric(DynamicDensityMetric):
         variance = np.maximum(
             np.var(windows, axis=1, ddof=1), batch_variance_floor(windows)
         )
-        sigma = np.sqrt(variance)
-        return DensitySeries.from_columns(
-            np.asarray(ts, dtype=np.int64),
-            mean,
-            sigma,
-            mean - self.kappa * sigma,
-            mean + self.kappa * sigma,
-            family="gaussian",
-            variance=variance,
-        )
+        return gaussian_series(ts, mean, variance, self.kappa)
 
     def __repr__(self) -> str:
         return f"VariableThresholdingMetric(p={self.p}, q={self.q}, kappa={self.kappa})"

@@ -47,8 +47,8 @@ from repro.service.planner import (
     plan_statement,
 )
 from repro.service.synopsis import estimate_series
-from repro.store.binary import compute_view_synopsis, load_view_columns
-from repro.store.catalog import Catalog, _apply_shadow_mask
+from repro.store.binary import compute_view_synopsis
+from repro.store.catalog import Catalog, load_segment_columns
 from repro.util.jsonio import canonical_dumps
 from repro.view.sql import (
     SelectQuery,
@@ -814,11 +814,9 @@ class CatalogQueryService:
                         task.segments, shadows, stored
                     ):
                         if synopsis is None or shadow:
-                            columns = load_view_columns(
-                                snapshot.directory / name
+                            columns = load_segment_columns(
+                                snapshot.directory, name, shadow=shadow
                             )
-                            if shadow:
-                                columns = _apply_shadow_mask(columns, shadow)
                             synopsis = compute_view_synopsis(
                                 columns["t"],
                                 columns["low"],

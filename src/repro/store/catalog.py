@@ -75,6 +75,7 @@ __all__ = [
     "RevisionFrontier",
     "SeriesHandle",
     "SeriesSnapshot",
+    "load_segment_columns",
 ]
 
 _CATALOG_FILE = "catalog.json"
@@ -273,6 +274,24 @@ def _apply_shadow_mask(
     return masked
 
 
+def load_segment_columns(
+    directory: Path,
+    name: str,
+    *,
+    mmap: bool = False,
+    shadow: Sequence[tuple[int, int]] = (),
+) -> dict[str, np.ndarray]:
+    """Columns of one segment, minus the rows ``shadow`` supersedes.
+
+    The one place a segment is read for its rows — by the view loader
+    below and by the executor's lazy ``APPROX`` fallback — so
+    ``repro_store_segment_reads_total`` counts every such read.
+    """
+    _OBS_SEGMENT_READS.inc()
+    columns = load_view_columns(directory / name, mmap=mmap)
+    return _apply_shadow_mask(columns, shadow) if shadow else columns
+
+
 def _load_view_from_segments(
     directory: Path,
     series_id: str,
@@ -305,15 +324,12 @@ def _load_view_from_segments(
             np.empty(0),
         )
     _OBS_VIEW_LOADS.inc()
-    _OBS_SEGMENT_READS.inc(len(names))
+    if shadows is None or not any(shadows):
+        shadows = ((),) * len(names)
     chunks = [
-        load_view_columns(directory / name, mmap=mmap) for name in names
+        load_segment_columns(directory, name, mmap=mmap, shadow=shadow)
+        for name, shadow in zip(names, shadows)
     ]
-    if shadows is not None and any(shadows):
-        chunks = [
-            _apply_shadow_mask(chunk, intervals) if intervals else chunk
-            for chunk, intervals in zip(chunks, shadows)
-        ]
     if len(chunks) == 1:
         chunk = chunks[0]
         return ProbabilisticView.from_columns(

@@ -197,12 +197,21 @@ class ARMAModel:
 
         Positions before ``max(p, q)`` carry the observation itself as the
         fitted value (zero residual), so downstream consumers can index
-        freely without special-casing the warm-up.
+        freely without special-casing the warm-up.  Without MA terms no
+        prediction depends on an earlier residual, so all of them come from
+        one vector expression that adds the lags in the scalar loop's order.
         """
         n = data.size
         warm = max(self.p, self.q)
         fitted = data.copy()
         residuals = np.zeros(n)
+        if self.q == 0:
+            prediction = np.full(n - warm, params.const)
+            for j in range(1, self.p + 1):
+                prediction += params.ar[j - 1] * data[warm - j : n - j]
+            fitted[warm:] = prediction
+            residuals[warm:] = data[warm:] - prediction
+            return fitted, residuals
         for i in range(warm, n):
             prediction = params.const
             for j in range(1, self.p + 1):

@@ -27,6 +27,8 @@ __all__ = ["KalmanFilter", "KalmanParams", "FilterResult"]
 #: Variance floor keeping the filter well-posed on constant windows.
 _VARIANCE_FLOOR = 1e-12
 
+_TWO_PI = 2.0 * math.pi
+
 
 @dataclass(frozen=True)
 class KalmanParams:
@@ -98,40 +100,52 @@ class KalmanFilter:
     # Filtering / smoothing.
     # ------------------------------------------------------------------
     def filter(self, observations: np.ndarray, params: KalmanParams | None = None) -> FilterResult:
-        """Run the forward filter; returns moments and the log-likelihood."""
+        """Run the forward filter; returns moments and the log-likelihood.
+
+        The recursion is inherently sequential, so it runs over plain
+        python floats (``tolist()`` in, arrays out): the same IEEE doubles
+        as indexing the arrays element by element, without numpy's
+        per-scalar dispatch.
+        """
         data = require_finite_array("observations", observations)
         p = params or self.params_
         if p is None:
             raise NotFittedError("no parameters: pass params or call fit_em() first")
         p.validate()
-        n = data.size
-        predicted_mean = np.empty(n)
-        predicted_variance = np.empty(n)
-        filtered_mean = np.empty(n)
-        filtered_variance = np.empty(n)
+        c1, c2 = float(p.c1), float(p.c2)
+        c1_squared, c2_squared = c1**2, c2**2
+        state_variance = float(p.state_variance)
+        obs_variance = float(p.obs_variance)
+        predicted_mean, predicted_variance = [], []
+        filtered_mean, filtered_variance = [], []
         loglik = 0.0
-        mean, variance = p.initial_mean, p.initial_variance
-        for i in range(n):
-            if i > 0:
-                mean = p.c1 * filtered_mean[i - 1]
-                variance = p.c1**2 * filtered_variance[i - 1] + p.state_variance
-            predicted_mean[i] = mean
-            predicted_variance[i] = variance
-            innovation = data[i] - p.c2 * mean
-            innovation_variance = p.c2**2 * variance + p.obs_variance
-            innovation_variance = max(innovation_variance, _VARIANCE_FLOOR)
-            gain = p.c2 * variance / innovation_variance
-            filtered_mean[i] = mean + gain * innovation
-            filtered_variance[i] = max((1.0 - gain * p.c2) * variance, 0.0)
+        mean, variance = float(p.initial_mean), float(p.initial_variance)
+        for value in data.tolist():
+            predicted_mean.append(mean)
+            predicted_variance.append(variance)
+            innovation = value - c2 * mean
+            innovation_variance = c2_squared * variance + obs_variance
+            if innovation_variance < _VARIANCE_FLOOR:
+                innovation_variance = _VARIANCE_FLOOR
+            gain = c2 * variance / innovation_variance
+            filtered = mean + gain * innovation
+            posterior = (1.0 - gain * c2) * variance
+            if posterior < 0.0:
+                posterior = 0.0
+            filtered_mean.append(filtered)
+            filtered_variance.append(posterior)
             loglik -= 0.5 * (
-                math.log(2.0 * math.pi * innovation_variance)
+                math.log(_TWO_PI * innovation_variance)
                 + innovation**2 / innovation_variance
             )
+            # Predict the next state.
+            mean = c1 * filtered
+            variance = c1_squared * posterior + state_variance
         return FilterResult(
-            predicted_mean=predicted_mean,
-            predicted_variance=predicted_variance,
-            filtered_mean=filtered_mean,
-            filtered_variance=filtered_variance,
+            predicted_mean=np.array(predicted_mean),
+            predicted_variance=np.array(predicted_variance),
+            filtered_mean=np.array(filtered_mean),
+            filtered_variance=np.array(filtered_variance),
             loglik=loglik,
         )
 
@@ -144,29 +158,8 @@ class KalmanFilter:
         the lag-one covariance ``Cov(x_i, x_{i-1} | all data)`` feeds the EM
         M-step (entry 0 is zero by convention).
         """
-        data = require_finite_array("observations", observations)
-        p = params or self.params_
-        if p is None:
-            raise NotFittedError("no parameters: pass params or call fit_em() first")
-        forward = self.filter(data, p)
-        n = data.size
-        smoothed_mean = forward.filtered_mean.copy()
-        smoothed_variance = forward.filtered_variance.copy()
-        lag1 = np.zeros(n)
-        gains = np.zeros(n)
-        for i in range(n - 2, -1, -1):
-            next_predicted_var = max(forward.predicted_variance[i + 1], _VARIANCE_FLOOR)
-            gain = forward.filtered_variance[i] * p.c1 / next_predicted_var
-            gains[i] = gain
-            smoothed_mean[i] = forward.filtered_mean[i] + gain * (
-                smoothed_mean[i + 1] - forward.predicted_mean[i + 1]
-            )
-            smoothed_variance[i] = forward.filtered_variance[i] + gain**2 * (
-                smoothed_variance[i + 1] - next_predicted_var
-            )
-        for i in range(1, n):
-            lag1[i] = gains[i - 1] * smoothed_variance[i]
-        return smoothed_mean, np.maximum(smoothed_variance, 0.0), lag1
+        forward = self.filter(observations, params)
+        return _rts_pass(forward, params or self.params_)
 
     # ------------------------------------------------------------------
     # EM estimation.
@@ -186,6 +179,10 @@ class KalmanFilter:
         until the log-likelihood improvement falls below ``tol`` or
         ``max_iter`` is reached.  Stores the converged parameters and the
         final forward-filter result.
+
+        One forward pass per iteration, plus the initial one: the pass that
+        scores an M-step's parameters is the pass the next E-step smooths,
+        and the last one is ``result_``.
         """
         data = require_finite_array("observations", observations, min_len=3)
         if max_iter < 1:
@@ -201,8 +198,9 @@ class KalmanFilter:
         )
         previous_loglik = -math.inf
         iterations = 0
+        forward = self.filter(data, params)
         for iterations in range(1, max_iter + 1):
-            smoothed_mean, smoothed_variance, lag1 = self.smooth(data, params)
+            smoothed_mean, smoothed_variance, lag1 = _rts_pass(forward, params)
             # E-step sufficient statistics.
             second_moment = smoothed_variance + smoothed_mean**2
             cross_moment = lag1[1:] + smoothed_mean[1:] * smoothed_mean[:-1]
@@ -227,13 +225,13 @@ class KalmanFilter:
                 obs_variance=max(obs_variance, _VARIANCE_FLOOR),
                 initial_mean=float(smoothed_mean[0]),
             )
-            loglik = self.filter(data, params).loglik
+            forward = self.filter(data, params)
+            loglik = forward.loglik
             if abs(loglik - previous_loglik) < tol * (1.0 + abs(previous_loglik)):
-                previous_loglik = loglik
                 break
             previous_loglik = loglik
         self.params_ = params
-        self.result_ = self.filter(data, params)
+        self.result_ = forward
         self.em_iterations_ = iterations
         self._observations = data
         return self
@@ -257,3 +255,36 @@ class KalmanFilter:
         if self.params_ is None or self.result_ is None:
             raise NotFittedError("call fit_em() first")
         return self.params_.c2 * self.result_.predicted_mean
+
+
+def _rts_pass(
+    forward: FilterResult, params: KalmanParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Backward Rauch-Tung-Striebel pass over one forward-filter result.
+
+    Split from :meth:`KalmanFilter.smooth` so EM can smooth the forward
+    pass it already ran; python floats for the reason given in
+    :meth:`KalmanFilter.filter`.
+    """
+    c1 = float(params.c1)
+    predicted_mean = forward.predicted_mean.tolist()
+    predicted_variance = forward.predicted_variance.tolist()
+    smoothed_mean = forward.filtered_mean.tolist()
+    smoothed_variance = forward.filtered_variance.tolist()
+    n = len(smoothed_mean)
+    gains = [0.0] * n
+    for i in range(n - 2, -1, -1):
+        next_predicted_var = predicted_variance[i + 1]
+        if next_predicted_var < _VARIANCE_FLOOR:
+            next_predicted_var = _VARIANCE_FLOOR
+        gain = smoothed_variance[i] * c1 / next_predicted_var
+        gains[i] = gain
+        mean_gap = smoothed_mean[i + 1] - predicted_mean[i + 1]
+        smoothed_mean[i] += gain * mean_gap
+        smoothed_variance[i] += gain**2 * (
+            smoothed_variance[i + 1] - next_predicted_var
+        )
+    smoothed_variance = np.array(smoothed_variance)
+    lag1 = np.zeros(n)
+    lag1[1:] = np.array(gains[:-1]) * smoothed_variance[1:]
+    return np.array(smoothed_mean), np.maximum(smoothed_variance, 0.0), lag1

@@ -111,6 +111,12 @@ class TestRunContract:
         metric = CGARCHMetric()
         with pytest.raises(InvalidParameterError):
             metric.run(series, H=60, step=5)
+        with pytest.raises(InvalidParameterError):
+            metric.run(series, H=60, start=61)
+        # Rejected before the cleaning pass, not after it: no model was fit.
+        assert metric.base.garch_evaluations_ == 0
+        metric.run(series, H=60, stop=62)
+        assert metric.base.garch_evaluations_ > 0
 
     def test_run_returns_forecasts_for_every_time(self):
         series = campus_temperature(200, rng=9)

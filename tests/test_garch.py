@@ -120,6 +120,8 @@ class TestFit:
         cold = GARCHModel().fit(shocks)
         warm = GARCHModel().fit(shocks, warm_start=cold.params_)
         assert warm.loglik_ >= cold.loglik_ - 1.0
+        # One start from the optimum instead of three heuristic ones.
+        assert 0 < warm.evaluations_ < cold.evaluations_
 
     def test_warm_start_wrong_order_ignored(self, rng):
         shocks = GARCHModel.simulate(_make_params(), 200, rng=4)

@@ -14,7 +14,9 @@ import pytest
 
 from repro.data.synthetic import campus_temperature
 from repro.exceptions import InvalidParameterError
+from repro.metrics.arma_garch import ARMAGARCHMetric
 from repro.metrics.ewma import EWMAMetric
+from repro.metrics.kalman_garch import KalmanGARCHMetric
 from repro.metrics.uniform_threshold import UniformThresholdingMetric
 from repro.metrics.variable_threshold import VariableThresholdingMetric
 from repro.pipeline import OnlinePipeline, create_probabilistic_view
@@ -114,6 +116,44 @@ def test_state_capture_and_resume():
     np.testing.assert_allclose(
         matrix.probabilities.ravel(), suffix, rtol=0, atol=ATOL
     )
+
+
+@pytest.mark.parametrize(
+    "metric_cls",
+    [
+        pytest.param(
+            ARMAGARCHMetric,
+            id="arma_garch",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason=(
+                    "the warm-start optimum lives on the metric object and "
+                    "is not part of load_state / series.json: the first fit "
+                    "after a resume starts cold and lands on a nearby but "
+                    "different optimum (ROADMAP, oracle item)"
+                ),
+            ),
+        ),
+        pytest.param(
+            lambda: KalmanGARCHMetric(em_max_iter=10), id="kalman_garch"
+        ),
+    ],
+)
+def test_resume_matches_uninterrupted(metric_cls):
+    """Capture, restore, continue: the rows an uninterrupted writer emits."""
+    values = campus_temperature(110, rng=23).values
+    continuous = OnlinePipeline(metric_cls(), H=H, grid=GRID)
+    expected = continuous.feed_batch(values)
+
+    first = OnlinePipeline(metric_cls(), H=H, grid=GRID)
+    first.feed_batch(values[:70])
+    resumed = OnlinePipeline(metric_cls(), H=H, grid=GRID)
+    resumed.load_state(first.window_values, first.t)
+    matrix = resumed.feed_batch(values[70:])
+
+    assert matrix.t.tolist() == list(range(70, 110))
+    assert np.array_equal(matrix.mean, expected.mean[-40:])
+    assert np.array_equal(matrix.volatility, expected.volatility[-40:])
 
 
 def test_load_state_validation():

@@ -424,6 +424,8 @@ class TestApprox:
         assert result.approx
         assert result.stats is not None
         assert result.stats.segments_scanned == 6  # All lazily loaded.
+        # The store's own counter sees the same six reads.
+        assert reads.total() == before + 6
         assert all(
             entry.result["error_bound"] >= 0.0 for entry in result.results
         )
