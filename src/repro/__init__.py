@@ -90,13 +90,11 @@ from repro.store import (
     save_view_npz,
 )
 from repro.service import (
-    ApproxResult,
     CatalogQueryService,
     MatrixCache,
     MultiSelectResult,
     SelectResult,
     SimulateResult,
-    execute_select,
 )
 from repro.server import (
     Client,
@@ -131,11 +129,6 @@ from repro.timeseries import (
     KalmanParams,
     TimeSeries,
 )
-from repro.timeseries.selection import (
-    OrderSelectionResult,
-    rolling_forecast_mse,
-    select_arma_order,
-)
 from repro.view import (
     OmegaGrid,
     OmegaRange,
@@ -156,7 +149,6 @@ __all__ = [
     "ARMAModel",
     "ARMAParams",
     "AppendResult",
-    "ApproxResult",
     "ArchTestResult",
     "Catalog",
     "CGARCHMetric",
@@ -191,7 +183,6 @@ __all__ = [
     "OmegaRange",
     "OnlinePipeline",
     "OnlineStep",
-    "OrderSelectionResult",
     "ParseError",
     "ProbTuple",
     "ProbabilisticView",
@@ -234,7 +225,6 @@ __all__ = [
     "density_distance_from_pit",
     "engle_arch_test",
     "exceedance_probability",
-    "execute_select",
     "expected_time_above",
     "expected_value_query",
     "hellinger_distance",
@@ -252,11 +242,9 @@ __all__ = [
     "ratio_threshold_for_distance",
     "ratio_threshold_for_memory",
     "rolling_arch_test",
-    "rolling_forecast_mse",
     "save_density_series_npz",
     "save_series_csv",
     "save_view_npz",
-    "select_arma_order",
     "successive_variance_reduction",
     "sustained_exceedance_probability",
     "threshold_query",

@@ -4,8 +4,12 @@ Six subcommands cover the workflows a user reaches for first:
 
 * ``experiment`` — run one reproduced paper experiment and print its table
   (``python -m repro experiment fig14 --scale 0.1``);
-* ``query`` — execute a ``CREATE VIEW ... AS DENSITY ...`` statement over a
-  generated or CSV dataset and print the resulting view head;
+* ``query`` — execute statements (``CREATE VIEW``, ``SELECT``,
+  ``SIMULATE``) through ``repro.connect(--target)``: no target runs an
+  in-memory engine, a catalog path binds a warm query service to that
+  catalog, ``tcp://host:port`` sends the statements to a running
+  server; a local engine gets the ``--data`` dataset registered as
+  table ``--table`` for ``CREATE VIEW`` to run over;
 * ``generate`` — write a synthetic dataset to CSV;
 * ``arch-test`` — run the Fig. 15 volatility check on a dataset;
 * ``store`` — manage a persistent view catalog: ``store init`` binds a new
@@ -14,13 +18,10 @@ Six subcommands cover the workflows a user reaches for first:
   ``store list`` shows what the catalog holds, and ``store synopsize``
   backfills segment synopses (zone maps) on catalogs written before
   pruning existed;
-* ``service`` — the catalog-wide query engine: ``service query`` executes
-  one ``SELECT <aggregate> FROM CATALOG '<path>' ...`` statement across
-  every matched series in parallel;
 * ``server`` — the network layer: ``server serve`` runs the asyncio NDJSON
   query server over a catalog (request coalescing, admission control,
-  draining shutdown), ``server query`` sends one statement to a running
-  server and prints the result.
+  draining shutdown); ``server stats`` / ``metrics`` / ``slowlog`` read a
+  running server's counters.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from collections.abc import Callable, Sequence
 
 from repro.data.loaders import load_series_csv, save_series_csv
 from repro.data.synthetic import campus_humidity, make_dataset
-from repro.db.engine import Database
 from repro.db.table import Table
 from repro.evaluation.volatility_test import rolling_arch_test
 from repro.exceptions import InvalidParameterError, ReproError
@@ -95,16 +95,60 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--scale", type=float, default=None,
                      help="workload scale in (0, 1]; default REPRO_SCALE or 0.08")
 
-    query = sub.add_parser("query", help="execute a view-generation query")
-    query.add_argument("sql", help="CREATE VIEW ... AS DENSITY ... statement")
+    query = sub.add_parser(
+        "query", help="execute statements on any repro.connect() target"
+    )
+    query.add_argument(
+        "sql",
+        nargs="+",
+        help="one or more CREATE VIEW ... AS DENSITY ... / SELECT "
+             "<aggregates> FROM CATALOG '<path>' ... / SIMULATE n FROM "
+             "CATALOG '<path>' ... statements, run in order on one "
+             "connection",
+    )
+    query.add_argument("--target", default=None,
+                       help="what repro.connect() opens: omitted for an "
+                            "in-memory engine, a catalog path for a warm "
+                            "query service over it, tcp://host[:port] "
+                            "for a running server")
     query.add_argument("--data", default="campus",
-                       help="dataset name (campus/car/humidity) or a CSV path")
+                       help="dataset (campus/car/humidity) or CSV path "
+                            "registered on a local engine")
     query.add_argument("--table", default="raw_values",
                        help="name to register the data under")
     query.add_argument("--scale", type=float, default=0.08)
     query.add_argument("--seed", type=int, default=0)
     query.add_argument("--head", type=int, default=12,
-                       help="number of view tuples to print")
+                       help="result rows to print per section")
+    query.add_argument("--workers", type=int, default=None,
+                       help="path target: worker processes for --backend "
+                            "process (default: one per core; must be "
+                            ">= 1, otherwise unused)")
+    query.add_argument("--backend", default=None,
+                       choices=["sequential", "process"],
+                       help="path target: executor backend; 'sequential' "
+                            "(default) runs inline, 'process' sidesteps "
+                            "the GIL for CPU-bound aggregates on "
+                            "multi-core hosts")
+    query.add_argument("--cache-mb", type=float, default=None,
+                       help="path target: matrix-cache byte budget in MiB "
+                            "(default 64)")
+    query.add_argument("--no-pruning", action="store_true",
+                       help="path target: disable synopsis-based segment "
+                            "pruning (results are identical; for "
+                            "benchmarking)")
+    query.add_argument("--json", action="store_true",
+                       help="print each result as canonical JSON")
+    query.add_argument("--stats", action="store_true",
+                       help="print the per-query pruning counters")
+    query.add_argument("--trace", action="store_true",
+                       help="print the per-stage latency breakdown "
+                            "(parse/plan/prune/fan-out/finalize/...) and "
+                            "the slowest per-series load/compute spans")
+    query.add_argument("--as-of", type=int, default=None, metavar="K",
+                       help="answer from what was known at knowledge "
+                            "time K (rewrites each statement with an "
+                            "AS OF clause)")
 
     gen = sub.add_parser("generate", help="write a synthetic dataset to CSV")
     gen.add_argument("name", choices=_DATASETS)
@@ -185,48 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     synopsize.add_argument("--series", default="*",
                            help="glob of series ids to backfill (default all)")
 
-    service = sub.add_parser(
-        "service", help="catalog-wide query service operations"
-    )
-    service_sub = service.add_subparsers(dest="service_command", required=True)
-    vquery = service_sub.add_parser(
-        "query", help="run one SELECT over every matched series of a catalog"
-    )
-    vquery.add_argument(
-        "sql",
-        nargs="+",
-        help="one or more SELECT <aggregate> FROM CATALOG '<path>' "
-             "[SERIES '<glob>'] [WHERE t BETWEEN a AND b] [TOP k] "
-             "statements; several statements run as one batched fan-out "
-             "sharing the matrix cache",
-    )
-    vquery.add_argument("--workers", type=int, default=None,
-                        help="worker processes for --backend process "
-                             "(default: one per core; must be >= 1, "
-                             "otherwise unused)")
-    vquery.add_argument("--backend", default="sequential",
-                        choices=["sequential", "process"],
-                        help="executor backend: 'sequential' runs inline, "
-                             "'process' sidesteps the GIL for CPU-bound "
-                             "aggregates on multi-core hosts")
-    vquery.add_argument("--cache-mb", type=float, default=64.0,
-                        help="matrix-cache byte budget in MiB")
-    vquery.add_argument("--head", type=int, default=8,
-                        help="result rows to print for the top series")
-    vquery.add_argument("--no-pruning", action="store_true",
-                        help="disable synopsis-based segment pruning "
-                             "(results are identical; for benchmarking)")
-    vquery.add_argument("--stats", action="store_true",
-                        help="print the per-query pruning counters")
-    vquery.add_argument("--trace", action="store_true",
-                        help="print the per-stage latency breakdown "
-                             "(parse/plan/prune/fan-out/finalize) and the "
-                             "slowest per-series load/compute spans")
-    vquery.add_argument("--as-of", type=int, default=None, metavar="K",
-                        help="answer from what was known at knowledge "
-                             "time K (rewrites each statement with an "
-                             "AS OF clause)")
-
     server = sub.add_parser(
         "server", help="network query server over a catalog"
     )
@@ -259,26 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="slow-query log threshold in milliseconds "
                             "(default 500; statements slower than this "
                             "are kept in the in-memory slow log)")
-
-    cquery = server_sub.add_parser(
-        "query", help="send one statement to a running server"
-    )
-    cquery.add_argument("sql", help="SELECT or CREATE VIEW statement")
-    cquery.add_argument("--host", default="127.0.0.1")
-    cquery.add_argument("--port", type=int, default=7411)
-    cquery.add_argument("--json", action="store_true",
-                        help="print the raw canonical JSON result")
-    cquery.add_argument("--head", type=int, default=8,
-                        help="result rows to print per section")
-    cquery.add_argument("--trace", action="store_true",
-                        help="ask the server for the per-stage trace "
-                             "block and print it as a latency table")
-    cquery.add_argument("--stats", action="store_true",
-                        help="print the per-query pruning counters")
-    cquery.add_argument("--as-of", type=int, default=None, metavar="K",
-                        help="answer from what was known at knowledge "
-                             "time K (rewrites the statement with an "
-                             "AS OF clause before sending)")
 
     sstats = server_sub.add_parser(
         "stats", help="print a running server's lifetime counters"
@@ -318,29 +300,58 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    from repro.view.sql import SelectQuery, parse_statement
+    from repro.connection import connect
 
-    statement = parse_statement(args.sql)
-    if isinstance(statement, SelectQuery):
-        raise InvalidParameterError(
-            "the 'query' command runs CREATE VIEW statements over a "
-            "dataset; use 'repro service query' for catalog-wide SELECT"
+    # Only what the user set: connect()'s own defaults cover the rest.
+    service_options = {}
+    if args.backend is not None:
+        service_options["backend"] = args.backend
+    if args.workers is not None:
+        service_options["max_workers"] = args.workers
+    if args.cache_mb is not None:
+        service_options["cache_budget_bytes"] = max(
+            int(args.cache_mb * (1 << 20)), 1
         )
-    series = _load_dataset(args.data, args.scale, args.seed)
-    table = Table(args.table, ["t", "r"])
-    table.insert_many(zip(series.timestamps.tolist(), series.values.tolist()))
-    db = Database()
-    db.register_table(table)
-    view = db.execute_query(statement)
-    print(f"created {view!r}\n")
-    rows = [
-        [tup.t, tup.low, tup.high, tup.probability, tup.label]
-        for tup in list(view)[: args.head]
-    ]
-    print(format_table(["t", "low", "high", "probability", "label"], rows))
-    if len(view) > args.head:
-        print(f"... ({len(view) - args.head} more tuples)")
+    if args.no_pruning:
+        service_options["pruning"] = False
+    with connect(args.target, **service_options) as conn:
+        if service_options and conn.service is None:
+            raise InvalidParameterError(
+                "--backend/--workers/--cache-mb/--no-pruning configure the "
+                "query service of a catalog-path --target; a server's are "
+                "fixed by 'server serve'"
+            )
+        if conn.database is not None:
+            series = _load_dataset(args.data, args.scale, args.seed)
+            conn.database.register_table(Table(
+                args.table, ["t", "r"],
+                data={"t": series.timestamps, "r": series.values},
+            ))
+        for index, sql in enumerate(args.sql):
+            result = conn.execute(sql, trace=args.trace, as_of=args.as_of)
+            if index:
+                print()
+            _print_result(result, args)
     return 0
+
+
+def _print_result(result, args: argparse.Namespace) -> None:
+    """One statement's result, whichever route answered it."""
+    if args.json:
+        print(result.json())
+        return
+    payload = result.to_dict()
+    print(render_result(payload, args.head))
+    if args.stats:
+        print()
+        if payload.get("pruning"):
+            print(render_pruning(payload["pruning"]))
+        else:
+            print("(pruning counters unavailable for this result kind)")
+    if args.trace:
+        trace = result.trace
+        print()
+        _print_trace(trace if isinstance(trace, dict) else trace.as_dict())
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -468,70 +479,8 @@ def _cmd_store(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_service(args: argparse.Namespace) -> int:
-    from repro.service import CatalogQueryService, execute_select
-    from repro.view.sql import (
-        SelectQuery,
-        SimulateQuery,
-        parse_statement,
-        with_as_of,
-    )
-
-    cache_budget = max(int(args.cache_mb * (1 << 20)), 1)
-    pruning = not args.no_pruning
-    statements = args.sql
-    if args.as_of is not None:
-        statements = [with_as_of(sql, args.as_of) for sql in statements]
-    if len(statements) == 1:
-        results = [execute_select(
-            statements[0],
-            max_workers=args.workers,
-            cache_budget_bytes=cache_budget,
-            backend=args.backend,
-            pruning=pruning,
-        )]
-    else:
-        # Several statements: one batched fan-out through a shared
-        # service, so they dedupe and share the warm matrix cache.
-        first = parse_statement(statements[0])
-        if not isinstance(first, (SelectQuery, SimulateQuery)):
-            raise InvalidParameterError(
-                "the 'service query' command runs SELECT and SIMULATE "
-                "statements; use 'repro query' for CREATE VIEW"
-            )
-        with CatalogQueryService(
-            first.catalog_path,
-            max_workers=args.workers,
-            cache_budget_bytes=cache_budget,
-            backend=args.backend,
-            pruning=pruning,
-        ) as service:
-            if args.trace:
-                # execute_many flattens every statement into one backend
-                # pass, which leaves no per-statement trace; run the
-                # batch statement-by-statement (still sharing the warm
-                # cache) so each result carries its own trace block.
-                results = [service.execute(sql) for sql in statements]
-            else:
-                results = service.execute_many(statements)
-    for index, result in enumerate(results):
-        if index:
-            print()
-        print(render_result(result.to_dict(), args.head))
-        if args.stats and result.stats is not None:
-            print()
-            print(render_pruning(result.stats.as_dict()))
-        if args.trace:
-            if result.trace is None:
-                print("\n(trace unavailable: instrumentation disabled)")
-            else:
-                print()
-                _print_trace(result.trace.as_dict())
-    return 0
-
-
 def _print_trace(trace: dict) -> None:
-    """Render a trace block (service- or server-side) as latency tables."""
+    """Render a trace block (local or server-side) as latency tables."""
     wall_ms = trace.get("wall_ms", 0.0)
     tags = [
         f"{key}={trace[key]}"
@@ -630,39 +579,14 @@ def _cmd_server(args: argparse.Namespace) -> int:
             print(payload["text"], end="")
         return 0
 
-    if args.server_command == "slowlog":
-        with Client(args.host, args.port) as client:
-            payload = client.slowlog(args.limit)
-        if args.json:
-            from repro.server import canonical_dumps
-
-            print(canonical_dumps(payload))
-            return 0
-        _print_server_slowlog(payload)
-        return 0
-
     with Client(args.host, args.port) as client:
-        result = client.query(args.sql, trace=args.trace, as_of=args.as_of)
+        payload = client.slowlog(args.limit)
     if args.json:
         from repro.server import canonical_dumps
 
-        print(canonical_dumps(result))
+        print(canonical_dumps(payload))
         return 0
-    print(render_result(result, args.head))
-    if args.stats:
-        pruning = result.get("pruning")
-        print()
-        if pruning:
-            print(render_pruning(pruning))
-        else:
-            print("(pruning counters unavailable for this result kind)")
-    if args.trace:
-        trace = result.get("trace")
-        print()
-        if trace:
-            _print_trace(trace)
-        else:
-            print("(trace unavailable: server instrumentation disabled)")
+    _print_server_slowlog(payload)
     return 0
 
 
@@ -747,7 +671,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "generate": _cmd_generate,
         "arch-test": _cmd_arch_test,
         "store": _cmd_store,
-        "service": _cmd_service,
         "server": _cmd_server,
     }
     try:

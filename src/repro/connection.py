@@ -1,10 +1,10 @@
 """One front door for every query route: ``repro.connect()``.
 
-The library grew three overlapping query entry points — an in-memory
-:class:`~repro.db.engine.Database`, the catalog-bound
-:class:`~repro.service.executor.CatalogQueryService`, and the network
-:class:`~repro.server.client.Client` — each with its own signature.
-:func:`connect` consolidates them behind one :class:`Connection` façade:
+A :class:`Connection` holds either a local engine — a
+:class:`~repro.db.engine.Database`, unbound or bound to a catalog's
+:class:`~repro.service.executor.CatalogQueryService` — or a network
+:class:`~repro.server.client.Client` onto a server running the same
+engine:
 
 >>> # conn = repro.connect()                      # in-memory engine
 >>> # conn = repro.connect("/data/catalogs/main") # local catalog service
@@ -17,10 +17,10 @@ The library grew three overlapping query entry points — an in-memory
 Every route answers ``execute`` with a uniform result object exposing
 ``.kind`` (``"select"`` / ``"approx"`` / ``"simulate"`` /
 ``"multi_select"`` / ``"view"``), ``.to_dict()`` (the JSON-ready payload
-the wire protocol sends), and ``.json()`` (canonical bytes) — so the
-same statement is *bit-identical* whichever route served it, which the
-property tests pin.  The old entry points remain as the thin layers this
-façade delegates to.
+the wire protocol sends), ``.json()`` (canonical bytes) and ``.trace`` —
+and every route runs every statement kind (``CREATE VIEW``, ``SELECT``,
+``SIMULATE``), so the same statement is *bit-identical* whichever route
+served it, which the route-matrix tests pin.
 """
 
 from __future__ import annotations
@@ -34,39 +34,12 @@ from repro.util.jsonio import canonical_dumps
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.engine import Database
-    from repro.db.prob_view import ProbabilisticView
     from repro.server.client import Client
     from repro.service.executor import CatalogQueryService
 
-__all__ = ["Connection", "RemoteResult", "ViewResult", "connect"]
+__all__ = ["Connection", "RemoteResult", "connect"]
 
 _TCP_URL = re.compile(r"^tcp://(?P<host>[^:/]+)(?::(?P<port>\d+))?/?$")
-
-
-class ViewResult:
-    """A created :class:`ProbabilisticView` in the uniform result shape.
-
-    ``CREATE VIEW`` returns the view object itself from the engine; this
-    wrapper gives it the same ``.kind`` / ``.to_dict()`` / ``.json()``
-    surface the SELECT-family results carry, with the underlying view on
-    ``.view``.
-    """
-
-    kind = "view"
-
-    def __init__(self, view: "ProbabilisticView") -> None:
-        self.view = view
-
-    def to_dict(self) -> dict[str, Any]:
-        from repro.server.protocol import serialize_view
-
-        return serialize_view(self.view)
-
-    def json(self) -> str:
-        return canonical_dumps(self.to_dict())
-
-    def __repr__(self) -> str:
-        return f"ViewResult(name={self.view.name!r})"
 
 
 class RemoteResult:
@@ -110,34 +83,35 @@ class RemoteResult:
 class Connection:
     """One query connection, whatever sits behind it.
 
-    Construct via :func:`connect`.  Exactly one of ``database``,
-    ``service``, ``client`` is set; :attr:`route` names it
-    (``"memory"`` / ``"service"`` / ``"server"``).
+    Construct via :func:`connect`.  Exactly one of ``database`` and
+    ``client`` is set; :attr:`route` names what serves the statements
+    (``"memory"``: an unbound engine, ``"service"``: an engine bound to
+    a catalog's query service, ``"server"``: a remote one).
     """
 
     def __init__(
         self,
         *,
         database: "Database | None" = None,
-        service: "CatalogQueryService | None" = None,
         client: "Client | None" = None,
     ) -> None:
-        backends = [database, service, client]
-        if sum(x is not None for x in backends) != 1:
+        if (database is None) == (client is None):
             raise InvalidParameterError(
-                "Connection needs exactly one of database/service/client"
+                "Connection needs exactly one of database/client"
             )
         self.database = database
-        self.service = service
         self.client = client
 
     @property
+    def service(self) -> "CatalogQueryService | None":
+        """The local engine's bound query service, if any (read-only)."""
+        return None if self.database is None else self.database.service
+
+    @property
     def route(self) -> str:
-        if self.database is not None:
-            return "memory"
-        if self.service is not None:
-            return "service"
-        return "server"
+        if self.client is not None:
+            return "server"
+        return "memory" if self.service is None else "service"
 
     def execute(
         self,
@@ -151,12 +125,12 @@ class Connection:
         ``as_of`` rewrites the statement with an ``AS OF
         <knowledge_time>`` clause (SELECT / SIMULATE only) before
         routing, so all three routes answer from the same revision
-        frontier.  ``trace=True`` asks for the per-stage latency
-        breakdown: local results carry a
-        :class:`~repro.obs.trace.QueryTrace` on ``result.trace``, remote
-        results the server's serialized trace block.  Traces never enter
-        ``to_dict()`` / ``.json()`` — two runs of one statement
-        serialize identically.
+        frontier.  ``trace=True`` asks a server for the per-stage
+        latency breakdown (``result.trace`` is its serialized trace
+        block); local results always carry their
+        :class:`~repro.obs.trace.QueryTrace` on ``result.trace``.
+        Traces never enter ``to_dict()`` / ``.json()`` — two runs of one
+        statement serialize identically.
         """
         if as_of is not None:
             from repro.view.sql import with_as_of
@@ -166,20 +140,11 @@ class Connection:
             return RemoteResult(
                 self.client.query(statement, trace=bool(trace))
             )
-        if self.service is not None:
-            return self.service.execute(statement)
-        result = self.database.execute(statement)
-        from repro.db.prob_view import ProbabilisticView
-
-        if isinstance(result, ProbabilisticView):
-            return ViewResult(result)
-        return result
+        return self.database.execute(statement)
 
     def close(self) -> None:
-        if self.service is not None:
-            self.service.close()
-        if self.client is not None:
-            self.client.close()
+        backend = self.client if self.database is None else self.database
+        backend.close()
 
     def __enter__(self) -> "Connection":
         return self
@@ -202,10 +167,10 @@ def connect(
 ) -> Connection:
     """Open a :class:`Connection` to ``target``.
 
-    ``None`` or ``":memory:"`` builds an in-memory
-    :class:`~repro.db.engine.Database` (CREATE VIEW plus one-shot
-    catalog SELECTs); a local path opens a
-    :class:`~repro.service.executor.CatalogQueryService` over that
+    ``None`` or ``":memory:"`` builds an unbound
+    :class:`~repro.db.engine.Database` (statements addressing a catalog
+    run on a throw-away default service); a local path binds the engine
+    to a :class:`~repro.service.executor.CatalogQueryService` over that
     catalog (warm matrix cache; ``backend``, ``cache_budget_bytes``,
     ``pruning`` apply here: ``"sequential"``, the default, runs each
     statement inline on the calling thread, ``"process"`` on a
@@ -216,9 +181,9 @@ def connect(
     (``timeout`` applies there).  Close the connection (or use it as a
     context manager) to release pools and sockets.
     """
-    if target is None or target == ":memory:":
-        from repro.db.engine import Database
+    from repro.db.engine import Database
 
+    if target is None or target == ":memory:":
         return Connection(database=Database())
     if isinstance(target, str):
         match = _TCP_URL.match(target)
@@ -239,10 +204,10 @@ def connect(
             )
     from repro.service.executor import CatalogQueryService
 
-    return Connection(service=CatalogQueryService(
+    return Connection(database=Database(CatalogQueryService(
         target,
         backend=backend,
         max_workers=max_workers,
         cache_budget_bytes=cache_budget_bytes,
         pruning=pruning,
-    ))
+    )))

@@ -7,7 +7,7 @@ probabilistic queries over the created views (the motivating "which room is
 Alice in?" query of the paper's Fig. 1).
 """
 
-from repro.db.engine import Database
+from repro.db.engine import Database, ViewResult
 from repro.db.prob_view import ProbabilisticView, ProbTuple, ViewColumns
 from repro.db.queries import (
     expected_value_query,
@@ -23,6 +23,7 @@ __all__ = [
     "ProbabilisticView",
     "Table",
     "ViewColumns",
+    "ViewResult",
     "expected_value_query",
     "most_probable_range_query",
     "range_probability_query",

@@ -1,4 +1,4 @@
-"""Database engine: executes the SQL-like view-generation language.
+"""Database engine: the one place a statement is parsed and routed.
 
 Ties the whole framework together (paper Fig. 2): raw-value tables go in,
 ``CREATE VIEW ... AS DENSITY ...`` statements run the selected dynamic
@@ -9,40 +9,93 @@ rows, and the result is registered as a named
 '<path>'`` clause additionally stores the created view in the durable
 catalog at that path (:mod:`repro.store`).
 
-``SELECT <aggregate> FROM CATALOG '<path>' ...`` statements route to the
-catalog-wide query service (:mod:`repro.service`) and return a
-:class:`~repro.service.executor.SelectResult` instead of a view — one
-``execute`` entry point, two statement kinds.
+``SELECT`` / ``SIMULATE ... FROM CATALOG '<path>' ...`` statements run on
+the catalog-wide query service (:mod:`repro.service`): the service the
+database was constructed with when the statement addresses its catalog,
+a throw-away default service otherwise.  Every statement kind answers
+:meth:`Database.execute` with the same result surface — ``.kind`` /
+``.to_dict()`` / ``.json()`` / ``.trace`` — and ``repro.connect()``,
+``repro.connect(path)`` and the query server all run on this class.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from repro.db.prob_view import ProbabilisticView
 from repro.db.table import Table
 from repro.exceptions import QueryError
 from repro.metrics.registry import create_metric
 from repro.obs.trace import QueryTrace
+from repro.util.jsonio import canonical_dumps, scalar_time
 from repro.view.builder import ViewBuilder
-from repro.view.sql import (
-    SelectQuery,
-    SimulateQuery,
-    ViewQuery,
-    parse_statement,
-)
+from repro.view.sql import ViewQuery, parse_statement
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (service -> db).
-    from repro.service.executor import CatalogQueryService, SelectResult
+    from repro.service.executor import CatalogQueryService
 
-__all__ = ["Database"]
+__all__ = ["Database", "ViewResult"]
 
 #: Window size used when a query omits the WINDOW clause.
 DEFAULT_WINDOW = 60
 
 
+class ViewResult:
+    """A created :class:`ProbabilisticView` in the uniform result shape.
+
+    The same ``.kind`` / ``.to_dict()`` / ``.json()`` / ``.trace``
+    surface the SELECT-family results carry, with the view itself on
+    ``.view``.
+    """
+
+    kind = "view"
+
+    def __init__(
+        self, view: ProbabilisticView, trace: QueryTrace | None = None
+    ) -> None:
+        self.view = view
+        self.trace = trace
+
+    def to_dict(self) -> dict[str, Any]:
+        """The view as the JSON-ready payload the wire protocol sends."""
+        cols = self.view.columns
+        labels = cols.labels
+        return {
+            "kind": "view",
+            "name": self.view.name,
+            "tuples": [
+                [
+                    scalar_time(t),
+                    float(low),
+                    float(high),
+                    float(probability),
+                    labels[code],
+                ]
+                for t, low, high, probability, code in zip(
+                    cols.t.tolist(),
+                    cols.low.tolist(),
+                    cols.high.tolist(),
+                    cols.probability.tolist(),
+                    cols.label_code.tolist(),
+                )
+            ],
+        }
+
+    def json(self) -> str:
+        """Canonical JSON of :meth:`to_dict` (deterministic bytes)."""
+        return canonical_dumps(self.to_dict())
+
+    def __repr__(self) -> str:
+        return f"ViewResult(name={self.view.name!r})"
+
+
 class Database:
-    """An in-memory database of raw tables and probabilistic views.
+    """Raw tables, created views, and an optional bound query service.
+
+    ``service`` binds the engine to one catalog's
+    :class:`~repro.service.executor.CatalogQueryService`: statements
+    addressing that catalog run on its executor backend and warm matrix
+    cache, and :meth:`close` closes it.
 
     Examples
     --------
@@ -53,19 +106,19 @@ class Database:
     >>> table.insert_many((float(i), 20 + 0.01 * i + rng.normal(0, 0.1))
     ...                   for i in range(200))
     >>> db.register_table(table)
-    >>> view = db.execute(
+    >>> result = db.execute(
     ...     "CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=0.5, n=4 "
     ...     "METRIC arma_garch (p=1) WINDOW 40 FROM raw_values")
-    >>> view.name
-    'pv'
+    >>> result.kind, result.view.name
+    ('view', 'pv')
     """
 
     def __init__(
-        self, *, select_service: "CatalogQueryService | None" = None
+        self, service: "CatalogQueryService | None" = None
     ) -> None:
         self._tables: dict[str, Table] = {}
         self._views: dict[str, ProbabilisticView] = {}
-        self._select_service = select_service
+        self.service = service
 
     # ------------------------------------------------------------------
     # Catalog.
@@ -97,74 +150,40 @@ class Database:
     # ------------------------------------------------------------------
     # Execution.
     # ------------------------------------------------------------------
-    def execute(
-        self, sql: str, *, trace: QueryTrace | None = None
-    ) -> "ProbabilisticView | SelectResult":
+    def execute(self, sql: str, *, trace: QueryTrace | None = None) -> Any:
         """Parse and execute one statement (CREATE VIEW, SELECT, SIMULATE).
 
-        ``CREATE VIEW`` statements return the created
-        :class:`ProbabilisticView`; catalog-wide ``SELECT`` / ``SIMULATE``
-        statements return the service layer's result objects
-        (:class:`~repro.service.executor.SelectResult`,
-        :class:`~repro.service.executor.MultiSelectResult`,
-        :class:`~repro.service.executor.SimulateResult`).  ``trace``
-        (optional) collects the statement's stage spans; the caller that
-        created it owns its wall clock.
+        ``CREATE VIEW`` statements return a :class:`ViewResult`;
+        catalog-wide ``SELECT`` / ``SIMULATE`` statements the service
+        layer's :class:`~repro.service.executor.SelectResult`,
+        :class:`~repro.service.executor.MultiSelectResult` or
+        :class:`~repro.service.executor.SimulateResult`.  Each carries
+        the statement's stage spans on ``result.trace``: a trace created
+        here is finished here; a caller-supplied one is recorded into
+        but not finished — whoever created it owns its wall clock, so
+        the server can still time its serialize stage.
         """
-        if trace is None:
-            statement = parse_statement(sql)
-            if isinstance(statement, (SelectQuery, SimulateQuery)):
-                return self.execute_select(statement)
-            return self.execute_query(statement)
-        if trace.statement is None:
+        own = trace is None
+        if own:
+            trace = QueryTrace(sql)
+        elif trace.statement is None:
             trace.statement = sql
         with trace.stage("parse"):
             statement = parse_statement(sql)
-        if isinstance(statement, (SelectQuery, SimulateQuery)):
-            return self.execute_select(statement, trace=trace)
-        with trace.stage("compute"):
-            return self.execute_query(statement)
+        if isinstance(statement, ViewQuery):
+            with trace.stage("compute"):
+                result = ViewResult(self.execute_query(statement), trace)
+        elif self.service is not None and self.service.accepts(statement):
+            result = self.service.execute(statement, trace=trace)
+        else:
+            # Imported lazily: the service layer sits above the engine.
+            from repro.service.executor import CatalogQueryService
 
-    def bind_select_service(
-        self, service: "CatalogQueryService | None"
-    ) -> None:
-        """Route catalog SELECTs for the service's catalog through it.
-
-        A long-lived executor (the query server binds one per process)
-        brings its executor backend and warm matrix cache to every
-        statement this database executes; statements addressing *other*
-        catalogs still fall back to the one-shot path.  Pass ``None`` to
-        unbind.
-        """
-        self._select_service = service
-
-    def execute_select(
-        self,
-        query: "str | SelectQuery | SimulateQuery",
-        *,
-        trace: QueryTrace | None = None,
-    ) -> "SelectResult":
-        """Run a catalog-wide SELECT/SIMULATE through :mod:`repro.service`.
-
-        A bound service (see :meth:`bind_select_service`) carries its own
-        executor backend and warm cache; statements addressing other
-        catalogs take the one-shot path (a throwaway default service).
-        """
-        # Imported lazily: the service layer sits above the engine.
-        from repro.service.executor import execute_select
-
-        if isinstance(query, str):
-            parsed = parse_statement(query)
-            if not isinstance(parsed, (SelectQuery, SimulateQuery)):
-                raise QueryError(
-                    "execute_select handles SELECT and SIMULATE "
-                    "statements; use execute_query for CREATE VIEW"
-                )
-            query = parsed
-        service = self._select_service
-        if service is not None and service.accepts(query):
-            return service.execute(query, trace=trace)
-        return execute_select(query, trace=trace)
+            with CatalogQueryService(statement.catalog_path) as service:
+                result = service.execute(statement, trace=trace)
+        if own:
+            trace.finish()
+        return result
 
     def execute_query(self, query: ViewQuery) -> ProbabilisticView:
         """Execute an already-parsed :class:`ViewQuery`."""
@@ -199,6 +218,11 @@ class Database:
 
             Catalog(query.persist_path).save_view(query.view_name, view)
         return view
+
+    def close(self) -> None:
+        """Close the bound service, if any (idempotent)."""
+        if self.service is not None:
+            self.service.close()
 
     def __repr__(self) -> str:
         return (

@@ -2,13 +2,13 @@
 
 The paper's framework ingests relations like ``raw_values(t, r)`` (Fig. 2)
 or ``raw_values(time, x, y)`` (Fig. 1).  :class:`Table` is a minimal
-columnar store: named float columns of equal length with append, predicate
-selection and conversion to :class:`~repro.timeseries.series.TimeSeries`.
+columnar store: named float columns of equal length with append and
+conversion to :class:`~repro.timeseries.series.TimeSeries`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -96,35 +96,6 @@ class Table:
                 f"columns are {list(self.columns)}"
             )
         return np.asarray(self._data[name], dtype=float)
-
-    def rows(self) -> Iterator[dict[str, float]]:
-        """Yield rows as dicts, in insertion order."""
-        arrays = {c: self._data[c] for c in self.columns}
-        for index in range(len(self)):
-            yield {c: arrays[c][index] for c in self.columns}
-
-    def select(
-        self,
-        *,
-        where_column: str | None = None,
-        low: float | None = None,
-        high: float | None = None,
-    ) -> "Table":
-        """Return a new table with rows whose ``where_column`` is in range.
-
-        ``None`` bounds are open.  With no predicate the copy is complete.
-        """
-        if where_column is None:
-            mask = np.ones(len(self), dtype=bool)
-        else:
-            values = self.column(where_column)
-            mask = np.ones(values.size, dtype=bool)
-            if low is not None:
-                mask &= values >= low
-            if high is not None:
-                mask &= values <= high
-        data = {c: self.column(c)[mask] for c in self.columns}
-        return Table(self.name, self.columns, data)
 
     # ------------------------------------------------------------------
     # Conversion.

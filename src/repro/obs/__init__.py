@@ -18,7 +18,6 @@ Three small, dependency-free pieces every other layer threads through:
 Instrumentation is always on: every number ``benchmarks/e2e`` reports is
 measured with the default registry enabled, so its cost is inside each
 gated end-to-end metric rather than a figure of its own.
-:class:`~repro.obs.metrics.NullRegistry` is instrumentation ripped out.
 """
 
 from repro.obs.metrics import (
@@ -27,7 +26,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
     default_registry,
 )
 from repro.obs.slowlog import DEFAULT_SLOW_QUERY_MS, SlowQueryLog
@@ -42,7 +40,6 @@ __all__ = [
     "MAX_SERIES_SPANS",
     "MetricsRegistry",
     "NULL_TRACE",
-    "NullRegistry",
     "QueryTrace",
     "SlowQueryLog",
     "Span",

@@ -30,10 +30,6 @@ Quantiles are estimated from the histogram buckets Prometheus-style
 (linear interpolation inside the bucket containing the target rank), so
 they are streaming, mergeable, and O(buckets) to read — never a stored
 sample list.
-
-:class:`NullRegistry` is the "instrumentation ripped out" variant every
-factory returns no-op metrics from; the overhead benchmark measures the
-default registry against it.
 """
 
 from __future__ import annotations
@@ -50,7 +46,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
     "default_registry",
 ]
 
@@ -406,8 +401,6 @@ class MetricsRegistry:
     external state rather than event streams (cache bytes, pool sizes).
     """
 
-    enabled = True
-
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._metrics: dict[str, _Metric] = {}
@@ -504,74 +497,6 @@ class MetricsRegistry:
                 f"MetricsRegistry({len(self._metrics)} metrics, "
                 f"{len(self._collectors)} collectors)"
             )
-
-
-class _NullMetric:
-    """Accepts every write and stores nothing; reads come back empty."""
-
-    def inc(self, amount: float = 1.0, **labels: str) -> None:
-        pass
-
-    def set(self, value: float, **labels: str) -> None:
-        pass
-
-    def observe(self, value: float, **labels: str) -> None:
-        pass
-
-    def value(self, **labels: str) -> float:
-        return 0.0
-
-    def total(self) -> float:
-        return 0.0
-
-    def count(self, **labels: str) -> int:
-        return 0
-
-    def total_count(self) -> int:
-        return 0
-
-    def quantile(self, q: float, **labels: str) -> float:
-        return math.nan
-
-
-_NULL_METRIC = _NullMetric()
-
-
-class NullRegistry(MetricsRegistry):
-    """The instrumentation-ripped-out registry: every write is a no-op.
-
-    What the overhead benchmark compares the real registry against, and
-    the opt-out for embedders who want the absolute minimum per-query
-    cost (``CatalogQueryService(registry=NullRegistry())``).
-    """
-
-    enabled = False
-
-    def counter(self, name: str, help_text: str = "") -> Any:
-        return _NULL_METRIC
-
-    def gauge(self, name: str, help_text: str = "") -> Any:
-        return _NULL_METRIC
-
-    def histogram(
-        self,
-        name: str,
-        help_text: str = "",
-        buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS,
-    ) -> Any:
-        return _NULL_METRIC
-
-    def register_collector(self, collector: Any) -> None:
-        pass
-
-    def unregister_collector(self, collector: Any) -> None:
-        pass
-
-    def snapshot(self) -> dict[str, Any]:
-        return {}
-
-    def exposition(self) -> str:
-        return ""
 
 
 #: The process-wide default registry.  The store layer's module-level

@@ -1,9 +1,9 @@
 """Per-query trace spans: where one statement's wall time actually went.
 
 A :class:`QueryTrace` is created when a statement enters the stack (the
-server's request handler, ``service query --trace``, or internally by
-:class:`~repro.service.executor.CatalogQueryService` for its always-on
-latency accounting) and carried through parse → plan → prune → fan-out →
+server's request handler, :meth:`~repro.db.engine.Database.execute`, or
+:class:`~repro.service.executor.CatalogQueryService` when called
+directly) and carried through parse → plan → prune → fan-out →
 per-series load/compute → serialize.  Stage timings are recorded as
 *contiguous, non-overlapping* top-level spans, so their sum approximates
 the query's wall time (the acceptance tests pin the gap under 10%);

@@ -20,11 +20,7 @@ from repro.server.app import (
     ServerThread,
 )
 from repro.server.client import Client, ServerConnectionError, ServerError
-from repro.server.protocol import (
-    MAX_STATEMENT_CHARS,
-    canonical_dumps,
-    serialize_result,
-)
+from repro.server.protocol import MAX_STATEMENT_CHARS, canonical_dumps
 
 __all__ = [
     "Client",
@@ -37,5 +33,4 @@ __all__ = [
     "ServerStats",
     "ServerThread",
     "canonical_dumps",
-    "serialize_result",
 ]

@@ -1,9 +1,9 @@
 """Asyncio query server over a persistent catalog.
 
-One :class:`QueryServer` owns a bound :class:`~repro.store.catalog.Catalog`,
-a shared :class:`~repro.service.executor.CatalogQueryService` (executor
-backend + byte-budgeted matrix cache), and a
-:class:`~repro.db.engine.Database` facade routed through that service.
+One :class:`QueryServer` owns a :class:`~repro.db.engine.Database` bound
+to a shared :class:`~repro.service.executor.CatalogQueryService`
+(executor backend + byte-budgeted matrix cache) over the served catalog
+— the same engine ``repro.connect(path)`` builds.
 Connections speak the NDJSON protocol of
 :mod:`repro.server.protocol`; statements execute on a bounded thread pool so
 the event loop only ever parses frames and shuttles bytes.
@@ -133,10 +133,9 @@ class QueryServer:
     slow_query_ms:
         Forwarded to the service's slow-query log (``server serve
         --slow-query-ms``); entries come back via ``{"op": "slowlog"}``.
-    database:
-        Optionally a pre-built :class:`Database` (e.g. with raw tables
-        registered so ``CREATE VIEW`` statements have data to run over).
-        Its ``select_service`` binding is installed automatically.
+
+    Register raw tables on :attr:`database` before ``start()`` so
+    ``CREATE VIEW`` statements have data to run over.
 
     Examples
     --------
@@ -159,7 +158,6 @@ class QueryServer:
         pruning: bool = True,
         registry: MetricsRegistry | None = None,
         slow_query_ms: float = DEFAULT_SLOW_QUERY_MS,
-        database: Database | None = None,
     ) -> None:
         self.service = CatalogQueryService(
             catalog,
@@ -171,8 +169,7 @@ class QueryServer:
             slow_query_ms=slow_query_ms,
         )
         self.registry = self.service.registry
-        self.database = database if database is not None else Database()
-        self.database.bind_select_service(self.service)
+        self.database = Database(self.service)
         self.host = host
         self.port = int(port)
         self.max_inflight = int(max_inflight)
@@ -279,7 +276,7 @@ class QueryServer:
                 await asyncio.wait(list(pending), timeout=1.0)
         self._executor.shutdown(wait=True)
         self.registry.unregister_collector(self._server_collector)
-        self.service.close()
+        self.database.close()
 
     # ------------------------------------------------------------------
     # Connection handling (event-loop side).
@@ -547,21 +544,19 @@ class QueryServer:
         Runs on the executor pool: the engine work is numpy-heavy and the
         serialisation allocates, neither belongs on the event loop.
 
-        With ``want_trace`` the server owns a
-        :class:`~repro.obs.trace.QueryTrace` spanning parse through
+        The server owns the statement's
+        :class:`~repro.obs.trace.QueryTrace`, spanning parse through
         serialize — created here, finished here, so the ``trace`` block
-        in the response accounts for the full server-side wall time.
+        sent with ``want_trace`` accounts for the full server-side wall
+        time.
         """
-        if not want_trace:
-            return protocol.serialize_result(
-                self.database.execute(statement)
-            )
         trace = QueryTrace(statement)
         result = self.database.execute(statement, trace=trace)
         with trace.stage("serialize"):
-            payload = protocol.serialize_result(result)
+            payload = result.to_dict()
         trace.finish()
-        payload["trace"] = trace.as_dict()
+        if want_trace:
+            payload["trace"] = trace.as_dict()
         return payload
 
 

@@ -22,8 +22,8 @@ Response frames::
 Responses are rendered **canonically** (sorted keys, compact separators),
 so the bytes for a given result are deterministic: the benchmark asserts
 that a statement served over the wire is *bit-identical* to the same
-statement run through :meth:`repro.db.engine.Database.execute` and
-serialised with the same functions.
+statement run through :meth:`repro.db.engine.Database.execute` — the
+server sends that result's ``to_dict()``.
 
 Error taxonomy (``error.type``):
 
@@ -51,7 +51,6 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.db.prob_view import ProbabilisticView
 from repro.exceptions import (
     InvalidParameterError,
     ParseError,
@@ -59,7 +58,7 @@ from repro.exceptions import (
     ReproError,
     StoreError,
 )
-from repro.util.jsonio import canonical_dumps, scalar_time
+from repro.util.jsonio import canonical_dumps
 
 __all__ = [
     "MAX_STATEMENT_CHARS",
@@ -70,8 +69,6 @@ __all__ = [
     "error_type",
     "loads_frame",
     "result_frame",
-    "serialize_result",
-    "serialize_view",
 ]
 
 #: Hard cap on one statement's character count; longer statements are
@@ -134,46 +131,3 @@ def error_type(exc: BaseException) -> str:
     if isinstance(exc, OSError):
         return "io_error"
     return "internal"
-
-
-def serialize_view(view: ProbabilisticView) -> dict[str, Any]:
-    """A created probabilistic view as a JSON-ready dict."""
-    cols = view.columns
-    labels = cols.labels
-    return {
-        "kind": "view",
-        "name": view.name,
-        "tuples": [
-            [
-                scalar_time(t),
-                float(low),
-                float(high),
-                float(probability),
-                labels[code],
-            ]
-            for t, low, high, probability, code in zip(
-                cols.t.tolist(),
-                cols.low.tolist(),
-                cols.high.tolist(),
-                cols.probability.tolist(),
-                cols.label_code.tolist(),
-            )
-        ],
-    }
-
-
-def serialize_result(result: Any) -> dict[str, Any]:
-    """Serialize whatever ``Database.execute`` returned.
-
-    The payload shape (and its bytes under :func:`canonical_dumps`) lives
-    with the result object; the wire just sends its ``to_dict()``.  A
-    bare created view is the one result without one.
-    """
-    if isinstance(result, ProbabilisticView):
-        return serialize_view(result)
-    to_dict = getattr(result, "to_dict", None)
-    if to_dict is None:
-        raise TypeError(
-            f"cannot serialize {type(result).__name__} over the wire"
-        )
-    return to_dict()

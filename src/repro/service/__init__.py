@@ -37,13 +37,11 @@ from repro.service.backends import (
 )
 from repro.service.cache import CacheStats, MatrixCache
 from repro.service.executor import (
-    ApproxResult,
     CatalogQueryService,
     MultiSelectResult,
     SelectResult,
     SeriesResult,
     SimulateResult,
-    execute_select,
 )
 from repro.service.plan import LogicalPlan, explain, logical_plan
 from repro.service.planner import (
@@ -51,14 +49,12 @@ from repro.service.planner import (
     KERNELS,
     ItemPlan,
     QueryPlan,
-    plan_select,
     plan_statement,
 )
 from repro.service.shm import ChunkDescriptor, ShmArena, shm_available
 
 __all__ = [
     "AGGREGATES",
-    "ApproxResult",
     "BACKEND_NAMES",
     "CacheStats",
     "CatalogQueryService",
@@ -76,11 +72,9 @@ __all__ = [
     "SeriesResult",
     "ShmArena",
     "SimulateResult",
-    "execute_select",
     "explain",
     "logical_plan",
     "make_backend",
-    "plan_select",
     "plan_statement",
     "shm_available",
 ]

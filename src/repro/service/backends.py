@@ -70,7 +70,7 @@ _SHM_ALLOC_BUCKETS = (
 )
 
 #: Spellings accepted wherever a backend is selected by name (service
-#: constructor, ``server serve --backend``, ``service query --backend``).
+#: constructor, ``server serve --backend``, ``query --backend``).
 BACKEND_NAMES = ("sequential", "process")
 
 #: Fault-injection hook for the crash tests: a worker *process* whose
@@ -93,10 +93,6 @@ class ExecutorBackend:
 
     name: str = "abstract"
     max_workers: int = 1
-    #: Worker-side load/compute timing on the results (see
-    #: :func:`~repro.service.kernels.compute_chunk`); off when the
-    #: registry is a null one.
-    timings: bool = True
     #: How results travel from workers to the caller: ``"inline"`` for
     #: same-process backends, ``"shm"``/``"pickle"`` for the process
     #: backend depending on shared-memory availability.
@@ -109,7 +105,6 @@ class ExecutorBackend:
     def _init_metrics(self, registry: MetricsRegistry | None) -> None:
         """Bind this backend's metric families (call from ``__init__``)."""
         registry = default_registry() if registry is None else registry
-        self.timings = bool(registry.enabled)
         self._obs_tasks = registry.counter(
             "repro_backend_tasks_total",
             "Per-series envelopes fanned out, by backend",
@@ -159,9 +154,7 @@ class SequentialBackend(ExecutorBackend):
         self._init_metrics(registry)
 
     def _map(self, envelopes: list[TaskEnvelope]) -> list[ArrayResult]:
-        return compute_chunk(
-            envelopes, self.cache, mmap=self.mmap, timings=self.timings
-        )
+        return compute_chunk(envelopes, self.cache, mmap=self.mmap)
 
 
 # ----------------------------------------------------------------------
@@ -173,17 +166,13 @@ class SequentialBackend(ExecutorBackend):
 # module, never by inheriting parent memory.
 _WORKER_CACHE: MatrixCache | None = None
 _WORKER_MMAP: bool = False
-_WORKER_TIMINGS: bool = True
 
 
-def _worker_init(
-    cache_budget_bytes: int, mmap: bool, timings: bool = True
-) -> None:
+def _worker_init(cache_budget_bytes: int, mmap: bool) -> None:
     """Per-process warm state: one matrix cache, built once per worker."""
-    global _WORKER_CACHE, _WORKER_MMAP, _WORKER_TIMINGS
+    global _WORKER_CACHE, _WORKER_MMAP
     _WORKER_CACHE = MatrixCache(cache_budget_bytes)
     _WORKER_MMAP = bool(mmap)
-    _WORKER_TIMINGS = bool(timings)
 
 
 def _run_chunk(
@@ -204,9 +193,7 @@ def _run_chunk(
     cache = _WORKER_CACHE
     if cache is None:  # pragma: no cover - initializer always ran.
         cache = MatrixCache()
-    results = compute_chunk(
-        chunk, cache, mmap=_WORKER_MMAP, timings=_WORKER_TIMINGS
-    )
+    results = compute_chunk(chunk, cache, mmap=_WORKER_MMAP)
     if shm_name is not None:
         try:
             return pack_chunk(results, shm_name)
@@ -309,11 +296,7 @@ class ProcessBackend(ExecutorBackend):
                     max_workers=self.max_workers,
                     mp_context=get_context("spawn"),
                     initializer=_worker_init,
-                    initargs=(
-                        self.cache_budget_bytes,
-                        self.mmap,
-                        self.timings,
-                    ),
+                    initargs=(self.cache_budget_bytes, self.mmap),
                 )
             return self._pool
 

@@ -58,13 +58,11 @@ from repro.view.sql import (
 )
 
 __all__ = [
-    "ApproxResult",
     "CatalogQueryService",
     "MultiSelectResult",
     "SelectResult",
     "SeriesResult",
     "SimulateResult",
-    "execute_select",
     "restrict_time_range",
 ]
 
@@ -260,12 +258,6 @@ class SelectResult(_StatementResult):
         )
 
 
-#: APPROX answers reuse :class:`SelectResult` with ``approx=True`` (the
-#: per-series payloads are estimate/interval mappings); the alias gives
-#: the uniform result family its fourth name without forking the type.
-ApproxResult = SelectResult
-
-
 @dataclass(frozen=True)
 class SimulateResult(_StatementResult):
     """Everything one SIMULATE statement produced.
@@ -405,9 +397,7 @@ class CatalogQueryService:
         The :class:`~repro.obs.metrics.MetricsRegistry` this service's
         counters and latency histograms land in (``None``: the
         process-wide default registry, so one scrape sees every
-        service).  Pass a :class:`~repro.obs.metrics.NullRegistry` to
-        strip instrumentation entirely — the overhead-benchmark
-        baseline and the opt-out for latency-critical embedders.
+        service).
     slow_query_ms:
         Statements at or over this wall time land in ``self.slow_log``
         (default 500ms; ``0`` records everything).
@@ -454,7 +444,6 @@ class CatalogQueryService:
         self.registry = (
             default_registry() if registry is None else registry
         )
-        self._instrumented = bool(self.registry.enabled)
         self.slow_log = SlowQueryLog(threshold_ms=slow_query_ms)
         self._obs_queries = self.registry.counter(
             "repro_queries_total",
@@ -528,7 +517,7 @@ class CatalogQueryService:
         """
         own = trace is None
         if own:
-            trace = QueryTrace() if self._instrumented else NULL_TRACE
+            trace = QueryTrace()
         if trace.enabled and trace.statement is None:
             trace.statement = (
                 statement
@@ -546,61 +535,6 @@ class CatalogQueryService:
         )
         return self._execute_traced(plan, trace, own)
 
-    def execute_many(
-        self, statements: "list[str | SelectQuery | SimulateQuery] | tuple"
-    ) -> "list[SelectResult | SimulateResult | MultiSelectResult]":
-        """Batch entry point: run several statements as one fan-out.
-
-        Duplicate statements (after parsing) are planned and executed
-        **once** and their result shared across the answer list — the
-        synchronous counterpart of the server's per-statement request
-        coalescing, for callers holding a whole batch up front (the CLI
-        accepts several statements per invocation; library users get one
-        warm-cache fan-out instead of N).  The per-series tasks of every
-        item of every distinct exact plan are flattened into a single
-        backend pass, so a batch keeps all process-backend workers busy
-        even when its individual statements match only a few series
-        each; APPROX statements are answered from synopses without
-        entering the backend at all.  Results come back in request order.
-        """
-        queries = [self._coerce(statement) for statement in statements]
-        plans: dict[SelectQuery | SimulateQuery, QueryPlan] = {}
-        for query in queries:
-            if query not in plans:
-                plans[query] = plan_statement(
-                    self.catalog, query, pruning=self.pruning
-                )
-        exact = [
-            plan for plan in plans.values() if not plan.stats.approx
-        ]
-        jobs = [
-            (item, task)
-            for plan in exact
-            for item in plan.items
-            for task in item.tasks
-        ]
-        outcomes = self._map_tasks(jobs)
-        results: dict[
-            SelectQuery | SimulateQuery,
-            SelectResult | SimulateResult | MultiSelectResult,
-        ] = {}
-        offset = 0
-        for plan in exact:
-            per_item: list[SelectResult] = []
-            for item in plan.items:
-                count = len(item.tasks)
-                per_item.append(
-                    self._finalize_item(
-                        plan.query, item, outcomes[offset : offset + count]
-                    )
-                )
-                offset += count
-            results[plan.query] = self._wrap(plan, per_item, NULL_TRACE)
-        for plan in plans.values():
-            if plan.stats.approx:
-                results[plan.query] = self._execute_approx(plan)
-        return [results[query] for query in queries]
-
     def execute_plan(
         self, plan: QueryPlan, *, trace: QueryTrace | None = None
     ) -> "SelectResult | SimulateResult | MultiSelectResult":
@@ -612,7 +546,7 @@ class CatalogQueryService:
         """
         own = trace is None
         if own:
-            trace = QueryTrace() if self._instrumented else NULL_TRACE
+            trace = QueryTrace()
         return self._execute_traced(plan, trace, own)
 
     def _execute_traced(
@@ -777,7 +711,7 @@ class CatalogQueryService:
         return MultiSelectResult(items=tuple(per_item), trace=attached)
 
     def _execute_approx(
-        self, plan: QueryPlan, *, trace: QueryTrace = NULL_TRACE
+        self, plan: QueryPlan, *, trace: QueryTrace
     ) -> SelectResult:
         """Answer an APPROX plan from synopses alone (no backend fan-out).
 
@@ -874,29 +808,23 @@ class CatalogQueryService:
             self._counters["segments_scanned"] += stats.segments_scanned
             self._counters["segments_pruned"] += stats.segments_pruned
             self._counters["series_skipped"] += stats.series_skipped
-        if self._instrumented:
-            self._obs_queries.inc(
-                aggregate=aggregate,
-                mode="approx" if stats.approx else "exact",
-            )
-            if stats.segments_scanned:
-                self._obs_segments_scanned.inc(stats.segments_scanned)
-            if stats.segments_pruned:
-                self._obs_segments_pruned.inc(stats.segments_pruned)
-            if stats.series_skipped:
-                self._obs_series_skipped.inc(stats.series_skipped)
+        self._obs_queries.inc(
+            aggregate=aggregate,
+            mode="approx" if stats.approx else "exact",
+        )
+        if stats.segments_scanned:
+            self._obs_segments_scanned.inc(stats.segments_scanned)
+        if stats.segments_pruned:
+            self._obs_segments_pruned.inc(stats.segments_pruned)
+        if stats.series_skipped:
+            self._obs_series_skipped.inc(stats.series_skipped)
 
     def _observe_query(
         self,
         trace: QueryTrace,
         result: "SelectResult | SimulateResult | MultiSelectResult",
     ) -> None:
-        """Latency histogram + slow-query log for one finished statement.
-
-        ``execute_many`` bypasses this (its statements share one fan-out,
-        so no per-statement wall time exists) — batch statements count in
-        every counter but not in the latency histogram or slow log.
-        """
+        """Latency histogram + slow-query log for one finished statement."""
         if not trace.enabled:
             return
         elapsed = trace.elapsed()
@@ -917,7 +845,7 @@ class CatalogQueryService:
     def close(self) -> None:
         """Shut down the backend and refuse further statements.
 
-        Idempotent.  Subsequent ``execute``/``execute_many`` calls raise
+        Idempotent.  Subsequent ``execute``/``execute_plan`` calls raise
         ``QueryError("service closed: ...")`` — uniformly across
         backends, never a pool-internal traceback.
         """
@@ -930,41 +858,3 @@ class CatalogQueryService:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-def execute_select(
-    statement: str | SelectQuery | SimulateQuery,
-    *,
-    max_workers: int | None = None,
-    cache_budget_bytes: int = 64 << 20,
-    backend: str = "sequential",
-    mmap: bool | None = None,
-    pruning: bool = True,
-    registry: MetricsRegistry | None = None,
-    trace: QueryTrace | None = None,
-) -> "SelectResult | SimulateResult | MultiSelectResult":
-    """One-shot convenience: open the statement's catalog and execute.
-
-    The ergonomic path for ``Database.execute`` and the CLI; long-lived
-    callers should hold a :class:`CatalogQueryService` so the matrix cache
-    (and, for the process backend, the worker pool) survives between
-    statements.
-    """
-    if isinstance(statement, str):
-        parsed = parse_statement(statement)
-        if not isinstance(parsed, (SelectQuery, SimulateQuery)):
-            raise QueryError(
-                "execute_select handles SELECT and SIMULATE statements; "
-                "use Database.execute for CREATE VIEW"
-            )
-        statement = parsed
-    with CatalogQueryService(
-        statement.catalog_path,
-        max_workers=max_workers,
-        cache_budget_bytes=cache_budget_bytes,
-        backend=backend,
-        mmap=mmap,
-        pruning=pruning,
-        registry=registry,
-    ) as service:
-        return service.execute(statement, trace=trace)

@@ -288,17 +288,16 @@ def _solo(envelope: "TaskEnvelope", view: ProbabilisticView) -> ArrayResult:
 def _flush(
     batches: dict[tuple[str, tuple[float, ...]], list[tuple]],
     out: list[ArrayResult | None],
-    timings: bool,
 ) -> None:
     """Compute and clear the pending stacks, one pass per (kernel, args).
 
     A batch's wall time is attributed evenly across its members.
     """
     for (kernel, arguments), members in batches.items():
-        start = time.perf_counter() if timings else 0.0
+        start = time.perf_counter()
         views = [member[2] for member in members]
         vectors = _batched_mapping(kernel, arguments, views)
-        elapsed = time.perf_counter() - start if timings else 0.0
+        elapsed = time.perf_counter() - start
         for member, values in zip(members, vectors):
             index, series_id, view, load_s, hit = member
             times = view.columns.times
@@ -321,7 +320,6 @@ def compute_chunk(
     cache: Any,
     *,
     mmap: bool = False,
-    timings: bool = True,
 ) -> list[ArrayResult]:
     """Run task envelopes into array-form results, in input order.
 
@@ -330,9 +328,8 @@ def compute_chunk(
     load or compute yields an ``"error"`` result naming it — loading
     counts too: in a fan-out over hundreds of series, "which series is
     broken" is the whole diagnostic — and never disturbs its
-    chunk-mates.  ``timings=True`` records the per-series load/compute
-    split and cache outcome; ``timings=False`` is the uninstrumented path
-    a :class:`~repro.obs.metrics.NullRegistry` service takes.
+    chunk-mates.  Each result records its series' load/compute split
+    and cache outcome.
     """
     out: list[ArrayResult | None] = [None] * len(chunk)
     batches: dict[tuple[str, tuple[float, ...]], list[tuple]] = {}
@@ -344,7 +341,7 @@ def compute_chunk(
         def _load(envelope=envelope):
             nonlocal hit, load_s
             hit = False
-            start = time.perf_counter() if timings else 0.0
+            start = time.perf_counter()
             view = _load_view_from_segments(
                 Path(envelope.directory),
                 envelope.series_id,
@@ -352,15 +349,14 @@ def compute_chunk(
                 mmap=mmap,
                 shadows=envelope.shadows or None,
             )
-            if timings:
-                load_s = time.perf_counter() - start
+            load_s = time.perf_counter() - start
             return view
 
         kernel = envelope.aggregate
         arguments = envelope.arguments
         try:
             view = cache.get(envelope.cache_key, _load)
-            start = time.perf_counter() if timings else 0.0
+            start = time.perf_counter()
             lo, hi = envelope.time_lo, envelope.time_hi
             view = restrict_time_range(view, lo, hi)
             if kernel not in BATCHED_KERNELS:
@@ -376,7 +372,7 @@ def compute_chunk(
                 if batchable:
                     rows = view.columns.t.size
                     if stacked and stacked + rows > _STACK_ROWS:
-                        _flush(batches, out, timings)
+                        _flush(batches, out)
                         stacked = 0
                     stacked += rows
                     member = (index, envelope.series_id, view, load_s, hit)
@@ -397,8 +393,7 @@ def compute_chunk(
             continue
         result.load_s = load_s
         result.cache_hit = hit
-        if timings:
-            result.compute_s = time.perf_counter() - start
+        result.compute_s = time.perf_counter() - start
         out[index] = result
-    _flush(batches, out, timings)
+    _flush(batches, out)
     return out

@@ -44,7 +44,6 @@ __all__ = [
     "QueryPlan",
     "SeriesTask",
     "TaskEnvelope",
-    "plan_select",
     "plan_statement",
 ]
 
@@ -598,18 +597,3 @@ def plan_statement(
     trace.add_stage("plan", plan_offset, max(0.0, plan_s - prune_s))
     trace.add_stage("prune", prune_offset, prune_s)
     return QueryPlan(query=query, items=tuple(items), logical=logical)
-
-
-def plan_select(
-    catalog: Catalog,
-    query: SelectQuery,
-    *,
-    pruning: bool = True,
-    trace: Any = NULL_TRACE,
-) -> QueryPlan:
-    """Bind a parsed SELECT to a catalog (legacy name for SELECT-only callers).
-
-    Identical to :func:`plan_statement`; kept because the SELECT planner
-    predates the logical plan tree and external callers import it.
-    """
-    return plan_statement(catalog, query, pruning=pruning, trace=trace)

@@ -28,8 +28,11 @@ session-scoped (clients re-register after a restart); everything else
 survives a process restart.  One caveat: the metric is rebuilt from its
 registry name on reopen, so metrics carrying *internal* warm-start state
 (e.g. ARMA-GARCH's previous GARCH parameters) re-warm from the restored
-window — the first forecasts after a restart can differ from an
-uninterrupted run at the optimiser-tolerance level (~1e-9).
+window — the first fit after a restart starts cold and can land on a
+nearby optimum: fed 200 values, reopened, fed 100 more, an ``arma_garch``
+series differed from the uninterrupted run in 14 of 100 volatilities
+(worst 0.849x).  ``tests/test_pipeline_parity.py::
+test_resume_matches_uninterrupted`` pins this as a strict xfail.
 """
 
 from __future__ import annotations

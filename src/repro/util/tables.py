@@ -3,8 +3,8 @@
 The benchmark modules print the same rows/series the paper's figures report;
 this module renders them as aligned ASCII tables so the output is readable in
 pytest logs without any plotting dependency.  :func:`render_result` is the
-one query-result renderer both CLI query verbs (``service query`` and
-``server query``) print through — it consumes the serialized payload shape
+one query-result renderer the CLI ``query`` verb prints through — it
+consumes the serialized payload shape
 (:meth:`~repro.service.executor.SelectResult.to_dict` / the wire result), so
 in-process and over-the-wire results render identically.
 """
@@ -162,7 +162,7 @@ def render_result(payload: dict[str, Any], head: int) -> str:
 
 
 def render_pruning(pruning: dict[str, Any]) -> str:
-    """The one-line pruning summary both CLI query verbs print."""
+    """The one-line pruning summary ``query --stats`` prints."""
     return (
         f"pruning: scanned {pruning.get('segments_scanned', 0)}/"
         f"{pruning.get('segments_total', 0)} segments "

@@ -10,7 +10,9 @@ import pytest
 from repro.data.synthetic import campus_temperature, car_gps
 from repro.distributions.gaussian import Gaussian
 from repro.metrics.base import DensityForecast, DensitySeries
+from repro.store import Catalog
 from repro.timeseries.series import TimeSeries
+from repro.view.omega import OmegaGrid
 
 
 @pytest.fixture
@@ -57,6 +59,27 @@ def gaussian_forecasts() -> DensitySeries:
             )
         )
     return DensitySeries(forecasts)
+
+
+@pytest.fixture(scope="module")
+def catalog_root(tmp_path_factory):
+    """A six-series catalog shared by one module's read-only tests."""
+    root = tmp_path_factory.mktemp("catalog-root") / "cat"
+    catalog = Catalog(root)
+    rng = np.random.default_rng(11)
+    for index in range(6):
+        series_id = f"sensor-{index}"
+        catalog.create_series(
+            series_id,
+            metric="variable_threshold",
+            H=16,
+            grid=OmegaGrid(delta=0.5, n=4),
+        )
+        values = 20.0 + 0.1 * index + np.cumsum(
+            rng.normal(0.0, 0.05, size=40)
+        )
+        catalog.append(series_id, values)
+    return root
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import InvalidParameterError, QueryError
-from repro.server.protocol import canonical_dumps, serialize_result
+from repro.server.protocol import canonical_dumps
 from repro.service import (
     CatalogQueryService,
     MatrixCache,
@@ -75,7 +75,7 @@ def _statements(root) -> list[str]:
 
 
 def _canonical(result) -> str:
-    return canonical_dumps(serialize_result(result))
+    return canonical_dumps(result.to_dict())
 
 
 class TestBackendParity:
@@ -144,7 +144,7 @@ class TestPrunedPlanParity:
 
     @staticmethod
     def _without_stats(result) -> str:
-        payload = serialize_result(result)
+        payload = result.to_dict()
         payload.pop("pruning", None)
         return canonical_dumps(payload)
 
@@ -393,7 +393,7 @@ class TestBackendFaults:
                 super().__init__(**kwargs)
 
         monkeypatch.setattr(backends, "ProcessPoolExecutor", InProcessPool)
-        for state in ("_WORKER_CACHE", "_WORKER_MMAP", "_WORKER_TIMINGS"):
+        for state in ("_WORKER_CACHE", "_WORKER_MMAP"):
             # Set by _worker_init, here in this process: restore after.
             monkeypatch.setattr(backends, state, getattr(backends, state))
         statement = f"SELECT expected_value FROM CATALOG '{v2_root}'"

@@ -18,6 +18,8 @@ class TestParser:
 
     def test_defaults(self):
         args = build_parser().parse_args(["query", "CREATE ..."])
+        assert args.sql == ["CREATE ..."]
+        assert args.target is None
         assert args.data == "campus"
         assert args.head == 12
 
@@ -41,7 +43,7 @@ class TestCommands:
         ])
         captured = capsys.readouterr()
         assert exit_code == 0
-        assert "created ProbabilisticView" in captured.out
+        assert "created view 'v'" in captured.out
         assert "lambda=" in captured.out
 
     def test_query_reports_errors_cleanly(self, capsys):
@@ -162,7 +164,7 @@ class TestServiceCommands:
     def test_select_over_whole_catalog(self, tmp_path, capsys):
         catalog = self._make_catalog(tmp_path, capsys)
         exit_code = main([
-            "service", "query",
+            "query",
             f"SELECT exceedance(21.0) FROM CATALOG '{catalog}' "
             "SERIES 'room-*' TOP 2",
             "--head", "3",
@@ -176,7 +178,7 @@ class TestServiceCommands:
     def test_select_threshold_prints_tuple_rows(self, tmp_path, capsys):
         catalog = self._make_catalog(tmp_path, capsys)
         exit_code = main([
-            "service", "query",
+            "query",
             f"SELECT threshold(0.4) FROM CATALOG '{catalog}'",
             "--head", "2",
         ])
@@ -186,7 +188,7 @@ class TestServiceCommands:
 
     def test_missing_catalog_fails_cleanly(self, tmp_path, capsys):
         exit_code = main([
-            "service", "query",
+            "query",
             f"SELECT exceedance(21.0) FROM CATALOG '{tmp_path / 'absent'}'",
         ])
         captured = capsys.readouterr()
@@ -197,7 +199,7 @@ class TestServiceCommands:
     def test_unmatched_series_fails_cleanly(self, tmp_path, capsys):
         catalog = self._make_catalog(tmp_path, capsys)
         exit_code = main([
-            "service", "query",
+            "query",
             f"SELECT exceedance(21.0) FROM CATALOG '{catalog}' SERIES 'z*'",
         ])
         captured = capsys.readouterr()
@@ -205,24 +207,65 @@ class TestServiceCommands:
         assert "no series matches" in captured.err
 
     def test_bad_statement_fails_cleanly(self, tmp_path, capsys):
-        exit_code = main(["service", "query", "SELECT GARBAGE"])
+        exit_code = main(["query", "SELECT GARBAGE"])
         captured = capsys.readouterr()
         assert exit_code == 1
         assert captured.err.startswith("error:")
 
-    def test_query_command_redirects_select_cleanly(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "verb", ["SELECT expected_value", "SIMULATE 2"],
+        ids=["select", "simulate"],
+    )
+    def test_memory_target_missing_catalog_fails_cleanly(
+        self, tmp_path, capsys, verb
+    ):
+        # The verb's old private dispatch knew SelectQuery only: SIMULATE
+        # died with an AttributeError traceback.
         exit_code = main([
-            "query", "SELECT exceedance(21.0) FROM CATALOG '/tmp/x'",
-            "--data", "campus", "--scale", "0.03",
+            "query", f"{verb} FROM CATALOG '{tmp_path / 'absent'}'",
+            "--scale", "0.03",
         ])
         captured = capsys.readouterr()
         assert exit_code == 1
-        assert "service query" in captured.err
+        assert captured.err.startswith("error:")
         assert "Traceback" not in captured.err
 
-    def test_service_requires_subcommand(self):
+    def test_every_statement_kind_on_a_path_target(self, tmp_path, capsys):
+        catalog = self._make_catalog(tmp_path, capsys)
+        exit_code = main([
+            "query",
+            "CREATE VIEW v AS DENSITY r OVER t OMEGA delta=0.5, n=4 "
+            "METRIC vt WINDOW 40 FROM raw_values",
+            f"SIMULATE 2 SEED 3 FROM CATALOG '{catalog}'",
+            f"SELECT expected_value FROM CATALOG '{catalog}'",
+            "--target", catalog, "--scale", "0.03", "--head", "2",
+            "--stats", "--trace",
+        ])
+        captured = capsys.readouterr()
+        assert exit_code == 0, captured.err
+        out = captured.out
+        assert "created view 'v'" in out
+        assert "simulate(2 worlds, seed 3)" in out
+        assert "expected_value over 2 matched series" in out
+        assert out.count("trace: wall") == 3
+        assert "compute" in out and "fan_out" in out
+        assert out.count("pruning: scanned") == 2
+        assert "(pruning counters unavailable" in out
+
+    def test_service_options_need_a_path_target(self, tmp_path, capsys):
+        exit_code = main([
+            "query", f"SELECT expected_value FROM CATALOG '{tmp_path}'",
+            "--backend", "process",
+        ])
+        captured = capsys.readouterr()
+        assert exit_code == 1
+        assert "catalog-path --target" in captured.err
+
+    def test_old_query_verbs_are_gone(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["service"])
+            build_parser().parse_args(["service", "query", "SELECT 1"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["server", "query", "SELECT 1"])
 
 
 class TestServerCommands:
@@ -246,9 +289,9 @@ class TestServerCommands:
         catalog = self._make_catalog(tmp_path, capsys)
         with ServerThread(QueryServer(catalog, port=0)) as (host, port):
             exit_code = main([
-                "server", "query",
+                "query",
                 f"SELECT exceedance(21.0) FROM CATALOG '{catalog}'",
-                "--host", host, "--port", str(port), "--head", "3",
+                "--target", f"tcp://{host}:{port}", "--head", "3",
             ])
             out = capsys.readouterr().out
             assert exit_code == 0
@@ -256,9 +299,9 @@ class TestServerCommands:
             assert "room-a" in out
 
             exit_code = main([
-                "server", "query",
+                "query",
                 f"SELECT expected_value FROM CATALOG '{catalog}'",
-                "--host", host, "--port", str(port), "--json",
+                "--target", f"tcp://{host}:{port}", "--json",
             ])
             out = capsys.readouterr().out
             assert exit_code == 0
@@ -270,10 +313,10 @@ class TestServerCommands:
         catalog = self._make_catalog(tmp_path, capsys)
         with ServerThread(QueryServer(catalog, port=0)) as (host, port):
             exit_code = main([
-                "server", "query",
+                "query",
                 f"SELECT exceedance(21.0) FROM CATALOG '{catalog}' "
                 "SERIES 'z*'",
-                "--host", host, "--port", str(port),
+                "--target", f"tcp://{host}:{port}",
             ])
         captured = capsys.readouterr()
         assert exit_code == 1
@@ -282,8 +325,8 @@ class TestServerCommands:
 
     def test_server_query_without_server_fails_cleanly(self, capsys):
         exit_code = main([
-            "server", "query", "SELECT expected_value FROM CATALOG 'x'",
-            "--port", "1",  # Nothing listens on port 1.
+            "query", "SELECT expected_value FROM CATALOG 'x'",
+            "--target", "tcp://127.0.0.1:1",  # Nothing listens on port 1.
         ])
         captured = capsys.readouterr()
         assert exit_code == 1
@@ -291,14 +334,14 @@ class TestServerCommands:
         assert "Traceback" not in captured.err
 
     def test_keyboard_interrupt_exits_cleanly(self, capsys, monkeypatch):
-        import repro.service
+        from repro.db.engine import Database
 
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(repro.service, "execute_select", interrupted)
+        monkeypatch.setattr(Database, "execute", interrupted)
         exit_code = main([
-            "service", "query", "SELECT expected_value FROM CATALOG 'x'",
+            "query", "SELECT expected_value FROM CATALOG 'x'",
         ])
         captured = capsys.readouterr()
         assert exit_code == 130
@@ -319,11 +362,11 @@ class TestServerCommands:
         catalog = self._make_catalog(tmp_path, capsys)
         exceedance = f"SELECT exceedance(21.0) FROM CATALOG '{catalog}'"
         exit_code = main([
-            "service", "query",
+            "query",
             exceedance,
             f"SELECT threshold(0.4) FROM CATALOG '{catalog}' TOP 1",
-            exceedance,  # Duplicate: planned and executed once.
-            "--head", "2",
+            exceedance,  # Served from the bound service's warm cache.
+            "--target", catalog, "--head", "2",
         ])
         out = capsys.readouterr().out
         assert exit_code == 0

@@ -62,19 +62,6 @@ class TestTable:
         with pytest.raises(InvalidParameterError):
             Table("x", ["a", "a"])
 
-    def test_select_range(self):
-        table = Table("x", ["t", "r"])
-        table.insert_many([(float(i), float(i * 10)) for i in range(10)])
-        subset = table.select(where_column="t", low=3.0, high=6.0)
-        np.testing.assert_array_equal(subset.column("t"), [3.0, 4.0, 5.0, 6.0])
-
-    def test_select_open_bounds(self):
-        table = Table("x", ["t"])
-        table.insert_many([(float(i),) for i in range(5)])
-        assert len(table.select(where_column="t", low=3.0)) == 2
-        assert len(table.select(where_column="t", high=1.0)) == 2
-        assert len(table.select()) == 5
-
     def test_to_series_sorts_by_time(self):
         table = Table("x", ["t", "r"], data={
             "t": np.array([3.0, 1.0, 2.0]),
@@ -82,11 +69,6 @@ class TestTable:
         })
         series = table.to_series("r", "t")
         np.testing.assert_array_equal(series.values, [10.0, 20.0, 30.0])
-
-    def test_rows_iteration(self):
-        table = Table("x", ["a", "b"])
-        table.insert((1.0, 2.0))
-        assert list(table.rows()) == [{"a": 1.0, "b": 2.0}]
 
     def test_initial_data_length_mismatch_rejected(self):
         with pytest.raises(DataError):
@@ -177,7 +159,7 @@ class TestEngine:
         view = db.execute(
             "CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=0.5, n=6 "
             "METRIC variable_threshold WINDOW 40 FROM raw_values"
-        )
+        ).view
         assert view.name == "pv"
         assert len(view) > 0
         assert db.view("pv") is view
@@ -189,7 +171,7 @@ class TestEngine:
             f"CREATE VIEW pv2 AS DENSITY r OVER t OMEGA delta=0.5, n=4 "
             f"METRIC variable_threshold WINDOW 50 FROM raw_values "
             f"WHERE t >= 0 AND t <= {hi}"
-        )
+        ).view
         # 201 rows matched, window 50 -> 151 inference times x 4 ranges.
         assert len(view) == 151 * 4
 
@@ -198,7 +180,7 @@ class TestEngine:
             "CREATE VIEW pv3 AS DENSITY r OVER t OMEGA delta=0.5, n=6 "
             "METRIC variable_threshold WINDOW 40 CACHE (distance=0.01) "
             "FROM raw_values"
-        )
+        ).view
         assert len(view) > 0
 
     def test_unknown_table_rejected(self, db):

@@ -1,5 +1,5 @@
-"""Tests for the extension layer: EWMA metric, order selection, calibration,
-stream queries, humidity data."""
+"""Tests for the extension layer: EWMA metric, calibration, stream queries,
+humidity data."""
 
 from __future__ import annotations
 
@@ -24,8 +24,6 @@ from repro.exceptions import DataError, InvalidParameterError
 from repro.metrics.ewma import EWMAMetric
 from repro.metrics.registry import create_metric
 from repro.metrics.variable_threshold import VariableThresholdingMetric
-from repro.timeseries.arma import ARMAModel, ARMAParams
-from repro.timeseries.selection import rolling_forecast_mse, select_arma_order
 from repro.timeseries.stats import rolling_variance
 
 
@@ -69,49 +67,6 @@ class TestEWMAMetric:
     def test_short_window_rejected(self):
         with pytest.raises(InvalidParameterError):
             EWMAMetric().infer(np.array([1.0, 2.0]), t=2)
-
-
-class TestOrderSelection:
-    def test_recovers_ar1_preference(self):
-        data = ARMAModel.simulate(
-            ARMAParams(const=0.0, ar=np.array([0.8]), sigma2=1.0), 600, rng=0
-        )
-        result = select_arma_order(data, max_p=3, max_q=1)
-        assert result.best_bic[0] >= 1  # Some AR structure must be chosen.
-        # The white-noise model must not win on AIC either.
-        assert result.best_aic != (0, 0)
-
-    def test_white_noise_prefers_small_models(self, rng):
-        result = select_arma_order(rng.standard_normal(600), max_p=3, max_q=1)
-        assert result.best_bic[0] <= 1 and result.best_bic[1] <= 1
-
-    def test_table_contains_grid(self):
-        data = ARMAModel.simulate(
-            ARMAParams(const=0.0, ar=np.array([0.5]), sigma2=1.0), 300, rng=1
-        )
-        result = select_arma_order(data, max_p=2, max_q=1)
-        assert len(result.table) == 6  # (p, q) in {0..2} x {0..1}.
-        assert result.score(1, 0).sigma2 > 0
-
-    def test_score_missing_order_rejected(self):
-        data = ARMAModel.simulate(
-            ARMAParams(const=0.0, ar=np.array([0.5]), sigma2=1.0), 300, rng=2
-        )
-        result = select_arma_order(data, max_p=1, max_q=0)
-        with pytest.raises(InvalidParameterError):
-            result.score(5, 5)
-
-    def test_rolling_mse_prefers_true_order(self):
-        data = ARMAModel.simulate(
-            ARMAParams(const=0.0, ar=np.array([0.9]), sigma2=1.0), 500, rng=3
-        )
-        mse_ar1 = rolling_forecast_mse(data, 1, 0, H=80, step=10)
-        mse_mean = rolling_forecast_mse(data, 0, 0, H=80, step=10)
-        assert mse_ar1 < mse_mean
-
-    def test_rolling_mse_validation(self, rng):
-        with pytest.raises(InvalidParameterError):
-            rolling_forecast_mse(rng.standard_normal(200), 5, 0, H=6)
 
 
 class TestCalibration:

@@ -35,7 +35,7 @@ class TestPaperPipeline:
             "CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=0.5, n=8 "
             "METRIC arma_garch (p=1) WINDOW 60 CACHE (distance=0.02) "
             "FROM raw_values"
-        )
+        ).view
         # The created view supports the downstream probabilistic queries the
         # paper motivates.
         modal = most_probable_range_query(view)
@@ -104,7 +104,7 @@ class TestPaperPipeline:
         sql_view = db.execute(
             "CREATE VIEW v AS DENSITY r OVER t OMEGA delta=0.5, n=4 "
             "METRIC variable_threshold WINDOW 40 FROM raw_values"
-        )
+        ).view
 
         pipe = OnlinePipeline(VariableThresholdingMetric(), H=H, grid=grid)
         for value in sub.values:

@@ -25,7 +25,6 @@ from repro.obs import (
     MAX_SERIES_SPANS,
     MetricsRegistry,
     NULL_TRACE,
-    NullRegistry,
     QueryTrace,
     SlowQueryLog,
     default_registry,
@@ -151,20 +150,8 @@ class TestRegistryPrimitives:
         registry.snapshot()
         assert len(calls) == 1
 
-    def test_null_registry_accepts_everything_and_stores_nothing(self):
-        registry = NullRegistry()
-        assert not registry.enabled
-        counter = registry.counter("t_total")
-        counter.inc(5.0)
-        registry.histogram("t_seconds").observe(1.0)
-        registry.gauge("t_bytes").set(9.0)
-        assert counter.value() == 0.0
-        assert registry.snapshot() == {}
-        assert registry.exposition() == ""
-
     def test_default_registry_is_shared(self):
         assert default_registry() is default_registry()
-        assert default_registry().enabled
 
 
 # ---------------------------------------------------------------------------
@@ -450,14 +437,6 @@ class TestServiceTracing:
         names = {span["name"] for span in result.trace.as_dict()["stages"]}
         assert "compute" in names
         assert "finalize" in names
-
-    def test_null_registry_disables_tracing(self, catalog):
-        with CatalogQueryService(
-            catalog, backend="sequential", registry=NullRegistry()
-        ) as service:
-            result = service.execute(_sql(catalog))
-        assert result.trace is None
-        assert len(result.results) == len(result.matched)
 
     def test_caller_supplied_trace_is_not_finished(self, catalog):
         trace = QueryTrace()

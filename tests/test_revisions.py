@@ -346,6 +346,70 @@ class TestConnect:
         finally:
             server.stop()
 
+    @pytest.fixture()
+    def routes(self, revised):
+        """One connection per route, each engine holding the raw table."""
+        from repro.db.table import Table
+
+        table = Table(
+            "raw", ["t", "r"],
+            {"t": list(range(80)),
+             "r": [10.0 + (i % 7) for i in range(80)]},
+        )
+        server = QueryServer(str(revised.root), port=0)
+        server.database.register_table(table)
+        thread = ServerThread(server)
+        host, port = thread.start()
+        conns = {
+            "memory": repro.connect(),
+            "service": repro.connect(str(revised.root)),
+            "server": repro.connect(f"tcp://{host}:{port}"),
+        }
+        try:
+            for conn in conns.values():
+                assert conn.route in conns
+                if conn.database is not None:
+                    conn.database.register_table(table)
+            yield conns
+        finally:
+            for conn in conns.values():
+                conn.close()
+            thread.stop()
+
+    @pytest.mark.parametrize(
+        "kind, body",
+        [
+            ("view", "CREATE VIEW v AS DENSITY r OVER t OMEGA delta=1, "
+                     "n=2 WINDOW 40 FROM raw"),
+            ("select", "SELECT exceedance(21.0) {frm} TOP 2"),
+            ("multi_select", "SELECT expected_value, threshold(0.4) {frm}"),
+            ("approx", "SELECT APPROX expected_value {frm}"),
+            ("simulate", "SIMULATE 2 SEED 3 {frm}"),
+            ("select", "SELECT expected_value {frm} AS OF 1"),
+        ],
+        ids=["create_view", "select", "multi", "approx", "simulate",
+             "as_of"],
+    )
+    def test_route_matrix(self, revised, routes, kind, body):
+        # Every route runs every statement kind: same bytes, same kind,
+        # and a trace whose stages fit inside its wall time.
+        statement = body.format(frm=f"FROM CATALOG '{revised.root}'")
+        payloads = set()
+        for route, conn in routes.items():
+            result = conn.execute(statement, trace=True)
+            assert result.kind == kind, route
+            payloads.add(result.json())
+            trace = result.trace
+            assert trace is not None, route
+            block = trace if isinstance(trace, dict) else trace.as_dict()
+            stages = block["stages"]
+            assert stages and stages[0]["name"] == "parse", route
+            # as_dict() rounds every figure to 1e-4 ms.
+            assert sum(stage["ms"] for stage in stages) <= (
+                block["wall_ms"] + 1e-4 * (len(stages) + 1)
+            ), route
+        assert len(payloads) == 1
+
     def test_uniform_result_protocol(self, revised):
         with repro.connect(str(revised.root)) as conn:
             select = conn.execute(_sql(revised))
@@ -414,13 +478,12 @@ class TestCliAsOf:
         try:
             statement = _sql(revised, suffix=" TOP 2")
             assert main([
-                "service", "query", statement,
+                "query", statement, "--target", str(revised.root),
                 "--as-of", "0", "--stats",
             ]) == 0
             via_service = capsys.readouterr().out
             assert main([
-                "server", "query", statement,
-                "--host", host, "--port", str(port),
+                "query", statement, "--target", f"tcp://{host}:{port}",
                 "--as-of", "0", "--stats",
             ]) == 0
             via_server = capsys.readouterr().out
@@ -430,19 +493,24 @@ class TestCliAsOf:
             server.stop()
 
     def test_server_query_backend_flag_is_noticed(self, revised, capsys):
-        # The backend is fixed by the serving process: 'server query'
-        # has no such flag and says so instead of ignoring it.
-        with pytest.raises(SystemExit) as excinfo:
-            main(["server", "query", _sql(revised), "--backend", "process"])
-        assert excinfo.value.code == 2
-        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+        # The backend is fixed by the serving process: a tcp target
+        # says so instead of ignoring the flag.
+        server = ServerThread(QueryServer(str(revised.root), port=0))
+        host, port = server.start()
+        try:
+            exit_code = main([
+                "query", _sql(revised), "--target", f"tcp://{host}:{port}",
+                "--backend", "process",
+            ])
+        finally:
+            server.stop()
+        assert exit_code == 1
+        assert "fixed by 'server serve'" in capsys.readouterr().err
 
     def test_as_of_zero_changes_cli_answer(self, revised, capsys):
         statement = _sql(revised, "expected_value")
-        assert main(["service", "query", statement]) == 0
+        assert main(["query", statement]) == 0
         default_out = capsys.readouterr().out
-        assert main([
-            "service", "query", statement, "--as-of", "0",
-        ]) == 0
+        assert main(["query", statement, "--as-of", "0"]) == 0
         pinned_out = capsys.readouterr().out
         assert default_out != pinned_out

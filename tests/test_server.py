@@ -28,7 +28,6 @@ from repro.server import (
     ServerError,
     ServerThread,
     canonical_dumps,
-    serialize_result,
 )
 from repro.store import Catalog
 from repro.view.omega import OmegaGrid
@@ -124,9 +123,7 @@ class TestQueryRoundtrip:
                     suffix=" TOP 1"),
         ]
         for statement in statements:
-            direct = canonical_dumps(
-                serialize_result(Database().execute(statement))
-            )
+            direct = Database().execute(statement).json()
             served = canonical_dumps(client.query(statement))
             assert served == direct
 
@@ -137,9 +134,8 @@ class TestQueryRoundtrip:
             (float(i), 20.0 + 0.01 * i + rng.normal(0.0, 0.05))
             for i in range(80)
         )
-        database = Database()
-        database.register_table(table)
-        server = QueryServer(catalog_root, port=0, database=database)
+        server = QueryServer(catalog_root, port=0)
+        server.database.register_table(table)
         statement = (
             "CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=0.5, n=4 "
             "METRIC variable_threshold WINDOW 20 FROM raw_values"

@@ -22,14 +22,14 @@ from repro.exceptions import (
     InvalidParameterError,
     ParseError,
     QueryError,
+    ReproError,
     StoreError,
 )
 from repro.service import (
     CatalogQueryService,
     MatrixCache,
     SelectResult,
-    execute_select,
-    plan_select,
+    plan_statement,
 )
 from repro.service.cache import view_nbytes
 from repro.service.executor import restrict_time_range
@@ -165,13 +165,29 @@ class TestParity:
         assert sequential.results == parallel.results
         assert sequential.matched == parallel.matched
 
+    def test_sequential_and_parallel_agree(self, catalog_root):
+        statements = [
+            f"SELECT exceedance(20.5) FROM CATALOG '{catalog_root}'",
+            f"SELECT expected_value FROM CATALOG '{catalog_root}' "
+            "SERIES 'sensor-[0-2]'",
+            f"SELECT threshold(0.2) FROM CATALOG '{catalog_root}' TOP 2",
+        ]
+        with CatalogQueryService(catalog_root) as seq:
+            sequential = [seq.execute(text) for text in statements]
+        with CatalogQueryService(
+            catalog_root, backend="process", max_workers=2
+        ) as par:
+            parallel = [par.execute(text) for text in statements]
+        for left, right in zip(sequential, parallel):
+            assert left.scores() == right.scores()
+
 
 class TestSelection:
     def test_series_glob_selects_subset(self, catalog):
         catalog.create_series(
             "other", metric="variable_threshold", H=H, grid=GRID
         )
-        result = execute_select(
+        result = Database().execute(
             _sql(catalog, "expected_value") + " SERIES 'sensor-*'"
         )
         assert result.matched == tuple(
@@ -179,30 +195,32 @@ class TestSelection:
         )
 
     def test_top_k_ranks_by_score_descending(self, catalog):
-        result = execute_select(_sql(catalog, "exceedance(21.0)") + " TOP 2")
+        result = Database().execute(
+            _sql(catalog, "exceedance(21.0)") + " TOP 2"
+        )
         assert len(result.results) == 2
         scores = [entry.score for entry in result.results]
         assert scores == sorted(scores, reverse=True)
         # The dropped series all score at or below the kept ones.
-        full = execute_select(_sql(catalog, "exceedance(21.0)"))
+        full = Database().execute(_sql(catalog, "exceedance(21.0)"))
         assert min(scores) >= sorted(
             (e.score for e in full.results), reverse=True
         )[1]
 
     def test_results_ordered_by_series_id_without_top(self, catalog):
-        result = execute_select(_sql(catalog, "expected_value"))
+        result = Database().execute(_sql(catalog, "expected_value"))
         ids = [entry.series_id for entry in result.results]
         assert ids == sorted(ids)
 
     def test_no_match_raises(self, catalog):
         with pytest.raises(QueryError, match="no series matches"):
-            execute_select(
+            Database().execute(
                 _sql(catalog, "expected_value") + " SERIES 'zzz-*'"
             )
 
     def test_missing_catalog_raises_store_error(self, tmp_path):
         with pytest.raises(StoreError, match="no catalog"):
-            execute_select(
+            Database().execute(
                 f"SELECT expected_value FROM CATALOG '{tmp_path / 'nope'}'"
             )
 
@@ -210,28 +228,28 @@ class TestSelection:
 class TestPlannerValidation:
     def test_unknown_aggregate(self, catalog):
         with pytest.raises(QueryError, match="unknown aggregate"):
-            execute_select(_sql(catalog, "median"))
+            Database().execute(_sql(catalog, "median"))
 
     def test_wrong_arity(self, catalog):
         with pytest.raises(InvalidParameterError, match="takes"):
-            execute_select(_sql(catalog, "exceedance"))
+            Database().execute(_sql(catalog, "exceedance"))
         with pytest.raises(InvalidParameterError, match="takes"):
-            execute_select(_sql(catalog, "expected_value(3)"))
+            Database().execute(_sql(catalog, "expected_value(3)"))
 
     def test_tau_domain(self, catalog):
         with pytest.raises(InvalidParameterError, match="tau"):
-            execute_select(_sql(catalog, "threshold(1.5)"))
+            Database().execute(_sql(catalog, "threshold(1.5)"))
 
     def test_window_must_be_positive_integer(self, catalog):
         with pytest.raises(InvalidParameterError, match="window"):
-            execute_select(_sql(catalog, "time_above(21.0, 2.5)"))
+            Database().execute(_sql(catalog, "time_above(21.0, 2.5)"))
         with pytest.raises(InvalidParameterError, match="window"):
-            execute_select(_sql(catalog, "time_above(21.0, 0)"))
+            Database().execute(_sql(catalog, "time_above(21.0, 0)"))
 
     def test_empty_time_range_rejected_at_parse_time(self, catalog):
         # The parser now refuses inverted WHERE bounds outright ...
         with pytest.raises(ParseError, match="empty time range"):
-            execute_select(
+            Database().execute(
                 _sql(catalog, "expected_value") + " WHERE t BETWEEN 50 AND 10"
             )
 
@@ -240,14 +258,17 @@ class TestPlannerValidation:
         # that never went through the parser.
         query = parse_select_query(_sql(catalog, "expected_value"))
         inverted = dataclasses.replace(query, time_lo=50.0, time_hi=10.0)
-        with pytest.raises(InvalidParameterError, match="empty time range"):
-            execute_select(inverted)
+        with CatalogQueryService(catalog) as service:
+            with pytest.raises(
+                InvalidParameterError, match="empty time range"
+            ):
+                service.execute(inverted)
 
     def test_per_series_failure_names_the_series(self, catalog):
         # A window longer than any series' stored times fails inside the
         # aggregate; the error must say which series broke.
         with pytest.raises(QueryError, match="sensor-00"):
-            execute_select(_sql(catalog, "time_above(21.0, 5000)"))
+            Database().execute(_sql(catalog, "time_above(21.0, 5000)"))
 
     @pytest.mark.parametrize("backend", ["sequential", "process"])
     def test_corrupt_segment_failure_names_the_series(
@@ -291,6 +312,13 @@ class TestServiceWiring:
                 f"SELECT expected_value FROM CATALOG '{other.root}'"
             )
 
+    def test_foreign_catalog_rejected(self, catalog_root, tmp_path):
+        with CatalogQueryService(catalog_root) as service:
+            with pytest.raises(QueryError, match="bound to"):
+                service.execute(
+                    f"SELECT expected_value FROM CATALOG '{tmp_path}'"
+                )
+
     def test_create_statement_rejected(self, catalog):
         service = CatalogQueryService(catalog)
         with pytest.raises(QueryError, match="SELECT"):
@@ -308,7 +336,7 @@ class TestServiceWiring:
         assert len(result.results) == 5
 
     def test_plan_describes_itself(self, catalog):
-        plan = plan_select(
+        plan = plan_statement(
             catalog, parse_select_query(_sql(catalog, "exceedance(21.0)"))
         )
         description = plan.describe()
@@ -456,3 +484,58 @@ class TestSnapshots:
             "sensor-00", "sensor-01",
         ]
         assert catalog.select_series("nope*") == []
+
+
+class TestClosedPoolRace:
+    def test_shutdown_pool_maps_to_query_error(self, catalog_root):
+        statement = f"SELECT expected_value FROM CATALOG '{catalog_root}'"
+        with CatalogQueryService(
+            catalog_root, backend="process", max_workers=2
+        ) as service:
+            service.execute(statement)  # Builds the persistent pool.
+            assert service.backend._pool is not None
+            # Simulate the shutdown race: the pool dies under a live
+            # service reference (what a Ctrl-C teardown interleaved with
+            # a late statement produces) without the service-level
+            # closed flag.
+            service.backend._pool.shutdown(wait=True)
+            with pytest.raises(QueryError, match="shut down"):
+                service.execute(statement)
+
+    def test_close_makes_further_statements_fail_clearly(self, catalog_root):
+        statement = f"SELECT expected_value FROM CATALOG '{catalog_root}'"
+        service = CatalogQueryService(catalog_root, max_workers=4)
+        assert service.execute(statement).results
+        service.close()
+        service.close()  # Idempotent.
+        with pytest.raises(QueryError, match="service closed"):
+            service.execute(statement)
+
+    def test_concurrent_close_never_leaks_runtime_error(
+        self, catalog_root, concurrent_callers
+    ):
+        # Caller threads share one default-backend service over a cold
+        # cache, the way a server's workers do, while one of them closes
+        # it: every statement either answers with a lone caller's bytes
+        # or fails with the documented shutdown error.
+        statement = f"SELECT exceedance(20.5) FROM CATALOG '{catalog_root}'"
+        with CatalogQueryService(catalog_root) as lone:
+            reference = lone.execute(statement).json()
+
+        for _ in range(8):
+            service = CatalogQueryService(catalog_root)
+
+            def hammer(index: int, service=service) -> list[str]:
+                answers = []
+                for _ in range(5):
+                    try:
+                        answers.append(service.execute(statement).json())
+                    except ReproError:
+                        pass  # The documented shutdown outcome.
+                    if index == 0:
+                        service.close()
+                return answers
+
+            for outcome in concurrent_callers(hammer, callers=4):
+                assert not isinstance(outcome, BaseException), outcome
+                assert all(answer == reference for answer in outcome)

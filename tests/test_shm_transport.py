@@ -32,7 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.server.protocol import canonical_dumps, serialize_result
+from repro.server.protocol import canonical_dumps
 from repro.service import (
     CatalogQueryService,
     ProcessBackend,
@@ -281,7 +281,7 @@ def _statements(root) -> list[str]:
 
 
 def _canonical(result) -> str:
-    return canonical_dumps(serialize_result(result))
+    return canonical_dumps(result.to_dict())
 
 
 def test_bit_identity_across_backends_and_transports(

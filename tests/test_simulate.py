@@ -21,7 +21,7 @@ from repro.db.worlds import (
     derive_series_seed,
 )
 from repro.exceptions import InvalidParameterError, QueryError
-from repro.server.protocol import canonical_dumps, serialize_result
+from repro.server.protocol import canonical_dumps
 from repro.service import (
     CatalogQueryService,
     MultiSelectResult,
@@ -63,7 +63,7 @@ class TestSimulate:
         for backend in ("sequential", "process"):
             with CatalogQueryService(catalog, backend=backend) as service:
                 result = service.execute(statement)
-                wires[backend] = canonical_dumps(serialize_result(result))
+                wires[backend] = canonical_dumps(result.to_dict())
         assert wires["sequential"] == wires["process"]
 
     def test_matches_directly_seeded_sampler(self, catalog):
@@ -117,7 +117,7 @@ class TestSimulate:
             result = service.execute(
                 f"SIMULATE 2 SEED 9 FROM CATALOG '{catalog.root}'"
             )
-        payload = serialize_result(result)
+        payload = result.to_dict()
         assert payload["kind"] == "simulate"
         assert payload["n_worlds"] == 2 and payload["seed"] == 9
         assert payload["matched"] == list(result.matched)
@@ -163,28 +163,15 @@ class TestMultiAggregate:
                 for body in self.STATEMENTS
             ]
         assert isinstance(multi, MultiSelectResult)
-        payload = serialize_result(multi)
+        payload = multi.to_dict()
         assert payload["kind"] == "multi_select"
         for item, wire, single in zip(
             multi.items, payload["statements"], singles
         ):
             assert item == single
             assert canonical_dumps(wire) == canonical_dumps(
-                serialize_result(single)
+                single.to_dict()
             )
-
-    def test_execute_many_mixes_statement_kinds(self, catalog):
-        statements = [
-            f"SELECT exceedance(21) FROM CATALOG '{catalog.root}'",
-            f"SIMULATE 2 SEED 1 FROM CATALOG '{catalog.root}'",
-            f"SELECT threshold(0.4), expected_value "
-            f"FROM CATALOG '{catalog.root}'",
-        ]
-        with CatalogQueryService(catalog) as service:
-            batch = service.execute_many(statements)
-            solo = [service.execute(s) for s in statements]
-        for batched, single in zip(batch, solo):
-            assert batched == single
 
     def test_top_k_ranks_each_item_independently(self, catalog):
         with CatalogQueryService(catalog, backend="sequential") as service:

@@ -359,7 +359,7 @@ class TestSqlPersist:
             "CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=0.5, n=4 "
             f"METRIC vt WINDOW {H} FROM raw_values "
             f"PERSIST INTO '{root}'"
-        )
+        ).view
         stored = Catalog(root, create=False).view("pv")
         assert np.array_equal(stored.columns.probability,
                               view.columns.probability)
@@ -370,5 +370,67 @@ class TestSqlPersist:
         view = db.execute(
             "CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=0.5, n=4 "
             f"METRIC vt WINDOW {H} FROM raw_values"
-        )
+        ).view
         assert len(view) > 0
+
+
+class TestSnapshotReuse:
+    def test_unchanged_series_snapshot_is_cached(self, tmp_path):
+        catalog = Catalog(tmp_path / "cat")
+        catalog.create_series(
+            "s", metric="variable_threshold", H=H, grid=GRID
+        )
+        catalog.append("s", 20.0 + np.arange(30) * 0.01)
+        first = catalog.snapshot("s")
+        second = catalog.snapshot("s")
+        assert second is first
+        hits, misses = catalog.snapshot_cache_info()
+        assert (hits, misses) == (1, 1)
+
+    def test_append_invalidates_by_stat_token(self, tmp_path):
+        catalog = Catalog(tmp_path / "cat")
+        catalog.create_series(
+            "s", metric="variable_threshold", H=H, grid=GRID
+        )
+        catalog.append("s", 20.0 + np.arange(30) * 0.01)
+        before = catalog.snapshot("s")
+        catalog.append("s", np.full(5, 20.5))
+        after = catalog.snapshot("s")
+        assert after is not before
+        assert after.generation != before.generation
+        assert after.tuple_count > before.tuple_count
+
+    def test_writer_and_reader_catalogs_stay_coherent(self, tmp_path):
+        root = tmp_path / "cat"
+        writer = Catalog(root)
+        writer.create_series(
+            "s", metric="variable_threshold", H=H, grid=GRID
+        )
+        writer.append("s", 20.0 + np.arange(40) * 0.01)
+        reader = Catalog(root, create=False)
+        stale = reader.snapshot("s")
+        writer.append("s", np.full(8, 20.3))
+        fresh = reader.snapshot("s")
+        # The reader's memo must not survive the writer's atomic rewrite.
+        assert fresh.tuple_count == writer.snapshot("s").tuple_count
+        assert fresh.tuple_count > stale.tuple_count
+
+    def test_open_many_reuses_snapshots(self, catalog_root):
+        catalog = Catalog(catalog_root, create=False)
+        catalog.open_many("sensor-*")
+        hits_before, misses = catalog.snapshot_cache_info()
+        catalog.open_many("sensor-*")
+        hits_after, misses_after = catalog.snapshot_cache_info()
+        assert misses_after == misses  # No re-reads...
+        assert hits_after == hits_before + 6  # ... all six served cached.
+
+    def test_drop_series_clears_memo(self, tmp_path):
+        catalog = Catalog(tmp_path / "cat")
+        catalog.create_series(
+            "s", metric="variable_threshold", H=H, grid=GRID
+        )
+        catalog.append("s", 20.0 + np.arange(30) * 0.01)
+        catalog.snapshot("s")
+        catalog.drop_series("s")
+        with pytest.raises(QueryError):
+            catalog.snapshot("s")

@@ -29,7 +29,7 @@ from repro.obs import default_registry
 from repro.server.app import QueryServer, ServerThread
 from repro.server.client import Client
 from repro.service import CatalogQueryService
-from repro.service.planner import plan_select
+from repro.service.planner import plan_statement
 from repro.service.synopsis import estimate_series, prune_segments
 from repro.store import Catalog
 from repro.store.binary import (
@@ -303,7 +303,7 @@ class TestPruning:
             f"SELECT expected_value FROM CATALOG '{catalog.root}' "
             f"WHERE t BETWEEN 40 AND 50"
         )
-        plan = plan_select(catalog, query)
+        plan = plan_statement(catalog, query)
         stats = plan.stats
         assert stats.segments_total == 9
         assert (

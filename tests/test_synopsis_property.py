@@ -31,7 +31,7 @@ from repro.exceptions import InvalidParameterError, QueryError
 # surface depending on the layer — parity only requires both modes to
 # fail identically.
 _UNDEFINED = (InvalidParameterError, QueryError)
-from repro.server.protocol import canonical_dumps, serialize_result
+from repro.server.protocol import canonical_dumps
 from repro.service import CatalogQueryService
 from repro.store import Catalog
 from repro.view.omega import OmegaGrid
@@ -125,7 +125,7 @@ def _statement(catalog, parts) -> str:
 
 
 def _canonical_sans_stats(result) -> str:
-    payload = serialize_result(result)
+    payload = result.to_dict()
     payload.pop("pruning", None)
     return canonical_dumps(payload)
 
