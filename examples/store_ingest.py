@@ -139,8 +139,8 @@ def main() -> None:
     # concrete value per time (None = the residual off-grid alternative);
     # with a SEED the result is bit-identical on every backend.
     worlds = conn.execute(f"SIMULATE 3 SEED 7 FROM CATALOG '{root}'")
-    print(f"\n{worlds.n_worlds} sampled worlds per series (seed "
-          f"{worlds.seed}):")
+    n_worlds, seed = (int(argument) for argument in worlds.arguments)
+    print(f"\n{n_worlds} sampled worlds per series (seed {seed}):")
     for entry in worlds.results:
         head = ", ".join(
             "outside" if v is None else f"{v:.2f}"

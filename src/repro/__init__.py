@@ -92,9 +92,7 @@ from repro.store import (
 from repro.service import (
     CatalogQueryService,
     MatrixCache,
-    MultiSelectResult,
-    SelectResult,
-    SimulateResult,
+    StatementResult,
 )
 from repro.server import (
     Client,
@@ -137,7 +135,6 @@ from repro.view import (
     ViewBuilder,
     ViewQuery,
     hellinger_distance,
-    parse_view_query,
     ratio_threshold_for_distance,
     ratio_threshold_for_memory,
 )
@@ -177,7 +174,6 @@ __all__ = [
     "KalmanParams",
     "MatrixCache",
     "MonteCarloEstimate",
-    "MultiSelectResult",
     "NotFittedError",
     "OmegaGrid",
     "OmegaRange",
@@ -192,14 +188,13 @@ __all__ = [
     "ReproError",
     "SVRResult",
     "SchemaVersionError",
-    "SelectResult",
     "SeriesHandle",
     "SeriesSnapshot",
     "ServerError",
     "ServerThread",
     "SigmaCache",
-    "SimulateResult",
     "StandingQuery",
+    "StatementResult",
     "StandingQueryHandle",
     "StoreError",
     "Table",
@@ -236,7 +231,6 @@ __all__ = [
     "make_dataset",
     "monte_carlo_query",
     "most_probable_range_query",
-    "parse_view_query",
     "probability_integral_transform",
     "range_probability_query",
     "ratio_threshold_for_distance",

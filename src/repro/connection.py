@@ -48,7 +48,7 @@ class RemoteResult:
     The wire already speaks the canonical payload dialect, so this is a
     view over the received dict: ``to_dict`` returns it as-is (minus
     nothing), ``kind`` folds the ``approx`` flag into the discriminator
-    exactly like :attr:`SelectResult.kind` does, and ``trace`` surfaces
+    exactly like :attr:`StatementResult.kind` does, and ``trace`` surfaces
     the server's stage breakdown when one was requested.
     """
 

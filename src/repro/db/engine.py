@@ -54,7 +54,8 @@ class ViewResult:
         self, view: ProbabilisticView, trace: QueryTrace | None = None
     ) -> None:
         self.view = view
-        self.trace = trace
+        #: ``None`` for a disabled trace, as on the service's results.
+        self.trace = trace if trace is not None and trace.enabled else None
 
     def to_dict(self) -> dict[str, Any]:
         """The view as the JSON-ready payload the wire protocol sends."""
@@ -155,10 +156,9 @@ class Database:
 
         ``CREATE VIEW`` statements return a :class:`ViewResult`;
         catalog-wide ``SELECT`` / ``SIMULATE`` statements the service
-        layer's :class:`~repro.service.executor.SelectResult`,
-        :class:`~repro.service.executor.MultiSelectResult` or
-        :class:`~repro.service.executor.SimulateResult`.  Each carries
-        the statement's stage spans on ``result.trace``: a trace created
+        layer's :class:`~repro.service.executor.StatementResult`.  Each
+        carries the statement's stage spans on ``result.trace`` (``None``
+        when the caller passed a disabled trace): a trace created
         here is finished here; a caller-supplied one is recorded into
         but not finished — whoever created it owns its wall clock, so
         the server can still time its serialize stage.
@@ -166,7 +166,7 @@ class Database:
         own = trace is None
         if own:
             trace = QueryTrace(sql)
-        elif trace.statement is None:
+        elif trace.enabled and trace.statement is None:
             trace.statement = sql
         with trace.stage("parse"):
             statement = parse_statement(sql)

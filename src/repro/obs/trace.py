@@ -205,8 +205,12 @@ class _NullTrace:
 
     Hot paths call ``trace.stage(...)`` unconditionally; when tracing is
     off they get this singleton and pay one attribute lookup plus an
-    empty context manager.
+    empty context manager.  ``__slots__ = ()`` keeps the shared instance
+    stateless: writing to it raises instead of leaking into every later
+    statement.
     """
+
+    __slots__ = ()
 
     enabled = False
     statement = None

@@ -2,18 +2,18 @@
 
 The layer that turns a directory of persisted probabilistic views
 (:mod:`repro.store`) into something queryable *as a database*: one
-``SELECT`` statement evaluates an aggregate over every (or a glob-selected
-subset of) series in a catalog, per-series work runs on a pluggable
-executor backend (inline on the caller's thread, or a spawn-safe process
-pool with zero-copy mmap segment reads), and materialised view matrices
-are kept warm in a byte-budgeted LRU cache so repeated statements never
-reload a segment.
+``SELECT`` or ``SIMULATE`` statement evaluates its items over every (or a
+glob-selected subset of) series in a catalog, per-series work runs on a
+pluggable executor backend (inline on the caller's thread, or a
+spawn-safe process pool with zero-copy mmap segment reads), and
+materialised view matrices are kept warm in a byte-budgeted LRU cache so
+repeated statements never reload a segment.
 
-* :mod:`repro.service.plan` — the logical plan tree every statement
-  lowers through (scan → prune → kernels → combine → finalize);
-* :mod:`repro.service.planner` — physical lowering: kernel resolution +
-  argument checks + snapshot fan-out list per select-list item, plus
-  the picklable per-series task envelopes backends consume;
+* :mod:`repro.service.planner` — lowers a parsed
+  :class:`~repro.view.sql.CatalogQuery` (SELECT or SIMULATE) to the one
+  plan: kernel resolution + argument checks + pruned snapshot fan-out
+  list per select-list item, plus the picklable per-series task
+  envelopes backends consume;
 * :mod:`repro.service.kernels` — the one compute path:
   ``compute_chunk`` turns a chunk of envelopes into array-form answers
   (chunk-stacked ``reduceat`` kernels, scores included);
@@ -23,8 +23,8 @@ reload a segment.
   process backend ships those arrays through (descriptor pickling,
   crash-safe arena lifecycle);
 * :mod:`repro.service.executor` — runs the plan through the selected
-  backend, ranks the per-series results, and renders them to JSON
-  straight from the arrays;
+  backend, ranks the per-series results, and returns the one
+  :class:`StatementResult`, rendered to JSON straight from the arrays;
 * :mod:`repro.service.cache` — the shared materialised-view cache.
 """
 
@@ -38,12 +38,9 @@ from repro.service.backends import (
 from repro.service.cache import CacheStats, MatrixCache
 from repro.service.executor import (
     CatalogQueryService,
-    MultiSelectResult,
-    SelectResult,
     SeriesResult,
-    SimulateResult,
+    StatementResult,
 )
-from repro.service.plan import LogicalPlan, explain, logical_plan
 from repro.service.planner import (
     AGGREGATES,
     KERNELS,
@@ -62,18 +59,13 @@ __all__ = [
     "ExecutorBackend",
     "ItemPlan",
     "KERNELS",
-    "LogicalPlan",
     "MatrixCache",
-    "MultiSelectResult",
     "ProcessBackend",
     "QueryPlan",
-    "SelectResult",
     "SequentialBackend",
     "SeriesResult",
     "ShmArena",
-    "SimulateResult",
-    "explain",
-    "logical_plan",
+    "StatementResult",
     "make_backend",
     "plan_statement",
     "shm_available",

@@ -1,4 +1,4 @@
-"""Parallel execution of planned catalog-wide SELECT statements.
+"""Execution of planned catalog-wide SELECT / SIMULATE statements.
 
 One :class:`CatalogQueryService` owns a catalog, an executor backend, and
 a :class:`~repro.service.cache.MatrixCache`.  Executing a statement turns
@@ -11,7 +11,7 @@ come back in deterministic order: series id, or score-descending when
 ``TOP k`` ranks.
 
 Both backends run the same kernel code
-(:func:`repro.service.kernels.compute_chunk`) and hands back the same
+(:func:`repro.service.kernels.compute_chunk`) and hand back the same
 array-form answers; :class:`SeriesResult` keeps them as arrays, so a
 statement's JSON payload is built straight from ``ndarray.tolist()`` and
 the per-series python objects of the one-shot query API exist only for
@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from operator import add
 from pathlib import Path
 from typing import Any
 
@@ -50,19 +52,12 @@ from repro.service.synopsis import estimate_series
 from repro.store.binary import compute_view_synopsis
 from repro.store.catalog import Catalog, load_segment_columns
 from repro.util.jsonio import canonical_dumps
-from repro.view.sql import (
-    SelectQuery,
-    SimulateQuery,
-    parse_statement,
-    render_statement,
-)
+from repro.view.sql import CatalogQuery, parse_statement, render_statement
 
 __all__ = [
     "CatalogQueryService",
-    "MultiSelectResult",
-    "SelectResult",
     "SeriesResult",
-    "SimulateResult",
+    "StatementResult",
     "restrict_time_range",
 ]
 
@@ -172,195 +167,151 @@ class SeriesResult:
         )
 
 
-class _StatementResult:
-    """``json()`` / ``len()`` / iteration shared by the statement results."""
+@dataclass(frozen=True)
+class StatementResult:
+    """Everything one SELECT / SIMULATE statement produced.
 
-    def _entries(self) -> tuple[Any, ...]:
-        return self.results
+    A statement has one *item* per select-list entry (SIMULATE is the
+    single item ``simulate``), and a single-item result is its own only
+    item: ``aggregate`` is the kernel name, ``arguments`` its bound
+    arguments (for ``simulate`` the world count and the *resolved* seed —
+    the default when the statement omitted ``SEED`` — so re-running
+    ``SIMULATE {n} SEED {seed}`` reproduces the result bit-for-bit on any
+    backend), ``results`` the (possibly TOP-k-truncated) per-series
+    results in result order, ``matched`` every series id the SERIES
+    pattern selected, and ``stats`` the pruning counters.
+
+    A multi-item result holds those complete results in ``parts``, in
+    select-list order — each bit-identical to running that item as its
+    own statement, they merely shared one scan — and follows one rule:
+    every statement-level field is its items' fields put together.
+    ``results`` concatenates theirs, ``aggregate`` joins theirs with
+    ``", "``, ``stats`` sums theirs, ``matched`` is the one list they
+    share; the per-item ``arguments`` / ``score_label`` stay empty.
+    ``len()`` and iteration go over ``results`` on every kind.
+
+    ``trace`` is the statement's :class:`~repro.obs.trace.QueryTrace`
+    when one was recorded (excluded from equality — two runs of the same
+    statement are the same result).
+    """
+
+    aggregate: str
+    results: tuple[SeriesResult, ...]
+    matched: tuple[str, ...]
+    stats: PlanStats
+    arguments: tuple[float, ...] = ()
+    score_label: str = ""
+    parts: tuple["StatementResult", ...] = ()
+    trace: Any = field(default=None, compare=False, repr=False)
+
+    @classmethod
+    def combined(cls, parts: list["StatementResult"]) -> "StatementResult":
+        """The statement-level result of a select list's item results."""
+        if len(parts) == 1:
+            return parts[0]
+        return cls(
+            aggregate=", ".join(part.aggregate for part in parts),
+            results=tuple(
+                entry for part in parts for entry in part.results
+            ),
+            matched=parts[0].matched,
+            stats=reduce(add, (part.stats for part in parts)),
+            parts=tuple(parts),
+        )
+
+    @property
+    def items(self) -> tuple["StatementResult", ...]:
+        """One result per select-list item (``(self,)`` for a single one)."""
+        return self.parts or (self,)
+
+    @property
+    def approx(self) -> bool:
+        """Answered from synopses alone.
+
+        Every entry's ``result`` is then an estimate/error-bound mapping
+        instead of exact rows.
+        """
+        return self.stats.approx
+
+    @property
+    def kind(self) -> str:
+        """``select`` / ``approx`` / ``simulate`` / ``multi_select``."""
+        if self.parts:
+            return "multi_select"
+        if self.aggregate == "simulate":
+            return "simulate"
+        return "approx" if self.approx else "select"
+
+    def to_dict(self) -> dict[str, Any]:
+        """This result as the JSON-ready payload the wire protocol sends.
+
+        A multi-item result is ``multi_select``: ``statements`` holds one
+        full payload per item — byte-for-byte what each would produce as
+        its own statement.  ``simulate`` lists per series its sampled
+        ``worlds``, each ``[t, value]`` pairs in ascending time order
+        with ``null`` marking the OUTSIDE (off-grid) alternative, and
+        names its own reproduction recipe (``n_worlds``, resolved
+        ``seed``).  Everything else is ``select``: per series a score
+        plus exact ``rows`` — or, flagged ``approx``, the estimate with
+        its proven interval (the payload's ``kind`` stays ``"select"``:
+        the wire shape predates :attr:`kind` and is pinned by clients).
+        The ``pruning`` block shows how much work the zone maps saved.
+        """
+        if self.parts:
+            return {
+                "kind": "multi_select",
+                "statements": [part.to_dict() for part in self.parts],
+            }
+        matched = [str(series_id) for series_id in self.matched]
+        if self.aggregate == "simulate":
+            n_worlds, seed = self.arguments
+            payload = {
+                "kind": "simulate",
+                "n_worlds": int(n_worlds),
+                "seed": int(seed),
+                "matched": matched,
+                "results": [
+                    {"series": entry.series_id, "worlds": entry.rows()}
+                    for entry in self.results
+                ],
+            }
+        else:
+            payload_key = "approx" if self.approx else "rows"
+            payload = {
+                "kind": "select",
+                "aggregate": self.aggregate,
+                "score_label": self.score_label,
+                "matched": matched,
+                "results": [
+                    {
+                        "series": entry.series_id,
+                        "score": float(entry.score),
+                        payload_key: entry.rows(),
+                    }
+                    for entry in self.results
+                ],
+            }
+            if self.approx:
+                payload["approx"] = True
+        payload["pruning"] = self.stats.as_dict()
+        return payload
 
     def json(self) -> str:
         """Canonical JSON of :meth:`to_dict` (deterministic bytes)."""
         return canonical_dumps(self.to_dict())
 
     def __len__(self) -> int:
-        return len(self._entries())
+        return len(self.results)
 
     def __iter__(self):
-        return iter(self._entries())
-
-
-@dataclass(frozen=True)
-class SelectResult(_StatementResult):
-    """Everything one SELECT statement produced.
-
-    ``results`` holds the (possibly TOP-k-truncated) per-series results in
-    result order; ``matched`` every series id the SERIES pattern selected,
-    so a truncated result still reports what was scanned.  ``stats``
-    carries the pruning counters of this query; for ``approx=True``
-    results every entry's ``result`` is an estimate/error-bound mapping
-    instead of exact rows.  ``trace`` is the query's
-    :class:`~repro.obs.trace.QueryTrace` when one was recorded (excluded
-    from equality — two runs of the same statement are the same result).
-    """
-
-    aggregate: str
-    score_label: str
-    results: tuple[SeriesResult, ...]
-    matched: tuple[str, ...]
-    stats: PlanStats | None = None
-    approx: bool = False
-    trace: Any = field(default=None, compare=False, repr=False)
-
-    def scores(self) -> dict[str, float]:
-        return {entry.series_id: entry.score for entry in self.results}
-
-    @property
-    def kind(self) -> str:
-        """Uniform result discriminator: ``"approx"`` or ``"select"``."""
-        return "approx" if self.approx else "select"
-
-    def to_dict(self) -> dict[str, Any]:
-        """This result as the JSON-ready payload the wire protocol sends.
-
-        APPROX results carry per-series ``approx`` mappings (estimate
-        plus its proven interval) instead of exact ``rows``; exact
-        results with plan statistics additionally carry a ``pruning``
-        block so clients see how much work the zone maps saved.  The
-        payload's ``kind`` stays ``"select"`` with an ``approx`` flag —
-        the wire shape predates :attr:`kind` and is pinned by clients.
-        """
-        payload_key = "approx" if self.approx else "rows"
-        entries = [
-            {
-                "series": entry.series_id,
-                "score": float(entry.score),
-                payload_key: entry.rows(),
-            }
-            for entry in self.results
-        ]
-        payload: dict[str, Any] = {
-            "kind": "select",
-            "aggregate": self.aggregate,
-            "score_label": self.score_label,
-            "matched": [str(series_id) for series_id in self.matched],
-            "results": entries,
-        }
-        if self.approx:
-            payload["approx"] = True
-        if self.stats is not None:
-            payload["pruning"] = self.stats.as_dict()
-        return payload
+        return iter(self.results)
 
     def __repr__(self) -> str:
         return (
-            f"SelectResult(aggregate={self.aggregate!r}, "
+            f"StatementResult(kind={self.kind!r}, "
+            f"aggregate={self.aggregate!r}, "
             f"series={len(self.results)}/{len(self.matched)})"
         )
-
-
-@dataclass(frozen=True)
-class SimulateResult(_StatementResult):
-    """Everything one SIMULATE statement produced.
-
-    ``results`` holds one :class:`SeriesResult` per matched series (in
-    series-id order) whose ``result`` is the list of sampled worlds —
-    each world a ``[t, value]`` list in ascending time order, ``value``
-    ``None`` for the OUTSIDE alternative.  ``seed`` is the *resolved*
-    statement seed (the default seed when the statement omitted ``SEED``),
-    so re-running ``SIMULATE {n} SEED {seed}`` reproduces the result
-    bit-for-bit on any backend.
-    """
-
-    n_worlds: int
-    seed: int
-    results: tuple[SeriesResult, ...]
-    matched: tuple[str, ...]
-    stats: PlanStats | None = None
-    trace: Any = field(default=None, compare=False, repr=False)
-
-    @property
-    def aggregate(self) -> str:
-        return "simulate"
-
-    @property
-    def kind(self) -> str:
-        return "simulate"
-
-    def to_dict(self) -> dict[str, Any]:
-        """This result as the JSON-ready payload the wire protocol sends.
-
-        Per series, ``worlds`` is a list of sampled worlds; each world
-        lists ``[t, value]`` pairs in ascending time order with ``null``
-        marking the OUTSIDE (off-grid) alternative.  ``seed`` is the
-        resolved statement seed, so the payload names its own
-        reproduction recipe.
-        """
-        entries = [
-            {"series": entry.series_id, "worlds": entry.rows()}
-            for entry in self.results
-        ]
-        payload: dict[str, Any] = {
-            "kind": "simulate",
-            "n_worlds": int(self.n_worlds),
-            "seed": int(self.seed),
-            "matched": [str(series_id) for series_id in self.matched],
-            "results": entries,
-        }
-        if self.stats is not None:
-            payload["pruning"] = self.stats.as_dict()
-        return payload
-
-    def __repr__(self) -> str:
-        return (
-            f"SimulateResult(n_worlds={self.n_worlds}, seed={self.seed}, "
-            f"series={len(self.results)})"
-        )
-
-
-@dataclass(frozen=True)
-class MultiSelectResult(_StatementResult):
-    """A multi-aggregate select list's results, one entry per item.
-
-    ``items`` holds one complete :class:`SelectResult` per select-list
-    item, in select-list order — each bit-identical to running that item
-    as its own single-aggregate statement (same pruning, same ranking,
-    same stats), they merely shared one scan.
-    """
-
-    items: tuple[SelectResult, ...]
-    trace: Any = field(default=None, compare=False, repr=False)
-
-    @property
-    def aggregate(self) -> str:
-        return ", ".join(item.aggregate for item in self.items)
-
-    @property
-    def stats(self) -> PlanStats | None:
-        """No single pruning record exists — read ``items[*].stats``."""
-        return None
-
-    @property
-    def kind(self) -> str:
-        return "multi_select"
-
-    def to_dict(self) -> dict[str, Any]:
-        """This result as the JSON-ready payload the wire protocol sends.
-
-        ``statements`` holds one full :meth:`SelectResult.to_dict`
-        payload per select-list item, in list order — byte-for-byte the
-        payload each item would produce as its own statement, which is
-        exactly the bit-identity the acceptance tests pin.
-        """
-        return {
-            "kind": "multi_select",
-            "statements": [item.to_dict() for item in self.items],
-        }
-
-    def _entries(self) -> tuple[SelectResult, ...]:
-        return self.items
-
-    def __repr__(self) -> str:
-        return f"MultiSelectResult(aggregates={self.aggregate!r})"
 
 
 class CatalogQueryService:
@@ -499,10 +450,10 @@ class CatalogQueryService:
     # ------------------------------------------------------------------
     def execute(
         self,
-        statement: str | SelectQuery | SimulateQuery,
+        statement: str | CatalogQuery,
         *,
         trace: QueryTrace | None = None,
-    ) -> "SelectResult | SimulateResult | MultiSelectResult":
+    ) -> StatementResult:
         """Parse (if needed), plan, and run one SELECT/SIMULATE statement.
 
         The statement's own ``FROM CATALOG`` path is checked against this
@@ -537,7 +488,7 @@ class CatalogQueryService:
 
     def execute_plan(
         self, plan: QueryPlan, *, trace: QueryTrace | None = None
-    ) -> "SelectResult | SimulateResult | MultiSelectResult":
+    ) -> StatementResult:
         """Run an already-bound plan: fan out, gather, rank.
 
         APPROX plans never reach the backend: they are answered inline
@@ -551,55 +502,64 @@ class CatalogQueryService:
 
     def _execute_traced(
         self, plan: QueryPlan, trace: QueryTrace, own: bool
-    ) -> "SelectResult | SimulateResult | MultiSelectResult":
-        """Run a plan under a trace; finish the trace only when owned."""
+    ) -> StatementResult:
+        """Run a plan under a trace; finish the trace only when owned.
+
+        A closed service refuses new statements with a clear
+        :class:`~repro.exceptions.QueryError` on *every* backend — the
+        process pool in particular must never surface a pickled
+        ``BrokenProcessPool`` traceback for a deliberate ``close()``.
+        """
+        if self._closed:
+            raise QueryError(
+                "service closed: CatalogQueryService.close() was called; "
+                "create a new service to keep querying"
+            )
         if trace.enabled:
             trace.backend = self._backend.name
             trace.transport = self._backend.transport
-        if plan.stats.approx:
-            result = self._execute_approx(plan, trace=trace)
+        items = plan.items
+        if plan.query.approx:
+            with trace.stage("compute"):
+                item, gathered = self._estimate(items[0])
+            items = (item,)
         else:
             # One fan-out for the whole statement: every item's tasks in
             # one backend pass, so a multi-aggregate select list shares the
             # warm cache (and, per cache key, the materialised views)
             # its items would otherwise each load alone.
-            jobs = [
-                (item, task)
-                for item in plan.items
-                for task in item.tasks
-            ]
+            jobs = [(item, task) for item in items for task in item.tasks]
             with trace.stage("fan_out"):
                 gathered = self._map_tasks(jobs, trace=trace)
-            with trace.stage("finalize"):
-                per_item = []
-                offset = 0
-                for item in plan.items:
-                    count = len(item.tasks)
-                    per_item.append(
-                        self._finalize_item(
-                            plan.query,
-                            item,
-                            gathered[offset : offset + count],
-                        )
+        with trace.stage("finalize"):
+            parts = []
+            offset = 0
+            for item in items:
+                count = len(item.tasks)
+                parts.append(
+                    self._finalize_item(
+                        plan.query, item, gathered[offset : offset + count]
                     )
-                    offset += count
-            result = self._wrap(plan, per_item, trace)
+                )
+                offset += count
+            result = replace(
+                StatementResult.combined(parts),
+                trace=trace if trace.enabled else None,
+            )
         self._observe_query(trace, result)
         if own:
             trace.finish()
         return result
 
-    def accepts(self, query: SelectQuery | SimulateQuery) -> bool:
+    def accepts(self, query: CatalogQuery) -> bool:
         """Whether a parsed statement addresses this service's catalog."""
         return Path(query.catalog_path).resolve() == self._root_resolved
 
-    def _coerce(
-        self, statement: str | SelectQuery | SimulateQuery
-    ) -> SelectQuery | SimulateQuery:
+    def _coerce(self, statement: str | CatalogQuery) -> CatalogQuery:
         """Parse if needed and pin the statement to this catalog."""
         if isinstance(statement, str):
             parsed = parse_statement(statement)
-            if not isinstance(parsed, (SelectQuery, SimulateQuery)):
+            if not isinstance(parsed, CatalogQuery):
                 raise QueryError(
                     "CatalogQueryService executes SELECT and SIMULATE "
                     "statements; use Database.execute for CREATE VIEW"
@@ -620,21 +580,11 @@ class CatalogQueryService:
     ) -> list[SeriesResult]:
         """Run ``(item, task)`` jobs through the backend.
 
-        A closed service refuses new statements with a clear
-        :class:`~repro.exceptions.QueryError` on *every* backend — the
-        process pool in particular must never surface a pickled
-        ``BrokenProcessPool`` traceback for a deliberate ``close()``.
-
         Worker-side per-series spans come back on the array results
         and are merged into ``trace`` here, on the driving thread — the
         merge looks identical whether the work ran inline or in
         spawn-started worker processes.
         """
-        if self._closed:
-            raise QueryError(
-                "service closed: CatalogQueryService.close() was called; "
-                "create a new service to keep querying"
-            )
         envelopes = [item.envelope(task) for item, task in jobs]
         gathered = self._backend.map(envelopes)
         merge = trace.enabled
@@ -654,10 +604,10 @@ class CatalogQueryService:
 
     def _finalize_item(
         self,
-        query: SelectQuery | SimulateQuery,
+        query: CatalogQuery,
         item: ItemPlan,
         gathered: list[SeriesResult],
-    ) -> SelectResult:
+    ) -> StatementResult:
         """Rank, truncate, and wrap one item's gathered results.
 
         Series the prune phase skipped entirely contribute their
@@ -672,130 +622,83 @@ class CatalogQueryService:
                     empty_result(series_id, item.kernel.name, item.arguments)
                 )
             gathered = [by_id[series_id] for series_id in item.series_ids]
-        top_k = getattr(query, "top_k", None)
-        if top_k is not None:
+        if query.top_k is not None:
             gathered = sorted(
                 gathered,
                 key=lambda entry: (-entry.score, entry.series_id),
-            )[:top_k]
+            )[: query.top_k]
         self._record_stats(item.stats, item.kernel.name)
-        return SelectResult(
+        return StatementResult(
             aggregate=item.kernel.name,
-            score_label=item.kernel.score_label,
             results=tuple(gathered),
             matched=tuple(item.series_ids),
             stats=item.stats,
+            arguments=item.arguments,
+            score_label=item.kernel.score_label,
         )
 
-    def _wrap(
-        self,
-        plan: QueryPlan,
-        per_item: list[SelectResult],
-        trace: QueryTrace,
-    ) -> "SelectResult | SimulateResult | MultiSelectResult":
-        """Combine finalized items into the statement's result shape."""
-        attached = trace if trace.enabled else None
-        if isinstance(plan.query, SimulateQuery):
-            inner = per_item[0]
-            n_worlds, seed = plan.items[0].arguments
-            return SimulateResult(
-                n_worlds=int(n_worlds),
-                seed=int(seed),
-                results=inner.results,
-                matched=inner.matched,
-                stats=inner.stats,
-                trace=attached,
-            )
-        if len(per_item) == 1:
-            return replace(per_item[0], trace=attached)
-        return MultiSelectResult(items=tuple(per_item), trace=attached)
+    def _estimate(
+        self, item: ItemPlan
+    ) -> tuple[ItemPlan, list[SeriesResult]]:
+        """Answer an APPROX item from synopses alone (no backend fan-out).
 
-    def _execute_approx(
-        self, plan: QueryPlan, *, trace: QueryTrace
-    ) -> SelectResult:
-        """Answer an APPROX plan from synopses alone (no backend fan-out).
-
-        Segments without a stored synopsis — catalogs written before this
-        build and never ``synopsize``d — are loaded once and their
-        synopsis computed in memory, so old catalogs degrade to a scan
-        instead of erroring; the count of such lazy loads is reported as
-        ``segments_scanned``.  Partially-shadowed segments (some of their
-        valid times superseded by newer visible revisions) get the same
-        treatment: their stored synopsis covers rows the AS OF view
-        excludes, so the bounds are recomputed from the masked columns —
-        segments invisible at the AS OF point never reach this loop at
-        all (the planner's frontier already excluded them).
+        Per series a handful of float comparisons, independent of the
+        stored tuple count.  Segments without a stored synopsis —
+        catalogs written before this build and never ``synopsize``d —
+        are loaded once and their synopsis computed in memory, so old
+        catalogs degrade to a scan instead of erroring; the count of
+        such lazy loads comes back as the item's ``segments_scanned``.
+        Partially-shadowed segments (some of their valid times
+        superseded by newer visible revisions) get the same treatment:
+        their stored synopsis covers rows the AS OF view excludes, so
+        the bounds are recomputed from the masked columns — segments
+        invisible at the AS OF point never reach this loop at all (the
+        planner's frontier already excluded them).
         """
-        if self._closed:
-            raise QueryError(
-                "service closed: CatalogQueryService.close() was called; "
-                "create a new service to keep querying"
-            )
         lazy_loads = 0
         gathered: list[SeriesResult] = []
-        with trace.stage("compute"):
-            for task in plan.tasks:
-                snapshot = task.snapshot
-                shadows = task.shadows or ((),) * len(task.segments)
-                stored = (
-                    task.synopses
-                    if len(task.synopses) == len(task.segments)
-                    else snapshot.segment_synopses()
+        for task in item.tasks:
+            snapshot = task.snapshot
+            shadows = task.shadows or ((),) * len(task.segments)
+            synopses = []
+            try:
+                for name, shadow, synopsis in zip(
+                    task.segments, shadows, task.synopses
+                ):
+                    if synopsis is None or shadow:
+                        columns = load_segment_columns(
+                            snapshot.directory, name, shadow=shadow
+                        )
+                        synopsis = compute_view_synopsis(
+                            columns["t"],
+                            columns["low"],
+                            columns["high"],
+                            columns["probability"],
+                        )
+                        lazy_loads += 1
+                    synopses.append(synopsis)
+                estimate = estimate_series(
+                    item.kernel.name,
+                    item.arguments,
+                    synopses,
+                    item.time_lo,
+                    item.time_hi,
                 )
-                synopses = []
-                try:
-                    for name, shadow, synopsis in zip(
-                        task.segments, shadows, stored
-                    ):
-                        if synopsis is None or shadow:
-                            columns = load_segment_columns(
-                                snapshot.directory, name, shadow=shadow
-                            )
-                            synopsis = compute_view_synopsis(
-                                columns["t"],
-                                columns["low"],
-                                columns["high"],
-                                columns["probability"],
-                            )
-                            lazy_loads += 1
-                        synopses.append(synopsis)
-                    estimate = estimate_series(
-                        plan.aggregate.name,
-                        plan.arguments,
-                        synopses,
-                        plan.query.time_lo,
-                        plan.query.time_hi,
-                    )
-                except (ReproError, OSError) as exc:
-                    raise QueryError(
-                        f"APPROX {plan.aggregate.name!r} failed on series "
-                        f"{task.series_id!r}: {exc}"
-                    ) from exc
-                gathered.append(
-                    SeriesResult(
-                        task.series_id,
-                        estimate.estimate,
-                        "approx",
-                        meta=(estimate.as_result(),),
-                    )
+            except (ReproError, OSError) as exc:
+                raise QueryError(
+                    f"APPROX {item.kernel.name!r} failed on series "
+                    f"{task.series_id!r}: {exc}"
+                ) from exc
+            gathered.append(
+                SeriesResult(
+                    task.series_id,
+                    estimate.estimate,
+                    "approx",
+                    meta=(estimate.as_result(),),
                 )
-        with trace.stage("finalize"):
-            if plan.query.top_k is not None:
-                gathered = sorted(
-                    gathered,
-                    key=lambda entry: (-entry.score, entry.series_id),
-                )[: plan.query.top_k]
-            stats = replace(plan.stats, segments_scanned=lazy_loads)
-            self._record_stats(stats, plan.aggregate.name)
-        return SelectResult(
-            aggregate=plan.aggregate.name,
-            score_label=plan.aggregate.score_label,
-            results=tuple(gathered),
-            matched=tuple(plan.series_ids),
-            stats=stats,
-            approx=True,
-            trace=trace if trace.enabled else None,
-        )
+            )
+        stats = replace(item.stats, segments_scanned=lazy_loads)
+        return replace(item, stats=stats), gathered
 
     # ------------------------------------------------------------------
     # Observability.
@@ -822,17 +725,14 @@ class CatalogQueryService:
     def _observe_query(
         self,
         trace: QueryTrace,
-        result: "SelectResult | SimulateResult | MultiSelectResult",
+        result: StatementResult,
     ) -> None:
         """Latency histogram + slow-query log for one finished statement."""
         if not trace.enabled:
             return
         elapsed = trace.elapsed()
         self._obs_query_seconds.observe(elapsed, aggregate=result.aggregate)
-        extra = (
-            result.stats.as_dict() if result.stats is not None else None
-        )
-        self.slow_log.observe(trace, extra=extra)
+        self.slow_log.observe(trace, extra=result.stats.as_dict())
 
     def execution_stats(self) -> dict[str, int]:
         """Cumulative pruning/approx counters since the service started."""

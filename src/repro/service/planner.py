@@ -1,16 +1,14 @@
-"""Physical planning: lower logical plans into per-series tasks.
+"""Physical planning: lower parsed statements into per-series tasks.
 
-A parsed :class:`~repro.view.sql.SelectQuery` /
-:class:`~repro.view.sql.SimulateQuery` is inert text.  This module builds
-its logical tree (:mod:`repro.service.plan`: scan → prune → kernels →
-combine → finalize) and lowers it against a catalog: every kernel name
-resolves against the registry (argument arity and domains checked up
-front, not deep in a worker thread), the ``SERIES`` glob expands against
-the catalog manifest, the prune node consults segment synopses, and each
-matched series becomes one :class:`SeriesTask` carrying a read-only
+A parsed :class:`~repro.view.sql.CatalogQuery` is inert text.  This
+module lowers it against a catalog: every item's kernel name resolves
+against the registry (argument arity and domains checked up front, not
+deep in a worker), the ``SERIES`` glob expands against the catalog
+manifest, the prune phase consults segment synopses, and each matched
+series becomes one :class:`SeriesTask` carrying a read-only
 :class:`~repro.store.catalog.SeriesSnapshot` plus its cache key.  The
-executor (:mod:`repro.service.executor`) then runs tasks in any order, on
-any thread or process, without touching shared catalog state.
+executor (:mod:`repro.service.executor`) then runs tasks in any order,
+inline or on worker processes, without touching shared catalog state.
 
 This module owns what a kernel *is called* and what arguments it takes
 (:class:`KernelSpec`: arity, domain checks, the label of the per-series
@@ -22,17 +20,15 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.exceptions import InvalidParameterError, QueryError
 from repro.obs.trace import NULL_TRACE
-from repro.service.plan import FinalizeNode, logical_plan
-from repro.service.plan import explain as explain_logical
 from repro.service.synopsis import prune_segments
 from repro.store.catalog import Catalog, SeriesSnapshot
 from repro.util.rng import DEFAULT_SEED
-from repro.view.sql import SelectItem, SelectQuery, SimulateQuery
+from repro.view.sql import CatalogQuery, SelectItem
 
 __all__ = [
     "AGGREGATES",
@@ -197,6 +193,17 @@ class PlanStats:
             "approx": self.approx,
         }
 
+    def __add__(self, other: "PlanStats") -> "PlanStats":
+        """Counters summed: what two items of one statement did together."""
+        return PlanStats(
+            series_matched=self.series_matched + other.series_matched,
+            series_skipped=self.series_skipped + other.series_skipped,
+            segments_total=self.segments_total + other.segments_total,
+            segments_scanned=self.segments_scanned + other.segments_scanned,
+            segments_pruned=self.segments_pruned + other.segments_pruned,
+            approx=self.approx or other.approx,
+        )
+
 
 @dataclass(frozen=True)
 class SeriesTask:
@@ -229,8 +236,8 @@ class SeriesTask:
 class TaskEnvelope:
     """The picklable, self-contained form of one per-series unit of work.
 
-    Everything a worker — a pool thread *or a separate process* — needs to
-    compute one series' contribution: where the (surviving) segments live,
+    Everything a worker — the calling thread or a separate process — needs
+    to compute one series' contribution: where the (surviving) segments live,
     which kernel to run (by registry name, so the callable never crosses a
     process boundary), its already-validated arguments, and the cache key
     identifying the materialised view.  Plain strings/tuples throughout so
@@ -296,97 +303,63 @@ class ItemPlan:
         )
 
     def label(self) -> str:
-        """The item as written: ``exceedance(21)``, ``PROBABILITY OF ...``."""
-        if self.kernel.name == "probability_of":
-            low, high = self.arguments
-            column = self.column or "v"
-            return f"PROBABILITY OF {column} BETWEEN {low:g} AND {high:g}"
-        if self.kernel.name == "simulate":
-            n_worlds, seed = self.arguments
-            return f"simulate({int(n_worlds)} worlds, seed {int(seed)})"
-        if self.arguments:
-            rendered = ", ".join(f"{a:g}" for a in self.arguments)
-            return f"{self.kernel.name}({rendered})"
-        return self.kernel.name
+        """The bound item as written: ``exceedance(21)``, ``simulate(...)``."""
+        return SelectItem(
+            self.kernel.name, self.arguments, self.column
+        ).label()
 
 
 @dataclass(frozen=True)
 class QueryPlan:
     """A bound, executable form of one statement: the physical plan.
 
-    ``items`` holds one :class:`ItemPlan` per kernel of the statement
-    (one for a classic single-aggregate SELECT or a SIMULATE, several for
-    a multi-aggregate select list); ``logical`` the inert logical tree it
-    was lowered from.  The single-item accessors (``aggregate``,
-    ``arguments``, ``tasks``, ``skipped``, ``stats``, ``envelope``) read
-    the first item, keeping every pre-plan-tree caller working unchanged.
+    ``items`` holds one :class:`ItemPlan` per kernel of the statement:
+    one for a single-aggregate SELECT or a SIMULATE, several for a
+    multi-aggregate select list.
     """
 
-    query: SelectQuery | SimulateQuery
+    query: CatalogQuery
     items: tuple[ItemPlan, ...]
-    logical: FinalizeNode | None = field(
-        default=None, compare=False, repr=False
-    )
-
-    # -- legacy single-item accessors ----------------------------------
-    @property
-    def aggregate(self) -> KernelSpec:
-        return self.items[0].kernel
-
-    @property
-    def arguments(self) -> tuple[float, ...]:
-        return self.items[0].arguments
-
-    @property
-    def tasks(self) -> tuple[SeriesTask, ...]:
-        return self.items[0].tasks
-
-    @property
-    def skipped(self) -> tuple[str, ...]:
-        return self.items[0].skipped
-
-    @property
-    def stats(self) -> PlanStats:
-        return self.items[0].stats
-
-    @property
-    def series_ids(self) -> list[str]:
-        """Every matched series id (scanned and skipped), sorted."""
-        return self.items[0].series_ids
-
-    def envelope(self, task: SeriesTask) -> TaskEnvelope:
-        """The backend-facing form of one first-item task."""
-        return self.items[0].envelope(task)
 
     def describe(self) -> str:
-        first = self.items[0]
-        labels = ", ".join(item.label() for item in self.items)
-        mode = "APPROX " if first.stats.approx else ""
+        """One line: each item with what the prune phase did for *it*."""
+        items = ", ".join(
+            f"{item.label()} ({item.stats.segments_pruned} segments "
+            f"pruned, {item.stats.series_skipped} series skipped)"
+            for item in self.items
+        )
+        mode = "APPROX " if self.query.approx else ""
         return (
-            f"{mode}{labels} over {len(first.tasks)} "
-            f"series of {self.query.catalog_path} "
-            f"({first.stats.segments_pruned} segments pruned, "
-            f"{first.stats.series_skipped} series skipped)"
+            f"{mode}{items} over {self.items[0].stats.series_matched} "
+            f"series of {self.query.catalog_path}"
         )
 
     def explain(self) -> str:
-        """The logical tree this plan was lowered from, rendered."""
-        if self.logical is None:
-            return self.describe()
-        return explain_logical(self.logical)
+        """The statement as an indented five-level operator tree.
 
-
-def resolve_aggregate(name: str) -> KernelSpec:
-    """The registered SELECT-list kernel for ``name`` (case already lowered)."""
-    spec = AGGREGATES.get(name)
-    if spec is None:
-        raise QueryError(
-            f"unknown aggregate {name!r}; one of {', '.join(sorted(AGGREGATES))}"
+        Scan → Prune → Kernel (one per item) → Combine → Finalize, root
+        first.
+        """
+        query = self.query
+        if self.items[0].kernel is SIMULATE_KERNEL:
+            mode = "simulate"
+        else:
+            mode = "approx" if query.approx else "exact"
+        top = "" if query.top_k is None else f"(top {query.top_k})"
+        lo = "-inf" if query.time_lo is None else f"{query.time_lo:g}"
+        hi = "+inf" if query.time_hi is None else f"{query.time_hi:g}"
+        return "\n".join(
+            [f"Finalize{top}", f"  Combine[{mode}] x{len(self.items)}"]
+            + [f"    Kernel: {item.label()}" for item in self.items]
+            + [
+                f"    Prune(t in [{lo}, {hi}])",
+                f"      Scan({query.catalog_path!r}, "
+                f"series={query.series_pattern!r})",
+            ]
         )
-    return spec
 
 
-def _check_time_range(query: SelectQuery | SimulateQuery) -> None:
+def _check_time_range(query: CatalogQuery) -> None:
     """Guard programmatically built queries (the parser rejects earlier)."""
     if (
         query.time_lo is not None
@@ -399,65 +372,75 @@ def _check_time_range(query: SelectQuery | SimulateQuery) -> None:
 
 
 def _bound_items(
-    query: SelectQuery | SimulateQuery,
+    query: CatalogQuery,
 ) -> list[tuple[KernelSpec, tuple[float, ...], str | None]]:
-    """Resolve and bind every kernel of the statement, up front."""
-    if isinstance(query, SimulateQuery):
-        seed = DEFAULT_SEED if query.seed is None else query.seed
-        arguments = SIMULATE_KERNEL.bind(
-            (float(query.n_worlds), float(seed))
-        )
-        return [(SIMULATE_KERNEL, arguments, None)]
+    """Resolve and bind every kernel of the statement, up front.
+
+    The parser rejects most of this too; the guards here cover
+    programmatically built queries, so execution can assume at least
+    one item, a single item under APPROX, and ``simulate`` only alone.
+    """
+    if not query.items:
+        raise QueryError("a statement needs at least one select-list item")
     if query.approx and len(query.items) > 1:
-        # The parser rejects this too; guard programmatically built
-        # queries so the approx path can assume a single item.
         raise QueryError(
             f"APPROX supports a single aggregate, got a select list of "
             f"{len(query.items)} items"
         )
+    # ``simulate`` is a whole statement: it binds only as the sole item.
+    kernels = KERNELS if len(query.items) == 1 else AGGREGATES
     bound: list[tuple[KernelSpec, tuple[float, ...], str | None]] = []
     for item in query.items:
-        spec = resolve_aggregate(item.name)
+        spec = kernels.get(item.name)
+        if spec is None:
+            raise QueryError(
+                f"unknown aggregate {item.name!r}; one of "
+                f"{', '.join(sorted(AGGREGATES))}"
+            )
         if query.approx and spec.name not in APPROX_KERNELS:
             raise QueryError(
                 f"APPROX does not support {spec.name!r}; one of "
                 f"{', '.join(sorted(APPROX_KERNELS))}"
             )
-        bound.append((spec, spec.bind(item.arguments), item.column))
+        arguments = item.arguments
+        if spec is SIMULATE_KERNEL and len(arguments) == 1:
+            # SIMULATE without SEED: the framework default seed.
+            arguments += (float(DEFAULT_SEED),)
+        bound.append((spec, spec.bind(arguments), item.column))
     return bound
 
 
 def plan_statement(
     catalog: Catalog,
-    query: SelectQuery | SimulateQuery,
+    query: CatalogQuery,
     *,
     pruning: bool = True,
     trace: Any = NULL_TRACE,
 ) -> QueryPlan:
-    """Lower a parsed statement's logical tree against a catalog.
+    """Lower a parsed statement against a catalog.
 
     Raises :class:`~repro.exceptions.QueryError` for an unknown kernel or
     a pattern matching no series, and
     :class:`~repro.exceptions.InvalidParameterError` for argument arity
     or domain violations — all before any segment is read.
 
-    For exact plans the prune phase runs here, **per item** (pure
-    metadata work — snapshots carry their segment synopses): segments
-    whose synopsis proves non-contribution are dropped from the item's
-    task, and series with no surviving segment move to its ``skipped``
-    list, exactly as they would for the same kernel planned standalone.
+    The prune phase runs here, **per item** (pure metadata work —
+    snapshots carry their segment synopses): segments whose synopsis
+    proves non-contribution are dropped from the item's task, and series
+    with no surviving segment move to its ``skipped`` list, exactly as
+    they would for the same kernel planned standalone.
     ``pruning=False`` keeps the full scan — the parity reference the
-    property tests compare against.  APPROX plans carry every snapshot;
-    the executor answers them from synopses without backend fan-out.
+    property tests compare against.  APPROX plans never prune: their
+    tasks carry every visible segment's synopsis, which the executor
+    answers from without backend fan-out.
 
     ``trace`` gets two spans: ``plan`` (binding, manifest expansion, task
-    construction) and ``prune`` (the synopsis scans, summed across items)
-    — split out because a slow plan and a slow prune point at different
-    fixes.
+    construction) and, for exact plans, ``prune`` (the synopsis scans,
+    summed across items) — split out because a slow plan and a slow
+    prune point at different fixes.
     """
     plan_offset = trace.offset()
     plan_t0 = time.perf_counter()
-    logical = logical_plan(query)
     bound = _bound_items(query)
     _check_time_range(query)
     root = str(catalog.root)
@@ -467,44 +450,10 @@ def plan_statement(
     # time, and which of their valid-time rows newer revisions shadow.
     # On never-revised series this is the full segment list with an
     # empty token, so cache keys and load paths stay bit-identical.
-    as_of = getattr(query, "as_of", None)
-    frontiers = [snapshot.as_of(as_of) for snapshot in snapshots]
+    frontiers = [snapshot.as_of(query.as_of) for snapshot in snapshots]
     segments_total = sum(len(snapshot.segments) for snapshot in snapshots)
-    if getattr(query, "approx", False):
-        spec, arguments, column = bound[0]
-        tasks = tuple(
-            SeriesTask(
-                snapshot=snapshot,
-                segments=frontier.segments,
-                cache_key=(
-                    root,
-                    snapshot.series_id,
-                    snapshot.generation,
-                    (),
-                    frontier.token,
-                ),
-                shadows=frontier.shadows,
-                synopses=frontier.synopses,
-            )
-            for snapshot, frontier in zip(snapshots, frontiers)
-        )
-        stats = PlanStats(
-            series_matched=len(snapshots),
-            segments_total=segments_total,
-            approx=True,
-        )
-        item = ItemPlan(
-            kernel=spec,
-            arguments=arguments,
-            tasks=tasks,
-            skipped=(),
-            stats=stats,
-            time_lo=query.time_lo,
-            time_hi=query.time_hi,
-            column=column,
-        )
-        trace.add_stage("plan", plan_offset, time.perf_counter() - plan_t0)
-        return QueryPlan(query=query, items=(item,), logical=logical)
+    approx = query.approx
+    prune = pruning and not approx
     # Pass 1 — the prune phase proper, timed as its own span: every
     # item's surviving segment lists (or the full lists with pruning
     # off).  Pure metadata work against the segment synopses.
@@ -512,7 +461,7 @@ def plan_statement(
     prune_t0 = time.perf_counter()
     survivors_per_item: list[list[tuple[str, ...]]] = []
     for spec, arguments, _column in bound:
-        if pruning:
+        if prune:
             survivors_per_item.append(
                 [
                     prune_segments(
@@ -544,7 +493,7 @@ def plan_statement(
         for snapshot, frontier, surviving in zip(
             snapshots, frontiers, survivors
         ):
-            if pruning and not surviving:
+            if prune and not surviving:
                 skipped.append(snapshot.series_id)
                 continue
             segments_scanned += len(surviving)
@@ -572,14 +521,21 @@ def plan_statement(
                         frontier.token,
                     ),
                     shadows=shadows,
+                    synopses=frontier.synopses if approx else (),
                 )
             )
+        segments_pruned = segments_total - segments_scanned
+        if approx:
+            # Nothing is scanned or pruned at plan time; the executor
+            # fills in the segments it had to load for a missing synopsis.
+            segments_scanned = segments_pruned = 0
         stats = PlanStats(
             series_matched=len(snapshots),
             series_skipped=len(skipped),
             segments_total=segments_total,
             segments_scanned=segments_scanned,
-            segments_pruned=segments_total - segments_scanned,
+            segments_pruned=segments_pruned,
+            approx=approx,
         )
         items.append(
             ItemPlan(
@@ -594,6 +550,9 @@ def plan_statement(
             )
         )
     plan_s = time.perf_counter() - plan_t0
-    trace.add_stage("plan", plan_offset, max(0.0, plan_s - prune_s))
-    trace.add_stage("prune", prune_offset, prune_s)
-    return QueryPlan(query=query, items=tuple(items), logical=logical)
+    if approx:
+        trace.add_stage("plan", plan_offset, plan_s)
+    else:
+        trace.add_stage("plan", plan_offset, max(0.0, plan_s - prune_s))
+        trace.add_stage("prune", prune_offset, prune_s)
+    return QueryPlan(query=query, items=tuple(items))

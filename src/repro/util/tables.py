@@ -5,8 +5,8 @@ this module renders them as aligned ASCII tables so the output is readable in
 pytest logs without any plotting dependency.  :func:`render_result` is the
 one query-result renderer the CLI ``query`` verb prints through — it
 consumes the serialized payload shape
-(:meth:`~repro.service.executor.SelectResult.to_dict` / the wire result), so
-in-process and over-the-wire results render identically.
+(:meth:`~repro.service.executor.StatementResult.to_dict` / the wire
+result), so in-process and over-the-wire results render identically.
 """
 
 from __future__ import annotations

@@ -42,12 +42,11 @@ highest-scoring series.  An optional ``APPROX`` modifier directly after
 in time independent of the stored tuple count.  An optional ``AS OF
 <knowledge_time>`` clause (after WHERE, before TOP) replays the catalog
 as known at that knowledge time: revisions recorded later are invisible
-(see :meth:`repro.store.catalog.SeriesSnapshot.as_of`).  Parsing yields
-an inert :class:`SelectQuery`; planning and execution belong to
-:mod:`repro.service`.
+(see :meth:`repro.store.catalog.SeriesSnapshot.as_of`).
 
-A third statement samples complete possible worlds from every matched
-series (the MCDB-style ``SIMULATE`` of BQL)::
+``SIMULATE`` samples complete possible worlds from every matched series
+(the MCDB-style ``SIMULATE`` of BQL) over the same clauses, ``TOP``
+excepted::
 
     SIMULATE 32 SEED 7 FROM CATALOG '/data/catalogs/main'
         SERIES 'sensor-*'
@@ -55,31 +54,30 @@ series (the MCDB-style ``SIMULATE`` of BQL)::
 
 ``SEED`` pins the deterministic per-series sampling streams (omitted: the
 framework default seed); the result is bit-identical across executor
-backends.  Parsing yields an inert :class:`SimulateQuery`.
+backends.
 
 Keywords are case-insensitive; identifiers and numbers follow Python rules.
-Parsing produces an inert :class:`ViewQuery` / :class:`SelectQuery` /
-:class:`SimulateQuery`; execution belongs to
-:class:`repro.db.engine.Database`.
+Parsing produces an inert :class:`ViewQuery` (``CREATE VIEW``) or
+:class:`CatalogQuery` (``SELECT`` and ``SIMULATE`` alike — ``SIMULATE`` is
+the statement whose one item is ``simulate``).  Routing belongs to
+:class:`repro.db.engine.Database`, planning and execution of catalog
+statements to :mod:`repro.service`.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
-from repro.exceptions import ParseError
+from repro.exceptions import ParseError, QueryError
 from repro.view.omega import OmegaGrid
 
 __all__ = [
+    "CatalogQuery",
     "SelectItem",
-    "SelectQuery",
-    "SimulateQuery",
     "ViewQuery",
-    "parse_select_query",
     "parse_statement",
-    "parse_view_query",
     "render_statement",
     "with_as_of",
 ]
@@ -155,27 +153,53 @@ class ViewQuery:
 class SelectItem:
     """One entry of a SELECT list, exactly as written.
 
-    ``name`` is the kernel the planner resolves (an aggregate name, or
-    ``"probability_of"`` for the ``PROBABILITY OF`` row expression) and
+    ``name`` is the kernel the planner resolves (an aggregate name,
+    ``"probability_of"`` for the ``PROBABILITY OF`` row expression, or
+    ``"simulate"`` for the one item of a ``SIMULATE`` statement) and
     ``arguments`` its positional numeric arguments — validating them
     against the known kernels is the planner's job
     (:mod:`repro.service.planner`), keeping this form inert.  ``column``
     carries the value-column identifier of a ``PROBABILITY OF`` item
-    (``None`` for plain aggregates).
+    (``None`` for plain aggregates).  ``SIMULATE n [SEED s]`` is
+    ``simulate`` with arguments ``(n,)`` or ``(n, s)``: an omitted seed
+    stays omitted here and is resolved by the planner.
     """
 
     name: str
     arguments: tuple[float, ...] = ()
     column: str | None = None
 
+    def label(self) -> str:
+        """This item as text: ``exceedance(21)``, ``PROBABILITY OF ...``.
+
+        Select-list items render exactly as the grammar accepts them;
+        ``simulate``, which the grammar spells as a statement head,
+        renders as the ``simulate(8 worlds, seed 3)`` plans show.
+        """
+        if self.name == "probability_of":
+            low, high = self.arguments
+            column = self.column or "v"
+            return f"PROBABILITY OF {column} BETWEEN {low:g} AND {high:g}"
+        if self.name == "simulate":
+            n_worlds, *seed = self.arguments
+            seeded = f", seed {int(seed[0])}" if seed else ""
+            return f"simulate({int(n_worlds)} worlds{seeded})"
+        if self.arguments:
+            arguments = ", ".join(f"{a:g}" for a in self.arguments)
+            return f"{self.name}({arguments})"
+        # Zero-argument aggregates are written bare — the grammar
+        # rejects an empty argument list.
+        return self.name
+
 
 @dataclass(frozen=True)
-class SelectQuery:
-    """Parsed form of a ``SELECT ... FROM CATALOG ...`` statement.
+class CatalogQuery:
+    """Parsed form of a ``SELECT`` / ``SIMULATE ... FROM CATALOG`` statement.
 
-    ``items`` holds the select list in written order; the legacy
-    single-aggregate accessors ``aggregate``/``arguments`` read the first
-    item, so pre-multi-aggregate callers keep working unchanged.
+    ``items`` holds the select list in written order; a ``SIMULATE``
+    statement is the query whose only item is ``simulate`` (it draws that
+    many complete possible worlds per matched series through
+    :mod:`repro.db.worlds`).
     """
 
     items: tuple[SelectItem, ...]
@@ -189,38 +213,6 @@ class SelectQuery:
     approx: bool = False
     #: ``AS OF <knowledge_time>``: replay the catalog as known at that
     #: knowledge time (None: newest — every recorded revision applies).
-    as_of: int | None = None
-
-    @property
-    def aggregate(self) -> str:
-        """The first select item's kernel name (legacy accessor)."""
-        return self.items[0].name
-
-    @property
-    def arguments(self) -> tuple[float, ...]:
-        """The first select item's arguments (legacy accessor)."""
-        return self.items[0].arguments
-
-
-@dataclass(frozen=True)
-class SimulateQuery:
-    """Parsed form of a ``SIMULATE n [SEED s] FROM CATALOG ...`` statement.
-
-    Draws ``n_worlds`` complete possible worlds per matched series through
-    :mod:`repro.db.worlds`.  ``seed`` is the statement-level seed the
-    planner mixes with each series id to derive deterministic,
-    backend-independent per-series sampling streams (``None``: the
-    framework default seed).
-    """
-
-    n_worlds: int
-    catalog_path: str
-    seed: int | None = None
-    series_pattern: str = "*"
-    time_lo: float | None = None
-    time_hi: float | None = None
-    #: ``AS OF <knowledge_time>``: sample from the catalog as known at
-    #: that knowledge time (None: newest).
     as_of: int | None = None
 
 
@@ -313,7 +305,7 @@ class _Parser:
         return int(value)
 
     # -- grammar --------------------------------------------------------
-    def parse_statement(self) -> ViewQuery | SelectQuery | SimulateQuery:
+    def parse_statement(self) -> ViewQuery | CatalogQuery:
         """Dispatch on the leading keyword (CREATE / SELECT / SIMULATE)."""
         token = self.peek()
         if token.kind == "ident" and token.lowered == "select":
@@ -322,7 +314,7 @@ class _Parser:
             return self.parse_simulate()
         return self.parse()
 
-    def parse_select(self) -> SelectQuery:
+    def parse_select(self) -> CatalogQuery:
         self.expect_keyword("select")
         # Optional APPROX modifier: answer from synopses with error
         # bounds.  Matched positionally (like select/catalog/series/top)
@@ -337,6 +329,33 @@ class _Parser:
                 "APPROX supports a single aggregate, got a select list "
                 f"of {len(items)} items"
             )
+        return self._parse_catalog_tail(items, approx=approx, top=True)
+
+    def parse_simulate(self) -> CatalogQuery:
+        """``SIMULATE n [SEED s] FROM CATALOG '<path>' [SERIES ...] [WHERE ...]``."""
+        self.expect_keyword("simulate")
+        n_worlds = self.expect_int("SIMULATE world count")
+        if n_worlds < 1:
+            raise ParseError(
+                f"SIMULATE world count must be >= 1, got {n_worlds}"
+            )
+        arguments: tuple[float, ...] = (float(n_worlds),)
+        if self.accept_keyword("seed"):
+            seed = self.expect_int("SEED value")
+            if seed < 0:
+                raise ParseError(f"SEED must be >= 0, got {seed}")
+            arguments += (float(seed),)
+        item = SelectItem(name="simulate", arguments=arguments)
+        return self._parse_catalog_tail([item], approx=False, top=False)
+
+    def _parse_catalog_tail(
+        self, items: list[SelectItem], *, approx: bool, top: bool
+    ) -> CatalogQuery:
+        """``FROM CATALOG '<path>' [SERIES] [WHERE] [AS OF] [TOP k]`` + end.
+
+        The clauses every catalog statement shares; ``top`` says whether
+        the statement's grammar has a ``TOP`` clause (SIMULATE does not).
+        """
         self.expect_keyword("from")
         self.expect_keyword("catalog")
         catalog_path = self.expect_string("catalog path")
@@ -349,7 +368,7 @@ class _Parser:
             time_lo, time_hi = self._parse_where("t")
         as_of = self._parse_as_of()
         top_k: int | None = None
-        if self.accept_keyword("top"):
+        if top and self.accept_keyword("top"):
             top_k = self.expect_int("TOP count")
             if top_k < 1:
                 raise ParseError(f"TOP count must be >= 1, got {top_k}")
@@ -358,7 +377,7 @@ class _Parser:
             raise ParseError(
                 f"unexpected trailing input {tail.text!r}", tail.position
             )
-        return SelectQuery(
+        return CatalogQuery(
             items=tuple(items),
             catalog_path=catalog_path,
             series_pattern=series_pattern,
@@ -366,45 +385,6 @@ class _Parser:
             time_hi=time_hi,
             top_k=top_k,
             approx=approx,
-            as_of=as_of,
-        )
-
-    def parse_simulate(self) -> SimulateQuery:
-        """``SIMULATE n [SEED s] FROM CATALOG '<path>' [SERIES ...] [WHERE ...]``."""
-        self.expect_keyword("simulate")
-        n_worlds = self.expect_int("SIMULATE world count")
-        if n_worlds < 1:
-            raise ParseError(
-                f"SIMULATE world count must be >= 1, got {n_worlds}"
-            )
-        seed: int | None = None
-        if self.accept_keyword("seed"):
-            seed = self.expect_int("SEED value")
-            if seed < 0:
-                raise ParseError(f"SEED must be >= 0, got {seed}")
-        self.expect_keyword("from")
-        self.expect_keyword("catalog")
-        catalog_path = self.expect_string("catalog path")
-        series_pattern = "*"
-        if self.accept_keyword("series"):
-            series_pattern = self.expect_string("series pattern")
-        time_lo: float | None = None
-        time_hi: float | None = None
-        if self.accept_keyword("where"):
-            time_lo, time_hi = self._parse_where("t")
-        as_of = self._parse_as_of()
-        tail = self.peek()
-        if tail.kind != "end":
-            raise ParseError(
-                f"unexpected trailing input {tail.text!r}", tail.position
-            )
-        return SimulateQuery(
-            n_worlds=n_worlds,
-            seed=seed,
-            catalog_path=catalog_path,
-            series_pattern=series_pattern,
-            time_lo=time_lo,
-            time_hi=time_hi,
             as_of=as_of,
         )
 
@@ -451,6 +431,14 @@ class _Parser:
                 token.position,
             )
         name = token.lowered
+        if name == "simulate":
+            # SIMULATE is a statement of its own; without this a select
+            # list could spell the same query a second way.
+            raise ParseError(
+                "simulate is not a select-list aggregate; write "
+                "SIMULATE n [SEED s] FROM CATALOG ...",
+                token.position,
+            )
         arguments: list[float] = []
         if self.peek().kind == "op" and self.peek().text == "(":
             self.advance()
@@ -673,56 +661,26 @@ class _Parser:
         return lo, value
 
 
-def parse_view_query(text: str) -> ViewQuery:
-    """Parse a ``CREATE VIEW ... AS DENSITY ...`` statement.
+def parse_statement(text: str) -> ViewQuery | CatalogQuery:
+    """Parse any statement kind, dispatching on the leading keyword.
 
-    >>> query = parse_view_query(
+    >>> query = parse_statement(
     ...     "CREATE VIEW prob_view AS DENSITY r OVER t "
     ...     "OMEGA delta=2, n=2 FROM raw_values WHERE t >= 1 AND t <= 3")
     >>> query.view_name, query.delta, query.n, query.time_lo, query.time_hi
     ('prob_view', 2.0, 2, 1.0, 3.0)
-    """
-    if not text or not text.strip():
-        raise ParseError("empty query")
-    return _Parser(text).parse()
-
-
-def parse_select_query(text: str) -> SelectQuery:
-    """Parse a ``SELECT ... FROM CATALOG ...`` statement.
-
-    >>> query = parse_select_query(
+    >>> query = parse_statement(
     ...     "SELECT time_above(21.0, 5) FROM CATALOG '/tmp/cat' "
     ...     "SERIES 'sensor-*' WHERE t BETWEEN 10 AND 90 TOP 3")
-    >>> query.aggregate, query.arguments, query.series_pattern, query.top_k
-    ('time_above', (21.0, 5.0), 'sensor-*', 3)
+    >>> query.items[0].name, query.items[0].arguments, query.top_k
+    ('time_above', (21.0, 5.0), 3)
     """
-    if not text or not text.strip():
-        raise ParseError("empty query")
-    return _Parser(text).parse_select()
-
-
-def parse_statement(text: str) -> ViewQuery | SelectQuery | SimulateQuery:
-    """Parse any statement kind, dispatching on the leading keyword."""
     if not text or not text.strip():
         raise ParseError("empty query")
     return _Parser(text).parse_statement()
 
 
-def _render_item(item: SelectItem) -> str:
-    """One select-list item rendered exactly as the grammar accepts it."""
-    if item.name == "probability_of":
-        low, high = item.arguments
-        column = item.column or "v"
-        return f"PROBABILITY OF {column} BETWEEN {low:g} AND {high:g}"
-    if item.arguments:
-        arguments = ", ".join(f"{a:g}" for a in item.arguments)
-        return f"{item.name}({arguments})"
-    # Zero-argument aggregates are written bare — the grammar rejects
-    # an empty argument list.
-    return item.name
-
-
-def render_statement(query: SelectQuery | SimulateQuery) -> str:
+def render_statement(query: CatalogQuery) -> str:
     """A parsed SELECT / SIMULATE back as statement text.
 
     Parsed queries are inert (they do not keep their source text), so
@@ -731,15 +689,16 @@ def render_statement(query: SelectQuery | SimulateQuery) -> str:
     The rendering round-trips: parsing it yields back an equal query
     object.
     """
-    if isinstance(query, SimulateQuery):
-        parts = [f"SIMULATE {query.n_worlds}"]
-        if query.seed is not None:
-            parts.append(f"SEED {query.seed}")
+    if [item.name for item in query.items] == ["simulate"]:
+        n_worlds, *seed = query.items[0].arguments
+        parts = [f"SIMULATE {int(n_worlds)}"]
+        if seed:
+            parts.append(f"SEED {int(seed[0])}")
     else:
         parts = ["SELECT"]
         if query.approx:
             parts.append("APPROX")
-        parts.append(", ".join(_render_item(item) for item in query.items))
+        parts.append(", ".join(item.label() for item in query.items))
     parts.append(f"FROM CATALOG '{query.catalog_path}'")
     if query.series_pattern != "*":
         parts.append(f"SERIES '{query.series_pattern}'")
@@ -751,9 +710,9 @@ def render_statement(query: SelectQuery | SimulateQuery) -> str:
         parts.append(f"WHERE t >= {query.time_lo:g}")
     elif query.time_hi is not None:
         parts.append(f"WHERE t <= {query.time_hi:g}")
-    if getattr(query, "as_of", None) is not None:
+    if query.as_of is not None:
         parts.append(f"AS OF {query.as_of}")
-    if getattr(query, "top_k", None) is not None:
+    if query.top_k is not None:
         parts.append(f"TOP {query.top_k}")
     return " ".join(parts)
 
@@ -768,12 +727,8 @@ def with_as_of(statement: str, as_of: int) -> str:
     rather than silently overridden; only SELECT / SIMULATE carry the
     clause.
     """
-    from dataclasses import replace
-
-    from repro.exceptions import QueryError
-
     parsed = parse_statement(statement)
-    if not hasattr(parsed, "as_of"):
+    if not isinstance(parsed, CatalogQuery):
         raise QueryError(
             "as_of applies to SELECT and SIMULATE statements only, "
             f"not {type(parsed).__name__}"

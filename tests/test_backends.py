@@ -115,7 +115,9 @@ class TestBackendParity:
         seq_npz = CatalogQueryService(
             npz_root, backend="sequential", mmap=True  # npz: no-op fallback
         ).execute(f"SELECT exceedance(20.3) FROM CATALOG '{npz_root}'")
-        assert seq_v2.scores() == seq_npz.scores()
+        assert [(e.series_id, e.score) for e in seq_v2.results] == [
+            (e.series_id, e.score) for e in seq_npz.results
+        ]
 
 
 class TestPrunedPlanParity:

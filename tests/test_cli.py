@@ -219,7 +219,7 @@ class TestServiceCommands:
     def test_memory_target_missing_catalog_fails_cleanly(
         self, tmp_path, capsys, verb
     ):
-        # The verb's old private dispatch knew SelectQuery only: SIMULATE
+        # The verb's old private dispatch knew SELECT queries only: SIMULATE
         # died with an AttributeError traceback.
         exit_code = main([
             "query", f"{verb} FROM CATALOG '{tmp_path / 'absent'}'",

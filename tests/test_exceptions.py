@@ -47,12 +47,12 @@ class TestCatchability:
         """A representative error from each subsystem lands under ReproError."""
         from repro.distributions.gaussian import Gaussian
         from repro.timeseries.series import TimeSeries
-        from repro.view.sql import parse_view_query
+        from repro.view.sql import parse_statement
 
         for trigger in (
             lambda: Gaussian(0.0, -1.0),
             lambda: TimeSeries([]),
-            lambda: parse_view_query("nonsense"),
+            lambda: parse_statement("nonsense"),
         ):
             with pytest.raises(ReproError):
                 trigger()

@@ -34,7 +34,7 @@ from repro.server.app import ServerStats
 from repro.service import CatalogQueryService
 from repro.store import Catalog
 from repro.view.omega import OmegaGrid
-from repro.view.sql import parse_select_query, render_statement
+from repro.view.sql import parse_statement, render_statement
 
 H = 20
 GRID = OmegaGrid(delta=0.5, n=4)
@@ -341,6 +341,29 @@ class TestTrace:
         assert NULL_TRACE.as_dict() == {}
         assert NULL_TRACE.finish() == 0.0
 
+    def test_null_trace_stays_stateless_through_the_engine(self):
+        # The engine used to write the statement text onto the shared
+        # singleton, where it leaked into the rest of the process.
+        from repro.db.engine import Database
+        from repro.db.table import Table
+
+        database = Database()
+        database.register_table(Table(
+            "raw", ["t", "r"],
+            {"t": list(range(80)),
+             "r": [10.0 + (i % 7) for i in range(80)]},
+        ))
+        result = database.execute(
+            "CREATE VIEW v AS DENSITY r OVER t OMEGA delta=1, n=2 "
+            "WINDOW 40 FROM raw",
+            trace=NULL_TRACE,
+        )
+        assert NULL_TRACE.statement is None
+        # A disabled trace is no trace, on every result kind.
+        assert result.trace is None
+        with pytest.raises(AttributeError):
+            NULL_TRACE.statement = "leak"
+
 
 class TestSlowQueryLog:
     def _trace(self, statement="SELECT 1") -> QueryTrace:
@@ -455,8 +478,8 @@ class TestServiceTracing:
             _sql(catalog, "expected_value") + " WHERE t <= 7",
         ]
         for statement in statements:
-            query = parse_select_query(statement)
-            assert parse_select_query(render_statement(query)) == query
+            query = parse_statement(statement)
+            assert parse_statement(render_statement(query)) == query
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +657,7 @@ class TestWireSurfaces:
         entry = payload["entries"][0]
         # Untraced statements reach the service already parsed, so the
         # slow log keeps a reconstruction — re-runnable, parse-equal.
-        assert parse_select_query(entry["statement"]) == parse_select_query(
+        assert parse_statement(entry["statement"]) == parse_statement(
             _sql(catalog)
         )
         assert "stages" in entry

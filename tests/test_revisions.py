@@ -9,6 +9,9 @@ from the segments known at that time, on every backend and every route.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from repro.exceptions import InvalidParameterError, ParseError, QueryError
 from repro.server.app import QueryServer, ServerThread
 from repro.service import CatalogQueryService
 from repro.store import Catalog
+from repro.util.jsonio import canonical_dumps
 from repro.view.sql import (
     parse_statement,
     render_statement,
@@ -61,8 +65,6 @@ def _sql(catalog, body="exceedance(21.0)", suffix=""):
 
 def _answer_json(result) -> str:
     """Canonical JSON of the answer alone (pruning counters stripped)."""
-    from repro.util.jsonio import canonical_dumps
-
     payload = result.to_dict()
     payload.pop("pruning", None)
     return canonical_dumps(payload)
@@ -432,6 +434,62 @@ class TestConnect:
                 item["kind"] for item in multi.to_dict()["statements"]
             ]
             assert kinds == ["select", "select"]
+            unseeded = conn.execute(
+                f"SIMULATE 2 FROM CATALOG '{revised.root}'"
+            )
+            assert unseeded.kind == "simulate"
+            worlds = conn.execute(
+                _sql(revised, "PROBABILITY OF v BETWEEN 20 AND 22")
+            )
+            truncated = conn.execute(_sql(revised, suffix=" TOP 1"))
+            ranked = conn.execute(
+                _sql(revised, "expected_value, threshold(0.5)", " TOP 1")
+            )
+        # One surface, one rule, whatever the statement: a result has
+        # one item per select-list entry (a single-item result is its
+        # own only item), and every statement-level accessor is the
+        # items' put together in select-list order.
+        cases = {
+            "select": (select, 1, 2),
+            "approx": (approx, 1, 2),
+            "simulate": (sim, 1, 2),
+            "simulate, default seed": (unseeded, 1, 2),
+            "multi_select": (multi, 2, 4),
+            "PROBABILITY OF": (worlds, 1, 2),
+            "TOP k": (truncated, 1, 1),
+            "multi_select TOP k": (ranked, 2, 2),
+        }
+        for name, (result, n_items, n_results) in cases.items():
+            items = result.items
+            assert len(items) == n_items, name
+            if n_items == 1:
+                assert items == (result,), name
+            flat = tuple(e for item in items for e in item.results)
+            assert result.results == flat, name
+            assert len(result) == len(flat) == n_results, name
+            assert list(result) == list(flat), name
+            # TOP k truncates results, never what was matched.
+            assert result.matched == ("alpha", "beta"), name
+            assert all(i.matched == result.matched for i in items), name
+            assert result.stats == reduce(
+                add, (item.stats for item in items)
+            ), name
+            assert result.aggregate == ", ".join(
+                item.aggregate for item in items
+            ), name
+            assert result.json() == canonical_dumps(result.to_dict()), name
+            if n_items > 1:
+                assert result.kind == "multi_select", name
+                assert result.to_dict()["statements"] == [
+                    item.to_dict() for item in items
+                ], name
+                assert all(i.kind == "select" for i in items), name
+        assert sim.arguments == (2.0, 1.0)
+        assert unseeded.arguments[0] == 2.0
+        assert unseeded.to_dict()["seed"] == int(unseeded.arguments[1])
+        assert [e.series_id for e in truncated] == [
+            min(select, key=lambda e: (-e.score, e.series_id)).series_id
+        ]
 
     def test_remote_trace_excluded_from_payload(self, revised):
         server = ServerThread(QueryServer(str(revised.root), port=0))

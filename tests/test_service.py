@@ -28,14 +28,14 @@ from repro.exceptions import (
 from repro.service import (
     CatalogQueryService,
     MatrixCache,
-    SelectResult,
+    StatementResult,
     plan_statement,
 )
 from repro.service.cache import view_nbytes
 from repro.service.executor import restrict_time_range
 from repro.store import Catalog
 from repro.view.omega import OmegaGrid
-from repro.view.sql import parse_select_query
+from repro.view.sql import CatalogQuery, parse_statement
 
 H = 20
 GRID = OmegaGrid(delta=0.5, n=4)
@@ -179,7 +179,9 @@ class TestParity:
         ) as par:
             parallel = [par.execute(text) for text in statements]
         for left, right in zip(sequential, parallel):
-            assert left.scores() == right.scores()
+            assert [(e.series_id, e.score) for e in left.results] == [
+                (e.series_id, e.score) for e in right.results
+            ]
 
 
 class TestSelection:
@@ -256,13 +258,22 @@ class TestPlannerValidation:
     def test_empty_time_range_rejected_for_built_queries(self, catalog):
         # ... and the planner still guards programmatically built queries
         # that never went through the parser.
-        query = parse_select_query(_sql(catalog, "expected_value"))
+        query = parse_statement(_sql(catalog, "expected_value"))
         inverted = dataclasses.replace(query, time_lo=50.0, time_hi=10.0)
         with CatalogQueryService(catalog) as service:
             with pytest.raises(
                 InvalidParameterError, match="empty time range"
             ):
                 service.execute(inverted)
+
+    def test_empty_select_list_rejected_for_built_queries(self, catalog):
+        # The grammar cannot write one; a built query can.  It is a
+        # QueryError like every other statement the planner refuses,
+        # not an IndexError out of the executor.
+        empty = CatalogQuery(items=(), catalog_path=str(catalog.root))
+        with CatalogQueryService(catalog) as service:
+            with pytest.raises(QueryError, match="at least one"):
+                service.execute(empty)
 
     def test_per_series_failure_names_the_series(self, catalog):
         # A window longer than any series' stored times fails inside the
@@ -332,15 +343,38 @@ class TestServiceWiring:
 
     def test_engine_dispatches_select(self, catalog):
         result = Database().execute(_sql(catalog, "exceedance(21.0)"))
-        assert isinstance(result, SelectResult)
+        assert isinstance(result, StatementResult)
         assert len(result.results) == 5
 
     def test_plan_describes_itself(self, catalog):
         plan = plan_statement(
-            catalog, parse_select_query(_sql(catalog, "exceedance(21.0)"))
+            catalog, parse_statement(_sql(catalog, "exceedance(21.0)"))
         )
         description = plan.describe()
         assert "exceedance(21)" in description and "5 series" in description
+
+    def test_plan_describes_each_item_own_pruning(self, catalog):
+        # threshold prunes on probability, expected_value on time alone:
+        # the statement's line reports each item's own counts, not the
+        # first item's as if they were everyone's.
+        body = "threshold(1.0), expected_value"
+        plan = plan_statement(catalog, parse_statement(_sql(catalog, body)))
+        strict, plain = (item.stats for item in plan.items)
+        assert strict.segments_pruned > 0 and plain.segments_pruned == 0
+        assert plan.describe() == (
+            f"threshold(1) ({strict.segments_pruned} segments pruned, "
+            f"{strict.series_skipped} series skipped), "
+            f"expected_value (0 segments pruned, 0 series skipped) "
+            f"over 5 series of {catalog.root}"
+        )
+        swapped = plan_statement(
+            catalog,
+            parse_statement(_sql(catalog, "expected_value, threshold(1.0)")),
+        )
+        assert swapped.describe().startswith(
+            "expected_value (0 segments pruned, 0 series skipped), "
+            f"threshold(1) ({strict.segments_pruned} segments pruned"
+        )
 
 
 class TestMatrixCache:

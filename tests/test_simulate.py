@@ -24,13 +24,12 @@ from repro.exceptions import InvalidParameterError, QueryError
 from repro.server.protocol import canonical_dumps
 from repro.service import (
     CatalogQueryService,
-    MultiSelectResult,
-    SimulateResult,
+    StatementResult,
     plan_statement,
 )
 from repro.store import Catalog
 from repro.view.omega import OmegaGrid
-from repro.view.sql import parse_statement
+from repro.view.sql import SelectItem, parse_statement
 
 H = 20
 GRID = OmegaGrid(delta=0.5, n=4)
@@ -71,7 +70,8 @@ class TestSimulate:
             result = service.execute(
                 f"SIMULATE 2 SEED 11 FROM CATALOG '{catalog.root}'"
             )
-        assert isinstance(result, SimulateResult)
+        assert isinstance(result, StatementResult)
+        assert result.kind == "simulate"
         for entry in result.results:
             view = catalog.view(entry.series_id)
             rng = np.random.default_rng(
@@ -91,7 +91,8 @@ class TestSimulate:
                 f"SIMULATE 3 FROM CATALOG '{catalog.root}'"
             )
             pinned = service.execute(
-                f"SIMULATE 3 SEED {bare.seed} FROM CATALOG '{catalog.root}'"
+                f"SIMULATE 3 SEED {int(bare.arguments[1])} "
+                f"FROM CATALOG '{catalog.root}'"
             )
         assert bare.results == pinned.results
 
@@ -109,8 +110,9 @@ class TestSimulate:
         result = Database().execute(
             f"SIMULATE 2 SEED 5 FROM CATALOG '{catalog.root}'"
         )
-        assert isinstance(result, SimulateResult)
-        assert result.n_worlds == 2 and result.seed == 5
+        assert isinstance(result, StatementResult)
+        assert result.kind == "simulate"
+        assert result.arguments == (2.0, 5.0)
 
     def test_wire_payload_shape(self, catalog):
         with CatalogQueryService(catalog, backend="sequential") as service:
@@ -132,11 +134,25 @@ class TestSimulate:
             f"SIMULATE 2 FROM CATALOG '{catalog.root}'"
         )
         bad = type(query)(
-            n_worlds=0,
+            items=(SelectItem(name="simulate", arguments=(0.0,)),),
             catalog_path=query.catalog_path,
         )
         with pytest.raises(InvalidParameterError, match="n_worlds"):
             plan_statement(catalog, bad)
+
+    def test_simulate_is_not_a_select_list_aggregate(self, catalog):
+        # Built directly (the grammar cannot write it): simulate beside
+        # another item is as unknown as it was when SIMULATE had a query
+        # class of its own.
+        query = parse_statement(
+            f"SIMULATE 2 FROM CATALOG '{catalog.root}'"
+        )
+        mixed = type(query)(
+            items=query.items + (SelectItem(name="expected_value"),),
+            catalog_path=query.catalog_path,
+        )
+        with pytest.raises(QueryError, match="unknown aggregate 'simulate'"):
+            plan_statement(catalog, mixed)
 
 
 class TestMultiAggregate:
@@ -162,7 +178,7 @@ class TestMultiAggregate:
                 )
                 for body in self.STATEMENTS
             ]
-        assert isinstance(multi, MultiSelectResult)
+        assert isinstance(multi, StatementResult)
         payload = multi.to_dict()
         assert payload["kind"] == "multi_select"
         for item, wire, single in zip(
@@ -215,7 +231,7 @@ class TestProbabilityOfKernel:
 
 
 class TestPlanTree:
-    def test_logical_plan_explain(self, catalog):
+    def test_plan_explains_itself_as_a_tree(self, catalog):
         plan = plan_statement(
             catalog,
             parse_statement(
@@ -223,11 +239,14 @@ class TestPlanTree:
                 f"FROM CATALOG '{catalog.root}' TOP 2"
             ),
         )
-        rendered = plan.explain()
-        assert "Finalize(top 2)" in rendered
-        assert "Combine[exact] x2" in rendered
-        assert "threshold(0.4)" in rendered
-        assert "Scan" in rendered and "Prune" in rendered
+        assert plan.explain().splitlines() == [
+            "Finalize(top 2)",
+            "  Combine[exact] x2",
+            "    Kernel: threshold(0.4)",
+            "    Kernel: expected_value",
+            "    Prune(t in [-inf, +inf])",
+            f"      Scan({str(catalog.root)!r}, series='*')",
+        ]
 
     def test_per_item_plans_match_standalone(self, catalog):
         multi = plan_statement(
@@ -246,9 +265,10 @@ class TestPlanTree:
                     f"SELECT {body} FROM CATALOG '{catalog.root}'"
                 ),
             )
-            assert item.stats == single.stats
+            (alone,) = single.items
+            assert item.stats == alone.stats
             assert [t.cache_key for t in item.tasks] == [
-                t.cache_key for t in single.tasks
+                t.cache_key for t in alone.tasks
             ]
 
     def test_simulate_plan_label_names_seed(self, catalog):

@@ -6,13 +6,10 @@ import pytest
 
 from repro.exceptions import ParseError
 from repro.view.sql import (
+    CatalogQuery,
     SelectItem,
-    SelectQuery,
-    SimulateQuery,
     ViewQuery,
-    parse_select_query,
     parse_statement,
-    parse_view_query,
     render_statement,
 )
 
@@ -24,7 +21,7 @@ PAPER_QUERY = (
 
 class TestPaperExample:
     def test_fig7_query_parses(self):
-        query = parse_view_query(PAPER_QUERY)
+        query = parse_statement(PAPER_QUERY)
         assert query.view_name == "prob_view"
         assert query.value_column == "r"
         assert query.time_column == "t"
@@ -34,7 +31,7 @@ class TestPaperExample:
         assert (query.time_lo, query.time_hi) == (1.0, 3.0)
 
     def test_defaults(self):
-        query = parse_view_query(PAPER_QUERY)
+        query = parse_statement(PAPER_QUERY)
         assert query.metric_name == "arma_garch"
         assert query.metric_params == {}
         assert query.window is None
@@ -43,7 +40,7 @@ class TestPaperExample:
 
 class TestClauses:
     def test_metric_with_parameters(self):
-        query = parse_view_query(
+        query = parse_statement(
             "CREATE VIEW v AS DENSITY r OVER t OMEGA delta=0.5, n=10 "
             "METRIC cgarch (p=2, kappa=2.5, oc_max=7) FROM raw"
         )
@@ -51,21 +48,21 @@ class TestClauses:
         assert query.metric_params == {"p": 2, "kappa": 2.5, "oc_max": 7}
 
     def test_metric_without_parameters(self):
-        query = parse_view_query(
+        query = parse_statement(
             "CREATE VIEW v AS DENSITY r OVER t OMEGA delta=1, n=2 "
             "METRIC variable_threshold FROM raw"
         )
         assert query.metric_name == "variable_threshold"
 
     def test_window_clause(self):
-        query = parse_view_query(
+        query = parse_statement(
             "CREATE VIEW v AS DENSITY r OVER t OMEGA delta=1, n=2 "
             "WINDOW 120 FROM raw"
         )
         assert query.window == 120
 
     def test_cache_distance(self):
-        query = parse_view_query(
+        query = parse_statement(
             "CREATE VIEW v AS DENSITY r OVER t OMEGA delta=1, n=2 "
             "CACHE (distance=0.01) FROM raw"
         )
@@ -73,14 +70,14 @@ class TestClauses:
         assert query.uses_cache
 
     def test_cache_memory(self):
-        query = parse_view_query(
+        query = parse_statement(
             "CREATE VIEW v AS DENSITY r OVER t OMEGA delta=1, n=2 "
             "CACHE (memory=64) FROM raw"
         )
         assert query.cache_memory == 64
 
     def test_cache_both(self):
-        query = parse_view_query(
+        query = parse_statement(
             "CREATE VIEW v AS DENSITY r OVER t OMEGA delta=1, n=2 "
             "CACHE (distance=0.05, memory=32) FROM raw"
         )
@@ -88,27 +85,27 @@ class TestClauses:
         assert query.cache_memory == 32
 
     def test_omega_order_free(self):
-        query = parse_view_query(
+        query = parse_statement(
             "CREATE VIEW v AS DENSITY r OVER t OMEGA n=4, delta=0.25 FROM raw"
         )
         assert (query.delta, query.n) == (0.25, 4)
 
     def test_between_where(self):
-        query = parse_view_query(
+        query = parse_statement(
             "CREATE VIEW v AS DENSITY r OVER t OMEGA delta=1, n=2 "
             "FROM raw WHERE t BETWEEN 5 AND 10"
         )
         assert (query.time_lo, query.time_hi) == (5.0, 10.0)
 
     def test_reversed_where_order(self):
-        query = parse_view_query(
+        query = parse_statement(
             "CREATE VIEW v AS DENSITY r OVER t OMEGA delta=1, n=2 "
             "FROM raw WHERE t <= 10 AND t >= 5"
         )
         assert (query.time_lo, query.time_hi) == (5.0, 10.0)
 
     def test_single_bound_where(self):
-        query = parse_view_query(
+        query = parse_statement(
             "CREATE VIEW v AS DENSITY r OVER t OMEGA delta=1, n=2 "
             "FROM raw WHERE t >= 100"
         )
@@ -116,21 +113,21 @@ class TestClauses:
         assert query.time_hi is None
 
     def test_keywords_case_insensitive(self):
-        query = parse_view_query(
+        query = parse_statement(
             "create view V as density R over T omega delta=1, n=2 from RAW"
         )
         assert query.view_name == "V"
         assert query.table_name == "RAW"
 
     def test_boolean_metric_parameter(self):
-        query = parse_view_query(
+        query = parse_statement(
             "CREATE VIEW v AS DENSITY r OVER t OMEGA delta=1, n=2 "
             "METRIC arma_garch (warm_start=false) FROM raw"
         )
         assert query.metric_params == {"warm_start": False}
 
     def test_persist_into_clause(self):
-        query = parse_view_query(
+        query = parse_statement(
             "CREATE VIEW v AS DENSITY r OVER t OMEGA delta=1, n=2 FROM raw "
             "WHERE t >= 1 AND t <= 9 PERSIST INTO '/data/catalogs/main'"
         )
@@ -138,7 +135,7 @@ class TestClauses:
         assert (query.time_lo, query.time_hi) == (1.0, 9.0)
 
     def test_persist_defaults_to_none(self):
-        query = parse_view_query(
+        query = parse_statement(
             "CREATE VIEW v AS DENSITY r OVER t OMEGA delta=1, n=2 FROM raw"
         )
         assert query.persist_path is None
@@ -149,7 +146,7 @@ class TestErrors:
         "bad_query, pattern",
         [
             ("", "empty"),
-            ("SELECT r FROM x", "CREATE"),
+            ("DROP VIEW v", "CREATE"),
             ("CREATE TABLE v AS DENSITY r OVER t OMEGA delta=1, n=2 FROM x",
              "VIEW"),
             ("CREATE VIEW v AS DENSITY r OVER t OMEGA delta=1 FROM x",
@@ -174,45 +171,45 @@ class TestErrors:
     )
     def test_malformed_queries_raise_parse_error(self, bad_query, pattern):
         with pytest.raises(ParseError, match=pattern):
-            parse_view_query(bad_query)
+            parse_statement(bad_query)
 
     def test_unexpected_character(self):
         with pytest.raises(ParseError) as info:
-            parse_view_query("CREATE VIEW v @ DENSITY")
+            parse_statement("CREATE VIEW v @ DENSITY")
         assert info.value.position >= 0
 
     def test_missing_from(self):
         with pytest.raises(ParseError, match="FROM"):
-            parse_view_query(
+            parse_statement(
                 "CREATE VIEW v AS DENSITY r OVER t OMEGA delta=1, n=2"
             )
 
 
 class TestSelectStatement:
     def test_full_statement(self):
-        query = parse_select_query(
+        query = parse_statement(
             "SELECT time_above(21.0, 5) FROM CATALOG '/data/cat' "
             "SERIES 'sensor-*' WHERE t BETWEEN 100 AND 500 TOP 5"
         )
-        assert query.aggregate == "time_above"
-        assert query.arguments == (21.0, 5.0)
+        assert query.items[0].name == "time_above"
+        assert query.items[0].arguments == (21.0, 5.0)
         assert query.catalog_path == "/data/cat"
         assert query.series_pattern == "sensor-*"
         assert (query.time_lo, query.time_hi) == (100.0, 500.0)
         assert query.top_k == 5
 
     def test_minimal_statement_defaults(self):
-        query = parse_select_query(
+        query = parse_statement(
             "SELECT expected_value FROM CATALOG '/data/cat'"
         )
-        assert query.aggregate == "expected_value"
-        assert query.arguments == ()
+        assert query.items[0].name == "expected_value"
+        assert query.items[0].arguments == ()
         assert query.series_pattern == "*"
         assert query.time_lo is None and query.time_hi is None
         assert query.top_k is None
 
     def test_comparison_where(self):
-        query = parse_select_query(
+        query = parse_statement(
             "SELECT exceedance(2.5) FROM CATALOG '/c' "
             "WHERE t >= 10 AND t <= 90"
         )
@@ -222,26 +219,26 @@ class TestSelectStatement:
         # Bounds apply inclusively downstream; a silently accepted '<'
         # would include the boundary row.
         with pytest.raises(ParseError, match="inclusive"):
-            parse_select_query(
+            parse_statement(
                 "SELECT exceedance(2.5) FROM CATALOG '/c' WHERE t < 90"
             )
         with pytest.raises(ParseError, match="inclusive"):
-            parse_view_query(
+            parse_statement(
                 "CREATE VIEW v AS DENSITY r OVER t OMEGA delta=1, n=2 "
                 "FROM x WHERE t > 1"
             )
 
     def test_keywords_case_insensitive(self):
-        query = parse_select_query(
+        query = parse_statement(
             "select Threshold(0.5) from catalog '/c' series 'a?' top 1"
         )
-        assert query.aggregate == "threshold"
+        assert query.items[0].name == "threshold"
         assert query.series_pattern == "a?"
         assert query.top_k == 1
 
     def test_parse_statement_dispatches_both_kinds(self):
         select = parse_statement("SELECT expected_value FROM CATALOG '/c'")
-        assert isinstance(select, SelectQuery)
+        assert isinstance(select, CatalogQuery)
         create = parse_statement(
             "CREATE VIEW v AS DENSITY r OVER t OMEGA delta=1, n=2 FROM x"
         )
@@ -263,17 +260,19 @@ class TestSelectStatement:
              "trailing"),
             ("SELECT exceedance(1) FROM CATALOG '/c' WHERE x >= 1",
              "time column"),
+            # SIMULATE has one spelling: not also a select-list call.
+            ("SELECT simulate(4, 7) FROM CATALOG '/c'", "SIMULATE n"),
         ],
     )
     def test_malformed_select_raises_parse_error(self, bad_query, pattern):
         with pytest.raises(ParseError, match=pattern):
-            parse_select_query(bad_query)
+            parse_statement(bad_query)
 
     def test_select_keywords_stay_valid_create_identifiers(self):
         # select/catalog/series/top are positional keywords of the SELECT
         # grammar only — CREATE VIEW statements may keep using them as
         # table or column names.
-        query = parse_view_query(
+        query = parse_statement(
             "CREATE VIEW top AS DENSITY catalog OVER t "
             "OMEGA delta=1, n=2 FROM series"
         )
@@ -281,16 +280,10 @@ class TestSelectStatement:
         assert query.value_column == "catalog"
         assert query.table_name == "series"
 
-    def test_select_entry_point_rejects_create(self):
-        with pytest.raises(ParseError, match="SELECT"):
-            parse_select_query(
-                "CREATE VIEW v AS DENSITY r OVER t OMEGA delta=1, n=2 FROM x"
-            )
-
 
 class TestMultiAggregateSelect:
     def test_select_list_parses_in_order(self):
-        query = parse_select_query(
+        query = parse_statement(
             "SELECT threshold(0.4), expected_value, exceedance(21) "
             "FROM CATALOG '/c'"
         )
@@ -300,15 +293,8 @@ class TestMultiAggregateSelect:
         assert query.items[0].arguments == (0.4,)
         assert query.items[1].arguments == ()
 
-    def test_single_item_compat_accessors(self):
-        query = parse_select_query(
-            "SELECT exceedance(21) FROM CATALOG '/c'"
-        )
-        assert query.aggregate == "exceedance"
-        assert query.arguments == (21.0,)
-
     def test_probability_of_item(self):
-        query = parse_select_query(
+        query = parse_statement(
             "SELECT PROBABILITY OF v BETWEEN 20 AND 22 FROM CATALOG '/c'"
         )
         item = query.items[0]
@@ -318,26 +304,26 @@ class TestMultiAggregateSelect:
 
     def test_probability_of_inverted_range_rejected(self):
         with pytest.raises(ParseError, match="inverted"):
-            parse_select_query(
+            parse_statement(
                 "SELECT PROBABILITY OF v BETWEEN 22 AND 20 "
                 "FROM CATALOG '/c'"
             )
 
     def test_approx_rejects_select_lists(self):
         with pytest.raises(ParseError, match="APPROX"):
-            parse_select_query(
+            parse_statement(
                 "SELECT APPROX exceedance(21), expected_value "
                 "FROM CATALOG '/c'"
             )
 
     def test_inverted_where_bounds_rejected(self):
         with pytest.raises(ParseError, match="empty time range"):
-            parse_select_query(
+            parse_statement(
                 "SELECT expected_value FROM CATALOG '/c' "
                 "WHERE t BETWEEN 90 AND 10"
             )
         with pytest.raises(ParseError, match="empty time range"):
-            parse_select_query(
+            parse_statement(
                 "SELECT expected_value FROM CATALOG '/c' "
                 "WHERE t >= 90 AND t <= 10"
             )
@@ -349,10 +335,9 @@ class TestSimulateStatement:
             "SIMULATE 16 SEED 7 FROM CATALOG '/c' SERIES 'room*' "
             "WHERE t BETWEEN 10 AND 90"
         )
-        assert query == SimulateQuery(
-            n_worlds=16,
+        assert query == CatalogQuery(
+            items=(SelectItem(name="simulate", arguments=(16.0, 7.0)),),
             catalog_path="/c",
-            seed=7,
             series_pattern="room*",
             time_lo=10.0,
             time_hi=90.0,
@@ -360,8 +345,9 @@ class TestSimulateStatement:
 
     def test_seed_optional(self):
         query = parse_statement("SIMULATE 4 FROM CATALOG '/c'")
-        assert query.n_worlds == 4
-        assert query.seed is None
+        assert query.items == (
+            SelectItem(name="simulate", arguments=(4.0,)),
+        )
 
     @pytest.mark.parametrize(
         "bad, pattern",

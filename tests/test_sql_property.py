@@ -14,7 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ParseError
-from repro.view.sql import parse_view_query
+from repro.view.sql import (
+    CatalogQuery,
+    SelectItem,
+    parse_statement,
+    render_statement,
+)
 
 _IDENT = st.from_regex(r"[a-zA-Z][a-zA-Z0-9_]{0,10}", fullmatch=True).filter(
     lambda s: s.lower() not in {
@@ -97,7 +102,7 @@ def _render(q: dict) -> str:
 @given(_query_structures())
 def test_render_parse_roundtrip(q):
     """Any structurally valid query survives render -> parse unchanged."""
-    parsed = parse_view_query(_render(q))
+    parsed = parse_statement(_render(q))
     assert parsed.view_name == q["view_name"]
     assert parsed.value_column == q["value_column"]
     assert parsed.time_column == q["time_column"]
@@ -131,11 +136,84 @@ def test_render_parse_roundtrip(q):
         assert parsed.time_lo is None
 
 
+# Numbers render with ``:g`` (six significant digits): draw values that
+# survive it, so the round trip is exact rather than approximate.
+_NUMBER = st.integers(min_value=-9999, max_value=9999).map(
+    lambda i: i / 10.0
+)
+_QUOTED = st.from_regex(r"[a-zA-Z0-9_/.*?\-]{1,12}", fullmatch=True)
+
+_SELECT_ITEM = st.one_of(
+    st.just(SelectItem("expected_value")),
+    st.builds(
+        lambda tau: SelectItem("threshold", (tau,)),
+        st.integers(min_value=0, max_value=100).map(lambda i: i / 100.0),
+    ),
+    st.builds(lambda v: SelectItem("exceedance", (v,)), _NUMBER),
+    st.builds(
+        lambda v, w: SelectItem("time_above", (v, float(w))),
+        _NUMBER,
+        st.integers(min_value=1, max_value=99),
+    ),
+    st.builds(
+        lambda low, width, column: SelectItem(
+            "probability_of", (low, low + width), column
+        ),
+        st.integers(min_value=-99, max_value=99).map(float),
+        st.integers(min_value=0, max_value=99).map(float),
+        _IDENT.filter(lambda s: s.lower() not in {"persist", "into"}),
+    ),
+)
+_SIMULATE_ITEM = st.builds(
+    lambda n, seed: SelectItem(
+        "simulate", (float(n),) if seed is None else (float(n), float(seed))
+    ),
+    st.integers(min_value=1, max_value=999),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=99999)),
+)
+
+
+@st.composite
+def _catalog_queries(draw):
+    """SELECT and SIMULATE statements, as the one query class holds them."""
+    simulate = draw(st.booleans())
+    if simulate:
+        items = (draw(_SIMULATE_ITEM),)
+    else:
+        items = tuple(draw(st.lists(_SELECT_ITEM, min_size=1, max_size=4)))
+    lo = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=9999)))
+    hi = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=9999)))
+    if lo is not None and hi is not None and hi < lo:
+        lo, hi = hi, lo
+    return CatalogQuery(
+        items=items,
+        catalog_path=draw(_QUOTED),
+        series_pattern=draw(st.one_of(st.just("*"), _QUOTED)),
+        time_lo=None if lo is None else float(lo),
+        time_hi=None if hi is None else float(hi),
+        as_of=draw(st.one_of(st.none(), st.integers(0, 99))),
+        # SIMULATE's grammar has neither TOP nor APPROX; APPROX takes
+        # one item (and PROBABILITY OF has no estimator, but that is
+        # the planner's business, not the grammar's).
+        top_k=None if simulate else draw(
+            st.one_of(st.none(), st.integers(1, 99))
+        ),
+        approx=not simulate and len(items) == 1 and draw(st.booleans()),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_catalog_queries())
+def test_catalog_statement_roundtrip(query):
+    """render -> parse is the identity on SELECT and SIMULATE alike."""
+    assert parse_statement(render_statement(query)) == query
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.text(min_size=1, max_size=60))
 def test_arbitrary_text_never_crashes_the_parser(text):
     """Garbage input raises ParseError (or parses), never anything else."""
     try:
-        parse_view_query(text)
+        parse_statement(text)
     except ParseError:
         pass

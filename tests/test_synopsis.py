@@ -40,7 +40,7 @@ from repro.store.binary import (
     load_segment_synopsis,
 )
 from repro.view.omega import OmegaGrid
-from repro.view.sql import SelectQuery, parse_statement
+from repro.view.sql import CatalogQuery, parse_statement
 
 H = 16
 GRID = OmegaGrid(delta=0.5, n=4)
@@ -304,7 +304,7 @@ class TestPruning:
             f"WHERE t BETWEEN 40 AND 50"
         )
         plan = plan_statement(catalog, query)
-        stats = plan.stats
+        stats = plan.items[0].stats
         assert stats.segments_total == 9
         assert (
             stats.segments_scanned + stats.segments_pruned
@@ -357,9 +357,9 @@ class TestApprox:
             f"SELECT APPROX exceedance(21.0) FROM CATALOG "
             f"'{tmp_path}' SERIES 's*' TOP 2"
         )
-        assert isinstance(statement, SelectQuery)
+        assert isinstance(statement, CatalogQuery)
         assert statement.approx is True
-        assert statement.aggregate == "exceedance"
+        assert statement.items[0].name == "exceedance"
         plain = parse_statement(
             f"SELECT exceedance(21.0) FROM CATALOG '{tmp_path}'"
         )
@@ -386,7 +386,7 @@ class TestApprox:
                 + suffix
             )
         assert approx.approx
-        exact_scores = exact.scores()
+        exact_scores = {e.series_id: e.score for e in exact.results}
         for entry in approx.results:
             payload = entry.result
             assert set(payload) == {

@@ -192,7 +192,7 @@ class TestApproxBounds:
                         <= payload["upper"]
                     )
                 return
-        scores = exact.scores()
+        scores = {e.series_id: e.score for e in exact.results}
         assert set(scores) == {e.series_id for e in approx.results}
         for entry in approx.results:
             payload = entry.result

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -125,3 +127,11 @@ class TestRowsFromDicts:
     def test_empty_records(self):
         headers, rows = rows_from_dicts([])
         assert headers == [] and rows == []
+
+
+def test_format_allowlist_names_only_existing_files():
+    # The list may only shrink: a deleted file takes its line with it.
+    root = Path(__file__).resolve().parent.parent
+    listed = (root / ".github/ruff-format-allowlist.txt").read_text()
+    paths = [p for p in listed.splitlines() if p and p[0] != "#"]
+    assert paths and not [p for p in paths if not (root / p).is_file()]
