@@ -31,6 +31,8 @@ __all__ = [
     "most_probable_range_query",
     "range_probability_query",
     "expected_value_query",
+    "expected_value_vector",
+    "per_time_expected_value",
 ]
 
 
@@ -89,8 +91,40 @@ def range_probability_query(
     return {int(t): float(mass) for t, mass in zip(cols.times, masses)}
 
 
-def expected_value_query(view: ProbabilisticView) -> dict[int, float]:
-    """Expected value per time under the discretised distribution.
+def per_time_expected_value(
+    low: np.ndarray,
+    high: np.ndarray,
+    probability: np.ndarray,
+    order: np.ndarray,
+    starts: np.ndarray,
+) -> np.ndarray:
+    """Expected value of each by-time group of the tuple columns.
+
+    ``order`` is the stable by-time sort of the columns and ``starts``
+    delimits each time's group inside it
+    (:class:`~repro.db.prob_view.ViewColumns`).  The one place this
+    arithmetic lives: :func:`expected_value_query`, the segment synopsis
+    (:func:`repro.store.binary.compute_view_synopsis`) and the stacked
+    service kernel (:mod:`repro.service.kernels`, several views
+    concatenated with offset ``order`` / ``starts``) all call it, so their
+    answers agree bit for bit.  ``starts`` must be non-empty.
+    """
+    weighted = (probability * 0.5 * (low + high))[order]
+    masses = np.add.reduceat(probability[order], starts)
+    sums = np.add.reduceat(weighted, starts)
+    # Degenerate groups (no mass): midpoint of the group's support.
+    lows = np.minimum.reduceat(low[order], starts)
+    highs = np.maximum.reduceat(high[order], starts)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(
+            masses > 0.0,
+            sums / np.where(masses > 0.0, masses, 1.0),
+            0.5 * (lows + highs),
+        )
+
+
+def expected_value_vector(view: ProbabilisticView) -> np.ndarray:
+    """Per-time expected value, aligned with ``view.columns.times``.
 
     Each tuple contributes its range midpoint weighted by its probability
     (one grouped ``np.add.reduceat`` over the columns); the result is
@@ -99,16 +133,13 @@ def expected_value_query(view: ProbabilisticView) -> dict[int, float]:
     """
     cols = view.columns
     if not cols.times.size:
-        return {}
-    weighted = (cols.probability * 0.5 * (cols.low + cols.high))[cols.order]
-    masses = np.add.reduceat(cols.probability[cols.order], cols.starts)
-    sums = np.add.reduceat(weighted, cols.starts)
-    # Degenerate groups (no mass): midpoint of the group's support.
-    lows = np.minimum.reduceat(cols.low[cols.order], cols.starts)
-    highs = np.maximum.reduceat(cols.high[cols.order], cols.starts)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.where(
-            masses > 0.0, sums / np.where(masses > 0.0, masses, 1.0),
-            0.5 * (lows + highs),
-        )
-    return {int(t): float(value) for t, value in zip(cols.times, values)}
+        return np.empty(0)
+    return per_time_expected_value(
+        cols.low, cols.high, cols.probability, cols.order, cols.starts
+    )
+
+
+def expected_value_query(view: ProbabilisticView) -> dict[int, float]:
+    """Expected value per time under the discretised distribution."""
+    values = expected_value_vector(view)
+    return {int(t): float(v) for t, v in zip(view.columns.times, values)}

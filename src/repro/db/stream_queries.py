@@ -33,13 +33,14 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.db.prob_view import ProbabilisticView
-from repro.db.queries import expected_value_query
+from repro.db.queries import expected_value_vector
 from repro.exceptions import InvalidParameterError
 
 __all__ = [
     "windowed_expected_value",
     "exceedance_probability",
     "exceedance_vector",
+    "per_time_exceedance",
     "sustained_exceedance_probability",
     "expected_time_above",
 ]
@@ -69,6 +70,27 @@ def _check_windowed(view: ProbabilisticView, window: int) -> bool:
     return True
 
 
+def per_time_exceedance(
+    low: np.ndarray,
+    high: np.ndarray,
+    probability: np.ndarray,
+    order: np.ndarray,
+    starts: np.ndarray,
+    threshold: float,
+) -> np.ndarray:
+    """P(value > threshold) of each by-time group of the tuple columns.
+
+    The array core behind :func:`exceedance_vector`, the segment synopsis'
+    exceedance sketch and the stacked service kernel — same contract as
+    :func:`repro.db.queries.per_time_expected_value`.
+    """
+    # Ranges fully above the threshold contribute everything (the fraction
+    # clips to 1); the straddling range contributes proportionally.
+    fraction = np.clip((high - threshold) / (high - low), 0.0, 1.0)
+    contribution = (probability * fraction)[order]
+    return np.minimum(np.add.reduceat(contribution, starts), 1.0)
+
+
 def exceedance_vector(view: ProbabilisticView, threshold: float) -> np.ndarray:
     """Per-time P(value > threshold), aligned with ``view.columns.times``.
 
@@ -79,13 +101,10 @@ def exceedance_vector(view: ProbabilisticView, threshold: float) -> np.ndarray:
     cols = view.columns
     if not cols.times.size:
         return np.empty(0)
-    # Ranges fully above the threshold contribute everything (the fraction
-    # clips to 1); the straddling range contributes proportionally.
-    fraction = np.clip(
-        (cols.high - threshold) / (cols.high - cols.low), 0.0, 1.0
+    return per_time_exceedance(
+        cols.low, cols.high, cols.probability, cols.order, cols.starts,
+        threshold,
     )
-    contribution = (cols.probability * fraction)[cols.order]
-    return np.minimum(np.add.reduceat(contribution, cols.starts), 1.0)
 
 
 def exceedance_probability(view: ProbabilisticView, threshold: float) -> dict[int, float]:
@@ -108,9 +127,8 @@ def windowed_expected_value(
     """
     if not _check_windowed(view, window):
         return {}
-    expectations = expected_value_query(view)
+    values = expected_value_vector(view)
     times = view.times
-    values = np.array([expectations[t] for t in times])
     csum = np.concatenate(([0.0], np.cumsum(values)))
     means = (csum[window:] - csum[:-window]) / window
     return {times[i + window - 1]: float(means[i]) for i in range(means.size)}

@@ -15,11 +15,11 @@ dispatch per series.  A stack never grows past :data:`_STACK_ROWS`
 tuples (one larger view runs alone), so however long the chunk, only
 that many rows of views plus one stacked copy are alive at once.
 
-The arithmetic mirrors the one-shot query functions of :mod:`repro.db`
-(``threshold_query``, ``expected_value_query``,
-``exceedance_probability``, ``expected_time_above``,
-``conjunctive_range_query``, ``WorldSampler``) bit for bit; those stay
-the public API and the reference the parity tests compare against.
+The stacked kernels call the array cores of :mod:`repro.db`
+(``per_time_expected_value``, ``per_time_exceedance``) and the solo ones
+``conjunctive_range_query`` and ``WorldSampler``; the one-shot query
+functions built on the same code stay the public API and the reference
+the parity tests compare against.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.db.prob_view import ProbabilisticView
-from repro.db.stream_queries import _check_windowed
+from repro.db.queries import per_time_expected_value
+from repro.db.stream_queries import _check_windowed, per_time_exceedance
 from repro.db.worlds import (
     WorldSampler,
     conjunctive_range_query,
@@ -177,11 +178,12 @@ def _batched_mapping(
 ) -> list[np.ndarray]:
     """Per-series value vectors for one batched kernel, one numpy pass.
 
-    The stacked computation is bit-identical to the per-series kernels in
-    :mod:`repro.db.queries` / :mod:`repro.db.stream_queries`: every
-    elementwise op produces the same element values on a concatenation,
-    and the grouped ``reduceat`` boundaries are the per-series ``starts``
-    shifted by each series' offset — groups never cross series.  Windowed
+    The stack goes through the same array cores the one-shot queries in
+    :mod:`repro.db.queries` / :mod:`repro.db.stream_queries` call, and is
+    bit-identical to running them per series: every elementwise op
+    produces the same element values on a concatenation, and the grouped
+    ``reduceat`` boundaries are the per-series ``starts`` shifted by each
+    series' offset — groups never cross series.  Windowed
     post-passes (``time_above``'s cumulative sums) run on the per-series
     slices so float accumulation order matches the solo kernel exactly.
     """
@@ -198,22 +200,13 @@ def _batched_mapping(
         [cols.starts + offset for cols, offset in zip(columns, offsets)]
     )
     if kernel == "expected_value":
-        weighted = (probability * 0.5 * (low + high))[order]
-        masses = np.add.reduceat(probability[order], starts)
-        sums = np.add.reduceat(weighted, starts)
-        lows = np.minimum.reduceat(low[order], starts)
-        highs = np.maximum.reduceat(high[order], starts)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            values = np.where(
-                masses > 0.0,
-                sums / np.where(masses > 0.0, masses, 1.0),
-                0.5 * (lows + highs),
-            )
+        values = per_time_expected_value(
+            low, high, probability, order, starts
+        )
     else:  # exceedance / time_above share the exceedance vector.
-        threshold = arguments[0]
-        fraction = np.clip((high - threshold) / (high - low), 0.0, 1.0)
-        contribution = (probability * fraction)[order]
-        values = np.minimum(np.add.reduceat(contribution, starts), 1.0)
+        values = per_time_exceedance(
+            low, high, probability, order, starts, arguments[0]
+        )
     counts = [cols.times.size for cols in columns]
     bounds = np.concatenate(([0], np.cumsum(counts)))
     per_series = [values[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]

@@ -1,29 +1,49 @@
-"""Columnar ``.npz`` persistence for views and density series.
+"""What a stored view looks like on disk: payloads, segment names, writes.
 
-Schema-versioned binary files holding the column arrays directly, so saving
-and loading a million-tuple view is a handful of bulk array writes instead
-of a per-tuple Python loop, and the round trip is bit-exact (float64 in,
-float64 out).
+The one module that knows the store's file formats:
 
-Every file carries ``schema`` (format version) and ``kind`` (payload type)
-arrays; loaders reject files written under a different schema version with
-:class:`~repro.exceptions.SchemaVersionError` rather than misreading them.
-The same column payload doubles as the segment format of the catalog's
-append-friendly layout (:mod:`repro.store.catalog`): one file per ingested
-micro-batch, concatenated column-wise at load time.
+* **Column payloads.**  Schema-versioned binary files holding a view's (or
+  density series') column arrays directly, so saving and loading a
+  million-tuple view is a handful of bulk array writes instead of a
+  per-tuple Python loop, and the round trip is bit-exact (float64 in,
+  float64 out).  Every payload carries ``schema`` (format version) and
+  ``kind`` (payload type); loaders reject another schema version with
+  :class:`~repro.exceptions.SchemaVersionError` rather than misreading
+  it.  A view payload has two layouts — the single-file ``.npz`` archive
+  (also the :func:`save_view_npz` export) and the mmap-able ``.v2``
+  directory of raw ``.npy`` columns; :func:`save_view_columns` /
+  :func:`load_view_columns` dispatch on the path's suffix.
+* **Segment names.**  The catalog (:mod:`repro.store.catalog`) stores one
+  view payload per ingested micro-batch; :func:`segment_name`,
+  :func:`next_segment_index` and :func:`remove_segment` are all there is
+  to what a segment is called and how it is deleted.
+* **Atomic writes.**  :func:`write_json_atomic` (catalog and series
+  metadata) and the payload writers land everything under a same-directory
+  temp name that is renamed into place and cleaned up on failure.
+
+A segment's zone-map synopsis is *computed* here
+(:func:`compute_view_synopsis`, returned by :func:`save_view_columns`) but
+stored only in the series' ``series.json``.  Older builds also left a copy
+in a ``<segment>.synopsis.json`` sidecar (``.npz``) or a ``synopsis`` key
+of ``meta.json`` (``.v2``): both are ignored on read and swept by
+:func:`remove_segment`.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import zipfile
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
 from repro.db.prob_view import ProbabilisticView
+from repro.db.queries import per_time_expected_value
+from repro.db.stream_queries import per_time_exceedance
 from repro.exceptions import DataError, SchemaVersionError, StoreError
 from repro.metrics.base import DensityForecast, DensitySeries
 from repro.distributions.gaussian import Gaussian
@@ -33,23 +53,26 @@ __all__ = [
     "EXC_SKETCH_EDGES",
     "PROB_HIST_BUCKETS",
     "SCHEMA_VERSION",
+    "SEGMENT_LAYOUTS",
     "SEGMENT_SUFFIX_NPZ",
     "SEGMENT_SUFFIX_V2",
     "SYNOPSIS_VERSION",
     "check_schema_version",
     "compute_view_synopsis",
     "load_density_series_npz",
-    "load_segment_synopsis",
     "load_view_columns",
     "load_view_columns_npz",
     "load_view_columns_v2",
     "load_view_npz",
+    "next_segment_index",
+    "remove_segment",
     "save_density_series_npz",
     "save_view_columns",
     "save_view_columns_npz",
     "save_view_columns_v2",
     "save_view_npz",
-    "write_segment_synopsis",
+    "segment_name",
+    "write_json_atomic",
 ]
 
 #: Version written into every binary file; bump on incompatible changes.
@@ -72,25 +95,29 @@ PROB_HIST_BUCKETS = 20
 #: at this many threshold grid points spanning [low_min, high_max].
 EXC_SKETCH_EDGES = 9
 
-#: Sidecar file carrying the synopsis of an ``.npz`` segment (the zip
-#: archive itself is immutable once renamed into place); layout-v2
-#: segments embed the synopsis in their ``meta.json`` instead.
-_SYNOPSIS_SIDECAR_SUFFIX = ".synopsis.json"
-
-#: Segment layout suffixes.  ``.npz`` is the original zipped archive (one
-#: file, zlib-framed members); ``.v2`` is a *directory* holding one raw,
-#: uncompressed ``.npy`` per column plus a small ``meta.json`` — the layout
+#: Segment layouts by name, and the suffix that marks each on disk.
+#: ``npz`` is the original zipped archive (one file, zlib-framed members);
+#: ``v2`` is a *directory* holding one raw, uncompressed ``.npy`` per
+#: column plus a small ``meta.json`` — the layout
 #: ``np.load(..., mmap_mode="r")`` can map zero-copy, so many reader
 #: processes share the same page-cache pages instead of each rehydrating
-#: its own arrays.
+#: its own arrays.  Mixed layouts within one series load transparently —
+#: the name's suffix decides.
 SEGMENT_SUFFIX_NPZ = ".npz"
 SEGMENT_SUFFIX_V2 = ".v2"
+_SEGMENT_SUFFIXES = {"npz": SEGMENT_SUFFIX_NPZ, "v2": SEGMENT_SUFFIX_V2}
+SEGMENT_LAYOUTS = tuple(_SEGMENT_SUFFIXES)
+_SEGMENT_RE = re.compile(r"^seg-(\d{8})(?:\.npz|\.v2)$")
+
+#: Synopsis copy older builds left beside each ``.npz`` segment; never
+#: read, only swept by :func:`remove_segment`.
+_STALE_SIDECAR_SUFFIX = ".synopsis.json"
 
 _KIND_VIEW = "view_columns"
 _KIND_DENSITY = "density_columns"
 
 _V2_META = "meta.json"
-_V2_COLUMNS = ("t", "low", "high", "probability", "label_code")
+_VIEW_COLUMNS = ("t", "low", "high", "probability", "label_code")
 
 #: Density-family dictionary codes (per-row, so mixed series round-trip).
 _FAMILIES = ("gaussian", "uniform")
@@ -130,6 +157,18 @@ def _savez_exact(path: Path, **arrays: np.ndarray) -> None:
         raise
 
 
+def _check_header(path: Path, header: Any, schema_key: str, kind: str) -> None:
+    """Reject a payload whose schema/kind header is absent or foreign."""
+    if schema_key not in header or "kind" not in header:
+        raise DataError(f"{path} carries no schema/kind header")
+    check_schema_version(int(header[schema_key]), path)
+    found_kind = str(header["kind"])
+    if found_kind != kind:
+        raise DataError(
+            f"{path} holds {found_kind!r} data, expected {kind!r}"
+        )
+
+
 def _open_npz(path: str | Path, kind: str) -> np.lib.npyio.NpzFile:
     path = Path(path)
     try:
@@ -141,14 +180,7 @@ def _open_npz(path: str | Path, kind: str) -> np.lib.npyio.NpzFile:
         # OSError nor ValueError; without it a damaged segment would leak
         # a raw zipfile exception past the ReproError hierarchy.
         raise DataError(f"{path} is not a readable npz file: {exc}") from exc
-    if "schema" not in payload or "kind" not in payload:
-        raise DataError(f"{path} carries no schema/kind header")
-    check_schema_version(int(payload["schema"]), path)
-    found_kind = str(payload["kind"])
-    if found_kind != kind:
-        raise DataError(
-            f"{path} holds {found_kind!r} data, expected {kind!r}"
-        )
+    _check_header(path, payload, "schema", kind)
     return payload
 
 
@@ -172,6 +204,23 @@ def save_view_npz(view: ProbabilisticView, path: str | Path) -> None:
     )
 
 
+def _stored_columns(
+    t: np.ndarray,
+    low: np.ndarray,
+    high: np.ndarray,
+    probability: np.ndarray,
+    label_code: np.ndarray,
+) -> dict[str, np.ndarray]:
+    """The numeric columns of a view payload, named and typed as stored."""
+    return {
+        "t": np.ascontiguousarray(t, dtype=np.int64),
+        "low": np.ascontiguousarray(low, dtype=float),
+        "high": np.ascontiguousarray(high, dtype=float),
+        "probability": np.ascontiguousarray(probability, dtype=float),
+        "label_code": np.ascontiguousarray(label_code, dtype=np.int64),
+    }
+
+
 def save_view_columns_npz(
     path: str | Path,
     *,
@@ -181,37 +230,21 @@ def save_view_columns_npz(
     probability: np.ndarray,
     label_code: np.ndarray,
     labels: tuple[str, ...],
-    synopsis: dict | None = None,
 ) -> None:
-    """Raw-column variant of :func:`save_view_npz` (the segment writer).
-
-    ``synopsis`` (when given) lands in a JSON sidecar *after* the segment
-    rename — a crash between the two leaves a valid segment without a
-    sidecar, which readers treat as "compute lazily", never as corruption.
-    """
-    path = Path(path)
+    """Raw-column variant of :func:`save_view_npz` (the segment writer)."""
     _savez_exact(
-        path,
+        Path(path),
         schema=np.int64(SCHEMA_VERSION),
         kind=np.str_(_KIND_VIEW),
-        t=np.ascontiguousarray(t, dtype=np.int64),
-        low=np.ascontiguousarray(low, dtype=float),
-        high=np.ascontiguousarray(high, dtype=float),
-        probability=np.ascontiguousarray(probability, dtype=float),
-        label_code=np.ascontiguousarray(label_code, dtype=np.int64),
+        **_stored_columns(t, low, high, probability, label_code),
         labels=np.array(labels if labels else ("",), dtype=np.str_),
     )
-    if synopsis is not None:
-        _write_json_file_atomic(_synopsis_sidecar(path), synopsis)
 
 
 def load_view_columns_npz(path: str | Path) -> dict[str, np.ndarray]:
     """Load the raw column payload of one view file / catalog segment."""
     payload = _open_npz(path, _KIND_VIEW)
-    return {
-        key: payload[key]
-        for key in ("t", "low", "high", "probability", "label_code", "labels")
-    }
+    return {key: payload[key] for key in (*_VIEW_COLUMNS, "labels")}
 
 
 # ----------------------------------------------------------------------
@@ -229,8 +262,8 @@ def compute_view_synopsis(
     to a query (time range, maximum tuple probability) plus the sketches
     the APPROX estimators interpolate over:
 
-    * per-time expected-value partial sums and extrema, computed with the
-      exact arithmetic of :func:`repro.db.queries.expected_value_query`
+    * per-time expected-value partial sums and extrema, computed by the
+      array core of :func:`repro.db.queries.expected_value_query`
       (mass-normalised; degenerate groups fall back to the support
       midpoint) so the segment bounds enclose the exact per-time values;
     * a :data:`PROB_HIST_BUCKETS`-bucket histogram of tuple
@@ -238,7 +271,7 @@ def compute_view_synopsis(
       reader can derive rigorous threshold-count bounds;
     * an exceedance sketch: ``max_t P(value > theta)`` at
       :data:`EXC_SKETCH_EDGES` grid thresholds spanning the segment's
-      value support, mirroring
+      value support, through the array core of
       :func:`repro.db.stream_queries.exceedance_vector`.  Exceedance is
       non-increasing in ``theta``, so adjacent grid values bracket the
       true maximum at any threshold between them.
@@ -255,18 +288,8 @@ def compute_view_synopsis(
     order = np.argsort(t, kind="stable")
     ts = t[order]
     starts = np.flatnonzero(np.concatenate(([True], ts[1:] != ts[:-1])))
-    prob_sorted = probability[order]
-    masses = np.add.reduceat(prob_sorted, starts)
-    weighted = (probability * 0.5 * (low + high))[order]
-    sums = np.add.reduceat(weighted, starts)
-    lows_grouped = np.minimum.reduceat(low[order], starts)
-    highs_grouped = np.maximum.reduceat(high[order], starts)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ev = np.where(
-            masses > 0.0,
-            sums / np.where(masses > 0.0, masses, 1.0),
-            0.5 * (lows_grouped + highs_grouped),
-        )
+    masses = np.add.reduceat(probability[order], starts)
+    ev = per_time_expected_value(low, high, probability, order, starts)
     bucket_edges = np.arange(1, PROB_HIST_BUCKETS) / PROB_HIST_BUCKETS
     hist = np.bincount(
         np.searchsorted(bucket_edges, probability, side="right"),
@@ -275,13 +298,14 @@ def compute_view_synopsis(
     low_min = float(low.min())
     high_max = float(high.max())
     exc_edges = np.linspace(low_min, high_max, EXC_SKETCH_EDGES)
-    spans = high - low
-    exc_max = []
-    for theta in exc_edges:
-        fraction = np.clip((high - theta) / spans, 0.0, 1.0)
-        contribution = (probability * fraction)[order]
-        per_time = np.minimum(np.add.reduceat(contribution, starts), 1.0)
-        exc_max.append(float(per_time.max()))
+    exc_max = [
+        float(
+            per_time_exceedance(
+                low, high, probability, order, starts, theta
+            ).max()
+        )
+        for theta in exc_edges
+    ]
     return {
         "version": SYNOPSIS_VERSION,
         "rows": int(t.size),
@@ -301,8 +325,13 @@ def compute_view_synopsis(
     }
 
 
-def _write_json_file_atomic(path: Path, payload: dict) -> None:
-    """Small-JSON sibling of ``_savez_exact``: temp file + rename."""
+def write_json_atomic(path: Path, payload: dict) -> None:
+    """Write ``payload`` so readers never observe a half-written file.
+
+    Small-JSON sibling of ``_savez_exact``; the leading-dot temp name
+    cannot collide with a series directory (ids start with a letter or
+    underscore) and is removed if the write or the rename fails.
+    """
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -312,66 +341,34 @@ def _write_json_file_atomic(path: Path, payload: dict) -> None:
         raise
 
 
-def _synopsis_sidecar(path: Path) -> Path:
-    return path.with_name(path.name + _SYNOPSIS_SIDECAR_SUFFIX)
+# ----------------------------------------------------------------------
+# Segment names.
+# ----------------------------------------------------------------------
+def segment_name(layout: str, index: int) -> str:
+    """The file (or directory) name of segment ``index`` in ``layout``."""
+    return f"seg-{index:08d}{_SEGMENT_SUFFIXES[layout]}"
 
 
-def _valid_synopsis(payload: object) -> dict | None:
-    """``payload`` if it is a current-version synopsis dict, else None."""
-    if (
-        isinstance(payload, dict)
-        and payload.get("version") == SYNOPSIS_VERSION
-    ):
-        return payload
-    return None
+def next_segment_index(existing: list[str]) -> int:
+    """First segment index after ``existing`` (indices never reused)."""
+    indices = [
+        int(match.group(1))
+        for name in existing
+        if (match := _SEGMENT_RE.match(name))
+    ]
+    return max(indices, default=0) + 1
 
 
-def write_segment_synopsis(path: str | Path, synopsis: dict) -> None:
-    """Attach ``synopsis`` to an already-written segment of either layout.
-
-    Layout-v2 segments carry it inside ``meta.json`` (rewritten
-    atomically); ``.npz`` segments — immutable zip archives — get a JSON
-    sidecar next to the file.  Used by the backfill path
-    (:meth:`repro.store.catalog.Catalog.synopsize`); fresh writes go
-    through :func:`save_view_columns`, which persists the synopsis as
-    part of the segment write itself.
-    """
-    path = Path(path)
-    if path.suffix == SEGMENT_SUFFIX_V2 or path.is_dir():
-        meta_path = path / _V2_META
-        try:
-            meta = json.loads(meta_path.read_text())
-        except FileNotFoundError:
-            raise StoreError(f"no such store file: {path}") from None
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise DataError(
-                f"{path} is not a readable v2 segment: {exc}"
-            ) from exc
-        meta["synopsis"] = synopsis
-        _write_json_file_atomic(meta_path, meta)
+def remove_segment(directory: Path, name: str) -> None:
+    """Delete one segment of either layout (file or directory)."""
+    target = directory / name
+    if target.is_dir():
+        shutil.rmtree(target, ignore_errors=True)
     else:
-        _write_json_file_atomic(_synopsis_sidecar(path), synopsis)
-
-
-def load_segment_synopsis(path: str | Path) -> dict | None:
-    """The stored synopsis of one segment, or None when absent/unreadable.
-
-    Absence is not an error: segments written before synopses existed (or
-    whose sidecar was lost) simply report None, and callers fall back to
-    loading the columns — the "old catalogs never error" contract.
-    """
-    path = Path(path)
-    if path.suffix == SEGMENT_SUFFIX_V2 or path.is_dir():
-        try:
-            meta = json.loads((path / _V2_META).read_text())
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            return None
-        return _valid_synopsis(meta.get("synopsis"))
-    try:
-        payload = json.loads(_synopsis_sidecar(path).read_text())
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-        return None
-    return _valid_synopsis(payload)
+        target.unlink(missing_ok=True)
+        target.with_name(name + _STALE_SIDECAR_SUFFIX).unlink(
+            missing_ok=True
+        )
 
 
 # ----------------------------------------------------------------------
@@ -386,7 +383,6 @@ def save_view_columns_v2(
     probability: np.ndarray,
     label_code: np.ndarray,
     labels: tuple[str, ...],
-    synopsis: dict | None = None,
 ) -> None:
     """Write one layout-v2 segment: a directory of uncompressed columns.
 
@@ -395,33 +391,22 @@ def save_view_columns_v2(
     the same durability contract :func:`_savez_exact` gives ``.npz``
     files.  A pre-existing target (an orphan from a crashed append being
     overwritten on resume) is unreferenced by definition and is removed
-    first.  ``synopsis`` (when given) rides inside ``meta.json``, so it
-    is exactly as durable as the segment itself.
+    first.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     shutil.rmtree(tmp, ignore_errors=True)
     try:
         tmp.mkdir(parents=True)
-        np.save(tmp / "t.npy", np.ascontiguousarray(t, dtype=np.int64))
-        np.save(tmp / "low.npy", np.ascontiguousarray(low, dtype=float))
-        np.save(tmp / "high.npy", np.ascontiguousarray(high, dtype=float))
-        np.save(
-            tmp / "probability.npy",
-            np.ascontiguousarray(probability, dtype=float),
-        )
-        np.save(
-            tmp / "label_code.npy",
-            np.ascontiguousarray(label_code, dtype=np.int64),
-        )
+        columns = _stored_columns(t, low, high, probability, label_code)
+        for name, column in columns.items():
+            np.save(tmp / f"{name}.npy", column)
         meta = {
             "schema_version": SCHEMA_VERSION,
             "kind": _KIND_VIEW,
             "layout": 2,
             "labels": [str(label) for label in (labels if labels else ("",))],
         }
-        if synopsis is not None:
-            meta["synopsis"] = synopsis
         (tmp / _V2_META).write_text(
             json.dumps(meta, indent=2, sort_keys=True) + "\n"
         )
@@ -450,16 +435,10 @@ def load_view_columns_v2(
         raise StoreError(f"no such store file: {path}") from None
     except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"{path} is not a readable v2 segment: {exc}") from exc
-    if "schema_version" not in meta or "kind" not in meta:
-        raise DataError(f"{path} carries no schema/kind header")
-    check_schema_version(int(meta["schema_version"]), path)
-    if meta["kind"] != _KIND_VIEW:
-        raise DataError(
-            f"{path} holds {meta['kind']!r} data, expected {_KIND_VIEW!r}"
-        )
+    _check_header(path, meta, "schema_version", _KIND_VIEW)
     mmap_mode = "r" if mmap else None
     columns: dict[str, np.ndarray] = {}
-    for name in _V2_COLUMNS:
+    for name in _VIEW_COLUMNS:
         column_path = path / f"{name}.npy"
         try:
             columns[name] = np.load(
@@ -488,33 +467,23 @@ def save_view_columns(
     """Write one segment, dispatching on the path's layout suffix.
 
     Computes the segment's zone-map synopsis from the columns being
-    written (one extra vectorised pass over data already in memory),
-    persists it with the segment, and returns it so the catalog can
-    surface it through ``series.json`` without re-reading the segment.
+    written (one extra vectorised pass over data already in memory) and
+    returns it: the caller records it in ``series.json``, its only home.
     """
     synopsis = compute_view_synopsis(t, low, high, probability)
     if Path(path).suffix == SEGMENT_SUFFIX_V2:
-        save_view_columns_v2(
-            path,
-            t=t,
-            low=low,
-            high=high,
-            probability=probability,
-            label_code=label_code,
-            labels=labels,
-            synopsis=synopsis,
-        )
+        writer = save_view_columns_v2
     else:
-        save_view_columns_npz(
-            path,
-            t=t,
-            low=low,
-            high=high,
-            probability=probability,
-            label_code=label_code,
-            labels=labels,
-            synopsis=synopsis,
-        )
+        writer = save_view_columns_npz
+    writer(
+        path,
+        t=t,
+        low=low,
+        high=high,
+        probability=probability,
+        label_code=label_code,
+        labels=labels,
+    )
     return synopsis
 
 

@@ -10,40 +10,47 @@ sigma-cache across appends), extends the stored view with a new **segment**
 — never rebuilding earlier rows — and pushes the new suffix to every
 registered standing query.
 
-On-disk layout (all JSON human-inspectable, all arrays binary)::
+On-disk layout (all JSON human-inspectable, all arrays binary; what a
+segment is called and looks like inside is :mod:`repro.store.binary`'s
+business, not this module's)::
 
     <root>/
-      catalog.json              # schema version + series ids
+      catalog.json              # schema version, segment layout, series ids
       <series_id>/
-        series.json             # metric, grid, cache config, resume state
+        series.json             # metric, grid, cache config, resume state,
+                                # segment list, per-segment synopses,
+                                # revision chain
         seg-00000001.npz        # view columns of one ingested micro-batch
-        seg-00000002.npz
+        seg-00000002.npz        # (a seg-*.v2 directory under layout "v2")
         ...
 
-``series.json`` is rewritten atomically (temp file + rename) *after* its
-segment lands, so a crash between the two leaves an orphan segment that is
-simply ignored on reopen — appends resume at the recorded ``next_t`` and
-the stored view stays consistent.  Standing-query registrations are
-session-scoped (clients re-register after a restart); everything else
-survives a process restart.  One caveat: the metric is rebuilt from its
-registry name on reopen, so metrics carrying *internal* warm-start state
-(e.g. ARMA-GARCH's previous GARCH parameters) re-warm from the restored
-window — the first fit after a restart starts cold and can land on a
-nearby optimum: fed 200 values, reopened, fed 100 more, an ``arma_garch``
-series differed from the uninterrupted run in 14 of 100 volatilities
-(worst 0.849x).  ``tests/test_pipeline_parity.py::
+A segment holds rows and nothing else; ``series.json`` holds everything
+known *about* the segments — each one's zone-map synopsis included, which
+is stored there and nowhere else.  Every write (``append``, ``revise``,
+``save_view``) is one transaction: :func:`_write_segment` names, writes
+and records the segment, then ``series.json`` is rewritten atomically
+(temp file + rename) — the commit point.  A crash between the two leaves
+an orphan segment that is simply ignored on reopen — appends resume at the
+recorded ``next_t`` and the stored view stays consistent.  Standing-query
+registrations are session-scoped (clients re-register after a restart);
+everything else survives a process restart.  One caveat: the metric is
+rebuilt from its registry name on reopen, so metrics carrying *internal*
+warm-start state (e.g. ARMA-GARCH's previous GARCH parameters) re-warm
+from the restored window — the first fit after a restart starts cold and
+can land on a nearby optimum: fed 200 values, reopened, fed 100 more, an
+``arma_garch`` series differed from the uninterrupted run in 14 of 100
+volatilities (worst 0.849x).  ``tests/test_pipeline_parity.py::
 test_resume_matches_uninterrupted`` pins this as a strict xfail.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import re
-import shutil
 import threading
 import uuid
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from pathlib import Path
@@ -58,16 +65,17 @@ from repro.obs.metrics import default_registry
 from repro.pipeline import OnlinePipeline
 from repro.store.binary import (
     SCHEMA_VERSION,
-    SEGMENT_SUFFIX_NPZ,
-    SEGMENT_SUFFIX_V2,
+    SEGMENT_LAYOUTS,
     SYNOPSIS_VERSION,
     check_schema_version,
     compute_view_synopsis,
-    load_segment_synopsis,
     load_view_columns,
+    next_segment_index,
+    remove_segment,
     save_view_columns,
-    write_segment_synopsis,
+    segment_name,
 )
+from repro.store.binary import write_json_atomic as _write_json_atomic
 from repro.store.standing import StandingQuery, StandingQueryHandle
 from repro.view.omega import OmegaGrid
 from repro.view.sigma_cache import SigmaCache
@@ -83,14 +91,6 @@ __all__ = [
 
 _CATALOG_FILE = "catalog.json"
 _SERIES_FILE = "series.json"
-#: Segment layouts: "npz" (zipped archive, the original format) and "v2"
-#: (uncompressed .npy-per-column directory, mmap-able).  Mixed layouts
-#: within one series load transparently — the name's suffix decides.
-_SEGMENT_FORMATS = {
-    "npz": "seg-{:08d}" + SEGMENT_SUFFIX_NPZ,
-    "v2": "seg-{:08d}" + SEGMENT_SUFFIX_V2,
-}
-_SEGMENT_RE = re.compile(r"^seg-(\d{8})(?:\.npz|\.v2)$")
 _SERIES_ID_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.\-]*$")
 
 # Store-tier observability: segment materialisations and snapshot-memo
@@ -110,17 +110,6 @@ _OBS_SNAPSHOTS = default_registry().counter(
     "repro_store_snapshots_total",
     "Series snapshot requests by memo outcome",
 )
-
-
-def _remove_segment(directory: Path, name: str) -> None:
-    """Delete one segment of either layout (file or directory)."""
-    target = directory / name
-    if target.is_dir():
-        shutil.rmtree(target, ignore_errors=True)
-    else:
-        target.unlink(missing_ok=True)
-        # An .npz segment may carry a synopsis sidecar; never orphan it.
-        target.with_name(f"{name}.synopsis.json").unlink(missing_ok=True)
 
 
 def _coerce_synopsis(payload: Any) -> dict[str, Any] | None:
@@ -200,16 +189,6 @@ def _intervals_cover(
     return False
 
 
-def _next_segment_index(existing: list[str]) -> int:
-    """First segment index after ``existing`` (indices never reused)."""
-    indices = [
-        int(match.group(1))
-        for name in existing
-        if (match := _SEGMENT_RE.match(name))
-    ]
-    return max(indices, default=0) + 1
-
-
 def _pipeline_from_meta(meta: dict[str, Any], grid: OmegaGrid) -> OnlinePipeline:
     """Realise a series' metric/cache/window binding as a fresh pipeline.
 
@@ -232,17 +211,6 @@ def _pipeline_from_meta(meta: dict[str, Any], grid: OmegaGrid) -> OnlinePipeline
     return OnlinePipeline(metric, meta["H"], grid, cache, retain_history=False)
 
 
-def _write_json_atomic(path: Path, payload: dict[str, Any]) -> None:
-    """Write ``payload`` so readers never observe a half-written file.
-
-    The leading-dot temp name cannot collide with a series directory
-    (series ids must start with a letter or underscore).
-    """
-    tmp = path.with_name(f".{path.name}.tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
-
-
 def _read_json(path: Path, what: str) -> dict[str, Any]:
     try:
         payload = json.loads(path.read_text())
@@ -252,6 +220,47 @@ def _read_json(path: Path, what: str) -> dict[str, Any]:
         raise StoreError(f"{what} metadata corrupt: {path}: {exc}") from exc
     check_schema_version(int(payload.get("schema_version", -1)), path)
     return payload
+
+
+def _write_segment(
+    directory: Path, meta: dict[str, Any], view: ProbabilisticView
+) -> str:
+    """Name the next segment, write it, record it in ``meta``.
+
+    The first half of every store write (``append``, ``revise``,
+    ``save_view``); nothing is durable until the caller flushes ``meta``
+    to ``series.json``, and a failure in between leaves at worst an orphan
+    segment that the resumed write, handed the same index, overwrites.
+    The synopsis lands in ``meta["synopses"]``, its only home, where the
+    planner reads it without touching any segment file.
+    """
+    # The persisted counter keeps per-append naming O(1); metadata written
+    # before the counter existed falls back to a name scan.
+    index = meta.get("next_segment")
+    if index is None:
+        index = next_segment_index(meta.get("segments", []))
+    layout = meta.get("layout", "npz")
+    if layout not in SEGMENT_LAYOUTS:
+        raise StoreError(
+            f"{directory / _SERIES_FILE} records unknown segment layout "
+            f"{layout!r}; this build writes {sorted(SEGMENT_LAYOUTS)}"
+        )
+    name = segment_name(layout, index)
+    cols = view.columns
+    synopsis = save_view_columns(
+        directory / name,
+        t=cols.t,
+        low=cols.low,
+        high=cols.high,
+        probability=cols.probability,
+        label_code=cols.label_code,
+        labels=cols.labels,
+    )
+    meta.setdefault("segments", []).append(name)
+    meta.setdefault("synopses", {})[name] = synopsis
+    meta["next_segment"] = index + 1
+    meta["tuple_count"] = int(meta.get("tuple_count", 0)) + len(view)
+    return name
 
 
 def _apply_shadow_mask(
@@ -558,13 +567,8 @@ class SeriesSnapshot:
 
         ``as_of`` replays the series as known at that knowledge time; the
         default materialises the newest frontier (on a revised series,
-        shadowed rows are dropped — latest wins).  Never-revised series
-        take the historical bit-identical path.
+        shadowed rows are dropped — latest wins).
         """
-        if as_of is None and not self.revisions:
-            return _load_view_from_segments(
-                self.directory, self.series_id, self.segments, mmap=mmap
-            )
         frontier = self.as_of(as_of)
         return _load_view_from_segments(
             self.directory,
@@ -573,6 +577,27 @@ class SeriesSnapshot:
             mmap=mmap,
             shadows=frontier.shadows,
         )
+
+
+def _snapshot_from_meta(
+    series_id: str, directory: Path, meta: dict[str, Any]
+) -> SeriesSnapshot:
+    """The snapshot one parsed ``series.json`` describes."""
+    segments = tuple(meta.get("segments", ()))
+    synopses_map = meta.get("synopses") or {}
+    return SeriesSnapshot(
+        series_id=series_id,
+        directory=directory,
+        kind=meta["kind"],
+        segments=segments,
+        tuple_count=int(meta.get("tuple_count", 0)),
+        next_t=meta.get("next_t"),
+        created=str(meta.get("created", "")),
+        synopses=tuple(
+            _coerce_synopsis(synopses_map.get(name)) for name in segments
+        ),
+        revisions=_coerce_revisions(meta.get("revisions"), segments),
+    )
 
 
 @dataclass
@@ -612,15 +637,15 @@ class SeriesHandle:
         # must not pay for metric construction or cache population.
         self._pipeline: OnlinePipeline | None = None
         self._closed = False  # Set when the series is dropped or replaced.
-        self._poisoned = False  # Set when an append died mid-transaction.
+        self._poisoned = False  # Set when a write died mid-transaction.
 
     def _check_open(self) -> None:
         if self._poisoned:
             raise StoreError(
                 f"series {self.series_id!r} handle is stale: a previous "
-                "append failed between feeding the pipeline and flushing "
-                "series.json; re-open the catalog to resume from the last "
-                "durable state"
+                "append or revision failed before its series.json flush; "
+                "re-fetch the handle via Catalog.series() to resume from "
+                "the last durable state"
             )
         if self._closed:
             raise StoreError(
@@ -720,68 +745,43 @@ class SeriesHandle:
         result = AppendResult(
             series_id=self.series_id, fed=int(values.size), emitted=len(matrix)
         )
-        # The pipeline has consumed the batch; from here to the metadata
-        # flush the handle is mid-transaction.  A failure leaves disk at the
-        # last durable state (at worst plus an orphan segment that the next
-        # resumed append overwrites), but the in-memory pipeline is ahead of
-        # it — poison the handle so the caller cannot double-feed, and make
-        # Catalog.series() hand out a fresh handle read back from disk.
-        try:
-            suffix: ProbabilisticView | None = None
+        suffix: ProbabilisticView | None = None
+        with self._transaction():  # The pipeline has consumed the batch.
             if len(matrix):
                 grid = self.grid
                 assert grid is not None
                 suffix = ProbabilisticView.from_matrix(
                     f"{self.series_id}@t{int(matrix.t[0])}", matrix, grid
                 )
-                self._write_segment(suffix)
+                _write_segment(self.directory, self._meta, suffix)
                 result.times = suffix.times
                 self._view_cache = None  # Warm-up appends keep the view.
             # Resume state moves even during pure warm-up appends.
             self._meta["next_t"] = pipeline.t
             self._meta["window"] = pipeline.window_values.tolist()
-            self._flush_meta()
-        except BaseException:
-            self._poisoned = True
-            self.catalog._handles.pop(self.series_id, None)
-            raise
         if suffix is not None:
             for handle in self._queries:
                 result.deltas.append((handle, handle.update(suffix)))
         return result
 
-    def _write_segment(self, suffix: ProbabilisticView) -> str:
-        # The persisted counter keeps per-append naming O(1); metadata
-        # written before the counter existed falls back to a name scan.
-        index = self._meta.get("next_segment")
-        if index is None:
-            index = _next_segment_index(self.segment_names)
-        layout = self._meta.get("layout", "npz")
-        if layout not in _SEGMENT_FORMATS:
-            raise StoreError(
-                f"series {self.series_id!r} metadata records unknown "
-                f"segment layout {layout!r}; this build writes "
-                f"{sorted(_SEGMENT_FORMATS)}"
-            )
-        name = _SEGMENT_FORMATS[layout].format(index)
-        cols = suffix.columns
-        synopsis = save_view_columns(
-            self.directory / name,
-            t=cols.t,
-            low=cols.low,
-            high=cols.high,
-            probability=cols.probability,
-            label_code=cols.label_code,
-            labels=cols.labels,
-        )
-        self._meta.setdefault("segments", []).append(name)
-        # Appends keep the per-segment synopsis map incrementally up to
-        # date: the planner reads it from the snapshot without touching
-        # any segment file.
-        self._meta.setdefault("synopses", {})[name] = synopsis
-        self._meta["next_segment"] = index + 1
-        self._meta["tuple_count"] = self.tuple_count + len(suffix)
-        return name
+    @contextmanager
+    def _transaction(self) -> Iterator[None]:
+        """Commit the body's changes to ``self._meta``, or poison the handle.
+
+        Leaving the body flushes ``series.json`` — the commit point, always
+        after the segment was renamed into place.  A failure anywhere
+        leaves disk at the last durable state (at worst plus an orphan
+        segment), but pipeline and metadata in memory are ahead of it:
+        poison the handle so the caller cannot double-feed, and make
+        :meth:`Catalog.series` hand out a fresh one read back from disk.
+        """
+        try:
+            yield
+            _write_json_atomic(self.directory / _SERIES_FILE, self._meta)
+        except BaseException:
+            self._poisoned = True
+            self.catalog._handles.pop(self.series_id, None)
+            raise
 
     # ------------------------------------------------------------------
     # Revisions (time-of-knowledge).
@@ -843,23 +843,14 @@ class SeriesHandle:
             "t_min": int(cols.t.min()),
             "t_max": int(cols.t.max()),
         }
-        # Same mid-transaction discipline as append: a failure between the
-        # segment write and the metadata flush poisons the handle, and the
-        # orphan segment is ignored on reopen.
-        try:
-            record["segment"] = self._write_segment(view)
+        with self._transaction():
+            record["segment"] = _write_segment(
+                self.directory, self._meta, view
+            )
             revisions.append(record)
             self._meta["next_knowledge"] = knowledge_time + 1
-            self._flush_meta()
-        except BaseException:
-            self._poisoned = True
-            self.catalog._handles.pop(self.series_id, None)
-            raise
         self._view_cache = None
         return record
-
-    def _flush_meta(self) -> None:
-        _write_json_atomic(self.directory / _SERIES_FILE, self._meta)
 
     # ------------------------------------------------------------------
     # Reads.
@@ -872,29 +863,10 @@ class SeriesHandle:
         """
         self._check_open()
         if self._view_cache is None:
-            self._view_cache = self._load_segments()
+            self._view_cache = _snapshot_from_meta(
+                self.series_id, self.directory, self._meta
+            ).load_view()
         return self._view_cache
-
-    def _load_segments(self) -> ProbabilisticView:
-        names = self.segment_names
-        revisions = _coerce_revisions(self._meta.get("revisions"), names)
-        if not revisions:
-            return _load_view_from_segments(
-                self.directory, self.series_id, names
-            )
-        synopses_map = self._meta.get("synopses") or {}
-        frontier = _resolve_frontier(
-            names,
-            [_coerce_synopsis(synopses_map.get(name)) for name in names],
-            revisions,
-            None,
-        )
-        return _load_view_from_segments(
-            self.directory,
-            self.series_id,
-            frontier.segments,
-            shadows=frontier.shadows,
-        )
 
     # ------------------------------------------------------------------
     # Standing queries.
@@ -951,11 +923,11 @@ class Catalog:
     ) -> None:
         if (
             segment_layout is not None
-            and segment_layout not in _SEGMENT_FORMATS
+            and segment_layout not in SEGMENT_LAYOUTS
         ):
             raise InvalidParameterError(
                 f"segment_layout must be one of "
-                f"{sorted(_SEGMENT_FORMATS)}, got {segment_layout!r}"
+                f"{sorted(SEGMENT_LAYOUTS)}, got {segment_layout!r}"
             )
         self.root = Path(root)
         manifest = self.root / _CATALOG_FILE
@@ -965,11 +937,11 @@ class Catalog:
             # Catalog(root) reopen keeps writing what the creator chose;
             # an explicit argument overrides for this instance's writes.
             recorded = self._manifest.get("segment_layout")
-            if recorded is not None and recorded not in _SEGMENT_FORMATS:
+            if recorded is not None and recorded not in SEGMENT_LAYOUTS:
                 raise StoreError(
                     f"catalog manifest {manifest} records unknown "
                     f"segment_layout {recorded!r}; this build writes "
-                    f"{sorted(_SEGMENT_FORMATS)}"
+                    f"{sorted(SEGMENT_LAYOUTS)}"
                 )
             self.segment_layout = segment_layout or recorded or "npz"
         elif create:
@@ -1028,6 +1000,14 @@ class Catalog:
     def __contains__(self, series_id: str) -> bool:
         return series_id in self._manifest["series"]
 
+    def _check_known(self, series_id: str) -> None:
+        if series_id not in self:
+            self._reload_manifest()  # Another instance may have added it.
+        if series_id not in self:
+            raise QueryError(
+                f"unknown series {series_id!r}; stored: {self.list_series()}"
+            )
+
     def select_series(self, pattern: str = "*") -> list[str]:
         """Series ids matching a shell-style glob, sorted.
 
@@ -1056,12 +1036,7 @@ class Catalog:
         Any append rewrites ``series.json`` atomically (new inode), so a
         stale capture can never be served once the write is durable.
         """
-        if series_id not in self:
-            self._reload_manifest()
-        if series_id not in self:
-            raise QueryError(
-                f"unknown series {series_id!r}; stored: {self.list_series()}"
-            )
+        self._check_known(series_id)
         directory = self.root / series_id
         token: tuple | None = None
         try:
@@ -1076,7 +1051,8 @@ class Catalog:
                     self._snapshot_hits += 1
                     _OBS_SNAPSHOTS.inc(outcome="hit")
                     return cached[1]
-        snapshot = self._read_snapshot(series_id, directory)
+        meta = _read_json(directory / _SERIES_FILE, "series")
+        snapshot = _snapshot_from_meta(series_id, directory, meta)
         _OBS_SNAPSHOTS.inc(outcome="miss")
         if token is not None:
             with self._snapshot_lock:
@@ -1092,26 +1068,6 @@ class Catalog:
     def _drop_snapshot(self, series_id: str) -> None:
         with self._snapshot_lock:
             self._snapshot_cache.pop(series_id, None)
-
-    def _read_snapshot(
-        self, series_id: str, directory: Path
-    ) -> SeriesSnapshot:
-        meta = _read_json(directory / _SERIES_FILE, "series")
-        segments = tuple(meta.get("segments", ()))
-        synopses_map = meta.get("synopses") or {}
-        return SeriesSnapshot(
-            series_id=series_id,
-            directory=directory,
-            kind=meta["kind"],
-            segments=segments,
-            tuple_count=int(meta.get("tuple_count", 0)),
-            next_t=meta.get("next_t"),
-            created=str(meta.get("created", "")),
-            synopses=tuple(
-                _coerce_synopsis(synopses_map.get(name)) for name in segments
-            ),
-            revisions=_coerce_revisions(meta.get("revisions"), segments),
-        )
 
     def open_many(self, pattern: str = "*") -> list[SeriesSnapshot]:
         """Snapshot every series matching ``pattern``, sorted by id.
@@ -1196,7 +1152,7 @@ class Catalog:
         # Fail before anything lands on disk if the spec cannot be
         # realised (unknown metric, H < min_window, infeasible cache).
         _pipeline_from_meta(meta, grid)
-        return self._register(series_id, meta)
+        return self._install(series_id, meta)
 
     def save_view(self, series_id: str, view: ProbabilisticView) -> SeriesHandle:
         """Persist an already-built view as a static series.
@@ -1204,10 +1160,8 @@ class Catalog:
         This is the ``CREATE VIEW ... PERSIST INTO`` target: the SQL engine
         materialises the view offline, and the catalog stores its columns
         as a single segment.  Replaces an existing series of the same name,
-        mirroring ``Database`` view registration semantics — the new data
-        is written *before* the atomic ``series.json`` cutover, so a crash
-        mid-replace leaves the old view intact (plus at worst an ignored
-        orphan segment).
+        mirroring ``Database`` view registration semantics; the old
+        segments go only after the cutover (:meth:`_install`).
         """
         self._reload_manifest()
         exists = series_id in self
@@ -1219,8 +1173,6 @@ class Catalog:
             self._invalidate_handle(series_id)
             old_meta = _read_json(directory / _SERIES_FILE, "series")
             old_segments = list(old_meta.get("segments", []))
-        directory.mkdir(parents=True, exist_ok=True)
-        index = _next_segment_index(old_segments)
         meta: dict[str, Any] = {
             "schema_version": SCHEMA_VERSION,
             "kind": "static",
@@ -1228,34 +1180,13 @@ class Catalog:
             "grid": None,
             "layout": self.segment_layout,
             "segments": [],
-            "next_segment": index,
+            "next_segment": next_segment_index(old_segments),
             "tuple_count": 0,
         }
-        if len(view):
-            name = _SEGMENT_FORMATS[self.segment_layout].format(index)
-            cols = view.columns
-            synopsis = save_view_columns(
-                directory / name,
-                t=cols.t,
-                low=cols.low,
-                high=cols.high,
-                probability=cols.probability,
-                label_code=cols.label_code,
-                labels=cols.labels,
-            )
-            meta["segments"] = [name]
-            meta["synopses"] = {name: synopsis}
-            meta["next_segment"] = index + 1
-            meta["tuple_count"] = len(view)
-        _write_json_atomic(directory / _SERIES_FILE, meta)  # The cutover.
+        handle = self._install(series_id, meta, view)
         for name in old_segments:
             if name not in meta["segments"]:
-                _remove_segment(directory, name)
-        if not exists:
-            self._manifest["series"].append(series_id)
-            self._flush_manifest()
-        handle = SeriesHandle(self, series_id)
-        self._handles[series_id] = handle
+                remove_segment(directory, name)
         return handle
 
     def _check_new_id(self, series_id: str) -> None:
@@ -1270,7 +1201,18 @@ class Catalog:
         if series_id in self:
             raise StoreError(f"series {series_id!r} already exists")
 
-    def _register(self, series_id: str, meta: dict[str, Any]) -> SeriesHandle:
+    def _install(
+        self,
+        series_id: str,
+        meta: dict[str, Any],
+        view: ProbabilisticView | None = None,
+    ) -> SeriesHandle:
+        """Make ``meta`` — and ``view``'s rows, if any — the stored series.
+
+        The commit step of ``create_series`` and ``save_view``: segment
+        first, then the atomic ``series.json`` cutover (a crash before it
+        leaves any previous incarnation intact), then the manifest entry.
+        """
         directory = self.root / series_id
         try:
             directory.mkdir(parents=True, exist_ok=True)
@@ -1278,21 +1220,19 @@ class Catalog:
             raise StoreError(
                 f"cannot create series directory {directory}: {exc}"
             ) from exc
+        if view is not None and len(view):
+            _write_segment(directory, meta, view)
         _write_json_atomic(directory / _SERIES_FILE, meta)
-        self._manifest["series"].append(series_id)
-        self._flush_manifest()
+        if series_id not in self:
+            self._manifest["series"].append(series_id)
+            self._flush_manifest()
         handle = SeriesHandle(self, series_id)
         self._handles[series_id] = handle
         return handle
 
     def series(self, series_id: str) -> SeriesHandle:
         """The handle for ``series_id`` (loaded lazily, cached)."""
-        if series_id not in self:
-            self._reload_manifest()  # Another instance may have added it.
-        if series_id not in self:
-            raise QueryError(
-                f"unknown series {series_id!r}; stored: {self.list_series()}"
-            )
+        self._check_known(series_id)
         if series_id not in self._handles:
             self._handles[series_id] = SeriesHandle(self, series_id)
         return self._handles[series_id]
@@ -1305,10 +1245,7 @@ class Catalog:
         (e.g. its metric was unregistered) can still be dropped.
         """
         self._reload_manifest()
-        if series_id not in self:
-            raise QueryError(
-                f"unknown series {series_id!r}; stored: {self.list_series()}"
-            )
+        self._check_known(series_id)
         directory = self.root / series_id
         try:
             meta = _read_json(directory / _SERIES_FILE, "series")
@@ -1316,7 +1253,7 @@ class Catalog:
         except StoreError:
             segments = []  # Metadata already gone/corrupt: best effort.
         for name in segments:
-            _remove_segment(directory, name)
+            remove_segment(directory, name)
         (directory / _SERIES_FILE).unlink(missing_ok=True)
         try:
             directory.rmdir()
@@ -1336,15 +1273,15 @@ class Catalog:
     # Synopsis maintenance.
     # ------------------------------------------------------------------
     def synopsize(self, pattern: str = "*") -> dict[str, int]:
-        """Backfill zone-map synopses for segments written before this build.
+        """Backfill zone-map synopses for segments whose entry is missing.
 
         Walks every series matching ``pattern``; for each segment without
-        a current-version synopsis, reads the stored synopsis (layout-v2
-        ``meta.json`` / ``.npz`` sidecar) or — for segments predating
-        synopses entirely — loads the columns once, computes it, and
-        persists it both with the segment and in ``series.json``.  Fresh
-        catalogs are no-ops; re-running is idempotent.  Returns the number
-        of segments backfilled per series id.
+        a current-version synopsis in ``series.json`` (written before
+        synopses existed, or by a build with another synopsis version)
+        loads the columns once, computes it — exactly what the writer
+        would have recorded — and stores it there.  Fresh catalogs are
+        no-ops; re-running is idempotent.  Returns the number of segments
+        backfilled per series id.
 
         Old catalogs work *without* this (exact queries simply prune
         nothing; APPROX computes synopses lazily in memory) — backfilling
@@ -1359,17 +1296,13 @@ class Catalog:
             for name in meta.get("segments", []):
                 if _coerce_synopsis(synopses.get(name)) is not None:
                     continue
-                synopsis = load_segment_synopsis(directory / name)
-                if synopsis is None:
-                    columns = load_view_columns(directory / name)
-                    synopsis = compute_view_synopsis(
-                        columns["t"],
-                        columns["low"],
-                        columns["high"],
-                        columns["probability"],
-                    )
-                    write_segment_synopsis(directory / name, synopsis)
-                synopses[name] = synopsis
+                columns = load_view_columns(directory / name)
+                synopses[name] = compute_view_synopsis(
+                    columns["t"],
+                    columns["low"],
+                    columns["high"],
+                    columns["probability"],
+                )
                 backfilled += 1
             if backfilled:
                 _write_json_atomic(directory / _SERIES_FILE, meta)

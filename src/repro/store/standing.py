@@ -31,7 +31,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.db.prob_view import ProbTuple, ProbabilisticView
-from repro.db.queries import expected_value_query, threshold_query
+from repro.db.queries import expected_value_vector, threshold_query
 from repro.db.stream_queries import exceedance_probability, exceedance_vector
 from repro.exceptions import InvalidParameterError
 
@@ -289,10 +289,7 @@ class _WindowedExpectedValueState(_PrefixSumState):
         super().__init__(window, divide=True)
 
     def _per_time_values(self, suffix: ProbabilisticView) -> np.ndarray:
-        expectations = expected_value_query(suffix)
-        return np.array(
-            [expectations[int(t)] for t in suffix.columns.times]
-        )
+        return expected_value_vector(suffix)
 
 
 class _ExpectedTimeAboveState(_PrefixSumState):

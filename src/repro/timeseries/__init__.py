@@ -17,14 +17,7 @@ from repro.timeseries.arma import ARMAModel, ARMAParams
 from repro.timeseries.garch import GARCHModel, GARCHParams
 from repro.timeseries.kalman import KalmanFilter, KalmanParams
 from repro.timeseries.series import TimeSeries
-from repro.timeseries.stats import (
-    RunningStats,
-    acf,
-    ljung_box,
-    pacf,
-    rolling_variance,
-    sample_variance,
-)
+from repro.timeseries.stats import rolling_variance, sample_variance
 
 __all__ = [
     "ARMAModel",
@@ -33,11 +26,7 @@ __all__ = [
     "GARCHParams",
     "KalmanFilter",
     "KalmanParams",
-    "RunningStats",
     "TimeSeries",
-    "acf",
-    "ljung_box",
-    "pacf",
     "rolling_variance",
     "sample_variance",
 ]

@@ -1,15 +1,13 @@
-"""Descriptive and diagnostic statistics used across the library.
+"""Descriptive statistics used across the library.
 
-Includes the sample-variance conventions the SVR filter relies on, rolling
-variance for the volatility-regime figure (paper Fig. 4), autocorrelation
-helpers backing the ARMA estimator, the Ljung-Box whiteness test, and a
-Welford-style running-stats accumulator.
+The sample-variance convention the SVR filter and variable thresholding
+rely on, and the rolling variance behind the volatility-regime figure
+(paper Fig. 4).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.exceptions import DataError, InvalidParameterError
 from repro.util.validation import require_finite_array
@@ -17,10 +15,6 @@ from repro.util.validation import require_finite_array
 __all__ = [
     "sample_variance",
     "rolling_variance",
-    "acf",
-    "pacf",
-    "ljung_box",
-    "RunningStats",
 ]
 
 
@@ -57,132 +51,3 @@ def rolling_variance(values: np.ndarray, window: int) -> np.ndarray:
     total2 = csum2[window:] - csum2[:-window]
     variance = (total2 - total * total / window) / (window - 1)
     return np.maximum(variance, 0.0)  # Clamp tiny negative rounding noise.
-
-
-def acf(values: np.ndarray, nlags: int) -> np.ndarray:
-    """Sample autocorrelation function at lags ``0 .. nlags``.
-
-    Uses the biased (``1/n``) covariance normalisation, the standard choice
-    guaranteeing a positive semi-definite autocorrelation sequence.
-    """
-    array = require_finite_array("values", values, min_len=2)
-    if nlags < 0:
-        raise InvalidParameterError(f"nlags must be >= 0, got {nlags}")
-    if nlags >= array.size:
-        raise InvalidParameterError(
-            f"nlags={nlags} must be < series length {array.size}"
-        )
-    centered = array - array.mean()
-    denominator = float(np.dot(centered, centered))
-    if denominator <= 0.0:
-        # Constant series: autocorrelation undefined; convention rho_0 = 1.
-        out = np.zeros(nlags + 1)
-        out[0] = 1.0
-        return out
-    out = np.empty(nlags + 1)
-    out[0] = 1.0
-    for lag in range(1, nlags + 1):
-        out[lag] = float(np.dot(centered[lag:], centered[:-lag])) / denominator
-    return out
-
-
-def pacf(values: np.ndarray, nlags: int) -> np.ndarray:
-    """Partial autocorrelation at lags ``0 .. nlags`` via Durbin-Levinson."""
-    rho = acf(values, nlags)
-    out = np.empty(nlags + 1)
-    out[0] = 1.0
-    if nlags == 0:
-        return out
-    # Durbin-Levinson recursion on the autocorrelation sequence.
-    phi_prev = np.zeros(nlags + 1)
-    phi_curr = np.zeros(nlags + 1)
-    phi_prev[1] = rho[1]
-    out[1] = rho[1]
-    for k in range(2, nlags + 1):
-        numerator = rho[k] - float(np.dot(phi_prev[1:k], rho[k - 1 : 0 : -1]))
-        denominator = 1.0 - float(np.dot(phi_prev[1:k], rho[1:k]))
-        alpha = numerator / denominator if abs(denominator) > 1e-12 else 0.0
-        phi_curr[k] = alpha
-        for j in range(1, k):
-            phi_curr[j] = phi_prev[j] - alpha * phi_prev[k - j]
-        out[k] = alpha
-        phi_prev, phi_curr = phi_curr.copy(), phi_prev
-    return out
-
-
-def ljung_box(values: np.ndarray, lags: int) -> tuple[float, float]:
-    """Ljung-Box whiteness test; returns ``(statistic, p_value)``.
-
-    Small p-values reject the null that ``values`` is white noise up to the
-    requested lag.  Used in tests to validate the ARMA residuals and the
-    synthetic dataset generators.
-    """
-    array = require_finite_array("values", values, min_len=3)
-    if lags < 1:
-        raise InvalidParameterError(f"lags must be >= 1, got {lags}")
-    n = array.size
-    if lags >= n:
-        raise InvalidParameterError(f"lags={lags} must be < series length {n}")
-    rho = acf(array, lags)
-    statistic = n * (n + 2) * float(
-        np.sum(rho[1:] ** 2 / (n - np.arange(1, lags + 1)))
-    )
-    p_value = float(scipy_stats.chi2.sf(statistic, df=lags))
-    return statistic, p_value
-
-
-class RunningStats:
-    """Welford online mean/variance accumulator.
-
-    Supports ``push`` in O(1); exposes ``mean``, ``variance`` (sample,
-    ddof=1) and ``count``.  Used by the online pipeline to track volatility
-    extremes for sizing the sigma-cache.
-    """
-
-    def __init__(self) -> None:
-        self._count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self._min = float("inf")
-        self._max = float("-inf")
-
-    def push(self, value: float) -> None:
-        """Accumulate one observation."""
-        value = float(value)
-        if not np.isfinite(value):
-            raise DataError(f"cannot accumulate non-finite value {value!r}")
-        self._count += 1
-        delta = value - self._mean
-        self._mean += delta / self._count
-        self._m2 += delta * (value - self._mean)
-        self._min = min(self._min, value)
-        self._max = max(self._max, value)
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def mean(self) -> float:
-        if self._count == 0:
-            raise DataError("mean of empty RunningStats")
-        return self._mean
-
-    @property
-    def variance(self) -> float:
-        """Sample variance (ddof=1); 0.0 with fewer than two observations."""
-        if self._count < 2:
-            return 0.0
-        return self._m2 / (self._count - 1)
-
-    @property
-    def minimum(self) -> float:
-        if self._count == 0:
-            raise DataError("minimum of empty RunningStats")
-        return self._min
-
-    @property
-    def maximum(self) -> float:
-        if self._count == 0:
-            raise DataError("maximum of empty RunningStats")
-        return self._max

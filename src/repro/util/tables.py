@@ -171,19 +171,3 @@ def render_pruning(pruning: dict[str, Any]) -> str:
         f"{pruning.get('series_matched', 0)} series"
         + (" [approx]" if pruning.get("approx") else "")
     )
-
-
-def rows_from_dicts(
-    records: Sequence[dict[str, Any]],
-    headers: Sequence[str] | None = None,
-) -> tuple[list[str], list[list[Any]]]:
-    """Convert a list of dict records to ``(headers, rows)`` for formatting.
-
-    When ``headers`` is omitted the keys of the first record are used, in
-    insertion order.  Missing keys render as empty strings.
-    """
-    if not records:
-        return list(headers or []), []
-    keys = list(headers) if headers is not None else list(records[0].keys())
-    rows = [[record.get(key, "") for key in keys] for record in records]
-    return keys, rows

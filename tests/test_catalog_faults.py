@@ -5,24 +5,29 @@ The store subsystem promises two things its unit tests never exercised:
 * **Reader/writer isolation** — a reader snapshotting the catalog while a
   single writer appends must always see a *consistent* view (some durable
   prefix of the series), never a torn one.
-* **Crash atomicity** — an append that dies between the segment write and
-  the ``series.json`` flush leaves the catalog at its last durable state:
-  reopening resumes at the recorded ``next_t``, the orphan segment is
-  overwritten by the resumed append, and the recovered end state is
-  bit-identical to a run that never crashed.
+* **Crash atomicity** — a write (``append``, ``revise``, or ``save_view``
+  replacing a series) that dies between the segment write and the
+  ``series.json`` flush leaves the catalog at its last durable state:
+  reopening resumes from it, the orphan segment is overwritten by the
+  resumed write, and the recovered end state is bit-identical to a run
+  that never crashed.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections.abc import Callable
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro.store.catalog as catalog_module
+from repro.db.prob_view import ProbabilisticView
 from repro.exceptions import StoreError
-from repro.store import Catalog
+from repro.store import Catalog, SeriesHandle
 from repro.store.binary import load_view_npz, save_view_npz
 from repro.view.omega import OmegaGrid
 
@@ -115,19 +120,63 @@ class _FlushCrash(RuntimeError):
     """Stands in for the process dying mid-append."""
 
 
-@pytest.fixture
-def crashed_catalog(tmp_path, monkeypatch):
-    """A catalog whose second append died between segment and meta flush.
+def _halved(view: ProbabilisticView, lo: int, hi: int) -> ProbabilisticView:
+    """``view``'s rows at times [lo, hi] with every probability halved."""
+    cols = view.columns
+    keep = (cols.t >= lo) & (cols.t <= hi)
+    return ProbabilisticView.from_columns(
+        "halved",
+        cols.t[keep],
+        cols.low[keep],
+        cols.high[keep],
+        cols.probability[keep] * 0.5,
+    )
 
-    Returns ``(root, handle, batch1, batch2)`` with the crash already
-    injected and verified to have fired.
-    """
-    root = tmp_path / "cat"
+
+_BATCH1, _BATCH2 = _values(60), _values(30, seed=7) + 0.5
+
+#: The three store writers, each as the write issued after ``_prepare``.
+_WRITES: dict[str, Callable[[Catalog], object]] = {
+    "append": lambda catalog: catalog.append("s", _BATCH2),
+    "revise": lambda catalog: catalog.revise(
+        "s", _halved(catalog.view("s"), 20, 29)
+    ),
+    "save_view": lambda catalog: catalog.save_view(
+        "s", _halved(catalog.view("s"), 30, 59)
+    ),
+}
+
+
+def _prepare(root: Path) -> Catalog:
+    """A catalog at the durable prefix every scenario starts from."""
     catalog = Catalog(root)
     catalog.create_series("s", metric="variable_threshold", H=H, grid=GRID)
-    batch1, batch2 = _values(60), _values(30, seed=7) + 0.5
-    catalog.append("s", batch1)
+    catalog.append("s", _BATCH1)
+    return catalog
+
+
+@dataclass
+class _Crashed:
+    """One writer's crash scenario, the failure already injected.
+
+    ``write`` died in ``catalog`` at its ``series.json`` flush; ``handle``
+    is the series' live handle from before the crash and ``durable`` the
+    view stored at that point.
+    """
+
+    catalog: Catalog
+    handle: SeriesHandle
+    durable: ProbabilisticView
+    write: Callable[[Catalog], object]
+
+
+@pytest.fixture(params=sorted(_WRITES))
+def crashed_catalog(request, tmp_path, monkeypatch):
+    """A catalog whose last write died between segment and meta flush."""
+    write = _WRITES[request.param]
+    catalog = _prepare(tmp_path / "cat")
     handle = catalog.series("s")
+    durable = handle.view()
 
     real_write = catalog_module._write_json_atomic
 
@@ -138,42 +187,37 @@ def crashed_catalog(tmp_path, monkeypatch):
 
     monkeypatch.setattr(catalog_module, "_write_json_atomic", failing_write)
     with pytest.raises(_FlushCrash):
-        catalog.append("s", batch2)
+        write(catalog)
     monkeypatch.setattr(catalog_module, "_write_json_atomic", real_write)
-    return root, catalog, handle, batch1, batch2
+    return _Crashed(catalog, handle, durable, write)
 
 
 class TestCrashRecovery:
     def test_crash_leaves_orphan_segment_and_durable_prefix(
         self, crashed_catalog
     ):
-        root, _catalog, _handle, batch1, _batch2 = crashed_catalog
-        reopened = Catalog(root)
+        reopened = Catalog(crashed_catalog.catalog.root)
         handle = reopened.series("s")
         # Durable state is exactly the pre-crash prefix...
-        assert handle.next_t == batch1.size
-        assert handle.tuple_count == (batch1.size - H) * GRID.n
-        # ...while the crashed append's segment is an on-disk orphan the
+        assert handle.next_t == _BATCH1.size
+        assert handle.tuple_count == (_BATCH1.size - H) * GRID.n
+        _assert_views_identical(crashed_catalog.durable, handle.view())
+        # ...while the crashed write's segment is an on-disk orphan the
         # metadata never admitted.
         on_disk = {
             path.name
-            for path in (root / "s").glob("seg-*.npz")
+            for path in (reopened.root / "s").glob("seg-*.npz")
         }
         assert set(handle.segment_names) < on_disk
 
     def test_recovered_run_bit_identical_to_uninterrupted(
         self, crashed_catalog, tmp_path
     ):
-        root, _catalog, _handle, batch1, batch2 = crashed_catalog
-        reopened = Catalog(root)
-        reopened.append("s", batch2)  # Resume: re-feed the lost batch.
+        reopened = Catalog(crashed_catalog.catalog.root)
+        crashed_catalog.write(reopened)  # Resume: re-issue the lost write.
 
-        control = Catalog(tmp_path / "control")
-        control.create_series(
-            "s", metric="variable_threshold", H=H, grid=GRID
-        )
-        control.append("s", batch1)
-        control.append("s", batch2)
+        control = _prepare(tmp_path / "control")
+        crashed_catalog.write(control)
 
         recovered_handle = reopened.series("s")
         control_handle = control.series("s")
@@ -182,23 +226,34 @@ class TestCrashRecovery:
         _assert_views_identical(
             control_handle.view(), recovered_handle.view()
         )
+        # Nothing but what the uninterrupted run holds: the orphan was
+        # overwritten (append, revise) or swept with the series it
+        # belonged to (save_view).
+        assert sorted(
+            path.name for path in (reopened.root / "s").iterdir()
+        ) == sorted(path.name for path in (control.root / "s").iterdir())
 
     def test_poisoned_handle_refuses_further_use(self, crashed_catalog):
-        _root, _catalog, handle, _batch1, batch2 = crashed_catalog
-        with pytest.raises(StoreError, match="stale"):
-            handle.append(batch2)
-        with pytest.raises(StoreError, match="stale"):
+        # append / revise poison their handle mid-transaction; save_view
+        # invalidates the one it is replacing before it writes anything.
+        handle = crashed_catalog.handle
+        with pytest.raises(StoreError, match="stale|dropped or replaced"):
+            handle.append(_BATCH2)
+        with pytest.raises(StoreError, match="stale|dropped or replaced"):
             handle.view()
 
     def test_in_process_recovery_via_fresh_handle(self, crashed_catalog):
-        root, catalog, poisoned, batch1, batch2 = crashed_catalog
+        catalog = crashed_catalog.catalog
         fresh = catalog.series("s")
-        assert fresh is not poisoned
-        result = fresh.append(batch2)  # Works without reopening the catalog.
-        assert result.fed == batch2.size
-        assert fresh.next_t == batch1.size + batch2.size
+        assert fresh is not crashed_catalog.handle
+        _assert_views_identical(crashed_catalog.durable, fresh.view())
+        crashed_catalog.write(catalog)  # Works without reopening.
         # The durable file agrees with the in-memory handle again.
-        assert Catalog(root).series("s").next_t == fresh.next_t
+        recovered = catalog.series("s")
+        reopened = Catalog(catalog.root).series("s")
+        assert reopened.next_t == recovered.next_t
+        assert reopened.segment_names == recovered.segment_names
+        _assert_views_identical(recovered.view(), reopened.view())
 
 
 class TestAtomicSegmentWrites:
@@ -241,3 +296,28 @@ class TestAtomicSegmentWrites:
             save_view_npz(view, target)
         assert target.read_bytes() == original_bytes
         _assert_views_identical(view, load_view_npz(target))
+
+    def test_failed_metadata_write_leaves_no_temp_file(
+        self, tmp_path, monkeypatch
+    ):
+        catalog = _prepare(tmp_path / "cat")
+        series_dir = catalog.root / "s"
+        original_bytes = (series_dir / "series.json").read_bytes()
+
+        real_write_text = Path.write_text
+
+        def exploding_write_text(path, text, *args, **kwargs):
+            if "series.json" not in path.name:
+                return real_write_text(path, text, *args, **kwargs)
+            with open(path, "w") as handle:
+                handle.write(text[: len(text) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", exploding_write_text)
+        with pytest.raises(OSError, match="disk full"):
+            catalog.append("s", _BATCH2)
+        monkeypatch.undo()
+        assert (series_dir / "series.json").read_bytes() == original_bytes
+        assert [p.name for p in series_dir.iterdir() if p.name[0] == "."] == []
+        # The last durable state is what a fresh handle resumes from.
+        assert catalog.series("s").next_t == _BATCH1.size

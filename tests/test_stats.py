@@ -1,21 +1,11 @@
-"""Tests for descriptive/diagnostic statistics."""
+"""Tests for descriptive statistics."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from repro.exceptions import DataError, InvalidParameterError
-from repro.timeseries.stats import (
-    RunningStats,
-    acf,
-    ljung_box,
-    pacf,
-    rolling_variance,
-    sample_variance,
-)
+from repro.timeseries.stats import rolling_variance, sample_variance
 
 
 class TestSampleVariance:
@@ -57,115 +47,3 @@ class TestRollingVariance:
     def test_series_shorter_than_window(self):
         with pytest.raises(DataError):
             rolling_variance(np.arange(3.0), 5)
-
-
-class TestAcf:
-    def test_lag_zero_is_one(self, rng):
-        assert acf(rng.normal(size=100), 5)[0] == 1.0
-
-    def test_white_noise_small_lags(self, rng):
-        rho = acf(rng.normal(size=4000), 3)
-        assert np.all(np.abs(rho[1:]) < 0.08)
-
-    def test_ar1_acf_decays_geometrically(self, rng):
-        phi = 0.8
-        noise = rng.normal(size=8000)
-        data = np.empty(8000)
-        data[0] = noise[0]
-        for i in range(1, 8000):
-            data[i] = phi * data[i - 1] + noise[i]
-        rho = acf(data, 3)
-        assert rho[1] == pytest.approx(phi, abs=0.05)
-        assert rho[2] == pytest.approx(phi**2, abs=0.07)
-
-    def test_constant_series_convention(self):
-        rho = acf(np.ones(50), 3)
-        assert rho[0] == 1.0
-        assert np.all(rho[1:] == 0.0)
-
-    def test_nlags_validation(self, rng):
-        with pytest.raises(InvalidParameterError):
-            acf(rng.normal(size=10), 10)
-        with pytest.raises(InvalidParameterError):
-            acf(rng.normal(size=10), -1)
-
-
-class TestPacf:
-    def test_ar1_pacf_cuts_off_after_lag1(self, rng):
-        phi = 0.7
-        noise = rng.normal(size=8000)
-        data = np.empty(8000)
-        data[0] = noise[0]
-        for i in range(1, 8000):
-            data[i] = phi * data[i - 1] + noise[i]
-        partial = pacf(data, 4)
-        assert partial[1] == pytest.approx(phi, abs=0.05)
-        assert np.all(np.abs(partial[2:]) < 0.08)
-
-    def test_lag_zero_is_one(self, rng):
-        assert pacf(rng.normal(size=100), 3)[0] == 1.0
-
-
-class TestLjungBox:
-    def test_white_noise_not_rejected(self, rng):
-        _stat, p = ljung_box(rng.normal(size=2000), 10)
-        assert p > 0.01
-
-    def test_correlated_series_rejected(self, rng):
-        noise = rng.normal(size=2000)
-        data = np.empty(2000)
-        data[0] = noise[0]
-        for i in range(1, 2000):
-            data[i] = 0.8 * data[i - 1] + noise[i]
-        _stat, p = ljung_box(data, 10)
-        assert p < 1e-6
-
-    def test_lags_validation(self, rng):
-        with pytest.raises(InvalidParameterError):
-            ljung_box(rng.normal(size=10), 0)
-        with pytest.raises(InvalidParameterError):
-            ljung_box(rng.normal(size=10), 10)
-
-
-class TestRunningStats:
-    def test_empty_raises(self):
-        stats = RunningStats()
-        with pytest.raises(DataError):
-            _ = stats.mean
-
-    def test_variance_with_one_value_is_zero(self):
-        stats = RunningStats()
-        stats.push(3.0)
-        assert stats.variance == 0.0
-
-    def test_non_finite_rejected(self):
-        stats = RunningStats()
-        with pytest.raises(DataError):
-            stats.push(float("inf"))
-
-    def test_min_max_tracking(self):
-        stats = RunningStats()
-        for value in [3.0, -1.0, 7.0]:
-            stats.push(value)
-        assert stats.minimum == -1.0
-        assert stats.maximum == 7.0
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-        min_size=2,
-        max_size=100,
-    )
-)
-def test_running_stats_matches_numpy(values):
-    """Welford accumulation agrees with numpy's batch mean/variance."""
-    stats = RunningStats()
-    for value in values:
-        stats.push(value)
-    assert stats.count == len(values)
-    assert stats.mean == pytest.approx(np.mean(values), rel=1e-9, abs=1e-9)
-    assert stats.variance == pytest.approx(
-        np.var(values, ddof=1), rel=1e-6, abs=1e-6
-    )

@@ -29,6 +29,7 @@ from repro.obs import default_registry
 from repro.server.app import QueryServer, ServerThread
 from repro.server.client import Client
 from repro.service import CatalogQueryService
+from repro.service.kernels import restrict_time_range
 from repro.service.planner import plan_statement
 from repro.service.synopsis import estimate_series, prune_segments
 from repro.store import Catalog
@@ -37,7 +38,6 @@ from repro.store.binary import (
     PROB_HIST_BUCKETS,
     SYNOPSIS_VERSION,
     compute_view_synopsis,
-    load_segment_synopsis,
 )
 from repro.view.omega import OmegaGrid
 from repro.view.sql import CatalogQuery, parse_statement
@@ -97,12 +97,33 @@ def _strip_synopses(root) -> None:
         meta = json.loads(meta_path.read_text())
         meta.pop("synopses", None)
         meta_path.write_text(json.dumps(meta))
-        for sidecar in series_dir.glob("*.synopsis.json"):
-            sidecar.unlink()
     manifest = root / "catalog.json"
     payload = json.loads(manifest.read_text())
     payload.pop("synopsis_version", None)
     manifest.write_text(json.dumps(payload))
+
+
+def _plant_stale_copies(root) -> None:
+    """Leave the second synopsis copy builds before the one-home rule wrote.
+
+    A ``<segment>.synopsis.json`` sidecar beside every ``.npz`` segment, a
+    ``synopsis`` key inside every ``.v2`` segment's ``meta.json`` — wrong
+    on purpose (another view's facts, times 0..2), so a reader that still
+    trusted either would prune every segment and estimate from nonsense.
+    """
+    cols = _random_view("bogus", times=3, seed=1, base=500.0).columns
+    bogus = compute_view_synopsis(
+        cols.t, cols.low, cols.high, cols.probability
+    )
+    for segment in root.glob("*/seg-*"):
+        if segment.is_dir():
+            meta_path = segment / "meta.json"
+            meta = json.loads(meta_path.read_text())
+            meta["synopsis"] = bogus
+            meta_path.write_text(json.dumps(meta))
+        else:
+            sidecar = segment.with_name(segment.name + ".synopsis.json")
+            sidecar.write_text(json.dumps(bogus))
 
 
 class TestComputeSynopsis:
@@ -198,9 +219,6 @@ class TestPersistence:
         assert len(synopses) == len(snapshot.segments) == 3
         assert all(s is not None for s in synopses)
         assert all(s["version"] == SYNOPSIS_VERSION for s in synopses)
-        # The same synopsis is recoverable from the segment itself.
-        for name, stored in zip(snapshot.segments, synopses):
-            assert load_segment_synopsis(snapshot.directory / name) == stored
 
     def test_save_view_writes_synopsis(self, tmp_path):
         catalog = Catalog(tmp_path / "cat")
@@ -223,6 +241,94 @@ class TestPersistence:
         meta_path.write_text(json.dumps(meta))
         snapshot = Catalog(catalog.root).snapshot("s-0")
         assert all(s is None for s in snapshot.segment_synopses())
+
+
+class TestOneHome:
+    """A synopsis lives in ``series.json`` and nowhere else."""
+
+    @pytest.mark.parametrize("layout", ["npz", "v2"])
+    def test_catalog_holds_segments_and_metadata_only(
+        self, tmp_path, layout
+    ):
+        catalog = _build_catalog(tmp_path / "cat", series=1, layout=layout)
+        catalog.revise(
+            "s-0", restrict_time_range(catalog.view("s-0"), 20, 25)
+        )
+        catalog.save_view("static", _random_view("static", times=8, seed=9))
+        root = catalog.root
+
+        def names(directory):
+            return sorted(path.name for path in directory.iterdir())
+
+        def segments(count):
+            return [f"seg-{i:08d}.{layout}" for i in range(1, count + 1)]
+
+        assert names(root) == ["catalog.json", "s-0", "static"]
+        assert names(root / "s-0") == segments(4) + ["series.json"]
+        assert names(root / "static") == segments(1) + ["series.json"]
+        for segment in root.glob("*/seg-*.v2"):
+            assert names(segment) == sorted(
+                ["meta.json"]
+                + [
+                    f"{column}.npy"
+                    for column in (
+                        "t", "low", "high", "probability", "label_code"
+                    )
+                ]
+            )
+            meta = json.loads((segment / "meta.json").read_text())
+            assert "synopsis" not in meta
+
+    @pytest.mark.parametrize("layout", ["npz", "v2"])
+    def test_stale_copies_are_inert_and_swept(self, tmp_path, layout):
+        roots = {
+            label: _build_catalog(
+                tmp_path / label, series=2, layout=layout
+            ).root
+            for label in ("clean", "stale")
+        }
+        _plant_stale_copies(roots["stale"])
+        for root in roots.values():  # One entry missing from its home.
+            meta_path = root / "s-0" / "series.json"
+            meta = json.loads(meta_path.read_text())
+            del meta["synopses"][meta["segments"][-1]]
+            meta_path.write_text(json.dumps(meta))
+
+        def observe(root):
+            statements = [
+                f"SELECT expected_value FROM CATALOG '{root}' "
+                f"WHERE t BETWEEN 40 AND 50",
+                f"SELECT APPROX expected_value FROM CATALOG '{root}'",
+            ]
+
+            def answers():
+                with CatalogQueryService(
+                    Catalog(root), backend="sequential"
+                ) as service:
+                    return [service.execute(s).json() for s in statements]
+
+            before = answers()
+            written = Catalog(root).synopsize()
+            snapshots = Catalog(root).open_many()
+            return (
+                before,
+                written,
+                answers(),
+                [snapshot.segment_synopses() for snapshot in snapshots],
+            )
+
+        assert observe(roots["stale"]) == observe(roots["clean"])
+        stale = Catalog(roots["stale"])
+        stale.save_view("s-1", _random_view("s-1", times=6, seed=3))
+        stale.drop_series("s-0")
+
+        def names(directory):
+            return sorted(path.name for path in directory.iterdir())
+
+        assert names(stale.root) == ["catalog.json", "s-1"]
+        assert names(stale.root / "s-1") == [
+            f"seg-00000004.{layout}", "series.json"
+        ]
 
 
 class TestSynopsize:

@@ -219,18 +219,14 @@ class TestCrashRecovery:
                 reference = _canonical_sans_stats(full.execute(statement))
             except _UNDEFINED:
                 reference = None  # Undefined exact query; repair still runs.
-        # Simulate a crash after the last segment rename but before its
-        # synopsis reached series.json (and sidecar, for npz): the
-        # segment is valid, its synopsis is gone.
+        # Simulate the last segment's synopsis missing from series.json
+        # (its only home): the segment is valid, its synopsis is gone.
         victim_dir = catalog.root / "s-0"
         meta_path = victim_dir / "series.json"
         meta = json.loads(meta_path.read_text())
         last = meta["segments"][-1]
         meta.get("synopses", {}).pop(last, None)
         meta_path.write_text(json.dumps(meta))
-        sidecar = victim_dir / f"{last}.synopsis.json"
-        if sidecar.exists():
-            sidecar.unlink()
         damaged = Catalog(catalog.root)
         synopses = damaged.snapshot("s-0").segment_synopses()
         assert synopses[-1] is None

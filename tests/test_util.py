@@ -9,7 +9,7 @@ import pytest
 
 from repro.exceptions import DataError, InvalidParameterError
 from repro.util.rng import DEFAULT_SEED, ensure_rng
-from repro.util.tables import format_table, rows_from_dicts
+from repro.util.tables import format_table
 from repro.util.validation import (
     require_finite_array,
     require_in_range,
@@ -114,24 +114,30 @@ class TestFormatTable:
         assert "3.14" in text and "3.142" not in text
 
 
-class TestRowsFromDicts:
-    def test_infers_headers_from_first_record(self):
-        headers, rows = rows_from_dicts([{"a": 1, "b": 2}, {"a": 3, "b": 4}])
-        assert headers == ["a", "b"]
-        assert rows == [[1, 2], [3, 4]]
-
-    def test_missing_keys_render_empty(self):
-        headers, rows = rows_from_dicts([{"a": 1}], headers=["a", "b"])
-        assert rows == [[1, ""]]
-
-    def test_empty_records(self):
-        headers, rows = rows_from_dicts([])
-        assert headers == [] and rows == []
-
-
 def test_format_allowlist_names_only_existing_files():
     # The list may only shrink: a deleted file takes its line with it.
     root = Path(__file__).resolve().parent.parent
     listed = (root / ".github/ruff-format-allowlist.txt").read_text()
     paths = [p for p in listed.splitlines() if p and p[0] != "#"]
     assert paths and not [p for p in paths if not (root / p).is_file()]
+
+
+def test_catalog_module_holds_no_segment_layout_knowledge():
+    # What a segment is called and looks like on disk is store/binary.py's
+    # business; it must not drift back into the catalog.
+    import ast
+
+    root = Path(__file__).resolve().parent.parent
+    source = (root / "src/repro/store/catalog.py").read_text()
+    lines = source.splitlines()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(
+            node,
+            (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef),
+        ) and ast.get_docstring(node, clean=False) is not None:
+            docstring = node.body[0]
+            for index in range(docstring.lineno - 1, docstring.end_lineno):
+                lines[index] = ""
+    code = "\n".join(lines)
+    banned = (".npz", ".v2", ".synopsis.json", "seg-", "SEGMENT_SUFFIX")
+    assert not [fragment for fragment in banned if fragment in code]
