@@ -502,8 +502,7 @@ class QueryServer:
         # service skip, and how many statements ran as APPROX.
         payload["pruning"] = self.service.execution_stats()
         # How results travel from workers: "inline" for same-process
-        # backends, "shm"/"pickle" (with chunk and fallback counters)
-        # for the process backend.
+        # backends, "pickle" for the process backend.
         payload["transport"] = self.service.backend.transport_stats()
         return payload
 

@@ -18,10 +18,8 @@ repeated statements never reload a segment.
   ``compute_chunk`` turns a chunk of envelopes into array-form answers
   (chunk-stacked ``reduceat`` kernels, scores included);
 * :mod:`repro.service.backends` — the executor backends: two
-  schedulers for that one function;
-* :mod:`repro.service.shm` — the shared-memory result transport the
-  process backend ships those arrays through (descriptor pickling,
-  crash-safe arena lifecycle);
+  schedulers for that one function (the process pool returns those
+  arrays pickled through its own pipe);
 * :mod:`repro.service.executor` — runs the plan through the selected
   backend, ranks the per-series results, and returns the one
   :class:`StatementResult`, rendered to JSON straight from the arrays;
@@ -48,14 +46,12 @@ from repro.service.planner import (
     QueryPlan,
     plan_statement,
 )
-from repro.service.shm import ChunkDescriptor, ShmArena, shm_available
 
 __all__ = [
     "AGGREGATES",
     "BACKEND_NAMES",
     "CacheStats",
     "CatalogQueryService",
-    "ChunkDescriptor",
     "ExecutorBackend",
     "ItemPlan",
     "KERNELS",
@@ -64,9 +60,7 @@ __all__ = [
     "QueryPlan",
     "SequentialBackend",
     "SeriesResult",
-    "ShmArena",
     "StatementResult",
     "make_backend",
     "plan_statement",
-    "shm_available",
 ]

@@ -15,10 +15,10 @@ differ only in who calls it:
   :class:`~concurrent.futures.ProcessPoolExecutor`.  Workers start under
   the ``spawn`` method (the only one safe on every platform and the
   default on macOS/Windows), warm a per-worker catalog cache via a
-  spawn-safe initializer, and ship each chunk's arrays back through one
-  shared-memory block (:mod:`repro.service.shm`).  Combined with the
-  store's layout-v2 mmap segments, workers share page-cache pages
-  instead of each rehydrating its own copy of every segment.
+  spawn-safe initializer, and return each chunk's results pickled
+  through the pool's own pipe.  Combined with the store's layout-v2
+  mmap segments, workers share page-cache pages instead of each
+  rehydrating its own copy of every segment.
 
 Both backends return :class:`~repro.service.kernels.ArrayResult` objects
 in input order; per-series failures travel *inside* the result (as a
@@ -44,12 +44,6 @@ from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.service.cache import MatrixCache
 from repro.service.kernels import ArrayResult, compute_chunk
 from repro.service.planner import TaskEnvelope
-from repro.service.shm import (
-    ChunkDescriptor,
-    ShmArena,
-    pack_chunk,
-    shm_available,
-)
 
 __all__ = [
     "BACKEND_NAMES",
@@ -58,16 +52,6 @@ __all__ = [
     "SequentialBackend",
     "make_backend",
 ]
-
-#: Histogram buckets for per-chunk shared-memory block sizes: the
-#: default latency buckets top out at 60 (seconds) — useless for bytes.
-_SHM_ALLOC_BUCKETS = (
-    4096.0,
-    65536.0,
-    1048576.0,
-    16777216.0,
-    268435456.0,
-)
 
 #: Spellings accepted wherever a backend is selected by name (service
 #: constructor, ``server serve --backend``, ``query --backend``).
@@ -94,12 +78,11 @@ class ExecutorBackend:
     name: str = "abstract"
     max_workers: int = 1
     #: How results travel from workers to the caller: ``"inline"`` for
-    #: same-process backends, ``"shm"``/``"pickle"`` for the process
-    #: backend depending on shared-memory availability.
+    #: same-process backends, ``"pickle"`` for the process backend.
     transport: str = "inline"
 
     def transport_stats(self) -> dict[str, Any]:
-        """The transport mode and its counters (``server stats`` block)."""
+        """The transport mode (``server stats`` block)."""
         return {"mode": self.transport}
 
     def _init_metrics(self, registry: MetricsRegistry | None) -> None:
@@ -175,33 +158,15 @@ def _worker_init(cache_budget_bytes: int, mmap: bool) -> None:
     _WORKER_MMAP = bool(mmap)
 
 
-def _run_chunk(
-    chunk: list[TaskEnvelope], shm_name: str | None = None
-) -> "ChunkDescriptor | list[ArrayResult]":
-    """Worker-side entry point: run one chunk against the warm cache.
-
-    With a parent-assigned ``shm_name`` the results' arrays are packed
-    into that shared-memory block and only the descriptor is pickled;
-    without one — or when the block cannot be created (``/dev/shm`` full,
-    platform without POSIX shm) — the array results themselves cross the
-    pipe as the plain pickle fallback.  Either way the parent ends up
-    holding the same arrays.
-    """
+def _run_chunk(chunk: list[TaskEnvelope]) -> list[ArrayResult]:
+    """Worker-side entry point: run one chunk against the warm cache."""
     crash = os.environ.get(_CRASH_ENV)
     if crash and any(envelope.series_id == crash for envelope in chunk):
         os._exit(17)  # Fault injection: die like an OOM-killed worker.
     cache = _WORKER_CACHE
     if cache is None:  # pragma: no cover - initializer always ran.
         cache = MatrixCache()
-    results = compute_chunk(chunk, cache, mmap=_WORKER_MMAP)
-    if shm_name is not None:
-        try:
-            return pack_chunk(results, shm_name)
-        except OSError:
-            # Transport trouble must never change results: ship the
-            # already-computed arrays through the pickle pipe instead.
-            pass
-    return results
+    return compute_chunk(chunk, cache, mmap=_WORKER_MMAP)
 
 
 class ProcessBackend(ExecutorBackend):
@@ -214,15 +179,9 @@ class ProcessBackend(ExecutorBackend):
     statements hit worker-resident views exactly like the inline backend
     hits the service's one.
 
-    Results come back through shared memory when the platform supports
-    it (``transport == "shm"``): one block per chunk, allocated under a
-    parent-assigned name from the backend's :class:`~repro.service.shm.ShmArena`
-    so crashes can never orphan a block, with only a small descriptor
-    pickled.  Availability (and the ``REPRO_SHM_TRANSPORT=0`` kill
-    switch, which forces the plain-pickle transport) is read once, here
-    at construction; a worker that cannot allocate a block falls back
-    per chunk — counted in :meth:`transport_stats`, never silently
-    different results.
+    A chunk's results come back as its :class:`ArrayResult` list, pickled
+    by the pool onto its result pipe: a few KB of arrays per series, the
+    same bytes the inline backend hands over.
 
     ``mmap`` defaults to on: combined with layout-v2 segments the workers
     map the same bytes the page cache already holds.  The flag is a no-op
@@ -230,6 +189,7 @@ class ProcessBackend(ExecutorBackend):
     """
 
     name = "process"
+    transport = "pickle"
     #: Chunks one fan-out is cut into, per worker: enough that a slow
     #: chunk does not leave the other workers idle, few enough that
     #: submission and IPC amortise over its series.
@@ -250,44 +210,13 @@ class ProcessBackend(ExecutorBackend):
         self.max_workers = int(max_workers)
         self.cache_budget_bytes = int(cache_budget_bytes)
         self.mmap = bool(mmap)
-        self.shm = shm_available()
-        self.transport = "shm" if self.shm else "pickle"
-        self._arena = ShmArena()
-        self._transport_lock = threading.Lock()
-        self._shm_chunks = 0
-        self._pickle_chunks = 0
-        self._shm_fallbacks = 0
-        self._shm_bytes = 0
         self._init_metrics(registry)
-        registry_resolved = (
-            default_registry() if registry is None else registry
-        )
-        self._obs_shm_bytes = registry_resolved.counter(
-            "repro_backend_shm_bytes_total",
-            "Result bytes shipped through shared-memory blocks, by backend",
-        )
-        self._obs_shm_alloc = registry_resolved.histogram(
-            "repro_backend_shm_alloc_bytes",
-            "Size of one per-chunk shared-memory arena allocation",
-            buckets=_SHM_ALLOC_BUCKETS,
-        )
         # Lazy pool creation is locked: a server fans concurrent first
         # statements at one shared service, and an unsynchronised
         # check-then-set would build (and leak) duplicate pools of whole
         # worker *processes*.
         self._pool_lock = threading.Lock()
         self._pool: ProcessPoolExecutor | None = None
-
-    def transport_stats(self) -> dict[str, Any]:
-        """Transport mode plus shm/pickle chunk counters for stats output."""
-        with self._transport_lock:
-            return {
-                "mode": self.transport,
-                "shm_chunks": self._shm_chunks,
-                "pickle_chunks": self._pickle_chunks,
-                "shm_fallbacks": self._shm_fallbacks,
-                "shm_bytes": self._shm_bytes,
-            }
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         with self._pool_lock:
@@ -316,78 +245,40 @@ class ProcessBackend(ExecutorBackend):
             for start in range(0, len(envelopes), size)
         ]
 
-    def _collect(
-        self, outcome: "ChunkDescriptor | list[ArrayResult]", name: str | None
-    ) -> list[ArrayResult]:
-        """One chunk's results out of whichever transport carried them."""
-        if isinstance(outcome, ChunkDescriptor):
-            results = self._arena.unpack(outcome)
-            with self._transport_lock:
-                self._shm_chunks += 1
-                self._shm_bytes += outcome.nbytes
-            self._obs_shm_bytes.inc(outcome.nbytes, backend=self.name)
-            self._obs_shm_alloc.observe(
-                float(outcome.nbytes), backend=self.name
-            )
-            return results
-        with self._transport_lock:
-            self._pickle_chunks += 1
-            if name is not None:
-                # A block was assigned but the worker could not use it.
-                self._shm_fallbacks += 1
-        return outcome
-
     def _map(self, envelopes: list[TaskEnvelope]) -> list[ArrayResult]:
         if not envelopes:
             return []
         chunks = self._chunks(envelopes)
-        names: list[str | None] = [
-            self._arena.next_name() if self.shm else None for _ in chunks
-        ]
-        # Every name a worker might have turned into a block; entries
-        # leave the set once the parent has consumed (and unlinked) the
-        # block, and the finally sweep reaps whatever remains — the
-        # crash/error paths can never leak a segment.
-        pending = {name for name in names if name is not None}
         try:
+            pool = self._ensure_pool()
+            futures = [pool.submit(_run_chunk, chunk) for chunk in chunks]
+        except RuntimeError as exc:
+            raise QueryError(
+                f"catalog query service is shut down: {exc}"
+            ) from exc
+        results: list[ArrayResult] = []
+        lost: list[str] = []
+        broken: BaseException | None = None
+        for future, chunk in zip(futures, chunks):
             try:
-                pool = self._ensure_pool()
-                futures = [
-                    pool.submit(_run_chunk, chunk, name)
-                    for chunk, name in zip(chunks, names)
-                ]
-            except RuntimeError as exc:
-                raise QueryError(
-                    f"catalog query service is shut down: {exc}"
-                ) from exc
-            results: list[ArrayResult] = []
-            lost: list[str] = []
-            broken: BaseException | None = None
-            for future, chunk, name in zip(futures, chunks, names):
-                try:
-                    results.extend(self._collect(future.result(), name))
-                except BrokenExecutor as exc:
-                    broken = exc
-                    lost.extend(envelope.series_id for envelope in chunk)
-                    continue
-                pending.discard(name)
-            if broken is not None:
-                # The pool is dead; drop it so the next statement
-                # rebuilds a fresh one instead of failing forever.
-                # Another statement may have raced to the same
-                # conclusion — only tear down the pool this map used.
-                with self._pool_lock:
-                    if self._pool is pool:
-                        self._pool = None
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise QueryError(
-                    f"worker process died while computing series "
-                    f"{sorted(set(lost))}: {broken}"
-                ) from broken
-            return results
-        finally:
-            for name in pending:
-                self._arena.reap(name)
+                results.extend(future.result())
+            except BrokenExecutor as exc:
+                broken = exc
+                lost.extend(envelope.series_id for envelope in chunk)
+        if broken is not None:
+            # The pool is dead; drop it so the next statement rebuilds a
+            # fresh one instead of failing forever.  Another statement
+            # may have raced to the same conclusion — only tear down the
+            # pool this map used.
+            with self._pool_lock:
+                if self._pool is pool:
+                    self._pool = None
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise QueryError(
+                f"worker process died while computing series "
+                f"{sorted(set(lost))}: {broken}"
+            ) from broken
+        return results
 
     def close(self) -> None:
         with self._pool_lock:

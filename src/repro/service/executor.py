@@ -6,7 +6,8 @@ the plan's per-series tasks into picklable envelopes and hands them to
 the backend (:mod:`repro.service.backends`): ``sequential``, the default
 and the parity reference, runs them inline on the caller's thread;
 ``process`` runs on true multi-core worker processes with per-worker
-warm caches and (with layout-v2 segments) zero-copy mmap reads.  Results
+warm caches and (with layout-v2 segments) zero-copy mmap reads, and
+returns each chunk's results pickled through the pool's pipe.  Results
 come back in deterministic order: series id, or score-descending when
 ``TOP k`` ranks.
 

@@ -113,10 +113,8 @@ class ArrayResult:
 
     ``load_s`` / ``compute_s`` / ``cache_hit`` are the worker-side trace
     span as three plain numbers; the executor merges them into the
-    parent :class:`~repro.obs.trace.QueryTrace`.  Inside a
-    :class:`~repro.service.shm.ChunkDescriptor` the ``arrays`` values are
-    :class:`~repro.service.shm.ArraySpec` slices of the chunk's block
-    instead of live arrays.
+    parent :class:`~repro.obs.trace.QueryTrace`.  The process backend
+    pickles these objects as they are through its pool's result pipe.
     """
 
     series_id: str

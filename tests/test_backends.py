@@ -71,6 +71,8 @@ def _statements(root) -> list[str]:
         f"SELECT threshold(0.2) FROM CATALOG '{root}' TOP 3",
         f"SELECT time_above(20.3, 5) FROM CATALOG '{root}' "
         f"WHERE t BETWEEN 18 AND 60",
+        f"SIMULATE 3 SEED 42 FROM CATALOG '{root}'",
+        f"SELECT expected_value, exceedance(20.3) FROM CATALOG '{root}'",
     ]
 
 
@@ -81,12 +83,8 @@ def _canonical(result) -> str:
 class TestBackendParity:
     def test_process_bit_identical_and_warm_cache_stable(self, v2_root):
         statements = _statements(v2_root)
-        references = [
-            _canonical(
-                CatalogQueryService(v2_root, backend="sequential").execute(s)
-            )
-            for s in statements
-        ]
+        with CatalogQueryService(v2_root, backend="sequential") as service:
+            references = [_canonical(service.execute(s)) for s in statements]
         with CatalogQueryService(
             v2_root, backend="process", max_workers=2
         ) as service:
@@ -98,12 +96,14 @@ class TestBackendParity:
 
     def test_mmap_on_off_identical(self, v2_root):
         statement = _statements(v2_root)[1]
-        plain = CatalogQueryService(
+        with CatalogQueryService(
             v2_root, backend="sequential", mmap=False
-        ).execute(statement)
-        mapped = CatalogQueryService(
+        ) as service:
+            plain = service.execute(statement)
+        with CatalogQueryService(
             v2_root, backend="sequential", mmap=True
-        ).execute(statement)
+        ) as service:
+            mapped = service.execute(statement)
         assert _canonical(plain) == _canonical(mapped)
 
     def test_npz_catalog_identical_to_v2(self, v2_root, npz_root):
@@ -222,6 +222,13 @@ class TestBackendSelection:
         with CatalogQueryService(v2_root) as service:
             assert service.backend_name == "sequential"  # The default.
 
+    def test_transport_stats_name_the_mode_only(self):
+        # Process workers answer through the pool's own pipe; the stats
+        # block carries the mode and nothing else.
+        assert ProcessBackend(2).transport_stats() == {"mode": "pickle"}
+        backend = SequentialBackend(MatrixCache())
+        assert backend.transport_stats() == {"mode": "inline"}
+
     def test_instance_passthrough(self, v2_root):
         backend = SequentialBackend(MatrixCache())
         service = CatalogQueryService(v2_root, backend=backend)
@@ -253,21 +260,6 @@ class TestBackendFaults:
                     f"SELECT expected_value FROM CATALOG '{root}'"
                 )
 
-    @staticmethod
-    def _leaked_shm_blocks() -> list[str]:
-        """Leftover transport blocks from this process (Linux-visible)."""
-        import os
-        from pathlib import Path
-
-        shm_dir = Path("/dev/shm")
-        if not shm_dir.is_dir():
-            return []
-        return sorted(
-            entry.name
-            for entry in shm_dir.iterdir()
-            if entry.name.startswith(f"repro-{os.getpid()}-")
-        )
-
     def test_worker_crash_names_series_and_pool_recovers(
         self, v2_root, monkeypatch
     ):
@@ -279,15 +271,11 @@ class TestBackendFaults:
             with pytest.raises(QueryError, match="s-3") as excinfo:
                 service.execute(statement)
             assert "worker process died" in str(excinfo.value)
-            # Mid-chunk shared-memory blocks from the dead worker (and
-            # any chunks the crash interrupted) must have been reaped.
-            assert self._leaked_shm_blocks() == []
             # The dead pool was dropped; with the fault cleared the next
             # statement spawns a fresh pool and succeeds.
             monkeypatch.delenv("REPRO_FAULT_WORKER_CRASH")
             result = service.execute(statement)
             assert len(result.results) == SERIES
-        assert self._leaked_shm_blocks() == []
 
     def test_worker_crash_has_no_tracker_leak_warnings(
         self, tmp_path
