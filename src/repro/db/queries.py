@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.db.prob_view import ProbTuple, ProbabilisticView
+from repro.db.worlds import per_time_range_mass
 from repro.exceptions import InvalidParameterError
 
 __all__ = [
@@ -73,21 +74,21 @@ def most_probable_range_query(view: ProbabilisticView) -> dict[int, ProbTuple]:
 def range_probability_query(
     view: ProbabilisticView, low: float, high: float
 ) -> dict[int, float]:
-    """``P(low <= value <= high)`` per time, from overlapping tuples.
+    """``P(low <= value < high)`` per time, from overlapping tuples.
 
-    Partially overlapping tuples contribute proportionally to the overlap,
-    exact under the builder's piecewise treatment of each range.
+    Half-open, and ``high <= low`` raises.  Partially overlapping tuples
+    contribute proportionally to the overlap, exact under the builder's
+    piecewise treatment of each range (:func:`~repro.db.worlds.per_time_range_mass`).
     """
     if high <= low:
         raise InvalidParameterError(
             f"query range upper bound must exceed lower, got [{low}, {high}]"
         )
     cols = view.columns
-    overlap = np.minimum(high, cols.high) - np.maximum(low, cols.low)
-    fraction = np.clip(overlap, 0.0, None) / (cols.high - cols.low)
-    contribution = (cols.probability * fraction)[cols.order]
-    masses = np.minimum(np.add.reduceat(contribution, cols.starts), 1.0) \
-        if cols.times.size else np.empty(0)
+    masses = per_time_range_mass(
+        cols.low, cols.high, cols.probability, cols.order, cols.starts,
+        cols.counts, low, high,
+    )
     return {int(t): float(mass) for t, mass in zip(cols.times, masses)}
 
 

@@ -12,11 +12,15 @@ independent.  This module makes that semantics executable two ways:
   possible worlds and estimate arbitrary functionals by averaging, the
   MCDB approach (Jampani et al.) whose parameter-storage idea the paper
   says it inherits.
+
+Both run as column passes over a zero-padded ``(T, k)`` matrix of a
+view's tuples (:func:`per_time_range_mass`, :meth:`WorldSampler.sample_matrix`).
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
@@ -33,6 +37,7 @@ __all__ = [
     "conjunctive_range_query",
     "derive_series_seed",
     "monte_carlo_query",
+    "per_time_range_mass",
 ]
 
 
@@ -80,6 +85,18 @@ class World:
         return value is not None and low <= value < high
 
 
+def _padded_rows(
+    order: np.ndarray, starts: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each by-time group's tuple indices as a ``(T, k)`` matrix, and a mask.
+
+    Rows follow ``order``; cells past ``counts[i]`` hold tuple 0, masked out.
+    """
+    column = np.arange(int(counts.max(initial=0)))
+    real = column < counts[:, None]
+    return order[np.where(real, starts[:, None] + column, 0)], real
+
+
 class WorldSampler:
     """Samples possible worlds from a tuple-independent view.
 
@@ -87,47 +104,69 @@ class WorldSampler:
     probabilities; the leftover mass ``1 - sum(rho)`` selects the OUTSIDE
     world.  Within the chosen range the value is drawn uniformly — the
     maximum-entropy choice given only the range probability.
+
+    The stream contract: worlds in turn, times ascending, each time one
+    unit draw ``u`` plus, when ``u`` falls inside its mass, one draw ``d``
+    for the value ``low + (high - low) * d`` — ``Generator.uniform``'s.
     """
 
     def __init__(self, view: ProbabilisticView) -> None:
         self.view = view
-        self._times = view.times
-        self._lows: dict[int, np.ndarray] = {}
-        self._highs: dict[int, np.ndarray] = {}
-        self._cumulative: dict[int, np.ndarray] = {}
-        for t in self._times:
-            tuples = view.tuples_at(t)
-            self._lows[t] = np.array([tup.low for tup in tuples])
-            self._highs[t] = np.array([tup.high for tup in tuples])
-            probabilities = np.array([tup.probability for tup in tuples])
-            self._cumulative[t] = np.cumsum(probabilities)
+        cols = view.columns
+        self._times = cols.times
+        rows, real = _padded_rows(cols.order, cols.starts, cols.counts)
+        self._lows = cols.low[rows]
+        self._highs = cols.high[rows]
+        # Row-wise cumsum is the per-block cumsum; padding adds 0.0 and is
+        # then made unselectable.
+        cumulative = np.cumsum(np.where(real, cols.probability[rows], 0.0), axis=1)
+        self._last = cumulative[np.arange(cols.times.size), cols.counts - 1]
+        self._cumulative = np.where(real, cumulative, np.inf)
+
+    def sample_matrix(
+        self, n_worlds: int, rng: int | np.random.Generator | None = None
+    ) -> np.ndarray:
+        """Draw ``n_worlds`` worlds as an ``(n_worlds, T)`` matrix.
+
+        ``NaN`` marks OUTSIDE.  Consumes ``rng`` exactly as ``n_worlds``
+        sequential :meth:`sample` calls do, no draw more.
+        """
+        generator = ensure_rng(rng)
+        shape = (n_worlds, self._times.size)
+        lasts = np.tile(self._last, n_worlds).tolist()
+        selectors: list[float] = []
+        draws: list[float] = []
+        pending = False  # The last slot still needs its in-range draw.
+        while len(selectors) < len(lasts) or pending:
+            # A lower bound on the draws still needed — every remaining
+            # time takes at least one — so a block never overdraws.
+            block = generator.random(len(lasts) - len(selectors) + pending)
+            for draw in block.tolist():
+                if pending:
+                    draws[-1] = draw
+                    pending = False
+                else:
+                    pending = draw < lasts[len(selectors)]
+                    selectors.append(draw)
+                    draws.append(0.0)
+        u = np.array(selectors).reshape(shape)
+        # count(cum <= u) is searchsorted(side="right"), so a rho = 0 tuple
+        # is never selected.  The last column (a total or padding) never
+        # counts for an inside u; skipping it keeps OUTSIDE in bounds.
+        index = np.zeros(shape, dtype=np.intp)
+        for cumulative in self._cumulative.T[:-1]:
+            index += cumulative <= u
+        rows = np.arange(shape[1])
+        low = self._lows[rows, index]
+        high = self._highs[rows, index]
+        value = low + (high - low) * np.array(draws).reshape(shape)
+        return np.where(u < self._last, value, np.nan)
 
     def sample(self, rng: int | np.random.Generator | None = None) -> World:
         """Draw one complete world."""
-        generator = ensure_rng(rng)
-        values: dict[int, float | None] = {}
-        for t in self._times:
-            cumulative = self._cumulative[t]
-            if cumulative.size == 0:
-                # An empty tuple block carries no in-grid mass at all:
-                # yield OUTSIDE deterministically, without consuming a
-                # draw, so the stream stays aligned across views that
-                # agree on their non-empty blocks.
-                values[t] = OUTSIDE
-                continue
-            u = generator.uniform()
-            if u >= cumulative[-1]:
-                values[t] = OUTSIDE  # Residual mass outside the grid.
-                continue
-            # side="right" skips zero-probability alternatives: when u
-            # lands exactly on a flat cumulative step, the first index
-            # *past* the flat run is selected — a tuple with rho = 0 can
-            # never be drawn.
-            index = int(np.searchsorted(cumulative, u, side="right"))
-            low = float(self._lows[t][index])
-            high = float(self._highs[t][index])
-            values[t] = float(generator.uniform(low, high))
-        return World(values)
+        row = self.sample_matrix(1, rng)[0].tolist()
+        values = [OUTSIDE if math.isnan(value) else value for value in row]
+        return World(dict(zip(self._times.tolist(), values)))
 
 
 @dataclass(frozen=True)
@@ -174,6 +213,39 @@ def monte_carlo_query(
     )
 
 
+def per_time_range_mass(
+    low: np.ndarray,
+    high: np.ndarray,
+    probability: np.ndarray,
+    order: np.ndarray,
+    starts: np.ndarray,
+    counts: np.ndarray,
+    a: float,
+    b: float,
+) -> np.ndarray:
+    """``P(a <= value < b)`` of each by-time group of the tuple columns.
+
+    ``order`` / ``starts`` / ``counts`` delimit any subset of the groups
+    (:class:`~repro.db.prob_view.ViewColumns`).  A tuple contributes
+    ``p * (overlap / width)`` where it overlaps, else nothing; the padded
+    ``(T, k)`` contributions are summed a column at a time, left to right —
+    a ``mass += c`` loop's order, which ``np.add.reduceat``'s pairwise loop
+    breaks — then capped at one.  :func:`conjunctive_range_query`,
+    :func:`~repro.db.queries.range_probability_query` and the stacked
+    ``PROBABILITY OF`` kernel all call it, so they agree bit for bit.
+    """
+    rows, real = _padded_rows(order, starts, counts)
+    lo, hi = low[rows], high[rows]
+    overlap = np.minimum(b, hi) - np.maximum(a, lo)
+    contribution = np.where(
+        real & (overlap > 0.0), probability[rows] * (overlap / (hi - lo)), 0.0
+    )
+    mass = np.zeros(starts.size)
+    for column in contribution.T:
+        mass += column
+    return np.minimum(mass, 1.0)
+
+
 def conjunctive_range_query(
     view: ProbabilisticView,
     predicates: Mapping[int, tuple[float, float]],
@@ -188,11 +260,9 @@ def conjunctive_range_query(
 
     Exploits the view's block-independent-disjoint structure: within one
     time the overlapping tuples' masses add (mutually exclusive
-    alternatives, with partial overlaps contributing proportionally);
-    across times the factors multiply (independence).  Degenerate range
-    tuples (``tup.low == tup.high``) are treated as point masses: they
-    contribute their whole probability when the predicate contains the
-    point, never a division by their zero width.
+    alternatives, with partial overlaps contributing proportionally —
+    :func:`per_time_range_mass`); across times the factors multiply
+    (independence).
 
     >>> # P(temp in [20, 22) at t=60 AND temp in [21, 23) at t=61):
     >>> # conjunctive_range_query(view, {60: (20, 22), 61: (21, 23)})
@@ -204,24 +274,18 @@ def conjunctive_range_query(
             raise InvalidParameterError(
                 f"predicate at time {t} has inverted range [{low}, {high}]"
             )
+    cols = view.columns
     probability = 1.0
     for t, (low, high) in predicates.items():
         if high == low:
             return 0.0  # [a, a) is empty under half-open semantics.
-        mass = 0.0
-        for tup in view.tuples_at(t):
-            width = tup.high - tup.low
-            if width <= 0.0:
-                # Point-mass tuple: inside iff the half-open predicate
-                # contains the point.
-                if low <= tup.low < high:
-                    mass += tup.probability
-                continue
-            overlap = min(high, tup.high) - max(low, tup.low)
-            if overlap <= 0:
-                continue
-            mass += tup.probability * (overlap / width)
-        probability *= min(mass, 1.0)
+        position = view._group_position(t)
+        group = slice(position, position + 1)
+        (mass,) = per_time_range_mass(
+            cols.low, cols.high, cols.probability, cols.order,
+            cols.starts[group], cols.counts[group], low, high,
+        ).tolist()
+        probability *= mass
         if probability == 0.0:
             break
     return probability

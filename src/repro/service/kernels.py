@@ -10,16 +10,18 @@ Answers are :class:`ArrayResult` objects — plain numpy arrays per series
 plus the ``TOP k`` score, computed here where the arrays are.  The
 per-time-dense aggregates (:data:`BATCHED_KERNELS`) additionally run
 *stacked*: the chunk's restricted views are concatenated and each kernel
-is one ``reduceat``/broadcast pass over the stack instead of one numpy
-dispatch per series.  A stack never grows past :data:`_STACK_ROWS`
-tuples (one larger view runs alone), so however long the chunk, only
-that many rows of views plus one stacked copy are alive at once.
+is one grouped pass over the stack instead of one numpy dispatch per
+series.  A stack never grows past :data:`_STACK_ROWS` tuples (one larger
+view runs alone), so however long the chunk, only that many rows of
+views plus one stacked copy are alive at once.
 
-The stacked kernels call the array cores of :mod:`repro.db`
-(``per_time_expected_value``, ``per_time_exceedance``) and the solo ones
-``conjunctive_range_query`` and ``WorldSampler``; the one-shot query
-functions built on the same code stay the public API and the reference
-the parity tests compare against.
+The stacked kernels — ``expected_value``, ``exceedance``, ``time_above``
+and ``probability_of`` — call the array cores of :mod:`repro.db`
+(``per_time_expected_value``, ``per_time_exceedance``,
+``per_time_range_mass``); ``simulate`` runs solo through
+``WorldSampler.sample_matrix``.  The one-shot query functions built on
+the same cores stay the public API and the reference the parity tests
+compare against.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from repro.db.queries import per_time_expected_value
 from repro.db.stream_queries import _check_windowed, per_time_exceedance
 from repro.db.worlds import (
     WorldSampler,
-    conjunctive_range_query,
     derive_series_seed,
+    per_time_range_mass,
 )
 from repro.exceptions import ReproError
 from repro.store.catalog import _load_view_from_segments
@@ -53,9 +55,12 @@ __all__ = [
     "restrict_time_range",
 ]
 
-#: Aggregates computed as one stacked pass per chunk (per-time-dense
-#: mapping kernels whose group reductions never cross series).
-BATCHED_KERNELS = frozenset(("exceedance", "expected_value", "time_above"))
+#: Aggregates computed as one stacked pass per chunk, ``probability_of``
+#: included (per-time-dense mapping kernels whose group reductions never
+#: cross series).
+BATCHED_KERNELS = frozenset(
+    ("exceedance", "expected_value", "probability_of", "time_above")
+)
 
 #: Most tuples a chunk stacks before the pending batches are computed
 #: and their views released.  Small views amortise numpy dispatch over
@@ -179,9 +184,9 @@ def _batched_mapping(
     The stack goes through the same array cores the one-shot queries in
     :mod:`repro.db.queries` / :mod:`repro.db.stream_queries` call, and is
     bit-identical to running them per series: every elementwise op
-    produces the same element values on a concatenation, and the grouped
-    ``reduceat`` boundaries are the per-series ``starts`` shifted by each
-    series' offset — groups never cross series.  Windowed
+    produces the same element values on a concatenation, and the group
+    boundaries are the per-series ``starts`` shifted by each series'
+    offset — groups never cross series.  Windowed
     post-passes (``time_above``'s cumulative sums) run on the per-series
     slices so float accumulation order matches the solo kernel exactly.
     """
@@ -201,6 +206,11 @@ def _batched_mapping(
         values = per_time_expected_value(
             low, high, probability, order, starts
         )
+    elif kernel == "probability_of":
+        group_sizes = np.concatenate([cols.counts for cols in columns])
+        values = per_time_range_mass(
+            low, high, probability, order, starts, group_sizes, *arguments
+        )
     else:  # exceedance / time_above share the exceedance vector.
         values = per_time_exceedance(
             low, high, probability, order, starts, arguments[0]
@@ -219,7 +229,7 @@ def _batched_mapping(
 
 
 def _solo(envelope: "TaskEnvelope", view: ProbabilisticView) -> ArrayResult:
-    """``threshold`` / ``probability_of`` / ``simulate`` over one view."""
+    """``threshold`` / ``simulate`` over one view."""
     kernel = envelope.aggregate
     arguments = envelope.arguments
     cols = view.columns
@@ -239,40 +249,18 @@ def _solo(envelope: "TaskEnvelope", view: ProbabilisticView) -> ArrayResult:
             meta=(cols.labels,),
             score=float(hits.size),
         )
-    times = cols.times.tolist()
-    if kernel == "probability_of":
-        # Each time is one single-predicate conjunctive_range_query over
-        # the view's block-independent-disjoint tuples: the exact mass of
-        # every overlapping alternative scaled by its overlap fraction,
-        # not a Monte Carlo estimate.
-        bounds = (arguments[0], arguments[1])
-        values = np.array(
-            [conjunctive_range_query(view, {t: bounds}) for t in times],
-            dtype=np.float64,
-        )
-        return ArrayResult(
-            envelope.series_id,
-            "mapping",
-            {"times": cols.times, "values": values},
-            score=_mapping_score(kernel, values),
-        )
     # simulate: the stream is seeded from (seed, series_id) alone, so the
     # drawn worlds are bit-identical whichever backend, worker or fan-out
     # order ran the series.
-    n_worlds = int(arguments[0])
     rng = np.random.default_rng(
         derive_series_seed(int(arguments[1]), envelope.series_id)
     )
-    sampler = WorldSampler(view)
-    values = np.empty((n_worlds, len(times)), dtype=np.float64)
-    for row in range(n_worlds):
-        drawn = map(sampler.sample(rng).values.get, times)
-        values[row] = [np.nan if v is None else v for v in drawn]
+    values = WorldSampler(view).sample_matrix(int(arguments[0]), rng)
     return ArrayResult(
         envelope.series_id,
         "worlds",
         {"times": cols.times, "values": values},
-        score=float(len(times)),
+        score=float(cols.times.size),
     )
 
 

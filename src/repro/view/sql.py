@@ -33,8 +33,8 @@ aggregate — ``threshold(tau)``, ``expected_value``,
 ``exceedance(threshold)``, ``time_above(threshold, window)`` — or the
 possible-worlds row expression ``PROBABILITY OF <column> BETWEEN a AND
 b`` (the exact per-time probability that the value lies in the half-open
-range ``[a, b)``, answered via
-:func:`repro.db.worlds.conjunctive_range_query`).  ``SERIES``
+range ``[a, b)``, answered by the range-mass core
+:func:`repro.db.worlds.per_time_range_mass`).  ``SERIES``
 glob-selects the series ids (default: all); ``TOP k`` keeps the k
 highest-scoring series.  An optional ``APPROX`` modifier directly after
 ``SELECT`` answers a single aggregate from stored segment synopses alone

@@ -165,7 +165,8 @@ def test_query_results_match_seed_loops(kind):
             overlap = min(high, tup.high) - max(low, tup.low)
             if overlap > 0:
                 mass += tup.probability * (overlap / (tup.high - tup.low))
-        assert out[t] == pytest.approx(min(mass, 1.0), abs=ATOL)
+        # Same floats summed in the same order: bit-equal, not approx.
+        assert out[t] == min(mass, 1.0)
 
     # Seed expected-value query: midpoint-weighted mean.
     expectations = expected_value_query(view)

@@ -29,43 +29,20 @@ def _view(p1=0.6, p2=0.4, leftover=0.0) -> ProbabilisticView:
     return ProbabilisticView("w", tuples)
 
 
-class _StubView:
-    """A minimal view-shaped object for block layouts the real
-    :class:`ProbabilisticView` cannot represent (empty blocks, point-mass
-    tuples built outside the constructor's validation)."""
-
-    def __init__(self, blocks):
-        self._blocks = blocks
-
-    @property
-    def times(self):
-        return sorted(self._blocks)
-
-    def tuples_at(self, t):
-        return self._blocks[t]
-
-
-class _Tup:
-    """A bare range tuple (ProbTuple validates ``high > low``)."""
-
-    def __init__(self, t, low, high, probability):
-        self.t, self.low, self.high = t, low, high
-        self.probability = probability
-
-
-class _ZeroFirstUniform(np.random.Generator):
-    """A generator whose *first* unit-uniform draw is exactly 0.0 — the
+class _ZeroFirstRandom(np.random.Generator):
+    """A generator whose *first* unit draw is exactly 0.0 — the
     adversarial value that lands on a flat cumulative step."""
 
     def __init__(self):
         super().__init__(np.random.PCG64(0))
         self._armed = True
 
-    def uniform(self, low=0.0, high=1.0, size=None):
-        if self._armed and low == 0.0 and high == 1.0 and size is None:
+    def random(self, size=None, dtype=np.float64, out=None):
+        draws = super().random(size, dtype, out)
+        if self._armed:
             self._armed = False
-            return 0.0
-        return super().uniform(low, high, size)
+            draws[0] = 0.0
+        return draws
 
 
 class TestWorldSampler:
@@ -104,44 +81,29 @@ class TestWorldSampler:
         with pytest.raises(InvalidParameterError):
             world.value_at(99)
 
-    def test_empty_tuple_block_yields_outside(self):
-        # Regression: an empty block used to raise IndexError on
-        # ``cumulative[-1]``; it must deterministically be OUTSIDE.
-        tuples = {
-            1: [],
-            2: [
-                _Tup(2, 0.0, 1.0, 0.5),
-                _Tup(2, 1.0, 2.0, 0.5),
-            ],
-        }
-        world = WorldSampler(_StubView(tuples)).sample(rng=0)
-        assert world.value_at(1) is None
-        assert world.value_at(2) is not None
-
-    def test_empty_block_consumes_no_draw(self):
-        # The stream must stay aligned: a view with an extra empty block
-        # samples the shared times identically under the same seed.
-        shared = [_Tup(2, 0.0, 1.0, 0.6), _Tup(2, 1.0, 2.0, 0.4)]
-        with_empty = WorldSampler(_StubView({1: [], 2: shared}))
-        without = WorldSampler(_StubView({2: shared}))
-        for seed in range(10):
-            assert (
-                with_empty.sample(rng=seed).value_at(2)
-                == without.sample(rng=seed).value_at(2)
-            )
-
     def test_zero_probability_alternative_never_selected(self):
         # cumulative = [0.0, 1.0]; u == 0.0 lands exactly on the flat
-        # step of the rho=0 first tuple — side="right" must skip it.
-        tuples = {
-            1: [
-                _Tup(1, 0.0, 1.0, 0.0),
-                _Tup(1, 1.0, 2.0, 1.0),
-            ]
-        }
-        sampler = WorldSampler(_StubView(tuples))
-        value = sampler.sample(_ZeroFirstUniform()).value_at(1)
+        # step of the rho = 0 first tuple — side="right" must skip it.
+        view = ProbabilisticView.from_columns(
+            "w", [1, 1], [0.0, 1.0], [1.0, 2.0], [0.0, 1.0]
+        )
+        value = WorldSampler(view).sample(_ZeroFirstRandom()).value_at(1)
         assert value is not None and 1.0 <= value < 2.0
+
+    def test_views_hold_no_point_mass_or_empty_block(self):
+        # The column kernels carry no branch for a zero-width tuple or an
+        # empty tuple block, because no view can hold either: both
+        # constructors reject high <= low, and a view's times are the
+        # times of its tuples.
+        with pytest.raises(InvalidParameterError):
+            ProbTuple(t=1, low=1.0, high=1.0, probability=0.25)
+        with pytest.raises(InvalidParameterError):
+            ProbabilisticView.from_columns("w", [1], [1.0], [1.0], [0.25])
+        view = ProbabilisticView.from_columns(
+            "w", [3, 1], [0.0, 0.0], [1.0, 1.0], [0.5, 0.5]
+        )
+        assert view.times == [1, 3]
+        assert view.columns.counts.tolist() == [1, 1]
 
     def test_in_range_is_half_open(self):
         world = WorldSampler(_view()).sample(rng=0)
@@ -270,22 +232,6 @@ class TestConjunctiveRangeQuery:
     def test_degenerate_predicate_is_empty(self):
         # [a, a) selects nothing under half-open semantics.
         assert conjunctive_range_query(_view(), {1: (0.5, 0.5)}) == 0.0
-
-    def test_point_mass_tuple(self):
-        # A zero-width tuple is a point mass: all or nothing, never a
-        # division by zero width.
-        blocks = {
-            1: [
-                _Tup(1, 1.0, 1.0, 0.25),
-                _Tup(1, 2.0, 3.0, 0.75),
-            ]
-        }
-        view = _StubView(blocks)
-        assert conjunctive_range_query(
-            view, {1: (0.5, 1.5)}
-        ) == pytest.approx(0.25)
-        # The point sits at the predicate's (excluded) high edge.
-        assert conjunctive_range_query(view, {1: (0.0, 1.0)}) == 0.0
 
     def test_half_open_boundary_matches_sampler(self):
         # A predicate ending exactly at a tuple boundary takes none of
