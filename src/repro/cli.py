@@ -14,10 +14,10 @@ Six subcommands cover the workflows a user reaches for first:
 * ``arch-test`` — run the Fig. 15 volatility check on a dataset;
 * ``store`` — manage a persistent view catalog: ``store init`` binds a new
   series to a metric, ``store ingest`` streams values in micro-batches,
-  ``store query`` runs probabilistic queries over the stored view,
   ``store list`` shows what the catalog holds, and ``store synopsize``
   backfills segment synopses (zone maps) on catalogs written before
-  pruning existed;
+  pruning existed (query a stored series with ``query --target
+  <catalog> "SELECT ... SERIES '<id>'"``);
 * ``server`` — the network layer: ``server serve`` runs the asyncio NDJSON
   query server over a catalog (request coalescing, admission control,
   draining shutdown); ``server stats`` / ``metrics`` / ``slowlog`` read a
@@ -201,23 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--scale", type=float, default=0.08)
     ingest.add_argument("--seed", type=int, default=0)
 
-    squery = store_sub.add_parser("query", help="query a stored view")
-    squery.add_argument("catalog")
-    squery.add_argument("series")
-    squery.add_argument("--kind", default="exceedance",
-                        choices=["threshold", "exceedance",
-                                 "windowed-expected-value",
-                                 "expected-time-above",
-                                 "sustained-exceedance"])
-    squery.add_argument("--tau", type=float, default=0.5,
-                        help="probability threshold (kind=threshold)")
-    squery.add_argument("--threshold", type=float, default=0.0,
-                        help="value threshold (exceedance kinds)")
-    squery.add_argument("--qwindow", type=int, default=5,
-                        help="query window length (windowed kinds)")
-    squery.add_argument("--head", type=int, default=12,
-                        help="number of result rows to print")
-
     slist = store_sub.add_parser("list", help="list the series of a catalog")
     slist.add_argument("catalog")
 
@@ -379,7 +362,7 @@ def _cmd_arch_test(args: argparse.Namespace) -> int:
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
-    from repro.store import Catalog, StandingQuery
+    from repro.store import Catalog
     from repro.view.omega import OmegaGrid
 
     if args.store_command == "init":
@@ -429,35 +412,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
             f"backfilled {total} segment synopses across "
             f"{len(written)} series"
         )
-        return 0
-
-    if args.store_command == "query":
-        catalog = Catalog(args.catalog, create=False)
-        kind = args.kind.replace("-", "_")
-        if kind == "threshold":
-            query = StandingQuery.threshold_tuples(args.tau)
-        elif kind == "exceedance":
-            query = StandingQuery.exceedance(args.threshold)
-        elif kind == "windowed_expected_value":
-            query = StandingQuery.windowed_expected_value(args.qwindow)
-        elif kind == "expected_time_above":
-            query = StandingQuery.expected_time_above(args.threshold, args.qwindow)
-        else:
-            query = StandingQuery.sustained_exceedance(args.threshold, args.qwindow)
-        handle = catalog.register_query(args.series, query)
-        result = handle.result()
-        print(f"{query.describe()} over series {args.series!r}:")
-        if kind == "threshold":
-            rows = [
-                [tup.t, tup.low, tup.high, tup.probability, tup.label]
-                for tup in result[: args.head]
-            ]
-            print(format_table(["t", "low", "high", "probability", "label"], rows))
-        else:
-            rows = [[t, round(v, 6)] for t, v in list(result.items())[: args.head]]
-            print(format_table(["t", "value"], rows))
-        if len(result) > args.head:
-            print(f"... ({len(result) - args.head} more rows)")
         return 0
 
     catalog = Catalog(args.catalog, create=False)

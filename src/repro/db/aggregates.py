@@ -1,0 +1,313 @@
+"""The aggregate vocabulary: one registry of what every route computes.
+
+A :class:`KernelSpec` is the one definition of an aggregate: its name,
+its arguments (arity and domains, :meth:`KernelSpec.bind`), the label of
+its ``TOP k`` score, and its computation — a per-time **core** over the
+view's columns (``per_time_expected_value``, ``per_time_exceedance`` or
+``per_time_range_mass``; none for ``threshold``'s row selection and
+``simulate``'s worlds), then an optional **window pass**: the ``sum``,
+``mean`` or ``product`` of every ``window`` consecutive per-time values,
+keyed by the window's last time.  The planner binds SELECT items against
+it, the stacked service kernels, standing queries and the one-shot
+functions of :mod:`repro.db.stream_queries` compute through it — so the
+routes agree bit for bit.
+
+:meth:`KernelSpec.reduce` is the one windowed reduction.  Its explicit
+:class:`WindowCarry` lets the same arithmetic serve a whole view (no
+carry) and a growing one: ``sum`` / ``mean`` carry trailing *prefix
+sums*, because continuing ``cumsum([carry, new...])`` reproduces one full
+``np.cumsum`` bit for bit where re-summing raw values would not;
+``product`` carries the last ``window - 1`` values for the same
+``np.prod`` row reduction.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Callable
+from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+from repro.db.prob_view import ViewColumns
+from repro.db.queries import per_time_expected_value
+from repro.db.stream_queries import per_time_exceedance
+from repro.db.worlds import per_time_range_mass
+from repro.exceptions import InvalidParameterError, QueryError
+
+__all__ = [
+    "AGGREGATES",
+    "KERNELS",
+    "KernelSpec",
+    "SIMULATE_KERNEL",
+    "WindowCarry",
+    "check_window",
+    "resolve",
+]
+
+Arguments = tuple[float, ...]
+
+
+class WindowCarry(NamedTuple):
+    """The trailing ``window + 1`` prefix sums (``sum`` / ``mean``) or last
+    ``window - 1`` values (``product``), and the last time reduced."""
+
+    last_time: int
+    tail: np.ndarray
+
+
+def check_window(
+    name: str,
+    window: float,
+    times: np.ndarray | None = None,
+    last_time: int | None = None,
+    *,
+    whole: bool = False,
+) -> int:
+    """The one window validator; returns ``window`` as an int >= 1.
+
+    ``times`` must be consecutive and continue directly after a carry's
+    ``last_time`` — windows by array position would span gaps; ``whole``
+    ``times`` are a complete series, holding at least one full window.
+    """
+    if window != int(window) or window < 1:
+        raise InvalidParameterError(
+            f"{name} needs an integer window >= 1, got {window}"
+        )
+    window = int(window)
+    if times is None or not times.size:
+        return window
+    if whole and times.size < window:
+        raise InvalidParameterError(
+            f"{name}: view has {times.size} times, fewer than window={window}"
+        )
+    if np.any(np.diff(times) != 1):
+        detail = "have gaps"
+    elif last_time is not None and int(times[0]) != last_time + 1:
+        detail = f"do not continue after {last_time}"
+    else:
+        return window
+    raise InvalidParameterError(
+        f"{name} needs consecutive inference times (build views with "
+        f"step=1); non-contiguous times [{times[0]} .. {times[-1]}] {detail}"
+    )
+
+
+@dataclass(frozen=True)
+class KernelSpec:
+    """One aggregate: its name, signature, score label and computation.
+
+    ``core`` maps view columns (one view's, or several stacked) and the
+    bound arguments to the per-time vector; ``window_pass`` is ``None``,
+    ``"sum"``, ``"mean"`` or ``"product"``, the window being the last
+    argument; ``approx`` marks a score the segment synopses bound
+    (``SELECT APPROX``; :mod:`repro.service.synopsis` estimates it by
+    ``score_label``).  Workers look specs up by name.
+    """
+
+    name: str
+    parameters: tuple[str, ...]
+    score_label: str
+    validate: Callable[[Arguments], Arguments] | None = None
+    core: Callable[[ViewColumns, Arguments], np.ndarray] | None = None
+    window_pass: str | None = None
+    approx: bool = False
+
+    @property
+    def kind(self) -> str:
+        """The answer's layout: ``"mapping"``, ``"rows"`` or ``"worlds"``."""
+        if self.core is not None:
+            return "mapping"
+        return "worlds" if self.name == "simulate" else "rows"
+
+    def bind(self, arguments: Arguments) -> Arguments:
+        """Check arity and domains; returns the normalised arguments."""
+        if len(arguments) != len(self.parameters):
+            expected = ", ".join(self.parameters) or "no arguments"
+            raise InvalidParameterError(
+                f"{self.name} takes ({expected}), got {len(arguments)} argument(s)"
+            )
+        if self.validate is not None:
+            arguments = self.validate(arguments)
+        if self.window_pass is not None:
+            arguments = (*arguments[:-1], float(check_window(self.name, arguments[-1])))
+        return arguments
+
+    def per_time(self, columns: ViewColumns, arguments: Arguments) -> np.ndarray:
+        """The core over ``columns``, aligned with their distinct times."""
+        if not columns.starts.size:
+            return np.empty(0)
+        return self.core(columns, arguments)
+
+    def reduce(
+        self,
+        values: np.ndarray,
+        times: np.ndarray,
+        arguments: Arguments,
+        carry: WindowCarry | None = None,
+        *,
+        whole: bool = False,
+    ) -> tuple[np.ndarray, np.ndarray, WindowCarry | None]:
+        """End times and values of the windows that ``values`` (at
+        ``times``) completes after ``carry`` — ``None`` before the first
+        call — and the next carry; per-time specs pass their input through.
+        """
+        if self.window_pass is None:
+            return times, values, None
+        last_time = None if carry is None else carry.last_time
+        window = check_window(self.name, arguments[-1], times, last_time, whole=whole)
+        if not times.size:
+            return times, values, carry
+        if self.window_pass == "product":
+            tail = np.empty(0) if carry is None else carry.tail
+            seq = np.concatenate((tail, values))
+            out = (
+                np.prod(sliding_window_view(seq, window), axis=1)
+                if seq.size >= window
+                else np.empty(0)
+            )
+            keep = window - 1
+        else:
+            tail = np.zeros(1) if carry is None else carry.tail
+            seq = np.concatenate(
+                (tail, np.cumsum(np.concatenate((tail[-1:], values)))[1:])
+            )
+            # Windows ending inside the tail were reported with it.
+            first = max(window, tail.size)
+            out = (
+                seq[first:] - seq[first - window : seq.size - window]
+                if seq.size > first
+                else np.empty(0)
+            )
+            if self.window_pass == "mean":
+                out = out / window
+            keep = window + 1
+        next_carry = WindowCarry(int(times[-1]), seq[max(seq.size - keep, 0) :])
+        return times[times.size - out.size :], out, next_carry
+
+
+def resolve(name: str, registry: dict[str, KernelSpec] | None = None) -> KernelSpec:
+    """``name``'s spec in ``registry`` (default :data:`AGGREGATES`)."""
+    spec = (AGGREGATES if registry is None else registry).get(name)
+    if spec is None:
+        raise QueryError(
+            f"unknown aggregate {name!r}; one of {', '.join(sorted(AGGREGATES))}"
+        )
+    return spec
+
+
+# Per-time cores over view columns, and argument domains.
+def _expected_value(cols: ViewColumns, arguments: Arguments) -> np.ndarray:
+    return per_time_expected_value(
+        cols.low, cols.high, cols.probability, cols.order, cols.starts
+    )
+
+
+def _exceedance(cols: ViewColumns, arguments: Arguments) -> np.ndarray:
+    return per_time_exceedance(
+        cols.low, cols.high, cols.probability, cols.order, cols.starts, arguments[0]
+    )
+
+
+def _range_mass(cols: ViewColumns, arguments: Arguments) -> np.ndarray:
+    groups = cols.order, cols.starts, cols.counts
+    return per_time_range_mass(
+        cols.low, cols.high, cols.probability, *groups, *arguments
+    )
+
+
+def _check_tau(arguments: Arguments) -> Arguments:
+    if not 0.0 <= arguments[0] <= 1.0:
+        raise InvalidParameterError(
+            f"threshold(tau) needs tau in [0, 1], got {arguments[0]}"
+        )
+    return arguments
+
+
+def _check_value_range(arguments: Arguments) -> Arguments:
+    if arguments[1] < arguments[0]:
+        raise InvalidParameterError(
+            f"probability_of(low, high) range is inverted: "
+            f"[{arguments[0]}, {arguments[1]}]"
+        )
+    return arguments
+
+
+def _check_simulate(arguments: Arguments) -> Arguments:
+    for label, value, least in zip(("n_worlds", "seed"), arguments, (1, 0)):
+        if value != int(value) or value < least:
+            raise InvalidParameterError(
+                f"simulate(n_worlds, seed) needs an integer {label} >= {least}, "
+                f"got {value}"
+            )
+    return tuple(float(int(value)) for value in arguments)
+
+
+#: The aggregates a SELECT list (and a standing query) can name.
+AGGREGATES: dict[str, KernelSpec] = {
+    spec.name: spec
+    for spec in (
+        KernelSpec(
+            name="threshold",
+            parameters=("tau",),
+            score_label="hits",
+            validate=_check_tau,
+            approx=True,
+        ),
+        KernelSpec(
+            name="expected_value",
+            parameters=(),
+            score_label="mean_ev",
+            core=_expected_value,
+            approx=True,
+        ),
+        KernelSpec(
+            name="exceedance",
+            parameters=("threshold",),
+            score_label="max_p",
+            core=_exceedance,
+            approx=True,
+        ),
+        KernelSpec(
+            name="time_above",
+            parameters=("threshold", "window"),
+            score_label="max_expected_count",
+            core=_exceedance,
+            window_pass="sum",
+            approx=True,
+        ),
+        KernelSpec(
+            name="probability_of",
+            parameters=("low", "high"),
+            score_label="max_p",
+            validate=_check_value_range,
+            core=_range_mass,
+        ),
+        KernelSpec(
+            name="sustained_exceedance",
+            parameters=("threshold", "window"),
+            score_label="max_p",
+            core=_exceedance,
+            window_pass="product",
+        ),
+        KernelSpec(
+            name="windowed_expected_value",
+            parameters=("window",),
+            score_label="max_window_ev",
+            core=_expected_value,
+            window_pass="mean",
+        ),
+    )
+}
+
+#: The statement-level SIMULATE kernel (not addressable from a SELECT list).
+SIMULATE_KERNEL = KernelSpec(
+    "simulate", ("n_worlds", "seed"), "times", validate=_check_simulate
+)
+
+#: Every kernel a worker can be asked to run, keyed by envelope name.
+KERNELS: dict[str, KernelSpec] = {
+    **AGGREGATES,
+    SIMULATE_KERNEL.name: SIMULATE_KERNEL,
+}

@@ -32,7 +32,6 @@ __all__ = [
     "most_probable_range_query",
     "range_probability_query",
     "expected_value_query",
-    "expected_value_vector",
     "per_time_expected_value",
 ]
 
@@ -124,8 +123,8 @@ def per_time_expected_value(
         )
 
 
-def expected_value_vector(view: ProbabilisticView) -> np.ndarray:
-    """Per-time expected value, aligned with ``view.columns.times``.
+def expected_value_query(view: ProbabilisticView) -> dict[int, float]:
+    """Expected value per time under the discretised distribution.
 
     Each tuple contributes its range midpoint weighted by its probability
     (one grouped ``np.add.reduceat`` over the columns); the result is
@@ -134,13 +133,8 @@ def expected_value_vector(view: ProbabilisticView) -> np.ndarray:
     """
     cols = view.columns
     if not cols.times.size:
-        return np.empty(0)
-    return per_time_expected_value(
+        return {}
+    values = per_time_expected_value(
         cols.low, cols.high, cols.probability, cols.order, cols.starts
     )
-
-
-def expected_value_query(view: ProbabilisticView) -> dict[int, float]:
-    """Expected value per time under the discretised distribution."""
-    values = expected_value_vector(view)
-    return {int(t): float(v) for t, v in zip(view.columns.times, values)}
+    return {int(t): float(v) for t, v in zip(cols.times, values)}

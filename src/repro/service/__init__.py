@@ -11,9 +11,9 @@ repeated statements never reload a segment.
 
 * :mod:`repro.service.planner` — lowers a parsed
   :class:`~repro.view.sql.CatalogQuery` (SELECT or SIMULATE) to the one
-  plan: kernel resolution + argument checks + pruned snapshot fan-out
-  list per select-list item, plus the picklable per-series task
-  envelopes backends consume;
+  plan: kernel resolution against :mod:`repro.db.aggregates` + argument
+  checks + pruned snapshot fan-out list per select-list item, plus the
+  picklable per-series task envelopes backends consume;
 * :mod:`repro.service.kernels` — the one compute path:
   ``compute_chunk`` turns a chunk of envelopes into array-form answers
   (chunk-stacked ``reduceat`` kernels, scores included);
@@ -43,6 +43,7 @@ from repro.service.planner import (
     AGGREGATES,
     KERNELS,
     ItemPlan,
+    KernelSpec,
     QueryPlan,
     plan_statement,
 )
@@ -55,6 +56,7 @@ __all__ = [
     "ExecutorBackend",
     "ItemPlan",
     "KERNELS",
+    "KernelSpec",
     "MatrixCache",
     "ProcessBackend",
     "QueryPlan",

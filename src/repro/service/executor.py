@@ -30,6 +30,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.db.aggregates import SIMULATE_KERNEL
 from repro.db.prob_view import ProbTuple
 from repro.exceptions import QueryError, ReproError
 from repro.obs.metrics import MetricsRegistry, default_registry
@@ -239,7 +240,7 @@ class StatementResult:
         """``select`` / ``approx`` / ``simulate`` / ``multi_select``."""
         if self.parts:
             return "multi_select"
-        if self.aggregate == "simulate":
+        if self.aggregate == SIMULATE_KERNEL.name:
             return "simulate"
         return "approx" if self.approx else "select"
 
@@ -264,7 +265,7 @@ class StatementResult:
                 "statements": [part.to_dict() for part in self.parts],
             }
         matched = [str(series_id) for series_id in self.matched]
-        if self.aggregate == "simulate":
+        if self.aggregate == SIMULATE_KERNEL.name:
             n_worlds, seed = self.arguments
             payload = {
                 "kind": "simulate",

@@ -8,20 +8,19 @@ structural: one function, two schedulers.
 
 Answers are :class:`ArrayResult` objects — plain numpy arrays per series
 plus the ``TOP k`` score, computed here where the arrays are.  The
-per-time-dense aggregates (:data:`BATCHED_KERNELS`) additionally run
-*stacked*: the chunk's restricted views are concatenated and each kernel
-is one grouped pass over the stack instead of one numpy dispatch per
-series.  A stack never grows past :data:`_STACK_ROWS` tuples (one larger
-view runs alone), so however long the chunk, only that many rows of
-views plus one stacked copy are alive at once.
+per-time-dense aggregates additionally run *stacked*: the chunk's
+restricted views are concatenated and each kernel is one grouped pass
+over the stack instead of one numpy dispatch per series.  A stack never
+grows past :data:`_STACK_ROWS` tuples (one larger view runs alone), so
+however long the chunk, only that many rows of views plus one stacked
+copy are alive at once.
 
-The stacked kernels — ``expected_value``, ``exceedance``, ``time_above``
-and ``probability_of`` — call the array cores of :mod:`repro.db`
-(``per_time_expected_value``, ``per_time_exceedance``,
-``per_time_range_mass``); ``simulate`` runs solo through
-``WorldSampler.sample_matrix``.  The one-shot query functions built on
-the same cores stay the public API and the reference the parity tests
-compare against.
+The registry (:mod:`repro.db.aggregates`) decides what is stacked: a
+:class:`~repro.db.aggregates.KernelSpec` with a per-time core runs it
+over the stack, then its window reduction per series; the core-less
+``threshold`` and ``simulate`` run solo.  The one-shot query functions
+built on the same specs are the reference the parity tests compare
+against.
 """
 
 from __future__ import annotations
@@ -33,14 +32,9 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.db.prob_view import ProbabilisticView
-from repro.db.queries import per_time_expected_value
-from repro.db.stream_queries import _check_windowed, per_time_exceedance
-from repro.db.worlds import (
-    WorldSampler,
-    derive_series_seed,
-    per_time_range_mass,
-)
+from repro.db.aggregates import KERNELS, KernelSpec, check_window
+from repro.db.prob_view import ProbabilisticView, ViewColumns
+from repro.db.worlds import WorldSampler, derive_series_seed
 from repro.exceptions import ReproError
 from repro.store.catalog import _load_view_from_segments
 
@@ -49,18 +43,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only.
 
 __all__ = [
     "ArrayResult",
-    "BATCHED_KERNELS",
     "compute_chunk",
     "empty_result",
     "restrict_time_range",
 ]
-
-#: Aggregates computed as one stacked pass per chunk, ``probability_of``
-#: included (per-time-dense mapping kernels whose group reductions never
-#: cross series).
-BATCHED_KERNELS = frozenset(
-    ("exceedance", "expected_value", "probability_of", "time_above")
-)
 
 #: Most tuples a chunk stacks before the pending batches are computed
 #: and their views released.  Small views amortise numpy dispatch over
@@ -142,98 +128,77 @@ def empty_result(
     and what the stacked kernels emit for views with no tuples.
     """
     times = np.empty(0, dtype=np.int64)
-    if kernel == "threshold":
-        column = np.empty(0, dtype=np.float64)
-        arrays = {
-            "t": times,
-            "low": column,
-            "high": column,
-            "probability": column,
-            "code": times,
-        }
-        return ArrayResult(series_id, "rows", arrays, meta=((),))
-    if kernel == "simulate":
+    values = np.empty(0, dtype=np.float64)
+    kind = KERNELS[kernel].kind
+    if kind == "rows":
+        arrays = dict(t=times, low=values, high=values, probability=values, code=times)
+        return ArrayResult(series_id, kind, arrays, meta=((),))
+    if kind == "worlds":
         values = np.empty((int(arguments[0]), 0), dtype=np.float64)
-        arrays = {"times": times, "values": values}
-        return ArrayResult(series_id, "worlds", arrays)
-    arrays = {"times": times, "values": np.empty(0, dtype=np.float64)}
-    return ArrayResult(series_id, "mapping", arrays)
+    return ArrayResult(series_id, kind, {"times": times, "values": values})
 
 
-def _mapping_score(kernel: str, values: np.ndarray) -> float:
+def _mapping_score(score_label: str, values: np.ndarray) -> float:
     """The ``TOP k`` score of one per-time value vector.
 
     ``mean_ev`` sums left to right over python floats — ``np.sum``'s
     pairwise order differs in the last bit, and the score is part of the
-    canonical bytes.
+    canonical bytes; every other label is the vector's maximum.
     """
     if not values.size:
         return 0.0
-    if kernel == "expected_value":
+    if score_label == "mean_ev":
         return float(sum(values.tolist()) / values.size)
     return float(values.max())
 
 
 def _batched_mapping(
-    kernel: str,
+    spec: KernelSpec,
     arguments: tuple[float, ...],
     views: list[ProbabilisticView],
-) -> list[np.ndarray]:
-    """Per-series value vectors for one batched kernel, one numpy pass.
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-series ``(times, values)`` for one batched kernel, one numpy pass.
 
-    The stack goes through the same array cores the one-shot queries in
-    :mod:`repro.db.queries` / :mod:`repro.db.stream_queries` call, and is
-    bit-identical to running them per series: every elementwise op
-    produces the same element values on a concatenation, and the group
-    boundaries are the per-series ``starts`` shifted by each series'
-    offset — groups never cross series.  Windowed
-    post-passes (``time_above``'s cumulative sums) run on the per-series
-    slices so float accumulation order matches the solo kernel exactly.
+    The spec's core runs once over the concatenated columns, bit-identical
+    to running it per series: elementwise ops give the same elements, and
+    each series' ``starts`` shifted by its offset keep groups from
+    crossing series.  The window reduction runs per series, so float
+    accumulation order matches the one-shot query exactly.
     """
     columns = [view.columns for view in views]
-    sizes = [cols.t.size for cols in columns]
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    low = np.concatenate([cols.low for cols in columns])
-    high = np.concatenate([cols.high for cols in columns])
-    probability = np.concatenate([cols.probability for cols in columns])
-    order = np.concatenate(
-        [cols.order + offset for cols, offset in zip(columns, offsets)]
+    offsets = np.concatenate(([0], np.cumsum([cols.t.size for cols in columns])))
+    # The cores read only the value columns and the group structure.
+    stack = ViewColumns(
+        t=None,
+        low=np.concatenate([cols.low for cols in columns]),
+        high=np.concatenate([cols.high for cols in columns]),
+        probability=np.concatenate([cols.probability for cols in columns]),
+        label_code=None,
+        labels=(),
+        order=np.concatenate(
+            [cols.order + offset for cols, offset in zip(columns, offsets)]
+        ),
+        times=None,
+        starts=np.concatenate(
+            [cols.starts + offset for cols, offset in zip(columns, offsets)]
+        ),
+        counts=np.concatenate([cols.counts for cols in columns]),
     )
-    starts = np.concatenate(
-        [cols.starts + offset for cols, offset in zip(columns, offsets)]
-    )
-    if kernel == "expected_value":
-        values = per_time_expected_value(
-            low, high, probability, order, starts
-        )
-    elif kernel == "probability_of":
-        group_sizes = np.concatenate([cols.counts for cols in columns])
-        values = per_time_range_mass(
-            low, high, probability, order, starts, group_sizes, *arguments
-        )
-    else:  # exceedance / time_above share the exceedance vector.
-        values = per_time_exceedance(
-            low, high, probability, order, starts, arguments[0]
-        )
-    counts = [cols.times.size for cols in columns]
-    bounds = np.concatenate(([0], np.cumsum(counts)))
-    per_series = [values[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-    if kernel == "time_above":
-        window = int(arguments[1])
-        windowed: list[np.ndarray] = []
-        for vector in per_series:
-            csum = np.concatenate(([0.0], np.cumsum(vector)))
-            windowed.append(csum[window:] - csum[:-window])
-        per_series = windowed
-    return per_series
+    values = spec.per_time(stack, arguments)
+    bounds = np.concatenate(([0], np.cumsum([cols.times.size for cols in columns])))
+    return [
+        spec.reduce(values[lo:hi], cols.times, arguments)[:2]
+        for cols, lo, hi in zip(columns, bounds[:-1], bounds[1:])
+    ]
 
 
-def _solo(envelope: "TaskEnvelope", view: ProbabilisticView) -> ArrayResult:
-    """``threshold`` / ``simulate`` over one view."""
-    kernel = envelope.aggregate
+def _solo(
+    spec: KernelSpec, envelope: "TaskEnvelope", view: ProbabilisticView
+) -> ArrayResult:
+    """``threshold`` / ``simulate`` (the core-less kernels) over one view."""
     arguments = envelope.arguments
     cols = view.columns
-    if kernel == "threshold":
+    if spec.kind == "rows":
         hits = np.flatnonzero(cols.probability >= arguments[0])
         arrays = {
             "t": cols.t[hits],
@@ -273,20 +238,18 @@ def _flush(
     A batch's wall time is attributed evenly across its members.
     """
     for (kernel, arguments), members in batches.items():
+        spec = KERNELS[kernel]
         start = time.perf_counter()
         views = [member[2] for member in members]
-        vectors = _batched_mapping(kernel, arguments, views)
+        answers = _batched_mapping(spec, arguments, views)
         elapsed = time.perf_counter() - start
-        for member, values in zip(members, vectors):
-            index, series_id, view, load_s, hit = member
-            times = view.columns.times
-            if kernel == "time_above":
-                times = times[int(arguments[1]) - 1 :]
+        for member, (times, values) in zip(members, answers):
+            index, series_id, _view, load_s, hit = member
             out[index] = ArrayResult(
                 series_id,
                 "mapping",
                 {"times": times, "values": values},
-                score=_mapping_score(kernel, values),
+                score=_mapping_score(spec.score_label, values),
                 load_s=load_s,
                 compute_s=elapsed / len(members),
                 cache_hit=hit,
@@ -332,23 +295,22 @@ def compute_chunk(
             return view
 
         kernel = envelope.aggregate
+        spec = KERNELS[kernel]
         arguments = envelope.arguments
         try:
             view = cache.get(envelope.cache_key, _load)
             start = time.perf_counter()
             lo, hi = envelope.time_lo, envelope.time_hi
             view = restrict_time_range(view, lo, hi)
-            if kernel not in BATCHED_KERNELS:
-                result = _solo(envelope, view)
+            times = view.columns.times
+            if spec.core is None:
+                result = _solo(spec, envelope, view)
             else:
-                # Windowed validation runs per series before the batch
-                # forms, raising exactly what the solo kernel raises;
+                # Window checks run per series, before the batch forms;
                 # empty views take the empty-result path.
-                if kernel == "time_above":
-                    batchable = _check_windowed(view, int(arguments[1]))
-                else:
-                    batchable = bool(view.columns.times.size)
-                if batchable:
+                if times.size and spec.window_pass is not None:
+                    check_window(kernel, arguments[-1], times, whole=True)
+                if times.size:
                     rows = view.columns.t.size
                     if stacked and stacked + rows > _STACK_ROWS:
                         _flush(batches, out)

@@ -10,19 +10,24 @@ series becomes one :class:`SeriesTask` carrying a read-only
 executor (:mod:`repro.service.executor`) then runs tasks in any order,
 inline or on worker processes, without touching shared catalog state.
 
-This module owns what a kernel *is called* and what arguments it takes
-(:class:`KernelSpec`: arity, domain checks, the label of the per-series
-score ``TOP k`` ranks by); :mod:`repro.service.kernels` owns what it
-computes.
+What a kernel is called, what it takes and what it computes is the
+registry's (:mod:`repro.db.aggregates`, re-exported here): this module
+binds statements against it, :mod:`repro.service.kernels` runs it.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
 
+from repro.db.aggregates import (
+    AGGREGATES,
+    KERNELS,
+    SIMULATE_KERNEL,
+    KernelSpec,
+    resolve,
+)
 from repro.exceptions import InvalidParameterError, QueryError
 from repro.obs.trace import NULL_TRACE
 from repro.service.synopsis import prune_segments
@@ -32,7 +37,6 @@ from repro.view.sql import CatalogQuery, SelectItem
 
 __all__ = [
     "AGGREGATES",
-    "APPROX_KERNELS",
     "ItemPlan",
     "KERNELS",
     "KernelSpec",
@@ -42,128 +46,6 @@ __all__ = [
     "TaskEnvelope",
     "plan_statement",
 ]
-
-
-def _check_tau(arguments: tuple[float, ...]) -> tuple[float, ...]:
-    if not 0.0 <= arguments[0] <= 1.0:
-        raise InvalidParameterError(
-            f"threshold(tau) needs tau in [0, 1], got {arguments[0]}"
-        )
-    return arguments
-
-
-def _check_window(arguments: tuple[float, ...]) -> tuple[float, ...]:
-    window = arguments[1]
-    if window != int(window) or window < 1:
-        raise InvalidParameterError(
-            f"time_above(threshold, window) needs an integer window >= 1, "
-            f"got {window}"
-        )
-    return (arguments[0], float(int(window)))
-
-
-def _check_value_range(arguments: tuple[float, ...]) -> tuple[float, ...]:
-    if arguments[1] < arguments[0]:
-        raise InvalidParameterError(
-            f"probability_of(low, high) range is inverted: "
-            f"[{arguments[0]}, {arguments[1]}]"
-        )
-    return arguments
-
-
-def _check_simulate(arguments: tuple[float, ...]) -> tuple[float, ...]:
-    n_worlds, seed = arguments
-    if n_worlds != int(n_worlds) or n_worlds < 1:
-        raise InvalidParameterError(
-            f"simulate(n_worlds, seed) needs an integer n_worlds >= 1, "
-            f"got {n_worlds}"
-        )
-    if seed != int(seed) or seed < 0:
-        raise InvalidParameterError(
-            f"simulate(n_worlds, seed) needs an integer seed >= 0, "
-            f"got {seed}"
-        )
-    return (float(int(n_worlds)), float(int(seed)))
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """One per-series kernel's signature: arity, domains, score label.
-
-    The computation itself lives in
-    :func:`repro.service.kernels.compute_chunk`, which dispatches on
-    ``name`` — the registry entry never crosses a process boundary.
-    """
-
-    name: str
-    parameters: tuple[str, ...]
-    score_label: str
-    validate: Callable[[tuple[float, ...]], tuple[float, ...]] | None = None
-
-    def bind(self, arguments: tuple[float, ...]) -> tuple[float, ...]:
-        """Check arity and domains; returns the normalised arguments."""
-        if len(arguments) != len(self.parameters):
-            expected = ", ".join(self.parameters) or "no arguments"
-            raise InvalidParameterError(
-                f"{self.name} takes ({expected}), got {len(arguments)} "
-                f"argument(s)"
-            )
-        return self.validate(arguments) if self.validate else arguments
-
-
-#: Kernels usable in a SELECT list, keyed by grammar name.
-AGGREGATES: dict[str, KernelSpec] = {
-    spec.name: spec
-    for spec in (
-        KernelSpec(
-            name="threshold",
-            parameters=("tau",),
-            score_label="hits",
-            validate=_check_tau,
-        ),
-        KernelSpec(
-            name="expected_value",
-            parameters=(),
-            score_label="mean_ev",
-        ),
-        KernelSpec(
-            name="exceedance",
-            parameters=("threshold",),
-            score_label="max_p",
-        ),
-        KernelSpec(
-            name="time_above",
-            parameters=("threshold", "window"),
-            score_label="max_expected_count",
-            validate=_check_window,
-        ),
-        KernelSpec(
-            name="probability_of",
-            parameters=("low", "high"),
-            score_label="max_p",
-            validate=_check_value_range,
-        ),
-    )
-}
-
-#: The statement-level SIMULATE kernel (not addressable from a SELECT list).
-SIMULATE_KERNEL = KernelSpec(
-    name="simulate",
-    parameters=("n_worlds", "seed"),
-    score_label="times",
-    validate=_check_simulate,
-)
-
-#: Every kernel a worker can be asked to run, keyed by envelope name.
-KERNELS: dict[str, KernelSpec] = {
-    **AGGREGATES,
-    SIMULATE_KERNEL.name: SIMULATE_KERNEL,
-}
-
-#: Kernels with a synopsis-only estimator (``SELECT APPROX ...``).
-APPROX_KERNELS = frozenset(
-    ("threshold", "expected_value", "exceedance", "time_above")
-)
 
 
 @dataclass(frozen=True)
@@ -391,16 +273,12 @@ def _bound_items(
     kernels = KERNELS if len(query.items) == 1 else AGGREGATES
     bound: list[tuple[KernelSpec, tuple[float, ...], str | None]] = []
     for item in query.items:
-        spec = kernels.get(item.name)
-        if spec is None:
-            raise QueryError(
-                f"unknown aggregate {item.name!r}; one of "
-                f"{', '.join(sorted(AGGREGATES))}"
-            )
-        if query.approx and spec.name not in APPROX_KERNELS:
+        spec = resolve(item.name, kernels)
+        if query.approx and not spec.approx:
+            supported = sorted(name for name in AGGREGATES if AGGREGATES[name].approx)
             raise QueryError(
                 f"APPROX does not support {spec.name!r}; one of "
-                f"{', '.join(sorted(APPROX_KERNELS))}"
+                f"{', '.join(supported)}"
             )
         arguments = item.arguments
         if spec is SIMULATE_KERNEL and len(arguments) == 1:

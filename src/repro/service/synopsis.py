@@ -14,8 +14,9 @@ The planner consults this module twice:
     whole-time matrix rows and times never repeat across appends; static
     views are single-segment), so dropping the segment removes no
     per-time result group and no surviving row.
-  - *Probability pruning* (``threshold`` only): a segment with
-    ``prob_max < tau`` holds no row satisfying ``probability >= tau``.
+  - *Probability pruning* (the row-selecting ``threshold`` only): a
+    segment with ``prob_max < tau`` holds no row satisfying
+    ``probability >= tau``.
     The other aggregates return per-time mappings that include zero
     entries, so value-based dropping would change result *keys* — those
     aggregates only ever prune on time.
@@ -43,6 +44,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any
 
+from repro.db.aggregates import KERNELS
 from repro.store.binary import PROB_HIST_BUCKETS
 from repro.store.catalog import RevisionFrontier, SeriesSnapshot
 
@@ -50,7 +52,6 @@ __all__ = [
     "ApproxEstimate",
     "estimate_series",
     "prune_segments",
-    "segment_contributes",
 ]
 
 Synopsis = dict[str, Any]
@@ -77,23 +78,15 @@ def _covered(synopsis: Synopsis, lo: float | None, hi: float | None) -> bool:
     return True
 
 
-def segment_contributes(
-    synopsis: Synopsis | None,
-    aggregate: str,
-    arguments: tuple[float, ...],
-    lo: float | None,
-    hi: float | None,
+def _contributes(
+    synopsis: Synopsis | None, tau: float | None, lo: float | None, hi: float | None
 ) -> bool:
     """False only when the synopsis *proves* the segment cannot matter."""
     if synopsis is None:
         return True  # No synopsis, no proof: must scan.
-    if not synopsis.get("rows"):
-        return False  # A provably empty segment contributes nothing.
-    if not _overlaps(synopsis, lo, hi):
-        return False
-    if aggregate == "threshold" and synopsis["prob_max"] < arguments[0]:
-        return False
-    return True
+    if not synopsis.get("rows") or not _overlaps(synopsis, lo, hi):
+        return False  # Provably empty, or outside the WHERE range.
+    return tau is None or synopsis["prob_max"] >= tau
 
 
 def prune_segments(
@@ -118,10 +111,12 @@ def prune_segments(
     """
     getter = getattr(source, "segment_synopses", None)
     synopses = getter() if callable(getter) else source.synopses
+    # Only a row-selecting kernel drops rows by probability.
+    tau = arguments[0] if KERNELS[aggregate].kind == "rows" else None
     return tuple(
         name
         for name, synopsis in zip(source.segments, synopses)
-        if segment_contributes(synopsis, aggregate, arguments, lo, hi)
+        if _contributes(synopsis, tau, lo, hi)
     )
 
 
@@ -235,10 +230,11 @@ def _exceedance_bounds(
 
 def _estimate_threshold(
     segments: list[Synopsis],
-    tau: float,
+    arguments: tuple[float, ...],
     lo: float | None,
     hi: float | None,
 ) -> ApproxEstimate:
+    tau = arguments[0]
     lower = upper = 0
     estimated = 0.0
     for synopsis in segments:
@@ -258,6 +254,7 @@ def _estimate_threshold(
 
 def _estimate_expected_value(
     segments: list[Synopsis],
+    arguments: tuple[float, ...],
     lo: float | None,
     hi: float | None,
 ) -> ApproxEstimate:
@@ -280,13 +277,13 @@ def _estimate_expected_value(
 
 def _estimate_exceedance(
     segments: list[Synopsis],
-    theta: float,
+    arguments: tuple[float, ...],
     lo: float | None,
     hi: float | None,
 ) -> ApproxEstimate:
     lower = upper = estimated = 0.0
     for synopsis in segments:
-        seg_lower, seg_upper, seg_est = _exceedance_bounds(synopsis, theta)
+        seg_lower, seg_upper, seg_est = _exceedance_bounds(synopsis, arguments[0])
         if _covered(synopsis, lo, hi):
             lower = max(lower, seg_lower)
         upper = max(upper, seg_upper)
@@ -296,25 +293,28 @@ def _estimate_exceedance(
 
 def _estimate_time_above(
     segments: list[Synopsis],
-    theta: float,
-    window: int,
+    arguments: tuple[float, ...],
     lo: float | None,
     hi: float | None,
 ) -> ApproxEstimate:
-    peak_upper = 0.0
-    peak_lower = 0.0
-    covered_times = 0
-    for synopsis in segments:
-        seg_lower, seg_upper, _ = _exceedance_bounds(synopsis, theta)
-        if _covered(synopsis, lo, hi):
-            peak_lower = max(peak_lower, seg_lower)
-            covered_times += int(synopsis["times"])
-        peak_upper = max(peak_upper, seg_upper)
-    upper = min(float(window), window * peak_upper) if segments else 0.0
+    # Bounds on the best single time's exceedance, then the window sum.
+    window = int(arguments[1])
+    peak = _estimate_exceedance(segments, arguments, lo, hi)
+    covered_times = sum(int(s["times"]) for s in segments if _covered(s, lo, hi))
+    upper = min(float(window), window * peak.upper) if segments else 0.0
     # A window sum dominates the single best time only when at least one
     # full window of guaranteed-contributing times exists.
-    lower = peak_lower if covered_times >= window else 0.0
+    lower = peak.lower if covered_times >= window else 0.0
     return ApproxEstimate((lower + upper) / 2.0, lower, upper)
+
+
+#: The APPROX estimator of each score an ``approx`` spec ranks by.
+_ESTIMATORS = {
+    "hits": _estimate_threshold,
+    "mean_ev": _estimate_expected_value,
+    "max_p": _estimate_exceedance,
+    "max_expected_count": _estimate_time_above,
+}
 
 
 def estimate_series(
@@ -332,19 +332,12 @@ def estimate_series(
     raises on non-contiguous or too-short views, which no synopsis can
     detect; APPROX answers those with its interval instead of raising.
     """
+    spec = KERNELS.get(aggregate)
+    if spec is None or not spec.approx:
+        raise ValueError(f"no APPROX estimator for aggregate {aggregate!r}")
     live = [
         synopsis
         for synopsis in synopses
         if synopsis.get("rows") and _overlaps(synopsis, lo, hi)
     ]
-    if aggregate == "threshold":
-        return _estimate_threshold(live, arguments[0], lo, hi)
-    if aggregate == "expected_value":
-        return _estimate_expected_value(live, lo, hi)
-    if aggregate == "exceedance":
-        return _estimate_exceedance(live, arguments[0], lo, hi)
-    if aggregate == "time_above":
-        return _estimate_time_above(
-            live, arguments[0], int(arguments[1]), lo, hi
-        )
-    raise ValueError(f"no APPROX estimator for aggregate {aggregate!r}")
+    return _ESTIMATORS[spec.score_label](live, arguments, lo, hi)

@@ -780,7 +780,6 @@ class SeriesHandle:
             _write_json_atomic(self.directory / _SERIES_FILE, self._meta)
         except BaseException:
             self._poisoned = True
-            self.catalog._handles.pop(self.series_id, None)
             raise
 
     # ------------------------------------------------------------------
@@ -1231,11 +1230,19 @@ class Catalog:
         return handle
 
     def series(self, series_id: str) -> SeriesHandle:
-        """The handle for ``series_id`` (loaded lazily, cached)."""
+        """The handle for ``series_id`` (loaded lazily, cached).
+
+        A handle poisoned by a failed write is replaced by one read back
+        from disk that keeps its standing queries: they update only after
+        a commit, so their state is the durable one.
+        """
         self._check_known(series_id)
-        if series_id not in self._handles:
-            self._handles[series_id] = SeriesHandle(self, series_id)
-        return self._handles[series_id]
+        handle = self._handles.get(series_id)
+        if handle is None or handle._poisoned:
+            queries = [] if handle is None else handle._queries
+            handle = self._handles[series_id] = SeriesHandle(self, series_id)
+            handle._queries = queries
+        return handle
 
     def drop_series(self, series_id: str) -> None:
         """Remove a series and delete its directory.

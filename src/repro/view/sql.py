@@ -29,8 +29,12 @@ A second statement queries every stored view of a catalog at once::
         TOP 5
 
 The select list holds one or more comma-separated items, each either an
-aggregate — ``threshold(tau)``, ``expected_value``,
-``exceedance(threshold)``, ``time_above(threshold, window)`` — or the
+aggregate — ``threshold(tau)`` (scored by ``hits``), ``expected_value``
+(``mean_ev``), ``exceedance(threshold)`` (``max_p``),
+``time_above(threshold, window)`` (``max_expected_count``),
+``sustained_exceedance(threshold, window)`` (``max_p``),
+``windowed_expected_value(window)`` (``max_window_ev``), as registered in
+:data:`repro.db.aggregates.AGGREGATES` — or the
 possible-worlds row expression ``PROBABILITY OF <column> BETWEEN a AND
 b`` (the exact per-time probability that the value lies in the half-open
 range ``[a, b)``, answered by the range-mass core

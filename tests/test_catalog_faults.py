@@ -10,7 +10,8 @@ The store subsystem promises two things its unit tests never exercised:
   ``series.json`` flush leaves the catalog at its last durable state:
   reopening resumes from it, the orphan segment is overwritten by the
   resumed write, and the recovered end state is bit-identical to a run
-  that never crashed.
+  that never crashed.  Standing queries ride through a failed append:
+  the handle that replaces the poisoned one keeps them registered.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ import pytest
 
 import repro.store.catalog as catalog_module
 from repro.db.prob_view import ProbabilisticView
+from repro.db.stream_queries import exceedance_probability, expected_time_above
 from repro.exceptions import StoreError
-from repro.store import Catalog, SeriesHandle
+from repro.store import Catalog, SeriesHandle, StandingQuery
 from repro.store.binary import load_view_npz, save_view_npz
 from repro.view.omega import OmegaGrid
 
@@ -254,6 +256,44 @@ class TestCrashRecovery:
         assert reopened.next_t == recovered.next_t
         assert reopened.segment_names == recovered.segment_names
         _assert_views_identical(recovered.view(), reopened.view())
+
+
+#: Where an append can fail: writing its segment, or flushing series.json.
+_APPEND_FAULTS = {
+    "segment_write": "save_view_columns",
+    "series_flush": "_write_json_atomic",
+}
+
+
+@pytest.mark.parametrize("point", sorted(_APPEND_FAULTS))
+def test_standing_queries_survive_a_failed_append(tmp_path, monkeypatch, point):
+    catalog = Catalog(tmp_path / "cat")
+    catalog.create_series("s", metric="variable_threshold", H=H, grid=GRID)
+    exceedance = catalog.register_query("s", StandingQuery.exceedance(20.0))
+    above = catalog.register_query("s", StandingQuery("time_above", (20.0, 4)))
+    values = _values(200)
+    catalog.append("s", values[:80])
+
+    name = _APPEND_FAULTS[point]
+    real = getattr(catalog_module, name)
+
+    def failing(path, *args, **kwargs):
+        if point == "segment_write" or path.name == catalog_module._SERIES_FILE:
+            raise OSError(f"simulated failure at {point}")
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(catalog_module, name, failing)
+    with pytest.raises(OSError, match="simulated"):
+        catalog.append("s", values[80:120])
+    monkeypatch.setattr(catalog_module, name, real)
+    catalog.append("s", values[80:120])  # The retry, on a fresh handle.
+    catalog.append("s", values[120:])
+
+    view = catalog.view("s")
+    assert catalog.series("s").queries() == [exceedance, above]
+    assert exceedance.result() == exceedance_probability(view, 20.0)
+    assert above.result() == expected_time_above(view, 20.0, 4)
+    assert len(exceedance.result()) == len(view.times) == 200 - H
 
 
 class TestAtomicSegmentWrites:

@@ -85,18 +85,27 @@ class TestStoreCommands:
         out = capsys.readouterr().out
         assert "micro-batches" in out and "tuples stored" in out
 
+        # A stored series is queried through the one statement verb.
         assert main([
-            "store", "query", catalog, "room",
-            "--kind", "exceedance", "--threshold", "21", "--head", "3",
+            "query", f"SELECT exceedance(21) FROM CATALOG '{catalog}' "
+            "SERIES 'room'", "--target", catalog, "--head", "3",
         ]) == 0
         out = capsys.readouterr().out
-        assert "exceedance threshold=21.0" in out
+        assert "exceedance over 1 matched series" in out and "room" in out
 
         assert main([
-            "store", "query", catalog, "room",
-            "--kind", "threshold", "--tau", "0.4", "--head", "3",
+            "query", f"SELECT threshold(0.4) FROM CATALOG '{catalog}' "
+            "SERIES 'room'", "--target", catalog, "--head", "3",
         ]) == 0
         assert "probability" in capsys.readouterr().out
+
+        assert main([
+            "query", f"SELECT sustained_exceedance(21, 5), "
+            f"windowed_expected_value(5) FROM CATALOG '{catalog}'",
+            "--target", catalog, "--head", "3",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "max_p" in out and "max_window_ev" in out
 
         assert main(["store", "list", catalog]) == 0
         out = capsys.readouterr().out
@@ -122,11 +131,21 @@ class TestStoreCommands:
             "--metric", "vt", "--window", "40", "--n", "4",
         ]) == 0
         capsys.readouterr()
-        exit_code = main(["store", "query", catalog, "ghost"])
+        exit_code = main([
+            "query", f"SELECT exceedance(21) FROM CATALOG '{catalog}' "
+            "SERIES 'ghost'", "--target", catalog,
+        ])
         captured = capsys.readouterr()
         assert exit_code == 1
         assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+
+    def test_store_query_verb_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["store", "query", str(tmp_path / "catalog"), "room"]
+            )
 
     def test_ingest_missing_csv_fails_cleanly(self, tmp_path, capsys):
         catalog = str(tmp_path / "catalog")

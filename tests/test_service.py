@@ -12,6 +12,8 @@ from repro.db.queries import expected_value_query, threshold_query
 from repro.db.stream_queries import (
     exceedance_probability,
     expected_time_above,
+    sustained_exceedance_probability,
+    windowed_expected_value,
 )
 from repro.db.worlds import (
     WorldSampler,
@@ -76,6 +78,8 @@ def _one_shot_reference(view, series_id):
     expected = expected_value_query(view)
     exceedance = exceedance_probability(view, 21.0)
     above = expected_time_above(view, 21.0, 5)
+    sustained = sustained_exceedance_probability(view, 21.0, 5)
+    windowed = windowed_expected_value(view, 5)
     in_range = {
         t: conjunctive_range_query(view, {t: (20.5, 22.0)}) for t in times
     }
@@ -93,6 +97,8 @@ def _one_shot_reference(view, series_id):
         ),
         "exceedance(21.0)": (exceedance, by_time(exceedance)),
         "time_above(21.0, 5)": (above, by_time(above)),
+        "sustained_exceedance(21, 5)": (sustained, by_time(sustained)),
+        "windowed_expected_value(5)": (windowed, by_time(windowed)),
         "PROBABILITY OF v BETWEEN 20.5 AND 22.0": (
             in_range,
             by_time(in_range),
@@ -237,6 +243,13 @@ class TestPlannerValidation:
             Database().execute(_sql(catalog, "exceedance"))
         with pytest.raises(InvalidParameterError, match="takes"):
             Database().execute(_sql(catalog, "expected_value(3)"))
+
+    def test_approx_rejects_the_windowed_aggregates_it_cannot_bound(
+        self, catalog
+    ):
+        for body in ("sustained_exceedance(21, 5)", "windowed_expected_value(5)"):
+            with pytest.raises(QueryError, match="APPROX does not support"):
+                Database().execute(_sql(catalog, f"APPROX {body}"))
 
     def test_tau_domain(self, catalog):
         with pytest.raises(InvalidParameterError, match="tau"):

@@ -4,7 +4,8 @@ Process workers hand their results back through the pool's own pipe
 (the ``pickle`` transport); there is no shared-memory side channel.
 The contract pinned here: canonical result bytes match across the
 sequential and process backends — cold and warm — including
-``SIMULATE`` (seeded) and multi-aggregate selects.
+``SIMULATE`` (seeded), the windowed aggregates and multi-aggregate
+selects.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ def _statements(root) -> list[str]:
         f"SELECT threshold(0.2) FROM CATALOG '{root}' TOP 3",
         f"SELECT time_above(20.3, 5) FROM CATALOG '{root}' "
         f"WHERE t BETWEEN 18 AND 60",
+        f"SELECT sustained_exceedance(20.3, 5) FROM CATALOG '{root}'",
+        f"SELECT windowed_expected_value(5) FROM CATALOG '{root}' TOP 2",
         f"SIMULATE 3 SEED 42 FROM CATALOG '{root}'",
         f"SELECT expected_value, exceedance(20.3) FROM CATALOG '{root}'",
     ]

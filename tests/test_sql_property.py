@@ -156,6 +156,15 @@ _SELECT_ITEM = st.one_of(
         st.integers(min_value=1, max_value=99),
     ),
     st.builds(
+        lambda v, w: SelectItem("sustained_exceedance", (v, float(w))),
+        _NUMBER,
+        st.integers(min_value=1, max_value=99),
+    ),
+    st.builds(
+        lambda w: SelectItem("windowed_expected_value", (float(w),)),
+        st.integers(min_value=1, max_value=99),
+    ),
+    st.builds(
         lambda low, width, column: SelectItem(
             "probability_of", (low, low + width), column
         ),

@@ -1,7 +1,7 @@
 """Standing queries: incremental results must equal full recomputation.
 
-The acceptance invariant of the store subsystem: for every query kind and
-any micro-batch schedule, the accumulated standing result is *equal* (dict
+The acceptance invariant of the store subsystem: for every standing
+SELECT item and any micro-batch schedule, the accumulated standing result is *equal* (dict
 / list equality, not approx) to running the one-shot query from
 :mod:`repro.db.queries` / :mod:`repro.db.stream_queries` over the fully
 materialised view.
@@ -19,7 +19,7 @@ from repro.db.stream_queries import (
     sustained_exceedance_probability,
     windowed_expected_value,
 )
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import InvalidParameterError, QueryError
 from repro.store import Catalog, StandingQuery
 from repro.view.omega import OmegaGrid
 
@@ -46,10 +46,10 @@ def _catalog(tmp_path, series_id="s"):
 
 def _queries():
     return {
-        "threshold": StandingQuery.threshold_tuples(0.25),
+        "threshold": StandingQuery("threshold", (0.25,)),
         "exceedance": StandingQuery.exceedance(THRESHOLD),
-        "windowed_expected_value": StandingQuery.windowed_expected_value(7),
-        "expected_time_above": StandingQuery.expected_time_above(THRESHOLD, 4),
+        "windowed_expected_value": StandingQuery("windowed_expected_value", (7,)),
+        "expected_time_above": StandingQuery("time_above", (THRESHOLD, 4)),
         "sustained_exceedance": StandingQuery.sustained_exceedance(THRESHOLD, 3),
     }
 
@@ -105,7 +105,7 @@ def test_registration_replays_stored_history(tmp_path):
     catalog = _catalog(tmp_path)
     catalog.append("s", values[:100])
     late = catalog.register_query(
-        "s", StandingQuery.windowed_expected_value(6)
+        "s", StandingQuery("windowed_expected_value", (6,))
     )
     catalog.append("s", values[100:])
     assert late.result() == windowed_expected_value(catalog.view("s"), 6)
@@ -132,7 +132,7 @@ def test_windowed_results_empty_until_window_fills(tmp_path):
     values = campus_temperature(H + 4, rng=2).values
     catalog = _catalog(tmp_path)
     handle = catalog.register_query(
-        "s", StandingQuery.windowed_expected_value(10)
+        "s", StandingQuery("windowed_expected_value", (10,))
     )
     catalog.append("s", values)  # Only 4 warm times < window of 10.
     assert handle.result() == {}
@@ -152,8 +152,8 @@ def test_windowed_queries_reject_non_contiguous_static_views(tmp_path):
     catalog = Catalog(tmp_path / "cat")
     catalog.save_view("gapped", gapped)
     for query in (
-        StandingQuery.windowed_expected_value(2),
-        StandingQuery.expected_time_above(5.0, 2),
+        StandingQuery("windowed_expected_value", (2,)),
+        StandingQuery("time_above", (5.0, 2)),
         StandingQuery.sustained_exceedance(5.0, 2),
     ):
         with pytest.raises(InvalidParameterError, match="consecutive"):
@@ -165,29 +165,39 @@ def test_windowed_queries_reject_non_contiguous_static_views(tmp_path):
 
 
 def test_query_spec_validation():
-    with pytest.raises(InvalidParameterError):
-        StandingQuery.threshold_tuples(1.5)
-    with pytest.raises(InvalidParameterError):
-        StandingQuery.windowed_expected_value(0)
-    with pytest.raises(InvalidParameterError):
+    # Out-of-domain values fail at construction, through the spec's bind.
+    with pytest.raises(InvalidParameterError, match="tau"):
+        StandingQuery("threshold", (1.5,))
+    with pytest.raises(InvalidParameterError, match="window"):
+        StandingQuery("windowed_expected_value", (0,))
+    with pytest.raises(InvalidParameterError, match="window"):
         StandingQuery.sustained_exceedance(1.0, -2)
-    with pytest.raises(InvalidParameterError):
-        StandingQuery(kind="bogus")
-    # Directly constructed specs must fail fast on missing parameters,
-    # not deep inside the first update().
-    with pytest.raises(InvalidParameterError, match="requires"):
-        StandingQuery(kind="sustained_exceedance")
-    with pytest.raises(InvalidParameterError, match="requires"):
-        StandingQuery(kind="threshold")
-    with pytest.raises(InvalidParameterError, match="requires"):
-        StandingQuery(kind="expected_time_above", threshold=1.0)
-    assert StandingQuery(kind="exceedance", threshold=2.0).threshold == 2.0
+    with pytest.raises(InvalidParameterError, match="window"):
+        StandingQuery("time_above", (1.0, 2.5))
+    with pytest.raises(InvalidParameterError, match="inverted"):
+        StandingQuery("probability_of", (22.0, 20.0))
+    # Unknown names: anything AGGREGATES does not hold, SIMULATE included.
+    with pytest.raises(QueryError, match="unknown aggregate"):
+        StandingQuery("bogus")
+    with pytest.raises(QueryError, match="unknown aggregate"):
+        StandingQuery("simulate", (3, 1))
+    # Missing arguments fail fast, not deep inside the first update().
+    with pytest.raises(InvalidParameterError, match="takes"):
+        StandingQuery("sustained_exceedance")
+    with pytest.raises(InvalidParameterError, match="takes"):
+        StandingQuery("threshold")
+    with pytest.raises(InvalidParameterError, match="takes"):
+        StandingQuery("time_above", (1.0,))
+    query = StandingQuery("time_above", (21, 5))
+    assert query.arguments == (21.0, 5.0)
+    assert query.label() == "time_above(21, 5)"
+    assert StandingQuery.exceedance(2) == StandingQuery("exceedance", (2.0,))
 
 
 def test_threshold_tuples_accumulate_in_order(tmp_path):
     values = campus_temperature(140, rng=6).values
     catalog = _catalog(tmp_path)
-    handle = catalog.register_query("s", StandingQuery.threshold_tuples(0.2))
+    handle = catalog.register_query("s", StandingQuery("threshold", (0.2,)))
     for start in range(0, 140, 35):
         catalog.append("s", values[start : start + 35])
     hits = handle.result()
