@@ -17,8 +17,8 @@ three ways:
 
 It finishes by restarting the server on the **process executor backend**
 (``--backend process`` on the CLI): per-statement fan-out runs on
-spawn-started worker processes with zero-copy mmap segment reads —
-the multi-core path for CPU-bound aggregates — and returns bit-identical
+spawn-started worker processes, each with its own warm cache — the
+multi-core path for CPU-bound aggregates — and returns bit-identical
 results.
 
 Run with::
@@ -43,12 +43,8 @@ from repro.view.omega import OmegaGrid
 
 
 def build_catalog(root: Path) -> Catalog:
-    """A few plant-floor temperature series with drifting baselines.
-
-    Layout v2 stores each segment as uncompressed ``.npy`` columns, the
-    format the process backend memory-maps zero-copy.
-    """
-    catalog = Catalog(root, segment_layout="v2")
+    """A few plant-floor temperature series with drifting baselines."""
+    catalog = Catalog(root)
     rng = np.random.default_rng(0)
     for index in range(6):
         series_id = f"plant-{index}"
@@ -160,8 +156,8 @@ def main() -> None:
 
     # -- 5. The process backend: multi-core fan-out, same answers. -----
     # Equivalent CLI:  python -m repro server serve <catalog> --backend
-    # process.  Worker processes spawn once, keep per-worker warm caches,
-    # and mmap the v2 segments read-only.
+    # process.  Worker processes spawn once and keep per-worker warm
+    # caches, so a repeated statement reloads no segment.
     server = QueryServer(
         catalog.root, port=0, max_inflight=8, backend="process"
     )

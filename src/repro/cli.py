@@ -169,12 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     init = store_sub.add_parser("init", help="create a series in a catalog")
     init.add_argument("catalog", help="catalog directory (created if missing)")
     init.add_argument("series", help="series id")
-    init.add_argument("--layout", default=None, choices=["npz", "v2"],
-                      help="segment layout for this series' appends: 'v2' "
-                           "(uncompressed .npy-per-column) enables zero-copy "
-                           "mmap reads for the process executor backend "
-                           "(default: the catalog's recorded layout, npz "
-                           "for new catalogs)")
     init.add_argument("--metric", default="arma_garch",
                       help="dynamic density metric registry name")
     init.add_argument("--window", type=int, default=60,
@@ -366,7 +360,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
     from repro.view.omega import OmegaGrid
 
     if args.store_command == "init":
-        catalog = Catalog(args.catalog, segment_layout=args.layout)
+        catalog = Catalog(args.catalog)
         handle = catalog.create_series(
             args.series,
             metric=args.metric,

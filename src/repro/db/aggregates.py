@@ -23,6 +23,7 @@ sums*, because continuing ``cumsum([carry, new...])`` reproduces one full
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -128,6 +129,11 @@ class KernelSpec:
             raise InvalidParameterError(
                 f"{self.name} takes ({expected}), got {len(arguments)} argument(s)"
             )
+        for name, value in zip(self.parameters, arguments):
+            if not math.isfinite(value):
+                raise InvalidParameterError(
+                    f"{self.name} {name} must be finite, got {value}"
+                )
         if self.validate is not None:
             arguments = self.validate(arguments)
         if self.window_pass is not None:

@@ -5,7 +5,7 @@ The layer that turns a directory of persisted probabilistic views
 ``SELECT`` or ``SIMULATE`` statement evaluates its items over every (or a
 glob-selected subset of) series in a catalog, per-series work runs on a
 pluggable executor backend (inline on the caller's thread, or a
-spawn-safe process pool with zero-copy mmap segment reads), and
+spawn-safe process pool with per-worker warm caches), and
 materialised view matrices are kept warm in a byte-budgeted LRU cache so
 repeated statements never reload a segment.
 

@@ -16,9 +16,7 @@ differ only in who calls it:
   the ``spawn`` method (the only one safe on every platform and the
   default on macOS/Windows), warm a per-worker catalog cache via a
   spawn-safe initializer, and return each chunk's results pickled
-  through the pool's own pipe.  Combined with the store's layout-v2
-  mmap segments, workers share page-cache pages instead of each
-  rehydrating its own copy of every segment.
+  through the pool's own pipe.
 
 Both backends return :class:`~repro.service.kernels.ArrayResult` objects
 in input order; per-series failures travel *inside* the result (as a
@@ -129,15 +127,13 @@ class SequentialBackend(ExecutorBackend):
         self,
         cache: MatrixCache,
         *,
-        mmap: bool = False,
         registry: MetricsRegistry | None = None,
     ) -> None:
         self.cache = cache
-        self.mmap = bool(mmap)
         self._init_metrics(registry)
 
     def _map(self, envelopes: list[TaskEnvelope]) -> list[ArrayResult]:
-        return compute_chunk(envelopes, self.cache, mmap=self.mmap)
+        return compute_chunk(envelopes, self.cache)
 
 
 # ----------------------------------------------------------------------
@@ -148,14 +144,12 @@ class SequentialBackend(ExecutorBackend):
 # because initialisation happens after the interpreter (re-)imports this
 # module, never by inheriting parent memory.
 _WORKER_CACHE: MatrixCache | None = None
-_WORKER_MMAP: bool = False
 
 
-def _worker_init(cache_budget_bytes: int, mmap: bool) -> None:
+def _worker_init(cache_budget_bytes: int) -> None:
     """Per-process warm state: one matrix cache, built once per worker."""
-    global _WORKER_CACHE, _WORKER_MMAP
+    global _WORKER_CACHE
     _WORKER_CACHE = MatrixCache(cache_budget_bytes)
-    _WORKER_MMAP = bool(mmap)
 
 
 def _run_chunk(chunk: list[TaskEnvelope]) -> list[ArrayResult]:
@@ -166,7 +160,7 @@ def _run_chunk(chunk: list[TaskEnvelope]) -> list[ArrayResult]:
     cache = _WORKER_CACHE
     if cache is None:  # pragma: no cover - initializer always ran.
         cache = MatrixCache()
-    return compute_chunk(chunk, cache, mmap=_WORKER_MMAP)
+    return compute_chunk(chunk, cache)
 
 
 class ProcessBackend(ExecutorBackend):
@@ -182,10 +176,6 @@ class ProcessBackend(ExecutorBackend):
     A chunk's results come back as its :class:`ArrayResult` list, pickled
     by the pool onto its result pipe: a few KB of arrays per series, the
     same bytes the inline backend hands over.
-
-    ``mmap`` defaults to on: combined with layout-v2 segments the workers
-    map the same bytes the page cache already holds.  The flag is a no-op
-    for ``.npz`` segments.
     """
 
     name = "process"
@@ -200,7 +190,6 @@ class ProcessBackend(ExecutorBackend):
         max_workers: int,
         *,
         cache_budget_bytes: int = 64 << 20,
-        mmap: bool = True,
         registry: MetricsRegistry | None = None,
     ) -> None:
         if max_workers < 1:
@@ -209,7 +198,6 @@ class ProcessBackend(ExecutorBackend):
             )
         self.max_workers = int(max_workers)
         self.cache_budget_bytes = int(cache_budget_bytes)
-        self.mmap = bool(mmap)
         self._init_metrics(registry)
         # Lazy pool creation is locked: a server fans concurrent first
         # statements at one shared service, and an unsynchronised
@@ -225,7 +213,7 @@ class ProcessBackend(ExecutorBackend):
                     max_workers=self.max_workers,
                     mp_context=get_context("spawn"),
                     initializer=_worker_init,
-                    initargs=(self.cache_budget_bytes, self.mmap),
+                    initargs=(self.cache_budget_bytes,),
                 )
             return self._pool
 
@@ -293,7 +281,6 @@ def make_backend(
     max_workers: int | None = None,
     cache: MatrixCache,
     cache_budget_bytes: int = 64 << 20,
-    mmap: bool | None = None,
     registry: MetricsRegistry | None = None,
 ) -> ExecutorBackend:
     """Resolve a backend spec (name or instance) into an instance.
@@ -302,8 +289,6 @@ def make_backend(
     backend (``None``: one per core — a process per core is the point;
     more only costs memory).  It is validated either way and otherwise
     unused: the sequential backend runs on its caller's thread.
-    ``mmap=None`` resolves to on for the process backend and off
-    otherwise.
     """
     if max_workers is not None and max_workers < 1:
         raise InvalidParameterError(
@@ -322,7 +307,6 @@ def make_backend(
         return ProcessBackend(
             max_workers,
             cache_budget_bytes=cache_budget_bytes,
-            mmap=True if mmap is None else mmap,
             registry=registry,
         )
-    return SequentialBackend(cache, mmap=bool(mmap), registry=registry)
+    return SequentialBackend(cache, registry=registry)

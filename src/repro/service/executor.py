@@ -6,10 +6,9 @@ the plan's per-series tasks into picklable envelopes and hands them to
 the backend (:mod:`repro.service.backends`): ``sequential``, the default
 and the parity reference, runs them inline on the caller's thread;
 ``process`` runs on true multi-core worker processes with per-worker
-warm caches and (with layout-v2 segments) zero-copy mmap reads, and
-returns each chunk's results pickled through the pool's pipe.  Results
-come back in deterministic order: series id, or score-descending when
-``TOP k`` ranks.
+warm caches, and returns each chunk's results pickled through the
+pool's pipe.  Results come back in deterministic order: series id, or
+score-descending when ``TOP k`` ranks.
 
 Both backends run the same kernel code
 (:func:`repro.service.kernels.compute_chunk`) and hand back the same
@@ -337,10 +336,6 @@ class CatalogQueryService:
     backend:
         ``"sequential"`` (default: inline, no pool), ``"process"``, or
         an :class:`~repro.service.backends.ExecutorBackend` instance.
-    mmap:
-        Memory-map layout-v2 segments instead of copying them
-        (``None``: on for the process backend, off otherwise; ignored
-        for ``.npz`` segments).
     pruning:
         Use segment synopses to skip provably-irrelevant segments and
         series (default).  ``False`` forces the full scan — results are
@@ -371,7 +366,6 @@ class CatalogQueryService:
         cache_budget_bytes: int = 64 << 20,
         cache: MatrixCache | None = None,
         backend: "str | ExecutorBackend" = "sequential",
-        mmap: bool | None = None,
         pruning: bool = True,
         registry: MetricsRegistry | None = None,
         slow_query_ms: float = DEFAULT_SLOW_QUERY_MS,
@@ -426,7 +420,6 @@ class CatalogQueryService:
             max_workers=max_workers,
             cache=self.cache,
             cache_budget_bytes=cache_budget_bytes,
-            mmap=mmap,
             registry=self.registry,
         )
         self.max_workers = self._backend.max_workers

@@ -260,8 +260,6 @@ def _flush(
 def compute_chunk(
     chunk: "list[TaskEnvelope]",
     cache: Any,
-    *,
-    mmap: bool = False,
 ) -> list[ArrayResult]:
     """Run task envelopes into array-form results, in input order.
 
@@ -288,7 +286,6 @@ def compute_chunk(
                 Path(envelope.directory),
                 envelope.series_id,
                 envelope.segments,
-                mmap=mmap,
                 shadows=envelope.shadows or None,
             )
             load_s = time.perf_counter() - start

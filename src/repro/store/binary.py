@@ -9,10 +9,11 @@ The one module that knows the store's file formats:
   float64 out).  Every payload carries ``schema`` (format version) and
   ``kind`` (payload type); loaders reject another schema version with
   :class:`~repro.exceptions.SchemaVersionError` rather than misreading
-  it.  A view payload has two layouts — the single-file ``.npz`` archive
-  (also the :func:`save_view_npz` export) and the mmap-able ``.v2``
-  directory of raw ``.npy`` columns; :func:`save_view_columns` /
-  :func:`load_view_columns` dispatch on the path's suffix.
+  it.  A view payload is one ``.npz`` archive — the catalog segment and
+  the :func:`save_view_npz` export alike.  Older builds could also write a
+  segment as a ``.v2`` directory of raw ``.npy`` columns;
+  :func:`load_view_columns` still reads those (picked by suffix), nothing
+  writes them.
 * **Segment names.**  The catalog (:mod:`repro.store.catalog`) stores one
   view payload per ingested micro-batch; :func:`segment_name`,
   :func:`next_segment_index` and :func:`remove_segment` are all there is
@@ -25,8 +26,8 @@ A segment's zone-map synopsis is *computed* here
 (:func:`compute_view_synopsis`, returned by :func:`save_view_columns`) but
 stored only in the series' ``series.json``.  Older builds also left a copy
 in a ``<segment>.synopsis.json`` sidecar (``.npz``) or a ``synopsis`` key
-of ``meta.json`` (``.v2``): both are ignored on read and swept by
-:func:`remove_segment`.
+of a ``.v2`` segment's ``meta.json``: both are ignored on read and swept
+by :func:`remove_segment`.
 """
 
 from __future__ import annotations
@@ -53,23 +54,18 @@ __all__ = [
     "EXC_SKETCH_EDGES",
     "PROB_HIST_BUCKETS",
     "SCHEMA_VERSION",
-    "SEGMENT_LAYOUTS",
-    "SEGMENT_SUFFIX_NPZ",
-    "SEGMENT_SUFFIX_V2",
     "SYNOPSIS_VERSION",
     "check_schema_version",
     "compute_view_synopsis",
     "load_density_series_npz",
     "load_view_columns",
     "load_view_columns_npz",
-    "load_view_columns_v2",
     "load_view_npz",
     "next_segment_index",
     "remove_segment",
     "save_density_series_npz",
     "save_view_columns",
     "save_view_columns_npz",
-    "save_view_columns_v2",
     "save_view_npz",
     "segment_name",
     "write_json_atomic",
@@ -95,18 +91,12 @@ PROB_HIST_BUCKETS = 20
 #: at this many threshold grid points spanning [low_min, high_max].
 EXC_SKETCH_EDGES = 9
 
-#: Segment layouts by name, and the suffix that marks each on disk.
-#: ``npz`` is the original zipped archive (one file, zlib-framed members);
-#: ``v2`` is a *directory* holding one raw, uncompressed ``.npy`` per
-#: column plus a small ``meta.json`` — the layout
-#: ``np.load(..., mmap_mode="r")`` can map zero-copy, so many reader
-#: processes share the same page-cache pages instead of each rehydrating
-#: its own arrays.  Mixed layouts within one series load transparently —
-#: the name's suffix decides.
-SEGMENT_SUFFIX_NPZ = ".npz"
-SEGMENT_SUFFIX_V2 = ".v2"
-_SEGMENT_SUFFIXES = {"npz": SEGMENT_SUFFIX_NPZ, "v2": SEGMENT_SUFFIX_V2}
-SEGMENT_LAYOUTS = tuple(_SEGMENT_SUFFIXES)
+#: Every segment is written as one ``.npz`` archive.  A ``.v2`` name is a
+#: legacy segment: a *directory* of one raw ``.npy`` per column plus a
+#: small ``meta.json``, read-only.  A series may hold both; the name's
+#: suffix decides how each segment loads.
+_SEGMENT_SUFFIX = ".npz"
+_LEGACY_V2_SUFFIX = ".v2"
 _SEGMENT_RE = re.compile(r"^seg-(\d{8})(?:\.npz|\.v2)$")
 
 #: Synopsis copy older builds left beside each ``.npz`` segment; never
@@ -204,23 +194,6 @@ def save_view_npz(view: ProbabilisticView, path: str | Path) -> None:
     )
 
 
-def _stored_columns(
-    t: np.ndarray,
-    low: np.ndarray,
-    high: np.ndarray,
-    probability: np.ndarray,
-    label_code: np.ndarray,
-) -> dict[str, np.ndarray]:
-    """The numeric columns of a view payload, named and typed as stored."""
-    return {
-        "t": np.ascontiguousarray(t, dtype=np.int64),
-        "low": np.ascontiguousarray(low, dtype=float),
-        "high": np.ascontiguousarray(high, dtype=float),
-        "probability": np.ascontiguousarray(probability, dtype=float),
-        "label_code": np.ascontiguousarray(label_code, dtype=np.int64),
-    }
-
-
 def save_view_columns_npz(
     path: str | Path,
     *,
@@ -236,7 +209,11 @@ def save_view_columns_npz(
         Path(path),
         schema=np.int64(SCHEMA_VERSION),
         kind=np.str_(_KIND_VIEW),
-        **_stored_columns(t, low, high, probability, label_code),
+        t=np.ascontiguousarray(t, dtype=np.int64),
+        low=np.ascontiguousarray(low, dtype=float),
+        high=np.ascontiguousarray(high, dtype=float),
+        probability=np.ascontiguousarray(probability, dtype=float),
+        label_code=np.ascontiguousarray(label_code, dtype=np.int64),
         labels=np.array(labels if labels else ("",), dtype=np.str_),
     )
 
@@ -344,9 +321,9 @@ def write_json_atomic(path: Path, payload: dict) -> None:
 # ----------------------------------------------------------------------
 # Segment names.
 # ----------------------------------------------------------------------
-def segment_name(layout: str, index: int) -> str:
-    """The file (or directory) name of segment ``index`` in ``layout``."""
-    return f"seg-{index:08d}{_SEGMENT_SUFFIXES[layout]}"
+def segment_name(index: int) -> str:
+    """The file name of segment ``index``."""
+    return f"seg-{index:08d}{_SEGMENT_SUFFIX}"
 
 
 def next_segment_index(existing: list[str]) -> int:
@@ -360,7 +337,7 @@ def next_segment_index(existing: list[str]) -> int:
 
 
 def remove_segment(directory: Path, name: str) -> None:
-    """Delete one segment of either layout (file or directory)."""
+    """Delete one segment: an ``.npz`` file or a legacy ``.v2`` directory."""
     target = directory / name
     if target.is_dir():
         shutil.rmtree(target, ignore_errors=True)
@@ -372,88 +349,8 @@ def remove_segment(directory: Path, name: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# Segment layout v2: one raw .npy per column, mmap-able.
+# Segment I/O.
 # ----------------------------------------------------------------------
-def save_view_columns_v2(
-    path: str | Path,
-    *,
-    t: np.ndarray,
-    low: np.ndarray,
-    high: np.ndarray,
-    probability: np.ndarray,
-    label_code: np.ndarray,
-    labels: tuple[str, ...],
-) -> None:
-    """Write one layout-v2 segment: a directory of uncompressed columns.
-
-    The whole segment lands in a same-directory temp dir that is renamed
-    over the target, so a reader never observes a half-written segment —
-    the same durability contract :func:`_savez_exact` gives ``.npz``
-    files.  A pre-existing target (an orphan from a crashed append being
-    overwritten on resume) is unreferenced by definition and is removed
-    first.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp")
-    shutil.rmtree(tmp, ignore_errors=True)
-    try:
-        tmp.mkdir(parents=True)
-        columns = _stored_columns(t, low, high, probability, label_code)
-        for name, column in columns.items():
-            np.save(tmp / f"{name}.npy", column)
-        meta = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": _KIND_VIEW,
-            "layout": 2,
-            "labels": [str(label) for label in (labels if labels else ("",))],
-        }
-        (tmp / _V2_META).write_text(
-            json.dumps(meta, indent=2, sort_keys=True) + "\n"
-        )
-        if path.exists():
-            shutil.rmtree(path)
-        os.replace(tmp, path)
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
-
-
-def load_view_columns_v2(
-    path: str | Path, *, mmap: bool = False
-) -> dict[str, np.ndarray]:
-    """Load one layout-v2 segment, optionally memory-mapped.
-
-    With ``mmap=True`` the numeric columns come back as read-only
-    ``np.memmap`` views over the files — no copy, and concurrent reader
-    processes share the underlying page-cache pages.
-    """
-    path = Path(path)
-    meta_path = path / _V2_META
-    try:
-        meta = json.loads(meta_path.read_text())
-    except FileNotFoundError:
-        raise StoreError(f"no such store file: {path}") from None
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataError(f"{path} is not a readable v2 segment: {exc}") from exc
-    _check_header(path, meta, "schema_version", _KIND_VIEW)
-    mmap_mode = "r" if mmap else None
-    columns: dict[str, np.ndarray] = {}
-    for name in _VIEW_COLUMNS:
-        column_path = path / f"{name}.npy"
-        try:
-            columns[name] = np.load(
-                column_path, mmap_mode=mmap_mode, allow_pickle=False
-            )
-        except FileNotFoundError:
-            raise DataError(f"{path} is missing column {name!r}") from None
-        except (OSError, ValueError) as exc:
-            raise DataError(
-                f"{column_path} is not a readable npy file: {exc}"
-            ) from exc
-    columns["labels"] = np.array(meta.get("labels") or [""], dtype=np.str_)
-    return columns
-
-
 def save_view_columns(
     path: str | Path,
     *,
@@ -464,18 +361,14 @@ def save_view_columns(
     label_code: np.ndarray,
     labels: tuple[str, ...],
 ) -> dict:
-    """Write one segment, dispatching on the path's layout suffix.
+    """Write one ``.npz`` segment and return its zone-map synopsis.
 
-    Computes the segment's zone-map synopsis from the columns being
-    written (one extra vectorised pass over data already in memory) and
-    returns it: the caller records it in ``series.json``, its only home.
+    The synopsis is computed from the columns being written (one extra
+    vectorised pass over data already in memory); the caller records it
+    in ``series.json``, its only home.
     """
     synopsis = compute_view_synopsis(t, low, high, probability)
-    if Path(path).suffix == SEGMENT_SUFFIX_V2:
-        writer = save_view_columns_v2
-    else:
-        writer = save_view_columns_npz
-    writer(
+    save_view_columns_npz(
         path,
         t=t,
         low=low,
@@ -487,19 +380,36 @@ def save_view_columns(
     return synopsis
 
 
-def load_view_columns(
-    path: str | Path, *, mmap: bool = False
-) -> dict[str, np.ndarray]:
-    """Load one segment of either layout.
-
-    ``mmap`` requests zero-copy reads; it applies to layout-v2 segments
-    and falls back transparently to a regular load for ``.npz`` (a zip
-    archive cannot be mapped).
-    """
+def load_view_columns(path: str | Path) -> dict[str, np.ndarray]:
+    """Load one segment; a ``.v2`` suffix marks a legacy directory."""
     path = Path(path)
-    if path.suffix == SEGMENT_SUFFIX_V2 or path.is_dir():
-        return load_view_columns_v2(path, mmap=mmap)
+    if path.suffix == _LEGACY_V2_SUFFIX:
+        return _load_view_columns_v2(path)
     return load_view_columns_npz(path)
+
+
+def _load_view_columns_v2(path: Path) -> dict[str, np.ndarray]:
+    """Read one legacy ``.v2`` segment directory (nothing writes them now)."""
+    try:
+        meta = json.loads((path / _V2_META).read_text())
+    except FileNotFoundError:
+        raise StoreError(f"no such store file: {path}") from None
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path} is not a readable v2 segment: {exc}") from exc
+    _check_header(path, meta, "schema_version", _KIND_VIEW)
+    columns: dict[str, np.ndarray] = {}
+    for name in _VIEW_COLUMNS:
+        column_path = path / f"{name}.npy"
+        try:
+            columns[name] = np.load(column_path, allow_pickle=False)
+        except FileNotFoundError:
+            raise DataError(f"{path} is missing column {name!r}") from None
+        except (OSError, ValueError) as exc:
+            raise DataError(
+                f"{column_path} is not a readable npy file: {exc}"
+            ) from exc
+    columns["labels"] = np.array(meta.get("labels") or [""], dtype=np.str_)
+    return columns
 
 
 def load_view_npz(path: str | Path, name: str | None = None) -> ProbabilisticView:

@@ -15,13 +15,14 @@ segment is called and looks like inside is :mod:`repro.store.binary`'s
 business, not this module's)::
 
     <root>/
-      catalog.json              # schema version, segment layout, series ids
+      catalog.json              # schema version, synopsis version, series ids
       <series_id>/
         series.json             # metric, grid, cache config, resume state,
                                 # segment list, per-segment synopses,
                                 # revision chain
         seg-00000001.npz        # view columns of one ingested micro-batch
-        seg-00000002.npz        # (a seg-*.v2 directory under layout "v2")
+        seg-00000002.npz        # (older builds may have left read-only
+                                # seg-*.v2 directories; they still load)
         ...
 
 A segment holds rows and nothing else; ``series.json`` holds everything
@@ -65,7 +66,6 @@ from repro.obs.metrics import default_registry
 from repro.pipeline import OnlinePipeline
 from repro.store.binary import (
     SCHEMA_VERSION,
-    SEGMENT_LAYOUTS,
     SYNOPSIS_VERSION,
     check_schema_version,
     compute_view_synopsis,
@@ -239,13 +239,7 @@ def _write_segment(
     index = meta.get("next_segment")
     if index is None:
         index = next_segment_index(meta.get("segments", []))
-    layout = meta.get("layout", "npz")
-    if layout not in SEGMENT_LAYOUTS:
-        raise StoreError(
-            f"{directory / _SERIES_FILE} records unknown segment layout "
-            f"{layout!r}; this build writes {sorted(SEGMENT_LAYOUTS)}"
-        )
-    name = segment_name(layout, index)
+    name = segment_name(index)
     cols = view.columns
     synopsis = save_view_columns(
         directory / name,
@@ -290,7 +284,6 @@ def load_segment_columns(
     directory: Path,
     name: str,
     *,
-    mmap: bool = False,
     shadow: Sequence[tuple[int, int]] = (),
 ) -> dict[str, np.ndarray]:
     """Columns of one segment, minus the rows ``shadow`` supersedes.
@@ -300,7 +293,7 @@ def load_segment_columns(
     ``repro_store_segment_reads_total`` counts every such read.
     """
     _OBS_SEGMENT_READS.inc()
-    columns = load_view_columns(directory / name, mmap=mmap)
+    columns = load_view_columns(directory / name)
     return _apply_shadow_mask(columns, shadow) if shadow else columns
 
 
@@ -309,17 +302,15 @@ def _load_view_from_segments(
     series_id: str,
     names: Sequence[str],
     *,
-    mmap: bool = False,
     shadows: Sequence[Sequence[tuple[int, int]]] | None = None,
 ) -> ProbabilisticView:
     """Column-concatenate the named segment files into one view.
 
     Shared by the live :class:`SeriesHandle` read path and the read-only
     :class:`SeriesSnapshot` path, so both materialise bit-identical views
-    from the same segment list.  ``mmap`` requests zero-copy reads for
-    layout-v2 segments (``.npz`` segments fall back to a regular load);
-    a single-segment series keeps the mapped columns as-is — the common
-    bulk-ingested case pays no concatenation copy at all.
+    from the same segment list.  A single-segment series keeps the loaded
+    columns as-is — the common bulk-ingested case pays no concatenation
+    copy at all.
 
     ``shadows`` (aligned with ``names``) gives each segment the merged
     valid-time intervals that newer revisions override; rows at those
@@ -339,7 +330,7 @@ def _load_view_from_segments(
     if shadows is None or not any(shadows):
         shadows = ((),) * len(names)
     chunks = [
-        load_segment_columns(directory, name, mmap=mmap, shadow=shadow)
+        load_segment_columns(directory, name, shadow=shadow)
         for name, shadow in zip(names, shadows)
     ]
     if len(chunks) == 1:
@@ -556,14 +547,8 @@ class SeriesSnapshot:
             knowledge_time,
         )
 
-    def load_view(
-        self, *, mmap: bool = False, as_of: int | None = None
-    ) -> ProbabilisticView:
+    def load_view(self, *, as_of: int | None = None) -> ProbabilisticView:
         """Materialise the captured view (all captured segments).
-
-        ``mmap=True`` memory-maps layout-v2 segments read-only instead of
-        copying them into fresh arrays — reader processes then share page
-        cache.  ``.npz`` segments fall back to a regular load.
 
         ``as_of`` replays the series as known at that knowledge time; the
         default materialises the newest frontier (on a revised series,
@@ -574,7 +559,6 @@ class SeriesSnapshot:
             self.directory,
             self.series_id,
             frontier.segments,
-            mmap=mmap,
             shadows=frontier.shadows,
         )
 
@@ -913,36 +897,11 @@ class Catalog:
     40
     """
 
-    def __init__(
-        self,
-        root: str | Path,
-        *,
-        create: bool = True,
-        segment_layout: str | None = None,
-    ) -> None:
-        if (
-            segment_layout is not None
-            and segment_layout not in SEGMENT_LAYOUTS
-        ):
-            raise InvalidParameterError(
-                f"segment_layout must be one of "
-                f"{sorted(SEGMENT_LAYOUTS)}, got {segment_layout!r}"
-            )
+    def __init__(self, root: str | Path, *, create: bool = True) -> None:
         self.root = Path(root)
         manifest = self.root / _CATALOG_FILE
         if manifest.exists():
             self._manifest = _read_json(manifest, "catalog")
-            # The manifest remembers the catalog's layout, so a plain
-            # Catalog(root) reopen keeps writing what the creator chose;
-            # an explicit argument overrides for this instance's writes.
-            recorded = self._manifest.get("segment_layout")
-            if recorded is not None and recorded not in SEGMENT_LAYOUTS:
-                raise StoreError(
-                    f"catalog manifest {manifest} records unknown "
-                    f"segment_layout {recorded!r}; this build writes "
-                    f"{sorted(SEGMENT_LAYOUTS)}"
-                )
-            self.segment_layout = segment_layout or recorded or "npz"
         elif create:
             try:
                 self.root.mkdir(parents=True, exist_ok=True)
@@ -950,10 +909,8 @@ class Catalog:
                 raise StoreError(
                     f"cannot create catalog directory {self.root}: {exc}"
                 ) from exc
-            self.segment_layout = segment_layout or "npz"
             self._manifest = {
                 "schema_version": SCHEMA_VERSION,
-                "segment_layout": self.segment_layout,
                 # Segment synopses this catalog's writers produce; older
                 # catalogs lack the key until `store synopsize` backfills.
                 "synopsis_version": SYNOPSIS_VERSION,
@@ -1139,9 +1096,6 @@ class Catalog:
             "H": int(H),
             "grid": {"delta": grid.delta, "n": grid.n},
             "cache": cache_spec,
-            # New appends write this layout; existing segments of either
-            # layout keep loading by name.
-            "layout": self.segment_layout,
             "next_t": 0,
             "window": [],
             "segments": [],
@@ -1177,7 +1131,6 @@ class Catalog:
             "kind": "static",
             "created": uuid.uuid4().hex,
             "grid": None,
-            "layout": self.segment_layout,
             "segments": [],
             "next_segment": next_segment_index(old_segments),
             "tuple_count": 0,
@@ -1350,7 +1303,6 @@ class Catalog:
         series_id: str,
         *,
         knowledge_times: Sequence[int] | None = None,
-        mmap: bool = False,
     ) -> list[tuple[int, ProbabilisticView]]:
         """Materialise the series as it was known at each knowledge time.
 
@@ -1365,7 +1317,7 @@ class Catalog:
         if knowledge_times is None:
             knowledge_times = snapshot.knowledge_times()
         return [
-            (int(knowledge), snapshot.load_view(mmap=mmap, as_of=knowledge))
+            (int(knowledge), snapshot.load_view(as_of=knowledge))
             for knowledge in knowledge_times
         ]
 

@@ -70,6 +70,7 @@ statements to :mod:`repro.service`.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, replace
 from typing import Any
@@ -291,7 +292,13 @@ class _Parser:
             raise ParseError(
                 f"expected a number for {what}, got {token.text!r}", token.position
             )
-        return float(token.text)
+        value = float(token.text)
+        if not math.isfinite(value):
+            raise ParseError(
+                f"{what} must be a finite number, got {token.text!r}",
+                token.position,
+            )
+        return value
 
     def expect_string(self, what: str) -> str:
         token = self.advance()
@@ -562,10 +569,10 @@ class _Parser:
         return name, params
 
     def _parse_value(self) -> Any:
-        token = self.advance()
-        if token.kind == "number":
-            value = float(token.text)
+        if self.peek().kind == "number":
+            value = self.expect_number("metric parameter")
             return int(value) if value == int(value) else value
+        token = self.advance()
         if token.kind == "ident":
             lowered = token.lowered
             if lowered in ("true", "false"):

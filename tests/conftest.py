@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import threading
 
 import numpy as np
@@ -11,6 +12,7 @@ from repro.data.synthetic import campus_temperature, car_gps
 from repro.distributions.gaussian import Gaussian
 from repro.metrics.base import DensityForecast, DensitySeries
 from repro.store import Catalog
+from repro.store.binary import SCHEMA_VERSION, load_view_columns
 from repro.timeseries.series import TimeSeries
 from repro.view.omega import OmegaGrid
 
@@ -80,6 +82,70 @@ def catalog_root(tmp_path_factory):
         )
         catalog.append(series_id, values)
     return root
+
+
+def _write_legacy_v2_segment(path, columns) -> None:
+    """Write ``columns`` as a ``.v2`` segment directory.
+
+    Byte for byte what the ``.v2`` writer of older builds left: one raw
+    ``.npy`` per column plus a ``meta.json``.  Nothing in ``repro``
+    writes this format any more; the store only reads it.
+    """
+    path.mkdir()
+    for column in ("t", "low", "high", "probability", "label_code"):
+        np.save(path / f"{column}.npy", columns[column])
+    meta = {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "view_columns",
+        "layout": 2,
+        "labels": [str(label) for label in columns["labels"]] or [""],
+    }
+    (path / "meta.json").write_text(
+        json.dumps(meta, indent=2, sort_keys=True) + "\n"
+    )
+
+
+def _rewrite_as_legacy_v2(series_dir) -> None:
+    """Turn a series' segments into ``.v2`` directories, in place.
+
+    ``series.json`` and ``catalog.json`` are renamed and tagged the way
+    older builds recorded the layout, so the series reads as if such a
+    build wrote it; appends after this write ``.npz`` again.
+    """
+    meta_path = series_dir / "series.json"
+    meta = json.loads(meta_path.read_text())
+    renamed = {}
+    for name in meta["segments"]:
+        legacy = renamed[name] = name.replace(".npz", ".v2")
+        _write_legacy_v2_segment(
+            series_dir / legacy, load_view_columns(series_dir / name)
+        )
+        (series_dir / name).unlink()
+    meta["segments"] = [renamed[name] for name in meta["segments"]]
+    meta["synopses"] = {
+        renamed.get(name, name): synopsis
+        for name, synopsis in meta.get("synopses", {}).items()
+    }
+    for record in meta.get("revisions", []):
+        record["segment"] = renamed[record["segment"]]
+    meta["layout"] = "v2"
+    meta_path.write_text(json.dumps(meta))
+    manifest_path = series_dir.parent / "catalog.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["segment_layout"] = "v2"
+    manifest_path.write_text(json.dumps(manifest))
+
+
+@pytest.fixture(scope="session")
+def legacy_v2_segment():
+    """``legacy_v2_segment(path, columns)``: hand-write one ``.v2`` segment."""
+    return _write_legacy_v2_segment
+
+
+@pytest.fixture(scope="session")
+def legacy_v2():
+    """``legacy_v2(series_dir)``: rewrite a series as ``.v2`` segments."""
+    return _rewrite_as_legacy_v2
 
 
 @pytest.fixture

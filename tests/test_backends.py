@@ -1,17 +1,23 @@
-"""Executor-backend suite: parity, selection, faults, mmap reads.
+"""Executor-backend suite: parity, selection, faults, legacy segments.
 
 The contract under test: both backends — sequential (the default and
 the reference) and process — produce **bit-identical** results for the
 same statement over the same catalog, because both run the same
-``compute_chunk`` kernel path.  Fault behaviour is part of the contract too:
-a broken series names itself through any backend, a worker process dying
-mid-query surfaces as a :class:`QueryError` naming the lost series (and
-the pool rebuilds), and a deliberately closed service refuses further
-statements with ``"service closed"`` instead of a pool-internal
-traceback.
+``compute_chunk`` kernel path; process workers hand their results back
+through the pool's own pipe (the ``pickle`` transport).  Fault behaviour
+is part of the contract too: a broken series names itself through any
+backend, a worker process dying mid-query surfaces as a
+:class:`QueryError` naming the lost series (and the pool rebuilds), and a
+deliberately closed service refuses further statements with ``"service
+closed"`` instead of a pool-internal traceback.  Catalogs written by
+older builds, whose series hold ``.v2`` segment directories, answer
+exactly like the same data stored as ``.npz``.
 """
 
 from __future__ import annotations
+
+import itertools
+import json
 
 import numpy as np
 import pytest
@@ -33,8 +39,14 @@ GRID = OmegaGrid(delta=0.5, n=4)
 SERIES = 6
 
 
-def _build_catalog(root, layout: str) -> Catalog:
-    catalog = Catalog(root, segment_layout=layout)
+def _build_catalog(root, legacy_v2=None) -> Catalog:
+    """Six series of two appends each (two segments: concatenation runs).
+
+    With ``legacy_v2`` (the conftest fixture) each series' first segment
+    is rewritten as a ``.v2`` directory before the second append, so the
+    catalog is one an older build wrote and this build kept appending to.
+    """
+    catalog = Catalog(root)
     rng = np.random.default_rng(7)
     for index in range(SERIES):
         series_id = f"s-{index}"
@@ -44,23 +56,25 @@ def _build_catalog(root, layout: str) -> Catalog:
         values = 20.0 + 0.05 * index + np.cumsum(
             rng.normal(0.0, 0.05, size=48)
         )
-        # Two appends -> two segments, so concatenation paths run too.
         catalog.append(series_id, values[:30])
+        if legacy_v2 is not None:
+            legacy_v2(root / series_id)
+            catalog = Catalog(root)  # No handle on the old metadata.
         catalog.append(series_id, values[30:])
     return catalog
 
 
 @pytest.fixture(scope="module")
-def v2_root(tmp_path_factory):
-    root = tmp_path_factory.mktemp("backends") / "cat-v2"
-    _build_catalog(root, "v2")
+def npz_root(tmp_path_factory):
+    root = tmp_path_factory.mktemp("backends-npz") / "cat-npz"
+    _build_catalog(root)
     return root
 
 
 @pytest.fixture(scope="module")
-def npz_root(tmp_path_factory):
-    root = tmp_path_factory.mktemp("backends-npz") / "cat-npz"
-    _build_catalog(root, "npz")
+def legacy_root(tmp_path_factory, legacy_v2):
+    root = tmp_path_factory.mktemp("backends-legacy") / "cat-legacy"
+    _build_catalog(root, legacy_v2)
     return root
 
 
@@ -71,6 +85,8 @@ def _statements(root) -> list[str]:
         f"SELECT threshold(0.2) FROM CATALOG '{root}' TOP 3",
         f"SELECT time_above(20.3, 5) FROM CATALOG '{root}' "
         f"WHERE t BETWEEN 18 AND 60",
+        f"SELECT sustained_exceedance(20.3, 5) FROM CATALOG '{root}'",
+        f"SELECT windowed_expected_value(5) FROM CATALOG '{root}' TOP 2",
         f"SIMULATE 3 SEED 42 FROM CATALOG '{root}'",
         f"SELECT expected_value, exceedance(20.3) FROM CATALOG '{root}'",
     ]
@@ -80,13 +96,33 @@ def _canonical(result) -> str:
     return canonical_dumps(result.to_dict())
 
 
+def test_bit_identity_across_backends_and_transports(npz_root):
+    with CatalogQueryService(npz_root, backend="sequential") as service:
+        reference = [_canonical(service.execute(s)) for s in _statements(
+            npz_root
+        )]
+
+    backend = ProcessBackend(2)
+    with CatalogQueryService(npz_root, backend=backend) as service:
+        cold = [_canonical(service.execute(s)) for s in _statements(
+            npz_root
+        )]
+        warm = [_canonical(service.execute(s)) for s in _statements(
+            npz_root
+        )]
+        stats = backend.transport_stats()
+    assert cold == reference
+    assert warm == reference
+    assert stats == {"mode": "pickle"}
+
+
 class TestBackendParity:
-    def test_process_bit_identical_and_warm_cache_stable(self, v2_root):
-        statements = _statements(v2_root)
-        with CatalogQueryService(v2_root, backend="sequential") as service:
+    def test_process_bit_identical_and_warm_cache_stable(self, npz_root):
+        statements = _statements(npz_root)
+        with CatalogQueryService(npz_root, backend="sequential") as service:
             references = [_canonical(service.execute(s)) for s in statements]
         with CatalogQueryService(
-            v2_root, backend="process", max_workers=2
+            npz_root, backend="process", max_workers=2
         ) as service:
             for statement, reference in zip(statements, references):
                 assert _canonical(service.execute(statement)) == reference
@@ -94,30 +130,23 @@ class TestBackendParity:
             for statement, reference in zip(statements, references):
                 assert _canonical(service.execute(statement)) == reference
 
-    def test_mmap_on_off_identical(self, v2_root):
-        statement = _statements(v2_root)[1]
-        with CatalogQueryService(
-            v2_root, backend="sequential", mmap=False
-        ) as service:
-            plain = service.execute(statement)
-        with CatalogQueryService(
-            v2_root, backend="sequential", mmap=True
-        ) as service:
-            mapped = service.execute(statement)
-        assert _canonical(plain) == _canonical(mapped)
-
-    def test_npz_catalog_identical_to_v2(self, v2_root, npz_root):
-        # Same data ingested under both layouts: the stored bytes differ,
-        # the query results must not.
-        seq_v2 = CatalogQueryService(v2_root, backend="sequential").execute(
-            f"SELECT exceedance(20.3) FROM CATALOG '{v2_root}'"
-        )
-        seq_npz = CatalogQueryService(
-            npz_root, backend="sequential", mmap=True  # npz: no-op fallback
-        ).execute(f"SELECT exceedance(20.3) FROM CATALOG '{npz_root}'")
-        assert [(e.series_id, e.score) for e in seq_v2.results] == [
-            (e.series_id, e.score) for e in seq_npz.results
-        ]
+    def test_npz_catalog_identical_to_v2(self, npz_root, legacy_root):
+        # Same data, legacy .v2 segments followed by .npz appends against
+        # .npz throughout: the stored bytes differ, the answers must not
+        # — pruning decisions and their stats block included.
+        for backend, pruning in itertools.product(
+            ("sequential", "process"), (True, False)
+        ):
+            answers = {}
+            for root in (npz_root, legacy_root):
+                with CatalogQueryService(
+                    root, backend=backend, max_workers=2, pruning=pruning
+                ) as service:
+                    answers[root] = [
+                        _canonical(service.execute(s))
+                        for s in _statements(root)
+                    ]
+            assert answers[legacy_root] == answers[npz_root]
 
 
 class TestPrunedPlanParity:
@@ -150,21 +179,21 @@ class TestPrunedPlanParity:
         payload.pop("pruning", None)
         return canonical_dumps(payload)
 
-    def test_pruned_equals_unpruned_bitwise(self, v2_root):
-        for statement in self._pruning_statements(v2_root):
+    def test_pruned_equals_unpruned_bitwise(self, npz_root):
+        for statement in self._pruning_statements(npz_root):
             pruned = CatalogQueryService(
-                v2_root, backend="sequential", pruning=True
+                npz_root, backend="sequential", pruning=True
             ).execute(statement)
             full = CatalogQueryService(
-                v2_root, backend="sequential", pruning=False
+                npz_root, backend="sequential", pruning=False
             ).execute(statement)
             assert self._without_stats(pruned) == self._without_stats(full)
 
-    def test_pruning_actually_prunes(self, v2_root):
+    def test_pruning_actually_prunes(self, npz_root):
         result = CatalogQueryService(
-            v2_root, backend="sequential"
+            npz_root, backend="sequential"
         ).execute(
-            f"SELECT expected_value FROM CATALOG '{v2_root}' "
+            f"SELECT expected_value FROM CATALOG '{npz_root}' "
             f"WHERE t BETWEEN 35 AND 46"
         )
         assert result.stats is not None
@@ -174,25 +203,25 @@ class TestPrunedPlanParity:
             == result.stats.segments_total
         )
 
-    def test_pruned_identical_across_backends(self, v2_root):
-        statements = self._pruning_statements(v2_root)
+    def test_pruned_identical_across_backends(self, npz_root):
+        statements = self._pruning_statements(npz_root)
         references = [
             _canonical(
-                CatalogQueryService(v2_root, backend="sequential").execute(s)
+                CatalogQueryService(npz_root, backend="sequential").execute(s)
             )
             for s in statements
         ]
         with CatalogQueryService(
-            v2_root, backend="process", max_workers=2
+            npz_root, backend="process", max_workers=2
         ) as service:
             for statement, reference in zip(statements, references):
                 assert _canonical(service.execute(statement)) == reference
 
-    def test_skipped_series_keep_their_result_slot(self, v2_root):
+    def test_skipped_series_keep_their_result_slot(self, npz_root):
         # tau=0.999 prunes every segment of every series: all series are
         # skipped, yet each still answers with its exact empty result.
-        result = CatalogQueryService(v2_root, backend="sequential").execute(
-            f"SELECT threshold(0.999) FROM CATALOG '{v2_root}'"
+        result = CatalogQueryService(npz_root, backend="sequential").execute(
+            f"SELECT threshold(0.999) FROM CATALOG '{npz_root}'"
         )
         assert result.stats is not None
         assert result.stats.series_skipped == SERIES
@@ -202,24 +231,22 @@ class TestPrunedPlanParity:
 
 
 class TestBackendSelection:
-    def test_unknown_backend_rejected(self, v2_root):
+    def test_unknown_backend_rejected(self, npz_root):
         for name in ("fiber", "thread"):
             with pytest.raises(
                 InvalidParameterError,
                 match=f"unknown executor backend '{name}'; "
                 "one of sequential, process",
             ):
-                CatalogQueryService(v2_root, backend=name)
+                CatalogQueryService(npz_root, backend=name)
 
-    def test_named_backends_resolve(self, v2_root):
+    def test_named_backends_resolve(self, npz_root):
         cache = MatrixCache()
         sequential = make_backend("sequential", max_workers=3, cache=cache)
         assert isinstance(sequential, SequentialBackend)
-        assert not sequential.mmap
         process = make_backend("process", max_workers=2, cache=cache)
         assert isinstance(process, ProcessBackend)
-        assert process.mmap  # Zero-copy reads on by default for processes.
-        with CatalogQueryService(v2_root) as service:
+        with CatalogQueryService(npz_root) as service:
             assert service.backend_name == "sequential"  # The default.
 
     def test_transport_stats_name_the_mode_only(self):
@@ -229,15 +256,15 @@ class TestBackendSelection:
         backend = SequentialBackend(MatrixCache())
         assert backend.transport_stats() == {"mode": "inline"}
 
-    def test_instance_passthrough(self, v2_root):
+    def test_instance_passthrough(self, npz_root):
         backend = SequentialBackend(MatrixCache())
-        service = CatalogQueryService(v2_root, backend=backend)
+        service = CatalogQueryService(npz_root, backend=backend)
         assert service.backend is backend
         assert service.backend_name == "sequential"
 
-    def test_invalid_max_workers(self, v2_root):
+    def test_invalid_max_workers(self, npz_root):
         with pytest.raises(InvalidParameterError, match="max_workers"):
-            CatalogQueryService(v2_root, max_workers=0)
+            CatalogQueryService(npz_root, max_workers=0)
         with pytest.raises(InvalidParameterError, match="max_workers"):
             ProcessBackend(0)
 
@@ -247,11 +274,10 @@ class TestBackendFaults:
         self, tmp_path_factory
     ):
         root = tmp_path_factory.mktemp("broken") / "cat"
-        _build_catalog(root, "v2")
-        # Corrupt one series' segment column so its load fails in a
-        # worker process; the error must name the series, not the pool.
-        victim = root / "s-2" / "seg-00000001.v2" / "low.npy"
-        victim.write_bytes(b"garbage")
+        _build_catalog(root)
+        # Corrupt one series' segment so its load fails in a worker
+        # process; the error must name the series, not the pool.
+        (root / "s-2" / "seg-00000001.npz").write_bytes(b"garbage")
         with CatalogQueryService(
             root, backend="process", max_workers=2
         ) as service:
@@ -261,12 +287,12 @@ class TestBackendFaults:
                 )
 
     def test_worker_crash_names_series_and_pool_recovers(
-        self, v2_root, monkeypatch
+        self, npz_root, monkeypatch
     ):
-        statement = f"SELECT expected_value FROM CATALOG '{v2_root}'"
+        statement = f"SELECT expected_value FROM CATALOG '{npz_root}'"
         monkeypatch.setenv("REPRO_FAULT_WORKER_CRASH", "s-3")
         with CatalogQueryService(
-            v2_root, backend="process", max_workers=2
+            npz_root, backend="process", max_workers=2
         ) as service:
             with pytest.raises(QueryError, match="s-3") as excinfo:
                 service.execute(statement)
@@ -280,9 +306,10 @@ class TestBackendFaults:
     def test_worker_crash_has_no_tracker_leak_warnings(
         self, tmp_path
     ):
-        # The resource tracker reports leaked shared_memory blocks on
-        # interpreter exit, so the whole crash/recover cycle runs in a
-        # subprocess whose stderr must stay free of tracker complaints.
+        # A worker dying mid-statement must leave nothing behind that the
+        # interpreter complains about on exit: the whole crash/recover
+        # cycle runs in a subprocess whose stderr must stay free of
+        # resource-tracker warnings and tracebacks.
         import subprocess
         import sys
         import textwrap
@@ -305,7 +332,7 @@ class TestBackendFaults:
 
 
             def main(root: str) -> int:
-                catalog = Catalog(root, segment_layout="v2")
+                catalog = Catalog(root)
                 for index in range(4):
                     series_id = f"s-{index}"
                     catalog.create_series(
@@ -352,22 +379,21 @@ class TestBackendFaults:
         assert proc.returncode == 0, proc.stderr
         assert "CRASHED" in proc.stdout
         assert "RECOVERED 4" in proc.stdout
-        assert "leaked shared_memory" not in proc.stderr
         assert "resource_tracker" not in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    def test_closed_process_service_raises_service_closed(self, v2_root):
+    def test_closed_process_service_raises_service_closed(self, npz_root):
         service = CatalogQueryService(
-            v2_root, backend="process", max_workers=2
+            npz_root, backend="process", max_workers=2
         )
         service.close()
         with pytest.raises(QueryError, match="service closed"):
             service.execute(
-                f"SELECT expected_value FROM CATALOG '{v2_root}'"
+                f"SELECT expected_value FROM CATALOG '{npz_root}'"
             )
 
     def test_runtime_error_in_a_task_is_not_reported_as_shutdown(
-        self, v2_root, monkeypatch
+        self, npz_root, monkeypatch
     ):
         # Only a failed *scheduling* call means the pool is gone; a
         # RuntimeError raised while a chunk runs is that chunk's own
@@ -383,16 +409,17 @@ class TestBackendFaults:
                 super().__init__(**kwargs)
 
         monkeypatch.setattr(backends, "ProcessPoolExecutor", InProcessPool)
-        for state in ("_WORKER_CACHE", "_WORKER_MMAP"):
-            # Set by _worker_init, here in this process: restore after.
-            monkeypatch.setattr(backends, state, getattr(backends, state))
-        statement = f"SELECT expected_value FROM CATALOG '{v2_root}'"
+        # Set by _worker_init, here in this process: restore after.
+        monkeypatch.setattr(
+            backends, "_WORKER_CACHE", backends._WORKER_CACHE
+        )
+        statement = f"SELECT expected_value FROM CATALOG '{npz_root}'"
 
         def boom(*args, **kwargs):
             raise RuntimeError("boom")
 
         with CatalogQueryService(
-            v2_root, backend="process", max_workers=2
+            npz_root, backend="process", max_workers=2
         ) as service:
             with monkeypatch.context() as patch:
                 patch.setattr(kernels, "_load_view_from_segments", boom)
@@ -402,11 +429,11 @@ class TestBackendFaults:
             # The pool was never the problem: the backend stays usable.
             assert len(service.execute(statement).results) == SERIES
 
-    def test_closed_thread_service_raises_service_closed(self, v2_root):
+    def test_closed_sequential_service_raises_service_closed(self, npz_root):
         # The default backend runs on the calling thread and holds no
         # pool; a closed service must refuse statements all the same.
-        statement = f"SELECT expected_value FROM CATALOG '{v2_root}'"
-        service = CatalogQueryService(v2_root)
+        statement = f"SELECT expected_value FROM CATALOG '{npz_root}'"
+        service = CatalogQueryService(npz_root)
         service.execute(statement)
         service.close()
         with pytest.raises(QueryError, match="service closed"):
@@ -414,83 +441,109 @@ class TestBackendFaults:
 
 
 class TestMixedLayoutFallback:
-    def test_series_with_mixed_segment_layouts_loads(self, tmp_path):
-        import json
+    """Series that still hold ``.v2`` segments written by older builds."""
 
-        root = tmp_path / "cat"
-        catalog = Catalog(root, segment_layout="npz")
-        catalog.create_series(
-            "mix", metric="variable_threshold", H=H, grid=GRID
-        )
+    def test_series_with_mixed_segment_layouts_loads(
+        self, tmp_path, legacy_v2
+    ):
         values = 20.0 + np.cumsum(
             np.random.default_rng(3).normal(0.0, 0.05, size=60)
         )
-        catalog.append("mix", values[:40])
-        # Flip the series' write layout mid-life: old .npz segments stay,
-        # new segments land as .v2 directories.
-        meta_path = root / "mix" / "series.json"
-        meta = json.loads(meta_path.read_text())
-        meta["layout"] = "v2"
-        meta_path.write_text(json.dumps(meta))
-        reopened = Catalog(root)
-        reopened.append("mix", values[40:])
-        names = reopened.series("mix").segment_names
-        assert any(name.endswith(".npz") for name in names)
-        assert any(name.endswith(".v2") for name in names)
-        view = Catalog(root).snapshot("mix").load_view(mmap=True)
-        expected = reopened.view("mix")
-        assert np.array_equal(view.columns.t, expected.columns.t)
-        assert np.array_equal(
-            view.columns.probability, expected.columns.probability
-        )
+        views = {}
+        for label in ("npz", "mixed"):
+            root = tmp_path / label
+            Catalog(root).create_series(
+                "mix", metric="variable_threshold", H=H, grid=GRID
+            )
+            Catalog(root).append("mix", values[:40])
+            if label == "mixed":
+                legacy_v2(root / "mix")
+            reopened = Catalog(root)
+            reopened.append("mix", values[40:])
+            views[label] = Catalog(root).snapshot("mix").load_view()
+        # The legacy segment stays; the append after it wrote .npz.
+        assert reopened.series("mix").segment_names == [
+            "seg-00000001.v2", "seg-00000002.npz"
+        ]
+        npz, mixed = views["npz"].columns, views["mixed"].columns
+        for column in ("t", "low", "high", "probability"):
+            assert np.array_equal(getattr(mixed, column), getattr(npz, column))
+        assert [str(mixed.labels[code]) for code in mixed.label_code] == [
+            str(npz.labels[code]) for code in npz.label_code
+        ]
 
-    def test_drop_series_removes_v2_directories(self, tmp_path):
+    def test_drop_series_removes_v2_directories(self, tmp_path, legacy_v2):
         root = tmp_path / "cat"
-        catalog = Catalog(root, segment_layout="v2")
+        catalog = Catalog(root)
         catalog.create_series(
             "gone", metric="variable_threshold", H=H, grid=GRID
         )
         catalog.append(
             "gone", 20.0 + 0.01 * np.arange(40, dtype=float)
         )
+        legacy_v2(root / "gone")
         segment = root / "gone" / "seg-00000001.v2"
         assert segment.is_dir()
-        catalog.drop_series("gone")
+        Catalog(root).drop_series("gone")
         assert not segment.exists()
         assert not (root / "gone").exists()
 
-    def test_invalid_layout_rejected(self, tmp_path):
-        with pytest.raises(InvalidParameterError, match="segment_layout"):
-            Catalog(tmp_path / "cat", segment_layout="parquet")
-
-    def test_unknown_manifest_layout_fails_loudly(self, tmp_path):
-        import json
-
-        from repro.exceptions import StoreError
-
+    def test_recorded_layout_keys_are_ignored(self, tmp_path, legacy_v2):
+        # Older builds recorded a write layout in catalog.json and in
+        # every series.json.  Whatever they say, the catalog opens and
+        # every new segment — append, revision, static save — is .npz.
         root = tmp_path / "cat"
-        Catalog(root, segment_layout="v2")
+        catalog = Catalog(root)
+        catalog.create_series(
+            "old", metric="variable_threshold", H=H, grid=GRID
+        )
+        catalog.append("old", 20.0 + 0.01 * np.arange(40, dtype=float))
+        legacy_v2(root / "old")
         manifest = root / "catalog.json"
         payload = json.loads(manifest.read_text())
         payload["segment_layout"] = "v3"
         manifest.write_text(json.dumps(payload))
-        with pytest.raises(StoreError, match="segment_layout 'v3'"):
-            Catalog(root)
-
-    def test_layout_persists_across_reopen(self, tmp_path):
-        root = tmp_path / "cat"
-        Catalog(root, segment_layout="v2")
-        # A plain reopen — no layout argument — must keep writing what
-        # the catalog's creator chose, not silently revert to npz.
         reopened = Catalog(root)
-        assert reopened.segment_layout == "v2"
+        reopened.append("old", 20.4 + 0.01 * np.arange(10, dtype=float))
+        reopened.revise("old", reopened.view("old"))
         reopened.create_series(
-            "later", metric="variable_threshold", H=H, grid=GRID
+            "new", metric="variable_threshold", H=H, grid=GRID
         )
-        reopened.append(
-            "later", 20.0 + 0.01 * np.arange(40, dtype=float)
-        )
-        names = reopened.series("later").segment_names
-        assert names and all(name.endswith(".v2") for name in names)
-        # An explicit argument still overrides for that instance.
-        assert Catalog(root, segment_layout="npz").segment_layout == "npz"
+        reopened.append("new", 20.0 + 0.01 * np.arange(40, dtype=float))
+        reopened.save_view("static", reopened.view("new"))
+        assert reopened.series("old").segment_names == [
+            "seg-00000001.v2", "seg-00000002.npz", "seg-00000003.npz"
+        ]
+        assert reopened.series("new").segment_names == ["seg-00000001.npz"]
+        assert reopened.series("static").segment_names == [
+            "seg-00000001.npz"
+        ]
+        new_meta = json.loads((root / "new" / "series.json").read_text())
+        assert "layout" not in new_meta
+
+    def test_synopsize_backfills_legacy_segments(self, tmp_path, legacy_v2):
+        root = tmp_path / "cat"
+        _build_catalog(root, legacy_v2)
+        recorded = Catalog(root).snapshot("s-0").segment_synopses()
+        for series_id in ("s-0", "s-1"):
+            meta_path = root / series_id / "series.json"
+            meta = json.loads(meta_path.read_text())
+            del meta["synopses"]
+            meta_path.write_text(json.dumps(meta))
+        backfilled = Catalog(root).synopsize()
+        assert backfilled == {
+            f"s-{index}": 2 if index < 2 else 0 for index in range(SERIES)
+        }
+        snapshot = Catalog(root).snapshot("s-0")
+        assert snapshot.segments[0] == "seg-00000001.v2"
+        assert snapshot.segment_synopses() == recorded
+
+    def test_corrupt_legacy_column_names_its_series(self, tmp_path, legacy_v2):
+        root = tmp_path / "cat"
+        _build_catalog(root, legacy_v2)
+        (root / "s-2" / "seg-00000001.v2" / "low.npy").write_bytes(b"garbage")
+        with CatalogQueryService(
+            root, backend="process", max_workers=2
+        ) as service:
+            with pytest.raises(QueryError, match="s-2"):
+                service.execute(f"SELECT expected_value FROM CATALOG '{root}'")

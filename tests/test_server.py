@@ -258,6 +258,14 @@ class TestErrorPaths:
             client.query("SELEKT wat")
         assert excinfo.value.type in ("parse_error", "query_error")
 
+    def test_overflowing_literal_is_a_parse_error(self, catalog_root, client):
+        with pytest.raises(ServerError) as excinfo:
+            client.query(
+                f"SELECT time_above(20.3, 1e999) FROM CATALOG '{catalog_root}'"
+            )
+        assert excinfo.value.type == "parse_error"
+        assert "finite" in excinfo.value.message
+
     def test_engine_errors_do_not_kill_the_server(
         self, catalog_root, client
     ):

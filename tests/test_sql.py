@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.exceptions import ParseError
@@ -387,3 +389,65 @@ class TestStatementRoundTrips:
         parsed = parse_statement(statement)
         rendered = render_statement(parsed)
         assert parse_statement(rendered) == parsed
+
+
+class TestNonFiniteNumbers:
+    """A literal that overflows to ``inf`` is a parse error, not a crash."""
+
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "SELECT time_above(20.3, 1e999) FROM CATALOG '/c'",
+            "SELECT windowed_expected_value(1e999) FROM CATALOG '/c'",
+            "SELECT exceedance(-1e999) FROM CATALOG '/c'",
+            "SELECT PROBABILITY OF v BETWEEN 20 AND 1e999 FROM CATALOG '/c'",
+            "SELECT expected_value FROM CATALOG '/c' TOP 1e999",
+            "SELECT expected_value FROM CATALOG '/c' WHERE t <= 1e999",
+            "SELECT expected_value FROM CATALOG '/c' AS OF 1e999",
+            "SIMULATE 1e999 FROM CATALOG '/c'",
+            "SIMULATE 4 SEED 1e999 FROM CATALOG '/c'",
+            "CREATE VIEW v AS DENSITY r OVER t OMEGA delta=1e999, n=2 "
+            "FROM raw",
+            "CREATE VIEW v AS DENSITY r OVER t OMEGA delta=1, n=2 "
+            "WINDOW 1e999 FROM raw",
+            "CREATE VIEW v AS DENSITY r OVER t OMEGA delta=1, n=2 "
+            "METRIC cgarch (kappa=1e999) FROM raw",
+        ],
+    )
+    def test_overflowing_literal_raises_parse_error(self, statement):
+        with pytest.raises(ParseError, match="finite") as excinfo:
+            parse_statement(statement)
+        # The position is the number token's, sign included.
+        assert excinfo.value.position == re.search(r"-?1e999", statement).start()
+
+    def test_connect_route_raises_parse_error(self, catalog_root):
+        import repro
+
+        with repro.connect(catalog_root) as conn:
+            with pytest.raises(ParseError, match="finite"):
+                conn.execute(
+                    f"SELECT time_above(20.3, 1e999) "
+                    f"FROM CATALOG '{catalog_root}'"
+                )
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "name, arguments",
+        [
+            ("threshold", (None,)),
+            ("exceedance", (None,)),
+            ("time_above", (20.0, None)),
+            ("time_above", (None, 3)),
+            ("probability_of", (None, 1.0)),
+            ("windowed_expected_value", (None,)),
+            ("simulate", (None, 0)),
+            ("simulate", (4, None)),
+        ],
+    )
+    def test_kernel_bind_rejects_non_finite(self, name, arguments, value):
+        from repro.db.aggregates import KERNELS
+        from repro.exceptions import InvalidParameterError
+
+        bound = tuple(value if a is None else a for a in arguments)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            KERNELS[name].bind(bound)

@@ -25,9 +25,7 @@ from repro.store import (
 from repro.store.binary import (
     SCHEMA_VERSION,
     load_view_columns,
-    load_view_columns_v2,
     save_view_columns,
-    save_view_columns_v2,
 )
 from repro.view.builder import ViewBuilder
 from repro.view.omega import OmegaGrid
@@ -203,7 +201,7 @@ class TestDensitySeriesNpz:
 
 
 class TestSegmentLayoutV2:
-    """The mmap-able .npy-per-column segment layout."""
+    """Legacy ``.v2`` segment directories: nothing writes them, reads work."""
 
     def _columns(self, view):
         cols = view.columns
@@ -213,11 +211,10 @@ class TestSegmentLayoutV2:
             labels=cols.labels,
         )
 
-    def test_round_trip_is_exact(self, view, tmp_path):
+    def test_round_trip_is_exact(self, view, tmp_path, legacy_v2_segment):
         path = tmp_path / "seg-00000001.v2"
-        save_view_columns_v2(path, **self._columns(view))
-        assert path.is_dir()
-        loaded = load_view_columns_v2(path)
+        legacy_v2_segment(path, self._columns(view))
+        loaded = load_view_columns(path)
         cols = view.columns
         assert np.array_equal(loaded["t"], cols.t)
         assert np.array_equal(loaded["low"], cols.low)
@@ -226,51 +223,40 @@ class TestSegmentLayoutV2:
         assert np.array_equal(loaded["label_code"], cols.label_code)
         assert tuple(str(s) for s in loaded["labels"]) == cols.labels
 
-    def test_mmap_load_is_zero_copy_and_equal(self, view, tmp_path):
-        path = tmp_path / "seg-00000001.v2"
-        save_view_columns_v2(path, **self._columns(view))
-        plain = load_view_columns_v2(path)
-        mapped = load_view_columns_v2(path, mmap=True)
-        for key in ("t", "low", "high", "probability", "label_code"):
-            assert isinstance(mapped[key], np.memmap)
-            assert np.array_equal(mapped[key], plain[key])
-
-    def test_dispatch_by_suffix(self, view, tmp_path):
+    def test_dispatch_by_suffix(self, view, tmp_path, legacy_v2_segment):
         v2 = tmp_path / "seg-00000001.v2"
         npz = tmp_path / "seg-00000001.npz"
-        save_view_columns(v2, **self._columns(view))
+        legacy_v2_segment(v2, self._columns(view))
         save_view_columns(npz, **self._columns(view))
         assert v2.is_dir() and npz.is_file()
-        a = load_view_columns(v2, mmap=True)
-        b = load_view_columns(npz, mmap=True)  # Transparent fallback.
-        assert np.array_equal(a["probability"], b["probability"])
+        a = load_view_columns(v2)
+        b = load_view_columns(npz)
+        for key in ("t", "low", "high", "probability", "label_code", "labels"):
+            assert np.array_equal(a[key], b[key])
 
-    def test_schema_version_enforced(self, view, tmp_path):
+    def test_schema_version_enforced(self, view, tmp_path, legacy_v2_segment):
         path = tmp_path / "seg-00000001.v2"
-        save_view_columns_v2(path, **self._columns(view))
+        legacy_v2_segment(path, self._columns(view))
         meta_path = path / "meta.json"
         meta = json.loads(meta_path.read_text())
         meta["schema_version"] = SCHEMA_VERSION + 7
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(SchemaVersionError):
-            load_view_columns_v2(path)
+            load_view_columns(path)
 
-    def test_missing_column_and_meta_fail_loudly(self, view, tmp_path):
+    def test_missing_column_and_meta_fail_loudly(
+        self, view, tmp_path, legacy_v2_segment
+    ):
         path = tmp_path / "seg-00000001.v2"
-        save_view_columns_v2(path, **self._columns(view))
+        legacy_v2_segment(path, self._columns(view))
         (path / "low.npy").unlink()
         with pytest.raises(DataError, match="low"):
-            load_view_columns_v2(path)
+            load_view_columns(path)
         with pytest.raises(StoreError, match="no such store file"):
-            load_view_columns_v2(tmp_path / "seg-00000099.v2")
+            load_view_columns(tmp_path / "seg-00000099.v2")
+        (path / "meta.json").unlink()
+        with pytest.raises(StoreError, match="no such store file"):
+            load_view_columns(path)
         (path / "meta.json").write_text("{not json")
         with pytest.raises(DataError):
-            load_view_columns_v2(path)
-
-    def test_overwrite_replaces_orphan(self, view, tmp_path):
-        path = tmp_path / "seg-00000001.v2"
-        save_view_columns_v2(path, **self._columns(view))
-        smaller = view.take(np.arange(min(6, len(view))))
-        rebuilt = ProbabilisticView("partial", smaller)
-        save_view_columns_v2(path, **self._columns(rebuilt))
-        assert load_view_columns_v2(path)["t"].size == len(rebuilt)
+            load_view_columns(path)

@@ -72,8 +72,13 @@ def _random_view(name: str, times: int, seed: int, base: float = 20.0):
     )
 
 
-def _build_catalog(root, series=3, layout="npz") -> Catalog:
-    catalog = Catalog(root, segment_layout=layout)
+def _build_catalog(root, series=3, legacy_v2=None) -> Catalog:
+    """``series`` series of three appends each.
+
+    ``legacy_v2`` (the conftest fixture) then rewrites every segment as
+    the ``.v2`` directory an older build would have written.
+    """
+    catalog = Catalog(root)
     rng = np.random.default_rng(11)
     for index in range(series):
         series_id = f"s-{index}"
@@ -85,7 +90,9 @@ def _build_catalog(root, series=3, layout="npz") -> Catalog:
         )
         for chunk in np.array_split(values, 3):
             catalog.append(series_id, chunk)
-    return catalog
+        if legacy_v2 is not None:
+            legacy_v2(catalog.root / series_id)
+    return Catalog(root)
 
 
 def _strip_synopses(root) -> None:
@@ -212,8 +219,11 @@ class TestComputeSynopsis:
 
 class TestPersistence:
     @pytest.mark.parametrize("layout", ["npz", "v2"])
-    def test_appends_write_synopses(self, tmp_path, layout):
-        catalog = _build_catalog(tmp_path / "cat", series=1, layout=layout)
+    def test_appends_write_synopses(self, tmp_path, layout, legacy_v2):
+        catalog = _build_catalog(
+            tmp_path / "cat", series=1,
+            legacy_v2=legacy_v2 if layout == "v2" else None,
+        )
         snapshot = Catalog(catalog.root).snapshot("s-0")
         synopses = snapshot.segment_synopses()
         assert len(synopses) == len(snapshot.segments) == 3
@@ -248,9 +258,14 @@ class TestOneHome:
 
     @pytest.mark.parametrize("layout", ["npz", "v2"])
     def test_catalog_holds_segments_and_metadata_only(
-        self, tmp_path, layout
+        self, tmp_path, layout, legacy_v2
     ):
-        catalog = _build_catalog(tmp_path / "cat", series=1, layout=layout)
+        # Under "v2" the first three segments are legacy directories; the
+        # revision and the static save after them write .npz.
+        catalog = _build_catalog(
+            tmp_path / "cat", series=1,
+            legacy_v2=legacy_v2 if layout == "v2" else None,
+        )
         catalog.revise(
             "s-0", restrict_time_range(catalog.view("s-0"), 20, 25)
         )
@@ -260,12 +275,11 @@ class TestOneHome:
         def names(directory):
             return sorted(path.name for path in directory.iterdir())
 
-        def segments(count):
-            return [f"seg-{i:08d}.{layout}" for i in range(1, count + 1)]
-
         assert names(root) == ["catalog.json", "s-0", "static"]
-        assert names(root / "s-0") == segments(4) + ["series.json"]
-        assert names(root / "static") == segments(1) + ["series.json"]
+        assert names(root / "s-0") == [
+            f"seg-{i:08d}.{layout}" for i in range(1, 4)
+        ] + ["seg-00000004.npz", "series.json"]
+        assert names(root / "static") == ["seg-00000001.npz", "series.json"]
         for segment in root.glob("*/seg-*.v2"):
             assert names(segment) == sorted(
                 ["meta.json"]
@@ -280,10 +294,13 @@ class TestOneHome:
             assert "synopsis" not in meta
 
     @pytest.mark.parametrize("layout", ["npz", "v2"])
-    def test_stale_copies_are_inert_and_swept(self, tmp_path, layout):
+    def test_stale_copies_are_inert_and_swept(
+        self, tmp_path, layout, legacy_v2
+    ):
         roots = {
             label: _build_catalog(
-                tmp_path / label, series=2, layout=layout
+                tmp_path / label, series=2,
+                legacy_v2=legacy_v2 if layout == "v2" else None,
             ).root
             for label in ("clean", "stale")
         }
@@ -327,7 +344,7 @@ class TestOneHome:
 
         assert names(stale.root) == ["catalog.json", "s-1"]
         assert names(stale.root / "s-1") == [
-            f"seg-00000004.{layout}", "series.json"
+            "seg-00000004.npz", "series.json"
         ]
 
 

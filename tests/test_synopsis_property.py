@@ -1,8 +1,7 @@
 """Property-based guarantees for zone-map pruning and APPROX estimates.
 
 Over randomly built catalogs (series count, ingest lengths, micro-batch
-splits, segment layout — including a mid-life npz→v2 layout flip — and
-randomly drawn statements):
+splits, and randomly drawn statements):
 
 * pruned exact execution is **bit-identical** to unpruned execution,
   compared on the canonical wire serialization (modulo the ``pruning``
@@ -55,8 +54,6 @@ def catalog_spec(draw):
         "series": draw(st.integers(min_value=1, max_value=3)),
         "length": draw(st.integers(min_value=36, max_value=72)),
         "chunks": draw(st.integers(min_value=2, max_value=4)),
-        "layout": draw(st.sampled_from(["npz", "v2"])),
-        "flip_layout": draw(st.booleans()),
     }
 
 
@@ -91,7 +88,7 @@ def statement_spec(draw):
 
 def _build(tmp_path, spec) -> Catalog:
     root = tmp_path / f"cat-{next(_counter)}"
-    catalog = Catalog(root, segment_layout=spec["layout"])
+    catalog = Catalog(root)
     rng = np.random.default_rng(spec["seed"])
     for index in range(spec["series"]):
         series_id = f"s-{index}"
@@ -101,18 +98,7 @@ def _build(tmp_path, spec) -> Catalog:
         values = 20.0 + 0.1 * index + np.cumsum(
             rng.normal(0.0, 0.1, size=spec["length"])
         )
-        chunks = np.array_split(values, spec["chunks"])
-        for position, chunk in enumerate(chunks):
-            if spec["flip_layout"] and position == len(chunks) - 1:
-                # Mid-life layout flip: later segments land in the other
-                # layout, synopses must keep flowing regardless.
-                other = "v2" if spec["layout"] == "npz" else "npz"
-                meta_path = root / series_id / "series.json"
-                meta = json.loads(meta_path.read_text())
-                if meta.get("layout") != other:
-                    meta["layout"] = other
-                    meta_path.write_text(json.dumps(meta))
-                    catalog = Catalog(root)
+        for chunk in np.array_split(values, spec["chunks"]):
             catalog.append(series_id, chunk)
     return Catalog(root)
 
