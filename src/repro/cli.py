@@ -279,6 +279,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_query(args: argparse.Namespace) -> int:
     from repro.connection import connect
 
+    if args.head < 0:
+        raise InvalidParameterError(f"--head must be >= 0, got {args.head}")
     # Only what the user set: connect()'s own defaults cover the rest.
     service_options = {}
     if args.backend is not None:
@@ -375,12 +377,12 @@ def _cmd_store(args: argparse.Namespace) -> int:
         return 0
 
     if args.store_command == "ingest":
-        series = _load_dataset(args.data, args.scale, args.seed)
-        values = series.values
-        if args.limit is not None:
-            values = values[: args.limit]
         if args.batch < 1:
             raise InvalidParameterError(f"--batch must be >= 1, got {args.batch}")
+        if args.limit is not None and args.limit < 0:
+            raise InvalidParameterError(f"--limit must be >= 0, got {args.limit}")
+        series = _load_dataset(args.data, args.scale, args.seed)
+        values = series.values[: args.limit]
         catalog = Catalog(args.catalog, create=False)
         fed = emitted = batches = 0
         for start in range(0, values.size, args.batch):

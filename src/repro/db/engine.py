@@ -28,7 +28,6 @@ from repro.exceptions import QueryError
 from repro.metrics.registry import create_metric
 from repro.obs.trace import QueryTrace
 from repro.util.jsonio import canonical_dumps, scalar_time
-from repro.view.builder import ViewBuilder
 from repro.view.sql import ViewQuery, parse_statement
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (service -> db).
@@ -200,17 +199,18 @@ class Database:
                 f"query matches {len(series)} rows, not enough for "
                 f"window H={window}; widen the WHERE range or shrink WINDOW"
             )
-        forecasts = metric.run(series, window)
-        grid = query.grid()
-        builder = ViewBuilder(grid)
-        if query.uses_cache:
-            builder = builder.with_cache_for(
-                forecasts,
-                distance_constraint=query.cache_distance,
-                memory_constraint=query.cache_memory,
-            )
-        matrix = builder.build_matrix(forecasts)
-        view = ProbabilisticView.from_matrix(query.view_name, matrix, grid)
+        # Imported lazily: the pipeline sits above the engine's package.
+        from repro.pipeline import create_probabilistic_view
+
+        view = create_probabilistic_view(
+            series,
+            metric,
+            window,
+            query.grid(),
+            view_name=query.view_name,
+            distance_constraint=query.cache_distance,
+            memory_constraint=query.cache_memory,
+        )
         self._views[query.view_name] = view
         if query.persist_path is not None:
             # Imported lazily: the store layer sits above the engine.

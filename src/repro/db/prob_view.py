@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.exceptions import DataError, InvalidParameterError, QueryError
-from repro.view.builder import ProbabilityMatrix, ProbabilityRow
+from repro.view.builder import ProbabilityMatrix
 from repro.util.arrays import readonly_view
 from repro.view.omega import OmegaGrid
 
@@ -116,9 +116,9 @@ class ProbabilisticView:
     """An ordered collection of :class:`ProbTuple` grouped by time.
 
     Construct directly from tuples, from builder output via
-    :meth:`from_rows` / :meth:`from_matrix`, or from raw arrays via
-    :meth:`from_columns`.  Provides the per-time access patterns the
-    probabilistic queries in :mod:`repro.db.queries` build on.
+    :meth:`from_matrix`, or from raw arrays via :meth:`from_columns`.
+    Provides the per-time access patterns the probabilistic queries in
+    :mod:`repro.db.queries` build on.
     """
 
     def __init__(self, name: str, tuples: Sequence[ProbTuple]) -> None:
@@ -232,30 +232,6 @@ class ProbabilisticView:
         )
 
     @classmethod
-    def from_rows(
-        cls, name: str, rows: Sequence[ProbabilityRow] | ProbabilityMatrix,
-        grid: OmegaGrid,
-    ) -> "ProbabilisticView":
-        """Materialise builder output into a view.
-
-        Each :class:`ProbabilityRow` expands into ``grid.n`` tuples whose
-        ranges are centred on the row's mean.  A :class:`ProbabilityMatrix`
-        is accepted too and routed through the columnar path.
-        """
-        if isinstance(rows, ProbabilityMatrix):
-            return cls.from_matrix(name, rows, grid)
-        rows = list(rows)
-        t = np.fromiter((row.t for row in rows), dtype=np.int64, count=len(rows))
-        mean = np.fromiter(
-            (row.mean for row in rows), dtype=float, count=len(rows)
-        )
-        if rows:
-            probabilities = np.vstack([row.probabilities for row in rows])
-        else:
-            probabilities = np.empty((0, grid.n))
-        return cls._from_grid_layout(name, t, mean, probabilities, grid)
-
-    @classmethod
     def _from_grid_layout(
         cls,
         name: str,
@@ -264,7 +240,7 @@ class ProbabilisticView:
         probabilities: np.ndarray,
         grid: OmegaGrid,
     ) -> "ProbabilisticView":
-        """Shared columnar expansion of per-time probability rows."""
+        """Columnar expansion of per-time probability rows."""
         count = t.size
         n = grid.n
         if probabilities.shape != (count, n):

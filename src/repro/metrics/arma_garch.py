@@ -13,10 +13,8 @@ import numpy as np
 
 from repro.exceptions import EstimationError
 from repro.metrics.base import (
-    DensityForecast,
     DensitySeries,
     DynamicDensityMetric,
-    gaussian_forecast,
     gaussian_series,
     variance_floor,
 )
@@ -82,17 +80,6 @@ class ARMAGARCHMetric(DynamicDensityMetric):
         garch_min = max(self.m, self.s) + 2
         self.min_window = max(arma_min, garch_min, 4)
 
-    def infer(self, window: np.ndarray, t: int) -> DensityForecast:
-        """Steps 1-4 of Algorithm 1 on one window.
-
-        1. Estimate ARMA(p, q) on the window, obtaining residuals ``a_i``.
-        2. Estimate GARCH(m, s) on those residuals.
-        3. Infer ``r_hat_t`` (ARMA) and ``sigma_hat_t^2`` (GARCH).
-        4. Bounds ``r_hat_t +/- kappa * sigma_hat_t``.
-        """
-        mean, variance = self._infer_moments(window)
-        return gaussian_forecast(t, mean, variance, self.kappa)
-
     def _infer_moments(self, window: np.ndarray) -> tuple[float, float]:
         """Steps 1-3: ``(r_hat_t, sigma_hat_t^2)`` from one window."""
         arma = ARMAModel(self.p, self.q).fit(window)
@@ -101,8 +88,14 @@ class ARMAGARCHMetric(DynamicDensityMetric):
         return mean, self._garch_variance(residuals, variance_floor(window))
 
     def infer_batch(self, windows: np.ndarray, ts: np.ndarray) -> DensitySeries:
-        """One fit per row, in time order — each GARCH fit starts from the
-        previous row's optimum — written straight into forecast columns."""
+        """Algorithm 1 per row, in time order, into forecast columns.
+
+        1. Estimate ARMA(p, q) on the window, obtaining residuals ``a_i``.
+        2. Estimate GARCH(m, s) on those residuals, starting from the
+           previous row's optimum.
+        3. Infer ``r_hat_t`` (ARMA) and ``sigma_hat_t^2`` (GARCH).
+        4. Bounds ``r_hat_t +/- kappa * sigma_hat_t``.
+        """
         mean = np.empty(len(ts))
         variance = np.empty(len(ts))
         for row, window in enumerate(windows):

@@ -12,17 +12,17 @@ Batch path
 :class:`DensitySeries` is column-backed: ``t``, ``mean``, ``volatility`` and
 the kappa bounds live in preallocated numpy arrays, and the per-forecast
 :class:`DensityForecast` objects are materialised lazily on item access.
+:meth:`DynamicDensityMetric.infer_batch` is the one inference method a
+metric implements, including one registered through ``register_metric``:
 :meth:`DynamicDensityMetric.run` stacks all sliding windows into one
-``(T, H)`` matrix and hands it to :meth:`DynamicDensityMetric.infer_batch`.
-Every built-in metric but C-GARCH (whose ``run`` is its own sequential
-cleaning pass) overrides it and returns a column-backed series: ``ewma``
-and the two thresholding metrics compute all rows in vectorised passes;
-``arma_garch`` and ``kalman_garch`` still estimate one model per row, in
-time order by design — a GARCH fit warm-starts from the previous window's
-optimum, so the rows are a chain, not a batch — and only skip the
-per-row :class:`DensityForecast` objects.  The base implementation, for
-metrics that define nothing but :meth:`DynamicDensityMetric.infer`, loops
-it.
+``(T, H)`` matrix and hands it over, the online pipeline hands over the
+windows of each micro-batch, and :meth:`DynamicDensityMetric.infer` is a
+one-row call.  ``ewma`` and the two thresholding metrics compute all rows
+in vectorised passes; ``arma_garch``, ``kalman_garch`` and C-GARCH (whose
+``run`` is its own sequential cleaning pass) still estimate one model per
+row, in time order by design — a GARCH fit warm-starts from the previous
+window's optimum, so the rows are a chain, not a batch — and only skip the
+per-row :class:`DensityForecast` objects.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ __all__ = [
     "DensitySeries",
     "DynamicDensityMetric",
     "batch_variance_floor",
-    "gaussian_forecast",
     "gaussian_series",
     "variance_floor",
 ]
@@ -368,26 +367,10 @@ class DensitySeries:
         return hits / len(self)
 
 
-def gaussian_forecast(
-    t: int, mean: float, variance: float, kappa: float
-) -> DensityForecast:
-    """``N(mean, variance)`` at time ``t`` with ``mean -/+ kappa * sigma``."""
-    distribution = Gaussian(mean, variance)
-    sigma = distribution.std()
-    return DensityForecast(
-        t=t,
-        mean=mean,
-        distribution=distribution,
-        lower=mean - kappa * sigma,
-        upper=mean + kappa * sigma,
-        volatility=sigma,
-    )
-
-
 def gaussian_series(
     ts: np.ndarray, mean: np.ndarray, variance: np.ndarray, kappa: float
 ) -> DensitySeries:
-    """Columnar :func:`gaussian_forecast`: one row per entry of ``ts``."""
+    """``N(mean, variance)`` per entry of ``ts``, bounds ``mean -/+ kappa * sigma``."""
     sigma = np.sqrt(variance)
     return DensitySeries.from_columns(
         np.asarray(ts, dtype=np.int64),
@@ -403,10 +386,10 @@ def gaussian_series(
 class DynamicDensityMetric(ABC):
     """Base class for every dynamic density metric.
 
-    Subclasses implement :meth:`infer` — one density from one window.  The
-    base class provides the rolling :meth:`run` loop shared by experiments,
-    the view builder and the pipeline; :meth:`run` stacks the windows and
-    delegates to :meth:`infer_batch`, which vectorised metrics override.
+    Subclasses implement :meth:`infer_batch` — one density per window of a
+    stacked window matrix.  The base class provides the one-window
+    :meth:`infer` and the rolling :meth:`run` shared by experiments, the
+    view builder and the pipeline; both delegate to :meth:`infer_batch`.
     """
 
     #: Short machine name used by the registry and the SQL METRIC clause.
@@ -416,19 +399,25 @@ class DynamicDensityMetric(ABC):
     min_window = 3
 
     @abstractmethod
-    def infer(self, window: np.ndarray, t: int) -> DensityForecast:
-        """Infer ``p_t(R_t)`` from the sliding window ``S^H_{t-1}``."""
-
     def infer_batch(self, windows: np.ndarray, ts: np.ndarray) -> DensitySeries:
         """Infer one density per row of the ``(T, H)`` window matrix.
 
-        ``ts[i]`` is the inference index of row ``i``.  The base
-        implementation loops :meth:`infer` in time order; the built-in
-        metrics override it (see *Batch path* in the module docstring).
+        ``ts[i]`` is the inference index of row ``i``; rows are visited in
+        time order (see *Batch path* in the module docstring).
         """
-        return DensitySeries(
-            [self.infer(window, int(t)) for window, t in zip(windows, ts)]
-        )
+
+    def infer(self, window: np.ndarray, t: int) -> DensityForecast:
+        """Infer ``p_t(R_t)`` from the sliding window ``S^H_{t-1}``.
+
+        :meth:`infer_batch` on a one-row window matrix.
+        """
+        window = np.asarray(window, dtype=float)
+        if window.ndim != 1 or window.size < self.min_window:
+            raise InvalidParameterError(
+                f"{type(self).__name__} needs a 1-d window of at least "
+                f"{self.min_window} values, got shape {window.shape}"
+            )
+        return self.infer_batch(window[None, :], np.array([t], dtype=np.int64))[0]
 
     def run(
         self,
@@ -457,8 +446,7 @@ class DynamicDensityMetric(ABC):
                 f"series of length {len(series)} yields no windows of size {H}"
             )
         # ts is an arithmetic progression, so the window matrix is a plain
-        # strided slice of the sliding-window view — zero-copy even for
-        # metrics whose infer_batch falls back to the per-row loop.
+        # strided slice of the sliding-window view — zero-copy.
         all_windows = np.lib.stride_tricks.sliding_window_view(series.values, H)
         windows = all_windows[int(ts[0]) - H : int(ts[-1]) - H + 1 : step]
         return self.infer_batch(windows, ts)

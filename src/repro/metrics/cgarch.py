@@ -28,12 +28,7 @@ import numpy as np
 from repro.cleaning.svr_filter import learn_sv_max, successive_variance_reduction
 from repro.exceptions import InvalidParameterError
 from repro.metrics.arma_garch import ARMAGARCHMetric
-from repro.metrics.base import (
-    DensityForecast,
-    DensitySeries,
-    DynamicDensityMetric,
-    gaussian_series,
-)
+from repro.metrics.base import DensitySeries, DynamicDensityMetric, gaussian_series
 from repro.timeseries.series import TimeSeries
 
 __all__ = ["CGARCHMetric", "CGARCHReport"]
@@ -123,12 +118,12 @@ class CGARCHMetric(DynamicDensityMetric):
         self.min_window = max(self.base.min_window, self.oc_max + 1)
 
     # ------------------------------------------------------------------
-    # Single-window inference: identical to ARMA-GARCH (the cleaning logic
-    # lives in the rolling pass, which controls what enters the window).
+    # Window inference: identical to ARMA-GARCH (the cleaning logic lives
+    # in the rolling pass, which controls what enters the window).
     # ------------------------------------------------------------------
-    def infer(self, window: np.ndarray, t: int) -> DensityForecast:
-        """ARMA-GARCH inference on an (assumed clean) window."""
-        return self.base.infer(window, t)
+    def infer_batch(self, windows: np.ndarray, ts: np.ndarray) -> DensitySeries:
+        """ARMA-GARCH inference on (assumed clean) windows."""
+        return self.base.infer_batch(windows, ts)
 
     # ------------------------------------------------------------------
     # Rolling pass with online cleaning.

@@ -12,15 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.exceptions import InvalidParameterError
 from repro.metrics.base import (
-    DensityForecast,
     DensitySeries,
     DynamicDensityMetric,
     batch_variance_floor,
-    gaussian_forecast,
     gaussian_series,
-    variance_floor,
 )
 from repro.util.validation import require_in_range, require_positive
 
@@ -59,31 +55,11 @@ class EWMAMetric(DynamicDensityMetric):
         self.kappa = require_positive("kappa", kappa, strict=False)
         self.min_window = 4
 
-    def infer(self, window: np.ndarray, t: int) -> DensityForecast:
-        """One EWMA pass over the window; O(H) with no estimation step."""
-        window = np.asarray(window, dtype=float)
-        if window.size < self.min_window:
-            raise InvalidParameterError(
-                f"EWMA needs at least {self.min_window} values, got {window.size}"
-            )
-        floor = variance_floor(window)
-        level = window[0]
-        variance = max(float(np.var(window)), floor)
-        d, lam = self.mean_decay, self.variance_decay
-        for value in window[1:]:
-            error = value - level
-            variance = lam * variance + (1.0 - lam) * error * error
-            level = d * level + (1.0 - d) * value
-        variance = max(variance, floor)
-        return gaussian_forecast(t, float(level), variance, self.kappa)
-
     def infer_batch(self, windows: np.ndarray, ts: np.ndarray) -> DensitySeries:
-        """All windows at once: the recursion runs along the window axis
-        while every numpy operation spans the (large) time axis, so the
-        arithmetic is element-for-element identical to :meth:`infer`."""
+        """One EWMA pass per window, with no estimation step: the recursion
+        runs along the window axis while every numpy operation spans the
+        (large) time axis."""
         windows = np.asarray(windows, dtype=float)
-        if windows.ndim != 2 or windows.shape[1] < self.min_window:
-            return super().infer_batch(windows, ts)
         floors = batch_variance_floor(windows)
         level = windows[:, 0].copy()
         variance = np.maximum(np.var(windows, axis=1), floors)

@@ -17,10 +17,8 @@ import numpy as np
 
 from repro.exceptions import EstimationError, InvalidParameterError
 from repro.metrics.base import (
-    DensityForecast,
     DensitySeries,
     DynamicDensityMetric,
-    gaussian_forecast,
     gaussian_series,
     variance_floor,
 )
@@ -68,11 +66,6 @@ class KalmanGARCHMetric(DynamicDensityMetric):
         self.c1 = float(c1)
         self.c2 = float(c2)
         self.min_window = max(max(self.m, self.s) + 2, 4)
-
-    def infer(self, window: np.ndarray, t: int) -> DensityForecast:
-        """EM-fit the Kalman filter, then GARCH on its prediction errors."""
-        mean, variance = self._infer_moments(window)
-        return gaussian_forecast(t, mean, variance, self.kappa)
 
     def _infer_moments(self, window: np.ndarray) -> tuple[float, float]:
         """``(r_hat_t, sigma_hat_t^2)`` from one window."""

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.distributions.uniform import Uniform
-from repro.exceptions import EstimationError
-from repro.metrics.base import DensityForecast, DensitySeries, DynamicDensityMetric
-from repro.timeseries.arma import ARMAModel, batch_ar_predict
+from repro.metrics.base import DensitySeries, DynamicDensityMetric
+from repro.timeseries.arma import batch_arma_predict
 from repro.util.validation import require_positive
 
 __all__ = ["UniformThresholdingMetric"]
@@ -39,31 +37,12 @@ class UniformThresholdingMetric(DynamicDensityMetric):
         self.q = int(q)
         self.min_window = max(self.p, self.q) + max(self.p + self.q, 1) + 1
 
-    def infer(self, window: np.ndarray, t: int) -> DensityForecast:
-        """Uniform density of half-width ``threshold`` around the ARMA forecast."""
-        model = ARMAModel(self.p, self.q).fit(window)
-        mean = model.predict_next()
-        distribution = Uniform.centered(mean, self.threshold)
-        return DensityForecast(
-            t=t,
-            mean=mean,
-            distribution=distribution,
-            lower=distribution.low,
-            upper=distribution.high,
-            volatility=distribution.std(),
-        )
-
     def infer_batch(self, windows: np.ndarray, ts: np.ndarray) -> DensitySeries:
-        """All windows at once via one batched AR(p) solve; the uniform
-        densities are materialised lazily.  MA components fall back to the
-        per-window loop."""
-        windows = np.asarray(windows, dtype=float)
-        if self.q != 0 or windows.ndim != 2:
-            return super().infer_batch(windows, ts)
-        try:
-            mean = batch_ar_predict(windows, self.p)
-        except EstimationError:
-            return super().infer_batch(windows, ts)
+        """Uniform density of half-width ``threshold`` around each row's
+        ARMA forecast, from one batched solve; materialised lazily."""
+        mean = batch_arma_predict(
+            np.asarray(windows, dtype=float), self.p, self.q
+        )
         lower = mean - self.threshold
         upper = mean + self.threshold
         width = upper - lower

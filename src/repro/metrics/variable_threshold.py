@@ -10,18 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.exceptions import EstimationError
 from repro.metrics.base import (
-    DensityForecast,
     DensitySeries,
     DynamicDensityMetric,
     batch_variance_floor,
-    gaussian_forecast,
     gaussian_series,
-    variance_floor,
 )
-from repro.timeseries.arma import ARMAModel, batch_ar_predict
-from repro.timeseries.stats import sample_variance
+from repro.timeseries.arma import batch_arma_predict
 from repro.util.validation import require_positive
 
 __all__ = ["VariableThresholdingMetric"]
@@ -47,24 +42,11 @@ class VariableThresholdingMetric(DynamicDensityMetric):
         self.kappa = require_positive("kappa", kappa, strict=False)
         self.min_window = max(max(self.p, self.q) + max(self.p + self.q, 1) + 1, 3)
 
-    def infer(self, window: np.ndarray, t: int) -> DensityForecast:
-        """Gaussian ``N(r_hat_t, s_t^2)`` with ``s_t^2`` the window variance."""
-        model = ARMAModel(self.p, self.q).fit(window)
-        mean = model.predict_next()
-        variance = max(sample_variance(window), variance_floor(window))
-        return gaussian_forecast(t, mean, variance, self.kappa)
-
     def infer_batch(self, windows: np.ndarray, ts: np.ndarray) -> DensitySeries:
-        """All windows at once: one batched AR(p) solve plus columnar
-        variance, producing a lazily-materialised Gaussian series.  MA
-        components (q > 0) fall back to the per-window loop."""
+        """Gaussian ``N(r_hat_t, s_t^2)`` per row, ``s_t^2`` the window's
+        sample variance: one batched ARMA forecast plus columnar variance."""
         windows = np.asarray(windows, dtype=float)
-        if self.q != 0 or windows.ndim != 2:
-            return super().infer_batch(windows, ts)
-        try:
-            mean = batch_ar_predict(windows, self.p)
-        except EstimationError:
-            return super().infer_batch(windows, ts)
+        mean = batch_arma_predict(windows, self.p, self.q)
         variance = np.maximum(
             np.var(windows, axis=1, ddof=1), batch_variance_floor(windows)
         )

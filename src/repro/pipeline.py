@@ -22,6 +22,7 @@ from repro.db.prob_view import ProbabilisticView
 from repro.exceptions import InvalidParameterError
 from repro.metrics.base import DensityForecast, DensitySeries, DynamicDensityMetric
 from repro.timeseries.series import TimeSeries
+from repro.util.validation import require_finite_array
 from repro.view.builder import ProbabilityMatrix, ProbabilityRow, ViewBuilder
 from repro.view.omega import OmegaGrid
 from repro.view.sigma_cache import SigmaCache
@@ -89,9 +90,11 @@ class OnlinePipeline:
     Parameters
     ----------
     metric:
-        Any dynamic density metric.  Note that C-GARCH's cleaning protocol
-        replaces window values; for streaming use its forecasts equal plain
-        ARMA-GARCH on the values this pipeline retains.
+        Any dynamic density metric; every fed value reaches it through
+        :meth:`DynamicDensityMetric.infer_batch`.  C-GARCH's cleaning
+        protocol lives in its own rolling pass (``run_with_report``), not
+        in ``infer_batch``, so streamed C-GARCH forecasts equal plain
+        ARMA-GARCH on the raw values this pipeline retains.
     H:
         Sliding-window size.
     grid:
@@ -101,10 +104,11 @@ class OnlinePipeline:
         cache from a WHERE clause, so the caller provides expected sigma
         extremes).
     retain_history:
-        When true (default), every emitted forecast and probability row is
-        kept so :meth:`to_view` / :meth:`forecasts` can materialise the full
-        run.  Long-lived ingestion services (:mod:`repro.store`) persist the
-        rows themselves and disable retention to keep memory flat.
+        When true (default), every emitted forecast series and probability
+        matrix is kept so :meth:`to_view` / :meth:`forecasts` can
+        materialise the full run.  Long-lived ingestion services
+        (:mod:`repro.store`) persist the rows themselves and disable
+        retention to keep memory flat.
 
     Examples
     --------
@@ -136,66 +140,68 @@ class OnlinePipeline:
         self.retain_history = bool(retain_history)
         self._window: deque[float] = deque(maxlen=self.H)
         self._t = 0
-        self._rows: list[ProbabilityRow] = []
-        self._forecasts: list[DensityForecast] = []
+        self._forecasts: list[DensitySeries] = []
+        self._matrices: list[ProbabilityMatrix] = []
 
     def feed(self, value: float) -> OnlineStep:
-        """Consume one raw value; emit the inferred density and row.
+        """Consume one raw value: :meth:`feed_batch` of that one value.
 
         The forecast for time ``t`` is computed from the ``H`` values
         *before* ``t`` (Definition 1), so inference happens before the new
         value enters the window.
         """
         t = self._t
-        forecast: DensityForecast | None = None
-        row: ProbabilityRow | None = None
-        if len(self._window) == self.H:
-            forecast = self.metric.infer(np.array(self._window), t)
-            row = self.builder.build_row(forecast)
-            if self.retain_history:
-                self._forecasts.append(forecast)
-                self._rows.append(row)
-        self._window.append(float(value))
-        self._t += 1
-        return OnlineStep(t=t, value=float(value), forecast=forecast, row=row)
+        forecasts, matrix = self._feed(np.array([value], dtype=float))
+        if not len(matrix):
+            return OnlineStep(t=t, value=float(value), forecast=None, row=None)
+        return OnlineStep(
+            t=t, value=float(value), forecast=forecasts[0], row=matrix.row(0)
+        )
 
     def feed_batch(self, values: Sequence[float] | np.ndarray) -> ProbabilityMatrix:
-        """Consume a micro-batch of raw values through the batch data path.
+        """Consume a micro-batch of raw values; the one online data path.
 
-        Equivalent to calling :meth:`feed` once per value, but the warm
-        inference times are stacked into one window matrix and dispatched
-        through :meth:`DynamicDensityMetric.infer_batch` +
+        The warm inference times are stacked into one window matrix and
+        dispatched through :meth:`DynamicDensityMetric.infer_batch` +
         :meth:`ViewBuilder.build_matrix` — the same vectorised path offline
         mode uses, so cost scales with the batch, not with everything fed
         so far.  Returns the probability matrix of the newly emitted rows
-        (empty while the window is still warming up).
+        (empty while the window is still warming up).  The batch is
+        validated before any of it is consumed: a non-finite value would
+        sit in the window and fail every later inference.
         """
+        return self._feed(values)[1]
+
+    def _feed(
+        self, values: Sequence[float] | np.ndarray
+    ) -> tuple[DensitySeries | None, ProbabilityMatrix]:
         values = np.ascontiguousarray(values, dtype=float)
         if values.ndim != 1:
             raise InvalidParameterError(
                 f"feed_batch expects a 1-d value array, got shape {values.shape}"
             )
+        require_finite_array("values", values, min_len=0)
         start_t = self._t
         held = len(self._window)
+        # Local offsets of values whose preceding window is full: value i
+        # (global time start_t + i) is warm once held + i >= H.
+        first_warm = max(self.H - held, 0)
+        forecasts = None
         matrix = self._empty_matrix()
-        if values.size:
-            # Local offsets of values whose preceding window is full: value
-            # i (global time start_t + i) is warm once held + i >= H.
-            first_warm = max(self.H - held, 0)
-            if first_warm < values.size:
-                history = np.concatenate([np.array(self._window), values])
-                windows = np.lib.stride_tricks.sliding_window_view(
-                    history, self.H
-                )[first_warm + held - self.H : values.size + held - self.H]
-                ts = start_t + np.arange(first_warm, values.size, dtype=np.int64)
-                forecasts = self.metric.infer_batch(windows, ts)
-                matrix = self.builder.build_matrix(forecasts)
-                if self.retain_history:
-                    self._forecasts.extend(forecasts)
-                    self._rows.extend(matrix.rows())
-            self._window.extend(values.tolist())
-            self._t += int(values.size)
-        return matrix
+        if first_warm < values.size:
+            history = np.concatenate([np.array(self._window), values])
+            windows = np.lib.stride_tricks.sliding_window_view(
+                history, self.H
+            )[first_warm + held - self.H : values.size + held - self.H]
+            ts = start_t + np.arange(first_warm, values.size, dtype=np.int64)
+            forecasts = self.metric.infer_batch(windows, ts)
+            matrix = self.builder.build_matrix(forecasts)
+            if self.retain_history:
+                self._forecasts.append(forecasts)
+                self._matrices.append(matrix)
+        self._window.extend(values.tolist())
+        self._t += int(values.size)
+        return forecasts, matrix
 
     def _empty_matrix(self) -> ProbabilityMatrix:
         return ProbabilityMatrix(
@@ -231,6 +237,7 @@ class OnlinePipeline:
                 f"window state must be a 1-d array, got shape "
                 f"{window_values.shape}"
             )
+        require_finite_array("window state", window_values, min_len=0)
         next_t = int(next_t)
         if next_t < 0:
             raise InvalidParameterError(f"next_t must be >= 0, got {next_t}")
@@ -248,20 +255,46 @@ class OnlinePipeline:
         self._window.clear()
         self._window.extend(window_values.tolist())
         self._t = next_t
-        # Emitted history is not restored (and any retained rows describe a
-        # different stream position), so retention starts over.
-        self._rows.clear()
+        # Emitted history is not restored (and any retained chunks describe
+        # a different stream position), so retention starts over.
         self._forecasts.clear()
+        self._matrices.clear()
 
     def forecasts(self) -> DensitySeries:
         """All non-warm-up forecasts emitted so far."""
         self._require_history("forecasts")
-        return DensitySeries(self._forecasts)
+        chunks = self._forecasts
+        families = {chunk.family for chunk in chunks}
+        if len(families) != 1 or None in families:
+            # Nothing emitted yet, or object-built chunks.
+            return DensitySeries([f for chunk in chunks for f in chunk])
+        variances = [chunk.variances for chunk in chunks]
+        return DensitySeries.from_columns(
+            np.concatenate([chunk.times for chunk in chunks]),
+            np.concatenate([chunk.means for chunk in chunks]),
+            np.concatenate([chunk.volatilities for chunk in chunks]),
+            np.concatenate([chunk.lowers for chunk in chunks]),
+            np.concatenate([chunk.uppers for chunk in chunks]),
+            family=families.pop(),
+            variance=(
+                None if any(v is None for v in variances)
+                else np.concatenate(variances)
+            ),
+        )
 
     def to_view(self, name: str = "prob_view") -> ProbabilisticView:
         """Materialise everything emitted so far as a probabilistic view."""
         self._require_history("to_view")
-        return ProbabilisticView.from_rows(name, self._rows, self.builder.grid)
+        chunks = [self._empty_matrix(), *self._matrices]
+        matrix = ProbabilityMatrix(
+            t=np.concatenate([chunk.t for chunk in chunks]),
+            mean=np.concatenate([chunk.mean for chunk in chunks]),
+            volatility=np.concatenate([chunk.volatility for chunk in chunks]),
+            probabilities=np.concatenate(
+                [chunk.probabilities for chunk in chunks]
+            ),
+        )
+        return ProbabilisticView.from_matrix(name, matrix, self.builder.grid)
 
     def _require_history(self, what: str) -> None:
         if not self.retain_history:

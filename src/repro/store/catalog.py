@@ -720,14 +720,11 @@ class SeriesHandle:
                 "and cannot be appended to"
             )
         pipeline = self._ensure_pipeline()
-        values = np.ascontiguousarray(values, dtype=float)
-        if values.ndim != 1:
-            raise InvalidParameterError(
-                f"append expects a 1-d value array, got shape {values.shape}"
-            )
+        # feed_batch rejects a malformed or non-finite batch before it
+        # consumes anything, so a rejected append leaves the handle usable.
         matrix = pipeline.feed_batch(values)
         result = AppendResult(
-            series_id=self.series_id, fed=int(values.size), emitted=len(matrix)
+            series_id=self.series_id, fed=len(values), emitted=len(matrix)
         )
         suffix: ProbabilisticView | None = None
         with self._transaction():  # The pipeline has consumed the batch.

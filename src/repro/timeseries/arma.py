@@ -30,7 +30,7 @@ from repro.exceptions import (
 from repro.util.rng import ensure_rng
 from repro.util.validation import require_finite_array
 
-__all__ = ["ARMAModel", "ARMAParams", "batch_ar_predict"]
+__all__ = ["ARMAModel", "ARMAParams", "batch_ar_predict", "batch_arma_predict"]
 
 
 @dataclass(frozen=True)
@@ -315,8 +315,11 @@ def batch_ar_predict(windows: np.ndarray, p: int) -> np.ndarray:
     each row is regressed on an intercept and its ``p`` lags, solved as
     minimum-norm least squares via a batched pseudo-inverse — the same
     solution ``lstsq`` produces (up to float rounding), including for
-    singular designs such as constant windows.  The vectorised
-    thresholding metrics build their ``infer_batch`` on this.
+    singular designs such as constant windows.  numpy solves each row's
+    design with its own LAPACK call, so a row gets the same bits alone as
+    inside a stack — what makes a streamed row equal its offline twin
+    (``tests/test_pipeline_parity.py``).  A row whose solve is non-finite
+    comes back non-finite; see :func:`batch_arma_predict`.
     """
     if p < 0:
         raise InvalidParameterError(f"model order must be >= 0, got p={p}")
@@ -342,12 +345,29 @@ def batch_ar_predict(windows: np.ndarray, p: int) -> np.ndarray:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy internal.
         raise EstimationError(f"batched least-squares failed: {exc}") from exc
     coefficients = coefficients[:, :, 0]
-    if not np.all(np.isfinite(coefficients)):
-        raise EstimationError("least-squares produced non-finite coefficients")
     prediction = coefficients[:, 0].copy()
     for j in range(1, p + 1):
         prediction += coefficients[:, j] * windows[:, n - j]
     return prediction
+
+
+def batch_arma_predict(windows: np.ndarray, p: int, q: int) -> np.ndarray:
+    """One-step ARMA(p, q) forecast ``r_hat_t`` for every row of ``windows``.
+
+    ARMA(p, 0) rows come from one :func:`batch_ar_predict` solve.  A row
+    that solve leaves non-finite, and every row when ``q > 0``, is fitted
+    alone by :class:`ARMAModel` — which raises where the window cannot be
+    fitted at all.  The thresholding metrics' ``infer_batch`` is this.
+    """
+    if q == 0:
+        mean = batch_ar_predict(windows, p)
+        rows = np.flatnonzero(~np.isfinite(mean))
+    else:
+        mean = np.empty(len(windows))
+        rows = range(len(windows))
+    for row in rows:
+        mean[row] = ARMAModel(p, q).fit(windows[row]).predict_next()
+    return mean
 
 
 def _lag_matrix(data: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:

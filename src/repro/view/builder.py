@@ -94,21 +94,13 @@ class ProbabilityMatrix:
         return self.t.size
 
     def row(self, index: int) -> ProbabilityRow:
-        """Materialise one :class:`ProbabilityRow` (compatibility access)."""
+        """Materialise row ``index`` as a :class:`ProbabilityRow`."""
         return ProbabilityRow(
             t=int(self.t[index]),
             mean=float(self.mean[index]),
             volatility=float(self.volatility[index]),
             probabilities=self.probabilities[index].copy(),
         )
-
-    def rows(self) -> list[ProbabilityRow]:
-        """Materialise every row (compatibility with the legacy list API)."""
-        return [self.row(index) for index in range(len(self))]
-
-    def __iter__(self) -> Iterator[ProbabilityRow]:
-        for index in range(len(self)):
-            yield self.row(index)
 
     @property
     def total_mass(self) -> np.ndarray:
@@ -170,7 +162,7 @@ class ViewBuilder:
         return [self.build_row(forecast) for forecast in forecasts]
 
     def iter_rows(self, forecasts: DensitySeries) -> Iterator[ProbabilityRow]:
-        """Lazy variant of :meth:`build_rows` for online consumption."""
+        """Lazy variant of :meth:`build_rows`."""
         for forecast in forecasts:
             yield self.build_row(forecast)
 

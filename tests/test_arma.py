@@ -11,7 +11,8 @@ from repro.exceptions import (
     InvalidParameterError,
     NotFittedError,
 )
-from repro.timeseries.arma import ARMAModel, ARMAParams
+from repro.timeseries import arma
+from repro.timeseries.arma import ARMAModel, ARMAParams, batch_arma_predict
 
 
 class TestParams:
@@ -152,3 +153,26 @@ class TestSimulate:
     def test_n_validation(self):
         with pytest.raises(InvalidParameterError):
             ARMAModel.simulate(ARMAParams(const=0.0), 0)
+
+
+class TestBatchARMAPredict:
+    @staticmethod
+    def _windows() -> np.ndarray:
+        rng = np.random.default_rng(4)
+        return 20.0 + np.cumsum(rng.normal(0.0, 0.2, size=(5, 30)), axis=1)
+
+    def test_ma_rows_are_fitted_one_by_one(self):
+        windows = self._windows()
+        expected = [ARMAModel(1, 1).fit(w).predict_next() for w in windows]
+        assert batch_arma_predict(windows, 1, 1).tolist() == expected
+
+    def test_only_the_non_finite_row_is_refitted(self, monkeypatch):
+        windows = self._windows()
+        stacked = arma.batch_ar_predict(windows, 1)
+        poisoned = stacked.copy()
+        poisoned[2] = np.nan
+        monkeypatch.setattr(arma, "batch_ar_predict", lambda w, p: poisoned.copy())
+        mean = batch_arma_predict(windows, 1, 0)
+        assert mean[2] == ARMAModel(1, 0).fit(windows[2]).predict_next()
+        keep = np.arange(5) != 2
+        assert np.array_equal(mean[keep], stacked[keep])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
+from repro.store import Catalog
 
 
 class TestParser:
@@ -140,6 +141,42 @@ class TestStoreCommands:
         assert captured.err.startswith("error:")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "option", [["--limit", "-5"], ["--batch", "0"]], ids=["limit", "batch"]
+    )
+    def test_ingest_rejects_bad_counts(self, tmp_path, capsys, option):
+        # A negative --limit used to slice values[:-5] and silently ingest
+        # all but the last five values.
+        catalog = str(tmp_path / "catalog")
+        assert main([
+            "store", "init", catalog, "room",
+            "--metric", "vt", "--window", "40", "--n", "4",
+        ]) == 0
+        capsys.readouterr()
+        exit_code = main([
+            "store", "ingest", catalog, "room",
+            "--data", "campus", "--scale", "0.03", *option,
+        ])
+        captured = capsys.readouterr()
+        assert exit_code == 1
+        assert captured.err.startswith(f"error: {option[0]} must be >= ")
+        assert captured.err.count("\n") == 1
+        assert Catalog(catalog).series("room").next_t == 0  # Nothing fed.
+
+    def test_query_rejects_negative_head(self, capsys):
+        # A negative --head printed all but the last rows plus a negative
+        # "more" count.
+        exit_code = main([
+            "query",
+            "CREATE VIEW v AS DENSITY r OVER t OMEGA delta=0.5, n=4 "
+            "METRIC vt WINDOW 40 FROM raw_values",
+            "--scale", "0.03", "--head", "-2",
+        ])
+        captured = capsys.readouterr()
+        assert exit_code == 1
+        assert captured.err == "error: --head must be >= 0, got -2\n"
+        assert captured.out == ""
 
     def test_store_query_verb_is_gone(self, tmp_path):
         with pytest.raises(SystemExit):

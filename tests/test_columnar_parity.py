@@ -1,12 +1,12 @@
 """Columnar/legacy parity for the forecast -> view -> query data path.
 
-The columnar engine (``build_matrix`` + array-backed ``ProbabilisticView``
-+ vectorised queries) must replicate the seed row-at-a-time semantics tuple
-for tuple.  The reference implementations below mirror the seed code:
-one CDF evaluation per forecast, one ``ProbTuple`` per range, Python loops
-per query — and every batch result is checked against them across
-Gaussian, uniform, and mixed density series, with and without the
-sigma-cache.
+The columnar engine (``infer_batch`` + ``build_matrix`` + array-backed
+``ProbabilisticView`` + vectorised queries) must replicate the seed
+row-at-a-time semantics tuple for tuple.  The reference implementations
+below mirror the seed code: one model fit or recursion per window, one CDF
+evaluation per forecast, one ``ProbTuple`` per range, Python loops per
+query — and every batch result is checked against them across Gaussian,
+uniform, and mixed density series, with and without the sigma-cache.
 """
 
 from __future__ import annotations
@@ -28,10 +28,12 @@ from repro.db.stream_queries import (
 )
 from repro.distributions.gaussian import Gaussian
 from repro.distributions.uniform import Uniform
-from repro.metrics.base import DensityForecast, DensitySeries
+from repro.metrics.base import DensityForecast, DensitySeries, variance_floor
 from repro.metrics.ewma import EWMAMetric
 from repro.metrics.uniform_threshold import UniformThresholdingMetric
 from repro.metrics.variable_threshold import VariableThresholdingMetric
+from repro.timeseries.arma import ARMAModel
+from repro.timeseries.stats import sample_variance
 from repro.view.builder import ViewBuilder
 from repro.view.omega import OmegaGrid
 
@@ -88,7 +90,7 @@ _SERIES = {
 
 
 def _seed_view(name, forecasts, builder, grid) -> ProbabilisticView:
-    """The seed ``from_rows``: per-row range expansion into ProbTuples."""
+    """The seed row path: per-row range expansion into ProbTuples."""
     tuples = []
     for forecast in forecasts:
         row = builder.build_row(forecast)
@@ -129,11 +131,6 @@ def test_build_matrix_matches_seed_row_path(kind, delta, n, cached):
         "columnar", builder.build_matrix(forecasts), grid
     )
     _assert_views_identical(matrix_view, expected)
-
-    rows_view = ProbabilisticView.from_rows(
-        "rows", builder.build_rows(forecasts), grid
-    )
-    _assert_views_identical(rows_view, expected)
 
 
 @pytest.mark.parametrize("kind", sorted(_SERIES))
@@ -207,16 +204,55 @@ def test_query_results_match_seed_loops(kind):
         assert sustained[times[index]] == pytest.approx(product, abs=ATOL)
 
 
-@pytest.mark.parametrize("metric", [
-    VariableThresholdingMetric(),
-    UniformThresholdingMetric(threshold=0.4),
-    EWMAMetric(),
-], ids=lambda metric: metric.name)
-def test_vectorised_infer_batch_matches_loop(metric):
+def _ewma_reference(metric, window, t):
+    """The seed EWMA: one python recursion over one window."""
+    floor = variance_floor(window)
+    level = window[0]
+    variance = max(float(np.var(window)), floor)
+    d, lam = metric.mean_decay, metric.variance_decay
+    for value in window[1:]:
+        error = value - level
+        variance = lam * variance + (1.0 - lam) * error * error
+        level = d * level + (1.0 - d) * value
+    return _gaussian_reference(t, float(level), max(variance, floor), metric.kappa)
+
+
+def _variable_threshold_reference(metric, window, t):
+    """The seed variable thresholding: one ARMA fit plus the window variance."""
+    mean = ARMAModel(metric.p, metric.q).fit(window).predict_next()
+    variance = max(sample_variance(window), variance_floor(window))
+    return _gaussian_reference(t, mean, variance, metric.kappa)
+
+
+def _uniform_threshold_reference(metric, window, t):
+    """The seed uniform thresholding: one ARMA fit, a centred uniform."""
+    mean = ARMAModel(metric.p, metric.q).fit(window).predict_next()
+    distribution = Uniform.centered(mean, metric.threshold)
+    return DensityForecast(
+        t=t, mean=mean, distribution=distribution, lower=distribution.low,
+        upper=distribution.high, volatility=distribution.std(),
+    )
+
+
+def _gaussian_reference(t, mean, variance, kappa):
+    distribution = Gaussian(mean, variance)
+    sigma = distribution.std()
+    return DensityForecast(
+        t=t, mean=mean, distribution=distribution, lower=mean - kappa * sigma,
+        upper=mean + kappa * sigma, volatility=sigma,
+    )
+
+
+@pytest.mark.parametrize(("metric", "reference"), [
+    (VariableThresholdingMetric(), _variable_threshold_reference),
+    (UniformThresholdingMetric(threshold=0.4), _uniform_threshold_reference),
+    (EWMAMetric(), _ewma_reference),
+], ids=["variable_threshold", "uniform_threshold", "ewma"])
+def test_vectorised_infer_batch_matches_loop(metric, reference):
     series = campus_temperature(400, rng=3)
     batch = metric.run(series, 40, step=2)
     loop = DensitySeries([
-        metric.infer(window, t)
+        reference(metric, window, t)
         for t, window in series.iter_windows(40, step=2)
     ])
     assert list(batch.times) == list(loop.times)

@@ -83,8 +83,8 @@ class TestPaperPipeline:
         from repro.view.builder import ViewBuilder
         from repro.db.prob_view import ProbabilisticView
 
-        rows = ViewBuilder(grid).build_rows(forecasts)
-        view = ProbabilisticView.from_rows("cleaned_view", rows, grid)
+        matrix = ViewBuilder(grid).build_matrix(forecasts)
+        view = ProbabilisticView.from_matrix("cleaned_view", matrix, grid)
         for t in view.times:
             assert view.total_mass_at(t) <= 1.0 + 1e-6
 
@@ -115,7 +115,7 @@ class TestPaperPipeline:
         for t in sql_view.times:
             sql_probs = [tup.probability for tup in sql_view.tuples_at(t)]
             online_probs = [tup.probability for tup in online_view.tuples_at(t)]
-            np.testing.assert_allclose(sql_probs, online_probs, atol=1e-9)
+            assert np.array_equal(sql_probs, online_probs)
 
 
 class TestRoomTracking:

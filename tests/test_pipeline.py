@@ -70,10 +70,9 @@ class TestOnlinePipeline:
         online = pipe.forecasts()
         offline = metric_offline.run(campus_series.slice(0, 200), H)
         assert len(online) == len(offline)
-        np.testing.assert_allclose(online.means, offline.means, rtol=1e-9)
-        np.testing.assert_allclose(
-            online.volatilities, offline.volatilities, rtol=1e-9
-        )
+        assert np.array_equal(online.times, offline.times)
+        assert np.array_equal(online.means, offline.means)
+        assert np.array_equal(online.volatilities, offline.volatilities)
 
     def test_to_view_materialises_rows(self):
         pipe = OnlinePipeline(

@@ -1,9 +1,12 @@
 """Online/offline parity: the invariant incremental maintenance rests on.
 
 ``OnlinePipeline.feed()`` over a stream must produce the same view —
-tuple for tuple — as ``create_probabilistic_view()`` over the stored
-series, and ``feed_batch()`` must reproduce the ``feed()`` loop exactly.
-Without this, the catalog's segments would drift from what a full offline
+tuple for tuple, bit for bit — as ``create_probabilistic_view()`` and as
+``CREATE VIEW`` over the stored series, and ``feed_batch()`` must
+reproduce the ``feed()`` loop exactly.  All four routes run one inference
+path (``infer_batch``) and one row path (``build_matrix``), so equality
+rests on a row coming out the same alone as inside a stack.  Without
+this, the catalog's segments would drift from what a full offline
 rebuild would produce.
 """
 
@@ -12,8 +15,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.connection import connect
 from repro.data.synthetic import campus_temperature
-from repro.exceptions import InvalidParameterError
+from repro.db.table import Table
+from repro.exceptions import DataError, InvalidParameterError
 from repro.metrics.arma_garch import ARMAGARCHMetric
 from repro.metrics.cgarch import CGARCHMetric
 from repro.metrics.ewma import EWMAMetric
@@ -26,25 +31,43 @@ from repro.view.omega import OmegaGrid
 
 H = 30
 GRID = OmegaGrid(delta=0.5, n=6)
-ATOL = 1e-10
 
-METRICS = [
-    VariableThresholdingMetric,
-    lambda: UniformThresholdingMetric(threshold=1.5),
-    EWMAMetric,
-]
-METRIC_IDS = ["variable_threshold", "uniform_threshold", "ewma"]
+#: id -> (metric factory, the same metric as a SQL ``METRIC`` clause).
+ROUTE_METRICS = {
+    "variable_threshold": (VariableThresholdingMetric, "variable_threshold (p=1)"),
+    "variable_threshold_q1": (
+        lambda: VariableThresholdingMetric(p=1, q=1),
+        "variable_threshold (p=1, q=1)",
+    ),
+    "uniform_threshold": (
+        lambda: UniformThresholdingMetric(threshold=1.5),
+        "uniform_threshold (threshold=1.5)",
+    ),
+    "ewma": (EWMAMetric, "ewma"),
+    "arma_garch": (ARMAGARCHMetric, "arma_garch"),
+    "kalman_garch": (
+        lambda: KalmanGARCHMetric(em_max_iter=10),
+        "kalman_garch (em_max_iter=10)",
+    ),
+}
 
 
 def _assert_views_match(actual, expected):
     assert len(actual) == len(expected)
     a, b = actual.columns, expected.columns
     assert np.array_equal(a.t, b.t)
-    np.testing.assert_allclose(a.low, b.low, rtol=0, atol=ATOL)
-    np.testing.assert_allclose(a.high, b.high, rtol=0, atol=ATOL)
-    np.testing.assert_allclose(a.probability, b.probability, rtol=0, atol=ATOL)
+    assert np.array_equal(a.low, b.low)
+    assert np.array_equal(a.high, b.high)
+    assert np.array_equal(a.probability, b.probability)
     assert [a.labels[c] for c in a.label_code] == \
         [b.labels[c] for c in b.label_code]
+
+
+def _feed_loop_view(metric, values, window=H):
+    pipeline = OnlinePipeline(metric, H=window, grid=GRID)
+    for value in values:
+        pipeline.feed(value)
+    return pipeline.to_view("online")
 
 
 def _campus() -> TimeSeries:
@@ -61,15 +84,8 @@ def _spiked_campus() -> TimeSeries:
 
 FEED_CASES = [
     *(
-        pytest.param(metric_cls, _campus, H, id=metric_id)
-        for metric_cls, metric_id in zip(METRICS, METRIC_IDS)
-    ),
-    pytest.param(ARMAGARCHMetric, _campus, H, id="arma_garch"),
-    pytest.param(
-        lambda: KalmanGARCHMetric(em_max_iter=10),
-        _campus,
-        H,
-        id="kalman_garch",
+        pytest.param(factory, _campus, H, id=metric_id)
+        for metric_id, (factory, _) in ROUTE_METRICS.items()
     ),
     pytest.param(
         CGARCHMetric,
@@ -80,9 +96,9 @@ FEED_CASES = [
             strict=True,
             reason=(
                 "streamed C-GARCH never cleans: OnlinePipeline feeds raw "
-                "values into the window and CGARCHMetric.infer is plain "
-                "ARMA-GARCH, so the spike inflates every later volatility "
-                "(ROADMAP item 4, Fault A)"
+                "values into the window and CGARCHMetric.infer_batch is "
+                "plain ARMA-GARCH, so the spike inflates every later "
+                "volatility (ROADMAP item 4, Fault A)"
             ),
         ),
     ),
@@ -95,22 +111,33 @@ def test_feed_matches_offline_view(metric_cls, make_series, window):
     offline = create_probabilistic_view(
         series, metric_cls(), H=window, grid=GRID, view_name="offline"
     )
-    pipeline = OnlinePipeline(metric_cls(), H=window, grid=GRID)
-    for value in series.values:
-        pipeline.feed(value)
-    online = pipeline.to_view("online")
+    online = _feed_loop_view(metric_cls(), series.values, window)
     _assert_views_match(online, offline)
 
 
-@pytest.mark.parametrize("metric_cls", METRICS, ids=METRIC_IDS)
-def test_feed_batch_matches_feed_loop(metric_cls):
+@pytest.mark.parametrize("metric_id", sorted(ROUTE_METRICS))
+def test_create_view_matches_feed_loop(metric_id):
+    factory, clause = ROUTE_METRICS[metric_id]
+    series = _campus()
+    with connect() as conn:
+        conn.database.register_table(Table(
+            "raw_values", ["t", "r"],
+            data={"t": series.timestamps, "r": series.values},
+        ))
+        created = conn.execute(
+            f"CREATE VIEW v AS DENSITY r OVER t OMEGA delta=0.5, n=6 "
+            f"METRIC {clause} WINDOW {H} FROM raw_values"
+        ).view
+    _assert_views_match(_feed_loop_view(factory(), series.values), created)
+
+
+@pytest.mark.parametrize("metric_id", sorted(ROUTE_METRICS))
+def test_feed_batch_matches_feed_loop(metric_id):
+    factory, _ = ROUTE_METRICS[metric_id]
     values = campus_temperature(160, rng=14).values
+    looped = _feed_loop_view(factory(), values)
 
-    looped = OnlinePipeline(metric_cls(), H=H, grid=GRID)
-    for value in values:
-        looped.feed(value)
-
-    batched = OnlinePipeline(metric_cls(), H=H, grid=GRID)
+    batched = OnlinePipeline(factory(), H=H, grid=GRID)
     cursor = 0
     emitted = 0
     for batch in (3, 1, 40, 25, 2, 89):
@@ -118,9 +145,27 @@ def test_feed_batch_matches_feed_loop(metric_cls):
         cursor += batch
         emitted += len(matrix)
     assert cursor == values.size
-    assert batched.t == looped.t
+    assert batched.t == values.size
     assert emitted == 160 - H
-    _assert_views_match(batched.to_view("batched"), looped.to_view("looped"))
+    _assert_views_match(batched.to_view("batched"), looped)
+
+
+def test_feed_step_is_the_one_row_batch():
+    """feed()'s forecast and row are the one-row feed_batch result."""
+    values = campus_temperature(40, rng=5).values
+    stepped = OnlinePipeline(EWMAMetric(), H=H, grid=GRID)
+    steps = [stepped.feed(value) for value in values]
+    batched = OnlinePipeline(EWMAMetric(), H=H, grid=GRID)
+    matrix = batched.feed_batch(values)
+    forecasts = batched.forecasts()
+    assert all(step.is_warmup for step in steps[:H])
+    fields = ("t", "mean", "volatility", "lower", "upper")
+    for index, step in enumerate(steps[H:]):
+        assert step.t == H + index
+        assert [getattr(step.forecast, f) for f in fields] == \
+            [getattr(forecasts[index], f) for f in fields]
+        assert step.row.t == matrix.t[index]
+        assert np.array_equal(step.row.probabilities, matrix.probabilities[index])
 
 
 def test_feed_batch_returns_only_new_rows():
@@ -157,9 +202,7 @@ def test_state_capture_and_resume():
     assert matrix.t.tolist() == list(range(90, 150))
     reference = continuous.to_view("ref").columns
     suffix = reference.probability[reference.t >= 90]
-    np.testing.assert_allclose(
-        matrix.probabilities.ravel(), suffix, rtol=0, atol=ATOL
-    )
+    assert np.array_equal(matrix.probabilities.ravel(), suffix)
 
 
 @pytest.mark.parametrize(
@@ -212,6 +255,8 @@ def test_load_state_validation():
         pipeline.load_state(np.zeros(10), 100)
     with pytest.raises(InvalidParameterError):
         pipeline.load_state(np.zeros(H), -1)
+    with pytest.raises(DataError, match="non-finite"):
+        pipeline.load_state(np.append(np.zeros(9), np.nan), 10)
     # Mid-warm-up state (fewer than H values, next_t == size) is legal.
     pipeline.load_state(np.zeros(10), 10)
     assert pipeline.t == 10

@@ -11,6 +11,7 @@ from repro.data.synthetic import campus_temperature
 from repro.db.engine import Database
 from repro.db.table import Table
 from repro.exceptions import (
+    DataError,
     InvalidParameterError,
     QueryError,
     SchemaVersionError,
@@ -231,6 +232,45 @@ class TestAppend:
         with pytest.raises(InvalidParameterError):
             catalog.append("room", values.reshape(2, -1))
 
+    @pytest.mark.parametrize("metric", ["variable_threshold", "ewma"])
+    @pytest.mark.parametrize(
+        ("held", "bad"),
+        [
+            # A NaN no emitted window contains: once accepted, it sat in
+            # the stored window and failed every later append.
+            (10, [20.0, np.nan]),
+            (60, [20.0, 20.1, np.nan]),
+            (60, [20.0, np.nan, 20.1]),
+            (60, [20.0, np.inf]),
+        ],
+        ids=["warm-up", "end-of-warm-batch", "mid-batch", "inf"],
+    )
+    def test_non_finite_append_rejected_before_anything_moves(
+        self, tmp_path, values, metric, held, bad
+    ):
+        catalog = Catalog(tmp_path / "cat")
+        handle = catalog.create_series("room", metric=metric, H=H, grid=GRID)
+        handle.append(values[:held])
+        meta = tmp_path / "cat" / "room" / "series.json"
+        before = meta.read_bytes()
+
+        with pytest.raises(DataError, match="non-finite"):
+            handle.append(np.array(bad))
+        assert meta.read_bytes() == before
+        assert handle.next_t == held
+
+        # Not poisoned: the same handle takes the next finite batch, and
+        # the series is what a writer that never saw the NaN stores.
+        handle.append(values[held:100])
+        reference = Catalog(tmp_path / "reference")
+        reference.create_series("room", metric=metric, H=H, grid=GRID)
+        reference.append("room", values[:100])
+        stored, expected = catalog.view("room"), reference.view("room")
+        assert np.array_equal(stored.columns.t, expected.columns.t)
+        assert np.array_equal(
+            stored.columns.probability, expected.columns.probability
+        )
+
 
 class TestReload:
     def test_appends_resume_after_reopen(self, tmp_path, values):
@@ -252,9 +292,8 @@ class TestReload:
             continuous.feed(value)
         reference = continuous.to_view("reference")
         assert len(stored) == len(reference)
-        np.testing.assert_allclose(
-            stored.columns.probability, reference.columns.probability,
-            rtol=0, atol=1e-12,
+        assert np.array_equal(
+            stored.columns.probability, reference.columns.probability
         )
 
     def test_reload_mid_warmup(self, tmp_path, values):

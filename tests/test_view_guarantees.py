@@ -59,8 +59,8 @@ class TestRowErrorBounds:
         builder = ViewBuilder(grid).with_cache_for(
             forecasts, distance_constraint=0.05
         )
-        rows = builder.build_rows(forecasts)
-        view = ProbabilisticView.from_rows("cached", rows, grid)
+        matrix = builder.build_matrix(forecasts)
+        view = ProbabilisticView.from_matrix("cached", matrix, grid)
         for t in view.times:
             assert view.total_mass_at(t) <= 1.0 + 1e-6
 
