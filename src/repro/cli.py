@@ -529,6 +529,8 @@ def _cmd_server(args: argparse.Namespace) -> int:
             print(payload["text"], end="")
         return 0
 
+    if args.limit is not None and args.limit < 0:
+        raise InvalidParameterError(f"--limit must be >= 0, got {args.limit}")
     with Client(args.host, args.port) as client:
         payload = client.slowlog(args.limit)
     if args.json:
@@ -550,6 +552,7 @@ def _print_server_stats(stats: dict, metrics: dict) -> None:
     for key, title in (
         ("pruning", "execution"),
         ("cache", "matrix cache"),
+        ("reply_cache", "reply cache"),
         ("transport", "result transport"),
     ):
         block = stats.get(key, {})

@@ -16,6 +16,9 @@ a throw-away default service otherwise.  Every statement kind answers
 :meth:`Database.execute` with the same result surface — ``.kind`` /
 ``.to_dict()`` / ``.json()`` / ``.trace`` — and ``repro.connect()``,
 ``repro.connect(path)`` and the query server all run on this class.
+The server calls :meth:`Database.reply` instead, routed by the same code:
+it answers the canonical JSON bytes of ``.to_dict()``, which the bound
+service renders once per catalog state.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from repro.db.table import Table
 from repro.exceptions import QueryError
 from repro.metrics.registry import create_metric
 from repro.obs.trace import QueryTrace
-from repro.util.jsonio import canonical_dumps, scalar_time
+from repro.util.jsonio import RenderedObject, canonical_dumps, scalar_time
 from repro.view.sql import ViewQuery, parse_statement
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (service -> db).
@@ -159,9 +162,24 @@ class Database:
         carries the statement's stage spans on ``result.trace`` (``None``
         when the caller passed a disabled trace): a trace created
         here is finished here; a caller-supplied one is recorded into
-        but not finished — whoever created it owns its wall clock, so
-        the server can still time its serialize stage.
+        but not finished — whoever created it owns its wall clock.
         """
+        return self._run(sql, trace, render=False)
+
+    def reply(self, sql: str, *, trace: QueryTrace) -> RenderedObject:
+        """:meth:`execute`, answered as the canonical JSON of ``.to_dict()``.
+
+        The query server's entry: parsed and routed exactly as
+        :meth:`execute`.  On the bound service the bytes are rendered once
+        per catalog state (:meth:`CatalogQueryService.reply
+        <repro.service.executor.CatalogQueryService.reply>`); ``CREATE
+        VIEW`` (which has side effects) and statements run on a throw-away
+        service are rendered afresh, under a ``serialize`` stage.
+        ``trace`` belongs to the caller, who finishes it.
+        """
+        return self._run(sql, trace, render=True)
+
+    def _run(self, sql: str, trace: QueryTrace | None, render: bool) -> Any:
         own = trace is None
         if own:
             trace = QueryTrace(sql)
@@ -173,6 +191,8 @@ class Database:
             with trace.stage("compute"):
                 result = ViewResult(self.execute_query(statement), trace)
         elif self.service is not None and self.service.accepts(statement):
+            if render:
+                return self.service.reply(statement, trace=trace)
             result = self.service.execute(statement, trace=trace)
         else:
             # Imported lazily: the service layer sits above the engine.
@@ -180,6 +200,9 @@ class Database:
 
             with CatalogQueryService(statement.catalog_path) as service:
                 result = service.execute(statement, trace=trace)
+        if render:
+            with trace.stage("serialize"):
+                return RenderedObject(result.to_dict())
         if own:
             trace.finish()
         return result

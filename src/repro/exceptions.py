@@ -74,3 +74,7 @@ class SchemaVersionError(StoreError):
         super().__init__(message)
         self.found = found
         self.expected = expected
+
+
+class EncodingError(ReproError, ValueError):
+    """A value could not be rendered as canonical JSON (non-finite floats)."""

@@ -103,7 +103,13 @@ class SlowQueryLog:
             return True
 
     def entries(self, limit: int | None = None) -> list[dict[str, Any]]:
-        """Records newest-first (copies: safe to mutate / serialize)."""
+        """Records newest-first (copies: safe to mutate / serialize).
+
+        ``limit`` caps the count; a negative one raises ``ValueError``
+        rather than slicing the oldest records away.
+        """
+        if limit is not None and limit < 0:
+            raise ValueError(f"slowlog limit must be >= 0, got {limit}")
         with self._lock:
             records = [dict(entry) for entry in reversed(self._entries)]
         return records[:limit] if limit is not None else records

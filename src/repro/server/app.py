@@ -5,14 +5,25 @@ to a shared :class:`~repro.service.executor.CatalogQueryService`
 (executor backend + byte-budgeted matrix cache) over the served catalog
 — the same engine ``repro.connect(path)`` builds.
 Connections speak the NDJSON protocol of
-:mod:`repro.server.protocol`; statements execute on a bounded thread pool so
-the event loop only ever parses frames and shuttles bytes.
+:mod:`repro.server.protocol`; statements execute *and render* on a bounded
+thread pool, so the event loop only ever parses frames and shuttles bytes:
+a statement's result reaches it as finished JSON bytes, which it frames
+with the request id.
 
-Three service-grade behaviours live here rather than in the engine:
+Four service-grade behaviours live here rather than in the engine:
 
+* **Reply cache** — a catalog ``SELECT`` / ``SIMULATE`` reply is rendered
+  once per catalog state (:meth:`Database.reply
+  <repro.db.engine.Database.reply>`): a dashboard re-polling an unchanged
+  catalog gets the cached bytes after a parse, a plan and a lookup, while
+  every counter, histogram and slow-log entry records it as it would an
+  execution.  Any change the plan would see (append, revise, re-create,
+  a new matching series, another ``AS OF`` frontier) misses.  Replies
+  share the matrix cache's budget; ``{"op": "stats"}`` reports them
+  under ``reply_cache``.
 * **Request coalescing** — concurrent identical statements (whitespace-
   normalised) share one execution: the first arrival runs, later arrivals
-  await the same future and receive the same serialized result.  With many
+  await the same future and receive the same rendered body.  With many
   dashboards polling the same SELECT, the catalog does the work once.
 * **Admission control** — at most ``max_inflight`` statements execute at
   once; beyond that, new queries get an immediate ``saturated`` error (the
@@ -30,7 +41,6 @@ what the tests, the benchmark, and embedding applications use.
 from __future__ import annotations
 
 import asyncio
-import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -326,29 +336,19 @@ class QueryServer:
             await self._send(writer, response)
 
     async def _send(
-        self, writer: asyncio.StreamWriter, payload: dict[str, Any]
+        self, writer: asyncio.StreamWriter, response: dict[str, Any] | bytes
     ) -> None:
-        try:
-            frame = protocol.encode_frame(payload)
-        except ValueError:
-            # A non-finite float slipped into the response (canonical
-            # encoding forbids NaN/Infinity).  The contract is structured
-            # errors, never a dropped connection — degrade to one.
-            self.stats.increment("errors")
-            frame = protocol.encode_frame(
-                protocol.error_frame(
-                    None,
-                    "internal",
-                    "response contained non-finite numbers",
-                )
-            )
-        writer.write(frame)
+        """Write one response: a statement result's finished frame bytes,
+        or a small op/error frame encoded here."""
+        if isinstance(response, dict):
+            response = protocol.encode_frame(response)
+        writer.write(response)
         await writer.drain()
 
     # ------------------------------------------------------------------
     # Request dispatch.
     # ------------------------------------------------------------------
-    async def _respond(self, line: bytes) -> dict[str, Any]:
+    async def _respond(self, line: bytes) -> dict[str, Any] | bytes:
         self.stats.increment("requests")
         try:
             payload = protocol.loads_frame(line)
@@ -363,7 +363,9 @@ class QueryServer:
                 None, "bad_request", "frame must be a JSON object"
             )
         request_id = payload.get("id")
-        if isinstance(request_id, float) and not math.isfinite(request_id):
+        try:
+            protocol.canonical_dumps(request_id)
+        except ValueError:
             # "1e999" parses to inf without tripping loads_frame; an id
             # that cannot be echoed canonically is dropped, not fatal.
             request_id = None
@@ -375,9 +377,14 @@ class QueryServer:
         if op == "metrics":
             return protocol.result_frame(request_id, self._metrics_payload())
         if op == "slowlog":
-            return protocol.result_frame(
-                request_id, self._slowlog_payload(payload.get("limit"))
-            )
+            try:
+                slowlog = self._slowlog_payload(payload.get("limit"))
+            except ValueError as exc:
+                self.stats.increment("errors")
+                return protocol.error_frame(
+                    request_id, "bad_request", str(exc)
+                )
+            return protocol.result_frame(request_id, slowlog)
         if op != "query":
             self.stats.increment("errors")
             return protocol.error_frame(
@@ -404,7 +411,7 @@ class QueryServer:
 
     async def _execute_admitted(
         self, request_id: Any, statement: str, want_trace: bool = False
-    ) -> dict[str, Any]:
+    ) -> dict[str, Any] | bytes:
         # All bookkeeping below runs on the event-loop thread, so the
         # coalescing map needs no lock.  The key is the statement text
         # verbatim (modulo outer whitespace): collapsing inner whitespace
@@ -445,7 +452,7 @@ class QueryServer:
                 lambda fut, key=key: self._on_done(key, fut)
             )
         try:
-            result = await asyncio.shield(future)
+            body = await asyncio.shield(future)
         except ReproError as exc:
             self.stats.increment("errors")
             return protocol.error_frame(
@@ -461,7 +468,7 @@ class QueryServer:
                 "internal",
                 f"{type(exc).__name__}: {exc}",
             )
-        return protocol.result_frame(request_id, result)
+        return protocol.encode_result(request_id, body)
 
     def _on_done(
         self, key: tuple[str, bool], future: asyncio.Future
@@ -498,6 +505,9 @@ class QueryServer:
             "entries": cache.entries,
             "bytes": cache.current_bytes,
         }
+        # Rendered replies, in the same budget but counted apart; always
+        # this process's, whatever the backend.
+        payload["reply_cache"] = cache.replies()
         # Zone-map effectiveness: how many segments the synopses let the
         # service skip, and how many statements ran as APPROX.
         payload["pruning"] = self.service.execution_stats()
@@ -535,28 +545,28 @@ class QueryServer:
     # ------------------------------------------------------------------
     # Statement execution (worker-thread side).
     # ------------------------------------------------------------------
-    def _execute(
-        self, statement: str, want_trace: bool = False
-    ) -> dict[str, Any]:
-        """Parse, execute, and serialize one statement.
+    def _execute(self, statement: str, want_trace: bool = False) -> bytes:
+        """Run one statement; answer its result object as JSON bytes.
 
         Runs on the executor pool: the engine work is numpy-heavy and the
-        serialisation allocates, neither belongs on the event loop.
+        rendering allocates, neither belongs on the event loop.  A
+        non-finite number in the result raises
+        :class:`~repro.exceptions.EncodingError` here, before anything
+        is cached.
 
         The server owns the statement's
         :class:`~repro.obs.trace.QueryTrace`, spanning parse through
-        serialize — created here, finished here, so the ``trace`` block
-        sent with ``want_trace`` accounts for the full server-side wall
-        time.
+        serialize (or the cached-reply lookup) — created here, finished
+        here, so the ``trace`` block sent with ``want_trace`` accounts for
+        the full server-side wall time.  It goes in at its canonical key
+        position.
         """
         trace = QueryTrace(statement)
-        result = self.database.execute(statement, trace=trace)
-        with trace.stage("serialize"):
-            payload = result.to_dict()
+        rendered = self.database.reply(statement, trace=trace)
         trace.finish()
         if want_trace:
-            payload["trace"] = trace.as_dict()
-        return payload
+            return rendered.with_member("trace", trace.as_dict())
+        return rendered.body
 
 
 class ServerThread:

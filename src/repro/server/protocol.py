@@ -25,6 +25,14 @@ that a statement served over the wire is *bit-identical* to the same
 statement run through :meth:`repro.db.engine.Database.execute` — the
 server sends that result's ``to_dict()``.
 
+A statement's result bytes are rendered once per catalog state: the
+server's worker thread renders the ``result`` object
+(:meth:`repro.db.engine.Database.reply`), catalog ``SELECT`` /
+``SIMULATE`` replies are kept until the catalog state their plan read
+changes, and :func:`encode_result` frames the rendered bytes.  Because
+``"id"`` < ``"ok"`` < ``"result"``, that frame is byte for byte
+``encode_frame(result_frame(id, result))``.
+
 Error taxonomy (``error.type``):
 
 ``bad_request``
@@ -42,8 +50,9 @@ Error taxonomy (``error.type``):
 ``parse_error`` / ``invalid_parameter`` / ``store_error`` / ``query_error``
     The statement failed in the engine; the message says why.
 ``io_error`` / ``internal``
-    Filesystem trouble / an unexpected server-side failure.  Never a
-    traceback on the wire, never a dropped connection.
+    Filesystem trouble / an unexpected server-side failure (including a
+    result holding non-finite numbers, which canonical JSON cannot carry).
+    Never a traceback on the wire, never a dropped connection.
 """
 
 from __future__ import annotations
@@ -52,6 +61,7 @@ import json
 from typing import Any
 
 from repro.exceptions import (
+    EncodingError,
     InvalidParameterError,
     ParseError,
     QueryError,
@@ -65,6 +75,7 @@ __all__ = [
     "DEFAULT_FRAME_LIMIT",
     "canonical_dumps",
     "encode_frame",
+    "encode_result",
     "error_frame",
     "error_type",
     "loads_frame",
@@ -102,6 +113,17 @@ def encode_frame(payload: dict[str, Any]) -> bytes:
     return canonical_dumps(payload).encode("utf-8") + b"\n"
 
 
+def encode_result(request_id: Any, body: bytes) -> bytes:
+    """The wire bytes of a result frame whose ``result`` is already rendered.
+
+    ``body`` is the canonical JSON of the result object; the frame equals
+    ``encode_frame(result_frame(request_id, result))`` because the frame's
+    keys are already in sorted order.
+    """
+    head = '{"id":%s,"ok":true,"result":' % canonical_dumps(request_id)
+    return head.encode("utf-8") + body + b"}\n"
+
+
 def result_frame(request_id: Any, result: dict[str, Any]) -> dict[str, Any]:
     return {"id": request_id, "ok": True, "result": result}
 
@@ -118,6 +140,8 @@ def error_frame(
 
 def error_type(exc: BaseException) -> str:
     """The wire ``error.type`` for an engine/runtime exception."""
+    if isinstance(exc, EncodingError):
+        return "internal"
     if isinstance(exc, ParseError):
         return "parse_error"
     if isinstance(exc, InvalidParameterError):

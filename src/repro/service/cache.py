@@ -17,6 +17,15 @@ immutable once cached (views are read-only), so handing the same object
 to many threads is safe; the cache itself is guarded by a lock, while
 loader callables run *outside* it so cold misses on different series
 materialise in parallel.
+
+The same budget and LRU order also hold a server's rendered replies
+(:meth:`MatrixCache.reply` / :meth:`MatrixCache.put_reply`): the
+canonical JSON of one statement's answer, keyed by the parsed statement
+and the catalog state its plan read.  Inserting a reply drops the older
+one for the same statement, as a new generation drops the old view.
+Reply lookups are counted apart (``reply_*`` in :class:`CacheStats`), so
+``hits`` / ``misses`` / ``entries`` / ``current_bytes`` keep describing
+the materialised views alone.
 """
 
 from __future__ import annotations
@@ -24,7 +33,8 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Any
 
 from repro.db.prob_view import ProbabilisticView
 from repro.exceptions import InvalidParameterError
@@ -41,6 +51,10 @@ __all__ = ["CacheStats", "MatrixCache"]
 #: leak across ``AS OF`` points while all AS OF values that resolve to
 #: the same frontier share one entry.
 CacheKey = tuple[str, str, tuple, tuple, tuple]
+
+#: First component of a reply key, ``(_REPLY, statement, state)``: a
+#: tuple never equals a view key's catalog-root string.
+_REPLY = ("reply",)
 
 #: Fixed per-entry overhead estimate (view object, index dict slots, key).
 _ENTRY_OVERHEAD = 512
@@ -68,7 +82,12 @@ def view_nbytes(view: ProbabilisticView) -> int:
 
 @dataclass
 class CacheStats:
-    """Counters exposed for benchmarks and the CLI's ``--stats`` output."""
+    """Counters exposed for benchmarks and the CLI's ``--stats`` output.
+
+    ``hits`` / ``misses`` / ``entries`` / ``current_bytes`` describe the
+    materialised views, ``reply_*`` the rendered replies; ``evictions``
+    and ``oversize_skips`` count both, as they share one budget.
+    """
 
     hits: int = 0
     misses: int = 0
@@ -76,6 +95,10 @@ class CacheStats:
     oversize_skips: int = 0
     current_bytes: int = 0
     entries: int = 0
+    reply_hits: int = 0
+    reply_misses: int = 0
+    reply_entries: int = 0
+    reply_bytes: int = 0
 
     @property
     def lookups(self) -> int:
@@ -84,6 +107,15 @@ class CacheStats:
     @property
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
+
+    def replies(self) -> dict[str, int]:
+        """The reply counters under their wire names."""
+        return {
+            "hits": self.reply_hits,
+            "misses": self.reply_misses,
+            "entries": self.reply_entries,
+            "bytes": self.reply_bytes,
+        }
 
 
 class MatrixCache:
@@ -111,9 +143,7 @@ class MatrixCache:
             )
         self.budget_bytes = int(budget_bytes)
         self._lock = threading.Lock()
-        self._entries: OrderedDict[CacheKey, tuple[ProbabilisticView, int]] = (
-            OrderedDict()
-        )
+        self._entries: OrderedDict[tuple, tuple[Any, int]] = OrderedDict()
         self._stats = CacheStats()
 
     # ------------------------------------------------------------------
@@ -137,23 +167,40 @@ class MatrixCache:
                 return entry[0]
             self._stats.misses += 1
         view = loader()
-        self._insert(key, view)
+        self._insert(key, view, view_nbytes(view))
         return view
 
-    def _insert(self, key: CacheKey, view: ProbabilisticView) -> None:
-        nbytes = view_nbytes(view)
+    def reply(self, statement: Any, state: tuple) -> Any | None:
+        """The reply cached for ``statement`` at catalog ``state``, if any."""
+        key = (_REPLY, statement, state)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                self._stats.reply_misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self._stats.reply_hits += 1
+            return entry[0]
+
+    def put_reply(
+        self, statement: Any, state: tuple, reply: Any, nbytes: int
+    ) -> None:
+        """Cache ``reply`` (``nbytes`` resident) for ``statement`` at ``state``."""
+        self._insert((_REPLY, statement, state), reply, nbytes)
+
+    def _insert(self, key: tuple, value: Any, nbytes: int) -> None:
         with self._lock:
             if nbytes > self.budget_bytes:
                 self._stats.oversize_skips += 1
                 return
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._stats.current_bytes -= old[1]
+            if key in self._entries:
+                self._pop(key)
             # An append produced a new generation: any older generation of
             # the same series is unreachable garbage — drop it now rather
             # than waiting for LRU pressure.  Same-generation entries with
             # a different segment subset stay: a pruned view and the full
-            # view of one generation are both reachable.
+            # view of one generation are both reachable.  For a reply the
+            # same rule drops the statement's reply for an older state.
             stale = [
                 other
                 for other in self._entries
@@ -162,16 +209,30 @@ class MatrixCache:
                 and other[2] != key[2]
             ]
             for other in stale:
-                _, old_bytes = self._entries.pop(other)
-                self._stats.current_bytes -= old_bytes
+                self._pop(other)
                 self._stats.evictions += 1
-            self._entries[key] = (view, nbytes)
+            self._entries[key] = (value, nbytes)
+            self._count(key, nbytes, 1)
+            while (
+                self._stats.current_bytes + self._stats.reply_bytes
+                > self.budget_bytes
+            ):
+                self._pop(next(iter(self._entries)))
+                self._stats.evictions += 1
+
+    def _pop(self, key: tuple) -> None:
+        """Remove one entry and its bytes (lock held)."""
+        _, nbytes = self._entries.pop(key)
+        self._count(key, -nbytes, -1)
+
+    def _count(self, key: tuple, nbytes: int, entries: int) -> None:
+        """Move the byte and entry totals of ``key``'s kind (lock held)."""
+        if key[0] is _REPLY:
+            self._stats.reply_bytes += nbytes
+            self._stats.reply_entries += entries
+        else:
             self._stats.current_bytes += nbytes
-            while self._stats.current_bytes > self.budget_bytes:
-                _, (_, evicted_bytes) = self._entries.popitem(last=False)
-                self._stats.current_bytes -= evicted_bytes
-                self._stats.evictions += 1
-            self._stats.entries = len(self._entries)
+            self._stats.entries += entries
 
     # ------------------------------------------------------------------
     # Introspection / maintenance.
@@ -202,6 +263,17 @@ class MatrixCache:
         resident = registry.gauge(
             "repro_cache_bytes", "Matrix-cache resident bytes"
         )
+        replies = {
+            name: registry.gauge(
+                f"repro_reply_cache_{name}", f"Reply-cache {description}"
+            )
+            for name, description in (
+                ("hits", "lookup hits"),
+                ("misses", "lookup misses"),
+                ("entries", "resident entries"),
+                ("bytes", "resident bytes"),
+            )
+        }
 
         def collect() -> None:
             stats = self.stats
@@ -210,6 +282,8 @@ class MatrixCache:
             evictions.set(stats.evictions, scope=scope)
             entries.set(stats.entries, scope=scope)
             resident.set(stats.current_bytes, scope=scope)
+            for name, value in stats.replies().items():
+                replies[name].set(value, scope=scope)
 
         registry.register_collector(collect)
         return collect
@@ -218,14 +292,7 @@ class MatrixCache:
     def stats(self) -> CacheStats:
         """A consistent copy of the counters (safe to read while queried)."""
         with self._lock:
-            return CacheStats(
-                hits=self._stats.hits,
-                misses=self._stats.misses,
-                evictions=self._stats.evictions,
-                oversize_skips=self._stats.oversize_skips,
-                current_bytes=self._stats.current_bytes,
-                entries=len(self._entries),
-            )
+            return replace(self._stats)
 
     def clear(self) -> None:
         """Drop every entry (counters other than bytes/entries persist)."""
@@ -233,6 +300,8 @@ class MatrixCache:
             self._entries.clear()
             self._stats.current_bytes = 0
             self._stats.entries = 0
+            self._stats.reply_bytes = 0
+            self._stats.reply_entries = 0
 
     def __len__(self) -> int:
         with self._lock:

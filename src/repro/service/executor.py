@@ -16,6 +16,10 @@ array-form answers; :class:`SeriesResult` keeps them as arrays, so a
 statement's JSON payload is built straight from ``ndarray.tolist()`` and
 the per-series python objects of the one-shot query API exist only for
 callers that ask for ``entry.result``.
+
+:meth:`CatalogQueryService.reply` is the server's entry: the same plan
+and execution, answered as canonical JSON bytes that are rendered once
+per catalog state and kept in the matrix cache's budget.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from repro.service.planner import (
 from repro.service.synopsis import estimate_series
 from repro.store.binary import compute_view_synopsis
 from repro.store.catalog import Catalog, load_segment_columns
-from repro.util.jsonio import canonical_dumps
+from repro.util.jsonio import RenderedObject, canonical_dumps
 from repro.view.sql import CatalogQuery, parse_statement, render_statement
 
 __all__ = [
@@ -464,6 +468,55 @@ class CatalogQueryService:
         own = trace is None
         if own:
             trace = QueryTrace()
+        return self._execute_traced(self._plan(statement, trace), trace, own)
+
+    def reply(
+        self, statement: str | CatalogQuery, *, trace: QueryTrace
+    ) -> RenderedObject:
+        """The statement's result payload as canonical JSON bytes.
+
+        Rendered once per catalog state: the bytes are cached (in the
+        matrix cache's budget and LRU) under the parsed statement and the
+        :attr:`~repro.service.planner.QueryPlan.state` its plan read, so a
+        repeated statement on an unchanged catalog costs parse, plan and
+        a lookup.  Any append, revision, re-creation, new matching series
+        or other ``AS OF`` frontier changes the state and misses.  A hit
+        records what a miss records — execution counters, the latency
+        histogram, the slow log — and shows as a ``cached_reply`` stage;
+        a miss executes, and renders under ``serialize``.
+
+        ``trace`` belongs to the caller, who finishes it.
+        """
+        plan = self._plan(statement, trace)
+        start = trace.offset()
+        cached = self.cache.reply(plan.query, plan.state)
+        if cached is None:
+            result = self._execute_traced(plan, trace, own=False)
+            with trace.stage("serialize"):
+                rendered = RenderedObject(result.to_dict())
+                items = tuple(
+                    (part.aggregate, part.stats) for part in result.items
+                )
+                self.cache.put_reply(
+                    plan.query, plan.state, (rendered, items), rendered.nbytes
+                )
+            return rendered
+        rendered, items = cached
+        self._begin(trace)
+        for aggregate, stats in items:
+            self._record_stats(stats, aggregate)
+        self._observe_query(
+            trace,
+            ", ".join(aggregate for aggregate, _ in items),
+            reduce(add, (stats for _, stats in items)),
+        )
+        trace.add_stage("cached_reply", start, trace.offset() - start)
+        return rendered
+
+    def _plan(
+        self, statement: str | CatalogQuery, trace: QueryTrace
+    ) -> QueryPlan:
+        """Parse (if needed), pin to this catalog, and plan one statement."""
         if trace.enabled and trace.statement is None:
             trace.statement = (
                 statement
@@ -476,10 +529,9 @@ class CatalogQueryService:
         stage = "parse" if isinstance(statement, str) else "validate"
         with trace.stage(stage):
             query = self._coerce(statement)
-        plan = plan_statement(
+        return plan_statement(
             self.catalog, query, pruning=self.pruning, trace=trace
         )
-        return self._execute_traced(plan, trace, own)
 
     def execute_plan(
         self, plan: QueryPlan, *, trace: QueryTrace | None = None
@@ -495,10 +547,8 @@ class CatalogQueryService:
             trace = QueryTrace()
         return self._execute_traced(plan, trace, own)
 
-    def _execute_traced(
-        self, plan: QueryPlan, trace: QueryTrace, own: bool
-    ) -> StatementResult:
-        """Run a plan under a trace; finish the trace only when owned.
+    def _begin(self, trace: QueryTrace) -> None:
+        """Refuse work once closed; name the backend on the trace.
 
         A closed service refuses new statements with a clear
         :class:`~repro.exceptions.QueryError` on *every* backend — the
@@ -513,6 +563,12 @@ class CatalogQueryService:
         if trace.enabled:
             trace.backend = self._backend.name
             trace.transport = self._backend.transport
+
+    def _execute_traced(
+        self, plan: QueryPlan, trace: QueryTrace, own: bool
+    ) -> StatementResult:
+        """Run a plan under a trace; finish the trace only when owned."""
+        self._begin(trace)
         items = plan.items
         if plan.query.approx:
             with trace.stage("compute"):
@@ -541,7 +597,7 @@ class CatalogQueryService:
                 StatementResult.combined(parts),
                 trace=trace if trace.enabled else None,
             )
-        self._observe_query(trace, result)
+        self._observe_query(trace, result.aggregate, result.stats)
         if own:
             trace.finish()
         return result
@@ -718,16 +774,14 @@ class CatalogQueryService:
             self._obs_series_skipped.inc(stats.series_skipped)
 
     def _observe_query(
-        self,
-        trace: QueryTrace,
-        result: StatementResult,
+        self, trace: QueryTrace, aggregate: str, stats: PlanStats
     ) -> None:
         """Latency histogram + slow-query log for one finished statement."""
         if not trace.enabled:
             return
         elapsed = trace.elapsed()
-        self._obs_query_seconds.observe(elapsed, aggregate=result.aggregate)
-        self.slow_log.observe(trace, extra=result.stats.as_dict())
+        self._obs_query_seconds.observe(elapsed, aggregate=aggregate)
+        self.slow_log.observe(trace, extra=stats.as_dict())
 
     def execution_stats(self) -> dict[str, int]:
         """Cumulative pruning/approx counters since the service started."""

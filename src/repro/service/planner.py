@@ -198,10 +198,17 @@ class QueryPlan:
     ``items`` holds one :class:`ItemPlan` per kernel of the statement:
     one for a single-aggregate SELECT or a SIMULATE, several for a
     multi-aggregate select list.
+
+    ``state`` is the catalog state the plan read, one entry per matched
+    series: ``(series_id, generation, frontier token, which visible
+    segments carry a synopsis)``.  Together with ``query`` it determines
+    the statement's answer and pruning counters exactly, which is what
+    lets a server reuse a rendered reply until any part of it changes.
     """
 
     query: CatalogQuery
     items: tuple[ItemPlan, ...]
+    state: tuple = ()
 
     def describe(self) -> str:
         """One line: each item with what the prune phase did for *it*."""
@@ -427,10 +434,19 @@ def plan_statement(
                 column=column,
             )
         )
+    state = tuple(
+        (
+            snapshot.series_id,
+            snapshot.generation,
+            frontier.token,
+            tuple(synopsis is not None for synopsis in frontier.synopses),
+        )
+        for snapshot, frontier in zip(snapshots, frontiers)
+    )
     plan_s = time.perf_counter() - plan_t0
     if approx:
         trace.add_stage("plan", plan_offset, plan_s)
     else:
         trace.add_stage("plan", plan_offset, max(0.0, plan_s - prune_s))
         trace.add_stage("prune", prune_offset, prune_s)
-    return QueryPlan(query=query, items=tuple(items))
+    return QueryPlan(query=query, items=tuple(items), state=state)

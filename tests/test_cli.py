@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -378,6 +380,34 @@ class TestServerCommands:
         assert exit_code == 1
         assert captured.err.startswith("error: query_error")
         assert "Traceback" not in captured.err
+
+    def test_server_slowlog_rejects_negative_limit(self, capsys):
+        # A negative --limit sliced the two oldest entries away.
+        exit_code = main([
+            "server", "slowlog", "--port", "1", "--limit", "-2",
+        ])
+        captured = capsys.readouterr()
+        assert exit_code == 1
+        assert captured.err == "error: --limit must be >= 0, got -2\n"
+        assert captured.out == ""
+
+    def test_server_stats_prints_the_reply_cache(self, tmp_path, capsys):
+        from repro.server import Client, QueryServer, ServerThread
+
+        catalog = self._make_catalog(tmp_path, capsys)
+        statement = f"SELECT exceedance(21.0) FROM CATALOG '{catalog}'"
+        with ServerThread(QueryServer(catalog, port=0)) as (host, port):
+            with Client(host, port) as client:
+                client.query(statement)
+                client.query(statement)
+            target = ["--host", host, "--port", str(port)]
+            assert main(["server", "stats", *target]) == 0
+            table = capsys.readouterr().out
+            assert main(["server", "stats", *target, "--json"]) == 0
+            stats = json.loads(capsys.readouterr().out)
+        assert "reply cache" in table
+        assert stats["reply_cache"]["hits"] == 1
+        assert stats["reply_cache"]["misses"] == 1
 
     def test_server_query_without_server_fails_cleanly(self, capsys):
         exit_code = main([

@@ -662,6 +662,22 @@ class TestWireSurfaces:
         )
         assert "stages" in entry
 
+    def test_slowlog_op_rejects_a_negative_limit(self, served):
+        catalog, client = served
+        for _ in range(3):  # Two of them reply-cache hits, all observed.
+            client.query(_sql(catalog))
+        response = client.request({"id": 5, "op": "slowlog", "limit": -2})
+        assert response["id"] == 5
+        assert response["ok"] is False
+        assert response["error"]["type"] == "bad_request"
+        assert "limit" in response["error"]["message"]
+        assert client.ping()  # The connection stays usable.
+        assert len(client.slowlog(limit=2)["entries"]) == 2
+        assert len(client.slowlog()["entries"]) == 3
+        assert client.stats()["errors"] == 1
+        with pytest.raises(ValueError):
+            SlowQueryLog(threshold_ms=0.0).entries(-1)
+
     def test_stats_op_strips_kind_and_stays_consistent(self, served):
         catalog, client = served
         client.query(_sql(catalog))

@@ -20,7 +20,10 @@ import numpy as np
 import pytest
 
 from repro.db.engine import Database
+from repro.db.prob_view import ProbabilisticView, ProbTuple
 from repro.db.table import Table
+from repro.exceptions import ReproError
+from repro.obs import MetricsRegistry
 from repro.server import (
     Client,
     QueryServer,
@@ -29,6 +32,13 @@ from repro.server import (
     ServerThread,
     canonical_dumps,
 )
+from repro.server.protocol import (
+    encode_frame,
+    error_frame,
+    error_type,
+    result_frame,
+)
+from repro.service.executor import CatalogQueryService, StatementResult
 from repro.store import Catalog
 from repro.view.omega import OmegaGrid
 
@@ -76,6 +86,80 @@ def _select(root, aggregate="exceedance(20.5)", suffix="") -> str:
     return f"SELECT {aggregate} FROM CATALOG '{root}'{suffix}"
 
 
+VIEW_STATEMENT = (
+    "CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=0.5, n=4 "
+    "METRIC variable_threshold WINDOW 20 FROM raw_values"
+)
+
+
+def _raw_table() -> Table:
+    table = Table("raw_values", ["t", "r"])
+    rng = np.random.default_rng(3)
+    table.insert_many(
+        (float(i), 20.0 + 0.01 * i + rng.normal(0.0, 0.05))
+        for i in range(80)
+    )
+    return table
+
+
+def _raw_frames(address, requests) -> list[bytes]:
+    """Send request frames one by one on one connection; the reply lines."""
+    with socket.create_connection(address, timeout=10) as sock:
+        stream = sock.makefile("rwb")
+        replies = []
+        for request in requests:
+            stream.write(json.dumps(request).encode() + b"\n")
+            stream.flush()
+            replies.append(stream.readline())
+        return replies
+
+
+def _engine_frame(database, request_id, statement) -> bytes:
+    """The frame as the wire always wrote it, from a fresh in-process run:
+    ``encode_frame(result_frame(id, result.to_dict()))``, or the error
+    frame of the exception."""
+    try:
+        payload = database.execute(statement).to_dict()
+    except ReproError as exc:
+        return encode_frame(
+            error_frame(request_id, error_type(exc), str(exc))
+        )
+    return encode_frame(result_frame(request_id, payload))
+
+
+def _without_trace(frame: bytes) -> bytes:
+    """A traced frame minus its trace block.
+
+    Asserts first that the frame is canonical as sent — so the block sat
+    at its sorted key position, wherever that is in the payload.
+    """
+    decoded = json.loads(frame)
+    assert encode_frame(decoded) == frame
+    if decoded["ok"]:
+        assert "stages" in decoded["result"].pop("trace")
+    return encode_frame(decoded)
+
+
+def _grow(catalog, series_id, values) -> None:
+    catalog.create_series(
+        series_id, metric="variable_threshold", H=H, grid=GRID
+    )
+    catalog.append(series_id, values)
+
+
+def _walk(seed, size, level=20.0):
+    rng = np.random.default_rng(seed)
+    return level + np.cumsum(rng.normal(0.0, 0.05, size=size))
+
+
+def _strip_synopses(root, series_id) -> None:
+    """Make one series look written before segment synopses existed."""
+    path = root / series_id / "series.json"
+    meta = json.loads(path.read_text())
+    meta.pop("synopses", None)
+    path.write_text(json.dumps(meta))
+
+
 class _GatedServer(QueryServer):
     """A server whose statement execution blocks until a gate opens.
 
@@ -111,21 +195,90 @@ class TestQueryRoundtrip:
         assert len(result["results"]) == 2
         assert sorted(result["matched"]) == sorted(SERIES)
 
-    def test_wire_result_bit_identical_to_engine(
-        self, catalog_root, client
-    ):
+    def test_wire_result_bit_identical_to_engine(self, catalog_root):
+        # Every kind, traced and untraced, first send and repeats (reply
+        # cache hits): the frame is what encode_frame(result_frame(...))
+        # of a fresh in-process execution gives, byte for byte.
+        root = catalog_root
         statements = [
-            _select(catalog_root),
-            _select(catalog_root, aggregate="threshold(0.2)"),
-            _select(catalog_root, aggregate="expected_value",
+            _select(root),
+            _select(root, aggregate="threshold(0.2)"),
+            _select(root, aggregate="expected_value",
                     suffix=" SERIES 'room-*'"),
-            _select(catalog_root, aggregate="time_above(20.5, 4)",
-                    suffix=" TOP 1"),
+            _select(root, aggregate="time_above(20.5, 4)", suffix=" TOP 1"),
+            f"SELECT APPROX exceedance(20.5) FROM CATALOG '{root}'",
+            f"SIMULATE 2 FROM CATALOG '{root}'",
+            f"SIMULATE 2 SEED 11 FROM CATALOG '{root}' SERIES 'room-*'",
+            _select(root, aggregate="exceedance(20.5), expected_value"),
+            VIEW_STATEMENT,
+            _select(root, suffix=" SERIES 'zzz-*'"),
+            "SELEKT wat",
         ]
-        for statement in statements:
-            direct = Database().execute(statement).json()
-            served = canonical_dumps(client.query(statement))
-            assert served == direct
+        direct = Database()
+        direct.register_table(_raw_table())
+        for traced_first in (False, True):
+            server = QueryServer(root, port=0)
+            server.database.register_table(_raw_table())
+            with ServerThread(server) as address:
+                for statement in statements:
+                    ids = [7, "s-1", None, 2.5]
+                    traced = [traced_first] * 2 + [not traced_first] * 2
+                    replies = _raw_frames(address, [
+                        {"id": request_id, "statement": statement,
+                         "trace": trace}
+                        for request_id, trace in zip(ids, traced)
+                    ])
+                    for request_id, trace, reply in zip(
+                        ids, traced, replies
+                    ):
+                        expected = _engine_frame(
+                            direct, request_id, statement
+                        )
+                        got = _without_trace(reply) if trace else reply
+                        assert got == expected, statement
+                replies = server.service.cache.stats.replies()
+            # CREATE VIEW and failed statements are never cached; each
+            # cacheable statement missed once and hit three times.
+            assert replies["entries"] == 8
+            assert (replies["misses"], replies["hits"]) == (8, 24)
+
+    def test_coalesced_arrivals_share_one_rendered_body(self, catalog_root):
+        server = _GatedServer(catalog_root, port=0, max_inflight=1)
+        statement = _select(catalog_root, aggregate="expected_value")
+        direct = Database()
+        with ServerThread(server) as address:
+            for trace in (False, True):
+                server.gate.clear()
+                server.entered.clear()
+                replies: dict = {}
+
+                def issue(request_id, trace=trace):
+                    replies[request_id] = _raw_frames(address, [
+                        {"id": request_id, "statement": statement,
+                         "trace": trace}
+                    ])[0]
+
+                first = threading.Thread(target=issue, args=(1,))
+                first.start()
+                assert server.entered.wait(timeout=10)
+                coalesced = server.stats.coalesced
+                second = threading.Thread(target=issue, args=("b",))
+                second.start()
+                deadline = time.monotonic() + 10
+                while server.stats.coalesced == coalesced:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                server.gate.set()
+                first.join(timeout=10)
+                second.join(timeout=10)
+                for request_id, reply in replies.items():
+                    got = _without_trace(reply) if trace else reply
+                    assert got == _engine_frame(
+                        direct, request_id, statement
+                    )
+                if trace:  # One body: the same trace block in both.
+                    assert replies[1][8:] == replies["b"][10:]
+        assert server.stats.coalesced == 2
 
     def test_create_view_over_wire(self, catalog_root):
         table = Table("raw_values", ["t", "r"])
@@ -188,11 +341,15 @@ class TestErrorPaths:
                 assert response["error"]["type"] == "bad_request"
             # An id that parses to inf without a constant token is
             # dropped rather than fatal; the op still answers.
-            stream.write(b'{"id": 1e999, "op": "ping"}\n')
-            stream.flush()
-            response = json.loads(stream.readline())
-            assert response["ok"] is True
-            assert response["id"] is None
+            for frame in (
+                b'{"id": 1e999, "op": "ping"}\n',
+                b'{"id": [1, -1e999], "op": "ping"}\n',
+            ):
+                stream.write(frame)
+                stream.flush()
+                response = json.loads(stream.readline())
+                assert response["ok"] is True
+                assert response["id"] is None
             stream.write(b'{"op": "ping"}\n')
             stream.flush()
             assert json.loads(stream.readline())["ok"] is True
@@ -420,3 +577,247 @@ class TestShutdown:
         handle.stop()
         with pytest.raises(ServerConnectionError):
             Client(host, port, timeout=2)
+
+
+class TestReplyCache:
+    """Replies are rendered once per catalog state and never outlive it."""
+
+    def test_repeats_are_admissions_not_executions(self, catalog_root):
+        server = QueryServer(
+            catalog_root, port=0, registry=MetricsRegistry()
+        )
+        statement = _select(catalog_root, aggregate="expected_value")
+        with ServerThread(server) as address:
+            with Client(*address) as client:
+                answers = [client.query(statement) for _ in range(3)]
+                stats = client.stats()
+                gauges = client.metrics()["metrics"]
+        assert answers[0] == answers[1] == answers[2]
+        assert (stats["executed"], stats["coalesced"]) == (3, 0)
+        assert stats["reply_cache"]["hits"] == 2
+        assert stats["reply_cache"]["misses"] == 1
+        assert stats["reply_cache"]["entries"] == 1
+        assert stats["reply_cache"]["bytes"] > len(canonical_dumps(answers[0]))
+        # Only the first arrival touched the matrix cache.
+        assert (stats["cache"]["hits"], stats["cache"]["misses"]) == (
+            0, len(SERIES)
+        )
+        hits = gauges["repro_reply_cache_hits"]["values"]
+        assert hits == {'{scope="service"}': 2.0}
+
+    def test_traced_repeat_shows_a_cached_reply_stage(self, catalog_root):
+        server = QueryServer(catalog_root, port=0)
+        statement = _select(catalog_root)
+        with ServerThread(server) as address:
+            with Client(*address) as client:
+                miss = client.query(statement, trace=True)["trace"]
+                hit = client.query(statement, trace=True)["trace"]
+        miss_stages = {span["name"] for span in miss["stages"]}
+        hit_stages = {span["name"] for span in hit["stages"]}
+        assert {"fan_out", "serialize"} <= miss_stages
+        assert "cached_reply" not in miss_stages
+        assert "cached_reply" in hit_stages
+        assert not {"fan_out", "serialize"} & hit_stages
+
+    def test_non_finite_result_keeps_the_request_id(
+        self, catalog_root, monkeypatch
+    ):
+        real = StatementResult.to_dict
+
+        def poisoned(self):
+            payload = real(self)
+            payload["results"][0]["score"] = float("nan")
+            return payload
+
+        monkeypatch.setattr(StatementResult, "to_dict", poisoned)
+        statement = _select(catalog_root)
+        server = QueryServer(catalog_root, port=0)
+        with ServerThread(server) as (host, port):
+            with socket.create_connection((host, port), timeout=10) as sock:
+                stream = sock.makefile("rwb")
+                stream.write(
+                    json.dumps({"id": 41, "statement": statement}).encode()
+                    + b"\n"
+                )
+                stream.flush()
+                response = json.loads(stream.readline())
+                assert response["id"] == 41
+                assert response["ok"] is False
+                assert response["error"]["type"] == "internal"
+                assert "non-finite" in response["error"]["message"]
+                assert server.stats.errors == 1
+                assert server.service.cache.stats.reply_entries == 0
+                monkeypatch.undo()
+                stream.write(
+                    json.dumps({"id": 42, "statement": statement}).encode()
+                    + b"\n"
+                )
+                stream.flush()
+                assert stream.readline() == _engine_frame(
+                    Database(), 42, statement
+                )
+        assert server.stats.errors == 1
+
+    def test_every_catalog_change_misses(self, tmp_path):
+        root = tmp_path / "cat"
+        catalog = Catalog(root)
+        for index, series_id in enumerate(SERIES):
+            _grow(catalog, series_id, _walk(index, 48))
+        for index, series_id in enumerate(("room-0", "room-1")):
+            catalog.append(series_id, _walk(10 + index, 24))
+        late = _select(
+            root, aggregate="expected_value", suffix=" WHERE t BETWEEN 50 AND 70"
+        )
+        statements = [
+            _select(root),
+            late,
+            f"SELECT APPROX exceedance(20.5) FROM CATALOG '{root}'",
+            f"SIMULATE 2 SEED 5 FROM CATALOG '{root}' SERIES 'room-*'",
+            *(_select(root, suffix=f" AS OF {k}") for k in range(5)),
+        ]
+        # plant-0 ends at t = 47: the late window skips it.
+        assert Database().execute(late).stats.series_skipped == 1
+        server = QueryServer(root, port=0)
+        with ServerThread(server) as address:
+            with Client(*address) as client:
+
+                steps = []
+
+                def check(step):
+                    steps.append(step)
+                    for statement in statements:
+                        fresh = Database().execute(statement).json()
+                        for _ in range(2):
+                            served = canonical_dumps(client.query(statement))
+                            assert served == fresh, (step, statement)
+
+                def revision(low):
+                    return ProbabilisticView("room-1", [
+                        ProbTuple(t, low, low + 1.0, 0.9, "rev")
+                        for t in range(20, 26)
+                    ])
+
+                check("initial")
+                catalog.append("room-0", _walk(20, 8))
+                check("append to a matched series")
+                catalog.append("plant-0", _walk(21, 8))
+                check("append to a skipped series")
+                catalog.revise("room-1", revision(19.0), knowledge_time=1)
+                check("revise")
+                catalog.revise("room-1", revision(21.0), knowledge_time=3)
+                check("second revise")
+                catalog.drop_series("plant-0")
+                check("drop")
+                _grow(catalog, "plant-0", _walk(2, 48))
+                catalog.append("plant-0", _walk(21, 8))
+                check("re-create with identical values")
+                _grow(catalog, "room-2", _walk(30, 48))
+                check("new series matching the glob")
+                _strip_synopses(root, "room-0")
+                check("synopses lost")
+                catalog.synopsize()
+                check("synopsize")
+            replies = server.service.cache.stats.replies()
+        # Every second send hits; every step changed the state every
+        # statement over '*' read, so its first send missed.
+        assert replies["hits"] >= len(steps) * len(statements)
+        assert replies["misses"] >= len(steps) * (len(statements) - 1)
+
+    def test_repeats_racing_a_writer_see_only_real_states(self, tmp_path):
+        root = tmp_path / "cat"
+        catalog = Catalog(root)
+        for index, series_id in enumerate(SERIES):
+            _grow(catalog, series_id, _walk(index, 48))
+        statement = _select(root, aggregate="expected_value")
+        fresh = {Database().execute(statement).json()}
+        done = threading.Event()
+
+        def writer():
+            try:
+                writer_catalog = Catalog(root)
+                for batch in range(6):
+                    writer_catalog.append("room-0", _walk(40 + batch, 8))
+                    fresh.add(Database().execute(statement).json())
+                    time.sleep(0.02)
+            finally:
+                done.set()
+
+        answers = []
+        server = QueryServer(root, port=0)
+        with ServerThread(server) as address:
+            with Client(*address) as client:
+                thread = threading.Thread(target=writer)
+                thread.start()
+                while not done.is_set():
+                    answers.append(canonical_dumps(client.query(statement)))
+                thread.join(timeout=30)
+                final = canonical_dumps(client.query(statement))
+        assert len(fresh) == 7
+        assert set(answers) <= fresh
+        assert final == Database().execute(statement).json()
+
+    def test_hits_record_what_executions_record(self, tmp_path):
+        root = tmp_path / "cat"
+        catalog = Catalog(root)
+        for index, series_id in enumerate(SERIES):
+            _grow(catalog, series_id, _walk(index, 48))
+        # APPROX loads this series' segment to compute its synopsis: the
+        # final segments_scanned is only known after execution.
+        _strip_synopses(root, "room-1")
+        statements = [
+            _select(root),
+            f"SELECT APPROX exceedance(20.5) FROM CATALOG '{root}'",
+            _select(root, aggregate="exceedance(20.5), threshold(0.6)"),
+            f"SIMULATE 2 FROM CATALOG '{root}'",
+            _select(root, aggregate="threshold(0.6)"),
+        ]
+        sequence = statements * 3
+        served = MetricsRegistry()
+        server = QueryServer(
+            root, port=0, registry=served, slow_query_ms=0.0
+        )
+        reference = MetricsRegistry()
+        uncached = CatalogQueryService(
+            root, registry=reference, slow_query_ms=0.0
+        )
+        database = Database(uncached)
+        with ServerThread(server) as address:
+            with Client(*address) as client:
+                for statement in sequence:
+                    client.query(statement)
+                    database.execute(statement)
+        database.close()
+        assert server.service.cache.stats.reply_hits == 2 * len(statements)
+        assert server.service.execution_stats() == uncached.execution_stats()
+        assert server.service.execution_stats()["segments_scanned"] > 0
+        for name in (
+            "repro_queries_total",
+            "repro_segments_scanned_total",
+            "repro_segments_pruned_total",
+            "repro_series_skipped_total",
+        ):
+            assert (
+                served.snapshot()[name]["values"]
+                == reference.snapshot()[name]["values"]
+            ), name
+        counts = {
+            registry: {
+                labels: sample["count"]
+                for labels, sample in registry.snapshot()[
+                    "repro_query_seconds"
+                ]["values"].items()
+            }
+            for registry in (served, reference)
+        }
+        assert counts[served] == counts[reference]
+
+        def slow_entries(service):
+            keys = ("statement", "segments_scanned", "segments_pruned",
+                    "series_skipped", "segments_total", "approx")
+            return [
+                tuple(entry[key] for key in keys)
+                for entry in service.slow_log.entries()
+            ]
+
+        assert server.service.slow_log.counts() == uncached.slow_log.counts()
+        assert slow_entries(server.service) == slow_entries(uncached)

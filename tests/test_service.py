@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from repro.exceptions import (
     ReproError,
     StoreError,
 )
+from repro.obs.trace import QueryTrace
 from repro.service import (
     CatalogQueryService,
     MatrixCache,
@@ -461,6 +464,108 @@ class TestMatrixCache:
     def test_budget_must_be_positive(self):
         with pytest.raises(InvalidParameterError):
             MatrixCache(0)
+
+    def test_replies_share_the_budget_and_lru_with_views(self, catalog):
+        view = catalog.view("sensor-00")
+        size = view_nbytes(view)
+        cache = MatrixCache(int(size * 2.5))
+        cache.get(("/c", "a", (1,), (), ()), lambda: view)
+        cache.put_reply("stmt-1", ("s",), "reply-1", size)
+        assert cache.reply("stmt-1", ("s",)) == "reply-1"
+        assert cache.reply("stmt-1", ("other",)) is None
+        # A third entry evicts the least recently used one: the view.
+        cache.put_reply("stmt-2", ("s",), "reply-2", size)
+        stats = cache.stats
+        assert (stats.entries, stats.current_bytes) == (0, 0)
+        assert (stats.reply_entries, stats.reply_bytes) == (2, 2 * size)
+        assert stats.evictions == 1
+        # Reply lookups are counted apart from the matrix hits/misses.
+        assert (stats.hits, stats.misses) == (0, 1)
+        assert (stats.reply_hits, stats.reply_misses) == (1, 1)
+
+    def test_reply_for_a_new_state_drops_the_old_one(self):
+        cache = MatrixCache(1 << 20)
+        cache.put_reply("stmt", ("gen-1",), "old", 100)
+        cache.put_reply("other", ("gen-1",), "kept", 100)
+        cache.put_reply("stmt", ("gen-2",), "new", 100)
+        assert cache.reply("stmt", ("gen-1",)) is None
+        assert cache.reply("stmt", ("gen-2",)) == "new"
+        assert cache.reply("other", ("gen-1",)) == "kept"
+        assert cache.stats.replies() == {
+            "hits": 2, "misses": 1, "entries": 2, "bytes": 200,
+        }
+
+    def test_oversize_reply_not_cached(self):
+        cache = MatrixCache(128)
+        cache.put_reply("stmt", (), "huge", 129)
+        assert cache.reply("stmt", ()) is None
+        assert cache.stats.oversize_skips == 1
+        cache.clear()
+        assert cache.stats.replies()["entries"] == 0
+
+    def test_concurrent_views_and_replies_lose_no_update(self, catalog):
+        # Eight threads (more than cores) race lookups and inserts of both
+        # kinds through one small budget with a shortened switch interval;
+        # a lost update would leave the byte or entry totals unequal to
+        # what is resident, or drop a lookup from the counters.
+        view = catalog.view("sensor-00")
+        size = view_nbytes(view)
+        cache = MatrixCache(size * 6)
+        rounds = 300
+
+        def hammer(worker):
+            for step in range(rounds):
+                statement = f"stmt-{(worker + step) % 5}"
+                if cache.reply(statement, (step % 3,)) is None:
+                    cache.put_reply(statement, (step % 3,), "body", size // 3)
+                cache.get(
+                    ("/c", f"s{(worker * step) % 7}", (step % 2,), (), ()),
+                    lambda: view,
+                )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(worker,))
+                for worker in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        stats = cache.stats
+        assert stats.reply_hits + stats.reply_misses == 8 * rounds
+        assert stats.hits + stats.misses == 8 * rounds
+        resident = list(cache._entries.items())
+        replies = [nbytes for key, (_, nbytes) in resident if key[0] == ("reply",)]
+        views = [nbytes for key, (_, nbytes) in resident if key[0] != ("reply",)]
+        assert (stats.reply_entries, stats.reply_bytes) == (
+            len(replies), sum(replies)
+        )
+        assert (stats.entries, stats.current_bytes) == (len(views), sum(views))
+        assert stats.current_bytes + stats.reply_bytes <= cache.budget_bytes
+
+    def test_service_reply_renders_once_per_state(self, catalog):
+        service = CatalogQueryService(catalog, max_workers=1)
+        statement = parse_statement(_sql(catalog, "expected_value"))
+        first = service.reply(statement, trace=QueryTrace())
+        matrix = service.cache.stats
+        trace = QueryTrace()
+        second = service.reply(statement, trace=trace)
+        assert second is first
+        assert first.body == service.execute(statement).json().encode()
+        names = [span.name for span in trace.stages]
+        assert "cached_reply" in names and "fan_out" not in names
+        assert service.cache.stats.hits == matrix.hits + 5  # execute only.
+        catalog.append("sensor-01", 21.0 + 0.01 * np.arange(5))
+        third = service.reply(statement, trace=QueryTrace())
+        assert third.body == service.execute(statement).json().encode()
+        assert third.body != first.body
+        assert service.cache.stats.replies()["entries"] == 1
 
     def test_drop_and_recreate_never_serves_stale_data(self, catalog):
         # A recreated series restarts segment numbering, so segment names

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.exceptions import DataError, InvalidParameterError
+from repro.exceptions import DataError, EncodingError, InvalidParameterError
+from repro.util.jsonio import RenderedObject, canonical_dumps
 from repro.util.rng import DEFAULT_SEED, ensure_rng
 from repro.util.tables import format_table
 from repro.util.validation import (
@@ -112,6 +113,42 @@ class TestFormatTable:
     def test_float_format_respected(self):
         text = format_table(["v"], [[3.14159]], float_format=".2f")
         assert "3.14" in text and "3.142" not in text
+
+
+class TestRenderedObject:
+    PAYLOAD = {
+        "kind": "select",
+        "results": [{"series": "a", "rows": [[1, 0.5, None]]}],
+        "approx": True,
+        "matched": ["a", "\u00e9"],
+    }
+
+    def test_body_is_canonical_json(self):
+        rendered = RenderedObject(self.PAYLOAD)
+        assert rendered.body == canonical_dumps(self.PAYLOAD).encode()
+        assert RenderedObject({}).body == b"{}"
+
+    @pytest.mark.parametrize("key", ["aaa", "kind", "m", "trace", "zzz"])
+    def test_with_member_lands_at_the_canonical_position(self, key):
+        # "trace" sorts last in a select payload but before "tuples" in a
+        # view payload: the member goes where sort_keys would put it.
+        for payload in (self.PAYLOAD, {"kind": "view", "tuples": [1]}, {}):
+            payload = {k: v for k, v in payload.items() if k != key}
+            expected = canonical_dumps({**payload, key: {"wall_ms": 1.5}})
+            rendered = RenderedObject(payload)
+            assert rendered.with_member(key, {"wall_ms": 1.5}) == (
+                expected.encode()
+            )
+
+    def test_with_member_refuses_a_present_key(self):
+        with pytest.raises(ValueError):
+            RenderedObject({"kind": "x"}).with_member("kind", "y")
+
+    def test_non_finite_numbers_raise_encoding_error(self):
+        with pytest.raises(EncodingError):
+            RenderedObject({"score": float("nan")})
+        with pytest.raises(ValueError):  # Still a ValueError to old callers.
+            canonical_dumps([float("inf")])
 
 
 def test_format_allowlist_names_only_existing_files():
