@@ -1,16 +1,20 @@
-"""The aggregate vocabulary: one registry of what every route computes.
+"""The aggregate vocabulary: the one home of what every route computes.
 
 A :class:`KernelSpec` is the one definition of an aggregate: its name,
-its arguments (arity and domains, :meth:`KernelSpec.bind`), the label of
-its ``TOP k`` score, and its computation — a per-time **core** over the
-view's columns (``per_time_expected_value``, ``per_time_exceedance`` or
-``per_time_range_mass``; none for ``threshold``'s row selection and
-``simulate``'s worlds), then an optional **window pass**: the ``sum``,
-``mean`` or ``product`` of every ``window`` consecutive per-time values,
-keyed by the window's last time.  The planner binds SELECT items against
-it, the stacked service kernels, standing queries and the one-shot
-functions of :mod:`repro.db.stream_queries` compute through it — so the
-routes agree bit for bit.
+its arguments (arity and domains, :meth:`KernelSpec.bind`), its ``TOP k``
+score (:attr:`KernelSpec.score`, rendered under ``score_label``), and its
+computation — ``threshold``'s row selection (``probability >= tau``), or
+a per-time **core** over the view's columns (:func:`per_time_expected_value`,
+:func:`per_time_exceedance` or :func:`per_time_range_mass`, all defined
+here) followed by an optional **window pass**: the ``sum``, ``mean`` or
+``product`` of every ``window`` consecutive per-time values, keyed by the
+window's last time.  Every route runs through it: the planner binds
+SELECT items against it, the stacked service kernels and standing
+queries compute and score with it, and the one-shot python functions of
+:mod:`repro.db.queries`, :mod:`repro.db.stream_queries` and
+:func:`repro.db.worlds.conjunctive_range_query` are
+:meth:`KernelSpec.one_shot` calls — so the routes validate alike and
+agree bit for bit.
 
 :meth:`KernelSpec.reduce` is the one windowed reduction.  Its explicit
 :class:`WindowCarry` lets the same arithmetic serve a whole view (no
@@ -26,15 +30,12 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.db.prob_view import ViewColumns
-from repro.db.queries import per_time_expected_value
-from repro.db.stream_queries import per_time_exceedance
-from repro.db.worlds import per_time_range_mass
+from repro.db.prob_view import ProbabilisticView, ViewColumns, padded_rows
 from repro.exceptions import InvalidParameterError, QueryError
 
 __all__ = [
@@ -44,6 +45,9 @@ __all__ = [
     "SIMULATE_KERNEL",
     "WindowCarry",
     "check_window",
+    "per_time_exceedance",
+    "per_time_expected_value",
+    "per_time_range_mass",
     "resolve",
 ]
 
@@ -95,16 +99,34 @@ def check_window(
     )
 
 
+# ``TOP k`` scores of an answer's values.
+def _peak(values: np.ndarray) -> float:
+    return float(values.max()) if values.size else 0.0
+
+
+def _mean(values: np.ndarray) -> float:
+    # Left to right over python floats: ``np.sum``'s pairwise order
+    # differs in the last bit, and the score is part of the canonical bytes.
+    return float(sum(values.tolist()) / values.size) if values.size else 0.0
+
+
+def _count(values: np.ndarray) -> float:
+    return float(values.shape[-1])
+
+
 @dataclass(frozen=True)
 class KernelSpec:
-    """One aggregate: its name, signature, score label and computation.
+    """One aggregate: its name, signature, score and computation.
 
     ``core`` maps view columns (one view's, or several stacked) and the
     bound arguments to the per-time vector; ``window_pass`` is ``None``,
     ``"sum"``, ``"mean"`` or ``"product"``, the window being the last
-    argument; ``approx`` marks a score the segment synopses bound
-    (``SELECT APPROX``; :mod:`repro.service.synopsis` estimates it by
-    ``score_label``).  Workers look specs up by name.
+    argument.  ``selection`` instead picks the answer's row indices.
+    ``score`` maps an answer's values — per-time values, selected
+    probabilities, or the worlds matrix — to its ``TOP k`` score, shown
+    as ``score_label``.  ``approx`` marks a score the segment synopses
+    bound (``SELECT APPROX``, estimated by
+    :mod:`repro.service.synopsis`).  Workers look specs up by name.
     """
 
     name: str
@@ -113,6 +135,8 @@ class KernelSpec:
     validate: Callable[[Arguments], Arguments] | None = None
     core: Callable[[ViewColumns, Arguments], np.ndarray] | None = None
     window_pass: str | None = None
+    selection: Callable[[ViewColumns, Arguments], np.ndarray] | None = None
+    score: Callable[[np.ndarray], float] = _peak
     approx: bool = False
 
     @property
@@ -120,15 +144,16 @@ class KernelSpec:
         """The answer's layout: ``"mapping"``, ``"rows"`` or ``"worlds"``."""
         if self.core is not None:
             return "mapping"
-        return "worlds" if self.name == "simulate" else "rows"
+        return "worlds" if self.selection is None else "rows"
 
     def bind(self, arguments: Arguments) -> Arguments:
-        """Check arity and domains; returns the normalised arguments."""
+        """Check arity and domains; returns the normalised float arguments."""
         if len(arguments) != len(self.parameters):
             expected = ", ".join(self.parameters) or "no arguments"
             raise InvalidParameterError(
                 f"{self.name} takes ({expected}), got {len(arguments)} argument(s)"
             )
+        arguments = tuple(float(value) for value in arguments)
         for name, value in zip(self.parameters, arguments):
             if not math.isfinite(value):
                 raise InvalidParameterError(
@@ -139,6 +164,32 @@ class KernelSpec:
         if self.window_pass is not None:
             arguments = (*arguments[:-1], float(check_window(self.name, arguments[-1])))
         return arguments
+
+    def one_shot(self, view: ProbabilisticView, *arguments: float) -> Any:
+        """This aggregate over the whole of ``view``, arguments bound first."""
+        return self.evaluate(view, self.bind(arguments), whole=True)[0]
+
+    def evaluate(
+        self,
+        view: ProbabilisticView,
+        arguments: Arguments,
+        carry: WindowCarry | None = None,
+        *,
+        whole: bool = False,
+    ) -> tuple[Any, WindowCarry | None]:
+        """The answer over ``view`` after ``carry``, and the next carry.
+
+        The answer is the selected :class:`~repro.db.prob_view.ProbTuple`
+        list, or a dict of per-time (per-window-end) values.
+        """
+        cols = view.columns
+        if self.selection is not None:
+            return view.take(self.selection(cols, arguments)), None
+        values = self.per_time(cols, arguments)
+        times, values, carry = self.reduce(
+            values, cols.times, arguments, carry, whole=whole
+        )
+        return dict(zip(times.tolist(), values.tolist())), carry
 
     def per_time(self, columns: ViewColumns, arguments: Arguments) -> np.ndarray:
         """The core over ``columns``, aligned with their distinct times."""
@@ -203,7 +254,85 @@ def resolve(name: str, registry: dict[str, KernelSpec] | None = None) -> KernelS
     return spec
 
 
-# Per-time cores over view columns, and argument domains.
+# The per-time cores.  Each maps the tuple columns and a by-time grouping
+# of them — ``order`` is the stable by-time sort, ``starts`` / ``counts``
+# delimit each time's group inside it (:class:`ViewColumns`), one view's
+# or several concatenated with offset groups — to one value per group.
+# Every route, and the segment synopses of :mod:`repro.store.binary`,
+# calls these, so their answers agree bit for bit.  ``starts`` must be
+# non-empty.
+def per_time_expected_value(
+    low: np.ndarray,
+    high: np.ndarray,
+    probability: np.ndarray,
+    order: np.ndarray,
+    starts: np.ndarray,
+) -> np.ndarray:
+    """Expected value of each group: range midpoints weighted by probability.
+
+    Normalised by the group's captured mass, so grids that truncate the
+    tails stay unbiased.
+    """
+    weighted = (probability * 0.5 * (low + high))[order]
+    masses = np.add.reduceat(probability[order], starts)
+    sums = np.add.reduceat(weighted, starts)
+    # Degenerate groups (no mass): midpoint of the group's support.
+    lows = np.minimum.reduceat(low[order], starts)
+    highs = np.maximum.reduceat(high[order], starts)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(
+            masses > 0.0,
+            sums / np.where(masses > 0.0, masses, 1.0),
+            0.5 * (lows + highs),
+        )
+
+
+def per_time_exceedance(
+    low: np.ndarray,
+    high: np.ndarray,
+    probability: np.ndarray,
+    order: np.ndarray,
+    starts: np.ndarray,
+    threshold: float,
+) -> np.ndarray:
+    """``P(value > threshold)`` of each group."""
+    # Ranges fully above the threshold contribute everything (the fraction
+    # clips to 1); the straddling range contributes proportionally.
+    fraction = np.clip((high - threshold) / (high - low), 0.0, 1.0)
+    contribution = (probability * fraction)[order]
+    return np.minimum(np.add.reduceat(contribution, starts), 1.0)
+
+
+def per_time_range_mass(
+    low: np.ndarray,
+    high: np.ndarray,
+    probability: np.ndarray,
+    order: np.ndarray,
+    starts: np.ndarray,
+    counts: np.ndarray,
+    a: float,
+    b: float,
+) -> np.ndarray:
+    """``P(a <= value < b)`` of each group.
+
+    A tuple contributes ``p * (overlap / width)`` where it overlaps, else
+    nothing; the padded ``(T, k)`` contributions are summed a column at a
+    time, left to right — a ``mass += c`` loop's order, which
+    ``np.add.reduceat``'s pairwise loop breaks — then capped at one.
+    """
+    rows, real = padded_rows(order, starts, counts)
+    lo, hi = low[rows], high[rows]
+    overlap = np.minimum(b, hi) - np.maximum(a, lo)
+    contribution = np.where(
+        real & (overlap > 0.0), probability[rows] * (overlap / (hi - lo)), 0.0
+    )
+    mass = np.zeros(starts.size)
+    for column in contribution.T:
+        mass += column
+    return np.minimum(mass, 1.0)
+
+
+# The cores over view columns, the row selection and argument domains.
 def _expected_value(cols: ViewColumns, arguments: Arguments) -> np.ndarray:
     return per_time_expected_value(
         cols.low, cols.high, cols.probability, cols.order, cols.starts
@@ -221,6 +350,10 @@ def _range_mass(cols: ViewColumns, arguments: Arguments) -> np.ndarray:
     return per_time_range_mass(
         cols.low, cols.high, cols.probability, *groups, *arguments
     )
+
+
+def _at_least_tau(cols: ViewColumns, arguments: Arguments) -> np.ndarray:
+    return np.flatnonzero(cols.probability >= arguments[0])
 
 
 def _check_tau(arguments: Arguments) -> Arguments:
@@ -259,6 +392,8 @@ AGGREGATES: dict[str, KernelSpec] = {
             parameters=("tau",),
             score_label="hits",
             validate=_check_tau,
+            selection=_at_least_tau,
+            score=_count,
             approx=True,
         ),
         KernelSpec(
@@ -266,6 +401,7 @@ AGGREGATES: dict[str, KernelSpec] = {
             parameters=(),
             score_label="mean_ev",
             core=_expected_value,
+            score=_mean,
             approx=True,
         ),
         KernelSpec(
@@ -309,7 +445,7 @@ AGGREGATES: dict[str, KernelSpec] = {
 
 #: The statement-level SIMULATE kernel (not addressable from a SELECT list).
 SIMULATE_KERNEL = KernelSpec(
-    "simulate", ("n_worlds", "seed"), "times", validate=_check_simulate
+    "simulate", ("n_worlds", "seed"), "times", validate=_check_simulate, score=_count
 )
 
 #: Every kernel a worker can be asked to run, keyed by envelope name.

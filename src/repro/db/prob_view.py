@@ -30,7 +30,7 @@ from repro.view.builder import ProbabilityMatrix
 from repro.util.arrays import readonly_view
 from repro.view.omega import OmegaGrid
 
-__all__ = ["ProbTuple", "ProbabilisticView", "ViewColumns"]
+__all__ = ["ProbTuple", "ProbabilisticView", "ViewColumns", "padded_rows"]
 
 #: Tolerance when validating that per-time probabilities do not exceed one.
 _MASS_TOLERANCE = 1e-6
@@ -92,6 +92,18 @@ class ViewColumns(NamedTuple):
     times: np.ndarray
     starts: np.ndarray
     counts: np.ndarray
+
+
+def padded_rows(
+    order: np.ndarray, starts: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each by-time group's tuple indices as a ``(T, k)`` matrix, and a mask.
+
+    Rows follow ``order``; cells past ``counts[i]`` hold tuple 0, masked out.
+    """
+    column = np.arange(int(counts.max(initial=0)))
+    real = column < counts[:, None]
+    return order[np.where(real, starts[:, None] + column, 0)], real
 
 
 def _check_probability_column(probability: np.ndarray) -> None:

@@ -12,27 +12,27 @@ basic consumers used by the examples and integration tests:
 * :func:`expected_value_query` — expected value under the discretised
   distribution, per time.
 
-All four run as column operations over
-:attr:`~repro.db.prob_view.ProbabilisticView.columns` — boolean masks,
-grouped ``np.add.reduceat`` reductions — and only materialise the
-:class:`ProbTuple` objects they actually return, so their signatures and
-return types are unchanged from the row-at-a-time implementations.
+All but :func:`most_probable_range_query` are thin wrappers: each is its
+:data:`~repro.db.aggregates.AGGREGATES` entry's
+:meth:`~repro.db.aggregates.KernelSpec.one_shot` over the whole view, so
+its arguments are validated exactly as a ``SELECT`` item's are and its
+answer is the ``SELECT`` answer's, bit for bit.  All four run as column
+operations over :attr:`~repro.db.prob_view.ProbabilisticView.columns` and
+only materialise the :class:`ProbTuple` objects they actually return.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.db.aggregates import AGGREGATES
 from repro.db.prob_view import ProbTuple, ProbabilisticView
-from repro.db.worlds import per_time_range_mass
-from repro.exceptions import InvalidParameterError
 
 __all__ = [
     "threshold_query",
     "most_probable_range_query",
     "range_probability_query",
     "expected_value_query",
-    "per_time_expected_value",
 ]
 
 
@@ -42,10 +42,7 @@ def threshold_query(view: ProbabilisticView, tau: float) -> list[ProbTuple]:
     >>> # tuples whose event is at least 50% likely
     >>> # threshold_query(view, 0.5)
     """
-    if not 0.0 <= tau <= 1.0:
-        raise InvalidParameterError(f"tau must be in [0, 1], got {tau}")
-    hits = np.flatnonzero(view.columns.probability >= tau)
-    return view.take(hits)
+    return AGGREGATES["threshold"].one_shot(view, tau)
 
 
 def most_probable_range_query(view: ProbabilisticView) -> dict[int, ProbTuple]:
@@ -75,66 +72,19 @@ def range_probability_query(
 ) -> dict[int, float]:
     """``P(low <= value < high)`` per time, from overlapping tuples.
 
-    Half-open, and ``high <= low`` raises.  Partially overlapping tuples
-    contribute proportionally to the overlap, exact under the builder's
-    piecewise treatment of each range (:func:`~repro.db.worlds.per_time_range_mass`).
+    Half-open: ``[a, a)`` is empty (0 at every time), and an inverted or
+    non-finite range raises.  Partially overlapping tuples contribute
+    proportionally to the overlap, exact under the builder's piecewise
+    treatment of each range.
     """
-    if high <= low:
-        raise InvalidParameterError(
-            f"query range upper bound must exceed lower, got [{low}, {high}]"
-        )
-    cols = view.columns
-    masses = per_time_range_mass(
-        cols.low, cols.high, cols.probability, cols.order, cols.starts,
-        cols.counts, low, high,
-    )
-    return {int(t): float(mass) for t, mass in zip(cols.times, masses)}
-
-
-def per_time_expected_value(
-    low: np.ndarray,
-    high: np.ndarray,
-    probability: np.ndarray,
-    order: np.ndarray,
-    starts: np.ndarray,
-) -> np.ndarray:
-    """Expected value of each by-time group of the tuple columns.
-
-    ``order`` is the stable by-time sort of the columns and ``starts``
-    delimits each time's group inside it
-    (:class:`~repro.db.prob_view.ViewColumns`).  The one place this
-    arithmetic lives: :func:`expected_value_query`, the segment synopsis
-    (:func:`repro.store.binary.compute_view_synopsis`) and the stacked
-    service kernel (:mod:`repro.service.kernels`, several views
-    concatenated with offset ``order`` / ``starts``) all call it, so their
-    answers agree bit for bit.  ``starts`` must be non-empty.
-    """
-    weighted = (probability * 0.5 * (low + high))[order]
-    masses = np.add.reduceat(probability[order], starts)
-    sums = np.add.reduceat(weighted, starts)
-    # Degenerate groups (no mass): midpoint of the group's support.
-    lows = np.minimum.reduceat(low[order], starts)
-    highs = np.maximum.reduceat(high[order], starts)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(
-            masses > 0.0,
-            sums / np.where(masses > 0.0, masses, 1.0),
-            0.5 * (lows + highs),
-        )
+    return AGGREGATES["probability_of"].one_shot(view, low, high)
 
 
 def expected_value_query(view: ProbabilisticView) -> dict[int, float]:
     """Expected value per time under the discretised distribution.
 
-    Each tuple contributes its range midpoint weighted by its probability
-    (one grouped ``np.add.reduceat`` over the columns); the result is
-    normalised by the captured mass so grids that truncate the tails stay
-    unbiased.
+    Each tuple contributes its range midpoint weighted by its probability;
+    the result is normalised by the captured mass so grids that truncate
+    the tails stay unbiased.
     """
-    cols = view.columns
-    if not cols.times.size:
-        return {}
-    values = per_time_expected_value(
-        cols.low, cols.high, cols.probability, cols.order, cols.starts
-    )
-    return {int(t): float(v) for t, v in zip(cols.times, values)}
+    return AGGREGATES["expected_value"].one_shot(view)

@@ -14,7 +14,10 @@ independent.  This module makes that semantics executable two ways:
   says it inherits.
 
 Both run as column passes over a zero-padded ``(T, k)`` matrix of a
-view's tuples (:func:`per_time_range_mass`, :meth:`WorldSampler.sample_matrix`).
+view's tuples (:func:`~repro.db.aggregates.per_time_range_mass`,
+:meth:`WorldSampler.sample_matrix`).  A conjunctive predicate binds
+through the ``probability_of`` :class:`~repro.db.aggregates.KernelSpec`,
+as a ``PROBABILITY OF`` item does.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.db.prob_view import ProbabilisticView
+from repro.db.aggregates import AGGREGATES, per_time_range_mass
+from repro.db.prob_view import ProbabilisticView, padded_rows
 from repro.exceptions import InvalidParameterError
 from repro.util.rng import ensure_rng
 
@@ -37,7 +41,6 @@ __all__ = [
     "conjunctive_range_query",
     "derive_series_seed",
     "monte_carlo_query",
-    "per_time_range_mass",
 ]
 
 
@@ -85,18 +88,6 @@ class World:
         return value is not None and low <= value < high
 
 
-def _padded_rows(
-    order: np.ndarray, starts: np.ndarray, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each by-time group's tuple indices as a ``(T, k)`` matrix, and a mask.
-
-    Rows follow ``order``; cells past ``counts[i]`` hold tuple 0, masked out.
-    """
-    column = np.arange(int(counts.max(initial=0)))
-    real = column < counts[:, None]
-    return order[np.where(real, starts[:, None] + column, 0)], real
-
-
 class WorldSampler:
     """Samples possible worlds from a tuple-independent view.
 
@@ -114,7 +105,7 @@ class WorldSampler:
         self.view = view
         cols = view.columns
         self._times = cols.times
-        rows, real = _padded_rows(cols.order, cols.starts, cols.counts)
+        rows, real = padded_rows(cols.order, cols.starts, cols.counts)
         self._lows = cols.low[rows]
         self._highs = cols.high[rows]
         # Row-wise cumsum is the per-block cumsum; padding adds 0.0 and is
@@ -213,39 +204,6 @@ def monte_carlo_query(
     )
 
 
-def per_time_range_mass(
-    low: np.ndarray,
-    high: np.ndarray,
-    probability: np.ndarray,
-    order: np.ndarray,
-    starts: np.ndarray,
-    counts: np.ndarray,
-    a: float,
-    b: float,
-) -> np.ndarray:
-    """``P(a <= value < b)`` of each by-time group of the tuple columns.
-
-    ``order`` / ``starts`` / ``counts`` delimit any subset of the groups
-    (:class:`~repro.db.prob_view.ViewColumns`).  A tuple contributes
-    ``p * (overlap / width)`` where it overlaps, else nothing; the padded
-    ``(T, k)`` contributions are summed a column at a time, left to right —
-    a ``mass += c`` loop's order, which ``np.add.reduceat``'s pairwise loop
-    breaks — then capped at one.  :func:`conjunctive_range_query`,
-    :func:`~repro.db.queries.range_probability_query` and the stacked
-    ``PROBABILITY OF`` kernel all call it, so they agree bit for bit.
-    """
-    rows, real = _padded_rows(order, starts, counts)
-    lo, hi = low[rows], high[rows]
-    overlap = np.minimum(b, hi) - np.maximum(a, lo)
-    contribution = np.where(
-        real & (overlap > 0.0), probability[rows] * (overlap / (hi - lo)), 0.0
-    )
-    mass = np.zeros(starts.size)
-    for column in contribution.T:
-        mass += column
-    return np.minimum(mass, 1.0)
-
-
 def conjunctive_range_query(
     view: ProbabilisticView,
     predicates: Mapping[int, tuple[float, float]],
@@ -255,25 +213,23 @@ def conjunctive_range_query(
     Every predicate is **half-open** — ``low <= value < high``, matching
     :meth:`~repro.db.prob_view.ProbabilisticView.probability_at` and
     :meth:`World.in_range` — so a degenerate ``low == high`` predicate
-    selects nothing (factor 0) and an *inverted* predicate
-    (``high < low``) raises :class:`InvalidParameterError`.
+    selects nothing (factor 0); an *inverted* predicate (``high < low``)
+    or a non-finite bound raises :class:`InvalidParameterError`, as the
+    ``probability_of`` spec every predicate binds through does.
 
     Exploits the view's block-independent-disjoint structure: within one
     time the overlapping tuples' masses add (mutually exclusive
     alternatives, with partial overlaps contributing proportionally —
-    :func:`per_time_range_mass`); across times the factors multiply
-    (independence).
+    :func:`~repro.db.aggregates.per_time_range_mass`); across times the
+    factors multiply (independence).
 
     >>> # P(temp in [20, 22) at t=60 AND temp in [21, 23) at t=61):
     >>> # conjunctive_range_query(view, {60: (20, 22), 61: (21, 23)})
     """
     if not predicates:
         raise InvalidParameterError("provide at least one time predicate")
-    for t, (low, high) in predicates.items():
-        if high < low:
-            raise InvalidParameterError(
-                f"predicate at time {t} has inverted range [{low}, {high}]"
-            )
+    spec = AGGREGATES["probability_of"]
+    predicates = {t: spec.bind(bounds) for t, bounds in predicates.items()}
     cols = view.columns
     probability = 1.0
     for t, (low, high) in predicates.items():

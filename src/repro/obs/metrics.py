@@ -293,18 +293,6 @@ class Histogram(_Metric):
             count = child.count
         return _estimate_quantile(self.buckets, counts, count, q)
 
-    def _merged(self) -> tuple[list[int], int, float]:
-        """Bucket counts summed across every label combination."""
-        counts = [0] * (len(self.buckets) + 1)
-        count = 0
-        total = 0.0
-        for child in self._children.values():
-            for index, value in enumerate(child.counts):
-                counts[index] += value
-            count += child.count
-            total += child.total
-        return counts, count, total
-
     def _snapshot(self) -> dict[str, Any]:
         with self._lock:
             children = {

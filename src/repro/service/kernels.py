@@ -7,20 +7,17 @@ backend inside spawn-started workers — so cross-backend parity is
 structural: one function, two schedulers.
 
 Answers are :class:`ArrayResult` objects — plain numpy arrays per series
-plus the ``TOP k`` score, computed here where the arrays are.  The
-per-time-dense aggregates additionally run *stacked*: the chunk's
-restricted views are concatenated and each kernel is one grouped pass
-over the stack instead of one numpy dispatch per series.  A stack never
+plus the ``TOP k`` score.  This module only stacks and dispatches: what
+an aggregate computes and how it scores is its
+:class:`~repro.db.aggregates.KernelSpec`'s.  A spec with a per-time core
+runs *stacked*: the chunk's restricted views are concatenated and the
+core is one grouped pass over the stack instead of one numpy dispatch
+per series, then the window reduction runs per series.  A stack never
 grows past :data:`_STACK_ROWS` tuples (one larger view runs alone), so
 however long the chunk, only that many rows of views plus one stacked
-copy are alive at once.
-
-The registry (:mod:`repro.db.aggregates`) decides what is stacked: a
-:class:`~repro.db.aggregates.KernelSpec` with a per-time core runs it
-over the stack, then its window reduction per series; the core-less
-``threshold`` and ``simulate`` run solo.  The one-shot query functions
-built on the same specs are the reference the parity tests compare
-against.
+copy are alive at once.  The core-less specs — a row selection, or
+sampled worlds — run solo.  The one-shot query functions built on the
+same specs are the reference the parity tests compare against.
 """
 
 from __future__ import annotations
@@ -92,10 +89,10 @@ class ArrayResult:
 
     ``kind`` names the layout of ``arrays``:
 
-    * ``"mapping"`` — ``times`` (int64, ascending) and ``values``: the
-      per-time aggregates and ``PROBABILITY OF``;
+    * ``"mapping"`` — ``times`` (int64, ascending) and ``values``: a
+      per-time core's answer, after its window pass;
     * ``"rows"`` — ``t`` / ``low`` / ``high`` / ``probability`` / ``code``
-      columns of ``threshold``'s hits, the label pool in ``meta[0]``;
+      columns of a row selection's hits, the label pool in ``meta[0]``;
     * ``"worlds"`` — ``times`` plus an ``(n_worlds, len(times))``
       ``values`` matrix, ``NaN`` marking the OUTSIDE alternative;
     * ``"error"`` — no arrays; ``error`` is the one-line diagnostic (a
@@ -136,20 +133,6 @@ def empty_result(
     if kind == "worlds":
         values = np.empty((int(arguments[0]), 0), dtype=np.float64)
     return ArrayResult(series_id, kind, {"times": times, "values": values})
-
-
-def _mapping_score(score_label: str, values: np.ndarray) -> float:
-    """The ``TOP k`` score of one per-time value vector.
-
-    ``mean_ev`` sums left to right over python floats — ``np.sum``'s
-    pairwise order differs in the last bit, and the score is part of the
-    canonical bytes; every other label is the vector's maximum.
-    """
-    if not values.size:
-        return 0.0
-    if score_label == "mean_ev":
-        return float(sum(values.tolist()) / values.size)
-    return float(values.max())
 
 
 def _batched_mapping(
@@ -195,11 +178,11 @@ def _batched_mapping(
 def _solo(
     spec: KernelSpec, envelope: "TaskEnvelope", view: ProbabilisticView
 ) -> ArrayResult:
-    """``threshold`` / ``simulate`` (the core-less kernels) over one view."""
+    """A core-less kernel over one view: a row selection, or worlds."""
     arguments = envelope.arguments
     cols = view.columns
-    if spec.kind == "rows":
-        hits = np.flatnonzero(cols.probability >= arguments[0])
+    if spec.selection is not None:
+        hits = spec.selection(cols, arguments)
         arrays = {
             "t": cols.t[hits],
             "low": cols.low[hits],
@@ -212,9 +195,9 @@ def _solo(
             "rows",
             arrays,
             meta=(cols.labels,),
-            score=float(hits.size),
+            score=spec.score(arrays["probability"]),
         )
-    # simulate: the stream is seeded from (seed, series_id) alone, so the
+    # Worlds: the stream is seeded from (seed, series_id) alone, so the
     # drawn worlds are bit-identical whichever backend, worker or fan-out
     # order ran the series.
     rng = np.random.default_rng(
@@ -225,7 +208,7 @@ def _solo(
         envelope.series_id,
         "worlds",
         {"times": cols.times, "values": values},
-        score=float(cols.times.size),
+        score=spec.score(values),
     )
 
 
@@ -249,7 +232,7 @@ def _flush(
                 series_id,
                 "mapping",
                 {"times": times, "values": values},
-                score=_mapping_score(spec.score_label, values),
+                score=spec.score(values),
                 load_s=load_s,
                 compute_s=elapsed / len(members),
                 cache_hit=hit,

@@ -34,7 +34,9 @@ The planner consults this module twice:
   0.0, because the exact result could be empty (score 0).  Since the
   estimate is clamped into the interval, ``|exact - estimate| <=
   error_bound`` where ``error_bound = max(estimate - lower,
-  upper - estimate)``.
+  upper - estimate)``.  Each ``approx``
+  :data:`~repro.db.aggregates.AGGREGATES` entry has its estimator here,
+  keyed by the aggregate's name.
 """
 
 from __future__ import annotations
@@ -308,12 +310,12 @@ def _estimate_time_above(
     return ApproxEstimate((lower + upper) / 2.0, lower, upper)
 
 
-#: The APPROX estimator of each score an ``approx`` spec ranks by.
+#: The APPROX estimator of each ``approx`` aggregate, by name.
 _ESTIMATORS = {
-    "hits": _estimate_threshold,
-    "mean_ev": _estimate_expected_value,
-    "max_p": _estimate_exceedance,
-    "max_expected_count": _estimate_time_above,
+    "threshold": _estimate_threshold,
+    "expected_value": _estimate_expected_value,
+    "exceedance": _estimate_exceedance,
+    "time_above": _estimate_time_above,
 }
 
 
@@ -332,12 +334,12 @@ def estimate_series(
     raises on non-contiguous or too-short views, which no synopsis can
     detect; APPROX answers those with its interval instead of raising.
     """
-    spec = KERNELS.get(aggregate)
-    if spec is None or not spec.approx:
+    estimator = _ESTIMATORS.get(aggregate)
+    if estimator is None:
         raise ValueError(f"no APPROX estimator for aggregate {aggregate!r}")
     live = [
         synopsis
         for synopsis in synopses
         if synopsis.get("rows") and _overlaps(synopsis, lo, hi)
     ]
-    return _ESTIMATORS[spec.score_label](live, arguments, lo, hi)
+    return estimator(live, arguments, lo, hi)

@@ -42,9 +42,8 @@ from typing import Any
 
 import numpy as np
 
+from repro.db.aggregates import per_time_exceedance, per_time_expected_value
 from repro.db.prob_view import ProbabilisticView
-from repro.db.queries import per_time_expected_value
-from repro.db.stream_queries import per_time_exceedance
 from repro.exceptions import DataError, SchemaVersionError, StoreError
 from repro.metrics.base import DensityForecast, DensitySeries
 from repro.distributions.gaussian import Gaussian
@@ -240,7 +239,7 @@ def compute_view_synopsis(
     the APPROX estimators interpolate over:
 
     * per-time expected-value partial sums and extrema, computed by the
-      array core of :func:`repro.db.queries.expected_value_query`
+      ``expected_value`` core :func:`repro.db.aggregates.per_time_expected_value`
       (mass-normalised; degenerate groups fall back to the support
       midpoint) so the segment bounds enclose the exact per-time values;
     * a :data:`PROB_HIST_BUCKETS`-bucket histogram of tuple
@@ -248,8 +247,8 @@ def compute_view_synopsis(
       reader can derive rigorous threshold-count bounds;
     * an exceedance sketch: ``max_t P(value > theta)`` at
       :data:`EXC_SKETCH_EDGES` grid thresholds spanning the segment's
-      value support, through the array core of
-      :func:`repro.db.stream_queries.exceedance_vector`.  Exceedance is
+      value support, through the ``exceedance`` core
+      :func:`repro.db.aggregates.per_time_exceedance`.  Exceedance is
       non-increasing in ``theta``, so adjacent grid values bracket the
       true maximum at any threshold between them.
 

@@ -3,7 +3,8 @@
 A standing query is one select-list item — ``exceedance(21)``,
 ``sustained_exceedance(21, 5)`` — registered against a catalog series.
 After every append it runs **only over the new suffix**, through the
-same :class:`~repro.db.aggregates.KernelSpec` a ``SELECT`` runs: the
+same :class:`~repro.db.aggregates.KernelSpec` a ``SELECT`` runs
+(:meth:`~repro.db.aggregates.KernelSpec.evaluate`): the
 per-time core on the suffix (a time's value depends only on its own
 tuples), then the window reduction continued from the handle's carry;
 ``threshold`` hits arrive in (time, range) order and append.  The
@@ -18,7 +19,6 @@ from typing import Any
 
 from repro.db.aggregates import AGGREGATES, WindowCarry, resolve
 from repro.db.prob_view import ProbabilisticView
-from repro.db.queries import threshold_query
 from repro.view.sql import SelectItem
 
 __all__ = ["StandingQuery", "StandingQueryHandle"]
@@ -32,8 +32,7 @@ class StandingQuery(SelectItem):
     the first update."""
 
     def __post_init__(self) -> None:
-        arguments = tuple(float(value) for value in self.arguments)
-        bound = resolve(self.name).bind(arguments)
+        bound = resolve(self.name).bind(self.arguments)
         object.__setattr__(self, "arguments", bound)
 
     @classmethod
@@ -70,16 +69,12 @@ class StandingQueryHandle:
 
     def update(self, suffix: ProbabilisticView) -> Any:
         """Feed the view's new suffix; returns (and records) the delta."""
-        spec, arguments = self._spec, self.query.arguments
-        if spec.kind == "rows":
-            delta: Any = threshold_query(suffix, *arguments)
+        delta, self._carry = self._spec.evaluate(
+            suffix, self.query.arguments, self._carry
+        )
+        if isinstance(delta, list):
             self._result.extend(delta)
         else:
-            cols = suffix.columns
-            times, values, self._carry = spec.reduce(
-                spec.per_time(cols, arguments), cols.times, arguments, self._carry
-            )
-            delta = dict(zip(times.tolist(), values.tolist()))
             self._result.update(delta)
         self.last_delta = delta
         return delta

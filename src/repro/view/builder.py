@@ -30,7 +30,7 @@ identical to :meth:`ViewBuilder.build_rows` — same arithmetic, batched.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,11 +160,6 @@ class ViewBuilder:
     def build_rows(self, forecasts: DensitySeries) -> list[ProbabilityRow]:
         """Vector of :meth:`build_row` over a whole density series."""
         return [self.build_row(forecast) for forecast in forecasts]
-
-    def iter_rows(self, forecasts: DensitySeries) -> Iterator[ProbabilityRow]:
-        """Lazy variant of :meth:`build_rows`."""
-        for forecast in forecasts:
-            yield self.build_row(forecast)
 
     def build_matrix(self, forecasts: DensitySeries) -> ProbabilityMatrix:
         """Evaluate eq. (9) for a whole density series in one shot.

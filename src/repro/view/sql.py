@@ -29,16 +29,15 @@ A second statement queries every stored view of a catalog at once::
         TOP 5
 
 The select list holds one or more comma-separated items, each either an
-aggregate — ``threshold(tau)`` (scored by ``hits``), ``expected_value``
-(``mean_ev``), ``exceedance(threshold)`` (``max_p``),
-``time_above(threshold, window)`` (``max_expected_count``),
-``sustained_exceedance(threshold, window)`` (``max_p``),
-``windowed_expected_value(window)`` (``max_window_ev``), as registered in
-:data:`repro.db.aggregates.AGGREGATES` — or the
+aggregate — ``threshold(tau)``, ``expected_value``,
+``exceedance(threshold)``, ``time_above(threshold, window)``,
+``sustained_exceedance(threshold, window)``,
+``windowed_expected_value(window)``, as registered with their ``TOP k``
+scores in :data:`repro.db.aggregates.AGGREGATES` — or the
 possible-worlds row expression ``PROBABILITY OF <column> BETWEEN a AND
 b`` (the exact per-time probability that the value lies in the half-open
 range ``[a, b)``, answered by the range-mass core
-:func:`repro.db.worlds.per_time_range_mass`).  ``SERIES``
+:func:`repro.db.aggregates.per_time_range_mass`).  ``SERIES``
 glob-selects the series ids (default: all); ``TOP k`` keeps the k
 highest-scoring series.  An optional ``APPROX`` modifier directly after
 ``SELECT`` answers a single aggregate from stored segment synopses alone

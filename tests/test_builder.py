@@ -141,11 +141,3 @@ class TestCustomRanges:
             forecast, [OmegaRange(9.0, 10.0), OmegaRange(10.0, 11.0)]
         )
         assert set(out) == {"omega_0", "omega_1"}
-
-    def test_iter_rows_lazy_equivalent(self, gaussian_forecasts):
-        builder = ViewBuilder(OmegaGrid(0.5, 4))
-        eager = builder.build_rows(gaussian_forecasts)
-        lazy = list(builder.iter_rows(gaussian_forecasts))
-        assert len(eager) == len(lazy)
-        for a, b in zip(eager, lazy):
-            np.testing.assert_array_equal(a.probabilities, b.probabilities)

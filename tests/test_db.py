@@ -138,6 +138,18 @@ class TestQueries:
         with pytest.raises(InvalidParameterError):
             range_probability_query(_sample_view(), 2.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "low, high", [(np.nan, 2.0), (0.5, np.nan), (-np.inf, 2.0), (0.5, np.inf)]
+    )
+    def test_range_probability_non_finite_bound_rejected(self, low, high):
+        # Bound through the probability_of spec, as SELECT binds it.
+        with pytest.raises(InvalidParameterError, match="must be finite"):
+            range_probability_query(_sample_view(), low, high)
+
+    def test_range_probability_empty_range_is_zero(self):
+        # [a, a) selects nothing, as PROBABILITY OF ... BETWEEN a AND a.
+        assert range_probability_query(_sample_view(), 1.0, 1.0) == {1: 0.0, 2: 0.0}
+
     def test_expected_value(self):
         out = expected_value_query(_sample_view())
         expected_t1 = 0.5 * 0.5 + 0.3 * 1.5 + 0.2 * 2.5

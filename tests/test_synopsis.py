@@ -24,7 +24,7 @@ import pytest
 
 from repro.db.queries import expected_value_query
 from repro.db.prob_view import ProbabilisticView
-from repro.db.stream_queries import exceedance_vector
+from repro.db.stream_queries import exceedance_probability
 from repro.obs import default_registry
 from repro.server.app import QueryServer, ServerThread
 from repro.server.client import Client
@@ -191,7 +191,7 @@ class TestComputeSynopsis:
         assert all(b <= a for a, b in zip(values, values[1:]))
         for edge, value in zip(edges, values):
             assert value == pytest.approx(
-                float(exceedance_vector(view, edge).max())
+                max(exceedance_probability(view, edge).values())
             )
 
     def test_ev_fields_match_expected_value_query(self):

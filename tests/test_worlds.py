@@ -229,6 +229,12 @@ class TestConjunctiveRangeQuery:
                 view, {1: (5.0, 6.0), 2: (2.0, 1.0)}
             )
 
+    @pytest.mark.parametrize("bounds", [(np.nan, 1.0), (0.0, np.inf), (-np.inf, 1.0)])
+    def test_non_finite_bound_rejected(self, bounds):
+        # Each predicate binds through the probability_of spec.
+        with pytest.raises(InvalidParameterError, match="must be finite"):
+            conjunctive_range_query(_view(), {1: (0.0, 1.0), 2: bounds})
+
     def test_degenerate_predicate_is_empty(self):
         # [a, a) selects nothing under half-open semantics.
         assert conjunctive_range_query(_view(), {1: (0.5, 0.5)}) == 0.0

@@ -1,7 +1,7 @@
 """Bit-exactness of the possible-worlds kernels against naive references.
 
 ``PROBABILITY OF`` and ``SIMULATE`` run as column passes over a view
-(:func:`repro.db.worlds.per_time_range_mass` and
+(:func:`repro.db.aggregates.per_time_range_mass` and
 :meth:`repro.db.worlds.WorldSampler.sample_matrix`).  Their answers are
 canonical bytes and a seeded ``SIMULATE`` stream is a contract, so both
 must equal the per-tuple python loops below — one ``ProbTuple`` at a time,
@@ -25,13 +25,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from repro.db.aggregates import per_time_range_mass
 from repro.db.prob_view import ProbabilisticView
 from repro.db.queries import range_probability_query
-from repro.db.worlds import (
-    WorldSampler,
-    conjunctive_range_query,
-    per_time_range_mass,
-)
+from repro.db.worlds import WorldSampler, conjunctive_range_query
 from repro.service import CatalogQueryService
 from repro.service.kernels import compute_chunk, restrict_time_range
 from repro.service.planner import TaskEnvelope
