@@ -133,10 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--cache-mb", type=float, default=None,
                        help="path target: matrix-cache byte budget in MiB "
                             "(default 64)")
-    query.add_argument("--no-pruning", action="store_true",
-                       help="path target: disable synopsis-based segment "
-                            "pruning (results are identical; for "
-                            "benchmarking)")
     query.add_argument("--json", action="store_true",
                        help="print each result as canonical JSON")
     query.add_argument("--stats", action="store_true",
@@ -232,8 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "worker-process pool")
     serve.add_argument("--cache-mb", type=float, default=64.0,
                        help="matrix-cache byte budget in MiB")
-    serve.add_argument("--no-pruning", action="store_true",
-                       help="disable synopsis-based segment pruning")
     serve.add_argument("--slow-query-ms", type=float, default=None,
                        help="slow-query log threshold in milliseconds "
                             "(default 500; statements slower than this "
@@ -291,14 +285,12 @@ def _cmd_query(args: argparse.Namespace) -> int:
         service_options["cache_budget_bytes"] = max(
             int(args.cache_mb * (1 << 20)), 1
         )
-    if args.no_pruning:
-        service_options["pruning"] = False
     with connect(args.target, **service_options) as conn:
         if service_options and conn.service is None:
             raise InvalidParameterError(
-                "--backend/--workers/--cache-mb/--no-pruning configure the "
-                "query service of a catalog-path --target; a server's are "
-                "fixed by 'server serve'"
+                "--backend/--workers/--cache-mb configure the query "
+                "service of a catalog-path --target; a server's are fixed "
+                "by 'server serve'"
             )
         if conn.database is not None:
             series = _load_dataset(args.data, args.scale, args.seed)
@@ -483,7 +475,6 @@ def _cmd_server(args: argparse.Namespace) -> int:
             max_inflight=args.max_inflight,
             max_workers=args.workers,
             backend=args.backend,
-            pruning=not args.no_pruning,
             cache_budget_bytes=max(int(args.cache_mb * (1 << 20)), 1),
             **slow_kwargs,
         )

@@ -124,8 +124,12 @@ class Connection:
 
         ``as_of`` rewrites the statement with an ``AS OF
         <knowledge_time>`` clause (SELECT / SIMULATE only) before
-        routing, so all three routes answer from the same revision
-        frontier.  ``trace=True`` asks a server for the per-stage
+        routing — the one place that rewrite happens — so all three
+        routes answer from the same revision frontier, and a server (and
+        its coalescing, which keys on statement text) sees a plain
+        dialect statement.  A statement that already carries a
+        *different* ``AS OF`` clause is rejected rather than silently
+        overridden.  ``trace=True`` asks a server for the per-stage
         latency breakdown (``result.trace`` is its serialized trace
         block); local results always carry their
         :class:`~repro.obs.trace.QueryTrace` on ``result.trace``.
@@ -162,7 +166,6 @@ def connect(
     backend: str = "sequential",
     max_workers: int | None = None,
     cache_budget_bytes: int = 64 << 20,
-    pruning: bool = True,
     timeout: float = 30.0,
 ) -> Connection:
     """Open a :class:`Connection` to ``target``.
@@ -171,9 +174,9 @@ def connect(
     :class:`~repro.db.engine.Database` (statements addressing a catalog
     run on a throw-away default service); a local path binds the engine
     to a :class:`~repro.service.executor.CatalogQueryService` over that
-    catalog (warm matrix cache; ``backend``, ``cache_budget_bytes``,
-    ``pruning`` apply here: ``"sequential"``, the default, runs each
-    statement inline on the calling thread, ``"process"`` on a
+    catalog (warm matrix cache; ``backend``, ``max_workers`` and
+    ``cache_budget_bytes`` apply here: ``"sequential"``, the default,
+    runs each statement inline on the calling thread, ``"process"`` on a
     persistent pool of ``max_workers`` worker processes — ``None``: one
     per core; validated ``>= 1``, otherwise unused); a
     ``tcp://host[:port]`` URL connects a
@@ -209,5 +212,4 @@ def connect(
         backend=backend,
         max_workers=max_workers,
         cache_budget_bytes=cache_budget_bytes,
-        pruning=pruning,
     )))

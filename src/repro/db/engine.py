@@ -52,12 +52,9 @@ class ViewResult:
 
     kind = "view"
 
-    def __init__(
-        self, view: ProbabilisticView, trace: QueryTrace | None = None
-    ) -> None:
+    def __init__(self, view: ProbabilisticView, trace: QueryTrace) -> None:
         self.view = view
-        #: ``None`` for a disabled trace, as on the service's results.
-        self.trace = trace if trace is not None and trace.enabled else None
+        self.trace = trace
 
     def to_dict(self) -> dict[str, Any]:
         """The view as the JSON-ready payload the wire protocol sends."""
@@ -159,10 +156,9 @@ class Database:
         ``CREATE VIEW`` statements return a :class:`ViewResult`;
         catalog-wide ``SELECT`` / ``SIMULATE`` statements the service
         layer's :class:`~repro.service.executor.StatementResult`.  Each
-        carries the statement's stage spans on ``result.trace`` (``None``
-        when the caller passed a disabled trace): a trace created
-        here is finished here; a caller-supplied one is recorded into
-        but not finished — whoever created it owns its wall clock.
+        carries the statement's stage spans on ``result.trace``: a trace
+        created here is finished here; a caller-supplied one is recorded
+        into but not finished — whoever created it owns its wall clock.
         """
         return self._run(sql, trace, render=False)
 
@@ -183,7 +179,7 @@ class Database:
         own = trace is None
         if own:
             trace = QueryTrace(sql)
-        elif trace.enabled and trace.statement is None:
+        elif trace.statement is None:
             trace.statement = sql
         with trace.stage("parse"):
             statement = parse_statement(sql)

@@ -29,7 +29,7 @@ from repro.obs.metrics import (
     default_registry,
 )
 from repro.obs.slowlog import DEFAULT_SLOW_QUERY_MS, SlowQueryLog
-from repro.obs.trace import MAX_SERIES_SPANS, NULL_TRACE, QueryTrace, Span
+from repro.obs.trace import MAX_SERIES_SPANS, QueryTrace, Span
 
 __all__ = [
     "Counter",
@@ -39,7 +39,6 @@ __all__ = [
     "Histogram",
     "MAX_SERIES_SPANS",
     "MetricsRegistry",
-    "NULL_TRACE",
     "QueryTrace",
     "SlowQueryLog",
     "Span",

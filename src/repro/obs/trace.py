@@ -1,7 +1,8 @@
 """Per-query trace spans: where one statement's wall time actually went.
 
-A :class:`QueryTrace` is created when a statement enters the stack (the
-server's request handler, :meth:`~repro.db.engine.Database.execute`, or
+Every statement is traced: a :class:`QueryTrace` is created when it
+enters the stack (the server's request handler,
+:meth:`~repro.db.engine.Database.execute`, or
 :class:`~repro.service.executor.CatalogQueryService` when called
 directly) and carried through parse → plan → prune → fan-out →
 per-series load/compute → serialize.  Stage timings are recorded as
@@ -43,7 +44,7 @@ import time
 from contextlib import contextmanager
 from typing import Any
 
-__all__ = ["MAX_SERIES_SPANS", "NULL_TRACE", "QueryTrace", "Span"]
+__all__ = ["MAX_SERIES_SPANS", "QueryTrace", "Span"]
 
 #: Per-series spans kept in a rendered trace (the slowest ones win).
 MAX_SERIES_SPANS = 32
@@ -69,13 +70,12 @@ class Span:
 class QueryTrace:
     """Mutable trace context for one statement's execution.
 
-    Stages are recorded by the single thread driving the statement, so no
-    lock is needed; per-series entries are merged in by that same thread
-    after the backend gather returns.  ``enabled`` distinguishes a real
-    trace from :data:`NULL_TRACE` without isinstance checks on hot paths.
+    Every statement has one: there is no disabled mode, so every route
+    feeds the same latency histogram and slow-query log.  Stages are
+    recorded by the single thread driving the statement, so no lock is
+    needed; per-series entries are merged in by that same thread after
+    the backend gather returns.
     """
-
-    enabled = True
 
     __slots__ = (
         "statement",
@@ -199,62 +199,3 @@ class QueryTrace:
             f"series={len(self.series)}, wall={self.elapsed() * 1e3:.2f}ms)"
         )
 
-
-class _NullTrace:
-    """The no-op trace: every hook exists, nothing is recorded.
-
-    Hot paths call ``trace.stage(...)`` unconditionally; when tracing is
-    off they get this singleton and pay one attribute lookup plus an
-    empty context manager.  ``__slots__ = ()`` keeps the shared instance
-    stateless: writing to it raises instead of leaking into every later
-    statement.
-    """
-
-    __slots__ = ()
-
-    enabled = False
-    statement = None
-    backend = None
-    transport = None
-    stages: list = []
-    series: list = []
-    cache_hits = 0
-    cache_misses = 0
-
-    @contextmanager
-    def stage(self, name: str):
-        yield self
-
-    def add_stage(self, name: str, start_s: float, duration_s: float) -> None:
-        pass
-
-    def offset(self) -> float:
-        return 0.0
-
-    def add_series(
-        self,
-        series_id: str,
-        load_s: float,
-        compute_s: float,
-        cache_hit: bool,
-    ) -> None:
-        pass
-
-    def finish(self) -> float:
-        return 0.0
-
-    def elapsed(self) -> float:
-        return 0.0
-
-    def stage_ms(self) -> dict[str, float]:
-        return {}
-
-    def as_dict(self) -> dict[str, Any]:
-        return {}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid.
-        return "NULL_TRACE"
-
-
-#: Shared no-op instance (stateless, safe to reuse everywhere).
-NULL_TRACE = _NullTrace()

@@ -132,10 +132,6 @@ class QueryServer:
         one; ``"process"`` adds ``max_workers`` worker processes
         (``None``: one per core; validated ``>= 1``, otherwise unused)
         for true multi-core aggregate execution.
-    pruning:
-        Forwarded to the service: use segment synopses to skip
-        provably-irrelevant work (default on; results are identical
-        either way).
     registry:
         Forwarded to the service; the server's own request counters are
         exported into the same registry, and ``{"op": "metrics"}``
@@ -165,7 +161,6 @@ class QueryServer:
         max_workers: int | None = None,
         cache_budget_bytes: int = 64 << 20,
         backend: str = "sequential",
-        pruning: bool = True,
         registry: MetricsRegistry | None = None,
         slow_query_ms: float = DEFAULT_SLOW_QUERY_MS,
     ) -> None:
@@ -174,7 +169,6 @@ class QueryServer:
             max_workers=max_workers,
             cache_budget_bytes=cache_budget_bytes,
             backend=backend,
-            pruning=pruning,
             registry=registry,
             slow_query_ms=slow_query_ms,
         )

@@ -21,17 +21,6 @@ from repro.server.app import DEFAULT_HOST, DEFAULT_PORT
 __all__ = ["Client", "ServerConnectionError", "ServerError"]
 
 
-def _inject_as_of(statement: str, as_of: int) -> str:
-    """Rewrite ``statement`` to carry ``AS OF as_of``, or raise.
-
-    Deferred import: the client stays importable without pulling the
-    grammar until an ``as_of`` rewrite is actually requested.
-    """
-    from repro.view.sql import with_as_of
-
-    return with_as_of(statement, as_of)
-
-
 class ServerError(ReproError):
     """The server answered ``ok: false``; mirrors the wire error object."""
 
@@ -118,31 +107,20 @@ class Client:
         result = response.get("result")
         return result if isinstance(result, dict) else {}
 
-    def query(
-        self,
-        statement: str,
-        *,
-        trace: bool = False,
-        as_of: int | None = None,
-    ) -> dict[str, Any]:
+    def query(self, statement: str, *, trace: bool = False) -> dict[str, Any]:
         """Execute one statement; the serialized result on success.
 
         ``trace=True`` asks the server to attach its per-stage trace
         block (parse → plan → prune → fan-out → serialize, plus the
         slowest per-series spans) to the result under ``"trace"``.
 
-        ``as_of`` rewrites the statement with an ``AS OF
-        <knowledge_time>`` clause before it goes on the wire, so the
-        server (and its coalescing, which keys on statement text) sees a
-        plain dialect statement — a statement that already carries a
-        *different* ``AS OF`` clause is rejected rather than silently
-        overridden.  Only SELECT / SIMULATE accept the clause.
+        The statement goes on the wire as written; to pin a revision
+        frontier, write its ``AS OF <knowledge_time>`` clause or use
+        :meth:`repro.connection.Connection.execute`'s ``as_of``.
 
         Raises :class:`ServerError` (with the structured ``type``) when
         the server rejects or fails the statement.
         """
-        if as_of is not None:
-            statement = _inject_as_of(statement, as_of)
         payload: dict[str, Any] = {"statement": statement}
         if trace:
             payload["trace"] = True

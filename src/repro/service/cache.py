@@ -237,16 +237,18 @@ class MatrixCache:
     # ------------------------------------------------------------------
     # Introspection / maintenance.
     # ------------------------------------------------------------------
-    def register_metrics(self, registry, *, scope: str = "service"):
+    def register_metrics(self, registry):
         """Export this cache's counters as scrape-time gauges.
 
         Registers a collector on ``registry`` that copies the current
-        :class:`CacheStats` into ``repro_cache_*`` gauges (labelled by
-        ``scope``) right before every snapshot/exposition — cache state
-        is external fact, not an event stream, so it is sampled rather
-        than incremented.  Returns the collector; pass it to
-        ``registry.unregister_collector`` when the cache's owner shuts
-        down, or the shared registry keeps scraping a dead cache.
+        :class:`CacheStats` into ``repro_cache_*`` and
+        ``repro_reply_cache_*`` gauges (labelled ``scope="service"``: the
+        query service that owns the cache) right before every
+        snapshot/exposition — cache state is external fact, not an event
+        stream, so it is sampled rather than incremented.  Returns the
+        collector; pass it to ``registry.unregister_collector`` when the
+        cache's owner shuts down, or the shared registry keeps scraping a
+        dead cache.
         """
         hits = registry.gauge(
             "repro_cache_hits", "Matrix-cache lookup hits"
@@ -277,13 +279,13 @@ class MatrixCache:
 
         def collect() -> None:
             stats = self.stats
-            hits.set(stats.hits, scope=scope)
-            misses.set(stats.misses, scope=scope)
-            evictions.set(stats.evictions, scope=scope)
-            entries.set(stats.entries, scope=scope)
-            resident.set(stats.current_bytes, scope=scope)
+            hits.set(stats.hits, scope="service")
+            misses.set(stats.misses, scope="service")
+            evictions.set(stats.evictions, scope="service")
+            entries.set(stats.entries, scope="service")
+            resident.set(stats.current_bytes, scope="service")
             for name, value in stats.replies().items():
-                replies[name].set(value, scope=scope)
+                replies[name].set(value, scope="service")
 
         registry.register_collector(collect)
         return collect

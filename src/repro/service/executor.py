@@ -38,7 +38,7 @@ from repro.db.prob_view import ProbTuple
 from repro.exceptions import QueryError, ReproError
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.slowlog import DEFAULT_SLOW_QUERY_MS, SlowQueryLog
-from repro.obs.trace import NULL_TRACE, QueryTrace
+from repro.obs.trace import QueryTrace
 from repro.service.backends import ExecutorBackend, make_backend
 from repro.service.cache import MatrixCache
 from repro.service.kernels import (
@@ -196,8 +196,8 @@ class StatementResult:
     ``len()`` and iteration go over ``results`` on every kind.
 
     ``trace`` is the statement's :class:`~repro.obs.trace.QueryTrace`
-    when one was recorded (excluded from equality — two runs of the same
-    statement are the same result).
+    (excluded from equality — two runs of the same statement are the
+    same result).
     """
 
     aggregate: str
@@ -427,9 +427,7 @@ class CatalogQueryService:
             registry=self.registry,
         )
         self.max_workers = self._backend.max_workers
-        self._cache_collector = self.cache.register_metrics(
-            self.registry, scope="service"
-        )
+        self._cache_collector = self.cache.register_metrics(self.registry)
         # Resolved once: statement/catalog matching happens per request,
         # and the bound root never changes for the service's lifetime.
         self._root_resolved = Path(self.catalog.root).resolve()
@@ -502,7 +500,6 @@ class CatalogQueryService:
                 )
             return rendered
         rendered, items = cached
-        self._begin(trace)
         for aggregate, stats in items:
             self._record_stats(stats, aggregate)
         self._observe_query(
@@ -517,7 +514,8 @@ class CatalogQueryService:
         self, statement: str | CatalogQuery, trace: QueryTrace
     ) -> QueryPlan:
         """Parse (if needed), pin to this catalog, and plan one statement."""
-        if trace.enabled and trace.statement is None:
+        self._begin(trace)
+        if trace.statement is None:
             trace.statement = (
                 statement
                 if isinstance(statement, str)
@@ -545,14 +543,16 @@ class CatalogQueryService:
         own = trace is None
         if own:
             trace = QueryTrace()
+        self._begin(trace)
         return self._execute_traced(plan, trace, own)
 
     def _begin(self, trace: QueryTrace) -> None:
         """Refuse work once closed; name the backend on the trace.
 
-        A closed service refuses new statements with a clear
-        :class:`~repro.exceptions.QueryError` on *every* backend — the
-        process pool in particular must never surface a pickled
+        Every entry point calls this before it parses, plans or reads the
+        catalog, so a closed service refuses every statement with the
+        same :class:`~repro.exceptions.QueryError` on *every* backend —
+        never a parse or planning error, and never a pickled
         ``BrokenProcessPool`` traceback for a deliberate ``close()``.
         """
         if self._closed:
@@ -560,15 +560,13 @@ class CatalogQueryService:
                 "service closed: CatalogQueryService.close() was called; "
                 "create a new service to keep querying"
             )
-        if trace.enabled:
-            trace.backend = self._backend.name
-            trace.transport = self._backend.transport
+        trace.backend = self._backend.name
+        trace.transport = self._backend.transport
 
     def _execute_traced(
         self, plan: QueryPlan, trace: QueryTrace, own: bool
     ) -> StatementResult:
         """Run a plan under a trace; finish the trace only when owned."""
-        self._begin(trace)
         items = plan.items
         if plan.query.approx:
             with trace.stage("compute"):
@@ -581,7 +579,7 @@ class CatalogQueryService:
             # its items would otherwise each load alone.
             jobs = [(item, task) for item in items for task in item.tasks]
             with trace.stage("fan_out"):
-                gathered = self._map_tasks(jobs, trace=trace)
+                gathered = self._map_tasks(jobs, trace)
         with trace.stage("finalize"):
             parts = []
             offset = 0
@@ -593,10 +591,7 @@ class CatalogQueryService:
                     )
                 )
                 offset += count
-            result = replace(
-                StatementResult.combined(parts),
-                trace=trace if trace.enabled else None,
-            )
+            result = replace(StatementResult.combined(parts), trace=trace)
         self._observe_query(trace, result.aggregate, result.stats)
         if own:
             trace.finish()
@@ -626,8 +621,7 @@ class CatalogQueryService:
     def _map_tasks(
         self,
         jobs: list[tuple[ItemPlan, SeriesTask]],
-        *,
-        trace: QueryTrace = NULL_TRACE,
+        trace: QueryTrace,
     ) -> list[SeriesResult]:
         """Run ``(item, task)`` jobs through the backend.
 
@@ -638,18 +632,16 @@ class CatalogQueryService:
         """
         envelopes = [item.envelope(task) for item, task in jobs]
         gathered = self._backend.map(envelopes)
-        merge = trace.enabled
         results: list[SeriesResult] = []
         for outcome in gathered:
             if outcome.error is not None:
                 raise QueryError(outcome.error)
-            if merge:
-                trace.add_series(
-                    outcome.series_id,
-                    outcome.load_s,
-                    outcome.compute_s,
-                    outcome.cache_hit,
-                )
+            trace.add_series(
+                outcome.series_id,
+                outcome.load_s,
+                outcome.compute_s,
+                outcome.cache_hit,
+            )
             results.append(SeriesResult.from_arrays(outcome))
         return results
 
@@ -777,8 +769,6 @@ class CatalogQueryService:
         self, trace: QueryTrace, aggregate: str, stats: PlanStats
     ) -> None:
         """Latency histogram + slow-query log for one finished statement."""
-        if not trace.enabled:
-            return
         elapsed = trace.elapsed()
         self._obs_query_seconds.observe(elapsed, aggregate=aggregate)
         self.slow_log.observe(trace, extra=stats.as_dict())
@@ -794,9 +784,10 @@ class CatalogQueryService:
     def close(self) -> None:
         """Shut down the backend and refuse further statements.
 
-        Idempotent.  Subsequent ``execute``/``execute_plan`` calls raise
-        ``QueryError("service closed: ...")`` — uniformly across
-        backends, never a pool-internal traceback.
+        Idempotent.  Subsequent ``execute``/``execute_plan``/``reply``
+        calls raise ``QueryError("service closed: ...")`` before they
+        parse or plan — uniformly across backends, never a
+        pool-internal traceback.
         """
         self._closed = True
         self.registry.unregister_collector(self._cache_collector)

@@ -29,7 +29,7 @@ from repro.db.aggregates import (
     resolve,
 )
 from repro.exceptions import InvalidParameterError, QueryError
-from repro.obs.trace import NULL_TRACE
+from repro.obs.trace import QueryTrace
 from repro.service.synopsis import prune_segments
 from repro.store.catalog import Catalog, SeriesSnapshot
 from repro.util.rng import DEFAULT_SEED
@@ -300,7 +300,7 @@ def plan_statement(
     query: CatalogQuery,
     *,
     pruning: bool = True,
-    trace: Any = NULL_TRACE,
+    trace: QueryTrace | None = None,
 ) -> QueryPlan:
     """Lower a parsed statement against a catalog.
 
@@ -322,8 +322,11 @@ def plan_statement(
     ``trace`` gets two spans: ``plan`` (binding, manifest expansion, task
     construction) and, for exact plans, ``prune`` (the synopsis scans,
     summed across items) — split out because a slow plan and a slow
-    prune point at different fixes.
+    prune point at different fixes.  ``None`` records them into a
+    throw-away trace.
     """
+    if trace is None:
+        trace = QueryTrace()
     plan_offset = trace.offset()
     plan_t0 = time.perf_counter()
     bound = _bound_items(query)

@@ -923,8 +923,6 @@ class Catalog:
         # from several executor threads against one shared Catalog.
         self._snapshot_lock = threading.Lock()
         self._snapshot_cache: dict[str, tuple[tuple, SeriesSnapshot]] = {}
-        self._snapshot_hits = 0
-        self._snapshot_misses = 0
 
     def _flush_manifest(self) -> None:
         _write_json_atomic(self.root / _CATALOG_FILE, self._manifest)
@@ -988,6 +986,8 @@ class Catalog:
         returns the cached immutable capture without re-reading the file.
         Any append rewrites ``series.json`` atomically (new inode), so a
         stale capture can never be served once the write is durable.
+        Every call counts one ``hit`` or ``miss`` into
+        ``repro_store_snapshots_total``.
         """
         self._check_known(series_id)
         directory = self.root / series_id
@@ -1001,7 +1001,6 @@ class Catalog:
             with self._snapshot_lock:
                 cached = self._snapshot_cache.get(series_id)
                 if cached is not None and cached[0] == token:
-                    self._snapshot_hits += 1
                     _OBS_SNAPSHOTS.inc(outcome="hit")
                     return cached[1]
         meta = _read_json(directory / _SERIES_FILE, "series")
@@ -1009,14 +1008,8 @@ class Catalog:
         _OBS_SNAPSHOTS.inc(outcome="miss")
         if token is not None:
             with self._snapshot_lock:
-                self._snapshot_misses += 1
                 self._snapshot_cache[series_id] = (token, snapshot)
         return snapshot
-
-    def snapshot_cache_info(self) -> tuple[int, int]:
-        """``(hits, misses)`` of the snapshot memo — observability hook."""
-        with self._snapshot_lock:
-            return self._snapshot_hits, self._snapshot_misses
 
     def _drop_snapshot(self, series_id: str) -> None:
         with self._snapshot_lock:

@@ -24,14 +24,14 @@ from repro.obs import (
     DEFAULT_SLOW_QUERY_MS,
     MAX_SERIES_SPANS,
     MetricsRegistry,
-    NULL_TRACE,
     QueryTrace,
     SlowQueryLog,
     default_registry,
 )
+from repro.db.engine import Database
 from repro.server import Client, QueryServer, ServerThread
 from repro.server.app import ServerStats
-from repro.service import CatalogQueryService
+from repro.service import CatalogQueryService, plan_statement
 from repro.store import Catalog
 from repro.view.omega import OmegaGrid
 from repro.view.sql import parse_statement, render_statement
@@ -332,38 +332,6 @@ class TestTrace:
             "hits": 0, "misses": MAX_SERIES_SPANS + 5,
         }
 
-    def test_null_trace_records_nothing(self):
-        with NULL_TRACE.stage("parse"):
-            pass
-        NULL_TRACE.add_series("s", 1.0, 1.0, True)
-        assert not NULL_TRACE.enabled
-        assert NULL_TRACE.stages == []
-        assert NULL_TRACE.as_dict() == {}
-        assert NULL_TRACE.finish() == 0.0
-
-    def test_null_trace_stays_stateless_through_the_engine(self):
-        # The engine used to write the statement text onto the shared
-        # singleton, where it leaked into the rest of the process.
-        from repro.db.engine import Database
-        from repro.db.table import Table
-
-        database = Database()
-        database.register_table(Table(
-            "raw", ["t", "r"],
-            {"t": list(range(80)),
-             "r": [10.0 + (i % 7) for i in range(80)]},
-        ))
-        result = database.execute(
-            "CREATE VIEW v AS DENSITY r OVER t OMEGA delta=1, n=2 "
-            "WINDOW 40 FROM raw",
-            trace=NULL_TRACE,
-        )
-        assert NULL_TRACE.statement is None
-        # A disabled trace is no trace, on every result kind.
-        assert result.trace is None
-        with pytest.raises(AttributeError):
-            NULL_TRACE.statement = "leak"
-
 
 class TestSlowQueryLog:
     def _trace(self, statement="SELECT 1") -> QueryTrace:
@@ -487,21 +455,43 @@ class TestServiceTracing:
 # ---------------------------------------------------------------------------
 class TestServiceMetrics:
     def test_query_counters_and_histograms(self, catalog):
+        """Every entry point lands once in every ledger: the execution
+        counters, the registry's counter and histogram, the slow log."""
         registry = MetricsRegistry()
+        sql = _sql(catalog)
         with CatalogQueryService(
             catalog, backend="sequential", registry=registry
         ) as service:
-            service.execute(_sql(catalog))
-            service.execute(_sql(catalog, "APPROX exceedance(21.0)"))
+            results = [
+                service.execute(sql),
+                service.execute(_sql(catalog, "APPROX exceedance(21.0)")),
+                Database(service).execute(sql),
+                service.execute_plan(
+                    plan_statement(service.catalog, parse_statement(sql))
+                ),
+            ]
+            for _ in range(2):  # A reply miss, then a reply hit.
+                trace = QueryTrace()
+                service.reply(sql, trace=trace)
+                trace.finish()
+            statements = len(results) + 2
+            assert service.cache.stats.reply_hits == 1
+            assert service.execution_stats()["queries"] == statements
+            assert service.slow_log.counts()[0] == statements
             snapshot = registry.snapshot()
+        for result in results:
+            assert isinstance(result.trace, QueryTrace)
+            assert result.trace._wall_s is not None  # finished
         queries = snapshot["repro_queries_total"]["values"]
-        assert queries['{aggregate="exceedance",mode="exact"}'] == 1.0
+        assert sum(queries.values()) == statements
+        assert queries['{aggregate="exceedance",mode="exact"}'] == 5.0
         assert queries['{aggregate="exceedance",mode="approx"}'] == 1.0
         latency = snapshot["repro_query_seconds"]["values"]
-        assert latency['{aggregate="exceedance"}']["count"] == 2
+        assert latency['{aggregate="exceedance"}']["count"] == statements
+        # Four exact executions fan out; APPROX and the reply hit do not.
         tasks = snapshot["repro_backend_tasks_total"]["values"]
         assert tasks['{backend="sequential"}'] == float(
-            len(catalog.list_series())
+            4 * len(catalog.list_series())
         )
         cache = snapshot["repro_cache_misses"]["values"]
         assert cache['{scope="service"}'] == float(

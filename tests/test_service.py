@@ -658,10 +658,23 @@ class TestClosedPoolRace:
         statement = f"SELECT expected_value FROM CATALOG '{catalog_root}'"
         service = CatalogQueryService(catalog_root, max_workers=4)
         assert service.execute(statement).results
+        plan = plan_statement(service.catalog, parse_statement(statement))
         service.close()
         service.close()  # Idempotent.
-        with pytest.raises(QueryError, match="service closed"):
-            service.execute(statement)
+        # Refused before parse and plan: statements that would fail to
+        # plan still get the closed-service error.
+        calls = [
+            lambda: service.execute(statement),
+            lambda: service.execute(statement + " SERIES 'nope*'"),
+            lambda: service.execute(
+                f"SELECT bogus(1) FROM CATALOG '{catalog_root}'"
+            ),
+            lambda: service.execute_plan(plan),
+            lambda: service.reply(statement, trace=QueryTrace()),
+        ]
+        for call in calls:
+            with pytest.raises(QueryError, match="service closed"):
+                call()
 
     def test_concurrent_close_never_leaks_runtime_error(
         self, catalog_root, concurrent_callers
