@@ -332,6 +332,53 @@ class TestTrace:
             "hits": 0, "misses": MAX_SERIES_SPANS + 5,
         }
 
+    def test_engine_gives_every_result_kind_its_own_finished_trace(
+        self, catalog
+    ):
+        # No trace is shared between statements: each one the engine
+        # runs gets a fresh trace, finished and naming its own text.
+        from repro.db.table import Table
+
+        database = Database()
+        database.register_table(Table(
+            "raw", ["t", "r"],
+            {"t": list(range(80)),
+             "r": [10.0 + (i % 7) for i in range(80)]},
+        ))
+        statements = [
+            "CREATE VIEW v AS DENSITY r OVER t OMEGA delta=1, n=2 "
+            "WINDOW 40 FROM raw",
+            _sql(catalog),
+            f"SIMULATE 2 SEED 3 FROM CATALOG '{catalog.root}'",
+        ]
+        results = [database.execute(sql) for sql in statements]
+        assert [result.kind for result in results] == [
+            "view", "select", "simulate",
+        ]
+        traces = [result.trace for result in results]
+        assert len({id(trace) for trace in traces}) == len(traces)
+        for sql, trace in zip(statements, traces):
+            assert isinstance(trace, QueryTrace)
+            assert trace._wall_s is not None  # finished by the engine
+            assert trace.statement == sql
+            assert trace.stages[0].name == "parse"
+
+    def test_engine_records_into_a_caller_trace_without_finishing_it(
+        self, catalog
+    ):
+        database = Database()
+        blank = QueryTrace()
+        result = database.execute(_sql(catalog), trace=blank)
+        assert result.trace is blank
+        assert blank.statement == _sql(catalog)
+        assert blank._wall_s is None  # the caller owns the wall clock
+        assert "parse" in blank.stage_ms()
+        # A statement the caller already named is kept as given.
+        named = QueryTrace("named by the caller")
+        database.execute(_sql(catalog), trace=named)
+        assert named.statement == "named by the caller"
+        assert named._wall_s is None
+
 
 class TestSlowQueryLog:
     def _trace(self, statement="SELECT 1") -> QueryTrace:
