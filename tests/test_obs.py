@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import re
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from repro.server import Client, QueryServer, ServerThread
 from repro.server.app import ServerStats
 from repro.service import CatalogQueryService, plan_statement
 from repro.store import Catalog
+from repro.util.jsonio import canonical_dumps
 from repro.view.omega import OmegaGrid
 from repro.view.sql import parse_statement, render_statement
 
@@ -247,6 +249,43 @@ def _parse_exposition(text: str) -> dict[str, float]:
     return samples
 
 
+GOLDEN = Path(__file__).with_name("golden")
+
+
+def _pinned_registry() -> MetricsRegistry:
+    """One registry built from a fixed script of every kind of write.
+
+    Its exposition and canonical snapshot are committed as
+    ``golden/metrics.prom`` and ``golden/metrics_snapshot.json``.
+    """
+    registry = MetricsRegistry()
+    requests = registry.counter("t_requests_total", "Requests served, by op")
+    requests.inc()
+    requests.inc(2.5)
+    requests.inc(3, op="query")
+    requests.inc(op="stats")
+    registry.counter("t_idle_total", "Never incremented")
+    registry.counter("t_plain_total").inc(4)
+    registry.counter("t_statements_total", 'Text with "quotes"').inc(
+        statement='say "hi"\nback\\slash'
+    )
+    gauge = registry.gauge("t_bytes", "Resident bytes")
+    gauge.set(1024)
+    gauge.inc(-24.5)
+    gauge.set(3, pool="b")
+    gauge.inc(0.25, pool="a")
+    histogram = registry.histogram("t_seconds", "Latency in seconds")
+    for value in (0.00005, 0.003, 0.003, 0.0125, 1.5):
+        histogram.observe(value)
+    for value in (0.07, 0.7, 45.0):
+        histogram.observe(value, op="q")
+    histogram.observe(100.0, op="s")
+    registry.histogram("t_empty_seconds")
+    entries = registry.gauge("t_entries", "Set by a collector")
+    registry.register_collector(lambda: entries.set(7))
+    return registry
+
+
 class TestExposition:
     def test_counter_gauge_histogram_render(self):
         registry = MetricsRegistry()
@@ -290,6 +329,15 @@ class TestExposition:
         text = registry.exposition()
         assert '\\"hi\\"' in text
         assert "\\n" in text
+
+    def test_exposition_and_snapshot_bytes_are_pinned(self):
+        # Byte-exact: a changed HELP/TYPE line, line order or number
+        # format fails here even where the parsed samples agree.
+        registry = _pinned_registry()
+        assert registry.exposition() == (GOLDEN / "metrics.prom").read_text()
+        assert canonical_dumps(registry.snapshot()) + "\n" == (
+            GOLDEN / "metrics_snapshot.json"
+        ).read_text()
 
 
 # ---------------------------------------------------------------------------
