@@ -15,8 +15,9 @@ repeated statements never reload a segment.
   checks + pruned snapshot fan-out list per select-list item, plus the
   picklable per-series task envelopes backends consume;
 * :mod:`repro.service.kernels` — the one compute path:
-  ``compute_chunk`` turns a chunk of envelopes into array-form answers
-  (chunk-stacked ``reduceat`` kernels, scores included);
+  ``compute_chunk`` turns a chunk of envelopes into
+  :class:`SeriesResult` records, the one per-series answer (chunk-stacked
+  ``reduceat`` kernels, scores included);
 * :mod:`repro.service.backends` — the executor backends: two
   schedulers for that one function (the process pool returns those
   arrays pickled through its own pipe);
@@ -34,11 +35,8 @@ from repro.service.backends import (
     make_backend,
 )
 from repro.service.cache import CacheStats, MatrixCache
-from repro.service.executor import (
-    CatalogQueryService,
-    SeriesResult,
-    StatementResult,
-)
+from repro.service.executor import CatalogQueryService, StatementResult
+from repro.service.kernels import SeriesResult
 from repro.service.planner import (
     AGGREGATES,
     KERNELS,

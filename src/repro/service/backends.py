@@ -18,10 +18,11 @@ differ only in who calls it:
   spawn-safe initializer, and return each chunk's results pickled
   through the pool's own pipe.
 
-Both backends return :class:`~repro.service.kernels.ArrayResult` objects
-in input order; per-series failures travel *inside* the result (as a
-message, never a pickled traceback) so one broken series aborts the
-statement with a diagnostic naming that series.  A worker process dying
+Both backends return :class:`~repro.service.kernels.SeriesResult` records
+in input order — the same records the executor ranks and renders.
+Per-series failures travel *inside* the result (as a message, never a
+pickled traceback) so one broken series aborts the statement with a
+diagnostic naming that series.  A worker process dying
 outright surfaces as :class:`~repro.exceptions.QueryError` naming every
 series whose chunk was lost, and the pool is rebuilt lazily on the next
 statement.
@@ -40,7 +41,7 @@ from typing import Any
 from repro.exceptions import InvalidParameterError, QueryError
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.service.cache import MatrixCache
-from repro.service.kernels import ArrayResult, compute_chunk
+from repro.service.kernels import SeriesResult, compute_chunk
 from repro.service.planner import TaskEnvelope
 
 __all__ = [
@@ -95,7 +96,7 @@ class ExecutorBackend:
             "Wall time of one backend fan-out (map call), by backend",
         )
 
-    def map(self, envelopes: list[TaskEnvelope]) -> list[ArrayResult]:
+    def map(self, envelopes: list[TaskEnvelope]) -> list[SeriesResult]:
         start = time.perf_counter()
         try:
             return self._map(envelopes)
@@ -105,7 +106,7 @@ class ExecutorBackend:
                 time.perf_counter() - start, backend=self.name
             )
 
-    def _map(self, envelopes: list[TaskEnvelope]) -> list[ArrayResult]:
+    def _map(self, envelopes: list[TaskEnvelope]) -> list[SeriesResult]:
         raise NotImplementedError
 
     def close(self) -> None:  # pragma: no cover - trivial default.
@@ -132,7 +133,7 @@ class SequentialBackend(ExecutorBackend):
         self.cache = cache
         self._init_metrics(registry)
 
-    def _map(self, envelopes: list[TaskEnvelope]) -> list[ArrayResult]:
+    def _map(self, envelopes: list[TaskEnvelope]) -> list[SeriesResult]:
         return compute_chunk(envelopes, self.cache)
 
 
@@ -152,7 +153,7 @@ def _worker_init(cache_budget_bytes: int) -> None:
     _WORKER_CACHE = MatrixCache(cache_budget_bytes)
 
 
-def _run_chunk(chunk: list[TaskEnvelope]) -> list[ArrayResult]:
+def _run_chunk(chunk: list[TaskEnvelope]) -> list[SeriesResult]:
     """Worker-side entry point: run one chunk against the warm cache."""
     crash = os.environ.get(_CRASH_ENV)
     if crash and any(envelope.series_id == crash for envelope in chunk):
@@ -173,7 +174,7 @@ class ProcessBackend(ExecutorBackend):
     statements hit worker-resident views exactly like the inline backend
     hits the service's one.
 
-    A chunk's results come back as its :class:`ArrayResult` list, pickled
+    A chunk's results come back as its :class:`SeriesResult` list, pickled
     by the pool onto its result pipe: a few KB of arrays per series, the
     same bytes the inline backend hands over.
     """
@@ -233,7 +234,7 @@ class ProcessBackend(ExecutorBackend):
             for start in range(0, len(envelopes), size)
         ]
 
-    def _map(self, envelopes: list[TaskEnvelope]) -> list[ArrayResult]:
+    def _map(self, envelopes: list[TaskEnvelope]) -> list[SeriesResult]:
         if not envelopes:
             return []
         chunks = self._chunks(envelopes)
@@ -244,7 +245,7 @@ class ProcessBackend(ExecutorBackend):
             raise QueryError(
                 f"catalog query service is shut down: {exc}"
             ) from exc
-        results: list[ArrayResult] = []
+        results: list[SeriesResult] = []
         lost: list[str] = []
         broken: BaseException | None = None
         for future, chunk in zip(futures, chunks):

@@ -11,11 +11,12 @@ pool's pipe.  Results come back in deterministic order: series id, or
 score-descending when ``TOP k`` ranks.
 
 Both backends run the same kernel code
-(:func:`repro.service.kernels.compute_chunk`) and hand back the same
-array-form answers; :class:`SeriesResult` keeps them as arrays, so a
-statement's JSON payload is built straight from ``ndarray.tolist()`` and
-the per-series python objects of the one-shot query API exist only for
-callers that ask for ``entry.result``.
+(:func:`repro.service.kernels.compute_chunk`) and hand back its
+:class:`~repro.service.kernels.SeriesResult` records; the executor merges
+their worker spans, ranks them and keeps them as the statement's
+results, so a statement's JSON payload is built straight from
+``ndarray.tolist()`` and the per-series python objects of the one-shot
+query API exist only for callers that ask for ``entry.result``.
 
 :meth:`CatalogQueryService.reply` is the server's entry: the same plan
 and execution, answered as canonical JSON bytes that are rendered once
@@ -31,10 +32,7 @@ from operator import add
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from repro.db.aggregates import SIMULATE_KERNEL
-from repro.db.prob_view import ProbTuple
 from repro.exceptions import QueryError, ReproError
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.slowlog import DEFAULT_SLOW_QUERY_MS, SlowQueryLog
@@ -42,7 +40,7 @@ from repro.obs.trace import QueryTrace
 from repro.service.backends import ExecutorBackend, make_backend
 from repro.service.cache import MatrixCache
 from repro.service.kernels import (
-    ArrayResult,
+    SeriesResult,
     empty_result,
     restrict_time_range,
 )
@@ -61,115 +59,9 @@ from repro.view.sql import CatalogQuery, parse_statement, render_statement
 
 __all__ = [
     "CatalogQueryService",
-    "SeriesResult",
     "StatementResult",
     "restrict_time_range",
 ]
-
-
-@dataclass(eq=False)
-class SeriesResult:
-    """One series' contribution to a catalog-wide statement.
-
-    Holds the answer as the arrays the kernel produced (``kind`` /
-    ``arrays`` / ``meta`` as on
-    :class:`~repro.service.kernels.ArrayResult`); ``score`` is the scalar
-    ``TOP k`` ranked by.  :meth:`rows` renders the JSON payload straight
-    from the arrays.  ``result`` is the object the aggregate's one-shot
-    query returns for this series — a :class:`ProbTuple` list for
-    ``threshold``, a per-time dict for the other aggregates, a list of
-    ``[t, value]`` worlds for ``SIMULATE`` — built on first access and
-    kept.  APPROX entries (``kind == "approx"``) have no arrays: their
-    estimate/error-bound mapping is ``meta[0]``.
-    """
-
-    series_id: str
-    score: float
-    kind: str
-    arrays: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
-    meta: tuple[Any, ...] = field(default=(), repr=False)
-    _result: Any = field(default=None, init=False, repr=False)
-
-    @classmethod
-    def from_arrays(cls, answer: ArrayResult) -> "SeriesResult":
-        return cls(
-            answer.series_id,
-            answer.score,
-            answer.kind,
-            answer.arrays,
-            answer.meta,
-        )
-
-    def rows(self) -> Any:
-        """This entry's JSON-ready payload, no per-row objects built.
-
-        Mapping rows are ``[t, value]`` in the arrays' (ascending-time)
-        order; ``threshold`` rows are 5-column; worlds are ``[t, value]``
-        lists with ``None`` for the OUTSIDE alternative.
-        """
-        arrays = self.arrays
-        if self.kind == "mapping":
-            return [
-                list(pair)
-                for pair in zip(
-                    arrays["times"].tolist(), arrays["values"].tolist()
-                )
-            ]
-        if self.kind == "rows":
-            pool = self.meta[0]
-            return [
-                [t, low, high, probability, pool[code]]
-                for t, low, high, probability, code in zip(
-                    arrays["t"].tolist(),
-                    arrays["low"].tolist(),
-                    arrays["high"].tolist(),
-                    arrays["probability"].tolist(),
-                    arrays["code"].tolist(),
-                )
-            ]
-        if self.kind == "worlds":
-            times = arrays["times"].tolist()
-            # NaN (the only value unequal to itself) marks OUTSIDE.
-            return [
-                [[t, v if v == v else None] for t, v in zip(times, world)]
-                for world in arrays["values"].tolist()
-            ]
-        return {
-            key: float(value) for key, value in sorted(self.meta[0].items())
-        }
-
-    @property
-    def result(self) -> Any:
-        if self._result is None:
-            if self.kind == "mapping":
-                self._result = dict(
-                    zip(
-                        self.arrays["times"].tolist(),
-                        self.arrays["values"].tolist(),
-                    )
-                )
-            elif self.kind == "rows":
-                self._result = [ProbTuple(*row) for row in self.rows()]
-            elif self.kind == "worlds":
-                self._result = self.rows()
-            else:
-                self._result = self.meta[0]
-        return self._result
-
-    @property
-    def size(self) -> int:
-        if self.kind == "approx":
-            return len(self.meta[0])
-        return len(self.arrays["t" if self.kind == "rows" else "values"])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SeriesResult):
-            return NotImplemented
-        return (self.series_id, self.score, self.result) == (
-            other.series_id,
-            other.score,
-            other.result,
-        )
 
 
 @dataclass(frozen=True)
@@ -625,14 +517,13 @@ class CatalogQueryService:
     ) -> list[SeriesResult]:
         """Run ``(item, task)`` jobs through the backend.
 
-        Worker-side per-series spans come back on the array results
-        and are merged into ``trace`` here, on the driving thread — the
+        Worker-side per-series spans come back on the results and are
+        merged into ``trace`` here, on the driving thread — the
         merge looks identical whether the work ran inline or in
         spawn-started worker processes.
         """
         envelopes = [item.envelope(task) for item, task in jobs]
         gathered = self._backend.map(envelopes)
-        results: list[SeriesResult] = []
         for outcome in gathered:
             if outcome.error is not None:
                 raise QueryError(outcome.error)
@@ -642,8 +533,7 @@ class CatalogQueryService:
                 outcome.compute_s,
                 outcome.cache_hit,
             )
-            results.append(SeriesResult.from_arrays(outcome))
-        return results
+        return gathered
 
     def _finalize_item(
         self,
@@ -661,8 +551,8 @@ class CatalogQueryService:
         if item.skipped:
             by_id = {entry.series_id: entry for entry in gathered}
             for series_id in item.skipped:
-                by_id[series_id] = SeriesResult.from_arrays(
-                    empty_result(series_id, item.kernel.name, item.arguments)
+                by_id[series_id] = empty_result(
+                    series_id, item.kernel.name, item.arguments
                 )
             gathered = [by_id[series_id] for series_id in item.series_ids]
         if query.top_k is not None:
@@ -735,9 +625,9 @@ class CatalogQueryService:
             gathered.append(
                 SeriesResult(
                     task.series_id,
-                    estimate.estimate,
                     "approx",
                     meta=(estimate.as_result(),),
+                    score=estimate.estimate,
                 )
             )
         stats = replace(item.stats, segments_scanned=lazy_loads)

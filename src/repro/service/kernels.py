@@ -6,8 +6,10 @@ executor backends call it — the sequential backend inline, the process
 backend inside spawn-started workers — so cross-backend parity is
 structural: one function, two schedulers.
 
-Answers are :class:`ArrayResult` objects — plain numpy arrays per series
-plus the ``TOP k`` score.  This module only stacks and dispatches: what
+Answers are :class:`SeriesResult` objects — plain numpy arrays per series
+plus the ``TOP k`` score — and stay the same objects all the way out:
+the backends hand them back, the executor merges their trace spans,
+ranks them and renders them.  This module only stacks and dispatches: what
 an aggregate computes and how it scores is its
 :class:`~repro.db.aggregates.KernelSpec`'s.  A spec with a per-time core
 runs *stacked*: the chunk's restricted views are concatenated and the
@@ -30,7 +32,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.db.aggregates import KERNELS, KernelSpec, check_window
-from repro.db.prob_view import ProbabilisticView, ViewColumns
+from repro.db.prob_view import ProbabilisticView, ProbTuple, ViewColumns
 from repro.db.worlds import WorldSampler, derive_series_seed
 from repro.exceptions import ReproError
 from repro.store.catalog import _load_view_from_segments
@@ -39,7 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only.
     from repro.service.planner import TaskEnvelope
 
 __all__ = [
-    "ArrayResult",
+    "SeriesResult",
     "compute_chunk",
     "empty_result",
     "restrict_time_range",
@@ -83,9 +85,9 @@ def restrict_time_range(
     )
 
 
-@dataclass
-class ArrayResult:
-    """One series' answer as plain arrays — the backend → executor carrier.
+@dataclass(eq=False)
+class SeriesResult:
+    """One series' answer to a statement item, kept as the kernel's arrays.
 
     ``kind`` names the layout of ``arrays``:
 
@@ -95,30 +97,111 @@ class ArrayResult:
       columns of a row selection's hits, the label pool in ``meta[0]``;
     * ``"worlds"`` — ``times`` plus an ``(n_worlds, len(times))``
       ``values`` matrix, ``NaN`` marking the OUTSIDE alternative;
+    * ``"approx"`` — no arrays: the executor's synopsis estimate, its
+      estimate/error-bound mapping in ``meta[0]``;
     * ``"error"`` — no arrays; ``error`` is the one-line diagnostic (a
       message, never an exception object, so the result pickles the same
       from any backend).
 
-    ``load_s`` / ``compute_s`` / ``cache_hit`` are the worker-side trace
-    span as three plain numbers; the executor merges them into the
-    parent :class:`~repro.obs.trace.QueryTrace`.  The process backend
-    pickles these objects as they are through its pool's result pipe.
+    ``score`` is the scalar ``TOP k`` ranks by.  ``load_s`` /
+    ``compute_s`` / ``cache_hit`` are the worker-side trace span as three
+    plain numbers; the executor merges them into the parent
+    :class:`~repro.obs.trace.QueryTrace`.  The process backend pickles
+    these objects as they are through its pool's result pipe, and the
+    executor ranks and renders the same objects: :meth:`rows` builds the
+    JSON payload straight from the arrays.  ``result`` is the object the
+    aggregate's one-shot query returns for this series — a
+    :class:`~repro.db.prob_view.ProbTuple` list for ``threshold``, a
+    per-time dict for the other aggregates, a list of ``[t, value]``
+    worlds for ``SIMULATE`` — built on first access and kept.
     """
 
     series_id: str
     kind: str
-    arrays: dict[str, Any] = field(default_factory=dict)
-    meta: tuple[Any, ...] = ()
+    arrays: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
+    meta: tuple[Any, ...] = field(default=(), repr=False)
     score: float = 0.0
     error: str | None = None
     load_s: float = 0.0
     compute_s: float = 0.0
     cache_hit: bool = True
+    _result: Any = field(default=None, init=False, repr=False)
+
+    def rows(self) -> Any:
+        """This entry's JSON-ready payload, no per-row objects built.
+
+        Mapping rows are ``[t, value]`` in the arrays' (ascending-time)
+        order; ``threshold`` rows are 5-column; worlds are ``[t, value]``
+        lists with ``None`` for the OUTSIDE alternative.
+        """
+        arrays = self.arrays
+        if self.kind == "mapping":
+            return [
+                list(pair)
+                for pair in zip(
+                    arrays["times"].tolist(), arrays["values"].tolist()
+                )
+            ]
+        if self.kind == "rows":
+            pool = self.meta[0]
+            return [
+                [t, low, high, probability, pool[code]]
+                for t, low, high, probability, code in zip(
+                    arrays["t"].tolist(),
+                    arrays["low"].tolist(),
+                    arrays["high"].tolist(),
+                    arrays["probability"].tolist(),
+                    arrays["code"].tolist(),
+                )
+            ]
+        if self.kind == "worlds":
+            times = arrays["times"].tolist()
+            # NaN (the only value unequal to itself) marks OUTSIDE.
+            return [
+                [[t, v if v == v else None] for t, v in zip(times, world)]
+                for world in arrays["values"].tolist()
+            ]
+        return {
+            key: float(value) for key, value in sorted(self.meta[0].items())
+        }
+
+    @property
+    def result(self) -> Any:
+        if self._result is None:
+            if self.kind == "mapping":
+                self._result = dict(
+                    zip(
+                        self.arrays["times"].tolist(),
+                        self.arrays["values"].tolist(),
+                    )
+                )
+            elif self.kind == "rows":
+                self._result = [ProbTuple(*row) for row in self.rows()]
+            elif self.kind == "worlds":
+                self._result = self.rows()
+            else:
+                self._result = self.meta[0]
+        return self._result
+
+    @property
+    def size(self) -> int:
+        if self.kind == "approx":
+            return len(self.meta[0])
+        return len(self.arrays["t" if self.kind == "rows" else "values"])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SeriesResult):
+            return NotImplemented
+        return (self.series_id, self.score, self.result) == (
+            other.series_id,
+            other.score,
+            other.result,
+        )
 
 
 def empty_result(
     series_id: str, kernel: str, arguments: tuple[float, ...]
-) -> ArrayResult:
+) -> SeriesResult:
     """The exact answer ``kernel`` gives over an empty restricted view.
 
     What the executor emits for series the prune phase skipped entirely,
@@ -129,10 +212,10 @@ def empty_result(
     kind = KERNELS[kernel].kind
     if kind == "rows":
         arrays = dict(t=times, low=values, high=values, probability=values, code=times)
-        return ArrayResult(series_id, kind, arrays, meta=((),))
+        return SeriesResult(series_id, kind, arrays, meta=((),))
     if kind == "worlds":
         values = np.empty((int(arguments[0]), 0), dtype=np.float64)
-    return ArrayResult(series_id, kind, {"times": times, "values": values})
+    return SeriesResult(series_id, kind, {"times": times, "values": values})
 
 
 def _batched_mapping(
@@ -177,7 +260,7 @@ def _batched_mapping(
 
 def _solo(
     spec: KernelSpec, envelope: "TaskEnvelope", view: ProbabilisticView
-) -> ArrayResult:
+) -> SeriesResult:
     """A core-less kernel over one view: a row selection, or worlds."""
     arguments = envelope.arguments
     cols = view.columns
@@ -190,7 +273,7 @@ def _solo(
             "probability": cols.probability[hits],
             "code": cols.label_code[hits],
         }
-        return ArrayResult(
+        return SeriesResult(
             envelope.series_id,
             "rows",
             arrays,
@@ -204,7 +287,7 @@ def _solo(
         derive_series_seed(int(arguments[1]), envelope.series_id)
     )
     values = WorldSampler(view).sample_matrix(int(arguments[0]), rng)
-    return ArrayResult(
+    return SeriesResult(
         envelope.series_id,
         "worlds",
         {"times": cols.times, "values": values},
@@ -214,7 +297,7 @@ def _solo(
 
 def _flush(
     batches: dict[tuple[str, tuple[float, ...]], list[tuple]],
-    out: list[ArrayResult | None],
+    out: list[SeriesResult | None],
 ) -> None:
     """Compute and clear the pending stacks, one pass per (kernel, args).
 
@@ -228,7 +311,7 @@ def _flush(
         elapsed = time.perf_counter() - start
         for member, (times, values) in zip(members, answers):
             index, series_id, _view, load_s, hit = member
-            out[index] = ArrayResult(
+            out[index] = SeriesResult(
                 series_id,
                 "mapping",
                 {"times": times, "values": values},
@@ -243,7 +326,7 @@ def _flush(
 def compute_chunk(
     chunk: "list[TaskEnvelope]",
     cache: Any,
-) -> list[ArrayResult]:
+) -> list[SeriesResult]:
     """Run task envelopes into array-form results, in input order.
 
     Views load through ``cache`` (a
@@ -254,7 +337,7 @@ def compute_chunk(
     chunk-mates.  Each result records its series' load/compute split
     and cache outcome.
     """
-    out: list[ArrayResult | None] = [None] * len(chunk)
+    out: list[SeriesResult | None] = [None] * len(chunk)
     batches: dict[tuple[str, tuple[float, ...]], list[tuple]] = {}
     stacked = 0
     for index, envelope in enumerate(chunk):
@@ -301,7 +384,7 @@ def compute_chunk(
                     continue
                 result = empty_result(envelope.series_id, kernel, arguments)
         except (ReproError, OSError) as exc:
-            out[index] = ArrayResult(
+            out[index] = SeriesResult(
                 envelope.series_id,
                 "error",
                 error=(
