@@ -26,10 +26,15 @@ Design constraints, in order:
 3. **Zero dependencies.**  Stdlib only — the registry must be importable
    from the store layer and inside spawn-started worker processes.
 
+:class:`Counter` and :class:`Gauge` are one labelled-value map (a float
+per label set) that differs only in which writes it allows.  Every
+write must be finite: a NaN or infinity raises ``ValueError`` at the
+write, because once stored it would break every later scrape.
+
 Quantiles are estimated from the histogram buckets Prometheus-style
 (linear interpolation inside the bucket containing the target rank), so
 they are streaming, mergeable, and O(buckets) to read — never a stored
-sample list.
+sample list.  Every histogram uses :data:`DEFAULT_LATENCY_BUCKETS`.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ __all__ = [
     "default_registry",
 ]
 
-#: Histogram bucket upper bounds (seconds) used when none are given:
+#: Every histogram's bucket upper bounds (seconds):
 #: log-spaced from 100µs to 60s, the range catalog queries actually span.
 DEFAULT_LATENCY_BUCKETS = (
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
@@ -83,6 +88,19 @@ def _escape_label(value: str) -> str:
     )
 
 
+def _finite(metric: _Metric, value: float) -> float:
+    """``value`` as a float; non-finite values raise before any write.
+
+    One NaN or infinity would otherwise sit in the registry for good and
+    break every later scrape: the exposition cannot render it as an
+    integer and canonical JSON refuses it.
+    """
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{metric.kind} {metric.name} got non-finite {value}")
+    return value
+
+
 def _format_value(value: float) -> str:
     """A float as Prometheus text: integers without a trailing ``.0``."""
     if value == math.inf:
@@ -113,105 +131,82 @@ class _Metric:
         return labels
 
 
-class Counter(_Metric):
-    """A monotonically increasing value, optionally split by labels."""
+class _LabelledValue(_Metric):
+    """One float per label set — what :class:`Counter` and :class:`Gauge` share.
 
-    kind = "counter"
+    The map, its reads and both renderings live here; the subclasses
+    only decide which writes they allow.
+    """
 
     def __init__(self, name: str, help_text: str = "") -> None:
         super().__init__(name, help_text)
         self._values: dict[LabelKey, float] = {}
 
-    def inc(self, amount: float = 1.0, **labels: str) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name} cannot decrease")
+    def _write(self, value: float, labels: dict[str, str], *, add: bool) -> None:
+        """Store (or, with ``add``, add) a finite ``value`` under ``labels``."""
+        value = _finite(self, value)
         key = _label_key(self._check_labels(labels))
         with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
+            if add:
+                value += self._values.get(key, 0.0)
+            self._values[key] = value
 
     def value(self, **labels: str) -> float:
         key = _label_key(labels)
         with self._lock:
             return self._values.get(key, 0.0)
+
+    def _snapshot(self) -> dict[str, Any]:
+        with self._lock:
+            values = dict(self._values)
+        snapshot: dict[str, Any] = {"type": self.kind, "help": self.help}
+        if self.kind == "counter":
+            snapshot["total"] = sum(values.values())
+        snapshot["values"] = {
+            _format_labels(key) or "": value
+            for key, value in sorted(values.items())
+        }
+        return snapshot
+
+    def _exposition(self) -> list[str]:
+        with self._lock:
+            values = dict(self._values)
+        lines = _headers(self)
+        if not values:
+            values = {(): 0.0}
+        for key, value in sorted(values.items()):
+            lines.append(
+                f"{self.name}{_format_labels(key)} {_format_value(value)}"
+            )
+        return lines
+
+
+class Counter(_LabelledValue):
+    """A monotonically increasing value, optionally split by labels."""
+
+    kind = "counter"
+
+    def inc(self, amount: float = 1.0, **labels: str) -> None:
+        if amount < 0:
+            raise ValueError(f"counter {self.name} cannot decrease")
+        self._write(amount, labels, add=True)
 
     def total(self) -> float:
         """The sum across every label combination."""
         with self._lock:
             return sum(self._values.values())
 
-    def _snapshot(self) -> dict[str, Any]:
-        with self._lock:
-            values = dict(self._values)
-        return {
-            "type": self.kind,
-            "help": self.help,
-            "total": sum(values.values()),
-            "values": {
-                _format_labels(key) or "": value
-                for key, value in sorted(values.items())
-            },
-        }
 
-    def _exposition(self) -> list[str]:
-        with self._lock:
-            values = dict(self._values)
-        lines = _headers(self)
-        if not values:
-            values = {(): 0.0}
-        for key, value in sorted(values.items()):
-            lines.append(
-                f"{self.name}{_format_labels(key)} {_format_value(value)}"
-            )
-        return lines
-
-
-class Gauge(_Metric):
+class Gauge(_LabelledValue):
     """A point-in-time value that can move both ways (bytes, entries...)."""
 
     kind = "gauge"
 
-    def __init__(self, name: str, help_text: str = "") -> None:
-        super().__init__(name, help_text)
-        self._values: dict[LabelKey, float] = {}
-
     def set(self, value: float, **labels: str) -> None:
-        key = _label_key(self._check_labels(labels))
-        with self._lock:
-            self._values[key] = float(value)
+        self._write(value, labels, add=False)
 
     def inc(self, amount: float = 1.0, **labels: str) -> None:
-        key = _label_key(self._check_labels(labels))
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
-
-    def value(self, **labels: str) -> float:
-        key = _label_key(labels)
-        with self._lock:
-            return self._values.get(key, 0.0)
-
-    def _snapshot(self) -> dict[str, Any]:
-        with self._lock:
-            values = dict(self._values)
-        return {
-            "type": self.kind,
-            "help": self.help,
-            "values": {
-                _format_labels(key) or "": value
-                for key, value in sorted(values.items())
-            },
-        }
-
-    def _exposition(self) -> list[str]:
-        with self._lock:
-            values = dict(self._values)
-        lines = _headers(self)
-        if not values:
-            values = {(): 0.0}
-        for key, value in sorted(values.items()):
-            lines.append(
-                f"{self.name}{_format_labels(key)} {_format_value(value)}"
-            )
-        return lines
+        self._write(amount, labels, add=True)
 
 
 class _HistogramChild:
@@ -232,27 +227,19 @@ class Histogram(_Metric):
     stored per-bucket internally.  ``quantile(q)`` interpolates linearly
     inside the bucket containing the target rank — the standard
     ``histogram_quantile`` estimate, computed server-side so the CLI can
-    print p50/p95/p99 without a PromQL engine.
+    print p50/p95/p99 without a PromQL engine.  Every histogram uses the
+    :data:`DEFAULT_LATENCY_BUCKETS` edges.
     """
 
     kind = "histogram"
+    buckets = DEFAULT_LATENCY_BUCKETS
 
-    def __init__(
-        self,
-        name: str,
-        help_text: str = "",
-        buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS,
-    ) -> None:
+    def __init__(self, name: str, help_text: str = "") -> None:
         super().__init__(name, help_text)
-        edges = tuple(float(edge) for edge in buckets)
-        if not edges or list(edges) != sorted(set(edges)):
-            raise ValueError(
-                f"histogram {name!r} needs strictly increasing buckets"
-            )
-        self.buckets = edges
         self._children: dict[LabelKey, _HistogramChild] = {}
 
     def observe(self, value: float, **labels: str) -> None:
+        value = _finite(self, value)
         key = _label_key(self._check_labels(labels))
         index = bisect_left(self.buckets, value)
         with self._lock:
@@ -287,7 +274,7 @@ class Histogram(_Metric):
         key = _label_key(labels)
         with self._lock:
             child = self._children.get(key)
-            if child is None or child.count == 0:
+            if child is None:
                 return math.nan
             counts = list(child.counts)
             count = child.count
@@ -308,13 +295,7 @@ class Histogram(_Metric):
             values[_format_labels(key) or ""] = {
                 "count": count,
                 "sum": total,
-                # NaN (nothing observed) becomes None: snapshots feed the
-                # wire protocol, whose canonical JSON forbids non-finite
-                # numbers.
-                **{
-                    label: (None if math.isnan(value) else value)
-                    for label, value in quantiles.items()
-                },
+                **quantiles,
             }
         return {
             "type": self.kind,
@@ -353,8 +334,6 @@ class Histogram(_Metric):
 def _estimate_quantile(
     edges: tuple[float, ...], counts: list[int], count: int, q: float
 ) -> float:
-    if count == 0:
-        return math.nan
     rank = q * count
     cumulative = 0
     for index, bucket_count in enumerate(counts[:-1]):
@@ -403,24 +382,8 @@ class MetricsRegistry:
     def gauge(self, name: str, help_text: str = "") -> Gauge:
         return self._get_or_create(Gauge, name, help_text)
 
-    def histogram(
-        self,
-        name: str,
-        help_text: str = "",
-        buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS,
-    ) -> Histogram:
-        with self._lock:
-            existing = self._metrics.get(name)
-            if existing is not None:
-                if not isinstance(existing, Histogram):
-                    raise ValueError(
-                        f"metric {name!r} already registered as "
-                        f"{existing.kind}, not histogram"
-                    )
-                return existing
-            metric = Histogram(name, help_text, buckets)
-            self._metrics[name] = metric
-            return metric
+    def histogram(self, name: str, help_text: str = "") -> Histogram:
+        return self._get_or_create(Histogram, name, help_text)
 
     def _get_or_create(self, cls: type, name: str, help_text: str) -> Any:
         with self._lock:

@@ -1,4 +1,4 @@
-"""Ring-buffer slow-query log: the last N statements over the threshold.
+"""Ring-buffer slow-query log: the last 128 statements over the threshold.
 
 Lifetime histograms answer "what is p99 right now?"; the slow-query log
 answers the next question — "*which* statements are the p99, and where
@@ -12,8 +12,10 @@ re-run and attack the slow statement without enabling anything first.
 The log is always on (an under-threshold query costs one float compare);
 the threshold is just a knob: ``CatalogQueryService(slow_query_ms=...)``,
 ``server serve --slow-query-ms``, or ``log.threshold_ms = ...`` at
-runtime.  Entries come back newest-first over the wire via
-``{"op": "slowlog"}``.
+runtime.  It must be a number ``>= 0``: ``0`` records everything,
+``float("inf")`` nothing, and a negative or NaN threshold raises
+:class:`~repro.exceptions.InvalidParameterError`.  Entries come back
+newest-first over the wire via ``{"op": "slowlog"}``.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import time
 from collections import deque
 from typing import Any
 
+from repro.exceptions import InvalidParameterError
 from repro.obs.trace import QueryTrace
 
 __all__ = ["DEFAULT_SLOW_QUERY_MS", "SlowQueryLog"]
@@ -31,47 +34,33 @@ __all__ = ["DEFAULT_SLOW_QUERY_MS", "SlowQueryLog"]
 #: catalog; anything slower deserves a record.
 DEFAULT_SLOW_QUERY_MS = 500.0
 
-#: Default ring capacity — bounded memory no matter how bad the day is.
-DEFAULT_CAPACITY = 128
+#: Ring capacity — bounded memory no matter how bad the day is.
+CAPACITY = 128
 
 
 class SlowQueryLog:
     """Bounded, thread-safe ring of slow-statement records.
 
-    Parameters
-    ----------
-    threshold_ms:
-        Statements with wall time >= this are recorded.  ``0`` records
-        everything (useful in tests and short diagnostics sessions);
-        ``float("inf")`` disables recording without removing the log.
-    capacity:
-        Ring size; the oldest record is evicted when full.
+    Statements with wall time >= ``threshold_ms`` are recorded, the
+    oldest evicted once :data:`CAPACITY` are held.  ``0`` records
+    everything (useful in tests and short diagnostics sessions);
+    ``float("inf")`` disables recording without removing the log.
     """
 
-    def __init__(
-        self,
-        threshold_ms: float = DEFAULT_SLOW_QUERY_MS,
-        capacity: int = DEFAULT_CAPACITY,
-    ) -> None:
-        if threshold_ms < 0:
-            raise ValueError(
+    def __init__(self, threshold_ms: float = DEFAULT_SLOW_QUERY_MS) -> None:
+        # Written so a NaN, which compares false with everything, fails.
+        if not threshold_ms >= 0:
+            raise InvalidParameterError(
                 f"slow-query threshold must be >= 0 ms, got {threshold_ms}"
             )
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.threshold_ms = float(threshold_ms)
-        self.capacity = int(capacity)
         self._lock = threading.Lock()
-        self._entries: deque[dict[str, Any]] = deque(maxlen=self.capacity)
+        self._entries: deque[dict[str, Any]] = deque(maxlen=CAPACITY)
         self._observed = 0
         self._recorded = 0
 
     def observe(
-        self,
-        trace: QueryTrace,
-        *,
-        statement: str | None = None,
-        extra: dict[str, Any] | None = None,
+        self, trace: QueryTrace, *, extra: dict[str, Any] | None = None
     ) -> bool:
         """Offer one finished trace; True when it was slow enough to keep.
 
@@ -84,7 +73,7 @@ class SlowQueryLog:
             if wall_ms < self.threshold_ms:
                 return False
             entry: dict[str, Any] = {
-                "statement": statement or trace.statement or "<unknown>",
+                "statement": trace.statement or "<unknown>",
                 "wall_ms": round(wall_ms, 4),
                 "stages": {
                     name: round(ms, 4)
@@ -119,10 +108,6 @@ class SlowQueryLog:
         with self._lock:
             return self._observed, self._recorded
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
@@ -131,6 +116,6 @@ class SlowQueryLog:
         observed, recorded = self.counts()
         return (
             f"SlowQueryLog(threshold_ms={self.threshold_ms:g}, "
-            f"{len(self)}/{self.capacity} held, "
+            f"{len(self)}/{CAPACITY} held, "
             f"{recorded}/{observed} recorded)"
         )

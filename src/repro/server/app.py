@@ -140,6 +140,13 @@ class QueryServer:
         Forwarded to the service's slow-query log (``server serve
         --slow-query-ms``); entries come back via ``{"op": "slowlog"}``.
 
+    The wire limits are fixed: a statement over
+    :data:`~repro.server.protocol.MAX_STATEMENT_CHARS` characters is
+    answered ``statement_too_large``, a frame over
+    :data:`~repro.server.protocol.DEFAULT_FRAME_LIMIT` bytes
+    ``frame_too_large`` (and its connection closed).  :meth:`shutdown`
+    gives lingering clients two seconds after the drain.
+
     Register raw tables on :attr:`database` before ``start()`` so
     ``CREATE VIEW`` statements have data to run over.
 
@@ -156,8 +163,6 @@ class QueryServer:
         host: str = DEFAULT_HOST,
         port: int = DEFAULT_PORT,
         max_inflight: int = 8,
-        max_statement_chars: int = protocol.MAX_STATEMENT_CHARS,
-        frame_limit_bytes: int = protocol.DEFAULT_FRAME_LIMIT,
         max_workers: int | None = None,
         cache_budget_bytes: int = 64 << 20,
         backend: str = "sequential",
@@ -177,8 +182,6 @@ class QueryServer:
         self.host = host
         self.port = int(port)
         self.max_inflight = int(max_inflight)
-        self.max_statement_chars = int(max_statement_chars)
-        self.frame_limit_bytes = int(frame_limit_bytes)
         self.stats = ServerStats()
         # Statement execution happens here, never on the event loop; the
         # pool is exactly max_inflight wide so admission control and real
@@ -241,7 +244,7 @@ class QueryServer:
             self._on_connection,
             self.host,
             self.port,
-            limit=self.frame_limit_bytes,
+            limit=protocol.DEFAULT_FRAME_LIMIT,
         )
 
     async def run(self) -> None:
@@ -255,7 +258,7 @@ class QueryServer:
         finally:
             await self.shutdown()
 
-    async def shutdown(self, *, grace: float = 2.0) -> None:
+    async def shutdown(self) -> None:
         """Drain in-flight work, then close connections and the service.
 
         New statements arriving during the drain are rejected with
@@ -270,9 +273,9 @@ class QueryServer:
             await asyncio.gather(*list(self._tasks), return_exceptions=True)
         if self._handlers:
             # In-flight responses are being written now; clients that hang
-            # around past the grace period are disconnected.
+            # around for two seconds more are disconnected.
             _, pending = await asyncio.wait(
-                list(self._handlers), timeout=grace
+                list(self._handlers), timeout=2.0
             )
             for writer in list(self._writers):
                 writer.close()
@@ -318,7 +321,7 @@ class QueryServer:
                     protocol.error_frame(
                         None,
                         "frame_too_large",
-                        f"frame exceeds {self.frame_limit_bytes} bytes",
+                        f"frame exceeds {protocol.DEFAULT_FRAME_LIMIT} bytes",
                     ),
                 )
                 return
@@ -390,13 +393,13 @@ class QueryServer:
             return protocol.error_frame(
                 request_id, "bad_request", "frame is missing a statement"
             )
-        if len(statement) > self.max_statement_chars:
+        if len(statement) > protocol.MAX_STATEMENT_CHARS:
             self.stats.increment("errors")
             return protocol.error_frame(
                 request_id,
                 "statement_too_large",
                 f"statement has {len(statement)} characters "
-                f"(limit {self.max_statement_chars})",
+                f"(limit {protocol.MAX_STATEMENT_CHARS})",
             )
         want_trace = bool(payload.get("trace", False))
         return await self._execute_admitted(
@@ -566,8 +569,9 @@ class QueryServer:
 class ServerThread:
     """A :class:`QueryServer` on a dedicated event-loop thread.
 
-    ``start()`` returns the bound address once the server is accepting;
-    ``stop()`` runs the graceful shutdown and joins the thread.  Usable as
+    ``start()`` returns the bound address once the server is accepting
+    (waiting up to ten seconds); ``stop()`` runs the graceful shutdown and
+    joins the thread (again up to ten seconds).  Usable as
     a context manager.
 
     Examples
@@ -584,26 +588,26 @@ class ServerThread:
         self._stop: asyncio.Event | None = None
         self._startup_error: BaseException | None = None
 
-    def start(self, *, timeout: float = 10.0) -> tuple[str, int]:
+    def start(self) -> tuple[str, int]:
         if self._thread is not None:
             raise RuntimeError("server thread already started")
         self._thread = threading.Thread(
             target=self._run, name="repro-server-loop", daemon=True
         )
         self._thread.start()
-        if not self._ready.wait(timeout):
+        if not self._ready.wait(10.0):
             raise TimeoutError("server did not start in time")
         if self._startup_error is not None:
             self._thread.join()
             raise self._startup_error
         return self.server.address
 
-    def stop(self, *, timeout: float = 10.0) -> None:
+    def stop(self) -> None:
         if self._thread is None or self._loop is None or self._stop is None:
             return
         if self._thread.is_alive():
             self._loop.call_soon_threadsafe(self._stop.set)
-        self._thread.join(timeout)
+        self._thread.join(10.0)
 
     def _run(self) -> None:
         asyncio.run(self._main())

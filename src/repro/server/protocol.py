@@ -87,7 +87,7 @@ __all__ = [
 #: so the connection stays usable).
 MAX_STATEMENT_CHARS = 64_000
 
-#: Default read-buffer limit per frame.  A line that exceeds it cannot be
+#: Read-buffer limit per frame.  A line that exceeds it cannot be
 #: parsed *or skipped* reliably, so the server answers ``frame_too_large``
 #: and closes that connection.
 DEFAULT_FRAME_LIMIT = 1 << 20

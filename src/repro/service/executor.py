@@ -227,8 +227,6 @@ class CatalogQueryService:
         Byte budget of the materialised-view cache; repeated statements on
         an unchanged catalog skip every segment reload.  The process
         backend grants the same budget to each worker's private cache.
-    cache:
-        Share an existing :class:`MatrixCache` between services instead.
     backend:
         ``"sequential"`` (default: inline, no pool), ``"process"``, or
         an :class:`~repro.service.backends.ExecutorBackend` instance.
@@ -260,7 +258,6 @@ class CatalogQueryService:
         *,
         max_workers: int | None = None,
         cache_budget_bytes: int = 64 << 20,
-        cache: MatrixCache | None = None,
         backend: "str | ExecutorBackend" = "sequential",
         pruning: bool = True,
         registry: MetricsRegistry | None = None,
@@ -308,9 +305,7 @@ class CatalogQueryService:
             "repro_query_seconds",
             "End-to-end SELECT latency in seconds, by aggregate",
         )
-        self.cache = cache if cache is not None else MatrixCache(
-            cache_budget_bytes
-        )
+        self.cache = MatrixCache(cache_budget_bytes)
         self._backend = make_backend(
             backend,
             max_workers=max_workers,

@@ -391,6 +391,20 @@ class TestServerCommands:
         assert captured.err == "error: --limit must be >= 0, got -2\n"
         assert captured.out == ""
 
+    def test_server_serve_rejects_a_negative_slow_query_threshold(
+        self, tmp_path, capsys
+    ):
+        catalog = self._make_catalog(tmp_path, capsys)
+        exit_code = main([
+            "server", "serve", catalog, "--port", "0", "--slow-query-ms", "-1",
+        ])
+        captured = capsys.readouterr()
+        assert exit_code == 1
+        assert captured.err == (
+            "error: slow-query threshold must be >= 0 ms, got -1.0\n"
+        )
+        assert captured.out == ""
+
     def test_server_stats_prints_the_reply_cache(self, tmp_path, capsys):
         from repro.server import Client, QueryServer, ServerThread
 

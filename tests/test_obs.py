@@ -13,6 +13,7 @@ Pins the PR's acceptance criteria:
 
 from __future__ import annotations
 
+import json
 import math
 import re
 import threading
@@ -30,6 +31,8 @@ from repro.obs import (
     default_registry,
 )
 from repro.db.engine import Database
+from repro.exceptions import InvalidParameterError
+from repro.obs.slowlog import CAPACITY
 from repro.server import Client, QueryServer, ServerThread
 from repro.server.app import ServerStats
 from repro.service import CatalogQueryService, plan_statement
@@ -92,30 +95,45 @@ class TestRegistryPrimitives:
         assert gauge.value() == 75.0
 
     def test_histogram_quantiles_bracket_observations(self):
-        histogram = MetricsRegistry().histogram(
-            "t_seconds", buckets=(0.001, 0.01, 0.1, 1.0)
-        )
+        histogram = MetricsRegistry().histogram("t_seconds")
         for _ in range(100):
             histogram.observe(0.05)
         assert histogram.count() == 100
         p50 = histogram.quantile(0.5)
-        # Linear interpolation inside the (0.01, 0.1] bucket.
-        assert 0.01 <= p50 <= 0.1
+        # Linear interpolation inside the (0.025, 0.05] bucket.
+        assert 0.025 <= p50 <= 0.05
 
     def test_histogram_empty_quantile_is_nan(self):
         histogram = MetricsRegistry().histogram("t_seconds")
         assert math.isnan(histogram.quantile(0.5))
 
-    def test_histogram_snapshot_converts_nan_to_none(self):
+    @pytest.mark.parametrize(
+        "kind, write, value",
+        [
+            ("counter", "inc", math.nan),
+            ("counter", "inc", math.inf),
+            ("gauge", "set", math.nan),
+            ("gauge", "inc", -math.inf),
+            ("histogram", "observe", math.nan),
+            ("histogram", "observe", math.inf),
+        ],
+    )
+    def test_non_finite_writes_raise_and_leave_the_registry_renderable(
+        self, kind, write, value
+    ):
+        # One stored NaN/inf used to break every later scrape: the
+        # exposition raised converting it to int, and canonical JSON
+        # refused the snapshot.
         registry = MetricsRegistry()
-        histogram = registry.histogram("t_seconds")
-        histogram.observe(float("nan"))  # lands in a bucket; count=1
-        histogram.observe(0.01)
-        snap = registry.snapshot()["t_seconds"]
-        for sample in snap["values"].values():
-            for quantile in ("p50", "p95", "p99"):
-                value = sample[quantile]
-                assert value is None or isinstance(value, float)
+        metric = getattr(registry, kind)("t_metric")
+        getattr(metric, write)(0.5, op="ok")
+        with pytest.raises(ValueError, match="non-finite"):
+            getattr(metric, write)(value, op="bad")
+        samples = _parse_exposition(registry.exposition())
+        assert all(math.isfinite(sample) for sample in samples.values())
+        assert "bad" not in registry.exposition()
+        snapshot = json.loads(canonical_dumps(registry.snapshot()))
+        assert list(snapshot["t_metric"]["values"]) == ['{op="ok"}']
 
     def test_get_or_create_returns_same_family(self):
         registry = MetricsRegistry()
@@ -188,9 +206,7 @@ class TestConcurrency:
         )
 
     def test_histogram_loses_no_observations(self):
-        histogram = MetricsRegistry().histogram(
-            "t_seconds", buckets=(0.001, 0.01, 0.1, 1.0)
-        )
+        histogram = MetricsRegistry().histogram("t_seconds")
 
         def work(index):
             value = 0.005 * (1 + index % 3)
@@ -291,16 +307,14 @@ class TestExposition:
         registry = MetricsRegistry()
         registry.counter("t_total", "a counter").inc(3, kind="x")
         registry.gauge("t_bytes", "a gauge").set(12.0)
-        histogram = registry.histogram(
-            "t_seconds", "a histogram", buckets=(0.01, 0.1)
-        )
+        histogram = registry.histogram("t_seconds", "a histogram")
         histogram.observe(0.05, op="q")
         text = registry.exposition()
         samples = _parse_exposition(text)
         assert samples['t_total{kind="x"}'] == 3.0
         assert samples["t_bytes"] == 12.0
-        assert samples['t_seconds_bucket{op="q",le="0.01"}'] == 0.0
-        assert samples['t_seconds_bucket{op="q",le="0.1"}'] == 1.0
+        assert samples['t_seconds_bucket{op="q",le="0.025"}'] == 0.0
+        assert samples['t_seconds_bucket{op="q",le="0.05"}'] == 1.0
         assert samples['t_seconds_bucket{op="q",le="+Inf"}'] == 1.0
         assert samples['t_seconds_count{op="q"}'] == 1.0
         assert samples['t_seconds_sum{op="q"}'] == pytest.approx(0.05)
@@ -309,15 +323,13 @@ class TestExposition:
 
     def test_buckets_are_cumulative_and_agree_with_count(self):
         registry = MetricsRegistry()
-        histogram = registry.histogram(
-            "t_seconds", buckets=(0.001, 0.01, 0.1, 1.0)
-        )
+        histogram = registry.histogram("t_seconds")
         for value in (0.0005, 0.005, 0.005, 0.05, 5.0):
             histogram.observe(value)
         samples = _parse_exposition(registry.exposition())
         buckets = [
             samples[f't_seconds_bucket{{le="{edge}"}}']
-            for edge in ("0.001", "0.01", "0.1", "1")
+            for edge in ("0.001", "0.01", "0.1", "1", "10")
         ]
         assert buckets == sorted(buckets)  # cumulative: non-decreasing
         assert samples['t_seconds_bucket{le="+Inf"}'] == 5.0
@@ -437,7 +449,7 @@ class TestSlowQueryLog:
         return trace
 
     def test_threshold_zero_records_everything(self):
-        log = SlowQueryLog(threshold_ms=0.0, capacity=4)
+        log = SlowQueryLog(threshold_ms=0.0)
         assert log.observe(self._trace())
         entry = log.entries()[0]
         assert entry["statement"] == "SELECT 1"
@@ -451,13 +463,16 @@ class TestSlowQueryLog:
         assert log.entries() == []
 
     def test_ring_evicts_oldest_newest_first(self):
-        log = SlowQueryLog(threshold_ms=0.0, capacity=3)
-        for index in range(5):
+        log = SlowQueryLog(threshold_ms=0.0)
+        observed = CAPACITY + 2
+        for index in range(observed):
             log.observe(self._trace(f"q-{index}"))
         statements = [entry["statement"] for entry in log.entries()]
-        assert statements == ["q-4", "q-3", "q-2"]
-        assert log.entries(limit=1)[0]["statement"] == "q-4"
-        assert log.counts() == (5, 5)
+        assert len(statements) == len(log) == CAPACITY
+        assert statements[0] == f"q-{observed - 1}"
+        assert statements[-1] == "q-2"
+        assert log.entries(limit=1)[0]["statement"] == f"q-{observed - 1}"
+        assert log.counts() == (observed, observed)
 
     def test_extra_fields_land_in_record(self):
         log = SlowQueryLog(threshold_ms=0.0)
@@ -466,6 +481,13 @@ class TestSlowQueryLog:
 
     def test_default_threshold(self):
         assert SlowQueryLog().threshold_ms == DEFAULT_SLOW_QUERY_MS
+
+    @pytest.mark.parametrize("threshold_ms", [math.nan, -1.0])
+    def test_nan_or_negative_threshold_raises(self, threshold_ms):
+        # A NaN threshold compared false with every wall time, so the
+        # log recorded every statement.
+        with pytest.raises(InvalidParameterError, match="threshold"):
+            SlowQueryLog(threshold_ms=threshold_ms)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,8 @@ from repro.server import (
     canonical_dumps,
 )
 from repro.server.protocol import (
+    DEFAULT_FRAME_LIMIT,
+    MAX_STATEMENT_CHARS,
     encode_frame,
     error_frame,
     error_type,
@@ -375,22 +377,19 @@ class TestErrorPaths:
         assert excinfo.value.type == "bad_request"
 
     def test_oversized_statement(self, catalog_root):
-        server = QueryServer(
-            catalog_root, port=0, max_statement_chars=200
-        )
-        with ServerThread(server) as (host, port):
+        with ServerThread(QueryServer(catalog_root, port=0)) as (host, port):
             with Client(host, port) as client:
                 with pytest.raises(ServerError) as excinfo:
-                    client.query("SELECT " + "x" * 500)
+                    client.query("SELECT " + "x" * MAX_STATEMENT_CHARS)
                 assert excinfo.value.type == "statement_too_large"
                 assert client.ping()  # Connection stays usable.
 
     def test_frame_too_large_closes_connection(self, catalog_root):
-        server = QueryServer(catalog_root, port=0, frame_limit_bytes=1024)
-        with ServerThread(server) as (host, port):
+        with ServerThread(QueryServer(catalog_root, port=0)) as (host, port):
             with socket.create_connection((host, port), timeout=5) as sock:
                 stream = sock.makefile("rwb")
-                stream.write(b'{"statement": "' + b"y" * 4096 + b'"}\n')
+                filler = b"y" * DEFAULT_FRAME_LIMIT
+                stream.write(b'{"statement": "' + filler + b'"}\n')
                 stream.flush()
                 response = json.loads(stream.readline())
                 assert response["ok"] is False

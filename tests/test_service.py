@@ -444,16 +444,6 @@ class TestMatrixCache:
         assert stats.entries == 0
         assert stats.oversize_skips == 5
 
-    def test_shared_cache_between_services(self, catalog):
-        cache = MatrixCache(64 << 20)
-        CatalogQueryService(catalog, max_workers=1, cache=cache).execute(
-            _sql(catalog, "expected_value")
-        )
-        CatalogQueryService(catalog, max_workers=1, cache=cache).execute(
-            _sql(catalog, "exceedance(21.0)")
-        )
-        assert cache.stats.hits == 5
-
     def test_clear_resets_bytes(self, catalog):
         service = CatalogQueryService(catalog, max_workers=1)
         service.execute(_sql(catalog, "expected_value"))
