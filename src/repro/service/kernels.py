@@ -138,9 +138,7 @@ class SeriesResult:
         if self.kind == "mapping":
             return [
                 list(pair)
-                for pair in zip(
-                    arrays["times"].tolist(), arrays["values"].tolist()
-                )
+                for pair in zip(arrays["times"].tolist(), arrays["values"].tolist())
             ]
         if self.kind == "rows":
             pool = self.meta[0]
@@ -161,9 +159,7 @@ class SeriesResult:
                 [[t, v if v == v else None] for t, v in zip(times, world)]
                 for world in arrays["values"].tolist()
             ]
-        return {
-            key: float(value) for key, value in sorted(self.meta[0].items())
-        }
+        return {key: float(value) for key, value in sorted(self.meta[0].items())}
 
     @property
     def result(self) -> Any:
