@@ -158,19 +158,42 @@ def _check_header(path: Path, header: Any, schema_key: str, kind: str) -> None:
         )
 
 
-def _open_npz(path: str | Path, kind: str) -> np.lib.npyio.NpzFile:
+def _read_npz(
+    path: str | Path,
+    kind: str,
+    names: tuple[str, ...],
+    optional: tuple[str, ...] = (),
+) -> dict[str, np.ndarray]:
+    """The ``names`` (and any present ``optional``) members of one ``.npz``.
+
+    Every member is read here, inside the one ``try``, so a missing
+    member, a bad CRC or a malformed ``.npy`` header raises
+    :class:`~repro.exceptions.DataError` naming the file instead of a raw
+    ``KeyError`` / ``zipfile.BadZipFile`` / ``ValueError``.
+    """
     path = Path(path)
+    member = "the archive directory"
     try:
-        payload = np.load(path, allow_pickle=False)
+        with np.load(path, allow_pickle=False) as payload:
+            member = "its schema/kind header"
+            _check_header(path, payload, "schema", kind)
+            columns = {}
+            for member in (*names, *(n for n in optional if n in payload)):
+                columns[member] = payload[member]
+    except DataError:
+        raise  # A foreign kind, already named by _check_header.
     except FileNotFoundError:
         raise StoreError(f"no such store file: {path}") from None
-    except (OSError, ValueError, zipfile.BadZipFile) as exc:
-        # BadZipFile (a truncated/corrupt archive) subclasses neither
+    except KeyError:
+        raise DataError(f"{path} is missing column {member!r}") from None
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        # BadZipFile (a truncated archive, a bad CRC) subclasses neither
         # OSError nor ValueError; without it a damaged segment would leak
         # a raw zipfile exception past the ReproError hierarchy.
-        raise DataError(f"{path} is not a readable npz file: {exc}") from exc
-    _check_header(path, payload, "schema", kind)
-    return payload
+        raise DataError(
+            f"{path} is not a readable npz file ({member}): {exc}"
+        ) from exc
+    return columns
 
 
 # ----------------------------------------------------------------------
@@ -219,8 +242,7 @@ def save_view_columns_npz(
 
 def load_view_columns_npz(path: str | Path) -> dict[str, np.ndarray]:
     """Load the raw column payload of one view file / catalog segment."""
-    payload = _open_npz(path, _KIND_VIEW)
-    return {key: payload[key] for key in (*_VIEW_COLUMNS, "labels")}
+    return _read_npz(path, _KIND_VIEW, (*_VIEW_COLUMNS, "labels"))
 
 
 # ----------------------------------------------------------------------
@@ -488,7 +510,12 @@ def load_density_series_npz(path: str | Path) -> DensitySeries:
     :meth:`DensitySeries.from_columns` path (no per-forecast objects);
     mixed Gaussian/Uniform files materialise row by row.
     """
-    payload = _open_npz(path, _KIND_DENSITY)
+    payload = _read_npz(
+        path,
+        _KIND_DENSITY,
+        ("family_code", "t", "mean", "volatility", "lower", "upper"),
+        optional=("variance",),
+    )
     codes = payload["family_code"]
     if codes.size and (int(codes.min()) < 0 or int(codes.max()) >= len(_FAMILIES)):
         raise DataError(f"{path} carries unknown density family codes")
@@ -497,7 +524,7 @@ def load_density_series_npz(path: str | Path) -> DensitySeries:
     volatility = payload["volatility"]
     lower = payload["lower"]
     upper = payload["upper"]
-    variance = payload["variance"] if "variance" in payload else None
+    variance = payload.get("variance")
     distinct = np.unique(codes)
     if distinct.size <= 1:
         family = _FAMILIES[int(distinct[0])] if distinct.size else "gaussian"

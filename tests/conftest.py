@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,12 @@ from repro.store import Catalog
 from repro.store.binary import SCHEMA_VERSION, load_view_columns
 from repro.timeseries.series import TimeSeries
 from repro.view.omega import OmegaGrid
+
+_SPEC = importlib.util.spec_from_file_location(
+    "catalog_npz", Path(__file__).parent / "fixtures" / "catalog_npz.py"
+)
+_CATALOG_NPZ = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(_CATALOG_NPZ)
 
 
 @pytest.fixture
@@ -146,6 +154,17 @@ def legacy_v2_segment():
 def legacy_v2():
     """``legacy_v2(series_dir)``: rewrite a series as ``.v2`` segments."""
     return _rewrite_as_legacy_v2
+
+
+@pytest.fixture(scope="session")
+def old_npz_catalog():
+    """``old_npz_catalog(destination)``: copy the committed old catalog there.
+
+    ``tests/fixtures/catalog-npz`` is a catalog an ``.npz``-writing build
+    wrote (see ``tests/fixtures/catalog_npz.py``); tests damage or append
+    to the copy, never the original.
+    """
+    return _CATALOG_NPZ.copy_fixture
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
@@ -143,6 +144,26 @@ class TestStoreCommands:
         assert captured.err.startswith("error:")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+
+    def test_query_over_a_damaged_npz_segment_fails_cleanly(
+        self, tmp_path, capsys, old_npz_catalog
+    ):
+        # A segment an older build wrote as .npz, with a column missing.
+        catalog = old_npz_catalog(tmp_path / "catalog")
+        segment = catalog / "b" / "seg-00000001.npz"
+        with np.load(segment) as payload:
+            kept = {key: payload[key] for key in payload if key != "low"}
+        with segment.open("wb") as handle:
+            np.savez(handle, **kept)
+        exit_code = main([
+            "query", f"SELECT expected_value FROM CATALOG '{catalog}'",
+            "--target", str(catalog),
+        ])
+        captured = capsys.readouterr()
+        assert exit_code == 1
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+        assert "seg-00000001.npz" in captured.err and "low" in captured.err
 
     @pytest.mark.parametrize(
         "option", [["--limit", "-5"], ["--batch", "0"]], ids=["limit", "batch"]

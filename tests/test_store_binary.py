@@ -3,16 +3,24 @@
 from __future__ import annotations
 
 import json
+import struct
+import zipfile
 
 import numpy as np
 import pytest
 
+import repro
 from repro.data.synthetic import campus_temperature
 from repro.db.prob_view import ProbTuple, ProbabilisticView
 from repro.distributions.gaussian import Gaussian
 from repro.distributions.histogram import HistogramDistribution
 from repro.distributions.uniform import Uniform
-from repro.exceptions import DataError, SchemaVersionError, StoreError
+from repro.exceptions import (
+    DataError,
+    QueryError,
+    SchemaVersionError,
+    StoreError,
+)
 from repro.metrics.base import DensityForecast, DensitySeries
 from repro.metrics.variable_threshold import VariableThresholdingMetric
 from repro.pipeline import create_probabilistic_view
@@ -26,6 +34,7 @@ from repro.store.binary import (
     SCHEMA_VERSION,
     load_view_columns,
     save_view_columns,
+    save_view_columns_npz,
 )
 from repro.view.builder import ViewBuilder
 from repro.view.omega import OmegaGrid
@@ -198,6 +207,96 @@ class TestDensitySeriesNpz:
         ])
         with pytest.raises(StoreError):
             save_density_series_npz(forecasts, tmp_path / "hist.npz")
+
+
+def _npz_member_data(path, member: str) -> tuple[int, int]:
+    """(offset, size) of ``member``'s stored bytes inside the archive."""
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo(member)
+    raw = path.read_bytes()
+    name_len, extra_len = struct.unpack_from("<HH", raw, info.header_offset + 26)
+    return info.header_offset + 30 + name_len + extra_len, info.compress_size
+
+
+def _flip_last_byte(path, member: str) -> None:
+    """Corrupt one data byte of ``member``: its header stays, its CRC breaks."""
+    offset, size = _npz_member_data(path, member)
+    raw = bytearray(path.read_bytes())
+    raw[offset + size - 1] ^= 0xFF
+    path.write_bytes(bytes(raw))
+
+
+class TestDamagedNpz:
+    """A damaged ``.npz`` raises a named error for every member read."""
+
+    def _save(self, view, path):
+        cols = view.columns
+        save_view_columns_npz(
+            path, t=cols.t, low=cols.low, high=cols.high,
+            probability=cols.probability, label_code=cols.label_code,
+            labels=cols.labels,
+        )
+        return path
+
+    def test_bad_crc_in_a_column_is_a_data_error(self, view, tmp_path):
+        path = self._save(view, tmp_path / "seg-00000001.npz")
+        _flip_last_byte(path, "low.npy")
+        with pytest.raises(DataError, match="seg-00000001.npz"):
+            load_view_columns(path)
+
+    def test_missing_column_is_a_data_error(self, view, tmp_path):
+        path = tmp_path / "seg-00000001.npz"
+        cols = view.columns
+        np.savez(
+            path, schema=np.int64(SCHEMA_VERSION),
+            kind=np.str_("view_columns"), t=cols.t, high=cols.high,
+            probability=cols.probability, label_code=cols.label_code,
+            labels=np.array(cols.labels),
+        )
+        with pytest.raises(DataError, match="seg-00000001.npz.*low"):
+            load_view_columns(path)
+
+    def test_bad_npy_header_is_a_data_error(self, view, tmp_path):
+        source = self._save(view, tmp_path / "good.npz")
+        path = tmp_path / "seg-00000001.npz"
+        with zipfile.ZipFile(source) as good, zipfile.ZipFile(path, "w") as bad:
+            for info in good.infolist():
+                data = good.read(info)
+                if info.filename == "high.npy":
+                    data = b"\x93NUMPY\x01\x00\x10\x00{'descr': <f8' }\n"
+                bad.writestr(info, data)
+        with pytest.raises(DataError, match="seg-00000001.npz"):
+            load_view_columns(path)
+
+    def test_damaged_density_series_is_a_data_error(self, tmp_path):
+        forecasts = VariableThresholdingMetric().run(
+            campus_temperature(80, rng=0), 40
+        )
+        path = tmp_path / "dens.npz"
+        save_density_series_npz(forecasts, path)
+        _flip_last_byte(path, "mean.npy")
+        with pytest.raises(DataError, match="dens.npz"):
+            load_density_series_npz(path)
+        np.savez(
+            path, schema=np.int64(SCHEMA_VERSION),
+            kind=np.str_("density_columns"), t=forecasts.times,
+            family_code=np.zeros(len(forecasts), dtype=np.int8),
+        )
+        with pytest.raises(DataError, match="mean"):
+            load_density_series_npz(path)
+
+    def test_damaged_catalog_segment_fails_the_statement_by_name(
+        self, tmp_path, old_npz_catalog
+    ):
+        # An .npz segment an older build wrote, with one bad CRC: the
+        # statement fails with a taxonomy error naming the series.
+        root = old_npz_catalog(tmp_path / "catalog")
+        _flip_last_byte(root / "a" / "seg-00000002.npz", "probability.npy")
+        with pytest.raises(QueryError, match="series 'a'") as info:
+            repro.connect(root).execute(
+                f"SELECT expected_value FROM CATALOG '{root}'"
+            )
+        assert "seg-00000002.npz" in str(info.value)
 
 
 class TestSegmentLayoutV2:
