@@ -1,7 +1,7 @@
 """Byte-budgeted LRU cache of materialised view column-matrices.
 
-The catalog stores each series as immutable ``.npz`` segments; a query
-touching a series pays one :func:`np.load` per segment plus the columnar
+The catalog stores each series as immutable segment files; a query
+touching a series pays one file read per segment plus the columnar
 view construction (validation, sort index, per-time grouping).  Repeated
 catalog-wide queries would pay that again for every series on every
 statement.  :class:`MatrixCache` keeps the materialised

@@ -2,25 +2,30 @@
 
 The one module that knows the store's file formats:
 
-* **Column payloads.**  Schema-versioned binary files holding a view's (or
-  density series') column arrays directly, so saving and loading a
-  million-tuple view is a handful of bulk array writes instead of a
-  per-tuple Python loop, and the round trip is bit-exact (float64 in,
-  float64 out).  Every payload carries ``schema`` (format version) and
-  ``kind`` (payload type); loaders reject another schema version with
-  :class:`~repro.exceptions.SchemaVersionError` rather than misreading
-  it.  A view payload is one ``.npz`` archive — the catalog segment and
-  the :func:`save_view_npz` export alike.  Older builds could also write a
-  segment as a ``.v2`` directory of raw ``.npy`` columns;
-  :func:`load_view_columns` still reads those (picked by suffix), nothing
-  writes them.
-* **Segment names.**  The catalog (:mod:`repro.store.catalog`) stores one
-  view payload per ingested micro-batch; :func:`segment_name`,
-  :func:`next_segment_index` and :func:`remove_segment` are all there is
-  to what a segment is called and how it is deleted.
-* **Atomic writes.**  :func:`write_json_atomic` (catalog and series
-  metadata) and the payload writers land everything under a same-directory
-  temp name that is renamed into place and cleaned up on failure.
+* **Segments.**  The catalog (:mod:`repro.store.catalog`) stores one view
+  payload per ingested micro-batch as one ``seg-NNNNNNNN.seg`` file: a
+  fixed little-endian header (magic, :data:`SCHEMA_VERSION`, a kind code,
+  row count, label-block length), then the ``t`` / ``low`` / ``high`` /
+  ``probability`` / ``label_code`` columns as contiguous 8-byte arrays,
+  then the label pool as a UTF-8 JSON list.  A load is one ``readinto``
+  of the whole file and five ``np.frombuffer`` views over that buffer —
+  no archive directory, no per-column header parse — and the round trip
+  is bit-exact (float64 in, float64 out).  Older builds wrote a segment
+  as one ``.npz`` archive or as a ``.v2`` directory of raw ``.npy``
+  columns; :func:`load_view_columns` still reads both (picked by
+  suffix), nothing writes them.
+* **Exports.**  :func:`save_view_npz` and :func:`save_density_series_npz`
+  write interchange ``.npz`` archives, not segments.
+* **Versioning.**  Every payload carries its schema version and kind;
+  loaders reject another schema version with
+  :class:`~repro.exceptions.SchemaVersionError` and any malformed file
+  with :class:`~repro.exceptions.DataError` rather than misreading it.
+* **Segment names.**  :func:`segment_name`, :func:`next_segment_index`
+  and :func:`remove_segment` are all there is to what a segment is
+  called and how it is deleted.
+* **Atomic writes.**  Every writer here lands its file under a
+  same-directory temp name that is renamed into place and cleaned up on
+  failure (:func:`_replace_atomically`).
 
 A segment's zone-map synopsis is *computed* here
 (:func:`compute_view_synopsis`, returned by :func:`save_view_columns`) but
@@ -36,9 +41,11 @@ import json
 import os
 import re
 import shutil
+import struct
 import zipfile
+from collections.abc import Callable
 from pathlib import Path
-from typing import Any
+from typing import IO, Any
 
 import numpy as np
 
@@ -90,17 +97,36 @@ PROB_HIST_BUCKETS = 20
 #: at this many threshold grid points spanning [low_min, high_max].
 EXC_SKETCH_EDGES = 9
 
-#: Every segment is written as one ``.npz`` archive.  A ``.v2`` name is a
-#: legacy segment: a *directory* of one raw ``.npy`` per column plus a
-#: small ``meta.json``, read-only.  A series may hold both; the name's
-#: suffix decides how each segment loads.
-_SEGMENT_SUFFIX = ".npz"
+#: Every segment is written as one ``.seg`` file.  ``.npz`` (one archive)
+#: and ``.v2`` (a *directory* of one raw ``.npy`` per column plus a small
+#: ``meta.json``) are legacy segments, read-only.  A series may hold all
+#: three; the name's suffix decides how each segment loads.
+_SEGMENT_SUFFIX = ".seg"
+_LEGACY_NPZ_SUFFIX = ".npz"
 _LEGACY_V2_SUFFIX = ".v2"
-_SEGMENT_RE = re.compile(r"^seg-(\d{8})(?:\.npz|\.v2)$")
+_SEGMENT_RE = re.compile(r"^seg-(\d{8})(?:\.seg|\.npz|\.v2)$")
 
 #: Synopsis copy older builds left beside each ``.npz`` segment; never
 #: read, only swept by :func:`remove_segment`.
 _STALE_SIDECAR_SUFFIX = ".synopsis.json"
+
+#: The ``.seg`` header: magic, schema version, kind code, row count and
+#: label-block length, little-endian; 32 bytes, so every column after it
+#: starts 8-byte aligned.
+_SEG_HEADER = struct.Struct("<8sIIqq")
+_SEG_MAGIC = b"REPROSEG"
+#: Kind codes of a ``.seg`` file.  Only view columns exist; a density
+#: segment would be a second code over the same header.
+_SEG_KIND_VIEW = 1
+#: Column order and dtype of a view segment; every column is 8 bytes wide.
+_SEG_VIEW_COLUMNS = (
+    ("t", np.dtype("<i8")),
+    ("low", np.dtype("<f8")),
+    ("high", np.dtype("<f8")),
+    ("probability", np.dtype("<f8")),
+    ("label_code", np.dtype("<i8")),
+)
+_SEG_ROW_BYTES = sum(dtype.itemsize for _, dtype in _SEG_VIEW_COLUMNS)
 
 _KIND_VIEW = "view_columns"
 _KIND_DENSITY = "density_columns"
@@ -127,23 +153,32 @@ def check_schema_version(found: int, path: str | Path) -> None:
         )
 
 
-def _savez_exact(path: Path, **arrays: np.ndarray) -> None:
-    """``np.savez`` to the literal path (no silent ``.npz`` suffixing).
+def _replace_atomically(path: Path, write: Callable[[IO[bytes]], None]) -> None:
+    """Run ``write`` on a same-directory temp file, then rename it to ``path``.
 
-    Writing through an open handle keeps save and load symmetric for
-    suffix-less paths.  The write lands in a same-directory temp file that
-    is renamed over the target, so a concurrent reader (or a crash
-    mid-write) never observes a truncated file — the catalog's snapshot
-    readers rely on every *named* segment being complete.
+    A concurrent reader (or a crash mid-write) never observes a truncated
+    file — the catalog's snapshot readers rely on every *named* segment
+    being complete.  The leading-dot temp name cannot collide with a
+    series directory (ids start with a letter or underscore) and is
+    removed if the write or the rename fails.
     """
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         with tmp.open("wb") as handle:
-            np.savez(handle, **arrays)
+            write(handle)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _savez_exact(path: Path, **arrays: np.ndarray) -> None:
+    """``np.savez`` to the literal path (no silent ``.npz`` suffixing).
+
+    Writing through an open handle keeps save and load symmetric for
+    suffix-less paths.
+    """
+    _replace_atomically(path, lambda handle: np.savez(handle, **arrays))
 
 
 def _check_header(path: Path, header: Any, schema_key: str, kind: str) -> None:
@@ -226,7 +261,7 @@ def save_view_columns_npz(
     label_code: np.ndarray,
     labels: tuple[str, ...],
 ) -> None:
-    """Raw-column variant of :func:`save_view_npz` (the segment writer)."""
+    """Raw-column variant of :func:`save_view_npz` (an export, not a segment)."""
     _savez_exact(
         Path(path),
         schema=np.int64(SCHEMA_VERSION),
@@ -241,7 +276,7 @@ def save_view_columns_npz(
 
 
 def load_view_columns_npz(path: str | Path) -> dict[str, np.ndarray]:
-    """Load the raw column payload of one view file / catalog segment."""
+    """Load the raw columns of one view export or legacy ``.npz`` segment."""
     return _read_npz(path, _KIND_VIEW, (*_VIEW_COLUMNS, "labels"))
 
 
@@ -326,9 +361,8 @@ def compute_view_synopsis(
 def write_json_atomic(path: Path, payload: dict) -> None:
     """Write ``payload`` so readers never observe a half-written file.
 
-    Small-JSON sibling of ``_savez_exact``; the leading-dot temp name
-    cannot collide with a series directory (ids start with a letter or
-    underscore) and is removed if the write or the rename fails.
+    Small-JSON sibling of :func:`_replace_atomically`, with the same
+    temp-name and cleanup protocol.
     """
     tmp = path.with_name(f".{path.name}.tmp")
     try:
@@ -358,7 +392,7 @@ def next_segment_index(existing: list[str]) -> int:
 
 
 def remove_segment(directory: Path, name: str) -> None:
-    """Delete one segment: an ``.npz`` file or a legacy ``.v2`` directory."""
+    """Delete one segment: a file, or a legacy ``.v2`` directory."""
     target = directory / name
     if target.is_dir():
         shutil.rmtree(target, ignore_errors=True)
@@ -382,31 +416,99 @@ def save_view_columns(
     label_code: np.ndarray,
     labels: tuple[str, ...],
 ) -> dict:
-    """Write one ``.npz`` segment and return its zone-map synopsis.
+    """Write one ``.seg`` segment at ``path`` and return its zone-map synopsis.
 
-    The synopsis is computed from the columns being written (one extra
-    vectorised pass over data already in memory); the caller records it
-    in ``series.json``, its only home.
+    The file lands at ``path`` whatever its suffix.  The synopsis is
+    computed from the columns being written (one extra vectorised pass
+    over data already in memory); the caller records it in
+    ``series.json``, its only home.
     """
-    synopsis = compute_view_synopsis(t, low, high, probability)
-    save_view_columns_npz(
-        path,
-        t=t,
-        low=low,
-        high=high,
-        probability=probability,
-        label_code=label_code,
-        labels=labels,
+    arrays = [
+        np.ascontiguousarray(column, dtype=dtype)
+        for column, (_, dtype) in zip(
+            (t, low, high, probability, label_code), _SEG_VIEW_COLUMNS
+        )
+    ]
+    rows = arrays[0].size
+    if any(array.shape != (rows,) for array in arrays):
+        raise DataError(
+            "segment columns must be 1-d and of one length, got shapes "
+            f"{[array.shape for array in arrays]}"
+        )
+    synopsis = compute_view_synopsis(*arrays[:4])
+    label_block = json.dumps(
+        [str(label) for label in labels] or [""], separators=(",", ":")
+    ).encode()
+    header = _SEG_HEADER.pack(
+        _SEG_MAGIC, SCHEMA_VERSION, _SEG_KIND_VIEW, rows, len(label_block)
     )
+
+    def write(handle: IO[bytes]) -> None:
+        handle.write(header)
+        for array in arrays:
+            handle.write(array.data)
+        handle.write(label_block)
+
+    _replace_atomically(Path(path), write)
     return synopsis
 
 
 def load_view_columns(path: str | Path) -> dict[str, np.ndarray]:
-    """Load one segment; a ``.v2`` suffix marks a legacy directory."""
+    """Load one segment; ``.npz`` and ``.v2`` suffixes mark legacy ones."""
     path = Path(path)
     if path.suffix == _LEGACY_V2_SUFFIX:
         return _load_view_columns_v2(path)
-    return load_view_columns_npz(path)
+    if path.suffix == _LEGACY_NPZ_SUFFIX:
+        return load_view_columns_npz(path)
+    return _load_view_columns_seg(path)
+
+
+def _load_view_columns_seg(path: Path) -> dict[str, np.ndarray]:
+    """Read one ``.seg`` segment: one ``readinto``, five array views.
+
+    The arrays share one writable buffer and carry the dtypes ``np.load``
+    gives for the legacy formats.  Anything but a well-formed file of
+    exactly header + 40 bytes per row + label block raises
+    :class:`~repro.exceptions.DataError` (or
+    :class:`~repro.exceptions.SchemaVersionError`).
+    """
+    try:
+        with path.open("rb", buffering=0) as handle:
+            buffer = bytearray(os.fstat(handle.fileno()).st_size)
+            del buffer[handle.readinto(buffer):]
+    except FileNotFoundError:
+        raise StoreError(f"no such store file: {path}") from None
+    except OSError as exc:
+        raise DataError(f"{path} is not a readable segment: {exc}") from exc
+    if len(buffer) < _SEG_HEADER.size:
+        raise DataError(f"{path} is truncated inside its header")
+    magic, schema, kind, rows, label_bytes = _SEG_HEADER.unpack_from(buffer)
+    if magic != _SEG_MAGIC:
+        raise DataError(f"{path} is not a segment file (bad magic)")
+    check_schema_version(schema, path)
+    if kind != _SEG_KIND_VIEW:
+        raise DataError(f"{path} holds segment kind {kind}, expected view columns")
+    expected = _SEG_HEADER.size + _SEG_ROW_BYTES * rows + label_bytes
+    if rows < 0 or label_bytes < 0 or len(buffer) != expected:
+        raise DataError(
+            f"{path} is {len(buffer)} bytes; its header ({rows} rows, "
+            f"{label_bytes} label bytes) says {expected}"
+        )
+    columns: dict[str, np.ndarray] = {}
+    offset = _SEG_HEADER.size
+    for name, dtype in _SEG_VIEW_COLUMNS:
+        columns[name] = np.frombuffer(buffer, dtype, rows, offset)
+        offset += dtype.itemsize * rows
+    try:
+        labels = json.loads(buffer[offset:].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{path} has an unreadable label block: {exc}") from exc
+    if not isinstance(labels, list) or not all(
+        isinstance(label, str) for label in labels
+    ):
+        raise DataError(f"{path}'s label block is not a list of strings")
+    columns["labels"] = np.array(labels or [""], dtype=np.str_)
+    return columns
 
 
 def _load_view_columns_v2(path: Path) -> dict[str, np.ndarray]:

@@ -20,9 +20,10 @@ business, not this module's)::
         series.json             # metric, grid, cache config, resume state,
                                 # segment list, per-segment synopses,
                                 # revision chain
-        seg-00000001.npz        # view columns of one ingested micro-batch
-        seg-00000002.npz        # (older builds may have left read-only
-                                # seg-*.v2 directories; they still load)
+        seg-00000001.seg        # view columns of one ingested micro-batch
+        seg-00000002.seg        # (older builds may have left read-only
+                                # seg-*.npz files and seg-*.v2
+                                # directories; they still load)
         ...
 
 A segment holds rows and nothing else; ``series.json`` holds everything

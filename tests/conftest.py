@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import re
 import threading
 from pathlib import Path
 
@@ -113,35 +114,84 @@ def _write_legacy_v2_segment(path, columns) -> None:
     )
 
 
-def _rewrite_as_legacy_v2(series_dir) -> None:
-    """Turn a series' segments into ``.v2`` directories, in place.
+def _write_legacy_npz_segment(path, columns) -> None:
+    """Write ``columns`` as an ``.npz`` segment.
 
-    ``series.json`` and ``catalog.json`` are renamed and tagged the way
-    older builds recorded the layout, so the series reads as if such a
-    build wrote it; appends after this write ``.npz`` again.
+    Byte for byte what the ``.npz`` segment writer of older builds left
+    (up to the zip members' timestamps): one ``np.savez`` through an open
+    handle of the schema and kind scalars, the five columns and the label
+    pool.  Nothing in ``repro`` writes segments this way any more; the
+    store only reads them.
+    """
+    labels = [str(label) for label in columns["labels"]]
+    with open(path, "wb") as handle:
+        np.savez(
+            handle,
+            schema=np.int64(SCHEMA_VERSION),
+            kind=np.str_("view_columns"),
+            t=np.ascontiguousarray(columns["t"], dtype=np.int64),
+            low=np.ascontiguousarray(columns["low"], dtype=float),
+            high=np.ascontiguousarray(columns["high"], dtype=float),
+            probability=np.ascontiguousarray(
+                columns["probability"], dtype=float
+            ),
+            label_code=np.ascontiguousarray(
+                columns["label_code"], dtype=np.int64
+            ),
+            labels=np.array(labels or [""], dtype=np.str_),
+        )
+
+
+#: A segment in the format this build writes; legacy rewrites key on it.
+_CURRENT_SEGMENT = re.compile(r"^(seg-\d{8})\.seg$")
+
+
+def _rewrite_segments(series_dir, suffix, write, layout=None) -> None:
+    """Rewrite a series' current-format segments in a legacy format, in place.
+
+    Segments already in a legacy format stay as they are, so rewriting
+    after further appends builds series that mix formats.  ``series.json``
+    follows the renames; with ``layout`` it and ``catalog.json`` are also
+    tagged the way the builds that wrote ``.v2`` recorded it.
     """
     meta_path = series_dir / "series.json"
     meta = json.loads(meta_path.read_text())
     renamed = {}
     for name in meta["segments"]:
-        legacy = renamed[name] = name.replace(".npz", ".v2")
-        _write_legacy_v2_segment(
-            series_dir / legacy, load_view_columns(series_dir / name)
-        )
+        match = _CURRENT_SEGMENT.match(name)
+        if match is None:
+            continue
+        legacy = renamed[name] = match.group(1) + suffix
+        write(series_dir / legacy, load_view_columns(series_dir / name))
         (series_dir / name).unlink()
-    meta["segments"] = [renamed[name] for name in meta["segments"]]
+    meta["segments"] = [renamed.get(name, name) for name in meta["segments"]]
     meta["synopses"] = {
         renamed.get(name, name): synopsis
         for name, synopsis in meta.get("synopses", {}).items()
     }
     for record in meta.get("revisions", []):
-        record["segment"] = renamed[record["segment"]]
-    meta["layout"] = "v2"
+        record["segment"] = renamed.get(record["segment"], record["segment"])
+    if layout is not None:
+        meta["layout"] = layout
+        manifest_path = series_dir.parent / "catalog.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["segment_layout"] = layout
+        manifest_path.write_text(json.dumps(manifest))
     meta_path.write_text(json.dumps(meta))
-    manifest_path = series_dir.parent / "catalog.json"
-    manifest = json.loads(manifest_path.read_text())
-    manifest["segment_layout"] = "v2"
-    manifest_path.write_text(json.dumps(manifest))
+
+
+def _rewrite_as_legacy_v2(series_dir) -> None:
+    """Turn a series' ``.seg`` segments into ``.v2`` directories, in place.
+
+    The series then reads as if a build that wrote ``.v2`` wrote it;
+    appends after this write ``.seg`` again.
+    """
+    _rewrite_segments(series_dir, ".v2", _write_legacy_v2_segment, "v2")
+
+
+def _rewrite_as_legacy_npz(series_dir) -> None:
+    """Turn a series' ``.seg`` segments into ``.npz`` files, in place."""
+    _rewrite_segments(series_dir, ".npz", _write_legacy_npz_segment)
 
 
 @pytest.fixture(scope="session")
@@ -154,6 +204,18 @@ def legacy_v2_segment():
 def legacy_v2():
     """``legacy_v2(series_dir)``: rewrite a series as ``.v2`` segments."""
     return _rewrite_as_legacy_v2
+
+
+@pytest.fixture(scope="session")
+def legacy_npz_segment():
+    """``legacy_npz_segment(path, columns)``: hand-write one ``.npz`` segment."""
+    return _write_legacy_npz_segment
+
+
+@pytest.fixture(scope="session")
+def legacy_npz():
+    """``legacy_npz(series_dir)``: rewrite a series as ``.npz`` segments."""
+    return _rewrite_as_legacy_npz
 
 
 @pytest.fixture(scope="session")
@@ -175,11 +237,13 @@ def concurrent_callers():
     the callers, never from inside a statement.  The threads leave a
     barrier together, so they race on whatever state ``fn`` shares; an
     exception is returned as that caller's outcome instead of being lost
-    with its thread.  The switch interval stays at its default: a
-    shortened one makes concurrent ``np.load`` header parsing
-    (``ast.literal_eval``) trip CPython 3.11's interpreter-wide AST
-    recursion counter (``SystemError: AST constructor recursion depth
-    mismatch``) — the interpreter's race, not one of this repo's locks.
+    with its thread.  Tests that shorten the switch interval must load
+    only ``.seg`` segments: a shortened interval makes concurrent
+    ``np.load`` header parsing (``ast.literal_eval``) trip CPython 3.11's
+    interpreter-wide AST recursion counter (``SystemError: AST
+    constructor recursion depth mismatch``).  That race is the
+    interpreter's, not one of this repo's locks, and it remains for
+    legacy ``.npz`` / ``.v2`` reads; a ``.seg`` read parses no header.
     """
 
     timeout = 60.0  # Bounds every wait: a hang fails, never blocks.

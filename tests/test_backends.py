@@ -10,8 +10,9 @@ backend, a worker process dying mid-query surfaces as a
 :class:`QueryError` naming the lost series (and the pool rebuilds), and a
 deliberately closed service refuses further statements with ``"service
 closed"`` instead of a pool-internal traceback.  Catalogs written by
-older builds, whose series hold ``.v2`` segment directories, answer
-exactly like the same data stored as ``.npz``.
+older builds, whose series hold ``.npz`` segment files or ``.v2``
+segment directories, answer exactly like the same data stored as
+``.seg``.
 """
 
 from __future__ import annotations
@@ -39,12 +40,13 @@ GRID = OmegaGrid(delta=0.5, n=4)
 SERIES = 6
 
 
-def _build_catalog(root, legacy_v2=None) -> Catalog:
+def _build_catalog(root, legacy=None) -> Catalog:
     """Six series of two appends each (two segments: concatenation runs).
 
-    With ``legacy_v2`` (the conftest fixture) each series' first segment
-    is rewritten as a ``.v2`` directory before the second append, so the
-    catalog is one an older build wrote and this build kept appending to.
+    With ``legacy`` (the conftest ``legacy_v2`` or ``legacy_npz``) each
+    series' first segment is rewritten in that legacy format before the
+    second append, so the catalog is one an older build wrote and this
+    build kept appending to.
     """
     catalog = Catalog(root)
     rng = np.random.default_rng(7)
@@ -57,17 +59,24 @@ def _build_catalog(root, legacy_v2=None) -> Catalog:
             rng.normal(0.0, 0.05, size=48)
         )
         catalog.append(series_id, values[:30])
-        if legacy_v2 is not None:
-            legacy_v2(root / series_id)
+        if legacy is not None:
+            legacy(root / series_id)
             catalog = Catalog(root)  # No handle on the old metadata.
         catalog.append(series_id, values[30:])
     return catalog
 
 
 @pytest.fixture(scope="module")
-def npz_root(tmp_path_factory):
-    root = tmp_path_factory.mktemp("backends-npz") / "cat-npz"
+def seg_root(tmp_path_factory):
+    root = tmp_path_factory.mktemp("backends-seg") / "cat-seg"
     _build_catalog(root)
+    return root
+
+
+@pytest.fixture(scope="module")
+def legacy_npz_root(tmp_path_factory, legacy_npz):
+    root = tmp_path_factory.mktemp("backends-npz") / "cat-npz"
+    _build_catalog(root, legacy_npz)
     return root
 
 
@@ -96,19 +105,19 @@ def _canonical(result) -> str:
     return canonical_dumps(result.to_dict())
 
 
-def test_bit_identity_across_backends_and_transports(npz_root):
-    with CatalogQueryService(npz_root, backend="sequential") as service:
+def test_bit_identity_across_backends_and_transports(seg_root):
+    with CatalogQueryService(seg_root, backend="sequential") as service:
         reference = [_canonical(service.execute(s)) for s in _statements(
-            npz_root
+            seg_root
         )]
 
     backend = ProcessBackend(2)
-    with CatalogQueryService(npz_root, backend=backend) as service:
+    with CatalogQueryService(seg_root, backend=backend) as service:
         cold = [_canonical(service.execute(s)) for s in _statements(
-            npz_root
+            seg_root
         )]
         warm = [_canonical(service.execute(s)) for s in _statements(
-            npz_root
+            seg_root
         )]
         stats = backend.transport_stats()
     assert cold == reference
@@ -117,12 +126,12 @@ def test_bit_identity_across_backends_and_transports(npz_root):
 
 
 class TestBackendParity:
-    def test_process_bit_identical_and_warm_cache_stable(self, npz_root):
-        statements = _statements(npz_root)
-        with CatalogQueryService(npz_root, backend="sequential") as service:
+    def test_process_bit_identical_and_warm_cache_stable(self, seg_root):
+        statements = _statements(seg_root)
+        with CatalogQueryService(seg_root, backend="sequential") as service:
             references = [_canonical(service.execute(s)) for s in statements]
         with CatalogQueryService(
-            npz_root, backend="process", max_workers=2
+            seg_root, backend="process", max_workers=2
         ) as service:
             for statement, reference in zip(statements, references):
                 assert _canonical(service.execute(statement)) == reference
@@ -130,15 +139,17 @@ class TestBackendParity:
             for statement, reference in zip(statements, references):
                 assert _canonical(service.execute(statement)) == reference
 
-    def test_npz_catalog_identical_to_v2(self, npz_root, legacy_root):
-        # Same data, legacy .v2 segments followed by .npz appends against
-        # .npz throughout: the stored bytes differ, the answers must not
-        # — pruning decisions and their stats block included.
+    def test_npz_catalog_identical_to_v2(
+        self, seg_root, legacy_root, legacy_npz_root
+    ):
+        # Same data, legacy .v2 or .npz segments followed by .seg appends
+        # against .seg throughout: the stored bytes differ, the answers
+        # must not — pruning decisions and their stats block included.
         for backend, pruning in itertools.product(
             ("sequential", "process"), (True, False)
         ):
             answers = {}
-            for root in (npz_root, legacy_root):
+            for root in (seg_root, legacy_root, legacy_npz_root):
                 with CatalogQueryService(
                     root, backend=backend, max_workers=2, pruning=pruning
                 ) as service:
@@ -146,7 +157,8 @@ class TestBackendParity:
                         _canonical(service.execute(s))
                         for s in _statements(root)
                     ]
-            assert answers[legacy_root] == answers[npz_root]
+            assert answers[legacy_root] == answers[seg_root]
+            assert answers[legacy_npz_root] == answers[seg_root]
 
 
 class TestPrunedPlanParity:
@@ -179,21 +191,21 @@ class TestPrunedPlanParity:
         payload.pop("pruning", None)
         return canonical_dumps(payload)
 
-    def test_pruned_equals_unpruned_bitwise(self, npz_root):
-        for statement in self._pruning_statements(npz_root):
+    def test_pruned_equals_unpruned_bitwise(self, seg_root):
+        for statement in self._pruning_statements(seg_root):
             pruned = CatalogQueryService(
-                npz_root, backend="sequential", pruning=True
+                seg_root, backend="sequential", pruning=True
             ).execute(statement)
             full = CatalogQueryService(
-                npz_root, backend="sequential", pruning=False
+                seg_root, backend="sequential", pruning=False
             ).execute(statement)
             assert self._without_stats(pruned) == self._without_stats(full)
 
-    def test_pruning_actually_prunes(self, npz_root):
+    def test_pruning_actually_prunes(self, seg_root):
         result = CatalogQueryService(
-            npz_root, backend="sequential"
+            seg_root, backend="sequential"
         ).execute(
-            f"SELECT expected_value FROM CATALOG '{npz_root}' "
+            f"SELECT expected_value FROM CATALOG '{seg_root}' "
             f"WHERE t BETWEEN 35 AND 46"
         )
         assert result.stats is not None
@@ -203,25 +215,25 @@ class TestPrunedPlanParity:
             == result.stats.segments_total
         )
 
-    def test_pruned_identical_across_backends(self, npz_root):
-        statements = self._pruning_statements(npz_root)
+    def test_pruned_identical_across_backends(self, seg_root):
+        statements = self._pruning_statements(seg_root)
         references = [
             _canonical(
-                CatalogQueryService(npz_root, backend="sequential").execute(s)
+                CatalogQueryService(seg_root, backend="sequential").execute(s)
             )
             for s in statements
         ]
         with CatalogQueryService(
-            npz_root, backend="process", max_workers=2
+            seg_root, backend="process", max_workers=2
         ) as service:
             for statement, reference in zip(statements, references):
                 assert _canonical(service.execute(statement)) == reference
 
-    def test_skipped_series_keep_their_result_slot(self, npz_root):
+    def test_skipped_series_keep_their_result_slot(self, seg_root):
         # tau=0.999 prunes every segment of every series: all series are
         # skipped, yet each still answers with its exact empty result.
-        result = CatalogQueryService(npz_root, backend="sequential").execute(
-            f"SELECT threshold(0.999) FROM CATALOG '{npz_root}'"
+        result = CatalogQueryService(seg_root, backend="sequential").execute(
+            f"SELECT threshold(0.999) FROM CATALOG '{seg_root}'"
         )
         assert result.stats is not None
         assert result.stats.series_skipped == SERIES
@@ -231,22 +243,22 @@ class TestPrunedPlanParity:
 
 
 class TestBackendSelection:
-    def test_unknown_backend_rejected(self, npz_root):
+    def test_unknown_backend_rejected(self, seg_root):
         for name in ("fiber", "thread"):
             with pytest.raises(
                 InvalidParameterError,
                 match=f"unknown executor backend '{name}'; "
                 "one of sequential, process",
             ):
-                CatalogQueryService(npz_root, backend=name)
+                CatalogQueryService(seg_root, backend=name)
 
-    def test_named_backends_resolve(self, npz_root):
+    def test_named_backends_resolve(self, seg_root):
         cache = MatrixCache()
         sequential = make_backend("sequential", max_workers=3, cache=cache)
         assert isinstance(sequential, SequentialBackend)
         process = make_backend("process", max_workers=2, cache=cache)
         assert isinstance(process, ProcessBackend)
-        with CatalogQueryService(npz_root) as service:
+        with CatalogQueryService(seg_root) as service:
             assert service.backend_name == "sequential"  # The default.
 
     def test_transport_stats_name_the_mode_only(self):
@@ -256,15 +268,15 @@ class TestBackendSelection:
         backend = SequentialBackend(MatrixCache())
         assert backend.transport_stats() == {"mode": "inline"}
 
-    def test_instance_passthrough(self, npz_root):
+    def test_instance_passthrough(self, seg_root):
         backend = SequentialBackend(MatrixCache())
-        service = CatalogQueryService(npz_root, backend=backend)
+        service = CatalogQueryService(seg_root, backend=backend)
         assert service.backend is backend
         assert service.backend_name == "sequential"
 
-    def test_invalid_max_workers(self, npz_root):
+    def test_invalid_max_workers(self, seg_root):
         with pytest.raises(InvalidParameterError, match="max_workers"):
-            CatalogQueryService(npz_root, max_workers=0)
+            CatalogQueryService(seg_root, max_workers=0)
         with pytest.raises(InvalidParameterError, match="max_workers"):
             ProcessBackend(0)
 
@@ -277,7 +289,7 @@ class TestBackendFaults:
         _build_catalog(root)
         # Corrupt one series' segment so its load fails in a worker
         # process; the error must name the series, not the pool.
-        (root / "s-2" / "seg-00000001.npz").write_bytes(b"garbage")
+        (root / "s-2" / "seg-00000001.seg").write_bytes(b"garbage")
         with CatalogQueryService(
             root, backend="process", max_workers=2
         ) as service:
@@ -287,12 +299,12 @@ class TestBackendFaults:
                 )
 
     def test_worker_crash_names_series_and_pool_recovers(
-        self, npz_root, monkeypatch
+        self, seg_root, monkeypatch
     ):
-        statement = f"SELECT expected_value FROM CATALOG '{npz_root}'"
+        statement = f"SELECT expected_value FROM CATALOG '{seg_root}'"
         monkeypatch.setenv("REPRO_FAULT_WORKER_CRASH", "s-3")
         with CatalogQueryService(
-            npz_root, backend="process", max_workers=2
+            seg_root, backend="process", max_workers=2
         ) as service:
             with pytest.raises(QueryError, match="s-3") as excinfo:
                 service.execute(statement)
@@ -382,18 +394,18 @@ class TestBackendFaults:
         assert "resource_tracker" not in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    def test_closed_process_service_raises_service_closed(self, npz_root):
+    def test_closed_process_service_raises_service_closed(self, seg_root):
         service = CatalogQueryService(
-            npz_root, backend="process", max_workers=2
+            seg_root, backend="process", max_workers=2
         )
         service.close()
         with pytest.raises(QueryError, match="service closed"):
             service.execute(
-                f"SELECT expected_value FROM CATALOG '{npz_root}'"
+                f"SELECT expected_value FROM CATALOG '{seg_root}'"
             )
 
     def test_runtime_error_in_a_task_is_not_reported_as_shutdown(
-        self, npz_root, monkeypatch
+        self, seg_root, monkeypatch
     ):
         # Only a failed *scheduling* call means the pool is gone; a
         # RuntimeError raised while a chunk runs is that chunk's own
@@ -413,13 +425,13 @@ class TestBackendFaults:
         monkeypatch.setattr(
             backends, "_WORKER_CACHE", backends._WORKER_CACHE
         )
-        statement = f"SELECT expected_value FROM CATALOG '{npz_root}'"
+        statement = f"SELECT expected_value FROM CATALOG '{seg_root}'"
 
         def boom(*args, **kwargs):
             raise RuntimeError("boom")
 
         with CatalogQueryService(
-            npz_root, backend="process", max_workers=2
+            seg_root, backend="process", max_workers=2
         ) as service:
             with monkeypatch.context() as patch:
                 patch.setattr(kernels, "_load_view_from_segments", boom)
@@ -429,11 +441,11 @@ class TestBackendFaults:
             # The pool was never the problem: the backend stays usable.
             assert len(service.execute(statement).results) == SERIES
 
-    def test_closed_sequential_service_raises_service_closed(self, npz_root):
+    def test_closed_sequential_service_raises_service_closed(self, seg_root):
         # The default backend runs on the calling thread and holds no
         # pool; a closed service must refuse statements all the same.
-        statement = f"SELECT expected_value FROM CATALOG '{npz_root}'"
-        service = CatalogQueryService(npz_root)
+        statement = f"SELECT expected_value FROM CATALOG '{seg_root}'"
+        service = CatalogQueryService(seg_root)
         service.execute(statement)
         service.close()
         with pytest.raises(QueryError, match="service closed"):
@@ -441,16 +453,16 @@ class TestBackendFaults:
 
 
 class TestMixedLayoutFallback:
-    """Series that still hold ``.v2`` segments written by older builds."""
+    """Series that still hold ``.v2`` or ``.npz`` segments of older builds."""
 
     def test_series_with_mixed_segment_layouts_loads(
-        self, tmp_path, legacy_v2
+        self, tmp_path, legacy_v2, legacy_npz
     ):
         values = 20.0 + np.cumsum(
             np.random.default_rng(3).normal(0.0, 0.05, size=60)
         )
         views = {}
-        for label in ("npz", "mixed"):
+        for label in ("seg", "mixed"):
             root = tmp_path / label
             Catalog(root).create_series(
                 "mix", metric="variable_threshold", H=H, grid=GRID
@@ -458,18 +470,21 @@ class TestMixedLayoutFallback:
             Catalog(root).append("mix", values[:40])
             if label == "mixed":
                 legacy_v2(root / "mix")
+            Catalog(root).append("mix", values[40:50])
+            if label == "mixed":
+                legacy_npz(root / "mix")
             reopened = Catalog(root)
-            reopened.append("mix", values[40:])
+            reopened.append("mix", values[50:])
             views[label] = Catalog(root).snapshot("mix").load_view()
-        # The legacy segment stays; the append after it wrote .npz.
+        # The legacy segments stay; the append after them wrote .seg.
         assert reopened.series("mix").segment_names == [
-            "seg-00000001.v2", "seg-00000002.npz"
+            "seg-00000001.v2", "seg-00000002.npz", "seg-00000003.seg"
         ]
-        npz, mixed = views["npz"].columns, views["mixed"].columns
+        seg, mixed = views["seg"].columns, views["mixed"].columns
         for column in ("t", "low", "high", "probability"):
-            assert np.array_equal(getattr(mixed, column), getattr(npz, column))
+            assert np.array_equal(getattr(mixed, column), getattr(seg, column))
         assert [str(mixed.labels[code]) for code in mixed.label_code] == [
-            str(npz.labels[code]) for code in npz.label_code
+            str(seg.labels[code]) for code in seg.label_code
         ]
 
     def test_drop_series_removes_v2_directories(self, tmp_path, legacy_v2):
@@ -491,7 +506,7 @@ class TestMixedLayoutFallback:
     def test_recorded_layout_keys_are_ignored(self, tmp_path, legacy_v2):
         # Older builds recorded a write layout in catalog.json and in
         # every series.json.  Whatever they say, the catalog opens and
-        # every new segment — append, revision, static save — is .npz.
+        # every new segment — append, revision, static save — is .seg.
         root = tmp_path / "cat"
         catalog = Catalog(root)
         catalog.create_series(
@@ -512,11 +527,11 @@ class TestMixedLayoutFallback:
         reopened.append("new", 20.0 + 0.01 * np.arange(40, dtype=float))
         reopened.save_view("static", reopened.view("new"))
         assert reopened.series("old").segment_names == [
-            "seg-00000001.v2", "seg-00000002.npz", "seg-00000003.npz"
+            "seg-00000001.v2", "seg-00000002.seg", "seg-00000003.seg"
         ]
-        assert reopened.series("new").segment_names == ["seg-00000001.npz"]
+        assert reopened.series("new").segment_names == ["seg-00000001.seg"]
         assert reopened.series("static").segment_names == [
-            "seg-00000001.npz"
+            "seg-00000001.seg"
         ]
         new_meta = json.loads((root / "new" / "series.json").read_text())
         assert "layout" not in new_meta

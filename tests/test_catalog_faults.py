@@ -208,7 +208,7 @@ class TestCrashRecovery:
         # metadata never admitted.
         on_disk = {
             path.name
-            for path in (reopened.root / "s").glob("seg-*.npz")
+            for path in (reopened.root / "s").glob("seg-*.seg")
         }
         assert set(handle.segment_names) < on_disk
 

@@ -305,13 +305,13 @@ class TestPlannerValidation:
         # error must still say which of the five broke — even though
         # expected_value runs as one stacked pass over the whole chunk,
         # and to every one of several callers sharing the service.
-        segment = next((catalog.root / "sensor-02").glob("seg-*.npz"))
+        segment = next((catalog.root / "sensor-02").glob("seg-*.seg"))
         intact = segment.read_bytes()
         statement = _sql(catalog, "expected_value")
         with CatalogQueryService(
             catalog, backend=backend, max_workers=2
         ) as service:
-            segment.write_bytes(b"PK\x03\x04 truncated")
+            segment.write_bytes(intact[: len(intact) // 2])
             for outcome in concurrent_callers(
                 lambda _index: service.execute(statement), callers=4
             ):

@@ -323,7 +323,7 @@ class TestReload:
         catalog.append("room", values[: H + 20])
         tuples_before = catalog.series("room").tuple_count
         # Simulate the torn write: a segment lands without a meta update.
-        (root / "room" / "seg-99999999.npz").write_bytes(b"torn")
+        (root / "room" / "seg-99999999.seg").write_bytes(b"torn")
         reopened = Catalog(root)
         assert reopened.series("room").tuple_count == tuples_before
         assert len(reopened.view("room")) == tuples_before
@@ -360,13 +360,13 @@ class TestStaticViews:
         catalog.save_view("pv", view)
         # Simulate a crash after the replacement segment was written but
         # before series.json was swapped: the orphan is ignored.
-        (tmp_path / "cat" / "pv" / "seg-00000002.npz").write_bytes(b"torn")
+        (tmp_path / "cat" / "pv" / "seg-00000002.seg").write_bytes(b"torn")
         reopened = Catalog(tmp_path / "cat")
-        assert reopened.series("pv").segment_names == ["seg-00000001.npz"]
+        assert reopened.series("pv").segment_names == ["seg-00000001.seg"]
         assert len(reopened.view("pv")) == len(view)
         # A retried replace overwrites the orphan slot and completes.
         reopened.save_view("pv", view)
-        assert reopened.series("pv").segment_names == ["seg-00000002.npz"]
+        assert reopened.series("pv").segment_names == ["seg-00000002.seg"]
         assert len(reopened.view("pv")) == len(view)
 
     def test_static_series_rejects_appends(self, tmp_path, values):

@@ -72,11 +72,12 @@ def _random_view(name: str, times: int, seed: int, base: float = 20.0):
     )
 
 
-def _build_catalog(root, series=3, legacy_v2=None) -> Catalog:
+def _build_catalog(root, series=3, legacy=None) -> Catalog:
     """``series`` series of three appends each.
 
-    ``legacy_v2`` (the conftest fixture) then rewrites every segment as
-    the ``.v2`` directory an older build would have written.
+    ``legacy`` (the conftest ``legacy_v2`` or ``legacy_npz``) then
+    rewrites every segment as the ``.v2`` directory or ``.npz`` file an
+    older build would have written.
     """
     catalog = Catalog(root)
     rng = np.random.default_rng(11)
@@ -90,9 +91,19 @@ def _build_catalog(root, series=3, legacy_v2=None) -> Catalog:
         )
         for chunk in np.array_split(values, 3):
             catalog.append(series_id, chunk)
-        if legacy_v2 is not None:
-            legacy_v2(catalog.root / series_id)
+        if legacy is not None:
+            legacy(catalog.root / series_id)
     return Catalog(root)
+
+
+#: The segment format a catalog's first appends are left in: today's
+#: ``.seg``, or rewritten as an older build's ``.npz`` or ``.v2``.
+LAYOUTS = ["seg", "npz", "v2"]
+
+
+@pytest.fixture(scope="session")
+def legacy_writers(legacy_npz, legacy_v2):
+    return {"seg": None, "npz": legacy_npz, "v2": legacy_v2}
 
 
 def _strip_synopses(root) -> None:
@@ -113,7 +124,7 @@ def _strip_synopses(root) -> None:
 def _plant_stale_copies(root) -> None:
     """Leave the second synopsis copy builds before the one-home rule wrote.
 
-    A ``<segment>.synopsis.json`` sidecar beside every ``.npz`` segment, a
+    A ``<segment>.synopsis.json`` sidecar beside every segment file, a
     ``synopsis`` key inside every ``.v2`` segment's ``meta.json`` — wrong
     on purpose (another view's facts, times 0..2), so a reader that still
     trusted either would prune every segment and estimate from nonsense.
@@ -218,11 +229,10 @@ class TestComputeSynopsis:
 
 
 class TestPersistence:
-    @pytest.mark.parametrize("layout", ["npz", "v2"])
-    def test_appends_write_synopses(self, tmp_path, layout, legacy_v2):
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_appends_write_synopses(self, tmp_path, layout, legacy_writers):
         catalog = _build_catalog(
-            tmp_path / "cat", series=1,
-            legacy_v2=legacy_v2 if layout == "v2" else None,
+            tmp_path / "cat", series=1, legacy=legacy_writers[layout]
         )
         snapshot = Catalog(catalog.root).snapshot("s-0")
         synopses = snapshot.segment_synopses()
@@ -256,15 +266,14 @@ class TestPersistence:
 class TestOneHome:
     """A synopsis lives in ``series.json`` and nowhere else."""
 
-    @pytest.mark.parametrize("layout", ["npz", "v2"])
+    @pytest.mark.parametrize("layout", LAYOUTS)
     def test_catalog_holds_segments_and_metadata_only(
-        self, tmp_path, layout, legacy_v2
+        self, tmp_path, layout, legacy_writers
     ):
-        # Under "v2" the first three segments are legacy directories; the
-        # revision and the static save after them write .npz.
+        # Under "npz" / "v2" the first three segments are legacy; the
+        # revision and the static save after them write .seg.
         catalog = _build_catalog(
-            tmp_path / "cat", series=1,
-            legacy_v2=legacy_v2 if layout == "v2" else None,
+            tmp_path / "cat", series=1, legacy=legacy_writers[layout]
         )
         catalog.revise(
             "s-0", restrict_time_range(catalog.view("s-0"), 20, 25)
@@ -278,8 +287,8 @@ class TestOneHome:
         assert names(root) == ["catalog.json", "s-0", "static"]
         assert names(root / "s-0") == [
             f"seg-{i:08d}.{layout}" for i in range(1, 4)
-        ] + ["seg-00000004.npz", "series.json"]
-        assert names(root / "static") == ["seg-00000001.npz", "series.json"]
+        ] + ["seg-00000004.seg", "series.json"]
+        assert names(root / "static") == ["seg-00000001.seg", "series.json"]
         for segment in root.glob("*/seg-*.v2"):
             assert names(segment) == sorted(
                 ["meta.json"]
@@ -293,14 +302,13 @@ class TestOneHome:
             meta = json.loads((segment / "meta.json").read_text())
             assert "synopsis" not in meta
 
-    @pytest.mark.parametrize("layout", ["npz", "v2"])
+    @pytest.mark.parametrize("layout", LAYOUTS)
     def test_stale_copies_are_inert_and_swept(
-        self, tmp_path, layout, legacy_v2
+        self, tmp_path, layout, legacy_writers
     ):
         roots = {
             label: _build_catalog(
-                tmp_path / label, series=2,
-                legacy_v2=legacy_v2 if layout == "v2" else None,
+                tmp_path / label, series=2, legacy=legacy_writers[layout]
             ).root
             for label in ("clean", "stale")
         }
@@ -344,7 +352,7 @@ class TestOneHome:
 
         assert names(stale.root) == ["catalog.json", "s-1"]
         assert names(stale.root / "s-1") == [
-            "seg-00000004.npz", "series.json"
+            "seg-00000004.seg", "series.json"
         ]
 
 
