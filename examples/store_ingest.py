@@ -98,7 +98,7 @@ def main() -> None:
     # repro.connect(<path>) opens the catalog query service behind the
     # unified Connection facade: it plans a SELECT across every matched
     # series, runs the per-series work inline, and caches the
-    # materialised views so a repeated statement skips the .npz reloads.
+    # materialised views so a repeated statement skips the segment reloads.
     conn = repro.connect(root, cache_budget_bytes=64 << 20)
     service = conn.service
     result = conn.execute(

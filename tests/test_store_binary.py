@@ -303,10 +303,9 @@ class TestDamagedNpz:
         # statement fails with a taxonomy error naming the series.
         root = old_npz_catalog(tmp_path / "catalog")
         _flip_last_byte(root / "a" / "seg-00000002.npz", "probability.npy")
-        with pytest.raises(QueryError, match="series 'a'") as info:
-            repro.connect(root).execute(
-                f"SELECT expected_value FROM CATALOG '{root}'"
-            )
+        with repro.connect(root) as conn:
+            with pytest.raises(QueryError, match="series 'a'") as info:
+                conn.execute(f"SELECT expected_value FROM CATALOG '{root}'")
         assert "seg-00000002.npz" in str(info.value)
 
 
