@@ -402,15 +402,10 @@ def _pinned_columns() -> dict:
     )
 
 
-def _write(path, columns) -> dict:
-    save_view_columns(path, **columns)
-    return columns
-
-
 class TestSegmentFile:
     def test_bytes_are_pinned(self, tmp_path):
         path = tmp_path / "seg-00000001.seg"
-        _write(path, _pinned_columns())
+        save_view_columns(path, **_pinned_columns())
         raw = path.read_bytes()
         assert hashlib.sha256(raw).hexdigest() == SEGMENT_SHA256
         magic, schema, kind, rows, label_bytes = HEADER.unpack_from(raw)
@@ -421,14 +416,9 @@ class TestSegmentFile:
     def test_one_file_whatever_the_suffix(self, tmp_path):
         # The e2e harness writes a segment under an .npz name and stat()s it.
         path = tmp_path / "shadow-segment.npz"
-        _write(path, _pinned_columns())
+        save_view_columns(path, **_pinned_columns())
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
         assert path.read_bytes()[:8] == MAGIC
-
-    def test_returns_the_synopsis(self, tmp_path):
-        columns = _pinned_columns()
-        synopsis = save_view_columns(tmp_path / "seg-00000001.seg", **columns)
-        assert synopsis["rows"] == 4 and synopsis["t_max"] == 2
 
     def test_unequal_columns_are_rejected(self, tmp_path):
         columns = _pinned_columns()
@@ -491,7 +481,7 @@ class TestSegmentFaults:
     def test_malformed_file_raises_a_named_error(self, tmp_path, fault):
         damage, error = _FAULTS[fault]
         path = tmp_path / "seg-00000001.seg"
-        _write(path, _pinned_columns())
+        save_view_columns(path, **_pinned_columns())
         path.write_bytes(damage(path.read_bytes()))
         with pytest.raises(error, match="seg-00000001.seg"):
             load_view_columns(path)
@@ -502,7 +492,7 @@ class TestSegmentFaults:
 
     def test_the_fault_cuts_land_where_they_say(self, tmp_path):
         path = tmp_path / "seg-00000001.seg"
-        _write(path, _pinned_columns())
+        save_view_columns(path, **_pinned_columns())
         raw = path.read_bytes()
         assert HEADER.size == 32
         assert raw[HEADER.size:HEADER.size + 32] == np.array(
