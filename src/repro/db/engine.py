@@ -183,10 +183,17 @@ class Database:
             trace.statement = sql
         with trace.stage("parse"):
             statement = parse_statement(sql)
+            # Routing resolves the catalog path; timing it with the parse
+            # keeps the stages covering the wall of a fast statement.
+            bound = (
+                not isinstance(statement, ViewQuery)
+                and self.service is not None
+                and self.service.accepts(statement)
+            )
         if isinstance(statement, ViewQuery):
             with trace.stage("compute"):
                 result = ViewResult(self.execute_query(statement), trace)
-        elif self.service is not None and self.service.accepts(statement):
+        elif bound:
             if render:
                 return self.service.reply(statement, trace=trace)
             result = self.service.execute(statement, trace=trace)
