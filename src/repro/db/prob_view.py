@@ -124,6 +124,31 @@ def _check_probability_column(probability: np.ndarray) -> None:
         )
 
 
+def _int64_column(values: np.ndarray, name: str) -> np.ndarray:
+    """``values`` as a contiguous int64 column, refusing to truncate.
+
+    Integer input casts as it always did.  Anything else (float times in
+    an export or a legacy segment) must hold finite whole numbers inside
+    int64, or :class:`~repro.exceptions.DataError` names the column —
+    ``3.5`` must not silently become time ``3``.
+    """
+    values = np.asarray(values)
+    if values.dtype.kind not in "biu":
+        exact = np.asarray(values, dtype=float)
+        bad = ~(
+            np.isfinite(exact)
+            & (exact == np.floor(exact))
+            & (exact >= -(2.0**63))
+            & (exact < 2.0**63)
+        )
+        if np.any(bad):
+            raise DataError(
+                f"view column {name!r} must hold whole numbers inside "
+                f"int64, got {float(exact.ravel()[int(np.argmax(bad))])}"
+            )
+    return np.ascontiguousarray(values, dtype=np.int64)
+
+
 class ProbabilisticView:
     """An ordered collection of :class:`ProbTuple` grouped by time.
 
@@ -177,7 +202,7 @@ class ProbabilisticView:
         — the zero-decode path the binary store backend loads through.  The
         per-tuple checks of :class:`ProbTuple` run as one vectorised pass.
         """
-        t = np.ascontiguousarray(t, dtype=np.int64)
+        t = _int64_column(t, "t")
         low = np.ascontiguousarray(low, dtype=float)
         high = np.ascontiguousarray(high, dtype=float)
         probability = np.ascontiguousarray(probability, dtype=float)
@@ -200,7 +225,7 @@ class ProbabilisticView:
                 raise InvalidParameterError(
                     "label_code and label_pool must be given together"
                 )
-            label_code = np.ascontiguousarray(label_code, dtype=np.int64)
+            label_code = _int64_column(label_code, "label_code")
             if label_code.size != t.size:
                 raise DataError("label_code must have one entry per tuple")
             pool = tuple(str(label) for label in label_pool)

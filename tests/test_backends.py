@@ -562,3 +562,17 @@ class TestMixedLayoutFallback:
         ) as service:
             with pytest.raises(QueryError, match="s-2"):
                 service.execute(f"SELECT expected_value FROM CATALOG '{root}'")
+
+    def test_float_times_in_a_legacy_segment_raise(self, tmp_path, legacy_npz):
+        # An .npz segment holds whatever dtype its writer chose; float
+        # times must fail the statement, not be truncated into an answer.
+        root = tmp_path / "cat"
+        _build_catalog(root, legacy_npz)
+        path = root / "s-2" / "seg-00000001.npz"
+        with np.load(path) as payload:
+            members = dict(payload)
+        members["t"] = members["t"] + 0.5
+        np.savez(path, **members)
+        with CatalogQueryService(root) as service:
+            with pytest.raises(QueryError, match=r"'s-2'.*'t'"):
+                service.execute(f"SELECT expected_value FROM CATALOG '{root}'")

@@ -109,6 +109,56 @@ class TestProbabilisticView:
             ProbTuple(t=0, low=0.0, high=1.0, probability=1.5)
 
 
+class TestFromColumnsCast:
+    """``from_columns`` never truncates a non-integer ``t`` or ``label_code``."""
+
+    @staticmethod
+    def _build(t, label_code=None):
+        rows = len(t)
+        return ProbabilisticView.from_columns(
+            "cast",
+            t,
+            np.zeros(rows),
+            np.ones(rows),
+            np.full(rows, 0.5),
+            label_code=label_code,
+            label_pool=None if label_code is None else ("a", "b"),
+        )
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            np.array([3.5, 4.9]),
+            np.array([2.0**63 + 5.0]),
+            np.array([-(2.0**63) * 2]),
+            np.array([1.0, np.nan]),
+            np.array([np.inf]),
+            np.array([2.0, 3.0], dtype=np.float32) + 0.25,
+        ],
+    )
+    def test_non_integral_times_are_refused(self, t):
+        with pytest.raises(DataError, match="'t'"):
+            self._build(t)
+
+    def test_non_integral_label_codes_are_refused(self):
+        with pytest.raises(DataError, match="'label_code'"):
+            self._build(np.array([1, 2]), label_code=np.array([0.9, 0.2]))
+
+    def test_whole_floats_cast_exactly(self):
+        view = self._build(
+            np.array([3.0, -(2.0**63)]), label_code=np.array([1.0, 0.0])
+        )
+        assert view.columns.t.dtype == np.int64
+        assert view.columns.t.tolist() == [3, -(2**63)]
+        assert [item.label for item in view] == ["b", "a"]
+
+    def test_integer_columns_pass_through(self):
+        t = np.array([5, 6], dtype=np.int64)
+        view = self._build(t, label_code=np.array([0, 1], dtype=np.int32))
+        assert view.columns.t.tolist() == [5, 6]
+        assert view.columns.label_code.dtype == np.int64
+
+
 class TestQueries:
     def test_threshold_query(self):
         hits = threshold_query(_sample_view(), 0.5)

@@ -136,6 +136,24 @@ class TestViewNpz:
         with pytest.raises(StoreError):
             load_view_npz(tmp_path / "nope.npz")
 
+    def test_float_times_are_refused_not_truncated(self, view, tmp_path):
+        # np.savez keeps whatever dtype it is handed: an export written by
+        # another tool can carry float times, which once loaded as [3, 4].
+        path = tmp_path / "float-times.npz"
+        np.savez(
+            path,
+            schema=np.int64(SCHEMA_VERSION),
+            kind=np.str_("view_columns"),
+            t=np.array([3.5, 4.9]),
+            low=np.array([0.0, 0.0]),
+            high=np.array([1.0, 1.0]),
+            probability=np.array([0.5, 0.5]),
+            label_code=np.array([0, 0], dtype=np.int64),
+            labels=np.array([""]),
+        )
+        with pytest.raises(DataError, match="'t'"):
+            load_view_npz(path)
+
     def test_corrupt_probabilities_fail_validation(self, tmp_path):
         path = tmp_path / "bad.npz"
         np.savez(
