@@ -316,6 +316,17 @@ class ProbabilisticView:
         label_pool: tuple[str, ...],
         tuples: list[ProbTuple] | None = None,
     ) -> None:
+        """Adopt the columns and build the per-time index in O(n).
+
+        Builder and store output arrive sorted by time: the identity is
+        the order, the probability column is its own sorted copy (an
+        alias, not a gather), and the groups are the runs of equal times,
+        found in one comparison pass.  Unsorted ``t`` (revision shadows,
+        hand-built views) takes a stable argsort first.  Either way
+        ``times`` / ``starts`` / ``counts`` equal ``np.unique``'s, with its
+        int64 dtypes.  The :class:`ProbTuple` slot list waits for the
+        first materialisation.
+        """
         if not name:
             raise InvalidParameterError("view name must be non-empty")
         self.name = str(name)
@@ -325,26 +336,26 @@ class ProbabilisticView:
         self._prob = probability
         self._label_code = label_code
         self._label_pool = label_pool if label_pool else ("",)
-        self._tuples: list[ProbTuple | None] = (
-            tuples if tuples is not None else [None] * t.size
-        )
-        # Stable by-time ordering; builder output is already sorted, in
-        # which case the identity avoids the gather entirely.
-        if t.size > 1 and np.any(np.diff(t) < 0):
+        self._tuples: list[ProbTuple | None] | None = tuples
+        if t.size > 1 and np.any(t[1:] < t[:-1]):
             self._order = np.argsort(t, kind="stable")
             t_sorted = t[self._order]
+            self._prob_sorted = probability[self._order]
         else:
             self._order = np.arange(t.size, dtype=np.int64)
             t_sorted = t
+            self._prob_sorted = probability
         if t.size:
-            self._times, self._starts, self._counts = np.unique(
-                t_sorted, return_index=True, return_counts=True
-            )
+            run_start = np.empty(t.size, dtype=bool)
+            run_start[0] = True
+            np.not_equal(t_sorted[1:], t_sorted[:-1], out=run_start[1:])
+            self._starts = np.flatnonzero(run_start)
+            self._times = t_sorted[self._starts]
+            self._counts = np.diff(self._starts, append=t.size)
         else:
             self._times = np.empty(0, dtype=np.int64)
             self._starts = np.empty(0, dtype=np.int64)
             self._counts = np.empty(0, dtype=np.int64)
-        self._prob_sorted = probability[self._order]
         self._validate_mass()
         self._columns: ViewColumns | None = None
 
@@ -383,8 +394,21 @@ class ProbabilisticView:
             )
         return self._columns
 
+    def _slots(self) -> list[ProbTuple | None]:
+        """The tuple-slot list, published by one atomic assignment.
+
+        Cached views are shared across threads: a caller that loses the
+        creation race only rebuilds a :class:`ProbTuple` equal to the
+        winner's.
+        """
+        slots = self._tuples
+        if slots is None:
+            slots = self._tuples = [None] * self._t.size
+        return slots
+
     def _materialise(self, index: int) -> ProbTuple:
-        item = self._tuples[index]
+        tuples = self._slots()
+        item = tuples[index]
         if item is None:
             item = ProbTuple(
                 t=int(self._t[index]),
@@ -393,7 +417,7 @@ class ProbabilisticView:
                 probability=float(self._prob[index]),
                 label=self._label_pool[int(self._label_code[index])],
             )
-            self._tuples[index] = item
+            tuples[index] = item
         return item
 
     def take(self, indices: np.ndarray) -> list[ProbTuple]:
@@ -406,7 +430,7 @@ class ProbabilisticView:
         queries use this to materialise only the tuples they return.
         """
         indices = np.asarray(indices, dtype=np.int64)
-        tuples = self._tuples
+        tuples = self._slots()
         pool = self._label_pool
         out: list[ProbTuple] = []
         new = ProbTuple.__new__

@@ -2,7 +2,9 @@
 
 The catalog stores each series as immutable segment files; a query
 touching a series pays one file read per segment plus the columnar
-view construction (validation, sort index, per-time grouping).  Repeated
+view construction (validation, sort index, per-time grouping) — one
+pass over the segment list and O(n) in the tuples, yet still the bulk
+of a cold statement.  Repeated
 catalog-wide queries would pay that again for every series on every
 statement.  :class:`MatrixCache` keeps the materialised
 :class:`~repro.db.prob_view.ProbabilisticView` objects — their column
@@ -64,8 +66,14 @@ def view_nbytes(view: ProbabilisticView) -> int:
     """Approximate resident size of one materialised view.
 
     Counts the five tuple columns, the sort index and per-time grouping
-    arrays, the sorted-probability shadow used for mass checks, and the
-    label pool — everything :class:`ProbabilisticView` keeps per tuple.
+    arrays, the sorted-probability shadow used for mass checks, the
+    label pool and the :class:`~repro.db.prob_view.ProbTuple` slot list
+    — everything :class:`ProbabilisticView` can keep per tuple.  For a
+    view whose times arrive sorted (every store load of an unrevised
+    series) this is an upper bound: the shadow aliases the probability
+    column and the slot list exists only once a tuple is materialised.
+    The charge stays per tuple so that what a budget holds does not
+    depend on how a view was built or used.
     """
     cols = view.columns
     arrays = (

@@ -7,13 +7,14 @@ The one module that knows the store's file formats:
   fixed little-endian header (magic, :data:`SCHEMA_VERSION`, a kind code,
   row count, label-block length), then the ``t`` / ``low`` / ``high`` /
   ``probability`` / ``label_code`` columns as contiguous 8-byte arrays,
-  then the label pool as a UTF-8 JSON list.  A load is one ``readinto``
-  of the whole file and five ``np.frombuffer`` views over that buffer —
-  no archive directory, no per-column header parse — and the round trip
-  is bit-exact (float64 in, float64 out).  Older builds wrote a segment
-  as one ``.npz`` archive or as a ``.v2`` directory of raw ``.npy``
-  columns; :func:`load_view_columns` still reads both (picked by
-  suffix), nothing writes them.
+  then the label pool as a UTF-8 JSON list.  A load
+  (:func:`read_segment`) is one ``os.readv`` of the whole file and five
+  ``np.frombuffer`` views over that buffer — no archive directory, no
+  per-column header parse — and the round trip is bit-exact (float64
+  in, float64 out).  Older builds wrote a segment as one ``.npz``
+  archive or as a ``.v2`` directory of raw ``.npy`` columns;
+  :func:`read_segment` and :func:`load_view_columns` still read both
+  (picked by suffix), nothing writes them.
 * **Exports.**  :func:`save_view_npz` and :func:`save_density_series_npz`
   write interchange ``.npz`` archives, not segments.
 * **Versioning.**  Every payload carries its schema version and kind;
@@ -68,6 +69,7 @@ __all__ = [
     "load_view_columns_npz",
     "load_view_npz",
     "next_segment_index",
+    "read_segment",
     "remove_segment",
     "save_density_series_npz",
     "save_view_columns",
@@ -454,28 +456,43 @@ def save_view_columns(
 
 
 def load_view_columns(path: str | Path) -> dict[str, np.ndarray]:
-    """Load one segment; ``.npz`` and ``.v2`` suffixes mark legacy ones."""
-    path = Path(path)
-    if path.suffix == _LEGACY_V2_SUFFIX:
-        return _load_view_columns_v2(path)
-    if path.suffix == _LEGACY_NPZ_SUFFIX:
-        return load_view_columns_npz(path)
-    return _load_view_columns_seg(path)
+    """:func:`read_segment` with the label pool as an ``np.str_`` array."""
+    columns, labels = read_segment(os.fspath(path))
+    columns["labels"] = np.array(labels, dtype=np.str_)
+    return columns
 
 
-def _load_view_columns_seg(path: Path) -> dict[str, np.ndarray]:
-    """Read one ``.seg`` segment: one ``readinto``, five array views.
+def read_segment(path: str) -> tuple[dict[str, np.ndarray], list[str]]:
+    """One segment's five columns and its label pool, by the path's suffix.
 
-    The arrays share one writable buffer and carry the dtypes ``np.load``
-    gives for the legacy formats.  Anything but a well-formed file of
-    exactly header + 40 bytes per row + label block raises
+    The catalog's per-segment read: ``path`` is a plain ``str`` and the
+    pool stays a ``list[str]``, so a ``.seg`` load builds no ``Path`` and
+    no string array.  A ``.seg`` file is one ``os.readv`` into one
+    buffer and five writable array views over it, with the dtypes
+    ``np.load`` gives for the legacy formats.  Anything but a well-formed
+    file of exactly header + 40 bytes per row + label block raises
     :class:`~repro.exceptions.DataError` (or
-    :class:`~repro.exceptions.SchemaVersionError`).
+    :class:`~repro.exceptions.SchemaVersionError`); a missing one raises
+    :class:`~repro.exceptions.StoreError`.
     """
+    if path.endswith(_LEGACY_V2_SUFFIX):
+        columns = _load_view_columns_v2(Path(path))
+    elif path.endswith(_LEGACY_NPZ_SUFFIX):
+        columns = load_view_columns_npz(path)
+    else:
+        return _read_seg(path)
+    return columns, [str(label) for label in columns.pop("labels")]
+
+
+def _read_seg(path: str) -> tuple[dict[str, np.ndarray], list[str]]:
+    """:func:`read_segment` of one ``.seg`` file."""
     try:
-        with path.open("rb", buffering=0) as handle:
-            buffer = bytearray(os.fstat(handle.fileno()).st_size)
-            del buffer[handle.readinto(buffer):]
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            buffer = bytearray(os.fstat(fd).st_size)
+            del buffer[os.readv(fd, [buffer]):]
+        finally:
+            os.close(fd)
     except FileNotFoundError:
         raise StoreError(f"no such store file: {path}") from None
     except OSError as exc:
@@ -507,8 +524,7 @@ def _load_view_columns_seg(path: Path) -> dict[str, np.ndarray]:
         isinstance(label, str) for label in labels
     ):
         raise DataError(f"{path}'s label block is not a list of strings")
-    columns["labels"] = np.array(labels or [""], dtype=np.str_)
-    return columns
+    return columns, labels or [""]
 
 
 def _load_view_columns_v2(path: Path) -> dict[str, np.ndarray]:

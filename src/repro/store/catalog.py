@@ -48,6 +48,7 @@ test_resume_matches_uninterrupted`` pins this as a strict xfail.
 from __future__ import annotations
 
 import json
+import os
 import re
 import threading
 import uuid
@@ -72,6 +73,7 @@ from repro.store.binary import (
     compute_view_synopsis,
     load_view_columns,
     next_segment_index,
+    read_segment,
     remove_segment,
     save_view_columns,
     segment_name,
@@ -267,18 +269,15 @@ def _apply_shadow_mask(
     per-time tuple groups — the surviving rows still satisfy the per-time
     mass invariant :meth:`ProbabilisticView.from_columns` re-validates.
     """
+    if not intervals:
+        return chunk
     t = chunk["t"]
     keep = np.ones(t.shape[0], dtype=bool)
     for lo, hi in intervals:
         keep &= (t < lo) | (t > hi)
     if keep.all():
         return chunk
-    masked = {
-        key: np.ascontiguousarray(chunk[key][keep])
-        for key in ("t", "low", "high", "probability", "label_code")
-    }
-    masked["labels"] = chunk["labels"]
-    return masked
+    return {key: np.ascontiguousarray(column[keep]) for key, column in chunk.items()}
 
 
 def load_segment_columns(
@@ -287,15 +286,15 @@ def load_segment_columns(
     *,
     shadow: Sequence[tuple[int, int]] = (),
 ) -> dict[str, np.ndarray]:
-    """Columns of one segment, minus the rows ``shadow`` supersedes.
+    """The five columns of one segment, minus the rows ``shadow`` supersedes.
 
-    The one place a segment is read for its rows — by the view loader
-    below and by the executor's lazy ``APPROX`` fallback — so
-    ``repro_store_segment_reads_total`` counts every such read.
+    The executor's lazy ``APPROX`` fallback reads a segment here, the
+    view loader below through the same :func:`read_segment`, and both
+    count every read into ``repro_store_segment_reads_total``.
     """
     _OBS_SEGMENT_READS.inc()
-    columns = load_view_columns(directory / name)
-    return _apply_shadow_mask(columns, shadow) if shadow else columns
+    columns, _ = read_segment(os.path.join(directory, name))
+    return _apply_shadow_mask(columns, shadow)
 
 
 def _load_view_from_segments(
@@ -309,15 +308,18 @@ def _load_view_from_segments(
 
     Shared by the live :class:`SeriesHandle` read path and the read-only
     :class:`SeriesSnapshot` path, so both materialise bit-identical views
-    from the same segment list.  A single-segment series keeps the loaded
-    columns as-is — the common bulk-ingested case pays no concatenation
-    copy at all.
+    from the same segment list.  One pass over the list: the directory
+    prefix is built once, every segment is one :func:`read_segment`, and
+    the reads are counted once per series.  A single-segment series keeps
+    the loaded columns as-is (no concatenation copy); a series whose
+    segments all carry one duplicate-free label pool — every appended
+    series, whose grid never changes — concatenates its label codes
+    as-is, since remapping them into the merged pool would be the
+    identity.  Differing or duplicated pools are remapped.
 
     ``shadows`` (aligned with ``names``) gives each segment the merged
     valid-time intervals that newer revisions override; rows at those
-    times are dropped before concatenation (latest-wins reads).  ``None``
-    or all-empty shadows take exactly the historical code path, keeping
-    revision-free loads bit-identical.
+    times are dropped before concatenation (latest-wins reads).
     """
     if not names:
         return ProbabilisticView.from_columns(
@@ -328,40 +330,42 @@ def _load_view_from_segments(
             np.empty(0),
         )
     _OBS_VIEW_LOADS.inc()
-    if shadows is None or not any(shadows):
-        shadows = ((),) * len(names)
-    chunks = [
-        load_segment_columns(directory, name, shadow=shadow)
-        for name, shadow in zip(names, shadows)
-    ]
+    _OBS_SEGMENT_READS.inc(len(names))
+    prefix = os.path.join(directory, "")
+    chunks = [read_segment(prefix + name) for name in names]
+    if shadows is not None:
+        chunks = [
+            (_apply_shadow_mask(columns, shadow), labels)
+            for (columns, labels), shadow in zip(chunks, shadows)
+        ]
+    pool = chunks[0][1]
+    if len(chunks) > 1 and (
+        len(set(pool)) < len(pool)
+        or any(labels != pool for _, labels in chunks)
+    ):
+        merged: dict[str, int] = {}
+        for columns, labels in chunks:
+            remap = np.array(
+                [merged.setdefault(label, len(merged)) for label in labels],
+                dtype=np.int64,
+            )
+            columns["label_code"] = remap[columns["label_code"]]
+        pool = list(merged)
     if len(chunks) == 1:
-        chunk = chunks[0]
-        return ProbabilisticView.from_columns(
-            series_id,
-            chunk["t"],
-            chunk["low"],
-            chunk["high"],
-            chunk["probability"],
-            label_code=chunk["label_code"],
-            label_pool=tuple(str(label) for label in chunk["labels"]),
-        )
-    pool: dict[str, int] = {}
-    codes = []
-    for chunk in chunks:
-        labels = [str(label) for label in chunk["labels"]]
-        remap = np.array(
-            [pool.setdefault(label, len(pool)) for label in labels],
-            dtype=np.int64,
-        )
-        codes.append(remap[chunk["label_code"]])
+        columns = chunks[0][0]
+    else:
+        columns = {
+            key: np.concatenate([chunk[key] for chunk, _ in chunks])
+            for key in chunks[0][0]
+        }
     return ProbabilisticView.from_columns(
         series_id,
-        np.concatenate([chunk["t"] for chunk in chunks]),
-        np.concatenate([chunk["low"] for chunk in chunks]),
-        np.concatenate([chunk["high"] for chunk in chunks]),
-        np.concatenate([chunk["probability"] for chunk in chunks]),
-        label_code=np.concatenate(codes),
-        label_pool=tuple(pool) if pool else ("",),
+        columns["t"],
+        columns["low"],
+        columns["high"],
+        columns["probability"],
+        label_code=columns["label_code"],
+        label_pool=pool,
     )
 
 

@@ -11,8 +11,12 @@ uniform, and mixed density series, with and without the sigma-cache.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.data.synthetic import campus_temperature
 from repro.db.prob_view import ProbTuple, ProbabilisticView
@@ -32,6 +36,8 @@ from repro.metrics.base import DensityForecast, DensitySeries, variance_floor
 from repro.metrics.ewma import EWMAMetric
 from repro.metrics.uniform_threshold import UniformThresholdingMetric
 from repro.metrics.variable_threshold import VariableThresholdingMetric
+from repro.service import MatrixCache
+from repro.store import Catalog
 from repro.timeseries.arma import ARMAModel
 from repro.timeseries.stats import sample_variance
 from repro.view.builder import ViewBuilder
@@ -283,3 +289,147 @@ def test_probability_at_boundary_no_double_count():
     assert view.probability_at(0, 0.0) == pytest.approx(0.5)
     assert view.probability_at(0, 3.0) == pytest.approx(0.2)  # closed top
     assert view.probability_at(0, 3.5) == 0.0
+
+
+# ----------------------------------------------------------------------
+# Per-time grouping: the O(n) run scan against np.unique.
+# ----------------------------------------------------------------------
+_TIME = st.one_of(
+    st.integers(-50, 50), st.integers(-(1 << 63), (1 << 63) - 1)
+)
+
+
+@st.composite
+def view_times(draw):
+    """Times in runs: sorted, as drawn (unsorted, repeats apart) or shuffled."""
+    runs = draw(st.lists(st.tuples(_TIME, st.integers(1, 40)), max_size=8))
+    t = np.array(
+        [value for value, length in runs for _ in range(length)],
+        dtype=np.int64,
+    )
+    layout = draw(st.sampled_from(("sorted", "drawn", "shuffled")))
+    if layout == "sorted":
+        return np.sort(t)
+    if layout == "shuffled":
+        return t[np.array(draw(st.permutations(range(t.size))), dtype=np.int64)]
+    return t
+
+
+def _reference_grouping(t: np.ndarray):
+    """The grouping older builds computed: stable argsort, then np.unique."""
+    order = np.argsort(t, kind="stable")
+    times, starts, counts = np.unique(
+        t[order], return_index=True, return_counts=True
+    )
+    return order, times, starts, counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(t=view_times())
+@example(t=np.empty(0, dtype=np.int64))
+@example(t=np.array([7], dtype=np.int64))
+@example(t=np.repeat(np.array([-3, 4], dtype=np.int64), 2000))
+# Descending across the int64 range: np.diff wraps to +1 here, which
+# once passed this pair off as sorted.
+@example(t=np.array([(1 << 63) - 1, -(1 << 63)], dtype=np.int64))
+def test_grouping_matches_argsort_and_unique(t):
+    rng = np.random.default_rng(t.size)
+    probability = rng.uniform(0.0, 1.0, t.size) / max(t.size, 1)
+    view = ProbabilisticView.from_columns(
+        "grouped", t, np.zeros(t.size), np.ones(t.size), probability
+    )
+    columns = view.columns
+    order, times, starts, counts = _reference_grouping(t)
+    for name, expected in (
+        ("order", order), ("times", times), ("starts", starts),
+        ("counts", counts),
+    ):
+        actual = getattr(columns, name)
+        assert actual.dtype == np.int64 == expected.dtype, name
+        assert np.array_equal(actual, expected), name
+    for index, time in enumerate(times.tolist()):
+        start = int(starts[index])
+        group = probability[order][start:start + int(counts[index])]
+        assert view.total_mass_at(time) == float(np.sum(group))
+
+
+# ----------------------------------------------------------------------
+# Lazily allocated tuple slots.
+# ----------------------------------------------------------------------
+def _expected_tuples(view: ProbabilisticView) -> list[ProbTuple]:
+    columns = view.columns
+    return [
+        ProbTuple(
+            t=int(columns.t[index]),
+            low=float(columns.low[index]),
+            high=float(columns.high[index]),
+            probability=float(columns.probability[index]),
+            label=columns.labels[int(columns.label_code[index])],
+        )
+        for index in range(len(view))
+    ]
+
+
+def _store_loaded_view(root) -> ProbabilisticView:
+    return Catalog(root, create=False).snapshot("sensor-0").load_view()
+
+
+def _built_view(root) -> ProbabilisticView:
+    return ProbabilisticView("built", _expected_tuples(_store_loaded_view(root)))
+
+
+@pytest.mark.parametrize("make", [_store_loaded_view, _built_view])
+def test_every_access_route_returns_equal_tuples(catalog_root, make):
+    expected = _expected_tuples(make(catalog_root))
+    view = make(catalog_root)
+    assert all(view[index] is view[index] for index in (0, -1, 3))
+    assert list(view) == expected
+    assert view[2:9] == expected[2:9]
+    assert view[::-3] == expected[::-3]
+    rows = np.array([5, 0, 5, len(view) - 1])
+    assert view.take(rows) == [expected[row] for row in rows.tolist()]
+    for time in view.times[:4]:
+        assert view.tuples_at(time) == [
+            item for item in expected if item.t == time
+        ]
+    # Whatever route built a tuple, later reads hand back that object.
+    first = view.take(np.array([1]))[0]
+    assert view[1] is first and next(iter(view[1:2])) is first
+
+
+def test_concurrent_materialisation_of_one_cached_view(
+    catalog_root, concurrent_callers
+):
+    cache = MatrixCache()
+    key = ("root", "sensor-0", (), (), ())
+    cache.get(key, lambda: _store_loaded_view(catalog_root))
+    expected = _expected_tuples(cache.get(key, pytest.fail))
+
+    def materialise(index):
+        view = cache.get(key, pytest.fail)
+        routes = (
+            lambda: list(view),
+            lambda: view.take(np.arange(len(view))),
+            lambda: view[:],
+            lambda: [item for t in view.times for item in view.tuples_at(t)],
+        )
+        return routes[index]()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        outcomes = concurrent_callers(materialise, callers=4)
+    finally:
+        sys.setswitchinterval(interval)
+    for outcome in outcomes:
+        assert isinstance(outcome, list), outcome
+        assert sorted(outcome, key=_tuple_key) == sorted(
+            expected, key=_tuple_key
+        )
+    view = cache.get(key, pytest.fail)
+    assert all(view[index] is view[index] for index in range(len(view)))
+    assert list(view) == expected
+
+
+def _tuple_key(item: ProbTuple) -> tuple:
+    return (item.t, item.low, item.high)

@@ -9,6 +9,7 @@ import pytest
 
 from repro.data.synthetic import campus_temperature
 from repro.db.engine import Database
+from repro.db.prob_view import ProbabilisticView
 from repro.db.table import Table
 from repro.exceptions import (
     DataError,
@@ -21,7 +22,12 @@ from repro.obs import default_registry
 from repro.pipeline import OnlinePipeline, create_probabilistic_view
 from repro.metrics.variable_threshold import VariableThresholdingMetric
 from repro.store import Catalog
-from repro.store.binary import SCHEMA_VERSION
+from repro.store.binary import (
+    SCHEMA_VERSION,
+    load_view_columns,
+    save_view_columns,
+)
+from repro.store.catalog import _load_view_from_segments
 from repro.view.omega import OmegaGrid
 
 H = 30
@@ -479,3 +485,188 @@ class TestSnapshotReuse:
         catalog.drop_series("s")
         with pytest.raises(QueryError):
             catalog.snapshot("s")
+
+
+_VIEW_KEYS = ("t", "low", "high", "probability", "label_code")
+_READS = default_registry().counter("repro_store_segment_reads_total")
+_LOADS = default_registry().counter("repro_store_view_loads_total")
+
+
+def _reference_load(directory, names, shadows=None) -> dict:
+    """The concat-and-remap series load older builds ran, kept as the oracle.
+
+    Every segment through ``load_view_columns``, shadowed rows dropped,
+    and every segment's labels remapped into one merged pool; a single
+    segment keeps its pool as it is.
+    """
+    chunks = []
+    for name, shadow in zip(names, shadows or [()] * len(names)):
+        columns = load_view_columns(directory / name)
+        keep = np.ones(columns["t"].size, dtype=bool)
+        for lo, hi in shadow:
+            keep &= (columns["t"] < lo) | (columns["t"] > hi)
+        chunk = {key: columns[key][keep] for key in _VIEW_KEYS}
+        chunk["labels"] = [str(label) for label in columns["labels"]]
+        chunks.append(chunk)
+    if len(chunks) == 1:
+        return {**chunks[0], "labels": tuple(chunks[0]["labels"])}
+    pool: dict[str, int] = {}
+    codes = []
+    for chunk in chunks:
+        remap = np.array(
+            [pool.setdefault(label, len(pool)) for label in chunk["labels"]],
+            dtype=np.int64,
+        )
+        codes.append(remap[chunk["label_code"]])
+    merged = {
+        key: np.concatenate([chunk[key] for chunk in chunks])
+        for key in _VIEW_KEYS
+    }
+    merged["label_code"] = np.concatenate(codes)
+    merged["labels"] = tuple(pool)
+    return merged
+
+
+def _segment_columns(times, labels, seed: int) -> dict:
+    """One tuple per label at each of ``times``, ranges stacked upward."""
+    rng = np.random.default_rng(seed)
+    width = len(labels)
+    low = np.repeat(rng.normal(20.0, 1.0, len(times)), width) + np.tile(
+        np.arange(width, dtype=float), len(times)
+    )
+    return dict(
+        t=np.repeat(np.asarray(times, dtype=np.int64), width),
+        low=low,
+        high=low + 1.0,
+        probability=rng.uniform(0.0, 1.0 / width, width * len(times)),
+        label_code=np.tile(np.arange(width, dtype=np.int64), len(times)),
+        labels=tuple(labels),
+    )
+
+
+class TestSeriesLoadEquivalence:
+    """Series loads off the identical-pool fast path equal the oracle."""
+
+    @staticmethod
+    def _assert_load_matches(directory, names, shadows=None):
+        reads, loads = _READS.total(), _LOADS.total()
+        view = _load_view_from_segments(
+            directory, "s", names, shadows=shadows
+        )
+        assert _READS.total() - reads == len(names)
+        assert _LOADS.total() - loads == 1
+        expected = _reference_load(directory, names, shadows)
+        columns = view.columns
+        for key in _VIEW_KEYS:
+            actual = getattr(columns, key)
+            assert actual.dtype == expected[key].dtype, key
+            assert np.array_equal(actual, expected[key]), key
+        assert columns.labels == expected["labels"]
+        return view
+
+    @staticmethod
+    def _write(directory, segments) -> list[str]:
+        """Write ``{name: columns}`` as ``.seg`` files; return the names."""
+        for name, columns in segments.items():
+            save_view_columns(directory / name, **columns)
+        return list(segments)
+
+    def test_segments_with_different_label_pools(self, tmp_path):
+        names = self._write(tmp_path, {
+            "seg-00000001.seg": _segment_columns([0, 1], ("x", "y"), 1),
+            "seg-00000002.seg": _segment_columns([2, 3], ("y", "z"), 2),
+            "seg-00000003.seg": _segment_columns([4], ("x", "y"), 3),
+        })
+        view = self._assert_load_matches(tmp_path, names)
+        assert view.columns.labels == ("x", "y", "z")
+
+    def test_identical_pools_concatenate_codes_as_stored(self, tmp_path):
+        names = self._write(tmp_path, {
+            f"seg-0000000{index}.seg": _segment_columns(
+                [2 * index, 2 * index + 1], ("lo", "hi", "top"), index
+            )
+            for index in range(1, 4)
+        })
+        view = self._assert_load_matches(tmp_path, names)
+        assert view.columns.labels == ("lo", "hi", "top")
+
+    def test_a_duplicated_label_pool_is_remapped(self, tmp_path):
+        catalog = Catalog(tmp_path / "cat")
+        twins = ProbabilisticView.from_columns(
+            "twins",
+            np.array([0, 0, 1, 1]),
+            np.array([0.0, 1.0, 0.0, 1.0]),
+            np.array([1.0, 2.0, 1.0, 2.0]),
+            np.array([0.5, 0.5, 0.25, 0.75]),
+            label_code=np.array([0, 1, 0, 1]),
+            label_pool=("a", "a"),
+        )
+        catalog.save_view("s", twins)
+        snapshot = catalog.snapshot("s")
+        single = self._assert_load_matches(
+            snapshot.directory, snapshot.segments
+        )
+        assert single.columns.labels == ("a", "a")  # One segment: kept.
+        later = ProbabilisticView.from_columns(
+            "later",
+            np.array([1, 1]),
+            np.array([0.0, 1.0]),
+            np.array([1.0, 2.0]),
+            np.array([0.5, 0.5]),
+            label_code=np.array([1, 0]),
+            label_pool=("a", "a"),
+        )
+        catalog.series("s").revise(later)
+        snapshot = Catalog(tmp_path / "cat").snapshot("s")
+        frontier = snapshot.as_of(None)
+        assert len(frontier.segments) == 2
+        both = self._assert_load_matches(
+            snapshot.directory, frontier.segments, frontier.shadows
+        )
+        assert both.columns.labels == ("a",)
+        assert [item.label for item in both] == ["a"] * 4
+
+    def test_mixed_npz_v2_and_seg_series(
+        self, tmp_path, legacy_npz_segment, legacy_v2_segment
+    ):
+        legacy_npz_segment(
+            tmp_path / "seg-00000001.npz",
+            _segment_columns([0, 1], ("p", "q"), 4),
+        )
+        legacy_v2_segment(
+            tmp_path / "seg-00000002.v2", _segment_columns([2], ("p", "q"), 5)
+        )
+        names = ["seg-00000001.npz", "seg-00000002.v2"] + self._write(
+            tmp_path,
+            {"seg-00000003.seg": _segment_columns([3, 4], ("p", "q"), 6)},
+        )
+        view = self._assert_load_matches(tmp_path, names)
+        assert view.columns.labels == ("p", "q")
+
+    def test_revision_shadows_mask_rows(self, tmp_path):
+        catalog = Catalog(tmp_path / "cat")
+        catalog.create_series(
+            "s", metric="variable_threshold", H=H, grid=GRID
+        )
+        catalog.append("s", 20.0 + 0.01 * np.arange(H + 12, dtype=float))
+        catalog.append("s", 20.2 + 0.01 * np.arange(8, dtype=float))
+        base = catalog.view("s")
+        revised_times = np.array(base.times[5:9])
+        rows = np.flatnonzero(np.isin(base.columns.t, revised_times))
+        revision = ProbabilisticView.from_columns(
+            "rev",
+            base.columns.t[rows],
+            base.columns.low[rows] + 0.25,
+            base.columns.high[rows] + 0.25,
+            base.columns.probability[rows],
+            labels=[f"r{index % 3}" for index in range(rows.size)],
+        )
+        catalog.series("s").revise(revision)
+        snapshot = Catalog(tmp_path / "cat").snapshot("s")
+        frontier = snapshot.as_of(None)
+        assert any(frontier.shadows)
+        view = self._assert_load_matches(
+            snapshot.directory, frontier.segments, frontier.shadows
+        )
+        assert len(view) == len(base)
+        assert np.array_equal(np.unique(view.columns.t), base.columns.times)
