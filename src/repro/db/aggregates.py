@@ -9,8 +9,8 @@ a per-time **core** over the view's columns (:func:`per_time_expected_value`,
 here) followed by an optional **window pass**: the ``sum``, ``mean`` or
 ``product`` of every ``window`` consecutive per-time values, keyed by the
 window's last time.  Every route runs through it: the planner binds
-SELECT items against it, the stacked service kernels and standing
-queries compute and score with it, and the one-shot python functions of
+SELECT items against it, the service kernels (one series at a time) and
+standing queries compute and score with it, and the one-shot python functions of
 :mod:`repro.db.queries`, :mod:`repro.db.stream_queries` and
 :func:`repro.db.worlds.conjunctive_range_query` are
 :meth:`KernelSpec.one_shot` calls — so the routes validate alike and
@@ -118,8 +118,8 @@ def _count(values: np.ndarray) -> float:
 class KernelSpec:
     """One aggregate: its name, signature, score and computation.
 
-    ``core`` maps view columns (one view's, or several stacked) and the
-    bound arguments to the per-time vector; ``window_pass`` is ``None``,
+    ``core`` maps one view's columns and the bound arguments to the
+    per-time vector; ``window_pass`` is ``None``,
     ``"sum"``, ``"mean"`` or ``"product"``, the window being the last
     argument.  ``selection`` instead picks the answer's row indices.
     ``score`` maps an answer's values — per-time values, selected
@@ -254,10 +254,10 @@ def resolve(name: str, registry: dict[str, KernelSpec] | None = None) -> KernelS
     return spec
 
 
-# The per-time cores.  Each maps the tuple columns and a by-time grouping
-# of them — ``order`` is the stable by-time sort, ``starts`` / ``counts``
-# delimit each time's group inside it (:class:`ViewColumns`), one view's
-# or several concatenated with offset groups — to one value per group.
+# The per-time cores.  Each maps one view's (or one stored segment's)
+# tuple columns and their by-time grouping — ``order`` is the stable
+# by-time sort, ``starts`` / ``counts`` delimit each time's group inside
+# it (:class:`ViewColumns`) — to one value per group.
 # Every route, and the segment synopses of :mod:`repro.store.binary`,
 # calls these, so their answers agree bit for bit.  ``starts`` must be
 # non-empty.

@@ -16,8 +16,8 @@ repeated statements never reload a segment.
   picklable per-series task envelopes backends consume;
 * :mod:`repro.service.kernels` — the one compute path:
   ``compute_chunk`` turns a chunk of envelopes into
-  :class:`SeriesResult` records, the one per-series answer (chunk-stacked
-  ``reduceat`` kernels, scores included);
+  :class:`SeriesResult` records, the one per-series answer (each
+  series' kernel run alone over its own view, scores included);
 * :mod:`repro.service.backends` — the executor backends: two
   schedulers for that one function (the process pool returns those
   arrays pickled through its own pipe);

@@ -9,17 +9,13 @@ structural: one function, two schedulers.
 Answers are :class:`SeriesResult` objects — plain numpy arrays per series
 plus the ``TOP k`` score — and stay the same objects all the way out:
 the backends hand them back, the executor merges their trace spans,
-ranks them and renders them.  This module only stacks and dispatches: what
-an aggregate computes and how it scores is its
-:class:`~repro.db.aggregates.KernelSpec`'s.  A spec with a per-time core
-runs *stacked*: the chunk's restricted views are concatenated and the
-core is one grouped pass over the stack instead of one numpy dispatch
-per series, then the window reduction runs per series.  A stack never
-grows past :data:`_STACK_ROWS` tuples (one larger view runs alone), so
-however long the chunk, only that many rows of views plus one stacked
-copy are alive at once.  The core-less specs — a row selection, or
-sampled worlds — run solo.  The one-shot query functions built on the
-same specs are the reference the parity tests compare against.
+ranks them and renders them.  This module only loads and dispatches:
+what an aggregate computes and how it scores is its
+:class:`~repro.db.aggregates.KernelSpec`'s.  Every series runs its
+kernel alone, over its own restricted view — a per-time core plus its
+window pass, a row selection, or sampled worlds — and no copy of
+several series' columns is ever built.  The one-shot query functions built
+on the same specs are the reference the parity tests compare against.
 """
 
 from __future__ import annotations
@@ -31,8 +27,8 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.db.aggregates import KERNELS, KernelSpec, check_window
-from repro.db.prob_view import ProbabilisticView, ProbTuple, ViewColumns
+from repro.db.aggregates import KERNELS, KernelSpec
+from repro.db.prob_view import ProbabilisticView, ProbTuple
 from repro.db.worlds import WorldSampler, derive_series_seed
 from repro.exceptions import ReproError
 from repro.store.catalog import _load_view_from_segments
@@ -46,14 +42,6 @@ __all__ = [
     "empty_result",
     "restrict_time_range",
 ]
-
-#: Most tuples a chunk stacks before the pending batches are computed
-#: and their views released.  Small views amortise numpy dispatch over
-#: several series; past a few thousand rows a stack falls out of the
-#: CPU cache and costs more than it saves, so the bound stays low —
-#: which also keeps the stacked copy well under a MiB per worker.
-_STACK_ROWS = 1 << 13
-
 
 def restrict_time_range(
     view: ProbabilisticView, lo: float | None, hi: float | None
@@ -200,8 +188,7 @@ def empty_result(
 ) -> SeriesResult:
     """The exact answer ``kernel`` gives over an empty restricted view.
 
-    What the executor emits for series the prune phase skipped entirely,
-    and what the stacked kernels emit for views with no tuples.
+    What the executor emits for series the prune phase skipped entirely.
     """
     times = np.empty(0, dtype=np.int64)
     values = np.empty(0, dtype=np.float64)
@@ -214,52 +201,26 @@ def empty_result(
     return SeriesResult(series_id, kind, {"times": times, "values": values})
 
 
-def _batched_mapping(
-    spec: KernelSpec,
-    arguments: tuple[float, ...],
-    views: list[ProbabilisticView],
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-series ``(times, values)`` for one batched kernel, one numpy pass.
-
-    The spec's core runs once over the concatenated columns, bit-identical
-    to running it per series: elementwise ops give the same elements, and
-    each series' ``starts`` shifted by its offset keep groups from
-    crossing series.  The window reduction runs per series, so float
-    accumulation order matches the one-shot query exactly.
-    """
-    columns = [view.columns for view in views]
-    offsets = np.concatenate(([0], np.cumsum([cols.t.size for cols in columns])))
-    # The cores read only the value columns and the group structure.
-    stack = ViewColumns(
-        t=None,
-        low=np.concatenate([cols.low for cols in columns]),
-        high=np.concatenate([cols.high for cols in columns]),
-        probability=np.concatenate([cols.probability for cols in columns]),
-        label_code=None,
-        labels=(),
-        order=np.concatenate(
-            [cols.order + offset for cols, offset in zip(columns, offsets)]
-        ),
-        times=None,
-        starts=np.concatenate(
-            [cols.starts + offset for cols, offset in zip(columns, offsets)]
-        ),
-        counts=np.concatenate([cols.counts for cols in columns]),
-    )
-    values = spec.per_time(stack, arguments)
-    bounds = np.concatenate(([0], np.cumsum([cols.times.size for cols in columns])))
-    return [
-        spec.reduce(values[lo:hi], cols.times, arguments)[:2]
-        for cols, lo, hi in zip(columns, bounds[:-1], bounds[1:])
-    ]
-
-
-def _solo(
+def _compute(
     spec: KernelSpec, envelope: "TaskEnvelope", view: ProbabilisticView
 ) -> SeriesResult:
-    """A core-less kernel over one view: a row selection, or worlds."""
+    """``spec``'s kernel over one restricted view.
+
+    A per-time core plus its window pass, a row selection, or sampled
+    worlds.
+    """
     arguments = envelope.arguments
     cols = view.columns
+    if spec.core is not None:
+        times, values, _ = spec.reduce(
+            spec.per_time(cols, arguments), cols.times, arguments, whole=True
+        )
+        return SeriesResult(
+            envelope.series_id,
+            "mapping",
+            {"times": times, "values": values},
+            score=spec.score(values),
+        )
     if spec.selection is not None:
         hits = spec.selection(cols, arguments)
         arrays = {
@@ -291,56 +252,26 @@ def _solo(
     )
 
 
-def _flush(
-    batches: dict[tuple[str, tuple[float, ...]], list[tuple]],
-    out: list[SeriesResult | None],
-) -> None:
-    """Compute and clear the pending stacks, one pass per (kernel, args).
-
-    A batch's wall time is attributed evenly across its members.
-    """
-    for (kernel, arguments), members in batches.items():
-        spec = KERNELS[kernel]
-        start = time.perf_counter()
-        views = [member[2] for member in members]
-        answers = _batched_mapping(spec, arguments, views)
-        elapsed = time.perf_counter() - start
-        for member, (times, values) in zip(members, answers):
-            index, series_id, _view, load_s, hit = member
-            out[index] = SeriesResult(
-                series_id,
-                "mapping",
-                {"times": times, "values": values},
-                score=spec.score(values),
-                load_s=load_s,
-                compute_s=elapsed / len(members),
-                cache_hit=hit,
-            )
-    batches.clear()
-
-
 def compute_chunk(
     chunk: "list[TaskEnvelope]",
     cache: Any,
 ) -> list[SeriesResult]:
     """Run task envelopes into array-form results, in input order.
 
-    Views load through ``cache`` (a
-    :class:`~repro.service.cache.MatrixCache`).  A series that fails to
-    load or compute yields an ``"error"`` result naming it — loading
-    counts too: in a fan-out over hundreds of series, "which series is
-    broken" is the whole diagnostic — and never disturbs its
-    chunk-mates.  Each result records its series' load/compute split
-    and cache outcome.
+    One straight loop: each envelope's view loads through ``cache`` (a
+    :class:`~repro.service.cache.MatrixCache`), is restricted to the
+    WHERE range, and runs its kernel.  A series that fails to load or
+    compute yields an ``"error"`` result naming it — loading counts too:
+    in a fan-out over hundreds of series, "which series is broken" is
+    the whole diagnostic — and never disturbs its chunk-mates.  Each
+    result records its own load and compute time and cache outcome.
     """
-    out: list[SeriesResult | None] = [None] * len(chunk)
-    batches: dict[tuple[str, tuple[float, ...]], list[tuple]] = {}
-    stacked = 0
-    for index, envelope in enumerate(chunk):
+    out: list[SeriesResult] = []
+    for envelope in chunk:
         hit = True
         load_s = 0.0
 
-        def _load(envelope=envelope):
+        def _load():
             nonlocal hit, load_s
             hit = False
             start = time.perf_counter()
@@ -353,47 +284,22 @@ def compute_chunk(
             load_s = time.perf_counter() - start
             return view
 
-        kernel = envelope.aggregate
-        spec = KERNELS[kernel]
-        arguments = envelope.arguments
         try:
             view = cache.get(envelope.cache_key, _load)
             start = time.perf_counter()
-            lo, hi = envelope.time_lo, envelope.time_hi
-            view = restrict_time_range(view, lo, hi)
-            times = view.columns.times
-            if spec.core is None:
-                result = _solo(spec, envelope, view)
-            else:
-                # Window checks run per series, before the batch forms;
-                # empty views take the empty-result path.
-                if times.size and spec.window_pass is not None:
-                    check_window(kernel, arguments[-1], times, whole=True)
-                if times.size:
-                    rows = view.columns.t.size
-                    if stacked and stacked + rows > _STACK_ROWS:
-                        _flush(batches, out)
-                        stacked = 0
-                    stacked += rows
-                    member = (index, envelope.series_id, view, load_s, hit)
-                    batches.setdefault((kernel, arguments), []).append(member)
-                    continue
-                result = empty_result(envelope.series_id, kernel, arguments)
+            view = restrict_time_range(view, envelope.time_lo, envelope.time_hi)
+            result = _compute(KERNELS[envelope.aggregate], envelope, view)
+            result.compute_s = time.perf_counter() - start
         except (ReproError, OSError) as exc:
-            out[index] = SeriesResult(
+            result = SeriesResult(
                 envelope.series_id,
                 "error",
                 error=(
-                    f"aggregate {kernel!r} failed on series "
+                    f"aggregate {envelope.aggregate!r} failed on series "
                     f"{envelope.series_id!r}: {exc}"
                 ),
-                load_s=load_s,
-                cache_hit=hit,
             )
-            continue
         result.load_s = load_s
         result.cache_hit = hit
-        result.compute_s = time.perf_counter() - start
-        out[index] = result
-    _flush(batches, out)
+        out.append(result)
     return out

@@ -9,6 +9,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.db.aggregates import AGGREGATES, KERNELS
 from repro.db.engine import Database
 from repro.db.queries import expected_value_query, threshold_query
 from repro.db.stream_queries import (
@@ -38,6 +39,8 @@ from repro.service import (
 )
 from repro.service.cache import view_nbytes
 from repro.service.executor import restrict_time_range
+from repro.service.kernels import compute_chunk
+from repro.service.planner import TaskEnvelope
 from repro.store import Catalog
 from repro.view.omega import OmegaGrid
 from repro.view.sql import CatalogQuery, parse_statement
@@ -302,9 +305,8 @@ class TestPlannerValidation:
         self, catalog, backend, concurrent_callers
     ):
         # Load failures count too: truncate one series' segment and the
-        # error must still say which of the five broke — even though
-        # expected_value runs as one stacked pass over the whole chunk,
-        # and to every one of several callers sharing the service.
+        # error must still say which of the five broke, to every one of
+        # several callers sharing the service.
         segment = next((catalog.root / "sensor-02").glob("seg-*.seg"))
         intact = segment.read_bytes()
         statement = _sql(catalog, "expected_value")
@@ -325,6 +327,83 @@ class TestPlannerValidation:
             assert entry.result == expected_value_query(
                 catalog.view(entry.series_id)
             )
+
+
+class _Views:
+    """A stand-in matrix cache holding already-built views by series id."""
+
+    def __init__(self, views):
+        self._views = views
+
+    def get(self, key, load):
+        return self._views[key[0]]
+
+
+class TestComputeChunk:
+    """Every series of a chunk runs its own kernel, whatever its mates run."""
+
+    # (kernel, arguments, time_lo, time_hi): every kind in KERNELS, a
+    # bounded view, a view the WHERE range empties, and one series whose
+    # window check fails (its view holds 70 times, not 5000).
+    CASES = [
+        ("threshold", (0.4,), None, None),
+        ("expected_value", (), None, None),
+        ("exceedance", (21.0,), 30.0, 60.0),
+        ("time_above", (21.0, 5), None, None),
+        ("time_above", (21.0, 5000), None, None),
+        ("probability_of", (20.5, 22.0), None, None),
+        ("sustained_exceedance", (21.0, 5), 30.0, 60.0),
+        ("windowed_expected_value", (5,), None, None),
+        ("expected_value", (), 1000.0, 2000.0),
+        ("simulate", (3, 7), None, None),
+    ]
+    FAILING = 4
+    EMPTIED = 8
+
+    def test_mixed_chunk_equals_solo_runs_and_one_shots(self, catalog):
+        assert {case[0] for case in self.CASES} == set(KERNELS)
+        views = {
+            series_id: catalog.view(series_id)
+            for series_id in catalog.list_series()
+        }
+        ids = sorted(views)
+        chunk = [
+            TaskEnvelope(
+                series_id=ids[index % len(ids)],
+                directory="",
+                segments=(),
+                cache_key=(ids[index % len(ids)], "", (), (), ()),
+                aggregate=name,
+                arguments=KERNELS[name].bind(arguments),
+                time_lo=lo,
+                time_hi=hi,
+            )
+            for index, (name, arguments, lo, hi) in enumerate(self.CASES)
+        ]
+        cache = _Views(views)
+        results = compute_chunk(chunk, cache)
+        assert [entry.series_id for entry in results] == [
+            envelope.series_id for envelope in chunk
+        ]
+        for index, (envelope, entry) in enumerate(zip(chunk, results)):
+            (solo,) = compute_chunk([envelope], cache)
+            if index == self.FAILING:
+                assert entry.kind == "error"
+                assert repr(envelope.series_id) in entry.error
+                assert "window=5000" in entry.error
+                assert solo.error == entry.error
+                continue
+            spec = KERNELS[envelope.aggregate]
+            assert entry.kind == spec.kind, envelope
+            assert entry.error is None, envelope
+            assert entry == solo, envelope
+            assert (entry.size == 0) == (index == self.EMPTIED), envelope
+            if envelope.aggregate in AGGREGATES:
+                view = restrict_time_range(
+                    views[envelope.series_id], envelope.time_lo, envelope.time_hi
+                )
+                one_shot = spec.one_shot(view, *envelope.arguments)
+                assert entry.result == one_shot, envelope
 
 
 class TestServiceWiring:
