@@ -33,7 +33,7 @@ from repro.obs.trace import QueryTrace
 from repro.service.synopsis import prune_segments
 from repro.store.catalog import Catalog, SeriesSnapshot
 from repro.util.rng import DEFAULT_SEED
-from repro.view.sql import CatalogQuery, SelectItem
+from repro.view.sql import CatalogQuery, SelectItem, render_number
 
 __all__ = [
     "AGGREGATES",
@@ -235,8 +235,8 @@ class QueryPlan:
         else:
             mode = "approx" if query.approx else "exact"
         top = "" if query.top_k is None else f"(top {query.top_k})"
-        lo = "-inf" if query.time_lo is None else f"{query.time_lo:g}"
-        hi = "+inf" if query.time_hi is None else f"{query.time_hi:g}"
+        lo = "-inf" if query.time_lo is None else render_number(query.time_lo)
+        hi = "+inf" if query.time_hi is None else render_number(query.time_hi)
         return "\n".join(
             [f"Finalize{top}", f"  Combine[{mode}] x{len(self.items)}"]
             + [f"    Kernel: {item.label()}" for item in self.items]

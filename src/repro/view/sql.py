@@ -82,6 +82,7 @@ __all__ = [
     "SelectItem",
     "ViewQuery",
     "parse_statement",
+    "render_number",
     "render_statement",
     "with_as_of",
 ]
@@ -183,13 +184,16 @@ class SelectItem:
         if self.name == "probability_of":
             low, high = self.arguments
             column = self.column or "v"
-            return f"PROBABILITY OF {column} BETWEEN {low:g} AND {high:g}"
+            return (
+                f"PROBABILITY OF {column} BETWEEN {render_number(low)} "
+                f"AND {render_number(high)}"
+            )
         if self.name == "simulate":
             n_worlds, *seed = self.arguments
             seeded = f", seed {int(seed[0])}" if seed else ""
             return f"simulate({int(n_worlds)} worlds{seeded})"
         if self.arguments:
-            arguments = ", ".join(f"{a:g}" for a in self.arguments)
+            arguments = ", ".join(render_number(a) for a in self.arguments)
             return f"{self.name}({arguments})"
         # Zero-argument aggregates are written bare — the grammar
         # rejects an empty argument list.
@@ -690,6 +694,17 @@ def parse_statement(text: str) -> ViewQuery | CatalogQuery:
     return _Parser(text).parse_statement()
 
 
+def render_number(value: float) -> str:
+    """``value`` as statement text that parses back to exactly ``value``.
+
+    The short ``:g`` form wherever it is exact (``21``, ``0.5``), so
+    common literals render as written; otherwise ``repr``, the shortest
+    text that round-trips (``20.123456789``, ``1234567.0``).
+    """
+    text = f"{value:g}"
+    return text if float(text) == value else repr(float(value))
+
+
 def render_statement(query: CatalogQuery) -> str:
     """A parsed SELECT / SIMULATE back as statement text.
 
@@ -714,12 +729,13 @@ def render_statement(query: CatalogQuery) -> str:
         parts.append(f"SERIES '{query.series_pattern}'")
     if query.time_lo is not None and query.time_hi is not None:
         parts.append(
-            f"WHERE t BETWEEN {query.time_lo:g} AND {query.time_hi:g}"
+            f"WHERE t BETWEEN {render_number(query.time_lo)} "
+            f"AND {render_number(query.time_hi)}"
         )
     elif query.time_lo is not None:
-        parts.append(f"WHERE t >= {query.time_lo:g}")
+        parts.append(f"WHERE t >= {render_number(query.time_lo)}")
     elif query.time_hi is not None:
-        parts.append(f"WHERE t <= {query.time_hi:g}")
+        parts.append(f"WHERE t <= {render_number(query.time_hi)}")
     if query.as_of is not None:
         parts.append(f"AS OF {query.as_of}")
     if query.top_k is not None:

@@ -321,6 +321,25 @@ class TestConnect:
         with pytest.raises(InvalidParameterError):
             repro.connect("http://somewhere")
 
+    def test_as_of_rewrite_keeps_every_digit(self, tmp_path):
+        # On a never-revised catalog AS OF 0 sees everything, so the
+        # rewritten statement must be the same query, to the last digit
+        # of every literal.
+        catalog = _build_base(tmp_path / "cat")
+        statement = _sql(
+            catalog,
+            "exceedance(20.123456789)",
+            suffix=" WHERE t BETWEEN 0 AND 1234567",
+        )
+        with repro.connect(str(catalog.root)) as conn:
+            assert (
+                conn.execute(statement, as_of=0).json()
+                == conn.execute(statement).json()
+            )
+        rewritten = with_as_of(statement, 0)
+        assert "exceedance(20.123456789)" in rewritten
+        assert "BETWEEN 0 AND 1234567" in rewritten
+
     def test_three_routes_bit_identical(self, revised):
         statement = _sql(revised, suffix=" TOP 2")
         simulate = f"SIMULATE 2 SEED 3 FROM CATALOG '{revised.root}'"

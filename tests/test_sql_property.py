@@ -218,6 +218,44 @@ def test_catalog_statement_roundtrip(query):
     assert parse_statement(render_statement(query)) == query
 
 
+# Arguments with 17 significant digits and time bounds past 1e6: exactly
+# the literals a six-digit ``:g`` rendering would round into another query.
+_PRECISE = st.integers(10**16, 10**17 - 1).map(lambda m: m / 10**12)
+_FAR_TIME = st.floats(min_value=1e6, max_value=1e15)
+
+
+@st.composite
+def _precise_queries(draw):
+    low = draw(_PRECISE)
+    item = draw(
+        st.sampled_from(
+            [
+                SelectItem("exceedance", (draw(_PRECISE),)),
+                SelectItem("time_above", (draw(_PRECISE), 5.0)),
+                SelectItem("threshold", (draw(_PRECISE) / 10**5,)),
+                SelectItem("probability_of", (low, low + draw(_PRECISE)), "v"),
+            ]
+        )
+    )
+    lo = draw(_FAR_TIME)
+    hi = lo + draw(_FAR_TIME)
+    where = draw(st.sampled_from(["between", "lower", "upper"]))
+    return CatalogQuery(
+        items=(item,),
+        catalog_path="/c",
+        time_lo=None if where == "upper" else lo,
+        time_hi=None if where == "lower" else hi,
+        as_of=draw(st.one_of(st.none(), st.integers(0, 99))),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_precise_queries())
+def test_full_precision_literals_roundtrip(query):
+    """Rendering keeps every digit: re-rendering never changes the query."""
+    assert parse_statement(render_statement(query)) == query
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.text(min_size=1, max_size=60))
 def test_arbitrary_text_never_crashes_the_parser(text):
