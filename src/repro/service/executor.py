@@ -52,8 +52,7 @@ from repro.service.planner import (
     plan_statement,
 )
 from repro.service.synopsis import estimate_series
-from repro.store.binary import compute_view_synopsis
-from repro.store.catalog import Catalog, load_segment_columns
+from repro.store.catalog import Catalog, segment_synopsis
 from repro.util.jsonio import RenderedObject, canonical_dumps
 from repro.view.sql import CatalogQuery, parse_statement, render_statement
 
@@ -594,14 +593,8 @@ class CatalogQueryService:
                     task.segments, shadows, task.synopses
                 ):
                     if synopsis is None or shadow:
-                        columns = load_segment_columns(
+                        synopsis = segment_synopsis(
                             snapshot.directory, name, shadow=shadow
-                        )
-                        synopsis = compute_view_synopsis(
-                            columns["t"],
-                            columns["low"],
-                            columns["high"],
-                            columns["probability"],
                         )
                         lazy_loads += 1
                     synopses.append(synopsis)

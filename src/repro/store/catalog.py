@@ -71,7 +71,6 @@ from repro.store.binary import (
     SYNOPSIS_VERSION,
     check_schema_version,
     compute_view_synopsis,
-    load_view_columns,
     next_segment_index,
     read_segment,
     remove_segment,
@@ -89,7 +88,7 @@ __all__ = [
     "RevisionFrontier",
     "SeriesHandle",
     "SeriesSnapshot",
-    "load_segment_columns",
+    "segment_synopsis",
 ]
 
 _CATALOG_FILE = "catalog.json"
@@ -280,21 +279,25 @@ def _apply_shadow_mask(
     return {key: np.ascontiguousarray(column[keep]) for key, column in chunk.items()}
 
 
-def load_segment_columns(
+def segment_synopsis(
     directory: Path,
     name: str,
     *,
     shadow: Sequence[tuple[int, int]] = (),
-) -> dict[str, np.ndarray]:
-    """The five columns of one segment, minus the rows ``shadow`` supersedes.
+) -> dict[str, Any]:
+    """The synopsis of one stored segment, minus the rows ``shadow`` supersedes.
 
-    The executor's lazy ``APPROX`` fallback reads a segment here, the
-    view loader below through the same :func:`read_segment`, and both
-    count every read into ``repro_store_segment_reads_total``.
+    Recomputed from the segment's columns exactly as the writer records
+    it: :meth:`Catalog.synopsize` backfills with it and the executor's
+    lazy ``APPROX`` fallback estimates with it.  Like the view loader
+    below, it counts its read into ``repro_store_segment_reads_total``.
     """
     _OBS_SEGMENT_READS.inc()
     columns, _ = read_segment(os.path.join(directory, name))
-    return _apply_shadow_mask(columns, shadow)
+    columns = _apply_shadow_mask(columns, shadow)
+    return compute_view_synopsis(
+        columns["t"], columns["low"], columns["high"], columns["probability"]
+    )
 
 
 def _load_view_from_segments(
@@ -1251,13 +1254,7 @@ class Catalog:
             for name in meta.get("segments", []):
                 if _coerce_synopsis(synopses.get(name)) is not None:
                     continue
-                columns = load_view_columns(directory / name)
-                synopses[name] = compute_view_synopsis(
-                    columns["t"],
-                    columns["low"],
-                    columns["high"],
-                    columns["probability"],
-                )
+                synopses[name] = segment_synopsis(directory, name)
                 backfilled += 1
             if backfilled:
                 _write_json_atomic(directory / _SERIES_FILE, meta)

@@ -387,6 +387,25 @@ class TestSynopsize:
         written = Catalog(catalog.root).synopsize("s-1")
         assert written == {"s-1": 3}
 
+    def test_backfill_counts_every_segment_read(self, tmp_path):
+        # The backfill and APPROX's lazy fallback read the same three
+        # segments, and the store counts every read on both paths.
+        catalog = _build_catalog(tmp_path / "cat", series=1)
+        _strip_synopses(catalog.root)
+        reads = default_registry().counter("repro_store_segment_reads_total")
+        statement = (
+            f"SELECT APPROX expected_value FROM CATALOG '{catalog.root}'"
+        )
+        before = reads.total()
+        with CatalogQueryService(
+            Catalog(catalog.root), backend="sequential"
+        ) as service:
+            assert service.execute(statement).stats.segments_scanned == 3
+        assert reads.total() == before + 3
+        before = reads.total()
+        assert Catalog(catalog.root).synopsize() == {"s-0": 3}
+        assert reads.total() == before + 3
+
     def test_append_after_backfill_keeps_synopses(self, tmp_path):
         catalog = _build_catalog(tmp_path / "cat", series=1)
         _strip_synopses(catalog.root)
