@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 import os
-import time
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.exceptions import InvalidParameterError
 from repro.util.tables import format_table
 
-__all__ = ["ExperimentTable", "get_scale", "steps_for", "time_per_call"]
+__all__ = ["ExperimentTable", "get_scale", "steps_for"]
 
 #: Default fraction of the paper-sized workload; chosen so the whole
 #: benchmark suite finishes in minutes on one laptop core.
@@ -82,15 +81,3 @@ def steps_for(n_available: int, target_inferences: int) -> int:
             f"target_inferences must be >= 1, got {target_inferences}"
         )
     return max(1, n_available // target_inferences)
-
-
-def time_per_call(fn: Callable[[], Any], *, repeats: int = 1) -> tuple[float, Any]:
-    """Wall-clock seconds per call of ``fn`` (best of ``repeats``) + result."""
-    best = float("inf")
-    result = None
-    for _ in range(max(repeats, 1)):
-        start = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-    return best, result

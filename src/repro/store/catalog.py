@@ -399,11 +399,6 @@ class RevisionFrontier:
     token: tuple
     knowledge_time: int
 
-    @property
-    def masked(self) -> bool:
-        """True when any visible segment carries a shadow interval."""
-        return any(self.shadows)
-
 
 def _resolve_frontier(
     segments: Sequence[str],
