@@ -12,10 +12,10 @@ the backends hand them back, the executor merges their trace spans,
 ranks them and renders them.  This module only loads and dispatches:
 what an aggregate computes and how it scores is its
 :class:`~repro.db.aggregates.KernelSpec`'s.  Every series runs its
-kernel alone, over its own restricted view — a per-time core plus its
-window pass, a row selection, or sampled worlds — and no copy of
-several series' columns is ever built.  The one-shot query functions built
-on the same specs are the reference the parity tests compare against.
+kernel alone, over its own restricted view: a per-time core plus its
+window pass, a row selection, or sampled worlds.  The one-shot query
+functions built on the same specs are the reference the parity tests
+compare against.
 """
 
 from __future__ import annotations
