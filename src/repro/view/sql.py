@@ -427,7 +427,8 @@ class _Parser:
             high = self.expect_number("PROBABILITY OF upper value bound")
             if high < low:
                 raise ParseError(
-                    f"PROBABILITY OF range is inverted: [{low:g}, {high:g}]",
+                    "PROBABILITY OF range is inverted: "
+                    f"[{render_number(low)}, {render_number(high)}]",
                     token.position,
                 )
             return SelectItem(
@@ -642,8 +643,8 @@ class _Parser:
         """Reject inverted WHERE bounds that would silently match nothing."""
         if lo is not None and hi is not None and lo > hi:
             raise ParseError(
-                f"empty time range: WHERE bounds [{lo:g}, {hi:g}] can "
-                f"never match"
+                f"empty time range: WHERE bounds [{render_number(lo)}, "
+                f"{render_number(hi)}] can never match"
             )
         return lo, hi
 

@@ -330,6 +330,19 @@ class TestMultiAggregateSelect:
                 "WHERE t >= 90 AND t <= 10"
             )
 
+    def test_inverted_bounds_are_reported_at_full_precision(self):
+        # Six-digit rounding would report both bounds as the same number.
+        with pytest.raises(ParseError, match=r"\[1234568\.0, 1234567\.0\]"):
+            parse_statement(
+                "SELECT expected_value FROM CATALOG '/c' "
+                "WHERE t BETWEEN 1234568 AND 1234567"
+            )
+        with pytest.raises(ParseError, match=r"\[20\.1234571, 20\.1234569\]"):
+            parse_statement(
+                "SELECT PROBABILITY OF v BETWEEN 20.1234571 AND 20.1234569 "
+                "FROM CATALOG '/c'"
+            )
+
 
 class TestSimulateStatement:
     def test_full_statement(self):
