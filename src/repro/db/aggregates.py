@@ -35,7 +35,7 @@ from typing import Any, NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.db.prob_view import ProbabilisticView, ViewColumns, padded_rows
+from repro.db.prob_view import ProbabilisticView, ViewColumns
 from repro.exceptions import InvalidParameterError, QueryError
 
 __all__ = [
@@ -48,6 +48,7 @@ __all__ = [
     "per_time_exceedance",
     "per_time_expected_value",
     "per_time_range_mass",
+    "range_contribution",
     "resolve",
 ]
 
@@ -257,10 +258,11 @@ def resolve(name: str, registry: dict[str, KernelSpec] | None = None) -> KernelS
 # The per-time cores.  Each maps one view's (or one stored segment's)
 # tuple columns and their by-time grouping — ``order`` is the stable
 # by-time sort, ``starts`` / ``counts`` delimit each time's group inside
-# it (:class:`ViewColumns`) — to one value per group.
-# Every route, and the segment synopses of :mod:`repro.store.binary`,
-# calls these, so their answers agree bit for bit.  ``starts`` must be
-# non-empty.
+# it (:class:`ViewColumns`) — to one value per group;
+# :func:`per_time_range_mass` takes the :class:`ViewColumns` whole, for
+# its by-time layout.  Every route, and the segment synopses of
+# :mod:`repro.store.binary`, calls these, so their answers agree bit for
+# bit.  ``starts`` must be non-empty.
 def per_time_expected_value(
     low: np.ndarray,
     high: np.ndarray,
@@ -303,31 +305,29 @@ def per_time_exceedance(
     return np.minimum(np.add.reduceat(contribution, starts), 1.0)
 
 
-def per_time_range_mass(
-    low: np.ndarray,
-    high: np.ndarray,
-    probability: np.ndarray,
-    order: np.ndarray,
-    starts: np.ndarray,
-    counts: np.ndarray,
-    a: float,
-    b: float,
+def range_contribution(
+    low: np.ndarray, high: np.ndarray, probability: np.ndarray, a: float, b: float
 ) -> np.ndarray:
-    """``P(a <= value < b)`` of each group.
+    """Each tuple's share of ``P(a <= value < b)``: ``p * (overlap / width)``
+    where its range overlaps ``[a, b)``, else zero."""
+    overlap = np.minimum(b, high) - np.maximum(a, low)
+    return np.where(overlap > 0.0, probability * (overlap / (high - low)), 0.0)
 
-    A tuple contributes ``p * (overlap / width)`` where it overlaps, else
-    nothing; the padded ``(T, k)`` contributions are summed a column at a
-    time, left to right — a ``mass += c`` loop's order, which
-    ``np.add.reduceat``'s pairwise loop breaks — then capped at one.
+
+def per_time_range_mass(columns: ViewColumns, a: float, b: float) -> np.ndarray:
+    """``P(a <= value < b)`` at each of ``columns.times``.
+
+    The contributions are computed on the flat columns, laid out by time
+    (:meth:`ViewColumns.by_time`: a zero-copy reshape for a sorted view of
+    equal-sized groups) and summed a column at a time, left to right — a
+    ``mass += c`` loop's order, which ``np.add.reduceat``'s pairwise loop
+    breaks — then capped at one.
     """
-    rows, real = padded_rows(order, starts, counts)
-    lo, hi = low[rows], high[rows]
-    overlap = np.minimum(b, hi) - np.maximum(a, lo)
-    contribution = np.where(
-        real & (overlap > 0.0), probability[rows] * (overlap / (hi - lo)), 0.0
+    contribution = range_contribution(
+        columns.low, columns.high, columns.probability, a, b
     )
-    mass = np.zeros(starts.size)
-    for column in contribution.T:
+    mass = np.zeros(columns.times.size)
+    for column in columns.by_time(contribution).T:
         mass += column
     return np.minimum(mass, 1.0)
 
@@ -346,10 +346,7 @@ def _exceedance(cols: ViewColumns, arguments: Arguments) -> np.ndarray:
 
 
 def _range_mass(cols: ViewColumns, arguments: Arguments) -> np.ndarray:
-    groups = cols.order, cols.starts, cols.counts
-    return per_time_range_mass(
-        cols.low, cols.high, cols.probability, *groups, *arguments
-    )
+    return per_time_range_mass(cols, *arguments)
 
 
 def _at_least_tau(cols: ViewColumns, arguments: Arguments) -> np.ndarray:

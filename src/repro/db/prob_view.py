@@ -30,7 +30,7 @@ from repro.view.builder import ProbabilityMatrix
 from repro.util.arrays import readonly_view
 from repro.view.omega import OmegaGrid
 
-__all__ = ["ProbTuple", "ProbabilisticView", "ViewColumns", "padded_rows"]
+__all__ = ["ProbTuple", "ProbabilisticView", "ViewColumns"]
 
 #: Tolerance when validating that per-time probabilities do not exceed one.
 _MASS_TOLERANCE = 1e-6
@@ -79,7 +79,9 @@ class ViewColumns(NamedTuple):
     codes.  ``order`` is the stable by-time sort (sorted position →
     tuple index), ``times`` the distinct times ascending, and ``starts`` /
     ``counts`` delimit each time's group inside ``order`` — together they
-    give vectorised consumers O(1) per-time slicing.
+    give vectorised consumers O(1) per-time slicing.  ``width`` is the
+    common group size ``k`` when the tuples already sit in time order and
+    every time holds ``k`` of them (every pipeline-written segment), else 0.
     """
 
     t: np.ndarray
@@ -92,18 +94,18 @@ class ViewColumns(NamedTuple):
     times: np.ndarray
     starts: np.ndarray
     counts: np.ndarray
+    width: int
 
-
-def padded_rows(
-    order: np.ndarray, starts: np.ndarray, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each by-time group's tuple indices as a ``(T, k)`` matrix, and a mask.
-
-    Rows follow ``order``; cells past ``counts[i]`` hold tuple 0, masked out.
-    """
-    column = np.arange(int(counts.max(initial=0)))
-    real = column < counts[:, None]
-    return order[np.where(real, starts[:, None] + column, 0)], real
+    def by_time(self, values: np.ndarray, fill: float = 0.0) -> np.ndarray:
+        """Per-tuple ``values`` as a ``(T, k)`` matrix, row ``i`` time ``i``'s
+        group in ``order``: a zero-copy reshape given a ``width``, else a
+        gather, ``k`` the largest group, cells past ``counts[i]`` ``fill``."""
+        if self.width:
+            return values.reshape(-1, self.width)
+        column = np.arange(int(self.counts.max(initial=0)))
+        real = column < self.counts[:, None]
+        rows = self.order[np.where(real, self.starts[:, None] + column, 0)]
+        return np.where(real, values[rows], fill)
 
 
 def _check_probability_column(probability: np.ndarray) -> None:
@@ -321,8 +323,10 @@ class ProbabilisticView:
         Builder and store output arrive sorted by time: the identity is
         the order, the probability column is its own sorted copy (an
         alias, not a gather), and the groups are the runs of equal times,
-        found in one comparison pass.  Unsorted ``t`` (revision shadows,
-        hand-built views) takes a stable argsort first.  Either way
+        found in one comparison pass; when they are all ``k`` long the
+        view records ``width = k``, so :meth:`ViewColumns.by_time` can
+        reshape.  Unsorted ``t`` (revision shadows, hand-built views)
+        takes a stable argsort first.  Either way
         ``times`` / ``starts`` / ``counts`` equal ``np.unique``'s, with its
         int64 dtypes.  The :class:`ProbTuple` slot list waits for the
         first materialisation.
@@ -345,6 +349,7 @@ class ProbabilisticView:
             self._order = np.arange(t.size, dtype=np.int64)
             t_sorted = t
             self._prob_sorted = probability
+        self._width = 0
         if t.size:
             run_start = np.empty(t.size, dtype=bool)
             run_start[0] = True
@@ -352,6 +357,8 @@ class ProbabilisticView:
             self._starts = np.flatnonzero(run_start)
             self._times = t_sorted[self._starts]
             self._counts = np.diff(self._starts, append=t.size)
+            if t_sorted is t and np.all(self._counts == self._counts[0]):
+                self._width = int(self._counts[0])
         else:
             self._times = np.empty(0, dtype=np.int64)
             self._starts = np.empty(0, dtype=np.int64)
@@ -391,6 +398,7 @@ class ProbabilisticView:
                 times=readonly_view(self._times),
                 starts=readonly_view(self._starts),
                 counts=readonly_view(self._counts),
+                width=self._width,
             )
         return self._columns
 

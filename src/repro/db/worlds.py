@@ -13,11 +13,13 @@ independent.  This module makes that semantics executable two ways:
   MCDB approach (Jampani et al.) whose parameter-storage idea the paper
   says it inherits.
 
-Both run as column passes over a zero-padded ``(T, k)`` matrix of a
-view's tuples (:func:`~repro.db.aggregates.per_time_range_mass`,
-:meth:`WorldSampler.sample_matrix`).  A conjunctive predicate binds
-through the ``probability_of`` :class:`~repro.db.aggregates.KernelSpec`,
-as a ``PROBABILITY OF`` item does.
+Sampling runs as column passes over the view's tuples laid out as a
+``(T, k)`` matrix (:meth:`~repro.db.prob_view.ViewColumns.by_time`), as
+``PROBABILITY OF`` does (:func:`~repro.db.aggregates.per_time_range_mass`);
+a conjunctive predicate sums its one time's
+:func:`~repro.db.aggregates.range_contribution` in the same left-to-right
+order, after binding through the ``probability_of``
+:class:`~repro.db.aggregates.KernelSpec`, as a ``PROBABILITY OF`` item does.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.db.aggregates import AGGREGATES, per_time_range_mass
-from repro.db.prob_view import ProbabilisticView, padded_rows
+from repro.db.aggregates import AGGREGATES, range_contribution
+from repro.db.prob_view import ProbabilisticView
 from repro.exceptions import InvalidParameterError
 from repro.util.rng import ensure_rng
 
@@ -105,14 +107,13 @@ class WorldSampler:
         self.view = view
         cols = view.columns
         self._times = cols.times
-        rows, real = padded_rows(cols.order, cols.starts, cols.counts)
-        self._lows = cols.low[rows]
-        self._highs = cols.high[rows]
-        # Row-wise cumsum is the per-block cumsum; padding adds 0.0 and is
-        # then made unselectable.
-        cumulative = np.cumsum(np.where(real, cols.probability[rows], 0.0), axis=1)
+        self._lows = cols.by_time(cols.low)
+        self._highs = cols.by_time(cols.high)
+        # Row-wise cumsum is the per-block cumsum; infinite padding keeps
+        # every cell past a block's end unselectable.
+        cumulative = np.cumsum(cols.by_time(cols.probability, np.inf), axis=1)
         self._last = cumulative[np.arange(cols.times.size), cols.counts - 1]
-        self._cumulative = np.where(real, cumulative, np.inf)
+        self._cumulative = cumulative
 
     def sample_matrix(
         self, n_worlds: int, rng: int | np.random.Generator | None = None
@@ -235,13 +236,13 @@ def conjunctive_range_query(
     for t, (low, high) in predicates.items():
         if high == low:
             return 0.0  # [a, a) is empty under half-open semantics.
-        position = view._group_position(t)
-        group = slice(position, position + 1)
-        (mass,) = per_time_range_mass(
-            cols.low, cols.high, cols.probability, cols.order,
-            cols.starts[group], cols.counts[group], low, high,
-        ).tolist()
-        probability *= mass
+        rows = view._group_indices(view._group_position(t))
+        mass = 0.0
+        for share in range_contribution(
+            cols.low[rows], cols.high[rows], cols.probability[rows], low, high
+        ).tolist():
+            mass += share  # Left to right, as per_time_range_mass sums.
+        probability *= min(mass, 1.0)
         if probability == 0.0:
             break
     return probability

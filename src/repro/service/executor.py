@@ -484,8 +484,10 @@ class CatalogQueryService:
         return result
 
     def accepts(self, query: CatalogQuery) -> bool:
-        """Whether a parsed statement addresses this service's catalog."""
-        return Path(query.catalog_path).resolve() == self._root_resolved
+        """Whether a parsed statement addresses this service's catalog: the
+        root's own spelling, or a path (``./``, ``dir/``, a link) resolving to it."""
+        path, root = query.catalog_path, str(self.catalog.root)
+        return path == root or Path(path).resolve() == self._root_resolved
 
     def _coerce(self, statement: str | CatalogQuery) -> CatalogQuery:
         """Parse if needed and pin the statement to this catalog."""

@@ -101,7 +101,9 @@ class SeriesResult:
     aggregate's one-shot query returns for this series — a
     :class:`~repro.db.prob_view.ProbTuple` list for ``threshold``, a
     per-time dict for the other aggregates, a list of ``[t, value]``
-    worlds for ``SIMULATE`` — built on first access and kept.
+    worlds for ``SIMULATE`` — built on first access and kept; an
+    ``"error"`` entry's is ``None``, its ``size`` 0, and ``==`` compares
+    ``error`` too.
     """
 
     series_id: str
@@ -163,12 +165,14 @@ class SeriesResult:
                 self._result = [ProbTuple(*row) for row in self.rows()]
             elif self.kind == "worlds":
                 self._result = self.rows()
-            else:
+            elif self.kind == "approx":
                 self._result = self.meta[0]
         return self._result
 
     @property
     def size(self) -> int:
+        if self.kind == "error":
+            return 0
         if self.kind == "approx":
             return len(self.meta[0])
         return len(self.arrays["t" if self.kind == "rows" else "values"])
@@ -176,9 +180,10 @@ class SeriesResult:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SeriesResult):
             return NotImplemented
-        return (self.series_id, self.score, self.result) == (
+        return (self.series_id, self.score, self.error, self.result) == (
             other.series_id,
             other.score,
+            other.error,
             other.result,
         )
 

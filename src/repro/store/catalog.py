@@ -213,6 +213,15 @@ def _pipeline_from_meta(meta: dict[str, Any], grid: OmegaGrid) -> OnlinePipeline
     return OnlinePipeline(metric, meta["H"], grid, cache, retain_history=False)
 
 
+def _stat_token(path: str) -> tuple[int, int, int] | None:
+    """``path``'s (mtime, size, inode) identity, ``None`` when it is missing."""
+    try:
+        stat = os.stat(path)
+    except OSError:
+        return None
+    return stat.st_mtime_ns, stat.st_size, stat.st_ino
+
+
 def _read_json(path: Path, what: str) -> dict[str, Any]:
     try:
         payload = json.loads(path.read_text())
@@ -926,8 +935,10 @@ class Catalog:
         # from several executor threads against one shared Catalog.
         self._snapshot_lock = threading.Lock()
         self._snapshot_cache: dict[str, tuple[tuple, SeriesSnapshot]] = {}
+        self._manifest_token: tuple | None = None  # select_series' last read.
 
     def _flush_manifest(self) -> None:
+        self._manifest_token = None
         _write_json_atomic(self.root / _CATALOG_FILE, self._manifest)
 
     def _reload_manifest(self) -> None:
@@ -941,6 +952,7 @@ class Catalog:
         service assumed), but instances no longer delist each other's
         series.
         """
+        self._manifest_token = None
         manifest = self.root / _CATALOG_FILE
         if manifest.exists():
             self._manifest = _read_json(manifest, "catalog")
@@ -966,13 +978,18 @@ class Catalog:
         """Series ids matching a shell-style glob, sorted.
 
         ``*``/``?``/``[...]`` match as in :mod:`fnmatch` (case-sensitive);
-        the manifest is re-read first so selection sees on-disk reality.
+        the manifest is re-read first so selection sees on-disk reality,
+        unless ``catalog.json`` still has the stat token of this
+        instance's last read.
         """
-        self._reload_manifest()
+        with self._snapshot_lock:
+            token = _stat_token(os.path.join(self.root, _CATALOG_FILE))
+            if token is None or token != self._manifest_token:
+                self._reload_manifest()
+                self._manifest_token = token
+            series = self._manifest["series"]
         return sorted(
-            series_id
-            for series_id in self._manifest["series"]
-            if fnmatchcase(series_id, pattern)
+            series_id for series_id in series if fnmatchcase(series_id, pattern)
         )
 
     def snapshot(self, series_id: str) -> SeriesSnapshot:
@@ -990,29 +1007,33 @@ class Catalog:
         Any append rewrites ``series.json`` atomically (new inode), so a
         stale capture can never be served once the write is durable.
         Every call counts one ``hit`` or ``miss`` into
-        ``repro_store_snapshots_total``.
+        ``repro_store_snapshots_total``; it is :meth:`open_many`'s memo
+        pass over one series.
         """
         self._check_known(series_id)
-        directory = self.root / series_id
-        token: tuple | None = None
-        try:
-            stat = (directory / _SERIES_FILE).stat()
-            token = (stat.st_mtime_ns, stat.st_size, stat.st_ino)
-        except OSError:
-            pass  # Missing metadata: fall through to _read_json's error.
-        if token is not None:
-            with self._snapshot_lock:
-                cached = self._snapshot_cache.get(series_id)
-                if cached is not None and cached[0] == token:
-                    _OBS_SNAPSHOTS.inc(outcome="hit")
-                    return cached[1]
-        meta = _read_json(directory / _SERIES_FILE, "series")
-        snapshot = _snapshot_from_meta(series_id, directory, meta)
-        _OBS_SNAPSHOTS.inc(outcome="miss")
-        if token is not None:
-            with self._snapshot_lock:
-                self._snapshot_cache[series_id] = (token, snapshot)
-        return snapshot
+        return self._snapshots([series_id])[0]
+
+    def _snapshots(self, ids: Sequence[str]) -> list[SeriesSnapshot]:
+        """The snapshots of listed ``ids``: one ``stat`` per ``series.json``,
+        one locked memo check, then each miss read and memoised under its
+        ``stat``'s token.  Each outcome is counted once, by its count."""
+        tokens = [_stat_token(os.path.join(self.root, i, _SERIES_FILE)) for i in ids]
+        with self._snapshot_lock:
+            entries = [self._snapshot_cache.get(series_id) for series_id in ids]
+        found = [e[1] if e and e[0] == t else None for e, t in zip(entries, tokens)]
+        misses = [index for index, snapshot in enumerate(found) if snapshot is None]
+        if len(misses) < len(ids):
+            _OBS_SNAPSHOTS.inc(len(ids) - len(misses), outcome="hit")
+        for index in misses:
+            series_id, directory = ids[index], self.root / ids[index]
+            meta = _read_json(directory / _SERIES_FILE, "series")
+            found[index] = _snapshot_from_meta(series_id, directory, meta)
+            if tokens[index] is not None:
+                with self._snapshot_lock:
+                    self._snapshot_cache[series_id] = (tokens[index], found[index])
+        if misses:
+            _OBS_SNAPSHOTS.inc(len(misses), outcome="miss")
+        return found
 
     def _drop_snapshot(self, series_id: str) -> None:
         with self._snapshot_lock:
@@ -1021,7 +1042,9 @@ class Catalog:
     def open_many(self, pattern: str = "*") -> list[SeriesSnapshot]:
         """Snapshot every series matching ``pattern``, sorted by id.
 
-        The set-oriented read entry point :mod:`repro.service` plans over.
+        The set-oriented read entry point :mod:`repro.service` plans over:
+        the snapshot memo is checked once per fan-out — one ``stat`` per
+        series, one lock — and only the misses are read.
         Raises :class:`~repro.exceptions.QueryError` when nothing matches,
         so a typo'd pattern fails loudly instead of returning zero rows.
         """
@@ -1031,7 +1054,7 @@ class Catalog:
                 f"no series matches pattern {pattern!r}; "
                 f"stored: {self.list_series()}"
             )
-        return [self.snapshot(series_id) for series_id in ids]
+        return self._snapshots(ids)
 
     def create_series(
         self,

@@ -39,7 +39,7 @@ from repro.service import (
 )
 from repro.service.cache import view_nbytes
 from repro.service.executor import restrict_time_range
-from repro.service.kernels import compute_chunk
+from repro.service.kernels import compute_chunk, empty_result
 from repro.service.planner import TaskEnvelope
 from repro.store import Catalog
 from repro.view.omega import OmegaGrid
@@ -405,6 +405,27 @@ class TestComputeChunk:
                 one_shot = spec.one_shot(view, *envelope.arguments)
                 assert entry.result == one_shot, envelope
 
+    def test_error_entry_has_no_result_and_compares_its_error(self, catalog):
+        series_id = catalog.list_series()[0]
+        envelope = TaskEnvelope(
+            series_id=series_id,
+            directory="",
+            segments=(),
+            cache_key=(series_id, "", (), (), ()),
+            aggregate="time_above",
+            arguments=(21.0, 5000.0),
+            time_lo=None,
+            time_hi=None,
+        )
+        cache = _Views({series_id: catalog.view(series_id)})
+        (entry,) = compute_chunk([envelope], cache)
+        assert entry.kind == "error"
+        assert entry.result is None
+        assert entry.size == 0
+        assert entry == dataclasses.replace(entry)
+        assert entry != dataclasses.replace(entry, error="another failure")
+        assert entry != empty_result(series_id, "time_above", (21.0, 5000.0))
+
 
 class TestServiceWiring:
     def test_statement_must_address_bound_catalog(self, catalog, tmp_path):
@@ -424,6 +445,33 @@ class TestServiceWiring:
                 service.execute(
                     f"SELECT expected_value FROM CATALOG '{tmp_path}'"
                 )
+
+    def test_other_spellings_of_the_root_bind(self, catalog, tmp_path, monkeypatch):
+        link = tmp_path / "link"
+        link.symlink_to(catalog.root, target_is_directory=True)
+        monkeypatch.chdir(catalog.root.parent)
+        service = CatalogQueryService(catalog)
+        expected = service.execute(_sql(catalog, "expected_value")).json()
+        for spelling in (f"{catalog.root}/", f"./{catalog.root.name}", str(link)):
+            statement = f"SELECT expected_value FROM CATALOG '{spelling}'"
+            assert service.accepts(parse_statement(statement)), spelling
+            assert service.execute(statement).json() == expected, spelling
+
+    def test_other_catalogs_stay_refused(self, catalog, tmp_path, monkeypatch):
+        other = tmp_path / "elsewhere"
+        other.mkdir()
+        monkeypatch.chdir(other)
+        service = CatalogQueryService(catalog)
+        for spelling in (
+            str(other),
+            f"{catalog.root}-x",
+            f"{catalog.root}/..",
+            catalog.root.name,  # Relative: names elsewhere/catalog here.
+        ):
+            statement = f"SELECT expected_value FROM CATALOG '{spelling}'"
+            assert not service.accepts(parse_statement(statement)), spelling
+            with pytest.raises(QueryError, match="bound to"):
+                service.execute(statement)
 
     def test_create_statement_rejected(self, catalog):
         service = CatalogQueryService(catalog)

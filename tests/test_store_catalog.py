@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -474,6 +476,75 @@ class TestSnapshotReuse:
         hits_after, misses_after = _snapshot_outcomes()
         assert misses_after == misses  # No re-reads...
         assert hits_after == hits_before + 6  # ... all six served cached.
+
+    def test_open_many_counts_one_outcome_per_series(self, tmp_path):
+        catalog = Catalog(tmp_path / "cat")
+        ids = [f"s{index}" for index in range(4)]
+        for series_id in ids:
+            _new_series(catalog, series_id)
+            catalog.append(series_id, 20.0 + np.arange(35) * 0.01)
+        warm = catalog.open_many()
+        hits, misses = _snapshot_outcomes()
+        assert catalog.open_many() == warm
+        assert _snapshot_outcomes() == (hits + 4, misses)
+        catalog.append("s2", np.full(5, 20.5))
+        fresh = catalog.open_many()
+        assert _snapshot_outcomes() == (hits + 4 + 3, misses + 1)
+        assert [a is b for a, b in zip(fresh, warm)] == [True, True, False, True]
+        assert fresh[2].tuple_count > warm[2].tuple_count
+
+    def test_concurrent_open_many_agree(self, tmp_path):
+        writer = Catalog(tmp_path / "cat")
+        for series_id in ("a", "b", "c"):
+            _new_series(writer, series_id)
+            writer.append(series_id, 20.0 + np.arange(35) * 0.01)
+        expected = writer.open_many()
+        reader = Catalog(tmp_path / "cat", create=False)  # Cold memo.
+        barrier = threading.Barrier(4)
+        passes: list[list] = [[] for _ in range(4)]
+
+        def run(slot: int) -> None:
+            barrier.wait()
+            for _ in range(25):
+                passes[slot].append(reader.open_many())
+
+        hits, misses = _snapshot_outcomes()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(snapshots == expected for own in passes for snapshots in own)
+        assert sum(map(len, passes)) == 100
+        now_hits, now_misses = _snapshot_outcomes()
+        assert (now_hits - hits) + (now_misses - misses) == 100 * 3
+
+    def test_dropped_and_recreated_series_is_never_stale(self, tmp_path):
+        root = tmp_path / "cat"
+        writer = Catalog(root)
+        for series_id in ("a", "b"):
+            _new_series(writer, series_id)
+            writer.append(series_id, 20.0 + np.arange(40) * 0.01)
+        reader = Catalog(root, create=False)
+        before = reader.open_many()
+        # Through another instance: the reader's memo sees only the files.
+        writer.drop_series("b")
+        assert [s.series_id for s in reader.open_many()] == ["a"]
+        _new_series(writer, "b")
+        writer.append("b", 20.0 + np.arange(33) * 0.01)
+        after = reader.open_many()
+        assert after[0] is before[0]
+        assert after[1] == writer.snapshot("b") != before[1]
+        # Through the same instance, with no pass in between.
+        reader.drop_series("b")
+        _new_series(reader, "b")
+        (_, recreated) = reader.open_many()
+        assert recreated.tuple_count == 0 and recreated.segments == ()
 
     def test_drop_series_clears_memo(self, tmp_path):
         catalog = Catalog(tmp_path / "cat")

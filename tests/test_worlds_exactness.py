@@ -87,13 +87,19 @@ _WEIGHTS = st.sampled_from([0.0, 0.125, 1.0]) | st.floats(1e-3, 1.0)
 
 @st.composite
 def _views(draw):
-    """Ragged ``from_columns`` views: 1-24 tuples per time on a 0.25 grid
-    (so predicates can sit on tuple edges), zero-probability tuples,
-    residual mass up to 0.5, times with gaps, tuples shuffled."""
+    """``from_columns`` views on a 0.25 grid (so predicates can sit on
+    tuple edges), with zero-probability tuples, residual mass up to 0.5
+    and times with gaps.  Either ragged — 1-24 tuples per time, tuples
+    shuffled — or laid out as every pipeline-written segment is: sorted
+    by time, one ``k`` for every time (the reshaped by-time layout)."""
     times = draw(st.lists(st.integers(0, 40), min_size=1, max_size=6, unique=True))
+    uniform = draw(st.booleans())
+    if uniform:
+        times.sort()
+        width = draw(st.integers(1, 24))
     t, low, high, probability = [], [], [], []
     for time in times:
-        k = draw(st.integers(1, 24))
+        k = width if uniform else draw(st.integers(1, 24))
         edges = sorted(draw(st.sets(_EDGES, min_size=k + 1, max_size=k + 1)))
         weights = draw(st.lists(_WEIGHTS, min_size=k, max_size=k))
         residual = draw(st.floats(0.0, 0.5))
@@ -103,9 +109,12 @@ def _views(draw):
         low += [15.0 + 0.25 * edge for edge in edges[:-1]]
         high += [15.0 + 0.25 * edge for edge in edges[1:]]
         probability += [weight * scale for weight in weights]
-    order = draw(st.permutations(range(len(t))))
+    order = list(range(len(t))) if uniform else draw(st.permutations(range(len(t))))
     columns = [np.array(column)[order] for column in (t, low, high, probability)]
-    return ProbabilisticView.from_columns("v", *columns)
+    view = ProbabilisticView.from_columns("v", *columns)
+    if uniform:
+        assert view.columns.width == width
+    return view
 
 
 @st.composite
@@ -121,17 +130,7 @@ def _bounds(draw, view):
 
 
 def _range_mass(view, a, b):
-    cols = view.columns
-    return per_time_range_mass(
-        cols.low,
-        cols.high,
-        cols.probability,
-        cols.order,
-        cols.starts,
-        cols.counts,
-        a,
-        b,
-    )
+    return per_time_range_mass(view.columns, a, b)
 
 
 # ----------------------------------------------------------------------
@@ -143,7 +142,7 @@ def test_range_mass_equals_reference(data):
     view = data.draw(_views())
     a, b = data.draw(_bounds(view))
     reference = [_ref_range_mass(view, t, a, b) for t in view.times]
-    assert np.array_equal(_range_mass(view, a, b), reference)
+    assert _range_mass(view, a, b).tobytes() == np.array(reference).tobytes()
     if b > a:
         assert list(range_probability_query(view, a, b).values()) == reference
 
@@ -196,8 +195,30 @@ def test_chunk_probability_of_equals_reference(data):
         reference = [_ref_range_mass(view, t, *bounds) for t in view.times]
         assert result.kind == "mapping"
         assert np.array_equal(result.arrays["times"], view.columns.times)
-        assert np.array_equal(result.arrays["values"], reference)
+        assert result.arrays["values"].tobytes() == np.array(reference).tobytes()
         assert result.score == max(reference)
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_signed_zero_contributions_sum_to_positive_zero(shuffled):
+    """A time whose every contribution is ``0.0`` or ``-0.0`` has mass
+    ``+0.0``, as ``0.0 + c`` summed from zero gives, in either layout."""
+    t = np.repeat([0, 1, 2], 2)
+    low = np.tile([20.0, 21.0], 3)
+    high = low + 1.0
+    probability = np.array([-0.0, -0.0, 0.0, -0.0, 0.5, 0.25])
+    order = [4, 1, 5, 0, 3, 2] if shuffled else list(range(6))
+    view = ProbabilisticView.from_columns(
+        "v", t[order], low[order], high[order], probability[order]
+    )
+    assert view.columns.width == (0 if shuffled else 2)
+    reference = [_ref_range_mass(view, time, 20.0, 22.0) for time in view.times]
+    assert np.array(reference).tobytes() == np.array([0.0, 0.0, 0.75]).tobytes()
+    assert _range_mass(view, 20.0, 22.0).tobytes() == np.array(reference).tobytes()
+    assert repr(conjunctive_range_query(view, {0: (20.0, 22.0)})) == "0.0"
+    cache = _Views({"s": view})
+    (result,) = compute_chunk([_envelope("s", (20.0, 22.0))], cache)
+    assert result.arrays["values"].tobytes() == np.array(reference).tobytes()
 
 
 # ----------------------------------------------------------------------
