@@ -11,7 +11,13 @@ Run:  python examples/sensor_cleaning.py
 
 import numpy as np
 
-from repro import ARMAGARCHMetric, CGARCHMetric, campus_temperature, inject_errors
+from repro import (
+    ARMAGARCHMetric,
+    CGARCHMetric,
+    campus_temperature,
+    inject_errors,
+    learn_sv_max,
+)
 
 H = 50
 
@@ -36,7 +42,7 @@ def main() -> None:
     # SVmax is learned from a clean sample, exactly as the paper
     # prescribes ("using a sample of size T of clean data").
     oc_max = 8
-    sv_max = CGARCHMetric.learn_sv_max(clean.values[:300], oc_max)
+    sv_max = learn_sv_max(clean.values[:300], oc_max)
     cgarch = CGARCHMetric(kappa=3.0, oc_max=oc_max, sv_max=sv_max)
     cg_forecasts, report = cgarch.run_with_report(corrupted, H)
     cg_widths = np.array([f.upper - f.lower for f in cg_forecasts])

@@ -106,9 +106,12 @@ def _peak(values: np.ndarray) -> float:
 
 
 def _mean(values: np.ndarray) -> float:
-    # Left to right over python floats: ``np.sum``'s pairwise order
-    # differs in the last bit, and the score is part of the canonical bytes.
-    return float(sum(values.tolist()) / values.size) if values.size else 0.0
+    # Left to right, as the canonical bytes need: ``np.sum`` is pairwise and
+    # Python >= 3.12's builtin ``sum`` is compensated.
+    total = 0.0
+    for value in values.tolist():
+        total += value
+    return total / values.size if values.size else 0.0
 
 
 def _count(values: np.ndarray) -> float:

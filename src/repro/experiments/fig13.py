@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 
-
+from repro.cleaning.svr_filter import learn_sv_max
 from repro.data.errors import inject_errors
 from repro.data.synthetic import CAMPUS_SAMPLES, campus_temperature
 from repro.experiments.common import ExperimentTable, get_scale
@@ -63,7 +63,7 @@ def run_fig13(
     scale = get_scale(scale)
     n = max(1200, int(CAMPUS_SAMPLES * scale))
     clean = campus_temperature(n, rng=rng_seed)
-    sv_max = CGARCHMetric.learn_sv_max(clean.values[: max(H, 200)], oc_max)
+    sv_max = learn_sv_max(clean.values[: max(H, 200)], oc_max)
     table = ExperimentTable(
         experiment_id="Fig. 13",
         title="C-GARCH vs GARCH: error detection rate and per-value cost",

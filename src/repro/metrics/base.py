@@ -18,9 +18,9 @@ metric implements, including one registered through ``register_metric``:
 ``(T, H)`` matrix and hands it over, the online pipeline hands over the
 windows of each micro-batch, and :meth:`DynamicDensityMetric.infer` is a
 one-row call.  ``ewma`` and the two thresholding metrics compute all rows
-in vectorised passes; ``arma_garch``, ``kalman_garch`` and C-GARCH (whose
-``run`` is its own sequential cleaning pass) still estimate one model per
-row, in time order by design — a GARCH fit warm-starts from the previous
+in vectorised passes; ``arma_garch``, ``kalman_garch`` and C-GARCH (which
+cleans each row's window before its fit) still estimate one model per row,
+in time order by design — a GARCH fit warm-starts from the previous
 window's optimum, so the rows are a chain, not a batch — and only skip the
 per-row :class:`DensityForecast` objects.
 """

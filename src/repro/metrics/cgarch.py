@@ -89,11 +89,12 @@ class CGARCHMetric(DynamicDensityMetric):
         change (paper uses 7-8).
     sv_max:
         Dispersion threshold for the SVR filter.  ``None`` (default) learns
-        it from the warm-up window via :func:`learn_sv_max`, assuming the
-        first ``H`` values are clean — the paper's "sample of clean data".
+        it from a pass's first window via :func:`learn_sv_max`, assuming it
+        is clean — the paper's "sample of clean data".
 
-    Use :meth:`run_with_report` to obtain the cleaning diagnostics; the
-    plain :meth:`run` keeps the :class:`DynamicDensityMetric` contract.
+    The protocol lives in :meth:`infer_batch`, which every route drives
+    (:meth:`run`, ``CREATE VIEW``, the online pipeline behind
+    ``Catalog.append``); :meth:`run_with_report` adds its diagnostics.
     """
 
     name = "cgarch"
@@ -116,18 +117,81 @@ class CGARCHMetric(DynamicDensityMetric):
         self.oc_max = int(oc_max)
         self.sv_max = sv_max
         self.min_window = max(self.base.min_window, self.oc_max + 1)
+        # Cleaning state between rows: the cleaned last-H window, the last
+        # oc_max raw values, the run of out-of-bound values, the resolved
+        # sv_max and the pending forecast (t, mean, variance).
+        self._cleaned = self._raw_tail = np.empty(0)
+        self._run = 0
+        self._sv_max = sv_max
+        self._pending: tuple[int, float, float] | None = None
+        # (cleaned, flagged, trend changes), collected only by run_with_report.
+        self._report: tuple[np.ndarray, set[int], list[int]] | None = None
 
-    # ------------------------------------------------------------------
-    # Window inference: identical to ARMA-GARCH (the cleaning logic lives
-    # in the rolling pass, which controls what enters the window).
-    # ------------------------------------------------------------------
     def infer_batch(self, windows: np.ndarray, ts: np.ndarray) -> DensitySeries:
-        """ARMA-GARCH inference on (assumed clean) windows."""
-        return self.base.infer_batch(windows, ts)
+        """Section V's protocol over rows of consecutive times, in order.
 
-    # ------------------------------------------------------------------
-    # Rolling pass with online cleaning.
-    # ------------------------------------------------------------------
+        Row ``t`` first admits its window's last value, the raw value at
+        ``t - 1``, against that time's pending forecast: kept, replaced by
+        the forecast mean, or, closing an ``oc_max`` run, restored with the
+        run and SVR-filtered.  It then fits ARMA-GARCH on the cleaned
+        window.  A row that does not continue the previous one (a fresh
+        metric, a reopened catalog, a one-off :meth:`infer`) starts a fresh
+        pass from its raw window, learning ``sv_max`` there if not given.
+        """
+        if np.any(np.diff(ts) != 1):
+            raise InvalidParameterError("C-GARCH rows must be consecutive times")
+        means = np.empty(len(ts))
+        variances = np.empty(len(ts))
+        for row, (t, window) in enumerate(zip(ts.tolist(), windows)):
+            if (
+                self._pending is not None
+                and self._pending[0] == t - 1
+                and window.size == self._cleaned.size
+                and np.array_equal(window[-self.oc_max - 1 : -1], self._raw_tail)
+            ):
+                self._admit(window)
+            else:
+                self._cleaned = np.array(window, dtype=float)
+                self._run = 0
+                self._sv_max = self.sv_max
+                if self.sv_max is None:
+                    self._sv_max = learn_sv_max(window, self.oc_max)
+            self._raw_tail = window[-self.oc_max :].copy()
+            mean, variance = self.base._infer_moments(self._cleaned)
+            self._pending = (t, mean, variance)
+            means[row], variances[row] = mean, variance
+        return gaussian_series(ts, means, variances, self.base.kappa)
+
+    def _admit(self, window: np.ndarray) -> None:
+        """Admit ``window[-1]`` against the pending forecast for its time."""
+        t, mean, variance = self._pending
+        self._pending = None
+        value = window[-1]
+        self._cleaned = cleaned = np.append(self._cleaned[1:], value)
+        reach = self.base.kappa * math.sqrt(variance)
+        if mean - reach <= value <= mean + reach:
+            self._run = 0
+            return
+        self._run += 1
+        if self._run < self.oc_max:
+            cleaned[-1] = mean  # Replace with the inferred value.
+            if self._report:
+                self._report[0][t] = mean
+                self._report[1].add(t)
+            return
+        # oc_max consecutive out-of-bound values: a genuine trend change.
+        # Restore the raw run and rule out true outliers hiding inside it.
+        self._run = 0
+        result = successive_variance_reduction(window[-self.oc_max :], self._sv_max)
+        cleaned[-self.oc_max :] = result.cleaned
+        if self._report:
+            cleaned_all, flagged, trend_changes = self._report
+            span = range(t - self.oc_max + 1, t + 1)
+            cleaned_all[span.start : t + 1] = result.cleaned
+            flagged.difference_update(span)
+            flagged.update(span[k] for k in result.removed_indices)
+            trend_changes.append(t)
+
     def run(
         self,
         series: TimeSeries,
@@ -137,7 +201,7 @@ class CGARCHMetric(DynamicDensityMetric):
         stop: int | None = None,
         step: int = 1,
     ) -> DensitySeries:
-        """Rolling C-GARCH; see :meth:`run_with_report` for diagnostics.
+        """One fresh cleaning pass over ``series`` through :meth:`infer_batch`.
 
         The cleaning protocol is sequential, so ``step`` must be 1 and
         ``start`` cannot skip past the first full window.
@@ -147,72 +211,37 @@ class CGARCHMetric(DynamicDensityMetric):
                 "C-GARCH is an online sequential procedure: start/step "
                 "subsampling would break its cleaning state"
             )
-        forecasts, _report = self.run_with_report(series, H, stop=stop)
-        return forecasts
-
-    def run_with_report(
-        self, series: TimeSeries, H: int, *, stop: int | None = None
-    ) -> tuple[DensitySeries, CGARCHReport]:
-        """Run the full Section V protocol; returns forecasts + diagnostics."""
-        if H < self.min_window:
-            raise InvalidParameterError(
-                f"C-GARCH needs a window of at least {self.min_window} "
-                f"values, got H={H}"
-            )
-        raw = series.values
-        last = len(series) if stop is None else min(stop, len(series))
-        if last <= H:
+        if not series.window_indices(H, stop=stop).size:
             raise InvalidParameterError(
                 f"series of length {len(series)} yields no inference times "
                 f"for H={H}"
             )
-        cleaned = raw[:last].copy()
-        sv_max = self.sv_max
-        if sv_max is None:
-            sv_max = learn_sv_max(cleaned[:H], self.oc_max)
-        flagged: set[int] = set()
-        trend_changes: list[int] = []
-        consecutive = 0
-        kappa = self.base.kappa
-        means = np.empty(last - H)
-        variances = np.empty(last - H)
-        for t in range(H, last):
-            mean, variance = self.base._infer_moments(cleaned[t - H : t])
-            means[t - H], variances[t - H] = mean, variance
-            reach = kappa * math.sqrt(variance)
-            if mean - reach <= raw[t] <= mean + reach:
-                consecutive = 0
-                continue
-            consecutive += 1
-            if consecutive < self.oc_max:
-                flagged.add(t)
-                cleaned[t] = mean  # Replace with the inferred value.
-                continue
-            # oc_max consecutive out-of-bound values: genuine trend change.
-            trend_changes.append(t)
-            span_start = t - self.oc_max + 1
-            cleaned[span_start : t + 1] = raw[span_start : t + 1]
-            flagged.difference_update(range(span_start, t + 1))
-            # Rule out true outliers hiding inside the restored span.
-            result = successive_variance_reduction(
-                cleaned[span_start : t + 1], sv_max
-            )
-            cleaned[span_start : t + 1] = result.cleaned
-            flagged.update(span_start + k for k in result.removed_indices)
-            consecutive = 0
-        report = CGARCHReport(
+        self._pending = None  # Start a fresh pass.
+        return super().run(series, H, stop=stop)
+
+    def run_with_report(
+        self, series: TimeSeries, H: int, *, stop: int | None = None
+    ) -> tuple[DensitySeries, CGARCHReport]:
+        """:meth:`run` plus the diagnostics collected during it.
+
+        The pass ends by admitting the last raw value, which no later row
+        admits, so the report covers every time.
+        """
+        raw = series.values
+        self._report = report = (raw.copy(), set(), [])
+        try:
+            forecasts = self.run(series, H, stop=stop)
+            last = int(forecasts.times[-1]) + 1
+            self._admit(raw[last - H : last])
+        finally:
+            self._report = None
+        cleaned, flagged, trend_changes = report
+        return forecasts, CGARCHReport(
             flagged=tuple(sorted(flagged)),
             trend_changes=tuple(trend_changes),
-            cleaned=cleaned,
-            sv_max=float(sv_max),
+            cleaned=cleaned[:last],
+            sv_max=float(self._sv_max),
         )
-        ts = np.arange(H, last)
-        return gaussian_series(ts, means, variances, kappa), report
-
-    @staticmethod
-    def learn_sv_max(clean_values: np.ndarray, oc_max: int) -> float:
-        """Expose :func:`repro.cleaning.learn_sv_max` on the metric class."""
-        return learn_sv_max(clean_values, oc_max)
 
     def __repr__(self) -> str:
         return (

@@ -91,10 +91,7 @@ class OnlinePipeline:
     ----------
     metric:
         Any dynamic density metric; every fed value reaches it through
-        :meth:`DynamicDensityMetric.infer_batch`.  C-GARCH's cleaning
-        protocol lives in its own rolling pass (``run_with_report``), not
-        in ``infer_batch``, so streamed C-GARCH forecasts equal plain
-        ARMA-GARCH on the raw values this pipeline retains.
+        :meth:`DynamicDensityMetric.infer_batch` (where C-GARCH cleans).
     H:
         Sliding-window size.
     grid:

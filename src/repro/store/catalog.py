@@ -36,13 +36,14 @@ an orphan segment that is simply ignored on reopen — appends resume at the
 recorded ``next_t`` and the stored view stays consistent.  Standing-query
 registrations are session-scoped (clients re-register after a restart);
 everything else survives a process restart.  One caveat: the metric is
-rebuilt from its registry name on reopen, so metrics carrying *internal*
-warm-start state (e.g. ARMA-GARCH's previous GARCH parameters) re-warm
-from the restored window — the first fit after a restart starts cold and
-can land on a nearby optimum: fed 200 values, reopened, fed 100 more, an
-``arma_garch`` series differed from the uninterrupted run in 14 of 100
-volatilities (worst 0.849x).  ``tests/test_pipeline_parity.py::
-test_resume_matches_uninterrupted`` pins this as a strict xfail.
+rebuilt from its registry name on reopen, so a metric's *internal* state
+restarts from the restored raw window — ARMA-GARCH's warm start (the
+first fit after a restart starts cold and can land on a nearby optimum:
+fed 200 values, reopened, fed 100 more, an ``arma_garch`` series differed
+from the uninterrupted run in 14 of 100 volatilities, worst 0.849x) and
+``cgarch``'s cleaning, which starts a fresh pass from that raw window.
+``tests/test_pipeline_parity.py::test_resume_matches_uninterrupted`` pins
+both as strict xfails.
 """
 
 from __future__ import annotations

@@ -5,9 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cleaning.svr_filter import learn_sv_max
 from repro.data.errors import inject_errors
 from repro.data.synthetic import campus_temperature
 from repro.exceptions import InvalidParameterError
+from repro.metrics.arma_garch import ARMAGARCHMetric
 from repro.metrics.cgarch import CGARCHMetric, CGARCHReport
 from repro.timeseries.series import TimeSeries
 
@@ -130,6 +132,28 @@ class TestRunContract:
         forecasts, _report = metric.run_with_report(series, H=60, stop=100)
         assert len(forecasts) == 40
 
+    def test_rows_must_be_consecutive_times(self):
+        values = campus_temperature(100, rng=14).values
+        windows = np.stack([values[0:60], values[2:62]])
+        with pytest.raises(InvalidParameterError, match="consecutive"):
+            CGARCHMetric().infer_batch(windows, np.array([60, 62]))
+
+    def test_a_row_that_does_not_continue_starts_a_fresh_pass(self):
+        values = campus_temperature(100, rng=16).values
+        metric = CGARCHMetric()
+        windows = np.lib.stride_tricks.sliding_window_view(values, 60)
+        metric.infer_batch(windows[:5], np.arange(60, 65))
+        other = values[10:70] + 20.0  # The next time, but another stream.
+        metric.infer(other, 65)
+        assert np.array_equal(metric._cleaned, other)  # Nothing replaced.
+
+    def test_infer_on_a_fresh_metric_is_arma_garch(self):
+        """A one-off window is a fresh pass: nothing to clean yet."""
+        window = campus_temperature(60, rng=15).values
+        cleaned = CGARCHMetric().infer(window, 60)
+        plain = ARMAGARCHMetric().infer(window, 60)
+        assert (cleaned.mean, cleaned.volatility) == (plain.mean, plain.volatility)
+
     def test_window_below_minimum_rejected(self):
         series = campus_temperature(100, rng=11)
         with pytest.raises(InvalidParameterError):
@@ -159,6 +183,11 @@ class TestReport:
         assert report.cleaned.shape[0] == len(injection.series)
         assert all(isinstance(t, int) for t in report.flagged)
 
-    def test_learn_sv_max_exposed(self):
-        values = campus_temperature(300, rng=13).values
-        assert CGARCHMetric.learn_sv_max(values, 8) > 0.0
+    def test_given_sv_max_is_reported(self):
+        series = campus_temperature(300, rng=13)
+        sv_max = learn_sv_max(series.values, 8)
+        assert sv_max > 0.0
+        _forecasts, report = CGARCHMetric(oc_max=8, sv_max=sv_max).run_with_report(
+            series, H=60
+        )
+        assert report.sv_max == sv_max

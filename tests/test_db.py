@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.db.aggregates import AGGREGATES
 from repro.db.engine import Database
 from repro.db.prob_view import ProbTuple, ProbabilisticView
 from repro.db.queries import (
@@ -270,3 +271,15 @@ class TestEngine:
             "METRIC variable_threshold WINDOW 30 FROM raw_values"
         )
         assert "zz" in db.list_views()
+
+
+def test_expected_value_score_sums_left_to_right():
+    """The ``TOP k`` mean is a plain left-to-right sum on every Python.
+
+    ``[0.1] * 10`` sums to ``0.9999999999999999`` left to right; the
+    compensated builtin ``sum`` of Python >= 3.12 gives ``1.0``, which
+    would move the score's last bit and the canonical reply bytes.
+    """
+    score = AGGREGATES["expected_value"].score
+    assert score(np.full(10, 0.1)) == 0.9999999999999999 / 10
+    assert score(np.empty(0)) == 0.0
