@@ -41,15 +41,13 @@ def plain_garch_detection(
     later spikes escape detection.  Returns the flagged indices and the
     average seconds per processed value.
     """
-    metric = ARMAGARCHMetric(kappa=kappa)
-    flagged: set[int] = set()
     values = series.values
     start = time.perf_counter()
-    for t in range(H, len(series)):
-        forecast = metric.infer(values[t - H : t], t)
-        if not forecast.lower <= values[t] <= forecast.upper:
-            flagged.add(t)
+    forecasts = ARMAGARCHMetric(kappa=kappa).run(series, H)
+    actual = values[forecasts.times]
+    inside = (forecasts.lowers <= actual) & (actual <= forecasts.uppers)
     elapsed = time.perf_counter() - start
+    flagged = set(forecasts.times[~inside].tolist())
     return flagged, elapsed / max(len(series) - H, 1)
 
 

@@ -211,11 +211,6 @@ class CGARCHMetric(DynamicDensityMetric):
                 "C-GARCH is an online sequential procedure: start/step "
                 "subsampling would break its cleaning state"
             )
-        if not series.window_indices(H, stop=stop).size:
-            raise InvalidParameterError(
-                f"series of length {len(series)} yields no inference times "
-                f"for H={H}"
-            )
         self._pending = None  # Start a fresh pass.
         return super().run(series, H, stop=stop)
 

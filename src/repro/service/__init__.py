@@ -6,8 +6,10 @@ The layer that turns a directory of persisted probabilistic views
 glob-selected subset of) series in a catalog, per-series work runs on a
 pluggable executor backend (inline on the caller's thread, or a
 spawn-safe process pool with per-worker warm caches), and
-materialised view matrices are kept warm in a byte-budgeted LRU cache so
-repeated statements never reload a segment.
+materialised view matrices are kept warm in a byte-budgeted cache so
+repeated statements never reload a segment; one whose series outgrow
+the budget keeps all but one of the views it has room for (the cache is
+LRU under budget and admits at the cold end under pressure).
 
 * :mod:`repro.service.planner` — lowers a parsed
   :class:`~repro.view.sql.CatalogQuery` (SELECT or SIMULATE) to the one

@@ -1,4 +1,4 @@
-"""Byte-budgeted LRU cache of materialised view column-matrices.
+"""Byte-budgeted, scan-resistant cache of materialised view column-matrices.
 
 The catalog stores each series as immutable segment files; a query
 touching a series pays one file read per segment plus the columnar
@@ -8,8 +8,30 @@ of a cold statement.  Repeated
 catalog-wide queries would pay that again for every series on every
 statement.  :class:`MatrixCache` keeps the materialised
 :class:`~repro.db.prob_view.ProbabilisticView` objects — their column
-arrays are the dominant cost — under a byte budget with LRU eviction, so a
-warm query is pure numpy over already-resident arrays.
+arrays are the dominant cost — under a byte budget, so a warm query is
+pure numpy over already-resident arrays.
+
+Eviction is from the cold end of one recency order, and a hit moves an
+entry to the hot end.  Admission depends on pressure (the LIP/BIP
+insertion policy of Qureshi et al., "Adaptive Insertion Policies for
+High Performance Caching", ISCA 2007):
+
+* an entry that fits without evicting anything goes in at the hot end,
+  so a cache under budget is exactly LRU;
+* an entry that needs evictions first evicts from the cold end until it
+  fits, then goes in at the *cold* end — except every 32nd such
+  admission, which goes in at the hot end.
+
+A catalog-wide statement fans out over the same sorted series ids every
+time.  Once that cycle is larger than the budget, plain LRU evicts each
+view just before the next statement reads it again, so every statement
+misses on every series.  Admitting at the cold end recycles one slot
+instead: with room for k equal entries, each repeat of the cycle hits
+k - 1 of them (one fewer in a repeat where a hot admission displaces an
+entry still to be read).  The hot admissions age out what a changed
+working set no longer reads: each one displaces the coldest resident
+entry, so a new set of at most k - 1 entries read in a cycle is fully
+resident within 32·k pressured admissions.
 
 Keys carry the snapshot *generation* (segment count, tuple count, last
 segment name), which changes whenever a series' stored contents change:
@@ -20,7 +42,7 @@ to many threads is safe; the cache itself is guarded by a lock, while
 loader callables run *outside* it so cold misses on different series
 materialise in parallel.
 
-The same budget and LRU order also hold a server's rendered replies
+The same budget and recency order also hold a server's rendered replies
 (:meth:`MatrixCache.reply` / :meth:`MatrixCache.put_reply`): the
 canonical JSON of one statement's answer, keyed by the parsed statement
 and the catalog state its plan read.  Inserting a reply drops the older
@@ -57,6 +79,10 @@ CacheKey = tuple[str, str, tuple, tuple, tuple]
 #: First component of a reply key, ``(_REPLY, statement, state)``: a
 #: tuple never equals a view key's catalog-root string.
 _REPLY = ("reply",)
+
+#: Every this-many-th admission that needs evictions goes to the hot end
+#: instead of the cold end, so a new working set displaces an old one.
+_HOT_EVERY = 32
 
 #: Fixed per-entry overhead estimate (view object, index dict slots, key).
 _ENTRY_OVERHEAD = 512
@@ -127,7 +153,12 @@ class CacheStats:
 
 
 class MatrixCache:
-    """LRU cache of materialised views under a byte budget.
+    """Scan-resistant cache of materialised views under a byte budget.
+
+    LRU while everything fits; an admission that needs evictions goes in
+    at the cold end (every 32nd at the hot end), so a cyclic scan larger
+    than the budget keeps k - 1 of the k entries it has room for instead
+    of none.  Views and replies share the one order and the one rule.
 
     Parameters
     ----------
@@ -153,6 +184,7 @@ class MatrixCache:
         self._lock = threading.Lock()
         self._entries: OrderedDict[tuple, tuple[Any, int]] = OrderedDict()
         self._stats = CacheStats()
+        self._pressured = 0  # Admissions that needed evictions.
 
     # ------------------------------------------------------------------
     # Lookup.
@@ -205,7 +237,7 @@ class MatrixCache:
                 self._pop(key)
             # An append produced a new generation: any older generation of
             # the same series is unreachable garbage — drop it now rather
-            # than waiting for LRU pressure.  Same-generation entries with
+            # than waiting for budget pressure.  Same-generation entries with
             # a different segment subset stay: a pruned view and the full
             # view of one generation are both reachable.  For a reply the
             # same rule drops the statement's reply for an older state.
@@ -219,14 +251,23 @@ class MatrixCache:
             for other in stale:
                 self._pop(other)
                 self._stats.evictions += 1
-            self._entries[key] = (value, nbytes)
-            self._count(key, nbytes, 1)
-            while (
-                self._stats.current_bytes + self._stats.reply_bytes
-                > self.budget_bytes
-            ):
+            # Plain LRU while the entry fits; otherwise make room from the
+            # cold end and admit there (the module docstring says why).
+            pressured = not self._fits(nbytes)
+            while not self._fits(nbytes):
                 self._pop(next(iter(self._entries)))
                 self._stats.evictions += 1
+            self._entries[key] = (value, nbytes)
+            self._count(key, nbytes, 1)
+            if pressured:
+                self._pressured += 1
+                if self._pressured % _HOT_EVERY:
+                    self._entries.move_to_end(key, last=False)
+
+    def _fits(self, nbytes: int) -> bool:
+        """Whether ``nbytes`` more fit in the budget (lock held)."""
+        resident = self._stats.current_bytes + self._stats.reply_bytes
+        return resident + nbytes <= self.budget_bytes
 
     def _pop(self, key: tuple) -> None:
         """Remove one entry and its bytes (lock held)."""

@@ -360,7 +360,8 @@ class CatalogQueryService:
         """The statement's result payload as canonical JSON bytes.
 
         Rendered once per catalog state: the bytes are cached (in the
-        matrix cache's budget and LRU) under the parsed statement and the
+        matrix cache's budget, under its admission rule) under the parsed
+        statement and the
         :attr:`~repro.service.planner.QueryPlan.state` its plan read, so a
         repeated statement on an unchanged catalog costs parse, plan and
         a lookup.  Any append, revision, re-creation, new matching series

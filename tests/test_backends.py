@@ -32,6 +32,7 @@ from repro.service import (
     SequentialBackend,
     make_backend,
 )
+from repro.service.cache import view_nbytes
 from repro.store import Catalog
 from repro.view.omega import OmegaGrid
 
@@ -159,6 +160,31 @@ class TestBackendParity:
                     ]
             assert answers[legacy_root] == answers[seg_root]
             assert answers[legacy_npz_root] == answers[seg_root]
+
+
+class TestWorkerCachePolicy:
+    def test_over_budget_statement_keeps_worker_hits(self, seg_root):
+        # One spawn-started worker whose cache holds three of the six
+        # views: plain LRU scored no hit on any rerun of a statement over
+        # all six; the worker now keeps k - 1 = 2 of them resident.
+        catalog = Catalog(seg_root)
+        size = max(
+            view_nbytes(catalog.view(series_id))
+            for series_id in catalog.list_series()
+        )
+        statement = f"SELECT expected_value FROM CATALOG '{seg_root}'"
+        with CatalogQueryService(seg_root) as service:
+            expected = service.execute(statement).json()
+        hits = []
+        with CatalogQueryService(
+            seg_root, backend="process", max_workers=1,
+            cache_budget_bytes=int(size * 3.5),
+        ) as service:
+            for _ in range(3):
+                result = service.execute(statement)
+                assert result.json() == expected
+                hits.append(sum(entry.cache_hit for entry in result.results))
+        assert hits == [0, 2, 2]
 
 
 class TestPrunedPlanParity:

@@ -8,7 +8,7 @@ import pytest
 from repro.cleaning.svr_filter import learn_sv_max
 from repro.data.errors import inject_errors
 from repro.data.synthetic import campus_temperature
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import DataError, InvalidParameterError
 from repro.metrics.arma_garch import ARMAGARCHMetric
 from repro.metrics.cgarch import CGARCHMetric, CGARCHReport
 from repro.timeseries.series import TimeSeries
@@ -161,7 +161,7 @@ class TestRunContract:
 
     def test_series_shorter_than_window_rejected(self):
         series = campus_temperature(50, rng=12)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(DataError):
             CGARCHMetric().run_with_report(series, H=60)
 
 

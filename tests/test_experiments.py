@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.data.errors import inject_errors
+from repro.data.synthetic import campus_temperature
 from repro.exceptions import InvalidParameterError
 from repro.experiments import (
     get_scale,
@@ -20,12 +22,14 @@ from repro.experiments import (
     run_table02,
 )
 from repro.experiments.common import ExperimentTable, steps_for
+from repro.experiments.fig13 import plain_garch_detection
 from repro.experiments.fig14 import (
     PAPER_DELTA,
     PAPER_DISTANCE,
     PAPER_N,
     synthetic_density_series,
 )
+from repro.metrics.arma_garch import ARMAGARCHMetric
 from repro.view.builder import ViewBuilder
 from repro.view.omega import OmegaGrid
 
@@ -95,6 +99,27 @@ class TestFig05:
         table = run_fig05(TINY)
         flagged = dict(zip(table.column("model"), table.column("errors flagged")))
         assert flagged["C-GARCH"] > 0
+
+
+class TestFig13:
+    def test_plain_garch_flags_equal_the_per_time_loop(self):
+        # The baseline runs one batched pass; it must flag exactly what
+        # one ARMA-GARCH infer per time flagged.
+        injection = inject_errors(
+            campus_temperature(400, rng=5), 12, magnitude=8.0, max_burst=4,
+            rng=6, protect_prefix=41,
+        )
+        series, H = injection.series, 40
+        metric = ARMAGARCHMetric(kappa=3.0)
+        values = series.values
+        reference = set()
+        for t in range(H, len(series)):
+            forecast = metric.infer(values[t - H : t], t)
+            if not forecast.lower <= values[t] <= forecast.upper:
+                reference.add(t)
+        flagged, _seconds = plain_garch_detection(series, H)
+        assert flagged == reference
+        assert flagged & set(injection.error_indices.tolist())
 
 
 class TestFig12:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.data.synthetic import campus_temperature
 from repro.distributions.gaussian import Gaussian
 from repro.distributions.uniform import Uniform
 from repro.exceptions import DataError, InvalidParameterError
@@ -15,6 +16,13 @@ from repro.metrics.registry import available_metrics, create_metric, register_me
 from repro.metrics.uniform_threshold import UniformThresholdingMetric
 from repro.metrics.variable_threshold import VariableThresholdingMetric
 from repro.timeseries.series import TimeSeries
+
+
+#: Constructor arguments without a default, by registered name.
+_REQUIRED_PARAMS = {
+    "uniform_threshold": {"threshold": 0.3},
+    "ut": {"threshold": 0.3},
+}
 
 
 class TestDensityForecast:
@@ -192,6 +200,14 @@ class TestRunLoop:
         metric = VariableThresholdingMetric()
         with pytest.raises(DataError):
             metric.run(campus_series, 40, start=len(campus_series), stop=None)
+
+    @pytest.mark.parametrize("name", available_metrics())
+    def test_series_without_a_full_window_raises_data_error(self, name):
+        # One exception type for every metric, C-GARCH's cleaning pass
+        # included, so a caller catching DataError misses none of them.
+        metric = create_metric(name, **_REQUIRED_PARAMS.get(name, {}))
+        with pytest.raises(DataError):
+            metric.run(campus_temperature(50, rng=12), 60)
 
 
 class TestRegistry:

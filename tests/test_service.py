@@ -30,6 +30,7 @@ from repro.exceptions import (
     ReproError,
     StoreError,
 )
+from repro.obs import default_registry
 from repro.obs.trace import QueryTrace
 from repro.service import (
     CatalogQueryService,
@@ -619,6 +620,121 @@ class TestMatrixCache:
         assert cache.stats.oversize_skips == 1
         cache.clear()
         assert cache.stats.replies()["entries"] == 0
+
+    @staticmethod
+    def _scan(cache, view, names):
+        """Look ``names`` up once each, in order: (hits, misses, evictions)."""
+        before = cache.stats
+        for name in names:
+            cache.get(("/c", name, (1,), (), ()), lambda: view)
+        after = cache.stats
+        return (
+            after.hits - before.hits,
+            after.misses - before.misses,
+            after.evictions - before.evictions,
+        )
+
+    def test_repeated_over_budget_scan_keeps_k_minus_one(self, catalog):
+        # A cyclic scan of 2k keys through room for k.  Plain LRU evicts
+        # every key just before its next use, so each pass scores 0 hits;
+        # admitting under pressure at the cold end keeps k - 1 entries
+        # resident and recycles the one cold slot.
+        view = catalog.view("sensor-00")
+        k = 8
+        cache = MatrixCache(view_nbytes(view) * k)
+        names = [f"s{i}" for i in range(2 * k)]
+        passes = [self._scan(cache, view, names) for _ in range(9)]
+        assert passes[0] == (0, 2 * k, k)
+        # Pressured admissions number k in the first pass and k + 1 in
+        # each later one.  The 32nd (pass 3) and the 64th (pass 7) go to
+        # the hot end and displace one resident entry; pass 7's was still
+        # to be read in that pass, so it scores one hit fewer.
+        hits = [hit for hit, _, _ in passes[1:]]
+        assert hits == [k - 1] * 6 + [k - 2] + [k - 1]
+        for hit, misses, evictions in passes[1:]:
+            assert misses == evictions == 2 * k - hit
+
+    def test_new_working_set_becomes_resident(self, catalog):
+        view = catalog.view("sensor-00")
+        k = 8
+        cache = MatrixCache(view_nbytes(view) * k)
+        scan = [f"s{i}" for i in range(2 * k)]
+        for _ in range(3):
+            self._scan(cache, view, scan)
+        # The scan's resident entries are never read again.  The counter
+        # stands at 26 pressured admissions when the set changes; each
+        # 32nd one (32nd..192nd: six) lets one new key in for good, and
+        # the seventh then survives in the cold slot until it is reread.
+        fresh = [f"n{i}" for i in range(k - 1)]
+        pressured = 0
+        for _ in range(32 * k):
+            hits, misses, _ = self._scan(cache, view, fresh)
+            if not misses:
+                break
+            pressured += misses  # The cache is full: each miss evicts.
+        assert hits == len(fresh)
+        assert pressured == 167 <= 32 * k
+        assert self._scan(cache, view, fresh + scan[:1]) == (k - 1, 1, 1)
+
+    def test_under_budget_order_and_counts_are_plain_lru(self, catalog):
+        view = catalog.view("sensor-00")
+        cache = MatrixCache(view_nbytes(view) * 6)
+        reference: dict = {}
+        hits = misses = 0
+        rng = np.random.default_rng(3)
+        for index in rng.integers(0, 6, size=200):
+            key = ("/c", f"s{index}", (1,), (), ())
+            if key in reference:
+                hits += 1
+                reference[key] = reference.pop(key)
+            else:
+                misses += 1
+                reference[key] = None
+            cache.get(key, lambda: view)
+            assert list(cache._entries) == list(reference)
+        stats = cache.stats
+        assert (stats.hits, stats.misses, stats.evictions) == (hits, misses, 0)
+
+    def test_reply_admitted_under_pressure_follows_the_same_rule(
+        self, catalog
+    ):
+        view = catalog.view("sensor-00")
+        size = view_nbytes(view)
+        cache = MatrixCache(size * 3)
+        self._scan(cache, view, ["a", "b", "c"])
+        # Pressured admission 1: room is made from the cold end ("a"),
+        # then the reply goes in at the cold end...
+        cache.put_reply("stmt", ("s",), "body", size)
+        assert [key[1] for key in cache._entries] == ["stmt", "b", "c"]
+        # ...so the next pressured admission (2) evicts it first.
+        self._scan(cache, view, ["d"])
+        assert cache.reply("stmt", ("s",)) is None
+        assert [key[1] for key in cache._entries] == ["d", "b", "c"]
+        # Admissions 3..31 recycle the cold slot; the 32nd is a reply
+        # and goes in at the hot end, which leaves "b" coldest.
+        self._scan(cache, view, [f"x{i}" for i in range(29)])
+        cache.put_reply("stmt", ("s",), "body", size)
+        assert [key[1] for key in cache._entries] == ["b", "c", "stmt"]
+        assert cache.stats.evictions == 32
+
+    def test_over_budget_statement_rereads_fewer_segments(self, catalog):
+        # The budget holds two of the five series' views, so one
+        # catalog-wide statement never fits.  Plain LRU reread all five
+        # segments on every run; now one view stays resident.
+        size = max(view_nbytes(catalog.view(s)) for s in catalog.list_series())
+        statement = _sql(catalog, "expected_value")
+        with CatalogQueryService(catalog, max_workers=1) as unbounded:
+            expected = unbounded.execute(statement).json()
+        reads = default_registry().counter("repro_store_segment_reads_total")
+        deltas = []
+        with CatalogQueryService(
+            catalog, max_workers=1, cache_budget_bytes=int(size * 2.5)
+        ) as service:
+            for _ in range(3):
+                before = reads.total()
+                assert service.execute(statement).json() == expected
+                deltas.append(reads.total() - before)
+        assert deltas == [5, 4, 4]
 
     def test_concurrent_views_and_replies_lose_no_update(self, catalog):
         # Eight threads (more than cores) race lookups and inserts of both
