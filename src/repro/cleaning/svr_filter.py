@@ -81,7 +81,7 @@ def successive_variance_reduction(
     >>> result = successive_variance_reduction(window, sv_max=0.5)
     >>> result.removed_indices
     (3,)
-    >>> abs(result.cleaned[3] - 0.95) < 1e-9  # midpoint of neighbours
+    >>> bool(abs(result.cleaned[3] - 0.95) < 1e-9)  # midpoint of neighbours
     True
     """
     window = require_finite_array("values", values, min_len=3).copy()

@@ -14,7 +14,18 @@ import numpy as np
 from repro.distributions.base import Distribution
 from repro.exceptions import InvalidParameterError
 
-__all__ = ["Uniform"]
+__all__ = ["Uniform", "uniform_cdf"]
+
+
+def uniform_cdf(
+    x: float | np.ndarray,
+    low: float | np.ndarray,
+    high: float | np.ndarray,
+) -> np.ndarray:
+    """Vectorised ``P(U(low, high) <= x)``, broadcasting freely: the one
+    definition :meth:`Uniform.cdf` and the batch paths share (cf.
+    :func:`~repro.distributions.gaussian.gaussian_cdf`)."""
+    return np.clip((np.asarray(x, dtype=float) - low) / (high - low), 0.0, 1.0)
 
 
 class Uniform(Distribution):
@@ -60,8 +71,7 @@ class Uniform(Distribution):
         return float(result) if np.ndim(x) == 0 else result
 
     def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
-        x_array = np.asarray(x, dtype=float)
-        result = np.clip((x_array - self.low) / self.width, 0.0, 1.0)
+        result = uniform_cdf(x, self.low, self.high)
         return float(result) if np.ndim(x) == 0 else result
 
     def ppf(self, u: float | np.ndarray) -> float | np.ndarray:

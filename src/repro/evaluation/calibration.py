@@ -63,24 +63,27 @@ def coverage_curve(
     """
     if not kappas:
         raise InvalidParameterError("provide at least one kappa")
+    if not len(forecasts):
+        raise DataError("coverage curve of an empty DensitySeries")
+    mask, mean, sigma = forecasts.gaussian_params()
+    # The forecast distribution's own std(): a uniform's is width / sqrt(12).
+    sigma = np.where(
+        mask, sigma, np.sqrt((forecasts.uppers - forecasts.lowers) ** 2 / 12.0)
+    )
+    realised = series.values[forecasts.times]
     rows = []
     for kappa in kappas:
         if kappa <= 0:
             raise InvalidParameterError(f"kappa must be > 0, got {kappa}")
-        hits = 0
-        nominal_total = 0.0
-        for forecast in forecasts:
-            sigma = forecast.distribution.std()
-            low = forecast.mean - kappa * sigma
-            high = forecast.mean + kappa * sigma
-            nominal_total += forecast.distribution.prob(low, high)
-            if low <= series[forecast.t] <= high:
-                hits += 1
+        low = mean - kappa * sigma
+        high = mean + kappa * sigma
+        nominal = forecasts.cdf(high) - forecasts.cdf(low)
+        hits = (low <= realised) & (realised <= high)
         rows.append(
             {
                 "kappa": float(kappa),
-                "nominal": nominal_total / len(forecasts),
-                "empirical": hits / len(forecasts),
+                "nominal": float(np.mean(nominal)),
+                "empirical": float(np.mean(hits)),
             }
         )
     return rows

@@ -70,11 +70,11 @@ def run_fig05(
 
     plain = ARMAGARCHMetric(kappa=3.0)
     plain_forecasts = plain.run(series, H)
-    plain_widths = np.array([f.upper - f.lower for f in plain_forecasts])
+    plain_widths = plain_forecasts.uppers - plain_forecasts.lowers
 
     cgarch = CGARCHMetric(kappa=3.0, oc_max=oc_max)
     cg_forecasts, report = cgarch.run_with_report(series, H)
-    cg_widths = np.array([f.upper - f.lower for f in cg_forecasts])
+    cg_widths = cg_forecasts.uppers - cg_forecasts.lowers
     streamed_widths = _streamed_widths(series, H, oc_max)
 
     clean_width = 6.0 * float(np.std(np.diff(clean.values)))  # Reference scale.

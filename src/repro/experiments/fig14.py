@@ -14,8 +14,9 @@
 The query operates on *stored* densities (the framework persists
 ``p_t(R_t)`` as it streams, Section II-A), so the workload generator
 synthesises a realistic mean/volatility sequence directly rather than
-re-running a metric over 18k windows; the timed code path is exactly the
-builder's naive-vs-cached row generation.
+re-running a metric over 18k windows; the timed code path is
+:meth:`ViewBuilder.build_matrix` with and without the cache — the call
+every view takes.
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ import time
 
 import numpy as np
 
-from repro.distributions.gaussian import Gaussian
 from repro.experiments.common import ExperimentTable, get_scale
-from repro.metrics.base import DensityForecast, DensitySeries
+from repro.metrics.base import DensitySeries
 from repro.util.rng import ensure_rng
 from repro.view.builder import ViewBuilder
 from repro.view.omega import OmegaGrid
@@ -60,18 +60,9 @@ def synthetic_density_series(
     log_sigma = log_sigma - log_sigma.mean()
     scale = 2.0 / max(float(np.max(np.abs(log_sigma))), 1e-9)
     sigmas = np.exp(log_sigma * min(scale, 1.0)) * 0.3
-    forecasts = [
-        DensityForecast(
-            t=int(i),
-            mean=float(means[i]),
-            distribution=Gaussian(float(means[i]), float(sigmas[i]) ** 2),
-            lower=float(means[i] - 3.0 * sigmas[i]),
-            upper=float(means[i] + 3.0 * sigmas[i]),
-            volatility=float(sigmas[i]),
-        )
-        for i in range(n)
-    ]
-    return DensitySeries(forecasts)
+    return DensitySeries.from_columns(
+        t, means, sigmas, means - 3.0 * sigmas, means + 3.0 * sigmas
+    )
 
 
 def run_fig14a(
@@ -99,17 +90,17 @@ def run_fig14a(
         forecasts = synthetic_density_series(size, rng=rng_seed)
         naive_builder = ViewBuilder(grid)
         start = time.perf_counter()
-        naive_rows = naive_builder.build_rows(forecasts)
+        naive_matrix = naive_builder.build_matrix(forecasts)
         naive_ms = 1000.0 * (time.perf_counter() - start)
 
         cached_builder = naive_builder.with_cache_for(
             forecasts, distance_constraint=PAPER_DISTANCE
         )
         start = time.perf_counter()
-        cached_rows = cached_builder.build_rows(forecasts)
+        cached_matrix = cached_builder.build_matrix(forecasts)
         cached_ms = 1000.0 * (time.perf_counter() - start)
 
-        assert len(naive_rows) == len(cached_rows)
+        assert len(naive_matrix) == len(cached_matrix)
         assert cached_builder.cache is not None
         table.add_row(
             size,

@@ -9,9 +9,11 @@ the density-distance evaluation consume.
 
 Batch path
 ----------
-:class:`DensitySeries` is column-backed: ``t``, ``mean``, ``volatility`` and
-the kappa bounds live in preallocated numpy arrays, and the per-forecast
-:class:`DensityForecast` objects are materialised lazily on item access.
+:class:`DensitySeries` has one representation: ``t``, ``mean``,
+``volatility``, the kappa bounds and the optional exact ``variance`` live in
+numpy columns next to a per-row ``family_code`` (Gaussian or uniform),
+whether the series was built from :class:`DensityForecast` objects or
+straight from columns; the objects are materialised lazily on item access.
 :meth:`DynamicDensityMetric.infer_batch` is the one inference method a
 metric implements, including one registered through ``register_metric``:
 :meth:`DynamicDensityMetric.run` stacks all sliding windows into one
@@ -27,7 +29,6 @@ per-row :class:`DensityForecast` objects.
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -36,12 +37,16 @@ import numpy as np
 
 from repro.distributions.base import Distribution
 from repro.distributions.gaussian import Gaussian, gaussian_cdf
-from repro.distributions.uniform import Uniform
+from repro.distributions.uniform import Uniform, uniform_cdf
 from repro.exceptions import DataError, InvalidParameterError
 from repro.timeseries.series import TimeSeries
 from repro.util.arrays import readonly_view
+from repro.util.validation import require_int64_column
 
 __all__ = [
+    "FAMILIES",
+    "GAUSSIAN",
+    "UNIFORM",
     "DensityForecast",
     "DensitySeries",
     "DynamicDensityMetric",
@@ -49,6 +54,11 @@ __all__ = [
     "gaussian_series",
     "variance_floor",
 ]
+
+#: ``family_code`` of an ``N(mean, variance)`` and of a ``U(lower, upper)`` row;
+#: ``FAMILIES[code]`` is its ``family=`` name in ``DensitySeries.from_columns``.
+GAUSSIAN, UNIFORM = 0, 1
+FAMILIES = ("gaussian", "uniform")
 
 #: Base variance floor for degenerate (constant) windows.
 _VARIANCE_FLOOR = 1e-12
@@ -117,34 +127,43 @@ class DensityForecast:
 
 
 class DensitySeries:
-    """An ordered collection of :class:`DensityForecast`.
+    """An ordered collection of :class:`DensityForecast`, held as columns.
 
-    Internally columnar: ``t`` / ``mean`` / ``volatility`` / ``lower`` /
-    ``upper`` are stored as parallel numpy arrays, so the vectorised views
-    and the probability-integral-transform are plain array operations.
-    Item access still yields :class:`DensityForecast` objects; for series
-    built via :meth:`from_columns` they are materialised lazily.
+    ``t`` / ``mean`` / ``volatility`` / ``lower`` / ``upper`` (plus the
+    optional exact ``variance``) are parallel numpy arrays, and an int8
+    ``family_code`` column names each row's density: :data:`GAUSSIAN` is
+    ``N(mean, variance)``, :data:`UNIFORM` is ``U(lower, upper)``.  That
+    holds however the series was built, so the Omega-view builder and the
+    probability-integral-transform are plain array operations.  Item access
+    yields :class:`DensityForecast` objects, materialised lazily.
     """
 
     def __init__(self, forecasts: Sequence[DensityForecast]) -> None:
         forecasts = list(forecasts)
-        n = len(forecasts)
-        self._t = np.empty(n, dtype=np.int64)
-        self._mean = np.empty(n)
-        self._vol = np.empty(n)
-        self._lower = np.empty(n)
-        self._upper = np.empty(n)
-        for index, forecast in enumerate(forecasts):
-            self._t[index] = forecast.t
-            self._mean[index] = forecast.mean
-            self._vol[index] = forecast.volatility
-            self._lower[index] = forecast.lower
-            self._upper[index] = forecast.upper
-        self._check_ordering()
-        self._forecasts: list[DensityForecast | None] = forecasts
-        self._family: str | None = None
-        self._variance: np.ndarray | None = None
-        self._gaussian: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        for forecast in forecasts:
+            d = forecast.distribution
+            if not (
+                (isinstance(d, Gaussian) and d.mu == forecast.mean)
+                or (
+                    isinstance(d, Uniform)
+                    and (d.low, d.high) == (forecast.lower, forecast.upper)
+                )
+            ):
+                raise InvalidParameterError(
+                    f"forecast at t={forecast.t} carries {d!r}; a row is a "
+                    "Gaussian about its mean or a Uniform on its bounds"
+                )
+        self._set_columns(
+            require_int64_column("t", [f.t for f in forecasts]),
+            [f.mean for f in forecasts],
+            [f.volatility for f in forecasts],
+            [f.lower for f in forecasts],
+            [f.upper for f in forecasts],
+            [UNIFORM if isinstance(f.distribution, Uniform) else GAUSSIAN
+             for f in forecasts],
+            [f.distribution.variance() for f in forecasts],
+        )
+        self._forecasts = forecasts
 
     @classmethod
     def from_columns(
@@ -155,45 +174,64 @@ class DensitySeries:
         lower: np.ndarray,
         upper: np.ndarray,
         *,
-        family: str = "gaussian",
+        family: str | np.ndarray = "gaussian",
         variance: np.ndarray | None = None,
     ) -> "DensitySeries":
         """Build a series directly from forecast columns (the batch path).
 
         ``family`` names the distribution every row carries (``"gaussian"``
-        or ``"uniform"``); the :class:`DensityForecast` objects — and their
-        distributions — are only materialised when individually accessed.
+        or ``"uniform"``), or gives one family code per row
+        (:data:`GAUSSIAN` / :data:`UNIFORM`) for a mixed series.
         ``variance`` optionally carries the exact inferred variances so
-        Gaussian materialisation does not round-trip through ``sqrt``.
+        Gaussian rows do not round-trip through ``sqrt``.
         """
-        if family not in ("gaussian", "uniform"):
-            raise InvalidParameterError(
-                f"unknown forecast family {family!r}; use gaussian or uniform"
-            )
+        t = require_int64_column("t", t)
+        if isinstance(family, str):
+            if family not in FAMILIES:
+                raise InvalidParameterError(
+                    f"unknown forecast family {family!r}; use gaussian or uniform"
+                )
+            family = np.full(t.size, FAMILIES.index(family), dtype=np.int8)
         self = cls.__new__(cls)
-        self._t = np.ascontiguousarray(t, dtype=np.int64)
+        self._set_columns(t, mean, volatility, lower, upper, family, variance)
+        self._forecasts = [None] * len(self)
+        return self
+
+    def _set_columns(self, t, mean, volatility, lower, upper, family, variance) -> None:
+        """Hold the columns, with every check the per-object constructors
+        (:class:`Gaussian`, :class:`Uniform`) run, vectorised."""
+        self._t = t
         self._mean = np.ascontiguousarray(mean, dtype=float)
         self._vol = np.ascontiguousarray(volatility, dtype=float)
         self._lower = np.ascontiguousarray(lower, dtype=float)
         self._upper = np.ascontiguousarray(upper, dtype=float)
-        sizes = {
-            arr.size
-            for arr in (self._t, self._mean, self._vol, self._lower, self._upper)
-        }
-        if len(sizes) != 1:
-            raise DataError("forecast columns must have equal length")
-        self._check_ordering()
-        self._forecasts = [None] * self._t.size
-        self._family = family
+        code = require_int64_column("family_code", family)
+        if code.size and (int(code.min()) < GAUSSIAN or int(code.max()) > UNIFORM):
+            raise DataError(f"family codes must be {GAUSSIAN} or {UNIFORM}")
+        self._family = code.astype(np.int8)
         self._variance = (
             None if variance is None else np.ascontiguousarray(variance, dtype=float)
         )
-        self._gaussian = None
-        return self
-
-    def _check_ordering(self) -> None:
-        if self._t.size > 1 and np.any(np.diff(self._t) <= 0):
+        columns = (t, self._mean, self._vol, self._lower, self._upper, code)
+        if len({c.size for c in columns + (self._variance,) if c is not None}) != 1:
+            raise DataError("forecast columns must have equal length")
+        if t.size > 1 and np.any(np.diff(t) <= 0):
             raise DataError("forecasts must be in strictly increasing time order")
+        sigma2 = self._vol**2 if variance is None else self._variance
+        valid = np.where(
+            self._family == GAUSSIAN,
+            np.isfinite(self._mean) & np.isfinite(sigma2) & (sigma2 > 0.0),
+            np.isfinite(self._lower)
+            & np.isfinite(self._upper)
+            & (self._upper > self._lower),
+        )
+        if not np.all(valid):
+            i = int(np.argmin(valid))
+            raise InvalidParameterError(
+                f"forecast at t={t[i]} is no {FAMILIES[self._family[i]]} density: "
+                f"mean {self._mean[i]!r}, variance {sigma2[i]!r}, "
+                f"bounds [{self._lower[i]!r}, {self._upper[i]!r}]"
+            )
 
     # ------------------------------------------------------------------
     # Lazy materialisation.
@@ -201,17 +239,17 @@ class DensitySeries:
     def _materialise(self, index: int) -> DensityForecast:
         forecast = self._forecasts[index]
         if forecast is None:
-            if self._family == "uniform":
+            if self._family[index] == UNIFORM:
                 distribution: Distribution = Uniform(
                     float(self._lower[index]), float(self._upper[index])
                 )
             else:
                 variance = (
-                    float(self._variance[index])
-                    if self._variance is not None
-                    else float(self._vol[index]) ** 2
+                    self._vol[index] ** 2
+                    if self._variance is None
+                    else self._variance[index]
                 )
-                distribution = Gaussian(float(self._mean[index]), variance)
+                distribution = Gaussian(float(self._mean[index]), float(variance))
             forecast = DensityForecast(
                 t=int(self._t[index]),
                 mean=float(self._mean[index]),
@@ -245,15 +283,9 @@ class DensitySeries:
     # Columnar views.
     # ------------------------------------------------------------------
     @property
-    def family(self) -> str | None:
-        """Homogeneous distribution family tag, if known.
-
-        ``"gaussian"`` / ``"uniform"`` for series built through
-        :meth:`from_columns`; ``None`` for object-built series (which may
-        mix families).  Lets columnar consumers (e.g. the binary store)
-        skip per-forecast materialisation.
-        """
-        return self._family
+    def family_codes(self) -> np.ndarray:
+        """Per-row distribution family: :data:`GAUSSIAN` or :data:`UNIFORM`."""
+        return readonly_view(self._family)
 
     @property
     def variances(self) -> np.ndarray | None:
@@ -293,38 +325,11 @@ class DensitySeries:
         return readonly_view(self._upper)
 
     def gaussian_params(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(mask, mu, sigma)`` columns of the Gaussian rows.
-
-        ``mask[i]`` is true when forecast ``i`` carries a Gaussian density;
-        ``mu``/``sigma`` hold its parameters there (undefined elsewhere).
-        The Omega-view builder keys its broadcasted CDF path on this.
-        Column-backed Gaussian series answer without materialising anything.
-        """
-        if self._gaussian is None:
-            if self._family == "gaussian":
-                self._gaussian = (
-                    np.ones(len(self), dtype=bool),
-                    self._mean,
-                    self._vol,
-                )
-            elif self._family == "uniform":
-                self._gaussian = (
-                    np.zeros(len(self), dtype=bool),
-                    self._mean,
-                    self._vol,
-                )
-            else:
-                mask = np.zeros(len(self), dtype=bool)
-                mu = np.zeros(len(self))
-                sigma = np.ones(len(self))
-                for index in range(len(self)):
-                    distribution = self._materialise(index).distribution
-                    if isinstance(distribution, Gaussian):
-                        mask[index] = True
-                        mu[index] = distribution.mu
-                        sigma[index] = math.sqrt(distribution.sigma2)
-                self._gaussian = (mask, mu, sigma)
-        return self._gaussian
+        """``(mask, mu, sigma)``: which rows are Gaussian, and their mean and
+        standard deviation (``sqrt(variance)`` when the exact variance is
+        carried, else the volatility; meaningful where ``mask`` holds)."""
+        sigma = self._vol if self._variance is None else np.sqrt(self._variance)
+        return self._family == GAUSSIAN, self._mean, sigma
 
     # ------------------------------------------------------------------
     # Series-level consumers.
@@ -333,10 +338,8 @@ class DensitySeries:
         """Probability integral transforms ``z_t = P_t(r_t)`` (Section II-B).
 
         ``series`` must be the raw series the forecasts were computed on;
-        each realised value is pushed through its forecast CDF.  All
-        Gaussian forecasts are evaluated in a single vectorised normal-CDF
-        call over the column arrays; only non-Gaussian rows fall back to
-        per-object CDF evaluation.
+        each realised value is pushed through its forecast CDF
+        (:meth:`cdf`).
         """
         n = len(series)
         out_of_range = self._t >= n
@@ -346,14 +349,22 @@ class DensitySeries:
                 f"forecast for t={bad} has no realised value in a "
                 f"series of length {n}"
             )
-        realised = series.values[self._t]
+        return self.cdf(series.values[self._t])
+
+    def cdf(self, x: np.ndarray) -> np.ndarray:
+        """Row ``i``'s CDF at ``x[i]``, one vectorised call per family with
+        the per-object arithmetic, so it equals ``self[i].distribution.cdf``
+        bit for bit."""
+        x = np.asarray(x, dtype=float)
         mask, mu, sigma = self.gaussian_params()
         out = np.empty(len(self))
         if np.any(mask):
-            out[mask] = gaussian_cdf(realised[mask], mu[mask], sigma[mask])
-        for index in np.flatnonzero(~mask):
-            forecast = self._materialise(int(index))
-            out[index] = forecast.distribution.cdf(realised[index])
+            out[mask] = gaussian_cdf(x[mask], mu[mask], sigma[mask])
+        uniform = ~mask
+        if np.any(uniform):
+            out[uniform] = uniform_cdf(
+                x[uniform], self._lower[uniform], self._upper[uniform]
+            )
         return out
 
     def coverage(self, series: TimeSeries) -> float:

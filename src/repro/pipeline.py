@@ -8,6 +8,9 @@ The paper's framework runs in two modes (Section II-A):
 * **online** — densities are inferred as each value streams in;
   :class:`OnlinePipeline` maintains the sliding window, feeds the metric,
   and emits one probability row per arrival once warm.
+
+Both take one column path, ``infer_batch`` → ``build_matrix``; the
+retained history concatenates columns, family codes included.
 """
 
 from __future__ import annotations
@@ -261,10 +264,8 @@ class OnlinePipeline:
         """All non-warm-up forecasts emitted so far."""
         self._require_history("forecasts")
         chunks = self._forecasts
-        families = {chunk.family for chunk in chunks}
-        if len(families) != 1 or None in families:
-            # Nothing emitted yet, or object-built chunks.
-            return DensitySeries([f for chunk in chunks for f in chunk])
+        if not chunks:
+            return DensitySeries([])
         variances = [chunk.variances for chunk in chunks]
         return DensitySeries.from_columns(
             np.concatenate([chunk.times for chunk in chunks]),
@@ -272,7 +273,7 @@ class OnlinePipeline:
             np.concatenate([chunk.volatilities for chunk in chunks]),
             np.concatenate([chunk.lowers for chunk in chunks]),
             np.concatenate([chunk.uppers for chunk in chunks]),
-            family=families.pop(),
+            family=np.concatenate([chunk.family_codes for chunk in chunks]),
             variance=(
                 None if any(v is None for v in variances)
                 else np.concatenate(variances)

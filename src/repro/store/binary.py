@@ -52,10 +52,13 @@ import numpy as np
 
 from repro.db.aggregates import per_time_exceedance, per_time_expected_value
 from repro.db.prob_view import ProbabilisticView
-from repro.exceptions import DataError, SchemaVersionError, StoreError
-from repro.metrics.base import DensityForecast, DensitySeries
-from repro.distributions.gaussian import Gaussian
-from repro.distributions.uniform import Uniform
+from repro.exceptions import (
+    DataError,
+    InvalidParameterError,
+    SchemaVersionError,
+    StoreError,
+)
+from repro.metrics.base import DensitySeries
 
 __all__ = [
     "EXC_SKETCH_EDGES",
@@ -135,10 +138,6 @@ _KIND_DENSITY = "density_columns"
 
 _V2_META = "meta.json"
 _VIEW_COLUMNS = ("t", "low", "high", "probability", "label_code")
-
-#: Density-family dictionary codes (per-row, so mixed series round-trip).
-_FAMILIES = ("gaussian", "uniform")
-
 
 def check_schema_version(found: int, path: str | Path) -> None:
     """Reject data written under a different schema version.
@@ -574,37 +573,13 @@ def load_view_npz(path: str | Path, name: str | None = None) -> ProbabilisticVie
 # ----------------------------------------------------------------------
 # Density series.
 # ----------------------------------------------------------------------
-def _family_codes(series: DensitySeries) -> np.ndarray:
-    """Per-forecast family codes; rejects non-location-scale densities.
-
-    Series carrying a homogeneous :attr:`DensitySeries.family` tag resolve
-    without materialising a single forecast; only object-built (possibly
-    mixed) series fall back to inspecting the non-Gaussian rows.
-    """
-    if series.family in _FAMILIES:
-        code = _FAMILIES.index(series.family)
-        return np.full(len(series), code, dtype=np.int8)
-    mask, _mu, _sigma = series.gaussian_params()
-    codes = np.where(mask, 0, 1).astype(np.int8)
-    for index in np.flatnonzero(~mask):
-        distribution = series[int(index)].distribution
-        if not isinstance(distribution, Uniform):
-            raise StoreError(
-                f"cannot persist distribution family "
-                f"{type(distribution).__name__}; only Gaussian and Uniform "
-                "are storable"
-            )
-    return codes
-
-
 def save_density_series_npz(series: DensitySeries, path: str | Path) -> None:
     """Persist a density series through its column arrays.
 
-    Families are dictionary-coded per row (Gaussian/Uniform), so mixed
-    series survive; anything else raises
-    :class:`~repro.exceptions.StoreError`.
-    The exact variance column rides along when the series carries one, so
-    reloaded Gaussians skip the lossy ``sqrt``/square round trip.
+    The per-row ``family_code`` column (Gaussian/Uniform) is written as
+    it is, so mixed series survive.  The exact variance column rides
+    along when the series carries one, so reloaded Gaussians skip the
+    lossy ``sqrt``/square round trip.
     """
     columns = {
         "schema": np.int64(SCHEMA_VERSION),
@@ -614,7 +589,7 @@ def save_density_series_npz(series: DensitySeries, path: str | Path) -> None:
         "volatility": np.ascontiguousarray(series.volatilities, dtype=float),
         "lower": np.ascontiguousarray(series.lowers, dtype=float),
         "upper": np.ascontiguousarray(series.uppers, dtype=float),
-        "family_code": _family_codes(series),
+        "family_code": np.ascontiguousarray(series.family_codes, dtype=np.int8),
     }
     if series.variances is not None:
         columns["variance"] = np.ascontiguousarray(series.variances, dtype=float)
@@ -624,9 +599,10 @@ def save_density_series_npz(series: DensitySeries, path: str | Path) -> None:
 def load_density_series_npz(path: str | Path) -> DensitySeries:
     """Rebuild a density series written by :func:`save_density_series_npz`.
 
-    Homogeneous files come back through the lazy
-    :meth:`DensitySeries.from_columns` path (no per-forecast objects);
-    mixed Gaussian/Uniform files materialise row by row.
+    Every file, mixed or not, comes back through
+    :meth:`DensitySeries.from_columns` with its ``family_code`` column —
+    no per-forecast objects.  Codes or parameters a series cannot hold
+    raise :class:`~repro.exceptions.DataError` naming the file.
     """
     payload = _read_npz(
         path,
@@ -634,39 +610,15 @@ def load_density_series_npz(path: str | Path) -> DensitySeries:
         ("family_code", "t", "mean", "volatility", "lower", "upper"),
         optional=("variance",),
     )
-    codes = payload["family_code"]
-    if codes.size and (int(codes.min()) < 0 or int(codes.max()) >= len(_FAMILIES)):
-        raise DataError(f"{path} carries unknown density family codes")
-    t = payload["t"]
-    mean = payload["mean"]
-    volatility = payload["volatility"]
-    lower = payload["lower"]
-    upper = payload["upper"]
-    variance = payload.get("variance")
-    distinct = np.unique(codes)
-    if distinct.size <= 1:
-        family = _FAMILIES[int(distinct[0])] if distinct.size else "gaussian"
+    try:
         return DensitySeries.from_columns(
-            t, mean, volatility, lower, upper, family=family,
-            variance=variance,
+            payload["t"],
+            payload["mean"],
+            payload["volatility"],
+            payload["lower"],
+            payload["upper"],
+            family=payload["family_code"],
+            variance=payload.get("variance"),
         )
-    forecasts = []
-    for index in range(t.size):
-        if int(codes[index]) == 0:
-            sigma2 = (
-                float(variance[index])
-                if variance is not None
-                else float(volatility[index]) ** 2
-            )
-            distribution = Gaussian(float(mean[index]), sigma2)
-        else:
-            distribution = Uniform(float(lower[index]), float(upper[index]))
-        forecasts.append(DensityForecast(
-            t=int(t[index]),
-            mean=float(mean[index]),
-            distribution=distribution,
-            lower=float(lower[index]),
-            upper=float(upper[index]),
-            volatility=float(volatility[index]),
-        ))
-    return DensitySeries(forecasts)
+    except (DataError, InvalidParameterError) as exc:
+        raise DataError(f"{path}: {exc}") from exc

@@ -91,7 +91,7 @@ class ARMAModel:
     >>> values = ARMAModel.simulate(
     ...     ARMAParams(const=0.0, ar=np.array([0.7]), sigma2=1.0), 500, rng)
     >>> model = ARMAModel(p=1).fit(values)
-    >>> abs(model.params_.ar[0] - 0.7) < 0.15
+    >>> bool(abs(model.params_.ar[0] - 0.7) < 0.15)
     True
     """
 

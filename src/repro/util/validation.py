@@ -67,3 +67,24 @@ def require_finite_array(name: str, values: np.ndarray, *, min_len: int = 1) -> 
         bad = int(np.count_nonzero(~np.isfinite(array)))
         raise DataError(f"{name} contains {bad} non-finite value(s)")
     return array
+
+
+def require_int64_column(name: str, values: np.ndarray) -> np.ndarray:
+    """``values`` as a contiguous int64 column, refusing to truncate: a
+    non-integer input must hold finite whole numbers inside int64, or
+    :class:`DataError` names the column (``3.5`` is not time ``3``)."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "biu":
+        exact = np.asarray(values, dtype=float)
+        bad = ~(
+            np.isfinite(exact)
+            & (exact == np.floor(exact))
+            & (exact >= -(2.0**63))
+            & (exact < 2.0**63)
+        )
+        if np.any(bad):
+            raise DataError(
+                f"column {name!r} must hold whole numbers inside int64, "
+                f"got {float(exact.ravel()[int(np.argmax(bad))])}"
+            )
+    return np.ascontiguousarray(values, dtype=np.int64)

@@ -6,26 +6,14 @@ every range ``omega_lambda = [r_hat_t + lambda*Delta, r_hat_t + (lambda+1)*Delta
 
     rho_lambda = P_t(r_hat_t + (lambda+1)*Delta) - P_t(r_hat_t + lambda*Delta).
 
-Two evaluation paths exist:
-
-* **naive** — evaluate the forecast CDF at the ``n + 1`` range edges for
-  every tuple;
-* **cached** — reuse pre-computed rows from a :class:`SigmaCache`, valid
-  for Gaussian forecasts because the row depends only on ``sigma_hat_t``
-  after the mean shift.
-
-The builder picks the cached path automatically when a cache is attached
-and the forecast is Gaussian; anything else falls back to the naive path,
-so mixed (e.g. uniform-metric) density series still work.
-
-Batch path
-----------
 :meth:`ViewBuilder.build_matrix` evaluates a whole density series at once
-into a columnar :class:`ProbabilityMatrix`: all Gaussian rows share one
-broadcasted CDF call over the ``(T, n + 1)`` edge matrix (or one
-``searchsorted`` floor lookup over the sigma-cache keys), and only
-non-Gaussian forecasts fall back to per-row evaluation.  The results are
-identical to :meth:`ViewBuilder.build_rows` — same arithmetic, batched.
+into a columnar :class:`ProbabilityMatrix`.  The Gaussian rows are served
+either by one broadcasted CDF call over the ``(T, n + 1)`` edge matrix or,
+when a :class:`SigmaCache` is attached, by one ``searchsorted`` floor lookup
+over the cached sigma keys — valid because a Gaussian row depends only on
+``sigma_hat_t`` after the mean shift.  The uniform rows (the
+uniform-thresholding metric) take one broadcasted uniform-CDF call over
+their edges, so mixed density series are evaluated column-wise too.
 """
 
 from __future__ import annotations
@@ -35,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.distributions.gaussian import Gaussian, gaussian_cdf
+from repro.distributions.gaussian import gaussian_cdf
+from repro.distributions.uniform import uniform_cdf
 from repro.exceptions import InvalidParameterError
 from repro.metrics.base import DensityForecast, DensitySeries
 from repro.view.omega import OmegaGrid, OmegaRange
@@ -64,10 +53,6 @@ class ProbabilityRow:
     mean: float
     volatility: float
     probabilities: np.ndarray
-
-    def ranges(self, grid: OmegaGrid) -> list[OmegaRange]:
-        """Materialise the labelled ranges this row's probabilities cover."""
-        return grid.ranges_around(self.mean)
 
     @property
     def total_mass(self) -> float:
@@ -126,7 +111,7 @@ class ViewBuilder:
     >>> forecast = DensityForecast(t=5, mean=1.0, distribution=Gaussian(1.0, 4.0),
     ...                            lower=-5.0, upper=7.0, volatility=2.0)
     >>> builder = ViewBuilder(OmegaGrid(delta=1.0, n=4))
-    >>> row = builder.build_row(forecast)
+    >>> row = builder.build_matrix(DensitySeries([forecast])).row(0)
     >>> float(np.round(row.total_mass, 3))
     0.683
     """
@@ -142,33 +127,13 @@ class ViewBuilder:
     # ------------------------------------------------------------------
     # Row generation.
     # ------------------------------------------------------------------
-    def build_row(self, forecast: DensityForecast) -> ProbabilityRow:
-        """Compute ``Lambda_t = {rho_lambda}`` for one forecast (eq. 9)."""
-        if self.cache is not None and isinstance(forecast.distribution, Gaussian):
-            probabilities = self.cache.probability_row(forecast.volatility)
-        else:
-            edges = self.grid.edges_around(forecast.mean)
-            cdf = np.asarray(forecast.distribution.cdf(edges), dtype=float)
-            probabilities = np.diff(cdf)
-        return ProbabilityRow(
-            t=forecast.t,
-            mean=forecast.mean,
-            volatility=forecast.volatility,
-            probabilities=probabilities,
-        )
-
-    def build_rows(self, forecasts: DensitySeries) -> list[ProbabilityRow]:
-        """Vector of :meth:`build_row` over a whole density series."""
-        return [self.build_row(forecast) for forecast in forecasts]
-
     def build_matrix(self, forecasts: DensitySeries) -> ProbabilityMatrix:
         """Evaluate eq. (9) for a whole density series in one shot.
 
-        Gaussian forecasts are served either from one broadcasted CDF call
-        over the ``(T, n + 1)`` edge matrix or, when a cache is attached,
-        from one vectorised floor lookup over the cached sigma keys.
-        Non-Gaussian forecasts fall back to :meth:`build_row` individually,
-        so mixed density series remain supported.
+        Gaussian rows are served either from one broadcasted CDF call over
+        the ``(T, n + 1)`` edge matrix or, when a cache is attached, from
+        one vectorised floor lookup over the cached sigma keys.  Uniform
+        rows take one broadcasted uniform-CDF call over their edges.
         """
         count = len(forecasts)
         means = np.asarray(forecasts.means, dtype=float)
@@ -182,8 +147,15 @@ class ViewBuilder:
                 edges = self.grid.edges_matrix(means[mask])
                 cdf = gaussian_cdf(edges, mu[mask, None], sigma[mask, None])
                 probabilities[mask] = np.diff(cdf, axis=1)
-        for index in np.flatnonzero(~mask):
-            probabilities[index] = self.build_row(forecasts[int(index)]).probabilities
+        uniform = ~mask
+        if np.any(uniform):
+            edges = self.grid.edges_matrix(means[uniform])
+            cdf = uniform_cdf(
+                edges,
+                forecasts.lowers[uniform, None],
+                forecasts.uppers[uniform, None],
+            )
+            probabilities[uniform] = np.diff(cdf, axis=1)
         return ProbabilityMatrix(
             t=np.asarray(forecasts.times, dtype=np.int64),
             mean=means,

@@ -14,6 +14,11 @@ from repro.view.omega import OmegaGrid, OmegaRange
 from repro.view.sigma_cache import SigmaCache
 
 
+def _row(builder, forecast):
+    """``builder``'s eq. (9) row for one forecast, through ``build_matrix``."""
+    return builder.build_matrix(DensitySeries([forecast])).row(0)
+
+
 def _gaussian_forecast(t=0, mean=10.0, sigma=1.0):
     return DensityForecast(
         t=t, mean=mean, distribution=Gaussian(mean, sigma**2),
@@ -26,7 +31,7 @@ class TestNaivePath:
         """rho_lambda = P(edge_{lambda+1}) - P(edge_lambda)."""
         grid = OmegaGrid(delta=1.0, n=4)
         forecast = _gaussian_forecast(mean=5.0, sigma=2.0)
-        row = ViewBuilder(grid).build_row(forecast)
+        row = _row(ViewBuilder(grid), forecast)
         g = forecast.distribution
         expected = [
             g.prob(3.0, 4.0), g.prob(4.0, 5.0), g.prob(5.0, 6.0), g.prob(6.0, 7.0)
@@ -35,17 +40,17 @@ class TestNaivePath:
 
     def test_probabilities_sum_below_one(self):
         grid = OmegaGrid(delta=0.5, n=4)  # Narrow grid truncates tails.
-        row = ViewBuilder(grid).build_row(_gaussian_forecast(sigma=3.0))
+        row = _row(ViewBuilder(grid), _gaussian_forecast(sigma=3.0))
         assert 0.0 < row.total_mass < 1.0
 
     def test_wide_grid_captures_nearly_all_mass(self):
         grid = OmegaGrid(delta=1.0, n=12)  # +/- 6 sigma.
-        row = ViewBuilder(grid).build_row(_gaussian_forecast(sigma=1.0))
+        row = _row(ViewBuilder(grid), _gaussian_forecast(sigma=1.0))
         assert row.total_mass == pytest.approx(1.0, abs=1e-6)
 
     def test_symmetric_distribution_symmetric_row(self):
         grid = OmegaGrid(delta=0.5, n=6)
-        row = ViewBuilder(grid).build_row(_gaussian_forecast(mean=0.0, sigma=1.0))
+        row = _row(ViewBuilder(grid), _gaussian_forecast(mean=0.0, sigma=1.0))
         np.testing.assert_allclose(
             row.probabilities, row.probabilities[::-1], atol=1e-12
         )
@@ -56,13 +61,14 @@ class TestNaivePath:
             t=0, mean=2.0, distribution=Uniform(1.0, 3.0),
             lower=1.0, upper=3.0, volatility=Uniform(1.0, 3.0).std(),
         )
-        row = ViewBuilder(grid).build_row(forecast)
+        row = _row(ViewBuilder(grid), forecast)
         assert row.total_mass == pytest.approx(1.0, abs=1e-12)
 
     def test_rows_for_series(self, gaussian_forecasts):
-        rows = ViewBuilder(OmegaGrid(0.5, 6)).build_rows(gaussian_forecasts)
-        assert len(rows) == len(gaussian_forecasts)
-        assert [r.t for r in rows] == list(gaussian_forecasts.times)
+        matrix = ViewBuilder(OmegaGrid(0.5, 6)).build_matrix(gaussian_forecasts)
+        assert len(matrix) == len(gaussian_forecasts)
+        assert list(matrix.t) == list(gaussian_forecasts.times)
+        assert matrix.probabilities.shape == (len(gaussian_forecasts), 6)
 
 
 class TestCachedPath:
@@ -75,11 +81,10 @@ class TestCachedPath:
         grid = OmegaGrid(delta=0.5, n=6)
         naive = ViewBuilder(grid)
         cached = naive.with_cache_for(gaussian_forecasts, distance_constraint=0.005)
-        for forecast in gaussian_forecasts:
-            exact = naive.build_row(forecast).probabilities
-            approx = cached.build_row(forecast).probabilities
-            # A tight Hellinger constraint implies close probability rows.
-            np.testing.assert_allclose(approx, exact, atol=0.02)
+        exact = naive.build_matrix(gaussian_forecasts).probabilities
+        approx = cached.build_matrix(gaussian_forecasts).probabilities
+        # A tight Hellinger constraint implies close probability rows.
+        np.testing.assert_allclose(approx, exact, atol=0.02)
 
     def test_cached_row_errors_shrink_with_constraint(self, gaussian_forecasts):
         grid = OmegaGrid(delta=0.5, n=6)
@@ -89,16 +94,13 @@ class TestCachedPath:
             cached = naive.with_cache_for(
                 gaussian_forecasts, distance_constraint=constraint
             )
-            worst = 0.0
-            for forecast in gaussian_forecasts:
-                exact = naive.build_row(forecast).probabilities
-                approx = cached.build_row(forecast).probabilities
-                worst = max(worst, float(np.max(np.abs(approx - exact))))
-            return worst
+            exact = naive.build_matrix(gaussian_forecasts).probabilities
+            approx = cached.build_matrix(gaussian_forecasts).probabilities
+            return float(np.max(np.abs(approx - exact)))
 
         assert max_error(0.001) <= max_error(0.1) + 1e-12
 
-    def test_non_gaussian_forecast_falls_back_to_naive(self):
+    def test_uniform_forecast_bypasses_the_cache(self):
         grid = OmegaGrid(delta=0.5, n=4)
         forecasts = DensitySeries([_gaussian_forecast(t=0)])
         builder = ViewBuilder(grid).with_cache_for(
@@ -108,8 +110,11 @@ class TestCachedPath:
             t=1, mean=2.0, distribution=Uniform(1.0, 3.0),
             lower=1.0, upper=3.0, volatility=Uniform(1.0, 3.0).std(),
         )
-        row = builder.build_row(uniform_forecast)
+        row = _row(builder, uniform_forecast)
         assert row.total_mass == pytest.approx(1.0, abs=1e-12)
+        assert np.array_equal(
+            row.probabilities, _row(ViewBuilder(grid), uniform_forecast).probabilities
+        )
 
     def test_with_cache_for_sizes_from_forecasts(self, gaussian_forecasts):
         grid = OmegaGrid(delta=0.5, n=6)

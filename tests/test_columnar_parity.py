@@ -3,10 +3,11 @@
 The columnar engine (``infer_batch`` + ``build_matrix`` + array-backed
 ``ProbabilisticView`` + vectorised queries) must replicate the seed
 row-at-a-time semantics tuple for tuple.  The reference implementations
-below mirror the seed code: one model fit or recursion per window, one CDF
-evaluation per forecast, one ``ProbTuple`` per range, Python loops per
-query — and every batch result is checked against them across Gaussian,
-uniform, and mixed density series, with and without the sigma-cache.
+below are owned by these tests: one model fit or recursion per window, one
+CDF evaluation per forecast object (eq. 9), one ``ProbTuple`` per range,
+Python loops per query — and every batch result is checked against them
+across Gaussian, uniform, and mixed density series, however the series was
+built, with and without the sigma-cache.
 """
 
 from __future__ import annotations
@@ -37,8 +38,13 @@ from repro.metrics.ewma import EWMAMetric
 from repro.metrics.uniform_threshold import UniformThresholdingMetric
 from repro.metrics.variable_threshold import VariableThresholdingMetric
 from repro.service import MatrixCache
-from repro.store import Catalog
+from repro.store import (
+    Catalog,
+    load_density_series_npz,
+    save_density_series_npz,
+)
 from repro.timeseries.arma import ARMAModel
+from repro.timeseries.series import TimeSeries
 from repro.timeseries.stats import sample_variance
 from repro.view.builder import ViewBuilder
 from repro.view.omega import OmegaGrid
@@ -95,19 +101,84 @@ _SERIES = {
 }
 
 
+def _eq9_rows(forecasts, builder, grid) -> np.ndarray:
+    """Test-owned eq. (9): each forecast's row from its own distribution,
+    ``diff(P_t(edges))``, or the cache's row for a cached Gaussian."""
+    rows = []
+    for forecast in forecasts:
+        if builder.cache is not None and isinstance(forecast.distribution, Gaussian):
+            rows.append(builder.cache.probability_row(forecast.volatility))
+        else:
+            edges = grid.edges_around(forecast.mean)
+            rows.append(np.diff(forecast.distribution.cdf(edges)))
+    return np.array(rows).reshape(len(rows), grid.n)
+
+
 def _seed_view(name, forecasts, builder, grid) -> ProbabilisticView:
     """The seed row path: per-row range expansion into ProbTuples."""
     tuples = []
-    for forecast in forecasts:
-        row = builder.build_row(forecast)
-        for omega, probability in zip(grid.ranges_around(row.mean),
-                                      row.probabilities):
+    for forecast, row in zip(forecasts, _eq9_rows(forecasts, builder, grid)):
+        for omega, probability in zip(grid.ranges_around(forecast.mean), row):
             tuples.append(ProbTuple(
-                t=row.t, low=omega.low, high=omega.high,
+                t=forecast.t, low=omega.low, high=omega.high,
                 probability=float(np.clip(probability, 0.0, 1.0)),
                 label=omega.label,
             ))
     return ProbabilisticView(name, tuples)
+
+
+def _column_built(forecasts, _tmp_path) -> DensitySeries:
+    """The same rows through ``from_columns``, read off the objects."""
+    return DensitySeries.from_columns(
+        [f.t for f in forecasts],
+        [f.mean for f in forecasts],
+        [f.volatility for f in forecasts],
+        [f.lower for f in forecasts],
+        [f.upper for f in forecasts],
+        family=np.array([
+            0 if isinstance(f.distribution, Gaussian) else 1 for f in forecasts
+        ]),
+        variance=[f.distribution.variance() for f in forecasts],
+    )
+
+
+def _npz_loaded(forecasts, tmp_path) -> DensitySeries:
+    path = tmp_path / "series.npz"
+    save_density_series_npz(DensitySeries(forecasts), path)
+    return load_density_series_npz(path)
+
+
+_ROUTES = {
+    "objects": lambda forecasts, _tmp_path: DensitySeries(forecasts),
+    "columns": _column_built,
+    "npz": _npz_loaded,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SERIES))
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+@pytest.mark.parametrize("cached", [False, True])
+def test_build_matrix_and_pit_bit_equal_eq9(kind, route, cached, tmp_path):
+    """Every build route of every family gives eq. (9) rows and PIT values
+    bit-equal to per-object evaluation of the forecasts' distributions."""
+    objects = list(_SERIES[kind]())
+    forecasts = _ROUTES[route](objects, tmp_path)
+    grid = OmegaGrid(delta=0.25, n=8)
+    builder = ViewBuilder(grid)
+    if cached:
+        builder = builder.with_cache_for(forecasts, distance_constraint=0.05)
+    assert np.array_equal(
+        builder.build_matrix(forecasts).probabilities,
+        _eq9_rows(objects, builder, grid),
+    )
+    rng = np.random.default_rng(9)
+    realised = TimeSeries(
+        np.array([f.mean for f in objects]) + rng.normal(0.0, 1.5, len(objects))
+    )
+    assert np.array_equal(
+        forecasts.pit(realised),
+        np.array([f.distribution.cdf(realised[f.t]) for f in objects]),
+    )
 
 
 def _assert_views_identical(actual: ProbabilisticView,

@@ -147,7 +147,7 @@ class TestFig14:
         builder = ViewBuilder(
             OmegaGrid(delta=PAPER_DELTA, n=PAPER_N)
         ).with_cache_for(forecasts, distance_constraint=PAPER_DISTANCE)
-        assert len(builder.build_rows(forecasts)) == 2000
+        assert len(builder.build_matrix(forecasts)) == 2000
         stats = builder.cache.stats
         assert stats.hits + stats.misses == 2000
         assert len(builder.cache) == distributions[0]

@@ -21,8 +21,10 @@ from repro.evaluation.calibration import (
     pit_histogram,
 )
 from repro.exceptions import DataError, InvalidParameterError
+from repro.metrics.base import DensitySeries
 from repro.metrics.ewma import EWMAMetric
 from repro.metrics.registry import create_metric
+from repro.metrics.uniform_threshold import UniformThresholdingMetric
 from repro.metrics.variable_threshold import VariableThresholdingMetric
 from repro.timeseries.stats import rolling_variance
 
@@ -110,6 +112,43 @@ class TestCalibration:
             coverage_curve(forecasts, campus_series, kappas=(0.0,))
         with pytest.raises(InvalidParameterError):
             coverage_curve(forecasts, campus_series, kappas=())
+
+
+def _calibration_series(series, family: str) -> DensitySeries:
+    gaussian = VariableThresholdingMetric().run(series, 40, step=5)
+    uniform = UniformThresholdingMetric(threshold=0.3).run(series, 40, step=5)
+    if family == "gaussian":
+        return gaussian
+    if family == "uniform":
+        return uniform
+    return DensitySeries([
+        g if index % 2 else u
+        for index, (g, u) in enumerate(zip(gaussian, uniform))
+    ])
+
+
+class TestCoverageCurveColumns:
+    def test_empty_series_is_a_data_error(self, campus_series):
+        with pytest.raises(DataError):
+            coverage_curve(DensitySeries([]), campus_series)
+
+    @pytest.mark.parametrize("family", ["gaussian", "uniform", "mixed"])
+    def test_matches_per_forecast_loop(self, campus_series, family):
+        forecasts = _calibration_series(campus_series, family)
+        kappas = (0.5, 1.0, 1.7, 3.0)
+        rows = coverage_curve(forecasts, campus_series, kappas)
+        for row, kappa in zip(rows, kappas):
+            hits = 0
+            nominal = 0.0
+            for forecast in forecasts:
+                sigma = forecast.distribution.std()
+                low = forecast.mean - kappa * sigma
+                high = forecast.mean + kappa * sigma
+                nominal += forecast.distribution.prob(low, high)
+                hits += low <= campus_series[forecast.t] <= high
+            assert row["kappa"] == kappa
+            assert abs(row["nominal"] - nominal / len(forecasts)) <= 1e-12
+            assert abs(row["empirical"] - hits / len(forecasts)) <= 1e-12
 
 
 def _simple_view() -> ProbabilisticView:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.data.synthetic import campus_temperature
 from repro.distributions.gaussian import Gaussian
+from repro.distributions.histogram import HistogramDistribution
 from repro.distributions.uniform import Uniform
 from repro.exceptions import DataError, InvalidParameterError
 from repro.metrics.arma_garch import ARMAGARCHMetric
@@ -81,6 +82,114 @@ class TestDensitySeries:
         forecasts = metric.run(simple_series, 30)
         # kappa=3 Gaussian bounds should cover nearly all realised values.
         assert forecasts.coverage(simple_series) > 0.9
+
+
+class TestDensitySeriesConstruction:
+    """What a row may hold: a Gaussian ``N(mean, variance)`` or a uniform
+    ``U(lower, upper)``, with the per-object parameter checks run at
+    construction however the series is built."""
+
+    @staticmethod
+    def _columns(**overrides):
+        columns = dict(
+            t=np.array([0, 1]), mean=np.array([1.0, 2.0]),
+            volatility=np.array([2.0, 0.5]), lower=np.array([-5.0, 1.0]),
+            upper=np.array([7.0, 3.0]),
+        )
+        columns.update(overrides)
+        return columns
+
+    @pytest.mark.parametrize(
+        "t", [np.array([3.5, 4.9]), np.array([0.0, np.nan]), np.array([1e19, 2e19])]
+    )
+    def test_non_integral_times_are_refused(self, t):
+        with pytest.raises(DataError, match="'t'"):
+            DensitySeries.from_columns(**self._columns(t=t))
+
+    def test_non_integral_object_times_are_refused(self):
+        forecast = DensityForecast(
+            t=3.5, mean=0.0, distribution=Gaussian(0.0, 1.0),
+            lower=-3.0, upper=3.0, volatility=1.0,
+        )
+        with pytest.raises(DataError, match="'t'"):
+            DensitySeries([forecast])
+
+    def test_whole_float_times_cast_exactly(self):
+        series = DensitySeries.from_columns(**self._columns(t=np.array([3.0, 4.0])))
+        assert series.times.dtype == np.int64
+        assert series.times.tolist() == [3, 4]
+
+    @pytest.mark.parametrize(
+        "codes", [np.array([0.0, 1.5]), np.array([0, 2]), np.array([-1, 0])]
+    )
+    def test_family_codes_must_name_a_family(self, codes):
+        with pytest.raises(DataError):
+            DensitySeries.from_columns(**self._columns(), family=codes)
+
+    def test_mixed_family_codes(self):
+        series = DensitySeries.from_columns(
+            **self._columns(), family=np.array([1.0, 0.0])
+        )
+        assert series.family_codes.dtype == np.int8
+        assert isinstance(series[0].distribution, Uniform)
+        assert isinstance(series[1].distribution, Gaussian)
+
+    @pytest.mark.parametrize("upper", [-5.0, -6.0, np.inf])
+    def test_uniform_row_needs_upper_above_lower(self, upper):
+        columns = self._columns(upper=np.array([upper, 3.0]))
+        with pytest.raises(InvalidParameterError):
+            DensitySeries.from_columns(**columns, family="uniform")
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"variance": np.array([4.0, 0.0])},
+            {"variance": np.array([np.inf, 0.25])},
+            {"volatility": np.array([0.0, 0.5])},
+            {"mean": np.array([np.nan, 2.0])},
+        ],
+    )
+    def test_gaussian_row_needs_finite_mean_and_positive_variance(self, overrides):
+        with pytest.raises(InvalidParameterError):
+            DensitySeries.from_columns(**self._columns(**overrides))
+
+    def test_unstorable_family_rejected(self):
+        histogram = HistogramDistribution(
+            edges=np.array([0.0, 1.0, 2.0]), counts=np.array([1.0, 1.0])
+        )
+        forecast = DensityForecast(
+            t=0, mean=1.0, distribution=histogram, lower=0.0, upper=2.0,
+            volatility=histogram.std(),
+        )
+        with pytest.raises(InvalidParameterError, match="HistogramDistribution"):
+            DensitySeries([forecast])
+
+    def test_gaussian_mu_must_be_the_mean(self):
+        forecast = DensityForecast(
+            t=0, mean=1.5, distribution=Gaussian(1.0, 4.0),
+            lower=-5.0, upper=7.0, volatility=2.0,
+        )
+        with pytest.raises(InvalidParameterError, match="mean"):
+            DensitySeries([forecast])
+
+    def test_uniform_support_must_be_the_bounds(self):
+        forecast = DensityForecast(
+            t=0, mean=2.0, distribution=Uniform(1.0, 3.0),
+            lower=0.0, upper=3.0, volatility=Uniform(1.0, 3.0).std(),
+        )
+        with pytest.raises(InvalidParameterError, match="bounds"):
+            DensitySeries([forecast])
+
+    def test_object_built_rows_keep_their_variance(self):
+        """A Gaussian's exact variance survives the conversion to columns."""
+        forecast = DensityForecast(
+            t=0, mean=1.0, distribution=Gaussian(1.0, 0.1),
+            lower=-0.9, upper=2.9, volatility=0.3,
+        )
+        series = DensitySeries([forecast])
+        assert series.variances.tolist() == [0.1]
+        _mask, _mu, sigma = series.gaussian_params()
+        assert sigma[0] == np.sqrt(0.1)
 
 
 class TestUniformThresholding:

@@ -23,7 +23,6 @@ import repro
 from repro.data.synthetic import campus_temperature
 from repro.db.prob_view import ProbTuple, ProbabilisticView
 from repro.distributions.gaussian import Gaussian
-from repro.distributions.histogram import HistogramDistribution
 from repro.distributions.uniform import Uniform
 from repro.exceptions import (
     DataError,
@@ -226,16 +225,30 @@ class TestDensitySeriesNpz:
         assert loaded[1].distribution.low == 1.0
         assert loaded[1].distribution.high == 3.0
 
-    def test_unstorable_family_rejected(self, tmp_path):
-        histogram = HistogramDistribution(
-            edges=np.array([0.0, 1.0, 2.0]), counts=np.array([1.0, 1.0])
+    def test_non_integral_family_codes_are_refused(self, tmp_path):
+        """A ``family_code`` of 1.5 must not load as a Uniform row."""
+        path = tmp_path / "codes.npz"
+        np.savez(
+            path, schema=np.int64(SCHEMA_VERSION),
+            kind=np.str_("density_columns"), t=np.array([0, 1]),
+            mean=np.array([1.0, 2.0]), volatility=np.array([2.0, 0.5]),
+            lower=np.array([-5.0, 1.0]), upper=np.array([7.0, 3.0]),
+            family_code=np.array([0.0, 1.5]),
         )
-        forecasts = DensitySeries([
-            DensityForecast(t=0, mean=1.0, distribution=histogram,
-                            lower=0.0, upper=2.0, volatility=histogram.std()),
-        ])
-        with pytest.raises(StoreError):
-            save_density_series_npz(forecasts, tmp_path / "hist.npz")
+        with pytest.raises(DataError, match="family_code"):
+            load_density_series_npz(path)
+
+    def test_unknown_family_codes_are_refused(self, tmp_path):
+        path = tmp_path / "codes.npz"
+        np.savez(
+            path, schema=np.int64(SCHEMA_VERSION),
+            kind=np.str_("density_columns"), t=np.array([0, 1]),
+            mean=np.array([1.0, 2.0]), volatility=np.array([2.0, 0.5]),
+            lower=np.array([-5.0, 1.0]), upper=np.array([7.0, 3.0]),
+            family_code=np.array([0, 2], dtype=np.int8),
+        )
+        with pytest.raises(DataError, match="codes.npz"):
+            load_density_series_npz(path)
 
 
 def _npz_member_data(path, member: str) -> tuple[int, int]:

@@ -38,16 +38,13 @@ class TestRowErrorBounds:
         forecasts = _forecasts_with_sigmas(sigmas)
         grid = OmegaGrid(delta=0.5, n=8)
         naive = ViewBuilder(grid)
-        exact_rows = [row.probabilities for row in naive.build_rows(forecasts)]
+        exact = naive.build_matrix(forecasts).probabilities
         errors = []
         for constraint in (0.1, 0.02, 0.002):
             cached = naive.with_cache_for(forecasts,
                                           distance_constraint=constraint)
-            worst = 0.0
-            for exact, forecast in zip(exact_rows, forecasts):
-                approx = cached.build_row(forecast).probabilities
-                worst = max(worst, float(np.max(np.abs(approx - exact))))
-            errors.append(worst)
+            approx = cached.build_matrix(forecasts).probabilities
+            errors.append(float(np.max(np.abs(approx - exact))))
         assert errors[0] >= errors[1] >= errors[2]
         assert errors[2] < 0.01
 
@@ -72,10 +69,9 @@ class TestRowErrorBounds:
             forecasts, memory_constraint=8
         )
         assert len(builder.cache) <= 9
-        for forecast in forecasts:
-            row = builder.build_row(forecast)
-            assert np.all(row.probabilities >= 0.0)
-            assert row.total_mass <= 1.0 + 1e-9
+        matrix = builder.build_matrix(forecasts)
+        assert np.all(matrix.probabilities >= 0.0)
+        assert np.all(matrix.total_mass <= 1.0 + 1e-9)
 
 
 @settings(max_examples=30, deadline=None)
@@ -99,7 +95,6 @@ def test_cached_rows_within_empirical_tolerance(sigma_low, span, constraint, del
     grid = OmegaGrid(delta=delta, n=4)
     naive = ViewBuilder(grid)
     cached = naive.with_cache_for(forecasts, distance_constraint=constraint)
-    for forecast in forecasts:
-        exact = naive.build_row(forecast).probabilities
-        approx = cached.build_row(forecast).probabilities
-        assert float(np.max(np.abs(approx - exact))) <= 2.0 * constraint + 1e-9
+    exact = naive.build_matrix(forecasts).probabilities
+    approx = cached.build_matrix(forecasts).probabilities
+    assert float(np.max(np.abs(approx - exact))) <= 2.0 * constraint + 1e-9
