@@ -139,6 +139,7 @@ _KIND_DENSITY = "density_columns"
 _V2_META = "meta.json"
 _VIEW_COLUMNS = ("t", "low", "high", "probability", "label_code")
 
+
 def check_schema_version(found: int, path: str | Path) -> None:
     """Reject data written under a different schema version.
 
