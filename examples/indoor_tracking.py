@@ -11,8 +11,7 @@ Run:  python examples/indoor_tracking.py
 
 import numpy as np
 
-from repro import TimeSeries, VariableThresholdingMetric, ViewBuilder
-from repro.view.omega import OmegaRange
+from repro import DensitySeries, TimeSeries, VariableThresholdingMetric
 
 #: Rooms of Fig. 1: a 2x2 grid, four metres per side.
 ROOMS = {
@@ -33,6 +32,12 @@ def simulate_walk(n: int, rng: np.random.Generator) -> tuple[TimeSeries, TimeSer
     return TimeSeries(x, name="alice-x"), TimeSeries(y, name="alice-y")
 
 
+def axis_probability(forecasts: DensitySeries, low: float, high: float) -> np.ndarray:
+    """P(low <= X_t <= high) at every time: two CDF columns differenced."""
+    size = len(forecasts)
+    return forecasts.cdf(np.full(size, high)) - forecasts.cdf(np.full(size, low))
+
+
 def room_probabilities(
     x_series: TimeSeries, y_series: TimeSeries, H: int = 30
 ) -> list[dict[str, float]]:
@@ -41,19 +46,15 @@ def room_probabilities(
     metric_y = VariableThresholdingMetric()
     forecasts_x = metric_x.run(x_series, H)
     forecasts_y = metric_y.run(y_series, H)
-    rows = []
-    for fx, fy in zip(forecasts_x, forecasts_y):
-        row: dict[str, float] = {"t": fx.t}
-        for room, ((x_lo, x_hi), (y_lo, y_hi)) in ROOMS.items():
-            px = ViewBuilder.probabilities_for_ranges(
-                fx, [OmegaRange(x_lo, x_hi, label="x")]
-            )["x"]
-            py = ViewBuilder.probabilities_for_ranges(
-                fy, [OmegaRange(y_lo, y_hi, label="y")]
-            )["y"]
-            row[room] = px * py  # Independent axis noise.
-        rows.append(row)
-    return rows
+    probabilities = {
+        room: axis_probability(forecasts_x, x_lo, x_hi)
+        * axis_probability(forecasts_y, y_lo, y_hi)  # Independent axis noise.
+        for room, ((x_lo, x_hi), (y_lo, y_hi)) in ROOMS.items()
+    }
+    return [
+        {"t": int(t), **{room: float(p[i]) for room, p in probabilities.items()}}
+        for i, t in enumerate(forecasts_x.times)
+    ]
 
 
 def main() -> None:

@@ -56,13 +56,11 @@ from repro.db.queries import (
     threshold_query,
 )
 from repro.db.table import Table
-from repro.distributions import Distribution, Gaussian, HistogramDistribution, Uniform
 from repro.evaluation import (
     ArchTestResult,
     density_distance,
     density_distance_from_pit,
     engle_arch_test,
-    probability_integral_transform,
     rolling_arch_test,
 )
 from repro.exceptions import (
@@ -159,14 +157,11 @@ __all__ = [
     "Database",
     "DensityForecast",
     "DensitySeries",
-    "Distribution",
     "DynamicDensityMetric",
     "EWMAMetric",
     "EstimationError",
     "GARCHModel",
     "GARCHParams",
-    "Gaussian",
-    "HistogramDistribution",
     "InjectionResult",
     "InvalidParameterError",
     "KalmanFilter",
@@ -199,7 +194,6 @@ __all__ = [
     "StoreError",
     "Table",
     "TimeSeries",
-    "Uniform",
     "UniformThresholdingMetric",
     "VariableThresholdingMetric",
     "ViewBuilder",
@@ -231,7 +225,6 @@ __all__ = [
     "make_dataset",
     "monte_carlo_query",
     "most_probable_range_query",
-    "probability_integral_transform",
     "range_probability_query",
     "ratio_threshold_for_distance",
     "ratio_threshold_for_memory",

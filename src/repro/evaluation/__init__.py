@@ -9,7 +9,6 @@ exhibits the time-varying volatility that justifies the GARCH machinery.
 """
 
 from repro.evaluation.density_distance import density_distance, density_distance_from_pit
-from repro.evaluation.pit import probability_integral_transform
 from repro.evaluation.volatility_test import ArchTestResult, engle_arch_test, rolling_arch_test
 
 __all__ = [
@@ -17,6 +16,5 @@ __all__ = [
     "density_distance",
     "density_distance_from_pit",
     "engle_arch_test",
-    "probability_integral_transform",
     "rolling_arch_test",
 ]

@@ -66,11 +66,11 @@ def coverage_curve(
     if not len(forecasts):
         raise DataError("coverage curve of an empty DensitySeries")
     mask, mean, sigma = forecasts.gaussian_params()
-    # The forecast distribution's own std(): a uniform's is width / sqrt(12).
+    # Each row's own standard deviation: a uniform's is width / sqrt(12).
     sigma = np.where(
         mask, sigma, np.sqrt((forecasts.uppers - forecasts.lowers) ** 2 / 12.0)
     )
-    realised = series.values[forecasts.times]
+    realised = forecasts.realised(series)
     rows = []
     for kappa in kappas:
         if kappa <= 0:

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import optimize
 
 from repro.data.synthetic import make_dataset
-from repro.distributions.gaussian import Gaussian
+from repro.distributions import gaussian_cdf
 from repro.evaluation.density_distance import density_distance
 from repro.experiments.common import ExperimentTable, get_scale, steps_for
 from repro.experiments.fig14 import synthetic_density_series
@@ -134,7 +134,7 @@ def _ablate_cache_payload(table: ExperimentTable, rng_seed: int) -> None:
         for sigma in sigmas:
             index = int(np.searchsorted(keys, sigma, side="right")) - 1
             key = keys[max(index, 0)]
-            row = np.diff(Gaussian(0.0, key**2).cdf(edges))
+            row = np.diff(gaussian_cdf(edges, 0.0, key))
             worst = max(worst, float(row[0]))
         return worst
 

@@ -8,7 +8,7 @@ enhancement, live here:
 ========================  =============================================
 Metric                    Density for time ``t``
 ========================  =============================================
-UniformThresholdingMetric ``Uniform(r_hat_t - u, r_hat_t + u)``
+UniformThresholdingMetric ``U(r_hat_t - u, r_hat_t + u)``
 VariableThresholdingMetric``N(r_hat_t, s_t^2)`` (window sample variance)
 ARMAGARCHMetric           ``N(r_hat_t, sigma_hat_t^2)``, ARMA mean
 KalmanGARCHMetric         ``N(r_hat_t, sigma_hat_t^2)``, Kalman mean

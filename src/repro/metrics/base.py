@@ -11,9 +11,8 @@ Batch path
 ----------
 :class:`DensitySeries` has one representation: ``t``, ``mean``,
 ``volatility``, the kappa bounds and the optional exact ``variance`` live in
-numpy columns next to a per-row ``family_code`` (Gaussian or uniform),
-whether the series was built from :class:`DensityForecast` objects or
-straight from columns; the objects are materialised lazily on item access.
+numpy columns next to a per-row ``family_code`` (Gaussian or uniform);
+item access yields one row as a :class:`DensityForecast` record.
 :meth:`DynamicDensityMetric.infer_batch` is the one inference method a
 metric implements, including one registered through ``register_metric``:
 :meth:`DynamicDensityMetric.run` stacks all sliding windows into one
@@ -23,21 +22,19 @@ one-row call.  ``ewma`` and the two thresholding metrics compute all rows
 in vectorised passes; ``arma_garch``, ``kalman_garch`` and C-GARCH (which
 cleans each row's window before its fit) still estimate one model per row,
 in time order by design — a GARCH fit warm-starts from the previous
-window's optimum, so the rows are a chain, not a batch — and only skip the
-per-row :class:`DensityForecast` objects.
+window's optimum, so the rows are a chain, not a batch — and write their
+results straight into the columns.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.distributions.base import Distribution
-from repro.distributions.gaussian import Gaussian, gaussian_cdf
-from repro.distributions.uniform import Uniform, uniform_cdf
+from repro.distributions import gaussian_cdf, uniform_cdf
 from repro.exceptions import DataError, InvalidParameterError
 from repro.timeseries.series import TimeSeries
 from repro.util.arrays import readonly_view
@@ -95,7 +92,8 @@ def batch_variance_floor(windows: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityForecast:
-    """The inferred density for one inference time.
+    """One row of a :class:`DensitySeries`: the inferred density for one
+    inference time, as a read-only record of that row's columns.
 
     Attributes
     ----------
@@ -103,23 +101,27 @@ class DensityForecast:
         Inference index into the source series.
     mean:
         Expected true value ``r_hat_t`` (Definition 3).
-    distribution:
-        The full inferred density ``p_t(R_t)``.
-    lower, upper:
-        kappa-scaled bounds ``r_hat_t -/+ kappa * sigma_hat_t`` from
-        Algorithm 1 (equal to the distribution support edges for the
-        uniform metric).
     volatility:
         The inferred standard deviation ``sigma_hat_t`` (or the uniform
-        equivalent); exposed separately because the sigma-cache keys on it.
+        equivalent); the sigma-cache keys on it.
+    lower, upper:
+        kappa-scaled bounds ``r_hat_t -/+ kappa * sigma_hat_t`` from
+        Algorithm 1 (the support edges for the uniform metric).
+    family_code:
+        :data:`GAUSSIAN` (the density is ``N(mean, variance)``) or
+        :data:`UNIFORM` (``U(lower, upper)``).
+    variance:
+        The exact inferred variance (``volatility ** 2`` when the series
+        carries none).
     """
 
     t: int
     mean: float
-    distribution: Distribution
+    volatility: float
     lower: float
     upper: float
-    volatility: float
+    family_code: int
+    variance: float
 
     def contains(self, value: float) -> bool:
         """True when ``value`` lies inside the kappa-scaled bounds."""
@@ -127,43 +129,16 @@ class DensityForecast:
 
 
 class DensitySeries:
-    """An ordered collection of :class:`DensityForecast`, held as columns.
+    """An ordered collection of inferred densities, held as columns.
 
     ``t`` / ``mean`` / ``volatility`` / ``lower`` / ``upper`` (plus the
     optional exact ``variance``) are parallel numpy arrays, and an int8
     ``family_code`` column names each row's density: :data:`GAUSSIAN` is
-    ``N(mean, variance)``, :data:`UNIFORM` is ``U(lower, upper)``.  That
-    holds however the series was built, so the Omega-view builder and the
-    probability-integral-transform are plain array operations.  Item access
-    yields :class:`DensityForecast` objects, materialised lazily.
+    ``N(mean, variance)``, :data:`UNIFORM` is ``U(lower, upper)``.  The
+    Omega-view builder and the probability integral transform are plain
+    array operations over them.  :meth:`from_columns` builds a series;
+    item access yields one row as a :class:`DensityForecast` record.
     """
-
-    def __init__(self, forecasts: Sequence[DensityForecast]) -> None:
-        forecasts = list(forecasts)
-        for forecast in forecasts:
-            d = forecast.distribution
-            if not (
-                (isinstance(d, Gaussian) and d.mu == forecast.mean)
-                or (
-                    isinstance(d, Uniform)
-                    and (d.low, d.high) == (forecast.lower, forecast.upper)
-                )
-            ):
-                raise InvalidParameterError(
-                    f"forecast at t={forecast.t} carries {d!r}; a row is a "
-                    "Gaussian about its mean or a Uniform on its bounds"
-                )
-        self._set_columns(
-            require_int64_column("t", [f.t for f in forecasts]),
-            [f.mean for f in forecasts],
-            [f.volatility for f in forecasts],
-            [f.lower for f in forecasts],
-            [f.upper for f in forecasts],
-            [UNIFORM if isinstance(f.distribution, Uniform) else GAUSSIAN
-             for f in forecasts],
-            [f.distribution.variance() for f in forecasts],
-        )
-        self._forecasts = forecasts
 
     @classmethod
     def from_columns(
@@ -177,13 +152,15 @@ class DensitySeries:
         family: str | np.ndarray = "gaussian",
         variance: np.ndarray | None = None,
     ) -> "DensitySeries":
-        """Build a series directly from forecast columns (the batch path).
+        """Build a series from forecast columns.
 
         ``family`` names the distribution every row carries (``"gaussian"``
         or ``"uniform"``), or gives one family code per row
         (:data:`GAUSSIAN` / :data:`UNIFORM`) for a mixed series.
         ``variance`` optionally carries the exact inferred variances so
-        Gaussian rows do not round-trip through ``sqrt``.
+        Gaussian rows do not round-trip through ``sqrt``.  A Gaussian row
+        needs a finite mean and a positive finite variance, a uniform row
+        finite bounds with ``upper > lower``.
         """
         t = require_int64_column("t", t)
         if isinstance(family, str):
@@ -193,13 +170,6 @@ class DensitySeries:
                 )
             family = np.full(t.size, FAMILIES.index(family), dtype=np.int8)
         self = cls.__new__(cls)
-        self._set_columns(t, mean, volatility, lower, upper, family, variance)
-        self._forecasts = [None] * len(self)
-        return self
-
-    def _set_columns(self, t, mean, volatility, lower, upper, family, variance) -> None:
-        """Hold the columns, with every check the per-object constructors
-        (:class:`Gaussian`, :class:`Uniform`) run, vectorised."""
         self._t = t
         self._mean = np.ascontiguousarray(mean, dtype=float)
         self._vol = np.ascontiguousarray(volatility, dtype=float)
@@ -232,52 +202,42 @@ class DensitySeries:
                 f"mean {self._mean[i]!r}, variance {sigma2[i]!r}, "
                 f"bounds [{self._lower[i]!r}, {self._upper[i]!r}]"
             )
+        return self
 
     # ------------------------------------------------------------------
-    # Lazy materialisation.
+    # Row records.
     # ------------------------------------------------------------------
-    def _materialise(self, index: int) -> DensityForecast:
-        forecast = self._forecasts[index]
-        if forecast is None:
-            if self._family[index] == UNIFORM:
-                distribution: Distribution = Uniform(
-                    float(self._lower[index]), float(self._upper[index])
-                )
-            else:
-                variance = (
-                    self._vol[index] ** 2
-                    if self._variance is None
-                    else self._variance[index]
-                )
-                distribution = Gaussian(float(self._mean[index]), float(variance))
-            forecast = DensityForecast(
-                t=int(self._t[index]),
-                mean=float(self._mean[index]),
-                distribution=distribution,
-                lower=float(self._lower[index]),
-                upper=float(self._upper[index]),
-                volatility=float(self._vol[index]),
-            )
-            self._forecasts[index] = forecast
-        return forecast
+    def _row(self, index: int) -> DensityForecast:
+        variance = (
+            self._vol[index] ** 2 if self._variance is None else self._variance[index]
+        )
+        return DensityForecast(
+            t=int(self._t[index]),
+            mean=float(self._mean[index]),
+            volatility=float(self._vol[index]),
+            lower=float(self._lower[index]),
+            upper=float(self._upper[index]),
+            family_code=int(self._family[index]),
+            variance=float(variance),
+        )
 
     def __len__(self) -> int:
         return self._t.size
 
     def __iter__(self) -> Iterator[DensityForecast]:
         for index in range(len(self)):
-            yield self._materialise(index)
+            yield self._row(index)
 
     def __getitem__(
         self, index: int | slice
     ) -> DensityForecast | list[DensityForecast]:
         if isinstance(index, slice):
-            return [self._materialise(i) for i in range(*index.indices(len(self)))]
+            return [self._row(i) for i in range(*index.indices(len(self)))]
         if index < 0:
             index += len(self)
         if not 0 <= index < len(self):
             raise IndexError(index)
-        return self._materialise(index)
+        return self._row(index)
 
     # ------------------------------------------------------------------
     # Columnar views.
@@ -292,8 +252,8 @@ class DensitySeries:
         """Exact inferred variances, when carried.
 
         ``None`` for series that only know ``volatility`` (consumers then
-        use ``volatilities ** 2``).  Persisting this column keeps Gaussian
-        materialisation free of the ``sqrt``/square round trip.
+        use ``volatilities ** 2``).  Persisting this column keeps a Gaussian
+        row's variance free of the ``sqrt``/square round trip.
         """
         if self._variance is None:
             return None
@@ -334,27 +294,29 @@ class DensitySeries:
     # ------------------------------------------------------------------
     # Series-level consumers.
     # ------------------------------------------------------------------
-    def pit(self, series: TimeSeries) -> np.ndarray:
-        """Probability integral transforms ``z_t = P_t(r_t)`` (Section II-B).
+    def realised(self, series: TimeSeries) -> np.ndarray:
+        """The value of ``series`` at each forecast time.
 
         ``series`` must be the raw series the forecasts were computed on;
-        each realised value is pushed through its forecast CDF
-        (:meth:`cdf`).
+        a time outside ``0 <= t < len(series)`` raises :class:`DataError`.
         """
         n = len(series)
-        out_of_range = self._t >= n
-        if np.any(out_of_range):
-            bad = int(self._t[int(np.argmax(out_of_range))])
+        outside = (self._t < 0) | (self._t >= n)
+        if np.any(outside):
+            bad = int(self._t[int(np.argmax(outside))])
             raise DataError(
                 f"forecast for t={bad} has no realised value in a "
                 f"series of length {n}"
             )
-        return self.cdf(series.values[self._t])
+        return series.values[self._t]
+
+    def pit(self, series: TimeSeries) -> np.ndarray:
+        """Probability integral transforms ``z_t = P_t(r_t)`` (Section II-B):
+        each :meth:`realised` value pushed through its row's :meth:`cdf`."""
+        return self.cdf(self.realised(series))
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
-        """Row ``i``'s CDF at ``x[i]``, one vectorised call per family with
-        the per-object arithmetic, so it equals ``self[i].distribution.cdf``
-        bit for bit."""
+        """Row ``i``'s CDF at ``x[i]``: one vectorised call per family."""
         x = np.asarray(x, dtype=float)
         mask, mu, sigma = self.gaussian_params()
         out = np.empty(len(self))
@@ -371,7 +333,7 @@ class DensitySeries:
         """Fraction of realised values inside the kappa-scaled bounds."""
         if not len(self):
             raise DataError("coverage of an empty DensitySeries")
-        realised = series.values[self._t]
+        realised = self.realised(series)
         hits = np.count_nonzero(
             (self._lower <= realised) & (realised <= self._upper)
         )

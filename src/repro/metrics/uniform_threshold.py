@@ -39,7 +39,7 @@ class UniformThresholdingMetric(DynamicDensityMetric):
 
     def infer_batch(self, windows: np.ndarray, ts: np.ndarray) -> DensitySeries:
         """Uniform density of half-width ``threshold`` around each row's
-        ARMA forecast, from one batched solve; materialised lazily."""
+        ARMA forecast, from one batched solve."""
         mean = batch_arma_predict(
             np.asarray(windows, dtype=float), self.p, self.q
         )

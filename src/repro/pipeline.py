@@ -265,7 +265,7 @@ class OnlinePipeline:
         self._require_history("forecasts")
         chunks = self._forecasts
         if not chunks:
-            return DensitySeries([])
+            return DensitySeries.from_columns([], [], [], [], [])
         variances = [chunk.variances for chunk in chunks]
         return DensitySeries.from_columns(
             np.concatenate([chunk.times for chunk in chunks]),

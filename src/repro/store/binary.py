@@ -577,7 +577,7 @@ def load_view_npz(path: str | Path, name: str | None = None) -> ProbabilisticVie
 def save_density_series_npz(series: DensitySeries, path: str | Path) -> None:
     """Persist a density series through its column arrays.
 
-    The per-row ``family_code`` column (Gaussian/Uniform) is written as
+    The per-row ``family_code`` column (Gaussian/uniform) is written as
     it is, so mixed series survive.  The exact variance column rides
     along when the series carries one, so reloaded Gaussians skip the
     lossy ``sqrt``/square round trip.
@@ -601,8 +601,8 @@ def load_density_series_npz(path: str | Path) -> DensitySeries:
     """Rebuild a density series written by :func:`save_density_series_npz`.
 
     Every file, mixed or not, comes back through
-    :meth:`DensitySeries.from_columns` with its ``family_code`` column —
-    no per-forecast objects.  Codes or parameters a series cannot hold
+    :meth:`DensitySeries.from_columns` with its ``family_code`` column.
+    Codes or parameters a series cannot hold
     raise :class:`~repro.exceptions.DataError` naming the file.
     """
     payload = _read_npz(

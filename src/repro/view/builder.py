@@ -18,16 +18,14 @@ their edges, so mixed density series are evaluated column-wise too.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.distributions.gaussian import gaussian_cdf
-from repro.distributions.uniform import uniform_cdf
+from repro.distributions import gaussian_cdf, uniform_cdf
 from repro.exceptions import InvalidParameterError
-from repro.metrics.base import DensityForecast, DensitySeries
-from repro.view.omega import OmegaGrid, OmegaRange
+from repro.metrics.base import DensitySeries
+from repro.view.omega import OmegaGrid
 from repro.view.sigma_cache import SigmaCache
 
 __all__ = ["ProbabilityMatrix", "ProbabilityRow", "ViewBuilder"]
@@ -106,12 +104,11 @@ class ViewBuilder:
 
     Examples
     --------
-    >>> from repro.distributions import Gaussian
-    >>> from repro.metrics.base import DensityForecast, DensitySeries
-    >>> forecast = DensityForecast(t=5, mean=1.0, distribution=Gaussian(1.0, 4.0),
-    ...                            lower=-5.0, upper=7.0, volatility=2.0)
+    >>> from repro.metrics.base import DensitySeries
+    >>> forecasts = DensitySeries.from_columns(
+    ...     [5], [1.0], [2.0], [-5.0], [7.0], variance=[4.0])
     >>> builder = ViewBuilder(OmegaGrid(delta=1.0, n=4))
-    >>> row = builder.build_matrix(DensitySeries([forecast])).row(0)
+    >>> row = builder.build_matrix(forecasts).row(0)
     >>> float(np.round(row.total_mass, 3))
     0.683
     """
@@ -187,21 +184,3 @@ class ViewBuilder:
             memory_constraint=memory_constraint,
         )
         return ViewBuilder(self.grid, cache)
-
-    # ------------------------------------------------------------------
-    # Custom (irregular) range sets, e.g. the rooms of Fig. 1.
-    # ------------------------------------------------------------------
-    @staticmethod
-    def probabilities_for_ranges(
-        forecast: DensityForecast, ranges: Sequence[OmegaRange]
-    ) -> dict[str, float]:
-        """Probability of each labelled range under one forecast.
-
-        Serves Definition 2 for arbitrary (non-grid) range sets; used by
-        the indoor-tracking example to compute per-room probabilities.
-        """
-        out: dict[str, float] = {}
-        for index, omega in enumerate(ranges):
-            label = omega.label or f"omega_{index}"
-            out[label] = forecast.distribution.prob(omega.low, omega.high)
-        return out

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.distributions.gaussian import Gaussian
+from repro.distributions import gaussian_cdf
 from repro.exceptions import CacheConstraintError, InvalidParameterError
 from repro.util.arrays import readonly_view
 from repro.view.hellinger import (
@@ -172,10 +172,9 @@ class SigmaCache:
         # Keys ascending, one probability row per key.
         sigmas = [self.min_sigma * self._ratio**q for q in range(q_count + 1)]
         self._keys_array = np.array(sigmas)
-        self._rows_matrix = np.vstack([
-            np.diff(np.asarray(Gaussian(0.0, sigma**2).cdf(edges)))
-            for sigma in sigmas
-        ])
+        self._rows_matrix = np.diff(
+            gaussian_cdf(edges, 0.0, self._keys_array[:, None]), axis=1
+        )
 
     # ------------------------------------------------------------------
     # Lookup.

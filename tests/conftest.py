@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from repro.data.synthetic import campus_temperature, car_gps
-from repro.distributions.gaussian import Gaussian
-from repro.metrics.base import DensityForecast, DensitySeries
+from repro.metrics.base import DensitySeries
 from repro.store import Catalog
 from repro.store.binary import SCHEMA_VERSION, load_view_columns
 from repro.timeseries.series import TimeSeries
@@ -55,21 +54,16 @@ def simple_series() -> TimeSeries:
 @pytest.fixture
 def gaussian_forecasts() -> DensitySeries:
     """Five hand-built Gaussian forecasts with varied volatility."""
-    forecasts = []
-    for index, (mean, sigma) in enumerate(
-        [(10.0, 0.5), (10.5, 0.8), (11.0, 1.2), (10.8, 0.6), (10.2, 2.0)]
-    ):
-        forecasts.append(
-            DensityForecast(
-                t=60 + index,
-                mean=mean,
-                distribution=Gaussian(mean, sigma**2),
-                lower=mean - 3 * sigma,
-                upper=mean + 3 * sigma,
-                volatility=sigma,
-            )
-        )
-    return DensitySeries(forecasts)
+    mean = np.array([10.0, 10.5, 11.0, 10.8, 10.2])
+    sigma = np.array([0.5, 0.8, 1.2, 0.6, 2.0])
+    return DensitySeries.from_columns(
+        np.arange(60, 65),
+        mean,
+        sigma,
+        mean - 3 * sigma,
+        mean + 3 * sigma,
+        variance=sigma**2,
+    )
 
 
 @pytest.fixture(scope="module")

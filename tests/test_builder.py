@@ -5,24 +5,30 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.distributions.gaussian import Gaussian
-from repro.distributions.uniform import Uniform
+from repro.distributions import gaussian_cdf
 from repro.exceptions import InvalidParameterError
-from repro.metrics.base import DensityForecast, DensitySeries
+from repro.metrics.base import DensitySeries
 from repro.view.builder import ViewBuilder
-from repro.view.omega import OmegaGrid, OmegaRange
+from repro.view.omega import OmegaGrid
 from repro.view.sigma_cache import SigmaCache
 
 
 def _row(builder, forecast):
-    """``builder``'s eq. (9) row for one forecast, through ``build_matrix``."""
-    return builder.build_matrix(DensitySeries([forecast])).row(0)
+    """``builder``'s eq. (9) row for a one-row series, through ``build_matrix``."""
+    return builder.build_matrix(forecast).row(0)
 
 
 def _gaussian_forecast(t=0, mean=10.0, sigma=1.0):
-    return DensityForecast(
-        t=t, mean=mean, distribution=Gaussian(mean, sigma**2),
-        lower=mean - 3 * sigma, upper=mean + 3 * sigma, volatility=sigma,
+    return DensitySeries.from_columns(
+        [t], [mean], [sigma], [mean - 3 * sigma], [mean + 3 * sigma],
+        variance=[sigma**2],
+    )
+
+
+def _uniform_forecast(t=0):
+    """``U(1, 3)`` about mean 2."""
+    return DensitySeries.from_columns(
+        [t], [2.0], [np.sqrt(4.0 / 12.0)], [1.0], [3.0], family="uniform"
     )
 
 
@@ -32,10 +38,7 @@ class TestNaivePath:
         grid = OmegaGrid(delta=1.0, n=4)
         forecast = _gaussian_forecast(mean=5.0, sigma=2.0)
         row = _row(ViewBuilder(grid), forecast)
-        g = forecast.distribution
-        expected = [
-            g.prob(3.0, 4.0), g.prob(4.0, 5.0), g.prob(5.0, 6.0), g.prob(6.0, 7.0)
-        ]
+        expected = np.diff(gaussian_cdf([3.0, 4.0, 5.0, 6.0, 7.0], 5.0, 2.0))
         np.testing.assert_allclose(row.probabilities, expected, atol=1e-12)
 
     def test_probabilities_sum_below_one(self):
@@ -57,11 +60,7 @@ class TestNaivePath:
 
     def test_uniform_forecast_supported(self):
         grid = OmegaGrid(delta=0.5, n=4)
-        forecast = DensityForecast(
-            t=0, mean=2.0, distribution=Uniform(1.0, 3.0),
-            lower=1.0, upper=3.0, volatility=Uniform(1.0, 3.0).std(),
-        )
-        row = _row(ViewBuilder(grid), forecast)
+        row = _row(ViewBuilder(grid), _uniform_forecast())
         assert row.total_mass == pytest.approx(1.0, abs=1e-12)
 
     def test_rows_for_series(self, gaussian_forecasts):
@@ -102,14 +101,10 @@ class TestCachedPath:
 
     def test_uniform_forecast_bypasses_the_cache(self):
         grid = OmegaGrid(delta=0.5, n=4)
-        forecasts = DensitySeries([_gaussian_forecast(t=0)])
         builder = ViewBuilder(grid).with_cache_for(
-            forecasts, distance_constraint=0.05
+            _gaussian_forecast(t=0), distance_constraint=0.05
         )
-        uniform_forecast = DensityForecast(
-            t=1, mean=2.0, distribution=Uniform(1.0, 3.0),
-            lower=1.0, upper=3.0, volatility=Uniform(1.0, 3.0).std(),
-        )
+        uniform_forecast = _uniform_forecast(t=1)
         row = _row(builder, uniform_forecast)
         assert row.total_mass == pytest.approx(1.0, abs=1e-12)
         assert np.array_equal(
@@ -124,25 +119,3 @@ class TestCachedPath:
         sigmas = gaussian_forecasts.volatilities
         assert builder.cache.min_sigma == pytest.approx(float(sigmas.min()))
         assert builder.cache.max_sigma == pytest.approx(float(sigmas.max()))
-
-
-class TestCustomRanges:
-    def test_room_probabilities(self):
-        """The Fig. 1 scenario: probability of each room for a position."""
-        forecast = _gaussian_forecast(mean=1.0, sigma=1.0)
-        rooms = [
-            OmegaRange(-2.0, 0.0, label="room 1"),
-            OmegaRange(0.0, 2.0, label="room 2"),
-            OmegaRange(2.0, 4.0, label="room 3"),
-        ]
-        probabilities = ViewBuilder.probabilities_for_ranges(forecast, rooms)
-        assert probabilities["room 2"] > probabilities["room 1"]
-        assert probabilities["room 2"] > probabilities["room 3"]
-        assert sum(probabilities.values()) <= 1.0 + 1e-9
-
-    def test_unlabelled_ranges_get_indices(self):
-        forecast = _gaussian_forecast()
-        out = ViewBuilder.probabilities_for_ranges(
-            forecast, [OmegaRange(9.0, 10.0), OmegaRange(10.0, 11.0)]
-        )
-        assert set(out) == {"omega_0", "omega_1"}

@@ -4,14 +4,15 @@ The columnar engine (``infer_batch`` + ``build_matrix`` + array-backed
 ``ProbabilisticView`` + vectorised queries) must replicate the seed
 row-at-a-time semantics tuple for tuple.  The reference implementations
 below are owned by these tests: one model fit or recursion per window, one
-CDF evaluation per forecast object (eq. 9), one ``ProbTuple`` per range,
-Python loops per query — and every batch result is checked against them
-across Gaussian, uniform, and mixed density series, however the series was
-built, with and without the sigma-cache.
+CDF evaluation per row over that row's own columns (eq. 9), one
+``ProbTuple`` per range, Python loops per query — and every batch result is
+checked against them across Gaussian, uniform, and mixed density series,
+however the series was built, with and without the sigma-cache.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
@@ -31,9 +32,14 @@ from repro.db.stream_queries import (
     exceedance_probability,
     sustained_exceedance_probability,
 )
-from repro.distributions.gaussian import Gaussian
-from repro.distributions.uniform import Uniform
-from repro.metrics.base import DensityForecast, DensitySeries, variance_floor
+from repro.distributions import gaussian_cdf, uniform_cdf
+from repro.metrics.base import (
+    GAUSSIAN,
+    UNIFORM,
+    DensityForecast,
+    DensitySeries,
+    variance_floor,
+)
 from repro.metrics.ewma import EWMAMetric
 from repro.metrics.uniform_threshold import UniformThresholdingMetric
 from repro.metrics.variable_threshold import VariableThresholdingMetric
@@ -56,42 +62,38 @@ def _gaussian_series(count: int = 60) -> DensitySeries:
     rng = np.random.default_rng(7)
     means = 20.0 + np.cumsum(rng.normal(0.0, 0.3, size=count))
     sigmas = rng.uniform(0.4, 2.5, size=count)
-    return DensitySeries([
-        DensityForecast(
-            t=index, mean=float(m), distribution=Gaussian(float(m), float(s) ** 2),
-            lower=float(m - 3 * s), upper=float(m + 3 * s), volatility=float(s),
-        )
-        for index, (m, s) in enumerate(zip(means, sigmas))
-    ])
+    return DensitySeries.from_columns(
+        np.arange(count), means, sigmas, means - 3 * sigmas, means + 3 * sigmas,
+        variance=sigmas**2,
+    )
 
 
 def _uniform_series(count: int = 60) -> DensitySeries:
     rng = np.random.default_rng(8)
     means = 5.0 + np.cumsum(rng.normal(0.0, 0.2, size=count))
     half_widths = rng.uniform(0.5, 2.0, size=count)
-    forecasts = []
-    for index, (m, u) in enumerate(zip(means, half_widths)):
-        distribution = Uniform(float(m - u), float(m + u))
-        forecasts.append(DensityForecast(
-            t=index, mean=float(m), distribution=distribution,
-            lower=distribution.low, upper=distribution.high,
-            volatility=distribution.std(),
-        ))
-    return DensitySeries(forecasts)
+    lower, upper = means - half_widths, means + half_widths
+    variance = (upper - lower) ** 2 / 12.0
+    return DensitySeries.from_columns(
+        np.arange(count), means, np.sqrt(variance), lower, upper,
+        family="uniform", variance=variance,
+    )
 
 
 def _mixed_series(count: int = 60) -> DensitySeries:
+    """Even rows from the Gaussian series, odd rows from the uniform one."""
     gaussian = _gaussian_series(count)
     uniform = _uniform_series(count)
-    forecasts = []
-    for index in range(count):
-        source = gaussian[index] if index % 2 == 0 else uniform[index]
-        forecasts.append(DensityForecast(
-            t=index, mean=source.mean, distribution=source.distribution,
-            lower=source.lower, upper=source.upper,
-            volatility=source.volatility,
-        ))
-    return DensitySeries(forecasts)
+    family = np.arange(count) % 2
+    odd = family == UNIFORM
+
+    def pick(name):
+        return np.where(odd, getattr(uniform, name), getattr(gaussian, name))
+
+    return DensitySeries.from_columns(
+        np.arange(count), pick("means"), pick("volatilities"), pick("lowers"),
+        pick("uppers"), family=family, variance=pick("variances"),
+    )
 
 
 _SERIES = {
@@ -101,16 +103,22 @@ _SERIES = {
 }
 
 
+def _row_cdf(forecast, x):
+    """Test-owned per-row CDF: the row's own family over its own columns."""
+    if forecast.family_code == GAUSSIAN:
+        return gaussian_cdf(x, forecast.mean, np.sqrt(forecast.variance))
+    return uniform_cdf(x, forecast.lower, forecast.upper)
+
+
 def _eq9_rows(forecasts, builder, grid) -> np.ndarray:
-    """Test-owned eq. (9): each forecast's row from its own distribution,
-    ``diff(P_t(edges))``, or the cache's row for a cached Gaussian."""
+    """Test-owned eq. (9): each row's ``diff(P_t(edges))`` from its own
+    columns, or the cache's row for a cached Gaussian."""
     rows = []
     for forecast in forecasts:
-        if builder.cache is not None and isinstance(forecast.distribution, Gaussian):
+        if builder.cache is not None and forecast.family_code == GAUSSIAN:
             rows.append(builder.cache.probability_row(forecast.volatility))
         else:
-            edges = grid.edges_around(forecast.mean)
-            rows.append(np.diff(forecast.distribution.cdf(edges)))
+            rows.append(np.diff(_row_cdf(forecast, grid.edges_around(forecast.mean))))
     return np.array(rows).reshape(len(rows), grid.n)
 
 
@@ -127,30 +135,27 @@ def _seed_view(name, forecasts, builder, grid) -> ProbabilisticView:
     return ProbabilisticView(name, tuples)
 
 
-def _column_built(forecasts, _tmp_path) -> DensitySeries:
-    """The same rows through ``from_columns``, read off the objects."""
+def _from_records(forecasts, _tmp_path=None) -> DensitySeries:
+    """The same rows rebuilt through ``from_columns`` from their records."""
     return DensitySeries.from_columns(
         [f.t for f in forecasts],
         [f.mean for f in forecasts],
         [f.volatility for f in forecasts],
         [f.lower for f in forecasts],
         [f.upper for f in forecasts],
-        family=np.array([
-            0 if isinstance(f.distribution, Gaussian) else 1 for f in forecasts
-        ]),
-        variance=[f.distribution.variance() for f in forecasts],
+        family=[f.family_code for f in forecasts],
+        variance=[f.variance for f in forecasts],
     )
 
 
 def _npz_loaded(forecasts, tmp_path) -> DensitySeries:
     path = tmp_path / "series.npz"
-    save_density_series_npz(DensitySeries(forecasts), path)
+    save_density_series_npz(forecasts, path)
     return load_density_series_npz(path)
 
 
 _ROUTES = {
-    "objects": lambda forecasts, _tmp_path: DensitySeries(forecasts),
-    "columns": _column_built,
+    "columns": _from_records,
     "npz": _npz_loaded,
 }
 
@@ -160,24 +165,25 @@ _ROUTES = {
 @pytest.mark.parametrize("cached", [False, True])
 def test_build_matrix_and_pit_bit_equal_eq9(kind, route, cached, tmp_path):
     """Every build route of every family gives eq. (9) rows and PIT values
-    bit-equal to per-object evaluation of the forecasts' distributions."""
-    objects = list(_SERIES[kind]())
-    forecasts = _ROUTES[route](objects, tmp_path)
+    bit-equal to per-row evaluation of each row's own density."""
+    series = _SERIES[kind]()
+    rows = list(series)
+    forecasts = _ROUTES[route](series, tmp_path)
     grid = OmegaGrid(delta=0.25, n=8)
     builder = ViewBuilder(grid)
     if cached:
         builder = builder.with_cache_for(forecasts, distance_constraint=0.05)
     assert np.array_equal(
         builder.build_matrix(forecasts).probabilities,
-        _eq9_rows(objects, builder, grid),
+        _eq9_rows(rows, builder, grid),
     )
     rng = np.random.default_rng(9)
     realised = TimeSeries(
-        np.array([f.mean for f in objects]) + rng.normal(0.0, 1.5, len(objects))
+        np.array([f.mean for f in rows]) + rng.normal(0.0, 1.5, len(rows))
     )
     assert np.array_equal(
         forecasts.pit(realised),
-        np.array([f.distribution.cdf(realised[f.t]) for f in objects]),
+        np.array([_row_cdf(f, realised[f.t]) for f in rows]),
     )
 
 
@@ -304,19 +310,19 @@ def _variable_threshold_reference(metric, window, t):
 def _uniform_threshold_reference(metric, window, t):
     """The seed uniform thresholding: one ARMA fit, a centred uniform."""
     mean = ARMAModel(metric.p, metric.q).fit(window).predict_next()
-    distribution = Uniform.centered(mean, metric.threshold)
+    low, high = mean - metric.threshold, mean + metric.threshold
+    variance = (high - low) ** 2 / 12.0
     return DensityForecast(
-        t=t, mean=mean, distribution=distribution, lower=distribution.low,
-        upper=distribution.high, volatility=distribution.std(),
+        t=t, mean=mean, volatility=math.sqrt(variance), lower=low, upper=high,
+        family_code=UNIFORM, variance=variance,
     )
 
 
 def _gaussian_reference(t, mean, variance, kappa):
-    distribution = Gaussian(mean, variance)
-    sigma = distribution.std()
+    sigma = math.sqrt(variance)
     return DensityForecast(
-        t=t, mean=mean, distribution=distribution, lower=mean - kappa * sigma,
-        upper=mean + kappa * sigma, volatility=sigma,
+        t=t, mean=mean, volatility=sigma, lower=mean - kappa * sigma,
+        upper=mean + kappa * sigma, family_code=GAUSSIAN, variance=variance,
     )
 
 
@@ -328,7 +334,7 @@ def _gaussian_reference(t, mean, variance, kappa):
 def test_vectorised_infer_batch_matches_loop(metric, reference):
     series = campus_temperature(400, rng=3)
     batch = metric.run(series, 40, step=2)
-    loop = DensitySeries([
+    loop = _from_records([
         reference(metric, window, t)
         for t, window in series.iter_windows(40, step=2)
     ])
@@ -337,13 +343,10 @@ def test_vectorised_infer_batch_matches_loop(metric, reference):
     np.testing.assert_allclose(batch.volatilities, loop.volatilities, atol=1e-9)
     np.testing.assert_allclose(batch.lowers, loop.lowers, atol=1e-9)
     np.testing.assert_allclose(batch.uppers, loop.uppers, atol=1e-9)
-    for a, b in zip(batch, loop):
-        assert type(a.distribution) is type(b.distribution)
+    assert np.array_equal(batch.family_codes, loop.family_codes)
 
-    # Vectorised PIT equals per-object CDF evaluation.
-    legacy_pit = np.array([
-        forecast.distribution.cdf(series[forecast.t]) for forecast in batch
-    ])
+    # Vectorised PIT equals per-row CDF evaluation.
+    legacy_pit = np.array([_row_cdf(f, series[f.t]) for f in batch])
     np.testing.assert_allclose(batch.pit(series), legacy_pit, atol=1e-15)
 
 

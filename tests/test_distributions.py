@@ -1,4 +1,4 @@
-"""Tests for the Gaussian, Uniform and Histogram distributions."""
+"""Tests for the two vectorised density CDFs, ``gaussian_cdf`` and ``uniform_cdf``."""
 
 from __future__ import annotations
 
@@ -7,158 +7,46 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.distributions.gaussian import Gaussian
-from repro.distributions.histogram import HistogramDistribution
-from repro.distributions.uniform import Uniform
-from repro.exceptions import DataError, InvalidParameterError
+from repro.distributions import gaussian_cdf, uniform_cdf
 
 
-class TestGaussian:
-    def test_moments(self):
-        g = Gaussian(3.0, 4.0)
-        assert g.mean() == 3.0
-        assert g.variance() == 4.0
-        assert g.std() == 2.0
-
-    def test_cdf_symmetry(self):
-        g = Gaussian(1.0, 2.0)
-        assert g.cdf(1.0) == pytest.approx(0.5)
-        assert g.cdf(0.0) + g.cdf(2.0) == pytest.approx(1.0)
+class TestGaussianCdf:
+    def test_symmetry(self):
+        sigma = np.sqrt(2.0)
+        assert gaussian_cdf(1.0, 1.0, sigma) == pytest.approx(0.5)
+        total = gaussian_cdf(0.0, 1.0, sigma) + gaussian_cdf(2.0, 1.0, sigma)
+        assert total == pytest.approx(1.0)
 
     def test_three_sigma_rule(self):
-        g = Gaussian(0.0, 1.0)
-        assert g.prob(-3.0, 3.0) == pytest.approx(0.9973, abs=1e-4)
-
-    def test_ppf_inverts_cdf(self):
-        g = Gaussian(-2.0, 9.0)
-        for u in (0.01, 0.25, 0.5, 0.75, 0.99):
-            assert g.cdf(g.ppf(u)) == pytest.approx(u, abs=1e-10)
-
-    def test_pdf_integrates_to_one(self):
-        g = Gaussian(5.0, 0.25)
-        x = np.linspace(0.0, 10.0, 20001)
-        integral = np.trapezoid(g.pdf(x), x)
-        assert integral == pytest.approx(1.0, abs=1e-6)
+        mass = gaussian_cdf(3.0, 0.0, 1.0) - gaussian_cdf(-3.0, 0.0, 1.0)
+        assert mass == pytest.approx(0.9973, abs=1e-4)
 
     def test_vectorised_matches_scalar(self):
-        g = Gaussian(0.0, 1.0)
         xs = np.array([-1.0, 0.0, 1.0])
-        np.testing.assert_allclose(g.cdf(xs), [g.cdf(x) for x in xs])
+        np.testing.assert_array_equal(
+            gaussian_cdf(xs, 0.0, 1.0), [gaussian_cdf(x, 0.0, 1.0) for x in xs]
+        )
 
-    def test_interval_coverage(self):
-        g = Gaussian(0.0, 1.0)
-        low, high = g.interval(0.95)
-        assert low == pytest.approx(-1.95996, abs=1e-4)
-        assert high == pytest.approx(1.95996, abs=1e-4)
-
-    def test_invalid_params(self):
-        with pytest.raises(InvalidParameterError):
-            Gaussian(0.0, 0.0)
-        with pytest.raises(InvalidParameterError):
-            Gaussian(float("nan"), 1.0)
-
-    def test_ppf_domain_checked(self):
-        with pytest.raises(InvalidParameterError):
-            Gaussian(0.0, 1.0).ppf(1.5)
-
-    def test_shifted_keeps_variance(self):
-        g = Gaussian(1.0, 4.0).shifted(10.0)
-        assert g.mu == 10.0 and g.sigma2 == 4.0
-
-    def test_equality_and_hash(self):
-        assert Gaussian(1.0, 2.0) == Gaussian(1.0, 2.0)
-        assert hash(Gaussian(1.0, 2.0)) == hash(Gaussian(1.0, 2.0))
-        assert Gaussian(1.0, 2.0) != Gaussian(1.0, 3.0)
-
-    def test_sampling_moments(self):
-        g = Gaussian(2.0, 9.0)
-        samples = g.sample(20000, rng=0)
-        assert np.mean(samples) == pytest.approx(2.0, abs=0.1)
-        assert np.std(samples) == pytest.approx(3.0, abs=0.1)
+    def test_broadcasts_rows_against_edges(self):
+        edges = np.linspace(-2.0, 2.0, 5)
+        sigmas = np.array([0.5, 1.0, 3.0])
+        matrix = gaussian_cdf(edges, 0.0, sigmas[:, None])
+        assert matrix.shape == (3, 5)
+        for row, sigma in zip(matrix, sigmas):
+            np.testing.assert_array_equal(row, gaussian_cdf(edges, 0.0, sigma))
 
 
-class TestUniform:
-    def test_moments(self):
-        u = Uniform(2.0, 6.0)
-        assert u.mean() == 4.0
-        assert u.variance() == pytest.approx(16.0 / 12.0)
+class TestUniformCdf:
+    def test_clamps_outside_support(self):
+        assert uniform_cdf(-1.0, 0.0, 1.0) == 0.0
+        assert uniform_cdf(2.0, 0.0, 1.0) == 1.0
 
-    def test_centered_constructor(self):
-        u = Uniform.centered(10.0, 0.5)
-        assert (u.low, u.high) == (9.5, 10.5)
+    def test_mass_of_subinterval(self):
+        mass = uniform_cdf(2.0, 0.0, 4.0) - uniform_cdf(1.0, 0.0, 4.0)
+        assert mass == pytest.approx(0.25)
 
-    def test_centered_rejects_bad_width(self):
-        with pytest.raises(InvalidParameterError):
-            Uniform.centered(0.0, 0.0)
-
-    def test_cdf_clamps_outside_support(self):
-        u = Uniform(0.0, 1.0)
-        assert u.cdf(-1.0) == 0.0
-        assert u.cdf(2.0) == 1.0
-
-    def test_pdf_zero_outside(self):
-        u = Uniform(0.0, 2.0)
-        assert u.pdf(-0.1) == 0.0
-        assert u.pdf(1.0) == 0.5
-
-    def test_ppf_linear(self):
-        u = Uniform(0.0, 10.0)
-        assert u.ppf(0.3) == pytest.approx(3.0)
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            Uniform(1.0, 1.0)
-
-    def test_prob_of_subinterval(self):
-        u = Uniform(0.0, 4.0)
-        assert u.prob(1.0, 2.0) == pytest.approx(0.25)
-
-
-class TestHistogram:
-    def test_from_samples_basic(self, rng):
-        samples = rng.uniform(0.0, 1.0, size=5000)
-        hist = HistogramDistribution.from_samples(samples, n_bins=10,
-                                                  support=(0.0, 1.0))
-        assert hist.cdf(0.0) == 0.0
-        assert hist.cdf(1.0) == 1.0
-        assert hist.cdf(0.5) == pytest.approx(0.5, abs=0.05)
-
-    def test_cdf_monotone(self, rng):
-        samples = rng.normal(size=500)
-        hist = HistogramDistribution.from_samples(samples, n_bins=15)
-        grid = np.linspace(samples.min(), samples.max(), 100)
-        cdf = hist.cdf(grid)
-        assert np.all(np.diff(cdf) >= -1e-12)
-
-    def test_ppf_inverts_cdf_inside_support(self, rng):
-        samples = rng.normal(size=1000)
-        hist = HistogramDistribution.from_samples(samples, n_bins=20)
-        for u in (0.1, 0.5, 0.9):
-            assert hist.cdf(hist.ppf(u)) == pytest.approx(u, abs=1e-9)
-
-    def test_mean_of_symmetric_samples(self, rng):
-        samples = np.concatenate([rng.normal(-1, 0.1, 500), rng.normal(1, 0.1, 500)])
-        hist = HistogramDistribution.from_samples(samples, n_bins=40)
-        assert hist.mean() == pytest.approx(0.0, abs=0.05)
-
-    def test_degenerate_samples_padded(self):
-        hist = HistogramDistribution.from_samples(np.full(10, 3.0), n_bins=4)
-        # All mass sits in the bin just above 3.0 (support padded to +-0.5);
-        # the interpolated CDF rises from 0 to 1 across that bin.
-        assert hist.cdf(3.1) > 0.0
-        assert hist.cdf(3.5) == 1.0
-
-    def test_explicit_edges_validation(self):
-        with pytest.raises(DataError):
-            HistogramDistribution(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
-        with pytest.raises(DataError):
-            HistogramDistribution(np.array([0.0, 0.0]), np.array([1.0]))
-        with pytest.raises(DataError):
-            HistogramDistribution(np.array([0.0, 1.0]), np.array([-1.0]))
-
-    def test_variance_positive(self, rng):
-        hist = HistogramDistribution.from_samples(rng.normal(size=300), n_bins=10)
-        assert hist.variance() > 0.0
+    def test_linear_inside_support(self):
+        assert uniform_cdf(3.0, 0.0, 10.0) == pytest.approx(0.3)
 
 
 @settings(max_examples=50, deadline=None)
@@ -169,17 +57,20 @@ class TestHistogram:
     b=st.floats(min_value=-50, max_value=50),
 )
 def test_gaussian_cdf_monotone_property(mu, sigma2, a, b):
-    g = Gaussian(mu, sigma2)
+    sigma = np.sqrt(sigma2)
     lo, hi = min(a, b), max(a, b)
-    assert g.cdf(lo) <= g.cdf(hi) + 1e-12
+    assert gaussian_cdf(lo, mu, sigma) <= gaussian_cdf(hi, mu, sigma) + 1e-12
 
 
 @settings(max_examples=50, deadline=None)
 @given(
     low=st.floats(min_value=-100, max_value=99),
     width=st.floats(min_value=1e-3, max_value=100),
-    u=st.floats(min_value=0.0, max_value=1.0),
+    a=st.floats(min_value=-200, max_value=200),
+    b=st.floats(min_value=-200, max_value=200),
 )
-def test_uniform_ppf_cdf_roundtrip_property(low, width, u):
-    dist = Uniform(low, low + width)
-    assert dist.cdf(dist.ppf(u)) == pytest.approx(u, abs=1e-9)
+def test_uniform_cdf_monotone_in_unit_interval_property(low, width, a, b):
+    lo, hi = min(a, b), max(a, b)
+    at_lo = uniform_cdf(lo, low, low + width)
+    at_hi = uniform_cdf(hi, low, low + width)
+    assert 0.0 <= at_lo <= at_hi <= 1.0

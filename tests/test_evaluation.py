@@ -5,15 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.distributions.gaussian import Gaussian
 from repro.evaluation.density_distance import (
     density_distance,
     density_distance_from_pit,
 )
-from repro.evaluation.pit import probability_integral_transform
 from repro.evaluation.volatility_test import engle_arch_test, rolling_arch_test
 from repro.exceptions import DataError, InvalidParameterError
-from repro.metrics.base import DensityForecast, DensitySeries
+from repro.metrics.base import DensitySeries
 from repro.timeseries.garch import GARCHModel, GARCHParams
 from repro.timeseries.series import TimeSeries
 
@@ -23,23 +21,25 @@ def _true_model_forecasts(n, rng):
     sigmas = 0.5 + rng.uniform(0.0, 2.0, size=n)
     means = rng.normal(0.0, 5.0, size=n)
     values = means + sigmas * rng.standard_normal(n)
-    forecasts = [
-        DensityForecast(
-            t=i, mean=float(means[i]),
-            distribution=Gaussian(float(means[i]), float(sigmas[i]) ** 2),
-            lower=float(means[i] - 3 * sigmas[i]),
-            upper=float(means[i] + 3 * sigmas[i]),
-            volatility=float(sigmas[i]),
-        )
-        for i in range(n)
-    ]
-    return DensitySeries(forecasts), TimeSeries(values)
+    forecasts = DensitySeries.from_columns(
+        np.arange(n), means, sigmas, means - 3 * sigmas, means + 3 * sigmas,
+        variance=sigmas**2,
+    )
+    return forecasts, TimeSeries(values)
+
+
+def _inflated(forecasts):
+    """Every variance 25x, the bounds kept."""
+    return DensitySeries.from_columns(
+        forecasts.times, forecasts.means, 5.0 * forecasts.volatilities,
+        forecasts.lowers, forecasts.uppers, variance=25.0 * forecasts.variances,
+    )
 
 
 class TestPIT:
     def test_true_model_gives_uniform_pit(self, rng):
         forecasts, series = _true_model_forecasts(3000, rng)
-        z = probability_integral_transform(forecasts, series)
+        z = forecasts.pit(series)
         # Kolmogorov-Smirnov style check on the empirical CDF.
         grid = np.sort(z)
         uniform = (np.arange(1, z.size + 1)) / z.size
@@ -48,15 +48,8 @@ class TestPIT:
     def test_misscaled_model_gives_clustered_pit(self, rng):
         forecasts, series = _true_model_forecasts(1000, rng)
         # Inflate every variance 25x: transforms cluster around 0.5.
-        inflated = DensitySeries([
-            DensityForecast(
-                t=f.t, mean=f.mean,
-                distribution=Gaussian(f.mean, 25.0 * f.distribution.sigma2),
-                lower=f.lower, upper=f.upper, volatility=5.0 * f.volatility,
-            )
-            for f in forecasts
-        ])
-        z = probability_integral_transform(inflated, series)
+        inflated = _inflated(forecasts)
+        z = inflated.pit(series)
         assert float(np.std(z)) < 0.12
 
 
@@ -76,16 +69,22 @@ class TestDensityDistance:
     def test_better_calibration_scores_lower(self, rng):
         forecasts, series = _true_model_forecasts(2000, rng)
         good = density_distance(forecasts, series)
-        inflated = DensitySeries([
-            DensityForecast(
-                t=f.t, mean=f.mean,
-                distribution=Gaussian(f.mean, 25.0 * f.distribution.sigma2),
-                lower=f.lower, upper=f.upper, volatility=5.0 * f.volatility,
-            )
-            for f in forecasts
-        ])
+        inflated = _inflated(forecasts)
         bad = density_distance(inflated, series)
         assert bad > 3.0 * good
+
+    @pytest.mark.parametrize("n_bins", [2, 10, 100])
+    def test_empirical_cdf_is_the_share_below_each_interior_edge(self, rng, n_bins):
+        edges = np.linspace(0.0, 1.0, n_bins + 1)
+        for z in (
+            rng.uniform(size=500),
+            rng.beta(0.5, 2.0, size=500),
+            np.round(rng.uniform(size=500), 2),
+            rng.choice(edges, size=500),
+        ):
+            observed = np.array([np.mean(z < edge) for edge in edges[1:-1]])
+            expected = np.sqrt(np.sum((edges[1:-1] - observed) ** 2))
+            assert density_distance_from_pit(z, n_bins=n_bins) == expected
 
     def test_out_of_range_pit_rejected(self):
         with pytest.raises(DataError):

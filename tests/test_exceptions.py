@@ -45,12 +45,14 @@ class TestHierarchy:
 class TestCatchability:
     def test_library_errors_caught_as_repro_error(self):
         """A representative error from each subsystem lands under ReproError."""
-        from repro.distributions.gaussian import Gaussian
+        from repro.metrics.base import DensitySeries
         from repro.timeseries.series import TimeSeries
         from repro.view.sql import parse_statement
 
         for trigger in (
-            lambda: Gaussian(0.0, -1.0),
+            lambda: DensitySeries.from_columns(
+                [0], [0.0], [1.0], [-3.0], [3.0], variance=[-1.0]
+            ),
             lambda: TimeSeries([]),
             lambda: parse_statement("nonsense"),
         ):

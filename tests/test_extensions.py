@@ -20,8 +20,9 @@ from repro.evaluation.calibration import (
     ks_uniformity_test,
     pit_histogram,
 )
+from repro.distributions import gaussian_cdf, uniform_cdf
 from repro.exceptions import DataError, InvalidParameterError
-from repro.metrics.base import DensitySeries
+from repro.metrics.base import GAUSSIAN, UNIFORM, DensitySeries
 from repro.metrics.ewma import EWMAMetric
 from repro.metrics.registry import create_metric
 from repro.metrics.uniform_threshold import UniformThresholdingMetric
@@ -121,16 +122,28 @@ def _calibration_series(series, family: str) -> DensitySeries:
         return gaussian
     if family == "uniform":
         return uniform
-    return DensitySeries([
-        g if index % 2 else u
-        for index, (g, u) in enumerate(zip(gaussian, uniform))
-    ])
+    odd = np.arange(len(gaussian)) % 2 == 1
+
+    def pick(g, u):
+        return np.where(odd, g, u)
+
+    return DensitySeries.from_columns(
+        gaussian.times,
+        pick(gaussian.means, uniform.means),
+        pick(gaussian.volatilities, uniform.volatilities),
+        pick(gaussian.lowers, uniform.lowers),
+        pick(gaussian.uppers, uniform.uppers),
+        family=np.where(odd, GAUSSIAN, UNIFORM),
+        variance=pick(gaussian.variances, uniform.volatilities**2),
+    )
 
 
 class TestCoverageCurveColumns:
     def test_empty_series_is_a_data_error(self, campus_series):
         with pytest.raises(DataError):
-            coverage_curve(DensitySeries([]), campus_series)
+            coverage_curve(
+                DensitySeries.from_columns([], [], [], [], []), campus_series
+            )
 
     @pytest.mark.parametrize("family", ["gaussian", "uniform", "mixed"])
     def test_matches_per_forecast_loop(self, campus_series, family):
@@ -141,10 +154,16 @@ class TestCoverageCurveColumns:
             hits = 0
             nominal = 0.0
             for forecast in forecasts:
-                sigma = forecast.distribution.std()
+                sigma = np.sqrt(forecast.variance)
                 low = forecast.mean - kappa * sigma
                 high = forecast.mean + kappa * sigma
-                nominal += forecast.distribution.prob(low, high)
+                if forecast.family_code == GAUSSIAN:
+                    cdf = gaussian_cdf(np.array([low, high]), forecast.mean, sigma)
+                else:
+                    cdf = uniform_cdf(
+                        np.array([low, high]), forecast.lower, forecast.upper
+                    )
+                nominal += cdf[1] - cdf[0]
                 hits += low <= campus_series[forecast.t] <= high
             assert row["kappa"] == kappa
             assert abs(row["nominal"] - nominal / len(forecasts)) <= 1e-12

@@ -122,8 +122,6 @@ class TestRoomTracking:
     """The motivating Alice example of the paper's Fig. 1."""
 
     def test_room_probabilities_sum_and_locate(self):
-        from repro.view.builder import ViewBuilder
-        from repro.view.omega import OmegaRange
         from repro.metrics.variable_threshold import VariableThresholdingMetric
 
         rng = np.random.default_rng(30)
@@ -134,13 +132,9 @@ class TestRoomTracking:
         series = TimeSeries(x, name="alice-x")
         metric = VariableThresholdingMetric()
         forecasts = metric.run(series, H=30)
-        rooms = [
-            OmegaRange(0.0, 2.0, label="room 1"),
-            OmegaRange(2.0, 4.0, label="room 2"),
-        ]
-        early = ViewBuilder.probabilities_for_ranges(forecasts[0], rooms)
-        late = ViewBuilder.probabilities_for_ranges(forecasts[-1], rooms)
-        assert early["room 1"] > early["room 2"]
-        assert late["room 2"] > late["room 1"]
-        for probs in (early, late):
-            assert sum(probs.values()) <= 1.0 + 1e-9
+        # P(room) per time: the forecast CDF columns at the room's walls.
+        walls = [forecasts.cdf(np.full(len(forecasts), x)) for x in (0.0, 2.0, 4.0)]
+        room_1, room_2 = walls[1] - walls[0], walls[2] - walls[1]
+        assert room_1[0] > room_2[0]
+        assert room_2[-1] > room_1[-1]
+        assert np.all(room_1 + room_2 <= 1.0 + 1e-9)

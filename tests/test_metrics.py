@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from repro.data.synthetic import campus_temperature
-from repro.distributions.gaussian import Gaussian
-from repro.distributions.histogram import HistogramDistribution
-from repro.distributions.uniform import Uniform
+from repro.evaluation.calibration import coverage_curve
 from repro.exceptions import DataError, InvalidParameterError
 from repro.metrics.arma_garch import ARMAGARCHMetric
-from repro.metrics.base import DensityForecast, DensitySeries
+from repro.metrics.base import GAUSSIAN, UNIFORM, DensityForecast, DensitySeries
 from repro.metrics.kalman_garch import KalmanGARCHMetric
 from repro.metrics.registry import available_metrics, create_metric, register_metric
 from repro.metrics.uniform_threshold import UniformThresholdingMetric
@@ -29,8 +27,8 @@ _REQUIRED_PARAMS = {
 class TestDensityForecast:
     def test_contains(self):
         forecast = DensityForecast(
-            t=0, mean=1.0, distribution=Gaussian(1.0, 1.0),
-            lower=0.0, upper=2.0, volatility=1.0,
+            t=0, mean=1.0, volatility=1.0, lower=0.0, upper=2.0,
+            family_code=GAUSSIAN, variance=1.0,
         )
         assert forecast.contains(1.5)
         assert not forecast.contains(2.5)
@@ -39,15 +37,27 @@ class TestDensityForecast:
 class TestDensitySeries:
     def test_ordering_enforced(self):
         def make(t):
-            return DensityForecast(
-                t=t, mean=0.0, distribution=Gaussian(0.0, 1.0),
-                lower=-3, upper=3, volatility=1.0,
+            return DensitySeries.from_columns(
+                t, [0.0, 0.0], [1.0, 1.0], [-3.0, -3.0], [3.0, 3.0]
             )
 
         with pytest.raises(DataError):
-            DensitySeries([make(5), make(5)])
+            make([5, 5])
         with pytest.raises(DataError):
-            DensitySeries([make(5), make(3)])
+            make([5, 3])
+
+    def test_from_columns_is_the_constructor(self, gaussian_forecasts):
+        with pytest.raises(TypeError):
+            DensitySeries(list(gaussian_forecasts))
+
+    def test_rows_are_records_of_the_columns(self, gaussian_forecasts):
+        rows = list(gaussian_forecasts)
+        assert [f.t for f in rows] == gaussian_forecasts.times.tolist()
+        assert [f.mean for f in rows] == gaussian_forecasts.means.tolist()
+        assert [f.variance for f in rows] == gaussian_forecasts.variances.tolist()
+        assert {f.family_code for f in rows} == {GAUSSIAN}
+        assert gaussian_forecasts[-1] == rows[-1]
+        assert gaussian_forecasts[1:3] == rows[1:3]
 
     def test_vector_views(self, gaussian_forecasts):
         assert gaussian_forecasts.means.shape == (5,)
@@ -56,7 +66,14 @@ class TestDensitySeries:
         # A time-range selection (a WHERE t BETWEEN 61 AND 63) is a slice
         # of the sorted time column.
         lo, hi = np.searchsorted(gaussian_forecasts.times, [61, 63])
-        window = DensitySeries(gaussian_forecasts[lo : hi + 1])
+        window = DensitySeries.from_columns(*(
+            column[lo : hi + 1]
+            for column in (
+                gaussian_forecasts.times, gaussian_forecasts.means,
+                gaussian_forecasts.volatilities, gaussian_forecasts.lowers,
+                gaussian_forecasts.uppers,
+            )
+        ))
         assert list(window.times) == [61, 62, 63]
         np.testing.assert_array_equal(
             window.means, gaussian_forecasts.means[lo : hi + 1]
@@ -69,13 +86,29 @@ class TestDensitySeries:
         assert np.all((z >= 0.0) & (z <= 1.0))
 
     def test_pit_needs_realised_values(self):
-        forecast = DensityForecast(
-            t=100, mean=0.0, distribution=Gaussian(0.0, 1.0),
-            lower=-3, upper=3, volatility=1.0,
-        )
+        forecast = DensitySeries.from_columns([100], [0.0], [1.0], [-3.0], [3.0])
         short = TimeSeries(np.zeros(10) + np.arange(10))
         with pytest.raises(DataError):
-            DensitySeries([forecast]).pit(short)
+            forecast.pit(short)
+
+    @pytest.mark.parametrize("times", [[-1, 2], [5, 20]], ids=["negative", "past_end"])
+    @pytest.mark.parametrize(
+        "consumer",
+        [
+            lambda forecasts, series: forecasts.pit(series),
+            lambda forecasts, series: forecasts.coverage(series),
+            lambda forecasts, series: coverage_curve(forecasts, series),
+        ],
+        ids=["pit", "coverage", "coverage_curve"],
+    )
+    def test_times_outside_the_series_are_refused(self, times, consumer):
+        """A time with no realised value is a DataError, never scored
+        against another time's value (t = -1 is not the last value)."""
+        forecasts = DensitySeries.from_columns(
+            times, [4.0, 5.0], [1.0, 1.0], [3.0, 4.0], [5.0, 6.0]
+        )
+        with pytest.raises(DataError, match="no realised value"):
+            consumer(forecasts, TimeSeries(np.arange(10.0)))
 
     def test_coverage(self, simple_series):
         metric = VariableThresholdingMetric(kappa=3.0)
@@ -106,14 +139,6 @@ class TestDensitySeriesConstruction:
         with pytest.raises(DataError, match="'t'"):
             DensitySeries.from_columns(**self._columns(t=t))
 
-    def test_non_integral_object_times_are_refused(self):
-        forecast = DensityForecast(
-            t=3.5, mean=0.0, distribution=Gaussian(0.0, 1.0),
-            lower=-3.0, upper=3.0, volatility=1.0,
-        )
-        with pytest.raises(DataError, match="'t'"):
-            DensitySeries([forecast])
-
     def test_whole_float_times_cast_exactly(self):
         series = DensitySeries.from_columns(**self._columns(t=np.array([3.0, 4.0])))
         assert series.times.dtype == np.int64
@@ -131,8 +156,8 @@ class TestDensitySeriesConstruction:
             **self._columns(), family=np.array([1.0, 0.0])
         )
         assert series.family_codes.dtype == np.int8
-        assert isinstance(series[0].distribution, Uniform)
-        assert isinstance(series[1].distribution, Gaussian)
+        assert series[0].family_code == UNIFORM
+        assert series[1].family_code == GAUSSIAN
 
     @pytest.mark.parametrize("upper", [-5.0, -6.0, np.inf])
     def test_uniform_row_needs_upper_above_lower(self, upper):
@@ -153,41 +178,12 @@ class TestDensitySeriesConstruction:
         with pytest.raises(InvalidParameterError):
             DensitySeries.from_columns(**self._columns(**overrides))
 
-    def test_unstorable_family_rejected(self):
-        histogram = HistogramDistribution(
-            edges=np.array([0.0, 1.0, 2.0]), counts=np.array([1.0, 1.0])
+    def test_rows_keep_their_variance(self):
+        """A Gaussian row's exact variance, not ``volatility ** 2``."""
+        series = DensitySeries.from_columns(
+            [0], [1.0], [0.3], [-0.9], [2.9], variance=[0.1]
         )
-        forecast = DensityForecast(
-            t=0, mean=1.0, distribution=histogram, lower=0.0, upper=2.0,
-            volatility=histogram.std(),
-        )
-        with pytest.raises(InvalidParameterError, match="HistogramDistribution"):
-            DensitySeries([forecast])
-
-    def test_gaussian_mu_must_be_the_mean(self):
-        forecast = DensityForecast(
-            t=0, mean=1.5, distribution=Gaussian(1.0, 4.0),
-            lower=-5.0, upper=7.0, volatility=2.0,
-        )
-        with pytest.raises(InvalidParameterError, match="mean"):
-            DensitySeries([forecast])
-
-    def test_uniform_support_must_be_the_bounds(self):
-        forecast = DensityForecast(
-            t=0, mean=2.0, distribution=Uniform(1.0, 3.0),
-            lower=0.0, upper=3.0, volatility=Uniform(1.0, 3.0).std(),
-        )
-        with pytest.raises(InvalidParameterError, match="bounds"):
-            DensitySeries([forecast])
-
-    def test_object_built_rows_keep_their_variance(self):
-        """A Gaussian's exact variance survives the conversion to columns."""
-        forecast = DensityForecast(
-            t=0, mean=1.0, distribution=Gaussian(1.0, 0.1),
-            lower=-0.9, upper=2.9, volatility=0.3,
-        )
-        series = DensitySeries([forecast])
-        assert series.variances.tolist() == [0.1]
+        assert series[0].variance == 0.1
         _mask, _mu, sigma = series.gaussian_params()
         assert sigma[0] == np.sqrt(0.1)
 
@@ -196,9 +192,9 @@ class TestUniformThresholding:
     def test_emits_uniform_centred_on_forecast(self, simple_series):
         metric = UniformThresholdingMetric(threshold=0.5)
         forecast = metric.infer(simple_series.values[:60], t=60)
-        assert isinstance(forecast.distribution, Uniform)
+        assert forecast.family_code == UNIFORM
         assert forecast.upper - forecast.lower == pytest.approx(1.0)
-        assert forecast.distribution.mean() == pytest.approx(forecast.mean)
+        assert (forecast.lower + forecast.upper) / 2 == pytest.approx(forecast.mean)
 
     def test_threshold_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -216,7 +212,7 @@ class TestVariableThresholding:
         window = rng.normal(10.0, 2.0, size=80)
         metric = VariableThresholdingMetric()
         forecast = metric.infer(window, t=80)
-        assert isinstance(forecast.distribution, Gaussian)
+        assert forecast.family_code == GAUSSIAN
         assert forecast.volatility == pytest.approx(np.std(window, ddof=1), rel=1e-6)
 
     def test_constant_window_variance_floored(self):
@@ -237,7 +233,7 @@ class TestARMAGARCH:
     def test_gaussian_output_with_positive_volatility(self, campus_series):
         metric = ARMAGARCHMetric()
         forecast = metric.infer(campus_series.values[:80], t=80)
-        assert isinstance(forecast.distribution, Gaussian)
+        assert forecast.family_code == GAUSSIAN
         assert forecast.volatility > 0.0
         assert forecast.lower < forecast.mean < forecast.upper
 
@@ -284,7 +280,7 @@ class TestKalmanGARCH:
     def test_gaussian_output(self, campus_series):
         metric = KalmanGARCHMetric(em_max_iter=5)
         forecast = metric.infer(campus_series.values[:60], t=60)
-        assert isinstance(forecast.distribution, Gaussian)
+        assert forecast.family_code == GAUSSIAN
         assert forecast.volatility > 0.0
 
     def test_tracks_level(self, rng):

@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.distributions import gaussian_cdf
 from repro.metrics.arma_garch import ARMAGARCHMetric
 from repro.metrics.ewma import EWMAMetric
 from repro.metrics.variable_threshold import VariableThresholdingMetric
@@ -117,8 +118,9 @@ def test_metrics_emit_valid_densities_on_any_window(window):
         assert forecast.volatility > 0
         assert forecast.lower <= forecast.mean <= forecast.upper
         # CDF sanity at the bounds.
-        cdf_low = forecast.distribution.cdf(forecast.lower)
-        cdf_high = forecast.distribution.cdf(forecast.upper)
+        sigma = np.sqrt(forecast.variance)
+        cdf_low = gaussian_cdf(forecast.lower, forecast.mean, sigma)
+        cdf_high = gaussian_cdf(forecast.upper, forecast.mean, sigma)
         assert 0.0 <= cdf_low <= cdf_high <= 1.0
 
 
@@ -135,5 +137,8 @@ def test_kappa_bound_probability_matches_gaussian(window, kappa):
     metric = VariableThresholdingMetric(kappa=kappa)
     forecast = metric.infer(window, t=len(window))
     expected = 2.0 * scipy_stats.norm.cdf(kappa) - 1.0
-    actual = forecast.distribution.prob(forecast.lower, forecast.upper)
+    sigma = np.sqrt(forecast.variance)
+    actual = gaussian_cdf(forecast.upper, forecast.mean, sigma) - gaussian_cdf(
+        forecast.lower, forecast.mean, sigma
+    )
     assert actual == pytest.approx(expected, abs=1e-9)

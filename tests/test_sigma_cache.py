@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.distributions.gaussian import Gaussian
+from repro.distributions import gaussian_cdf
 from repro.exceptions import CacheConstraintError, InvalidParameterError
 from repro.view.hellinger import hellinger_distance
 from repro.view.omega import OmegaGrid
@@ -68,13 +68,13 @@ class TestConstruction:
 
 class TestLookup:
     def test_exact_key_row_matches_direct_computation(self):
+        """Every stored row is bit-equal to its own key's CDF differences."""
         grid = _grid()
         cache = SigmaCache(grid, 1.0, 10.0, distance_constraint=0.01)
-        sigma = float(cache.keys()[3])
-        row = cache.probability_row(sigma)
         edges = grid.edges_around(0.0)
-        expected = np.diff(Gaussian(0.0, sigma**2).cdf(edges))
-        np.testing.assert_allclose(row, expected, atol=1e-12)
+        for sigma in cache.keys().tolist():
+            expected = np.diff(gaussian_cdf(edges, 0.0, sigma))
+            np.testing.assert_array_equal(cache.probability_row(sigma), expected)
 
     def test_floor_semantics(self):
         """A queried sigma is served from the greatest key below it."""

@@ -22,15 +22,13 @@ from hypothesis import strategies as st
 import repro
 from repro.data.synthetic import campus_temperature
 from repro.db.prob_view import ProbTuple, ProbabilisticView
-from repro.distributions.gaussian import Gaussian
-from repro.distributions.uniform import Uniform
 from repro.exceptions import (
     DataError,
     QueryError,
     SchemaVersionError,
     StoreError,
 )
-from repro.metrics.base import DensityForecast, DensitySeries
+from repro.metrics.base import GAUSSIAN, UNIFORM, DensitySeries
 from repro.metrics.variable_threshold import VariableThresholdingMetric
 from repro.pipeline import create_probabilistic_view
 from repro.store import (
@@ -183,7 +181,7 @@ class TestDensitySeriesNpz:
         assert np.array_equal(loaded.volatilities, forecasts.volatilities)
         assert np.array_equal(loaded.lowers, forecasts.lowers)
         assert np.array_equal(loaded.uppers, forecasts.uppers)
-        assert isinstance(loaded[0].distribution, Gaussian)
+        assert loaded[0].family_code == GAUSSIAN
         # A view built from the stored densities equals one built from
         # the live forecasts.
         builder = ViewBuilder(OmegaGrid(delta=0.5, n=6))
@@ -207,23 +205,20 @@ class TestDensitySeriesNpz:
         loaded = load_density_series_npz(path)
         assert np.array_equal(loaded.variances, variance)
         for index in range(4):
-            assert loaded[index].distribution.sigma2 == variance[index]
+            assert loaded[index].variance == variance[index]
 
     def test_mixed_family_round_trip(self, tmp_path):
-        forecasts = DensitySeries([
-            DensityForecast(t=0, mean=1.0, distribution=Gaussian(1.0, 4.0),
-                            lower=-5.0, upper=7.0, volatility=2.0),
-            DensityForecast(t=1, mean=2.0, distribution=Uniform(1.0, 3.0),
-                            lower=1.0, upper=3.0,
-                            volatility=Uniform(1.0, 3.0).std()),
-        ])
+        forecasts = DensitySeries.from_columns(
+            [0, 1], [1.0, 2.0], [2.0, np.sqrt(4.0 / 12.0)], [-5.0, 1.0],
+            [7.0, 3.0], family=[GAUSSIAN, UNIFORM], variance=[4.0, 4.0 / 12.0],
+        )
         path = tmp_path / "mixed.npz"
         save_density_series_npz(forecasts, path)
         loaded = load_density_series_npz(path)
-        assert isinstance(loaded[0].distribution, Gaussian)
-        assert isinstance(loaded[1].distribution, Uniform)
-        assert loaded[1].distribution.low == 1.0
-        assert loaded[1].distribution.high == 3.0
+        assert loaded[0].family_code == GAUSSIAN
+        assert loaded[1].family_code == UNIFORM
+        assert loaded[1].lower == 1.0
+        assert loaded[1].upper == 3.0
 
     def test_non_integral_family_codes_are_refused(self, tmp_path):
         """A ``family_code`` of 1.5 must not load as a Uniform row."""

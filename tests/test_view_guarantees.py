@@ -13,21 +13,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db.prob_view import ProbabilisticView
-from repro.distributions.gaussian import Gaussian
-from repro.metrics.base import DensityForecast, DensitySeries
+from repro.metrics.base import DensitySeries
 from repro.metrics.variable_threshold import VariableThresholdingMetric
 from repro.view.builder import ViewBuilder
 from repro.view.omega import OmegaGrid
 
 
 def _forecasts_with_sigmas(sigmas: list[float]) -> DensitySeries:
-    return DensitySeries([
-        DensityForecast(
-            t=index, mean=10.0, distribution=Gaussian(10.0, s**2),
-            lower=10.0 - 3 * s, upper=10.0 + 3 * s, volatility=s,
-        )
-        for index, s in enumerate(sigmas)
-    ])
+    sigmas = np.asarray(sigmas)
+    means = np.full(sigmas.size, 10.0)
+    return DensitySeries.from_columns(
+        np.arange(sigmas.size), means, sigmas, means - 3 * sigmas,
+        means + 3 * sigmas, variance=sigmas**2,
+    )
 
 
 class TestRowErrorBounds:
