@@ -155,7 +155,8 @@ def _npz_loaded(forecasts, tmp_path) -> DensitySeries:
 
 
 _ROUTES = {
-    "columns": _from_records,
+    "columns": lambda series, _tmp_path: series,
+    "records": _from_records,
     "npz": _npz_loaded,
 }
 

@@ -48,6 +48,14 @@ class TestUniformCdf:
     def test_linear_inside_support(self):
         assert uniform_cdf(3.0, 0.0, 10.0) == pytest.approx(0.3)
 
+    def test_broadcasts_rows_against_edges(self):
+        edges = np.linspace(0.0, 4.0, 5)
+        lows, highs = np.array([0.0, 1.0, -2.0]), np.array([4.0, 2.0, 6.0])
+        matrix = uniform_cdf(edges, lows[:, None], highs[:, None])
+        assert matrix.shape == (3, 5)
+        for row, low, high in zip(matrix, lows, highs):
+            np.testing.assert_array_equal(row, uniform_cdf(edges, low, high))
+
 
 @settings(max_examples=50, deadline=None)
 @given(

@@ -59,6 +59,25 @@ class TestDensitySeries:
         assert gaussian_forecasts[-1] == rows[-1]
         assert gaussian_forecasts[1:3] == rows[1:3]
 
+    def test_empty_columns_are_an_empty_series(self):
+        empty = DensitySeries.from_columns([], [], [], [], [])
+        assert len(empty) == 0 and list(empty) == []
+        assert empty.pit(TimeSeries(np.arange(5.0))).shape == (0,)
+        with pytest.raises(DataError, match="empty"):
+            empty.coverage(TimeSeries(np.arange(5.0)))
+
+    def test_cdf_evaluates_each_row_in_its_own_family(self):
+        """Row 0 is ``N(0, 4)``, row 1 is ``U(-2, 2)``: the same point
+        lands at each family's own CDF value."""
+        mixed = DensitySeries.from_columns(
+            [0, 1], [0.0, 0.0], [2.0, 2.0 / np.sqrt(3.0)], [-6.0, -2.0],
+            [6.0, 2.0], family=[GAUSSIAN, UNIFORM], variance=[4.0, 4.0 / 3.0],
+        )
+        np.testing.assert_array_equal(mixed.cdf(np.array([0.0, 0.0])), [0.5, 0.5])
+        gaussian_at_one, uniform_at_one = mixed.cdf(np.array([1.0, 1.0]))
+        assert uniform_at_one == 0.75
+        assert gaussian_at_one == pytest.approx(0.6914625, abs=1e-7)
+
     def test_vector_views(self, gaussian_forecasts):
         assert gaussian_forecasts.means.shape == (5,)
         assert gaussian_forecasts.volatilities.shape == (5,)
@@ -150,6 +169,10 @@ class TestDensitySeriesConstruction:
     def test_family_codes_must_name_a_family(self, codes):
         with pytest.raises(DataError):
             DensitySeries.from_columns(**self._columns(), family=codes)
+
+    def test_unknown_family_name_rejected(self):
+        with pytest.raises(InvalidParameterError, match="histogram"):
+            DensitySeries.from_columns(**self._columns(), family="histogram")
 
     def test_mixed_family_codes(self):
         series = DensitySeries.from_columns(
