@@ -24,7 +24,7 @@ from repro import (
     campus_temperature,
     car_gps,
 )
-from repro.db.prob_view import ProbabilisticView, ProbTuple
+from repro.db.prob_view import ProbabilisticView
 
 H = 40
 THRESHOLD = 21.0
@@ -170,9 +170,10 @@ def main() -> None:
         f"SELECT expected_value FROM CATALOG '{root}' SERIES 'plant_temp'"
     ).results[0].score
     times = sorted(reopened.view("plant_temp").times)[:6]
-    recal = ProbabilisticView("plant_temp", [
-        ProbTuple(t, 25.0, 25.5, 0.95, "recalibrated") for t in times
-    ])
+    recal = ProbabilisticView.from_columns(
+        "plant_temp", times, [25.0] * len(times), [25.5] * len(times),
+        [0.95] * len(times), labels=["recalibrated"] * len(times),
+    )
     revision = reopened.revise("plant_temp", recal)
     print(f"\nrevised plant_temp at knowledge_time="
           f"{revision['knowledge_time']}: "

@@ -35,16 +35,15 @@ def main() -> None:
 
     emitted = 0
     for value in series.values:
-        step = pipeline.feed(value)
-        if step.row is None:
+        row = pipeline.feed_batch([value])  # One value in, one row out.
+        if not len(row):
             continue  # Warm-up.
         emitted += 1
         if emitted % 100 == 1:
-            forecast = step.forecast
             print(
-                f"t={step.t:4d}  r={value:9.1f}  r_hat={forecast.mean:9.1f}  "
-                f"sigma={forecast.volatility:7.2f}  "
-                f"row mass={step.row.total_mass:.3f}"
+                f"t={int(row.t[0]):4d}  r={value:9.1f}  "
+                f"r_hat={row.mean[0]:9.1f}  sigma={row.volatility[0]:7.2f}  "
+                f"row mass={row.total_mass[0]:.3f}"
             )
 
     view = pipeline.to_view("car_online_view")

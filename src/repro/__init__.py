@@ -115,7 +115,7 @@ from repro.metrics import (
     create_metric,
 )
 from repro.metrics.ewma import EWMAMetric
-from repro.pipeline import OnlinePipeline, OnlineStep, create_probabilistic_view
+from repro.pipeline import OnlinePipeline, create_probabilistic_view
 from repro.timeseries import (
     ARMAModel,
     ARMAParams,
@@ -128,7 +128,6 @@ from repro.timeseries import (
 from repro.view import (
     OmegaGrid,
     OmegaRange,
-    ProbabilityRow,
     SigmaCache,
     ViewBuilder,
     ViewQuery,
@@ -173,11 +172,9 @@ __all__ = [
     "OmegaGrid",
     "OmegaRange",
     "OnlinePipeline",
-    "OnlineStep",
     "ParseError",
     "ProbTuple",
     "ProbabilisticView",
-    "ProbabilityRow",
     "QueryError",
     "QueryServer",
     "ReproError",

@@ -184,7 +184,8 @@ class KernelSpec:
         """The answer over ``view`` after ``carry``, and the next carry.
 
         The answer is the selected :class:`~repro.db.prob_view.ProbTuple`
-        list, or a dict of per-time (per-window-end) values.
+        records, built by one :meth:`~repro.db.prob_view.ProbabilisticView.take`
+        gather, or a dict of per-time (per-window-end) values.
         """
         cols = view.columns
         if self.selection is not None:

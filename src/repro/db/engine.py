@@ -25,12 +25,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro.db.prob_view import ProbabilisticView
+from repro.db.prob_view import ProbabilisticView, tuple_rows
 from repro.db.table import Table
 from repro.exceptions import QueryError
 from repro.metrics.registry import create_metric
 from repro.obs.trace import QueryTrace
-from repro.util.jsonio import RenderedObject, canonical_dumps, scalar_time
+from repro.util.jsonio import RenderedObject, canonical_dumps
 from repro.view.sql import ViewQuery, parse_statement
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (service -> db).
@@ -59,26 +59,13 @@ class ViewResult:
     def to_dict(self) -> dict[str, Any]:
         """The view as the JSON-ready payload the wire protocol sends."""
         cols = self.view.columns
-        labels = cols.labels
         return {
             "kind": "view",
             "name": self.view.name,
-            "tuples": [
-                [
-                    scalar_time(t),
-                    float(low),
-                    float(high),
-                    float(probability),
-                    labels[code],
-                ]
-                for t, low, high, probability, code in zip(
-                    cols.t.tolist(),
-                    cols.low.tolist(),
-                    cols.high.tolist(),
-                    cols.probability.tolist(),
-                    cols.label_code.tolist(),
-                )
-            ],
+            "tuples": tuple_rows(
+                cols.t, cols.low, cols.high, cols.probability,
+                cols.label_code, cols.labels,
+            ),
         }
 
     def json(self) -> str:

@@ -10,11 +10,14 @@ Columnar backing
 ----------------
 The view stores its tuples as parallel numpy columns (``t``, ``low``,
 ``high``, ``probability`` plus integer label codes) with a sorted per-time
-index for O(log T) time slicing; :class:`ProbTuple` objects are only
-materialised when individually accessed, so bulk consumers — the queries in
-:mod:`repro.db.queries` and :mod:`repro.db.stream_queries` — operate on the
-arrays directly via :attr:`ProbabilisticView.columns`.  Per-tuple mass and
-range validation happens in one vectorised pass at construction time.
+index for O(log T) time slicing, and is built only from columns
+(:meth:`ProbabilisticView.from_columns`, which validates every tuple in
+one vectorised pass).  Bulk consumers — the queries in
+:mod:`repro.db.queries` and :mod:`repro.db.stream_queries` — operate on
+the arrays directly via :attr:`ProbabilisticView.columns`.  Rows exist
+only as output: :func:`tuple_rows` renders gathered columns as
+``[t, low, high, probability, label]`` lists, and item access wraps those
+rows in :class:`ProbTuple` records, built afresh on every access.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from repro.util.arrays import readonly_view
 from repro.util.validation import require_int64_column
 from repro.view.omega import OmegaGrid
 
-__all__ = ["ProbTuple", "ProbabilisticView", "ViewColumns"]
+__all__ = ["ProbTuple", "ProbabilisticView", "ViewColumns", "tuple_rows"]
 
 #: Tolerance when validating that per-time probabilities do not exceed one.
 _MASS_TOLERANCE = 1e-6
@@ -39,7 +42,8 @@ _MASS_TOLERANCE = 1e-6
 
 @dataclass(frozen=True)
 class ProbTuple:
-    """One row of a probabilistic view.
+    """One row of a probabilistic view, as a read-only record of that
+    row's columns (item access builds it; views are built from columns).
 
     Attributes
     ----------
@@ -60,16 +64,32 @@ class ProbTuple:
     probability: float
     label: str = ""
 
-    def __post_init__(self) -> None:
-        if self.high <= self.low:
-            raise InvalidParameterError(
-                f"tuple range upper bound must exceed lower, "
-                f"got [{self.low}, {self.high}]"
-            )
-        if not -_MASS_TOLERANCE <= self.probability <= 1.0 + _MASS_TOLERANCE:
-            raise InvalidParameterError(
-                f"tuple probability must be in [0, 1], got {self.probability}"
-            )
+
+def tuple_rows(
+    t: np.ndarray,
+    low: np.ndarray,
+    high: np.ndarray,
+    probability: np.ndarray,
+    label_code: np.ndarray,
+    labels: Sequence[str],
+) -> list[list]:
+    """Parallel tuple columns as ``[t, low, high, probability, label]``
+    rows of Python scalars, ``labels[code]`` decoding each label.
+
+    The one per-row rendering of view tuples: the ``CREATE VIEW`` payload,
+    a ``threshold`` answer's JSON rows and :class:`ProbTuple` records are
+    all these rows.
+    """
+    return [
+        [time, lo, hi, p, labels[code]]
+        for time, lo, hi, p, code in zip(
+            t.tolist(),
+            low.tolist(),
+            high.tolist(),
+            probability.tolist(),
+            label_code.tolist(),
+        )
+    ]
 
 
 class ViewColumns(NamedTuple):
@@ -109,52 +129,14 @@ class ViewColumns(NamedTuple):
         return np.where(real, values[rows], fill)
 
 
-def _check_probability_column(probability: np.ndarray) -> None:
-    """Vectorised form of the :class:`ProbTuple` probability check.
-
-    The negated-interval formulation matches the scalar ``__post_init__``
-    exactly, so NaN probabilities are rejected here too rather than
-    surfacing later during lazy materialisation.
-    """
-    bad = ~(
-        (probability >= -_MASS_TOLERANCE)
-        & (probability <= 1.0 + _MASS_TOLERANCE)
-    )
-    if np.any(bad):
-        index = int(np.argmax(bad))
-        raise InvalidParameterError(
-            f"tuple probability must be in [0, 1], got {probability[index]}"
-        )
-
-
 class ProbabilisticView:
     """An ordered collection of :class:`ProbTuple` grouped by time.
 
-    Construct directly from tuples, from builder output via
-    :meth:`from_matrix`, or from raw arrays via :meth:`from_columns`.
-    Provides the per-time access patterns the probabilistic queries in
-    :mod:`repro.db.queries` build on.
+    Built from raw arrays by :meth:`from_columns`, the one constructor,
+    or from builder output by :meth:`from_matrix`, which expands the grid
+    into columns for it.  Provides the per-time access patterns the
+    probabilistic queries in :mod:`repro.db.queries` build on.
     """
-
-    def __init__(self, name: str, tuples: Sequence[ProbTuple]) -> None:
-        tuples = list(tuples)
-        count = len(tuples)
-        t = np.empty(count, dtype=np.int64)
-        low = np.empty(count)
-        high = np.empty(count)
-        probability = np.empty(count)
-        label_code = np.empty(count, dtype=np.int64)
-        pool: dict[str, int] = {}
-        for index, item in enumerate(tuples):
-            t[index] = item.t
-            low[index] = item.low
-            high[index] = item.high
-            probability[index] = item.probability
-            label_code[index] = pool.setdefault(item.label, len(pool))
-        self._init_columns(
-            name, t, low, high, probability, label_code, tuple(pool),
-            tuples=tuples,
-        )
 
     # ------------------------------------------------------------------
     # Columnar constructors.
@@ -177,8 +159,10 @@ class ProbabilisticView:
         ``labels`` optionally carries one label string per tuple.
         Alternatively ``label_code`` / ``label_pool`` carry the already
         dictionary-encoded form (one code per tuple indexing into the pool)
-        — the zero-decode path the binary store backend loads through.  The
-        per-tuple checks of :class:`ProbTuple` run as one vectorised pass.
+        — the zero-decode path the binary store backend loads through.
+        Every tuple is checked in one vectorised pass: a finite range
+        with ``high > low`` and a probability in ``[0, 1]`` (NaN refused
+        by both); then no time's probabilities may sum above one.
         """
         t = require_int64_column("t", t)
         low = np.ascontiguousarray(low, dtype=float)
@@ -186,14 +170,22 @@ class ProbabilisticView:
         probability = np.ascontiguousarray(probability, dtype=float)
         if not (t.size == low.size == high.size == probability.size):
             raise DataError("view columns must have equal length")
-        bad_range = high <= low
+        bad_range = ~(np.isfinite(low) & np.isfinite(high) & (high > low))
         if np.any(bad_range):
             index = int(np.argmax(bad_range))
             raise InvalidParameterError(
-                f"tuple range upper bound must exceed lower, "
-                f"got [{low[index]}, {high[index]}]"
+                f"tuple range must be finite with its upper bound above "
+                f"its lower, got [{low[index]}, {high[index]}]"
             )
-        _check_probability_column(probability)
+        bad_probability = ~(
+            (probability >= -_MASS_TOLERANCE)
+            & (probability <= 1.0 + _MASS_TOLERANCE)
+        )
+        if np.any(bad_probability):
+            index = int(np.argmax(bad_probability))
+            raise InvalidParameterError(
+                f"tuple probability must be in [0, 1], got {probability[index]}"
+            )
         if label_code is not None or label_pool is not None:
             if labels is not None:
                 raise InvalidParameterError(
@@ -238,50 +230,31 @@ class ProbabilisticView:
     ) -> "ProbabilisticView":
         """Materialise :meth:`ViewBuilder.build_matrix` output into a view.
 
-        The fully columnar path: the ``(T, n)`` probability matrix expands
-        into per-tuple arrays without creating a single Python object per
-        tuple.
+        The ``(T, n)`` probability matrix, clipped to ``[0, 1]``, and the
+        grid's edges around each mean expand into per-tuple columns, which
+        :meth:`from_columns` checks like any other: non-integral times, a
+        ``mean`` or ``t`` of another length, and NaN probabilities raise.
         """
-        return cls._from_grid_layout(
-            name, matrix.t, matrix.mean, matrix.probabilities, grid
-        )
-
-    @classmethod
-    def _from_grid_layout(
-        cls,
-        name: str,
-        t: np.ndarray,
-        mean: np.ndarray,
-        probabilities: np.ndarray,
-        grid: OmegaGrid,
-    ) -> "ProbabilisticView":
-        """Columnar expansion of per-time probability rows."""
-        count = t.size
+        count = len(matrix)
         n = grid.n
-        if probabilities.shape != (count, n):
+        if matrix.probabilities.shape != (count, n):
             raise DataError(
-                f"probability matrix of shape {probabilities.shape} does not "
-                f"match {count} times x {n} ranges"
+                f"probability matrix of shape {matrix.probabilities.shape} "
+                f"does not match {count} times x {n} ranges"
             )
-        edges = grid.edges_matrix(mean)
-        pool = tuple(f"lambda={int(lam)}" for lam in grid.lambdas)
-        clipped = np.clip(probabilities, 0.0, 1.0).ravel()
-        # np.clip passes NaN through; reject it like the scalar path would.
-        _check_probability_column(clipped)
-        self = cls.__new__(cls)
-        self._init_columns(
+        edges = grid.edges_matrix(matrix.mean)
+        return cls.from_columns(
             name,
-            np.repeat(np.ascontiguousarray(t, dtype=np.int64), n),
+            np.repeat(matrix.t, n),
             edges[:, :-1].ravel(),
             edges[:, 1:].ravel(),
-            clipped,
-            np.tile(np.arange(n, dtype=np.int64), count),
-            pool,
+            np.clip(matrix.probabilities, 0.0, 1.0).ravel(),
+            label_code=np.tile(np.arange(n, dtype=np.int64), count),
+            label_pool=[f"lambda={int(lam)}" for lam in grid.lambdas],
         )
-        return self
 
     # ------------------------------------------------------------------
-    # Shared initialisation.
+    # Initialisation (from_columns' second half).
     # ------------------------------------------------------------------
     def _init_columns(
         self,
@@ -292,7 +265,6 @@ class ProbabilisticView:
         probability: np.ndarray,
         label_code: np.ndarray,
         label_pool: tuple[str, ...],
-        tuples: list[ProbTuple] | None = None,
     ) -> None:
         """Adopt the columns and build the per-time index in O(n).
 
@@ -304,8 +276,7 @@ class ProbabilisticView:
         reshape.  Unsorted ``t`` (revision shadows, hand-built views)
         takes a stable argsort first.  Either way
         ``times`` / ``starts`` / ``counts`` equal ``np.unique``'s, with its
-        int64 dtypes.  The :class:`ProbTuple` slot list waits for the
-        first materialisation.
+        int64 dtypes.
         """
         if not name:
             raise InvalidParameterError("view name must be non-empty")
@@ -316,7 +287,6 @@ class ProbabilisticView:
         self._prob = probability
         self._label_code = label_code
         self._label_pool = label_pool if label_pool else ("",)
-        self._tuples: list[ProbTuple | None] | None = tuples
         if t.size > 1 and np.any(t[1:] < t[:-1]):
             self._order = np.argsort(t, kind="stable")
             t_sorted = t[self._order]
@@ -378,66 +348,25 @@ class ProbabilisticView:
             )
         return self._columns
 
-    def _slots(self) -> list[ProbTuple | None]:
-        """The tuple-slot list, published by one atomic assignment.
-
-        Cached views are shared across threads: a caller that loses the
-        creation race only rebuilds a :class:`ProbTuple` equal to the
-        winner's.
-        """
-        slots = self._tuples
-        if slots is None:
-            slots = self._tuples = [None] * self._t.size
-        return slots
-
-    def _materialise(self, index: int) -> ProbTuple:
-        tuples = self._slots()
-        item = tuples[index]
-        if item is None:
-            item = ProbTuple(
-                t=int(self._t[index]),
-                low=float(self._low[index]),
-                high=float(self._high[index]),
-                probability=float(self._prob[index]),
-                label=self._label_pool[int(self._label_code[index])],
-            )
-            tuples[index] = item
-        return item
-
     def take(self, indices: np.ndarray) -> list[ProbTuple]:
-        """Bulk tuple materialisation: the tuples at the given indices.
+        """The tuples at the given indices, as fresh :class:`ProbTuple`
+        records built from one gather of the columns.
 
-        The columnar counterpart of repeated ``view[i]`` — gathers the
-        columns once and builds the dataclasses directly; the per-tuple
-        ``__post_init__`` checks already ran as a vectorised pass at
-        construction time, so they are safely skipped here.  Vectorised
-        queries use this to materialise only the tuples they return.
+        Vectorised queries use this to build only the tuples they return;
+        item access, slices and iteration take the same route.
         """
         indices = np.asarray(indices, dtype=np.int64)
-        tuples = self._slots()
-        pool = self._label_pool
-        out: list[ProbTuple] = []
-        new = ProbTuple.__new__
-        assign = object.__setattr__
-        for index, t, low, high, probability, code in zip(
-            indices.tolist(),
-            self._t[indices].tolist(),
-            self._low[indices].tolist(),
-            self._high[indices].tolist(),
-            self._prob[indices].tolist(),
-            self._label_code[indices].tolist(),
-        ):
-            item = tuples[index]
-            if item is None:
-                item = new(ProbTuple)
-                assign(item, "t", t)
-                assign(item, "low", low)
-                assign(item, "high", high)
-                assign(item, "probability", probability)
-                assign(item, "label", pool[code])
-                tuples[index] = item
-            out.append(item)
-        return out
+        return [
+            ProbTuple(*row)
+            for row in tuple_rows(
+                self._t[indices],
+                self._low[indices],
+                self._high[indices],
+                self._prob[indices],
+                self._label_code[indices],
+                self._label_pool,
+            )
+        ]
 
     def _group_position(self, t: int) -> int:
         position = int(np.searchsorted(self._times, t))
@@ -461,17 +390,15 @@ class ProbabilisticView:
         return self._t.size
 
     def __iter__(self) -> Iterator[ProbTuple]:
-        for index in range(len(self)):
-            yield self._materialise(index)
+        return iter(self[:])
 
     def __getitem__(self, index: int | slice) -> ProbTuple | list[ProbTuple]:
         if isinstance(index, slice):
-            return [self._materialise(i) for i in range(*index.indices(len(self)))]
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
+            return self.take(np.arange(*index.indices(len(self))))
+        position = index + len(self) if index < 0 else index
+        if not 0 <= position < len(self):
             raise IndexError(index)
-        return self._materialise(index)
+        return self.take([position])[0]
 
     @property
     def times(self) -> list[int]:

@@ -17,8 +17,10 @@ All but :func:`most_probable_range_query` are thin wrappers: each is its
 :meth:`~repro.db.aggregates.KernelSpec.one_shot` over the whole view, so
 its arguments are validated exactly as a ``SELECT`` item's are and its
 answer is the ``SELECT`` answer's, bit for bit.  All four run as column
-operations over :attr:`~repro.db.prob_view.ProbabilisticView.columns` and
-only materialise the :class:`ProbTuple` objects they actually return.
+operations over :attr:`~repro.db.prob_view.ProbabilisticView.columns`;
+the two that return tuples gather only those tuples' columns, in one
+:meth:`~repro.db.prob_view.ProbabilisticView.take`, into fresh
+:class:`ProbTuple` records.
 """
 
 from __future__ import annotations
@@ -61,10 +63,7 @@ def most_probable_range_query(view: ProbabilisticView) -> dict[int, ProbTuple]:
     is_max = prob_sorted == np.repeat(maxima, cols.counts)
     max_positions = np.flatnonzero(is_max)
     firsts = max_positions[np.searchsorted(max_positions, cols.starts)]
-    return {
-        int(t): view[int(cols.order[position])]
-        for t, position in zip(cols.times, firsts)
-    }
+    return dict(zip(cols.times.tolist(), view.take(cols.order[firsts])))
 
 
 def range_probability_query(

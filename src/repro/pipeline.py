@@ -17,20 +17,19 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.db.prob_view import ProbabilisticView
 from repro.exceptions import InvalidParameterError
-from repro.metrics.base import DensityForecast, DensitySeries, DynamicDensityMetric
+from repro.metrics.base import DensitySeries, DynamicDensityMetric
 from repro.timeseries.series import TimeSeries
 from repro.util.validation import require_finite_array
-from repro.view.builder import ProbabilityMatrix, ProbabilityRow, ViewBuilder
+from repro.view.builder import ProbabilityMatrix, ViewBuilder
 from repro.view.omega import OmegaGrid
 from repro.view.sigma_cache import SigmaCache
 
-__all__ = ["OnlinePipeline", "OnlineStep", "create_probabilistic_view"]
+__all__ = ["OnlinePipeline", "create_probabilistic_view"]
 
 
 def create_probabilistic_view(
@@ -69,24 +68,6 @@ def create_probabilistic_view(
     return ProbabilisticView.from_matrix(view_name, matrix, grid)
 
 
-@dataclass(frozen=True)
-class OnlineStep:
-    """What the online pipeline emits for one streamed value.
-
-    ``forecast``/``row`` are ``None`` during the warm-up phase while the
-    sliding window is still filling.
-    """
-
-    t: int
-    value: float
-    forecast: DensityForecast | None
-    row: ProbabilityRow | None
-
-    @property
-    def is_warmup(self) -> bool:
-        return self.forecast is None
-
-
 class OnlinePipeline:
     """Streaming density inference and view generation (online mode).
 
@@ -115,9 +96,9 @@ class OnlinePipeline:
     >>> from repro.metrics import VariableThresholdingMetric
     >>> pipe = OnlinePipeline(VariableThresholdingMetric(), H=30,
     ...                       grid=OmegaGrid(delta=0.5, n=6))
-    >>> steps = [pipe.feed(20.0 + 0.01 * i) for i in range(40)]
-    >>> steps[10].is_warmup, steps[35].is_warmup
-    (True, False)
+    >>> rows = [len(pipe.feed_batch([20.0 + 0.01 * i])) for i in range(40)]
+    >>> rows[29], rows[30]
+    (0, 1)
     """
 
     def __init__(
@@ -143,21 +124,6 @@ class OnlinePipeline:
         self._forecasts: list[DensitySeries] = []
         self._matrices: list[ProbabilityMatrix] = []
 
-    def feed(self, value: float) -> OnlineStep:
-        """Consume one raw value: :meth:`feed_batch` of that one value.
-
-        The forecast for time ``t`` is computed from the ``H`` values
-        *before* ``t`` (Definition 1), so inference happens before the new
-        value enters the window.
-        """
-        t = self._t
-        forecasts, matrix = self._feed(np.array([value], dtype=float))
-        if not len(matrix):
-            return OnlineStep(t=t, value=float(value), forecast=None, row=None)
-        return OnlineStep(
-            t=t, value=float(value), forecast=forecasts[0], row=matrix.row(0)
-        )
-
     def feed_batch(self, values: Sequence[float] | np.ndarray) -> ProbabilityMatrix:
         """Consume a micro-batch of raw values; the one online data path.
 
@@ -166,15 +132,12 @@ class OnlinePipeline:
         :meth:`ViewBuilder.build_matrix` — the same vectorised path offline
         mode uses, so cost scales with the batch, not with everything fed
         so far.  Returns the probability matrix of the newly emitted rows
-        (empty while the window is still warming up).  The batch is
-        validated before any of it is consumed: a non-finite value would
-        sit in the window and fail every later inference.
+        (empty while the window is still warming up); streaming one value
+        at a time is ``feed_batch([value])``.  The forecast for time ``t``
+        is computed from the ``H`` values *before* ``t`` (Definition 1).
+        The batch is validated before any of it is consumed: a non-finite
+        value would sit in the window and fail every later inference.
         """
-        return self._feed(values)[1]
-
-    def _feed(
-        self, values: Sequence[float] | np.ndarray
-    ) -> tuple[DensitySeries | None, ProbabilityMatrix]:
         values = np.ascontiguousarray(values, dtype=float)
         if values.ndim != 1:
             raise InvalidParameterError(
@@ -186,7 +149,6 @@ class OnlinePipeline:
         # Local offsets of values whose preceding window is full: value i
         # (global time start_t + i) is warm once held + i >= H.
         first_warm = max(self.H - held, 0)
-        forecasts = None
         matrix = self._empty_matrix()
         if first_warm < values.size:
             history = np.concatenate([np.array(self._window), values])
@@ -201,7 +163,7 @@ class OnlinePipeline:
                 self._matrices.append(matrix)
         self._window.extend(values.tolist())
         self._t += int(values.size)
-        return forecasts, matrix
+        return matrix
 
     def _empty_matrix(self) -> ProbabilityMatrix:
         return ProbabilityMatrix(

@@ -92,14 +92,14 @@ def view_nbytes(view: ProbabilisticView) -> int:
     """Approximate resident size of one materialised view.
 
     Counts the five tuple columns, the sort index and per-time grouping
-    arrays, the sorted-probability shadow used for mass checks, the
-    label pool and the :class:`~repro.db.prob_view.ProbTuple` slot list
-    — everything :class:`ProbabilisticView` can keep per tuple.  For a
-    view whose times arrive sorted (every store load of an unrevised
-    series) this is an upper bound: the shadow aliases the probability
-    column and the slot list exists only once a tuple is materialised.
-    The charge stays per tuple so that what a budget holds does not
-    depend on how a view was built or used.
+    arrays, the sorted-probability shadow used for mass checks and the
+    label pool — everything :class:`ProbabilisticView` keeps per tuple
+    (it keeps no per-tuple objects: a :class:`~repro.db.prob_view.ProbTuple`
+    is built on access and not retained).  For a view whose times arrive
+    sorted (every store load of an unrevised series) this is an upper
+    bound: the shadow aliases the probability column.  The charge stays
+    per tuple so that what a budget holds does not depend on how a view
+    was built.
     """
     cols = view.columns
     arrays = (
@@ -109,8 +109,6 @@ def view_nbytes(view: ProbabilisticView) -> int:
     total = sum(a.nbytes for a in arrays)
     total += cols.probability.nbytes  # The _prob_sorted shadow column.
     total += sum(64 + 2 * len(label) for label in cols.labels)
-    # The lazy ProbTuple slot list: one pointer per tuple.
-    total += 8 * len(view)
     return total + _ENTRY_OVERHEAD
 
 

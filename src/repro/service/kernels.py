@@ -13,9 +13,13 @@ ranks them and renders them.  This module only loads and dispatches:
 what an aggregate computes and how it scores is its
 :class:`~repro.db.aggregates.KernelSpec`'s.  Every series runs its
 kernel alone, over its own restricted view: a per-time core plus its
-window pass, a row selection, or sampled worlds.  The one-shot query
-functions built on the same specs are the reference the parity tests
-compare against.
+window pass, a row selection, or sampled worlds.  A row selection's
+rows — its JSON payload and its :class:`~repro.db.prob_view.ProbTuple`
+records alike — come out of :func:`~repro.db.prob_view.tuple_rows`, the
+one row renderer ``CREATE VIEW`` payloads and
+:meth:`~repro.db.prob_view.ProbabilisticView.take` use too.  The
+one-shot query functions built on the same specs are the reference the
+parity tests compare against.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.db.aggregates import KERNELS, KernelSpec
-from repro.db.prob_view import ProbabilisticView, ProbTuple
+from repro.db.prob_view import ProbabilisticView, ProbTuple, tuple_rows
 from repro.db.worlds import WorldSampler, derive_series_seed
 from repro.exceptions import ReproError
 from repro.store.catalog import _load_view_from_segments
@@ -98,10 +102,10 @@ class SeriesResult:
     these objects as they are through its pool's result pipe, and the
     executor ranks and renders the same objects: :meth:`rows` builds the
     JSON payload straight from the arrays.  ``result`` is the object the
-    aggregate's one-shot query returns for this series — a
-    :class:`~repro.db.prob_view.ProbTuple` list for ``threshold``, a
-    per-time dict for the other aggregates, a list of ``[t, value]``
-    worlds for ``SIMULATE`` — built on first access and kept; an
+    aggregate's one-shot query returns for this series — for
+    ``threshold`` a :class:`~repro.db.prob_view.ProbTuple` record per
+    :meth:`rows` row, a per-time dict for the other aggregates, a list of
+    ``[t, value]`` worlds for ``SIMULATE`` — built on first access and kept; an
     ``"error"`` entry's is ``None``, its ``size`` 0, and ``==`` compares
     ``error`` too.
     """
@@ -131,17 +135,14 @@ class SeriesResult:
                 for pair in zip(arrays["times"].tolist(), arrays["values"].tolist())
             ]
         if self.kind == "rows":
-            pool = self.meta[0]
-            return [
-                [t, low, high, probability, pool[code]]
-                for t, low, high, probability, code in zip(
-                    arrays["t"].tolist(),
-                    arrays["low"].tolist(),
-                    arrays["high"].tolist(),
-                    arrays["probability"].tolist(),
-                    arrays["code"].tolist(),
-                )
-            ]
+            return tuple_rows(
+                arrays["t"],
+                arrays["low"],
+                arrays["high"],
+                arrays["probability"],
+                arrays["code"],
+                self.meta[0],
+            )
         if self.kind == "worlds":
             times = arrays["times"].tolist()
             # NaN (the only value unequal to itself) marks OUTSIDE.

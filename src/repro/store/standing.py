@@ -7,7 +7,9 @@ same :class:`~repro.db.aggregates.KernelSpec` a ``SELECT`` runs
 (:meth:`~repro.db.aggregates.KernelSpec.evaluate`): the
 per-time core on the suffix (a time's value depends only on its own
 tuples), then the window reduction continued from the handle's carry;
-``threshold`` hits arrive in (time, range) order and append.  The
+``threshold`` hits arrive in (time, range) order, as
+:class:`~repro.db.prob_view.ProbTuple` records gathered from the
+suffix's columns, and append.  The
 accumulated result therefore *equals* the one-shot query over the full
 view, at ``O(batch + window)`` per append however long the series grows.
 """
@@ -50,7 +52,7 @@ class StandingQueryHandle:
     """A registered standing query: accumulated result + last delta.
 
     ``result()`` always equals the query's one-shot form over the full
-    materialised view — a :class:`~repro.db.prob_view.ProbTuple` list for
+    view — a list of :class:`~repro.db.prob_view.ProbTuple` records for
     ``threshold``, a per-time (or per-window-end) dict otherwise;
     ``last_delta`` holds only what the most recent update made newly
     answerable.

@@ -20,7 +20,7 @@ from typing import Any
 
 from repro.exceptions import EncodingError
 
-__all__ = ["RenderedObject", "canonical_dumps", "scalar_time"]
+__all__ = ["RenderedObject", "canonical_dumps"]
 
 
 def canonical_dumps(payload: Any) -> str:
@@ -85,9 +85,3 @@ class RenderedObject:
         """Resident size: the body plus the per-member offsets."""
         return len(self.body) + 64 * (len(self._keys) + 1)
 
-
-def scalar_time(value: Any) -> int | float:
-    """JSON-safe time key: integral times stay ints, others floats."""
-    number = float(value)
-    integral = int(number)
-    return integral if number == integral else number

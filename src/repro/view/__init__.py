@@ -9,7 +9,7 @@ sigma-cache that reuses CDF computations across time steps under provable
 distance and memory constraints (Theorems 1 and 2).
 """
 
-from repro.view.builder import ProbabilityMatrix, ProbabilityRow, ViewBuilder
+from repro.view.builder import ProbabilityMatrix, ViewBuilder
 from repro.view.hellinger import (
     hellinger_distance,
     ratio_threshold_for_distance,
@@ -25,7 +25,6 @@ __all__ = [
     "OmegaGrid",
     "OmegaRange",
     "ProbabilityMatrix",
-    "ProbabilityRow",
     "SigmaCache",
     "ViewBuilder",
     "ViewQuery",

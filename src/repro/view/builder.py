@@ -28,43 +28,18 @@ from repro.metrics.base import DensitySeries
 from repro.view.omega import OmegaGrid
 from repro.view.sigma_cache import SigmaCache
 
-__all__ = ["ProbabilityMatrix", "ProbabilityRow", "ViewBuilder"]
-
-
-@dataclass(frozen=True)
-class ProbabilityRow:
-    """All range probabilities for one inference time.
-
-    Attributes
-    ----------
-    t:
-        Inference index.
-    mean:
-        The expected true value the ranges are centred on.
-    volatility:
-        The forecast sigma (cache key when the cached path was used).
-    probabilities:
-        ``rho_lambda`` for ``lambda = -n/2 .. n/2 - 1``, in order.
-    """
-
-    t: int
-    mean: float
-    volatility: float
-    probabilities: np.ndarray
-
-    @property
-    def total_mass(self) -> float:
-        """Probability mass captured by the grid (< 1 for tail overflow)."""
-        return float(np.sum(self.probabilities))
+__all__ = ["ProbabilityMatrix", "ViewBuilder"]
 
 
 @dataclass(frozen=True)
 class ProbabilityMatrix:
     """Columnar builder output: all range probabilities for all times.
 
-    The batch equivalent of ``list[ProbabilityRow]``: row ``i`` of
-    ``probabilities`` holds ``rho_lambda`` for inference time ``t[i]``.
-    :class:`~repro.db.prob_view.ProbabilisticView` consumes it directly via
+    Row ``i`` of ``probabilities`` holds ``rho_lambda`` for
+    ``lambda = -n/2 .. n/2 - 1`` at inference time ``t[i]``, the ranges
+    centred on ``mean[i]``; ``volatility[i]`` is the forecast sigma (the
+    cache key when the cached path was used).
+    :class:`~repro.db.prob_view.ProbabilisticView` consumes it via
     ``from_matrix`` without materialising per-tuple objects.
     """
 
@@ -75,15 +50,6 @@ class ProbabilityMatrix:
 
     def __len__(self) -> int:
         return self.t.size
-
-    def row(self, index: int) -> ProbabilityRow:
-        """Materialise row ``index`` as a :class:`ProbabilityRow`."""
-        return ProbabilityRow(
-            t=int(self.t[index]),
-            mean=float(self.mean[index]),
-            volatility=float(self.volatility[index]),
-            probabilities=self.probabilities[index].copy(),
-        )
 
     @property
     def total_mass(self) -> np.ndarray:
@@ -108,8 +74,8 @@ class ViewBuilder:
     >>> forecasts = DensitySeries.from_columns(
     ...     [5], [1.0], [2.0], [-5.0], [7.0], variance=[4.0])
     >>> builder = ViewBuilder(OmegaGrid(delta=1.0, n=4))
-    >>> row = builder.build_matrix(forecasts).row(0)
-    >>> float(np.round(row.total_mass, 3))
+    >>> matrix = builder.build_matrix(forecasts)
+    >>> float(np.round(matrix.total_mass[0], 3))
     0.683
     """
 

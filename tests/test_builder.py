@@ -15,7 +15,7 @@ from repro.view.sigma_cache import SigmaCache
 
 def _row(builder, forecast):
     """``builder``'s eq. (9) row for a one-row series, through ``build_matrix``."""
-    return builder.build_matrix(forecast).row(0)
+    return builder.build_matrix(forecast).probabilities[0]
 
 
 def _gaussian_forecast(t=0, mean=10.0, sigma=1.0):
@@ -39,29 +39,29 @@ class TestNaivePath:
         forecast = _gaussian_forecast(mean=5.0, sigma=2.0)
         row = _row(ViewBuilder(grid), forecast)
         expected = np.diff(gaussian_cdf([3.0, 4.0, 5.0, 6.0, 7.0], 5.0, 2.0))
-        np.testing.assert_allclose(row.probabilities, expected, atol=1e-12)
+        np.testing.assert_allclose(row, expected, atol=1e-12)
 
     def test_probabilities_sum_below_one(self):
         grid = OmegaGrid(delta=0.5, n=4)  # Narrow grid truncates tails.
         row = _row(ViewBuilder(grid), _gaussian_forecast(sigma=3.0))
-        assert 0.0 < row.total_mass < 1.0
+        assert 0.0 < row.sum() < 1.0
 
     def test_wide_grid_captures_nearly_all_mass(self):
         grid = OmegaGrid(delta=1.0, n=12)  # +/- 6 sigma.
         row = _row(ViewBuilder(grid), _gaussian_forecast(sigma=1.0))
-        assert row.total_mass == pytest.approx(1.0, abs=1e-6)
+        assert row.sum() == pytest.approx(1.0, abs=1e-6)
 
     def test_symmetric_distribution_symmetric_row(self):
         grid = OmegaGrid(delta=0.5, n=6)
         row = _row(ViewBuilder(grid), _gaussian_forecast(mean=0.0, sigma=1.0))
         np.testing.assert_allclose(
-            row.probabilities, row.probabilities[::-1], atol=1e-12
+            row, row[::-1], atol=1e-12
         )
 
     def test_uniform_forecast_supported(self):
         grid = OmegaGrid(delta=0.5, n=4)
         row = _row(ViewBuilder(grid), _uniform_forecast())
-        assert row.total_mass == pytest.approx(1.0, abs=1e-12)
+        assert row.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_rows_for_series(self, gaussian_forecasts):
         matrix = ViewBuilder(OmegaGrid(0.5, 6)).build_matrix(gaussian_forecasts)
@@ -106,9 +106,9 @@ class TestCachedPath:
         )
         uniform_forecast = _uniform_forecast(t=1)
         row = _row(builder, uniform_forecast)
-        assert row.total_mass == pytest.approx(1.0, abs=1e-12)
+        assert row.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.array_equal(
-            row.probabilities, _row(ViewBuilder(grid), uniform_forecast).probabilities
+            row, _row(ViewBuilder(grid), uniform_forecast)
         )
 
     def test_with_cache_for_sizes_from_forecasts(self, gaussian_forecasts):

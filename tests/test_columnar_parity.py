@@ -21,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.data.synthetic import campus_temperature
+from repro.db.engine import ViewResult
 from repro.db.prob_view import ProbTuple, ProbabilisticView
 from repro.db.queries import (
     expected_value_query,
@@ -43,7 +44,10 @@ from repro.metrics.base import (
 from repro.metrics.ewma import EWMAMetric
 from repro.metrics.uniform_threshold import UniformThresholdingMetric
 from repro.metrics.variable_threshold import VariableThresholdingMetric
+from repro.obs.trace import QueryTrace
 from repro.service import MatrixCache
+from repro.service.kernels import compute_chunk
+from repro.service.planner import TaskEnvelope
 from repro.store import (
     Catalog,
     load_density_series_npz,
@@ -54,6 +58,7 @@ from repro.timeseries.series import TimeSeries
 from repro.timeseries.stats import sample_variance
 from repro.view.builder import ViewBuilder
 from repro.view.omega import OmegaGrid
+from view_helpers import view_from_rows
 
 ATOL = 1e-12
 
@@ -132,7 +137,7 @@ def _seed_view(name, forecasts, builder, grid) -> ProbabilisticView:
                 probability=float(np.clip(probability, 0.0, 1.0)),
                 label=omega.label,
             ))
-    return ProbabilisticView(name, tuples)
+    return view_from_rows(name, tuples)
 
 
 def _from_records(forecasts, _tmp_path=None) -> DensitySeries:
@@ -359,7 +364,7 @@ def test_probability_at_boundary_no_double_count():
         ProbTuple(t=0, low=1.0, high=2.0, probability=0.3),
         ProbTuple(t=0, low=2.0, high=3.0, probability=0.2),
     ]
-    view = ProbabilisticView("edges", tuples)
+    view = view_from_rows("edges", tuples)
     assert view.probability_at(0, 1.0) == pytest.approx(0.3)  # not 0.8
     assert view.probability_at(0, 0.0) == pytest.approx(0.5)
     assert view.probability_at(0, 3.0) == pytest.approx(0.2)  # closed top
@@ -429,9 +434,10 @@ def test_grouping_matches_argsort_and_unique(t):
 
 
 # ----------------------------------------------------------------------
-# Lazily allocated tuple slots.
+# One row form: every way a view hands out rows gives the same rows.
 # ----------------------------------------------------------------------
-def _expected_tuples(view: ProbabilisticView) -> list[ProbTuple]:
+def _reference_rows(view: ProbabilisticView) -> list[ProbTuple]:
+    """Test-owned per-row reference: one scalar read per column per row."""
     columns = view.columns
     return [
         ProbTuple(
@@ -445,31 +451,104 @@ def _expected_tuples(view: ProbabilisticView) -> list[ProbTuple]:
     ]
 
 
-def _store_loaded_view(root) -> ProbabilisticView:
+def _store_loaded_view(root, _tmp_path=None) -> ProbabilisticView:
     return Catalog(root, create=False).snapshot("sensor-0").load_view()
 
 
-def _built_view(root) -> ProbabilisticView:
-    return ProbabilisticView("built", _expected_tuples(_store_loaded_view(root)))
+def _records_view(root, _tmp_path=None) -> ProbabilisticView:
+    """The store-loaded view rebuilt through ``from_columns`` from its
+    own records."""
+    return view_from_rows("records", _store_loaded_view(root))
 
 
-@pytest.mark.parametrize("make", [_store_loaded_view, _built_view])
-def test_every_access_route_returns_equal_tuples(catalog_root, make):
-    expected = _expected_tuples(make(catalog_root))
-    view = make(catalog_root)
-    assert all(view[index] is view[index] for index in (0, -1, 3))
+def _revised_view(_root, tmp_path) -> ProbabilisticView:
+    """A revised series: the revision's rows load after the base rows they
+    shadow, so the view's times are out of order."""
+    catalog = Catalog(tmp_path / "revised")
+    catalog.save_view("s", view_from_rows("s", [
+        (t, 20.0 + lam, 21.0 + lam, 0.25, f"base{lam}")
+        for t in range(10) for lam in range(4)
+    ]))
+    catalog.revise("s", view_from_rows("s", [
+        (t, 30.0 + lam, 31.0 + lam, 0.45, f"rev{lam}")
+        for t in range(3, 6) for lam in range(2)
+    ]))
+    view = catalog.snapshot("s").load_view()
+    assert np.any(np.diff(view.columns.t) < 0)
+    return view
+
+
+def _empty_view(_root, _tmp_path) -> ProbabilisticView:
+    return view_from_rows("empty", [])
+
+
+def _threshold_entry(view: ProbabilisticView, tau: float):
+    """``SELECT threshold(tau)``'s per-series entry over ``view``."""
+    envelope = TaskEnvelope(
+        series_id="s",
+        directory="",
+        segments=(),
+        cache_key=("s", "", (), (), ()),
+        aggregate="threshold",
+        arguments=(tau,),
+        time_lo=None,
+        time_hi=None,
+    )
+    (entry,) = compute_chunk([envelope], _OneView(view))
+    return entry
+
+
+class _OneView:
+    """A stand-in matrix cache holding one already-built view."""
+
+    def __init__(self, view):
+        self._view = view
+
+    def get(self, key, load):
+        return self._view
+
+
+@pytest.mark.parametrize(
+    "make", [_store_loaded_view, _records_view, _revised_view, _empty_view],
+    ids=["sorted", "records", "unsorted", "empty"],
+)
+def test_every_row_route_returns_the_reference_rows(catalog_root, tmp_path, make):
+    view = make(catalog_root, tmp_path)
+    expected = _reference_rows(view)
+    assert [view[index] for index in range(len(view))] == expected
+    assert [view[index - len(view)] for index in range(len(view))] == expected
+    with pytest.raises(IndexError):
+        view[len(view)]
     assert list(view) == expected
+    assert view[:] == expected
     assert view[2:9] == expected[2:9]
     assert view[::-3] == expected[::-3]
-    rows = np.array([5, 0, 5, len(view) - 1])
+    rows = np.array([5, 0, 5, len(view) - 1])[: len(view)]
     assert view.take(rows) == [expected[row] for row in rows.tolist()]
-    for time in view.times[:4]:
+    for time in view.times:
         assert view.tuples_at(time) == [
             item for item in expected if item.t == time
         ]
-    # Whatever route built a tuple, later reads hand back that object.
-    first = view.take(np.array([1]))[0]
-    assert view[1] is first and next(iter(view[1:2])) is first
+
+    tau = 0.3
+    hits = [item for item in expected if item.probability >= tau]
+    assert threshold_query(view, tau) == hits
+    assert most_probable_range_query(view) == {
+        time: max(
+            (item for item in expected if item.t == time),
+            key=lambda item: item.probability,
+        )
+        for time in view.times
+    }
+    entry = _threshold_entry(view, tau)
+    assert entry.result == hits
+    plain = [[i.t, i.low, i.high, i.probability, i.label] for i in hits]
+    assert entry.rows() == plain
+    payload = ViewResult(view, QueryTrace()).to_dict()
+    assert payload["tuples"] == [
+        [i.t, i.low, i.high, i.probability, i.label] for i in expected
+    ]
+    assert all(type(row[0]) is int for row in payload["tuples"])
 
 
 def test_concurrent_materialisation_of_one_cached_view(
@@ -478,7 +557,7 @@ def test_concurrent_materialisation_of_one_cached_view(
     cache = MatrixCache()
     key = ("root", "sensor-0", (), (), ())
     cache.get(key, lambda: _store_loaded_view(catalog_root))
-    expected = _expected_tuples(cache.get(key, pytest.fail))
+    expected = _reference_rows(cache.get(key, pytest.fail))
 
     def materialise(index):
         view = cache.get(key, pytest.fail)
@@ -501,9 +580,7 @@ def test_concurrent_materialisation_of_one_cached_view(
         assert sorted(outcome, key=_tuple_key) == sorted(
             expected, key=_tuple_key
         )
-    view = cache.get(key, pytest.fail)
-    assert all(view[index] is view[index] for index in range(len(view)))
-    assert list(view) == expected
+    assert list(cache.get(key, pytest.fail)) == expected
 
 
 def _tuple_key(item: ProbTuple) -> tuple:

@@ -16,6 +16,9 @@ from repro.db.queries import (
 )
 from repro.db.table import Table
 from repro.exceptions import DataError, InvalidParameterError, QueryError
+from repro.view.builder import ProbabilityMatrix
+from repro.view.omega import OmegaGrid
+from view_helpers import view_from_rows
 
 
 def _sample_view() -> ProbabilisticView:
@@ -28,7 +31,7 @@ def _sample_view() -> ProbabilisticView:
         ProbTuple(t=2, low=1.0, high=2.0, probability=0.6, label="room 2"),
         ProbTuple(t=2, low=2.0, high=3.0, probability=0.3, label="room 3"),
     ]
-    return ProbabilisticView("prob_view", tuples)
+    return view_from_rows("prob_view", tuples)
 
 
 class TestTable:
@@ -101,13 +104,58 @@ class TestProbabilisticView:
             ProbTuple(t=1, low=1.0, high=2.0, probability=0.8),
         ]
         with pytest.raises(DataError, match="sum"):
-            ProbabilisticView("bad", tuples)
+            view_from_rows("bad", tuples)
 
     def test_tuple_validation(self):
-        with pytest.raises(InvalidParameterError):
-            ProbTuple(t=0, low=1.0, high=0.0, probability=0.5)
-        with pytest.raises(InvalidParameterError):
-            ProbTuple(t=0, low=0.0, high=1.0, probability=1.5)
+        with pytest.raises(InvalidParameterError, match="range"):
+            view_from_rows("bad", [(0, 1.0, 0.0, 0.5)])
+        with pytest.raises(InvalidParameterError, match="probability"):
+            view_from_rows("bad", [(0, 0.0, 1.0, 1.5)])
+
+    @pytest.mark.parametrize("bound", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["low", "high"])
+    def test_non_finite_range_bounds_refused(self, bound, side):
+        # NaN passes a bare ``high <= low`` test, and +-inf ranges make
+        # every midpoint-based answer non-finite.
+        low = np.array([0.0, 0.0, 1.0, 1.0])
+        high = np.array([1.0, 2.0, 2.0, 3.0])
+        {"low": low, "high": high}[side][1] = bound
+        with pytest.raises(InvalidParameterError, match="finite"):
+            ProbabilisticView.from_columns(
+                "s", [0, 0, 1, 1], low, high, [0.5] * 4
+            )
+
+
+class TestFromMatrix:
+    """``from_matrix`` expands the grid, then checks as ``from_columns`` does."""
+
+    @staticmethod
+    def _matrix(t, mean):
+        t = np.asarray(t)
+        return ProbabilityMatrix(
+            t=t, mean=np.asarray(mean, dtype=float),
+            volatility=np.ones(t.size), probabilities=np.full((t.size, 2), 0.4),
+        )
+
+    def test_expands_the_grid(self):
+        view = ProbabilisticView.from_matrix(
+            "m", self._matrix([3, 4], [10.0, 20.0]), OmegaGrid(1.0, 2)
+        )
+        assert view[:2] == [
+            ProbTuple(3, 9.0, 10.0, 0.4, "lambda=-1"),
+            ProbTuple(3, 10.0, 11.0, 0.4, "lambda=0"),
+        ]
+        assert view.times == [3, 4]
+
+    def test_non_integral_times_are_refused(self):
+        matrix = self._matrix(np.array([0.5, 1.7]), [10.0, 20.0])
+        with pytest.raises(DataError, match="'t'"):
+            ProbabilisticView.from_matrix("m", matrix, OmegaGrid(1.0, 2))
+
+    def test_mean_of_another_length_is_refused(self):
+        matrix = self._matrix([0, 1], [10.0, 20.0, 30.0])
+        with pytest.raises(DataError, match="equal length"):
+            ProbabilisticView.from_matrix("m", matrix, OmegaGrid(1.0, 2))
 
 
 class TestFromColumnsCast:

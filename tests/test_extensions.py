@@ -28,6 +28,7 @@ from repro.metrics.registry import create_metric
 from repro.metrics.uniform_threshold import UniformThresholdingMetric
 from repro.metrics.variable_threshold import VariableThresholdingMetric
 from repro.timeseries.stats import rolling_variance
+from view_helpers import view_from_rows
 
 
 class TestEWMAMetric:
@@ -180,7 +181,7 @@ def _simple_view() -> ProbabilisticView:
         ProbTuple(t=3, low=0.0, high=10.0, probability=0.2),
         ProbTuple(t=3, low=10.0, high=20.0, probability=0.8),
     ]
-    return ProbabilisticView("v", tuples)
+    return view_from_rows("v", tuples)
 
 
 class TestStreamQueries:

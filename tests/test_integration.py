@@ -108,7 +108,7 @@ class TestPaperPipeline:
 
         pipe = OnlinePipeline(VariableThresholdingMetric(), H=H, grid=grid)
         for value in sub.values:
-            pipe.feed(value)
+            pipe.feed_batch([value])
         online_view = pipe.to_view("v_online")
 
         assert sql_view.times == online_view.times

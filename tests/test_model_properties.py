@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -129,9 +129,18 @@ def test_metrics_emit_valid_densities_on_any_window(window):
     window=_WINDOWS,
     kappa=st.floats(min_value=0.5, max_value=5.0),
 )
+# A near-constant window whose ARMA forecast lands near 4.9e7 with sigma
+# ~1.35: the stored bounds round by ulp(4.9e7) ~ 7.5e-9, i.e. ~5.5e-9 sigma.
+@example(window=np.array([0.0] * 25 + [1e-6, 7.0]), kappa=1.0)
 def test_kappa_bound_probability_matches_gaussian(window, kappa):
     """For Gaussian metrics, P(lower <= X <= upper) is the kappa coverage,
-    independent of the window (Algorithm 1's kappa semantics)."""
+    independent of the window (Algorithm 1's kappa semantics).
+
+    ``lower`` / ``upper`` are stored float64 values ``mean -/+ kappa *
+    sigma``, each rounded by up to one ulp of its own magnitude, which
+    moves the coverage by up to ``phi(kappa) * ulp / sigma`` per bound:
+    the tolerance adds exactly that term, negligible unless the mean is
+    far larger than sigma."""
     from scipy import stats as scipy_stats
 
     metric = VariableThresholdingMetric(kappa=kappa)
@@ -141,4 +150,9 @@ def test_kappa_bound_probability_matches_gaussian(window, kappa):
     actual = gaussian_cdf(forecast.upper, forecast.mean, sigma) - gaussian_cdf(
         forecast.lower, forecast.mean, sigma
     )
-    assert actual == pytest.approx(expected, abs=1e-9)
+    rounding = (
+        scipy_stats.norm.pdf(kappa)
+        * (abs(np.spacing(forecast.upper)) + abs(np.spacing(forecast.lower)))
+        / sigma
+    )
+    assert actual == pytest.approx(expected, abs=1e-9 + rounding)

@@ -54,19 +54,20 @@ class TestOnlinePipeline:
             VariableThresholdingMetric(), H=30, grid=OmegaGrid(0.5, 4)
         )
         series = campus_temperature(60, rng=0)
-        steps = [pipe.feed(v) for v in series.values]
-        assert all(s.is_warmup for s in steps[:30])
-        assert all(not s.is_warmup for s in steps[30:])
+        rows = [pipe.feed_batch([v]) for v in series.values]
+        assert all(len(row) == 0 for row in rows[:30])
+        assert [row.t.tolist() for row in rows[30:]] == [[t] for t in range(30, 60)]
 
     def test_online_matches_offline(self, campus_series):
-        """Online feed must produce the same densities as the batch run."""
+        """Streaming one value at a time must produce the same densities as
+        the batch run."""
         H = 40
         metric_online = VariableThresholdingMetric()
         metric_offline = VariableThresholdingMetric()
         grid = OmegaGrid(0.5, 4)
         pipe = OnlinePipeline(metric_online, H=H, grid=grid)
         for value in campus_series.values[:200]:
-            pipe.feed(value)
+            pipe.feed_batch([value])
         online = pipe.forecasts()
         offline = metric_offline.run(campus_series.slice(0, 200), H)
         assert len(online) == len(offline)
@@ -79,7 +80,7 @@ class TestOnlinePipeline:
             VariableThresholdingMetric(), H=30, grid=OmegaGrid(0.5, 4)
         )
         for value in campus_temperature(80, rng=1).values:
-            pipe.feed(value)
+            pipe.feed_batch([value])
         view = pipe.to_view("online_view")
         assert view.name == "online_view"
         assert len(view.times) == 50
@@ -93,7 +94,7 @@ class TestOnlinePipeline:
             VariableThresholdingMetric(), H=30, grid=grid, cache=cache
         )
         for value in campus_temperature(50, rng=2).values:
-            pipe.feed(value)
+            pipe.feed_batch([value])
         assert cache.stats.lookups > 0
 
     def test_window_below_metric_minimum_rejected(self):
@@ -107,5 +108,5 @@ class TestOnlinePipeline:
             VariableThresholdingMetric(), H=30, grid=OmegaGrid(0.5, 4)
         )
         assert pipe.t == 0
-        pipe.feed(1.0)
+        pipe.feed_batch([1.0])
         assert pipe.t == 1

@@ -1,9 +1,10 @@
 """Online/offline parity: the invariant incremental maintenance rests on.
 
-``OnlinePipeline.feed()`` over a stream must produce the same view —
-tuple for tuple, bit for bit — as ``create_probabilistic_view()`` and as
-``CREATE VIEW`` over the stored series, and ``feed_batch()`` must
-reproduce the ``feed()`` loop exactly.  All four routes run one inference
+``OnlinePipeline.feed_batch([value])`` over a stream must produce the
+same view — tuple for tuple, bit for bit — as
+``create_probabilistic_view()`` and as ``CREATE VIEW`` over the stored
+series, and ``feed_batch()`` of larger batches must reproduce the
+one-value loop exactly.  All four routes run one inference
 path (``infer_batch``) and one row path (``build_matrix``), so equality
 rests on a row coming out the same alone as inside a stack.  Without
 this, the catalog's segments would drift from what a full offline
@@ -67,7 +68,7 @@ def _assert_views_match(actual, expected):
 def _feed_loop_view(metric, values, window=H):
     pipeline = OnlinePipeline(metric, H=window, grid=GRID)
     for value in values:
-        pipeline.feed(value)
+        pipeline.feed_batch([value])
     return pipeline.to_view("online")
 
 
@@ -153,22 +154,23 @@ def test_feed_batch_matches_feed_loop(metric_id):
     _assert_views_match(batched.to_view("batched"), looped)
 
 
-def test_feed_step_is_the_one_row_batch():
-    """feed()'s forecast and row are the one-row feed_batch result."""
+def test_one_value_batches_are_rows_of_the_whole_batch():
+    """feed_batch([value]) emits, row by row, the whole batch's matrix
+    and forecasts."""
     values = campus_temperature(40, rng=5).values
     stepped = OnlinePipeline(EWMAMetric(), H=H, grid=GRID)
-    steps = [stepped.feed(value) for value in values]
+    rows = [stepped.feed_batch([value]) for value in values]
     batched = OnlinePipeline(EWMAMetric(), H=H, grid=GRID)
     matrix = batched.feed_batch(values)
-    forecasts = batched.forecasts()
-    assert all(step.is_warmup for step in steps[:H])
-    fields = ("t", "mean", "volatility", "lower", "upper")
-    for index, step in enumerate(steps[H:]):
-        assert step.t == H + index
-        assert [getattr(step.forecast, f) for f in fields] == \
-            [getattr(forecasts[index], f) for f in fields]
-        assert step.row.t == matrix.t[index]
-        assert np.array_equal(step.row.probabilities, matrix.probabilities[index])
+    assert all(len(row) == 0 for row in rows[:H])
+    for index, row in enumerate(rows[H:]):
+        for name in ("t", "mean", "volatility", "probabilities"):
+            assert np.array_equal(
+                getattr(row, name), getattr(matrix, name)[index : index + 1]
+            )
+    streamed, whole = stepped.forecasts(), batched.forecasts()
+    for name in ("times", "means", "volatilities", "lowers", "uppers"):
+        assert np.array_equal(getattr(streamed, name), getattr(whole, name))
 
 
 def test_feed_batch_returns_only_new_rows():
@@ -302,5 +304,5 @@ def test_retain_history_flag():
         pipeline.to_view()
     with pytest.raises(InvalidParameterError):
         pipeline.forecasts()
-    step = pipeline.feed(21.0)  # Per-value path still emits.
-    assert step.row is not None
+    row = pipeline.feed_batch([21.0])  # One value still emits a row.
+    assert len(row) == 1

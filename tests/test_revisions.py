@@ -17,7 +17,7 @@ import pytest
 
 import repro
 from repro.cli import main
-from repro.db.prob_view import ProbTuple, ProbabilisticView
+from repro.db.prob_view import ProbTuple
 from repro.exceptions import InvalidParameterError, ParseError, QueryError
 from repro.server.app import QueryServer, ServerThread
 from repro.service import CatalogQueryService
@@ -28,10 +28,11 @@ from repro.view.sql import (
     render_statement,
     with_as_of,
 )
+from view_helpers import view_from_rows
 
 
 def _view(series_id: str, times, low=20.0, p=0.9, label="ok"):
-    return ProbabilisticView(series_id, [
+    return view_from_rows(series_id, [
         ProbTuple(t, low + 0.1 * t, low + 0.1 * t + 1.0, p, label)
         for t in times
     ])
@@ -146,7 +147,7 @@ class TestStoreRevisions:
 
     def test_empty_revision_rejected(self, revised):
         with pytest.raises(InvalidParameterError):
-            revised.revise("alpha", ProbabilisticView("alpha", []))
+            revised.revise("alpha", view_from_rows("alpha", []))
 
     def test_replay_iterates_knowledge_timeline(self, revised):
         steps = revised.replay("alpha")

@@ -22,6 +22,7 @@ from repro.db.prob_view import ProbTuple, ProbabilisticView
 from repro.service import CatalogQueryService, ProcessBackend
 from repro.store import Catalog
 from repro.util.jsonio import canonical_dumps
+from view_helpers import view_from_rows
 
 _SETTINGS = dict(
     deadline=None,
@@ -69,7 +70,7 @@ def chain_spec(draw):
 
 
 def _base_view(spec) -> ProbabilisticView:
-    return ProbabilisticView("s", [
+    return view_from_rows("s", [
         ProbTuple(
             t,
             spec["base_low"] + 0.1 * t,
@@ -82,7 +83,7 @@ def _base_view(spec) -> ProbabilisticView:
 
 
 def _revision_view(spec, rev, index) -> ProbabilisticView:
-    return ProbabilisticView("s", [
+    return view_from_rows("s", [
         ProbTuple(
             t,
             spec["base_low"] + rev["shift"],

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.db.engine import Database
-from repro.db.prob_view import ProbabilisticView, ProbTuple
+from repro.db.prob_view import ProbTuple
 from repro.db.table import Table
 from repro.exceptions import ReproError
 from repro.obs import MetricsRegistry
@@ -43,6 +43,7 @@ from repro.server.protocol import (
 from repro.service.executor import CatalogQueryService, StatementResult
 from repro.store import Catalog
 from repro.view.omega import OmegaGrid
+from view_helpers import view_from_rows
 
 H = 16
 GRID = OmegaGrid(delta=0.5, n=4)
@@ -691,7 +692,7 @@ class TestReplyCache:
                             assert served == fresh, (step, statement)
 
                 def revision(low):
-                    return ProbabilisticView("room-1", [
+                    return view_from_rows("room-1", [
                         ProbTuple(t, low, low + 1.0, 0.9, "rev")
                         for t in range(20, 26)
                     ])

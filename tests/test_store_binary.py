@@ -46,6 +46,7 @@ from repro.store.binary import (
 )
 from repro.view.builder import ViewBuilder
 from repro.view.omega import OmegaGrid
+from view_helpers import view_from_rows
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +86,7 @@ class TestViewNpz:
             ProbTuple(t=1, low=2.0, high=4.0, probability=0.5, label="room 2"),
             ProbTuple(t=2, low=0.0, high=2.0, probability=1.0, label="room 1"),
         ]
-        original = ProbabilisticView("rooms", tuples)
+        original = view_from_rows("rooms", tuples)
         path = tmp_path / "rooms.npz"
         save_view_npz(original, path)
         loaded = load_view_npz(path)
@@ -99,7 +100,7 @@ class TestViewNpz:
         assert len(load_view_npz(path)) == len(view)
 
     def test_empty_view_round_trips(self, tmp_path):
-        empty = ProbabilisticView("empty", [])
+        empty = view_from_rows("empty", [])
         path = tmp_path / "empty.npz"
         save_view_npz(empty, path)
         assert len(load_view_npz(path)) == 0

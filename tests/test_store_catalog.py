@@ -297,7 +297,7 @@ class TestReload:
         stored = reopened.view("room")
         continuous = OnlinePipeline(VariableThresholdingMetric(), H, GRID)
         for value in values:
-            continuous.feed(value)
+            continuous.feed_batch([value])
         reference = continuous.to_view("reference")
         assert len(stored) == len(reference)
         assert np.array_equal(

@@ -22,6 +22,7 @@ from repro.db.stream_queries import (
 from repro.exceptions import InvalidParameterError, QueryError
 from repro.store import Catalog, StandingQuery
 from repro.view.omega import OmegaGrid
+from view_helpers import view_from_rows
 
 H = 25
 GRID = OmegaGrid(delta=0.4, n=6)
@@ -143,12 +144,7 @@ def test_windowed_results_empty_until_window_fills(tmp_path):
 def test_windowed_queries_reject_non_contiguous_static_views(tmp_path):
     """Parity with the one-shot queries: gapped times must not silently
     window by array position."""
-    from repro.db.prob_view import ProbTuple, ProbabilisticView
-
-    gapped = ProbabilisticView("gapped", [
-        ProbTuple(t=t, low=0.0, high=10.0, probability=1.0)
-        for t in (2, 4, 6)
-    ])
+    gapped = view_from_rows("gapped", [(t, 0.0, 10.0, 1.0) for t in (2, 4, 6)])
     catalog = Catalog(tmp_path / "cat")
     catalog.save_view("gapped", gapped)
     for query in (

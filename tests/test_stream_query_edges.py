@@ -12,6 +12,7 @@ from repro.db.stream_queries import (
     windowed_expected_value,
 )
 from repro.exceptions import InvalidParameterError
+from view_helpers import view_from_rows
 
 WINDOWED = [
     lambda view, window: windowed_expected_value(view, window),
@@ -29,7 +30,7 @@ def _view(times) -> ProbabilisticView:
         ProbTuple(t=t, low=10.0, high=20.0, probability=0.6)
         for t in times
     ]
-    return ProbabilisticView("v", tuples)
+    return view_from_rows("v", tuples)
 
 
 @pytest.mark.parametrize("query", WINDOWED, ids=IDS)

@@ -15,6 +15,7 @@ from repro.db.worlds import (
     monte_carlo_query,
 )
 from repro.exceptions import InvalidParameterError
+from view_helpers import view_from_rows
 
 
 def _view(p1=0.6, p2=0.4, leftover=0.0) -> ProbabilisticView:
@@ -26,7 +27,7 @@ def _view(p1=0.6, p2=0.4, leftover=0.0) -> ProbabilisticView:
         ProbTuple(t=2, low=0.0, high=1.0, probability=p2 * scale),
         ProbTuple(t=2, low=1.0, high=2.0, probability=(1 - p2) * scale),
     ]
-    return ProbabilisticView("w", tuples)
+    return view_from_rows("w", tuples)
 
 
 class _ZeroFirstRandom(np.random.Generator):
@@ -92,11 +93,9 @@ class TestWorldSampler:
 
     def test_views_hold_no_point_mass_or_empty_block(self):
         # The column kernels carry no branch for a zero-width tuple or an
-        # empty tuple block, because no view can hold either: both
-        # constructors reject high <= low, and a view's times are the
-        # times of its tuples.
-        with pytest.raises(InvalidParameterError):
-            ProbTuple(t=1, low=1.0, high=1.0, probability=0.25)
+        # empty tuple block, because no view can hold either: from_columns,
+        # the one constructor, rejects high <= low, and a view's times are
+        # the times of its tuples.
         with pytest.raises(InvalidParameterError):
             ProbabilisticView.from_columns("w", [1], [1.0], [1.0], [0.25])
         view = ProbabilisticView.from_columns(
