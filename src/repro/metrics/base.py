@@ -159,7 +159,8 @@ class DensitySeries:
         (:data:`GAUSSIAN` / :data:`UNIFORM`) for a mixed series.
         ``variance`` optionally carries the exact inferred variances so
         Gaussian rows do not round-trip through ``sqrt``.  A Gaussian row
-        needs a finite mean and a positive finite variance, a uniform row
+        needs a finite mean, a positive finite variance and finite bounds
+        with ``lower <= upper`` (equal at ``kappa = 0``), a uniform row
         finite bounds with ``upper > lower``.
         """
         t = require_int64_column("t", t)
@@ -188,12 +189,15 @@ class DensitySeries:
         if t.size > 1 and np.any(np.diff(t) <= 0):
             raise DataError("forecasts must be in strictly increasing time order")
         sigma2 = self._vol**2 if variance is None else self._variance
+        bounded = np.isfinite(self._lower) & np.isfinite(self._upper)
         valid = np.where(
             self._family == GAUSSIAN,
-            np.isfinite(self._mean) & np.isfinite(sigma2) & (sigma2 > 0.0),
-            np.isfinite(self._lower)
-            & np.isfinite(self._upper)
-            & (self._upper > self._lower),
+            np.isfinite(self._mean)
+            & np.isfinite(sigma2)
+            & (sigma2 > 0.0)
+            & bounded
+            & (self._lower <= self._upper),
+            bounded & (self._upper > self._lower),
         )
         if not np.all(valid):
             i = int(np.argmin(valid))

@@ -18,11 +18,14 @@ the likelihood 13-23 times per warm-started fit (~90 from the three cold
 starts), so for GARCH(1,1) everything that is constant across those
 evaluations (pre-sample variance, squared shocks, the drives of the
 sensitivity filters) is computed once per fit by
-:class:`_Garch11Likelihood`; an evaluation is then two ``lfilter`` calls
-and a handful of array operations.  :meth:`GARCHModel.filter_variance` is
-the general (m, s) recursion: it runs once per fit for
-``conditional_variance_`` and per evaluation only for orders other than
-(1, 1), whose gradient scipy takes by finite differences.
+:class:`_Garch11Likelihood`; an evaluation is then two calls of
+``lfilter``'s C core and a handful of array operations.  The fit itself
+runs :func:`_lbfgsb_11`, scipy's L-BFGS-B loop replayed around the
+compiled step without ``minimize``'s wrapper layers, to the same iterates
+and evaluation count.  :meth:`GARCHModel.filter_variance` is the general
+(m, s) recursion: it runs once per fit for ``conditional_variance_`` and
+per evaluation only for orders other than (1, 1), which keep
+``optimize.minimize`` for its finite-difference gradient.
 """
 
 from __future__ import annotations
@@ -31,7 +34,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, signal
+from scipy import optimize
+
+# Private scipy entry points (both in scipy >= 1.15, requirements.txt):
+# the compiled L-BFGS-B step and lfilter's C core.  A change to either
+# fails tests/test_fit_exactness.py, whose references use the public API.
+from scipy.optimize._lbfgsb import setulb
+from scipy.signal._sigtools import _linear_filter
 
 from repro.exceptions import (
     EstimationError,
@@ -52,6 +61,69 @@ _VARIANCE_FLOOR = 1e-12
 _MAX_PERSISTENCE = 0.9995
 
 _TWO_PI = 2.0 * np.pi
+
+#: ``lfilter``'s numerator ``[1.0]`` as the array it would build.
+_NUMERATOR = np.ones(1)
+
+#: The GARCH(1,1) box ``omega >= 1e-10``, ``0 <= alpha, beta <= 0.9995``:
+#: ``_BOX`` clips the start; ``_LOWER`` / ``_UPPER`` / ``_NBD`` are the
+#: ``l`` / ``u`` / ``nbd`` arrays ``minimize`` hands L-BFGS-B (``nbd`` 1:
+#: lower bound only, so ``u[0]`` stays 0; 2: both bounds).
+_BOX = (np.array([1e-10, 0.0, 0.0]),
+        np.array([np.inf, _MAX_PERSISTENCE, _MAX_PERSISTENCE]))
+_LOWER = _BOX[0]
+_UPPER = np.array([0.0, _MAX_PERSISTENCE, _MAX_PERSISTENCE])
+_NBD = np.array([1, 2, 2], dtype=np.int32)
+
+#: ``minimize``'s L-BFGS-B defaults: ``ftol`` as ``factr``, ``gtol``.
+_FACTR = 2.2204460492503131e-09 / np.finfo(float).eps
+_PGTOL = 1e-5
+
+
+def _lbfgsb_11(objective, start: np.ndarray) -> tuple[np.ndarray, float]:
+    """``optimize.minimize(objective, start, method="L-BFGS-B", jac=True,
+    bounds=<the GARCH(1,1) box>, options={"maxiter": 200})`` as ``(x, fun)``.
+
+    Replays ``scipy.optimize._lbfgsb_py._minimize_lbfgsb`` around the
+    compiled ``setulb`` step with its defaults (``m=10``, ``maxls=20``,
+    ``maxfun=15000``), and evaluates ``objective`` as ``ScalarFunction``
+    does: once at the clipped start, then only when ``x`` differs
+    (``np.array_equal``) from the last point, on a copy of ``x``.
+    """
+    x = np.clip(np.array(start, dtype=float), *_BOX)
+    m, n = 10, x.size
+    last = x.copy()
+    value, gradient = objective(x.copy())
+    nfev, iterations = 1, 0
+    f, g = np.array(0.0), np.zeros(n)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task, ln_task = np.zeros(2, dtype=np.int32), np.zeros(2, dtype=np.int32)
+    lsave, isave = np.zeros(4, dtype=np.int32), np.zeros(44, dtype=np.int32)
+    dsave = np.zeros(29)
+    while True:
+        # As minimize does: setulb gets a copy, never the memoised gradient.
+        g = g.astype(np.float64)
+        setulb(m, x, _LOWER, _UPPER, _NBD, f, g, _FACTR, _PGTOL, wa, iwa,
+               task, lsave, isave, dsave, 20, ln_task)
+        if task[0] == 3:  # FG: the objective at the current x.
+            if not np.array_equal(x, last):
+                last = x.copy()
+                value, gradient = objective(x.copy())
+                nfev += 1
+                if value != value and np.isnan(x).any():
+                    # minimize's MemoizeJac re-evaluates for the gradient
+                    # when x holds a NaN (NaN != NaN); keep the count.
+                    objective(x.copy())
+            f, g = value, gradient
+        elif task[0] == 1:  # NEW_X: one iteration done.
+            iterations += 1
+            if iterations >= 200:
+                task[0], task[1] = 5, 504
+            elif nfev > 15000:
+                task[0], task[1] = 5, 502
+        else:
+            return x, f
 
 
 @dataclass(frozen=True)
@@ -106,11 +178,12 @@ class _Garch11Likelihood:
         d s2/d beta_i  = sigma^2_{i-1}+ beta * d s2/d beta_{i-1}
 
     The three sensitivities share the denominator ``[1, -beta]``, so they
-    run as one ``lfilter`` call over a ``(3, n)`` stack of drives (rows
-    filter independently).  The first two drives, the squared shocks and
-    the pre-sample variance do not depend on the parameters and are built
-    once here; a call fills in the third drive and evaluates one
-    ``(omega, alpha, beta)``.
+    run as one filter call over a ``(3, n)`` stack of drives (rows filter
+    independently).  Both calls go to ``lfilter``'s C core with the
+    ``float64`` arrays ``lfilter`` would hand it.  The first two drives,
+    the squared shocks and the pre-sample variance do not depend on the
+    parameters and are built once here; a call fills in the third drive
+    and evaluates one ``(omega, alpha, beta)``.
     """
 
     def __init__(self, data: np.ndarray) -> None:
@@ -132,10 +205,10 @@ class _Garch11Likelihood:
         denominator = np.array([1.0, -beta])
         drive = omega + alpha * drives[1]
         state = np.array([beta * self.initial])
-        variance, _ = signal.lfilter([1.0], denominator, drive, zi=state)
+        variance, _ = _linear_filter(_NUMERATOR, denominator, drive, -1, state)
         variance = np.maximum(variance, _VARIANCE_FLOOR)
         drives[2, 1:] = variance[:-1]
-        sensitivity, _ = signal.lfilter([1.0], denominator, drives, zi=zero)
+        sensitivity, _ = _linear_filter(_NUMERATOR, denominator, drives, -1, zero)
         ratio = squared / variance
         loglik = -0.5 * float((np.log(_TWO_PI * variance) + ratio).sum())
         # d loglik / d sigma^2_i = 0.5 * (a^2_i / sigma^2_i - 1) / sigma^2_i.
@@ -241,9 +314,6 @@ class GARCHModel:
         base_variance: float,
         warm_start: GARCHParams | None = None,
     ) -> tuple[GARCHParams, float]:
-        bounds = [(1e-10, None)]
-        bounds += [(0.0, _MAX_PERSISTENCE)] * (self.m + self.s)
-
         analytic = self.m == 1 and self.s == 1
         if analytic:
             likelihood = _Garch11Likelihood(data)
@@ -266,6 +336,9 @@ class GARCHModel:
                     gradient[2] += 2e4 * excess
                 return -loglik + penalty, gradient
         else:
+            bounds = [(1e-10, None)]
+            bounds += [(0.0, _MAX_PERSISTENCE)] * (self.m + self.s)
+
             def objective(theta: np.ndarray):
                 self.evaluations_ += 1
                 params = self._unpack(theta)
@@ -287,15 +360,19 @@ class GARCHModel:
         best_value = math.inf
         for start in starting_points:
             try:
-                result = optimize.minimize(
-                    objective, start, method="L-BFGS-B", bounds=bounds,
-                    jac=analytic, options={"maxiter": 200},
-                )
+                if analytic:
+                    theta, value = _lbfgsb_11(objective, start)
+                else:
+                    result = optimize.minimize(
+                        objective, start, method="L-BFGS-B", bounds=bounds,
+                        options={"maxiter": 200},
+                    )
+                    theta, value = result.x, result.fun
             except (ValueError, FloatingPointError):  # pragma: no cover - scipy guard.
                 continue
-            if np.all(np.isfinite(result.x)) and result.fun < best_value:
-                best_value = float(result.fun)
-                best_theta = result.x
+            if np.all(np.isfinite(theta)) and value < best_value:
+                best_value = float(value)
+                best_theta = theta
         if best_theta is None:
             # Optimiser never produced finite parameters: flat fallback.
             params = self._constant_params(base_variance)
@@ -326,8 +403,8 @@ class GARCHModel:
         Pre-sample terms are initialised with the sample variance, the
         standard convention for short-window estimation.  The recursion is a
         linear filter in the squared shocks, so for ``s <= 1`` (the paper
-        only ever uses GARCH(1,1)) it runs through ``scipy.signal.lfilter``
-        in C; higher ``s`` falls back to the straightforward loop.  A fit
+        only ever uses GARCH(1,1)) it runs through ``lfilter``'s C core;
+        higher ``s`` falls back to the straightforward loop.  A fit
         calls this once, for ``conditional_variance_``; only the
         finite-difference estimation of orders other than (1, 1) evaluates
         it on every likelihood call.
@@ -345,8 +422,9 @@ class GARCHModel:
             return np.maximum(drive, _VARIANCE_FLOOR)
         if params.s == 1:
             beta = float(params.beta[0])
-            variance, _state = signal.lfilter(
-                [1.0], [1.0, -beta], drive, zi=np.array([beta * initial])
+            variance, _state = _linear_filter(
+                _NUMERATOR, np.array([1.0, -beta]), drive, -1,
+                np.array([beta * initial]),
             )
             return np.maximum(variance, _VARIANCE_FLOOR)
         variance = np.empty(n)

@@ -91,16 +91,17 @@ def _ref_loglik(data, omega, alpha, beta):
 def _ref_fit(data, warm_start=None):
     """``GARCHModel().fit`` spelled out over the reference objective.
 
-    Returns ``(omega, alpha, beta, loglik, variance, penalised)`` where
-    ``penalised`` counts the evaluations that took the persistence-penalty
-    branch.
+    Returns ``(omega, alpha, beta, loglik, variance, penalised, nfev)``
+    where ``penalised`` counts the evaluations that took the
+    persistence-penalty branch and ``nfev`` sums ``minimize``'s evaluation
+    counts over the starts.
     """
     base_variance = float(np.var(data))
     if base_variance < FLOOR:
         flat = max(base_variance, FLOOR)
         loglik = _ref_loglik(data, flat, 0.0, 0.0)
-        return flat, 0.0, 0.0, loglik, np.full(data.size, flat), 0
-    penalised = 0
+        return flat, 0.0, 0.0, loglik, np.full(data.size, flat), 0, 0
+    penalised = nfev = 0
 
     def objective(theta):
         nonlocal penalised
@@ -140,6 +141,7 @@ def _ref_fit(data, warm_start=None):
             jac=True,
             options={"maxiter": 200},
         )
+        nfev += result.nfev
         if np.all(np.isfinite(result.x)) and result.fun < best_value:
             best_value = float(result.fun)
             best_theta = result.x
@@ -151,7 +153,7 @@ def _ref_fit(data, warm_start=None):
         scale = MAX_PERSISTENCE / (alpha + beta)
         alpha, beta = alpha * scale, beta * scale
     variance = _ref_filter_variance(data, omega, alpha, beta)
-    return omega, alpha, beta, -best_value, variance, penalised
+    return omega, alpha, beta, -best_value, variance, penalised, nfev
 
 
 def _garch_pairs():
@@ -200,17 +202,27 @@ def _fit_windows():
     return windows
 
 
+def _create_view_windows(count=40, H=60):
+    """ARMA(1) residuals of consecutive H-windows: what a rolling fit sees."""
+    values = campus_temperature(400, rng=0).values
+    return [
+        ARMAModel(1).fit(values[t - H : t]).residuals_[1:]
+        for t in range(H, H + count)
+    ]
+
+
 def _assert_fit_equals_reference(data, warm_start):
     theta = None
     if warm_start is not None:
         theta = [warm_start.omega, warm_start.alpha[0], warm_start.beta[0]]
-    omega, alpha, beta, loglik, variance, penalised = _ref_fit(data, theta)
+    omega, alpha, beta, loglik, variance, penalised, nfev = _ref_fit(data, theta)
     model = GARCHModel().fit(data, warm_start=warm_start)
     assert model.params_.omega == omega
     assert _bits(model.params_.alpha) == _bits(np.array([alpha]))
     assert _bits(model.params_.beta) == _bits(np.array([beta]))
     assert model.loglik_ == loglik
     assert _bits(model.conditional_variance_) == _bits(variance)
+    assert model.evaluations_ == nfev
     return model, penalised
 
 
@@ -227,6 +239,9 @@ def test_garch_fit_matches_reference_fit_bitwise():
     # The persistence-penalty branch was exercised on both start rules.
     assert penalised_cold > 0
     assert penalised_warm > 0
+    # A rolling fit's chain: each window starts from the last one's optimum.
+    for data in _create_view_windows():
+        previous = _assert_fit_equals_reference(data, previous)[0].params_
 
 
 def test_garch_fit_constant_window_flat_fallback_bitwise():

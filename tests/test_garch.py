@@ -136,6 +136,62 @@ class TestFit:
             GARCHModel().fit(np.array([1.0]))
 
 
+def _recording(kind):
+    """An objective on the GARCH(1,1) box that records every point it sees."""
+    seen = []
+    target = np.array([0.3, 0.2, 1.5]) if kind == "bound" else np.array([0.3, 0.2, 0.5])
+
+    def objective(x):
+        seen.append(x.copy())
+        if kind == "nan" and len(seen) == 1:
+            # A NaN gradient at the start sends every later point to NaN.
+            return 1.0, np.array([np.nan, 1.0, 1.0])
+        r = x - target
+        return float(r @ r + np.sin(x).sum()), 2.0 * r + np.cos(x)
+
+    return objective, seen
+
+
+class TestLbfgsbReplay:
+    """``_lbfgsb_11`` against ``optimize.minimize`` on the same box."""
+
+    @pytest.mark.parametrize("kind", ["interior", "bound", "nan"])
+    @pytest.mark.parametrize("start", [(1.0, 0.5, 0.4), (-2.0, -0.1, 3.0)])
+    def test_same_points_result_and_count(self, kind, start):
+        from scipy import optimize
+
+        from repro.timeseries.garch import _MAX_PERSISTENCE, _lbfgsb_11
+
+        bounds = [(1e-10, None)] + [(0.0, _MAX_PERSISTENCE)] * 2
+        objective, seen = _recording(kind)
+        result = optimize.minimize(
+            objective, np.array(start), method="L-BFGS-B", jac=True,
+            bounds=bounds, options={"maxiter": 200},
+        )
+        replay, replay_seen = _recording(kind)
+        x, fun = _lbfgsb_11(replay, np.array(start))
+        assert np.array(replay_seen).tobytes() == np.array(seen).tobytes()
+        assert x.tobytes() == result.x.tobytes()
+        assert np.array(fun).tobytes() == np.array(result.fun).tobytes()
+        # ``nfev`` omits MemoizeJac's second call at a NaN point.
+        nan_points = sum(bool(np.isnan(p).any()) for p in seen)
+        assert result.nfev == len(seen) - nan_points // 2
+
+    def test_garch11_fit_calls_neither_minimize_nor_lfilter(self, monkeypatch):
+        import scipy.optimize
+        import scipy.signal
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("GARCH(1,1) went through a scipy wrapper")
+
+        monkeypatch.setattr(scipy.optimize, "minimize", refuse)
+        monkeypatch.setattr(scipy.signal, "lfilter", refuse)
+        shocks = GARCHModel.simulate(_make_params(), 120, rng=5)
+        cold = GARCHModel().fit(shocks)
+        warm = GARCHModel().fit(shocks, warm_start=cold.params_)
+        assert cold.evaluations_ > 0 and warm.evaluations_ > 0
+
+
 class TestForecast:
     def test_forecast_matches_eq6(self, rng):
         data = rng.standard_normal(120)

@@ -201,6 +201,33 @@ class TestDensitySeriesConstruction:
         with pytest.raises(InvalidParameterError):
             DensitySeries.from_columns(**self._columns(**overrides))
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"lower": np.array([np.nan, 1.0])},
+            {"lower": np.array([-np.inf, 1.0])},
+            {"lower": np.array([5.0, 1.0]), "upper": np.array([2.0, 3.0])},
+        ],
+    )
+    def test_gaussian_row_needs_ordered_finite_bounds(self, overrides):
+        with pytest.raises(InvalidParameterError, match="t=0"):
+            DensitySeries.from_columns(**self._columns(**overrides))
+
+    def test_nan_bound_raises_before_coverage_reads_it(self):
+        """At a NaN bound the row used to count as a miss: coverage 0.5."""
+        with pytest.raises(InvalidParameterError, match="t=0"):
+            series = DensitySeries.from_columns(
+                **self._columns(lower=np.array([np.nan, 1.0]))
+            )
+            series.coverage(TimeSeries([0.5, 2.0]))
+
+    def test_gaussian_row_accepts_equal_bounds(self):
+        """``kappa = 0`` puts both bounds on the mean."""
+        series = DensitySeries.from_columns(
+            **self._columns(lower=np.array([1.0, 2.0]), upper=np.array([1.0, 2.0]))
+        )
+        assert series.coverage(TimeSeries([1.0, 0.0])) == 0.5
+
     def test_rows_keep_their_variance(self):
         """A Gaussian row's exact variance, not ``volatility ** 2``."""
         series = DensitySeries.from_columns(
