@@ -19,10 +19,27 @@ from repro.metrics.base import (
     variance_floor,
 )
 from repro.timeseries.arma import ARMAModel
-from repro.timeseries.garch import GARCHModel
+from repro.timeseries.garch import GARCHModel, GARCHParams
 from repro.util.validation import require_positive
 
-__all__ = ["ARMAGARCHMetric"]
+__all__ = ["ARMAGARCHMetric", "garch_variance"]
+
+
+def garch_variance(
+    residuals: np.ndarray,
+    floor: float,
+    m: int,
+    s: int,
+    warm_start: GARCHParams | None = None,
+) -> tuple[float, GARCHModel | None]:
+    """The GARCH stage of every GARCH metric: the one-step variance
+    forecast (eq. 6), at least ``floor``, and the fitted model; a window
+    the fit rejects gets its flat sample variance and ``None``."""
+    try:
+        garch = GARCHModel(m, s).fit(residuals, warm_start=warm_start)
+        return max(garch.forecast_variance(), floor), garch
+    except EstimationError:
+        return max(float(np.var(residuals)), floor), None
 
 
 class ARMAGARCHMetric(DynamicDensityMetric):
@@ -85,7 +102,15 @@ class ARMAGARCHMetric(DynamicDensityMetric):
         arma = ARMAModel(self.p, self.q).fit(window)
         mean = arma.predict_next()
         residuals = arma.residuals_[max(self.p, self.q):]
-        return mean, self._garch_variance(residuals, variance_floor(window))
+        warm_start = self._last_garch_params if self.warm_start else None
+        variance, garch = garch_variance(
+            residuals, variance_floor(window), self.m, self.s, warm_start
+        )
+        if garch is not None:
+            self.garch_evaluations_ += garch.evaluations_
+            if self.warm_start:
+                self._last_garch_params = garch.params_
+        return mean, variance
 
     def infer_batch(self, windows: np.ndarray, ts: np.ndarray) -> DensitySeries:
         """Algorithm 1 per row, in time order, into forecast columns.
@@ -101,20 +126,6 @@ class ARMAGARCHMetric(DynamicDensityMetric):
         for row, window in enumerate(windows):
             mean[row], variance[row] = self._infer_moments(window)
         return gaussian_series(ts, mean, variance, self.kappa)
-
-    def _garch_variance(self, residuals: np.ndarray, floor: float) -> float:
-        """One-step GARCH variance forecast with a flat-variance fallback."""
-        try:
-            garch = GARCHModel(self.m, self.s).fit(
-                residuals,
-                warm_start=self._last_garch_params if self.warm_start else None,
-            )
-            self.garch_evaluations_ += garch.evaluations_
-            if self.warm_start:
-                self._last_garch_params = garch.params_
-            return max(garch.forecast_variance(), floor)
-        except EstimationError:
-            return max(float(np.var(residuals)), floor)
 
     def reset(self) -> None:
         """Drop the warm-start state (e.g. before switching to a new series)."""

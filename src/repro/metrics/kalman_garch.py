@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.exceptions import EstimationError, InvalidParameterError
+from repro.exceptions import InvalidParameterError
+from repro.metrics.arma_garch import garch_variance
 from repro.metrics.base import (
     DensitySeries,
     DynamicDensityMetric,
     gaussian_series,
     variance_floor,
 )
-from repro.timeseries.garch import GARCHModel
 from repro.timeseries.kalman import KalmanFilter
 from repro.util.validation import require_positive
 
@@ -66,6 +66,8 @@ class KalmanGARCHMetric(DynamicDensityMetric):
         self.c1 = float(c1)
         self.c2 = float(c2)
         self.min_window = max(max(self.m, self.s) + 2, 4)
+        #: GARCH likelihood evaluations spent since construction.
+        self.garch_evaluations_ = 0
 
     def _infer_moments(self, window: np.ndarray) -> tuple[float, float]:
         """``(r_hat_t, sigma_hat_t^2)`` from one window."""
@@ -76,8 +78,12 @@ class KalmanGARCHMetric(DynamicDensityMetric):
         residuals = window - kalman.fitted_means()
         # The first prediction error reflects the diffuse prior, not the
         # dynamics; drop it before volatility estimation.
-        floor = variance_floor(window)
-        return mean, self._garch_variance(residuals[1:], floor)
+        variance, garch = garch_variance(
+            residuals[1:], variance_floor(window), self.m, self.s
+        )
+        if garch is not None:
+            self.garch_evaluations_ += garch.evaluations_
+        return mean, variance
 
     def infer_batch(self, windows: np.ndarray, ts: np.ndarray) -> DensitySeries:
         """One EM + GARCH fit per row, written straight into forecast
@@ -87,13 +93,6 @@ class KalmanGARCHMetric(DynamicDensityMetric):
         for row, window in enumerate(windows):
             mean[row], variance[row] = self._infer_moments(window)
         return gaussian_series(ts, mean, variance, self.kappa)
-
-    def _garch_variance(self, residuals: np.ndarray, floor: float) -> float:
-        try:
-            garch = GARCHModel(self.m, self.s).fit(residuals)
-            return max(garch.forecast_variance(), floor)
-        except EstimationError:
-            return max(float(np.var(residuals)), floor)
 
     def __repr__(self) -> str:
         return (

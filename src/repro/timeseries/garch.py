@@ -7,34 +7,34 @@ conditional variance as
 
 with ``alpha_0 > 0``, ``alpha_j, beta_j >= 0`` and persistence
 ``sum(alpha) + sum(beta) < 1``.  Estimation is Gaussian quasi-maximum
-likelihood via L-BFGS-B with box bounds and a persistence penalty; when the
-optimiser cannot improve on it (e.g. a near-constant window where the
-likelihood is unidentified) the model falls back to a constant-variance
-parameterisation so the metric pipeline never aborts mid-stream.  The paper
-restricts experiments to GARCH(1,1); higher orders are supported and tested.
+likelihood via L-BFGS-B with box bounds, an analytic gradient and a
+persistence penalty; when the optimiser cannot improve on it (e.g. a
+near-constant window where the likelihood is unidentified) the model falls
+back to a constant-variance parameterisation so the metric pipeline never
+aborts mid-stream.  The paper restricts experiments to GARCH(1,1); every
+order runs the same path below, and ``tests/test_garch.py`` fits (1, 0),
+(2, 1), (1, 2) and (2, 2) as well.
 
 Hot path: a rolling metric fits one model per window and L-BFGS-B evaluates
-the likelihood 13-23 times per warm-started fit (~90 from the three cold
-starts), so for GARCH(1,1) everything that is constant across those
-evaluations (pre-sample variance, squared shocks, the drives of the
-sensitivity filters) is computed once per fit by
-:class:`_Garch11Likelihood`; an evaluation is then two calls of
-``lfilter``'s C core and a handful of array operations.  The fit itself
-runs :func:`_lbfgsb_11`, scipy's L-BFGS-B loop replayed around the
-compiled step without ``minimize``'s wrapper layers, to the same iterates
-and evaluation count.  :meth:`GARCHModel.filter_variance` is the general
-(m, s) recursion: it runs once per fit for ``conditional_variance_`` and
-per evaluation only for orders other than (1, 1), which keep
-``optimize.minimize`` for its finite-difference gradient.
+the likelihood 13-23 times per warm-started (1, 1) fit (~90 from the three
+cold starts), so everything that is constant across those evaluations
+(pre-sample variance, squared shocks, the drives of the sensitivity
+filters) is computed once per fit by :class:`_GarchLikelihood`; an
+evaluation is then two calls of ``lfilter``'s C core and a handful of
+array operations.  The fit runs :func:`_lbfgsb`, scipy's L-BFGS-B loop
+replayed around the compiled step without ``minimize``'s wrapper layers,
+to the same iterates and evaluation count.  Eq. (5)'s recursion exists
+once, in :meth:`_GarchLikelihood.variance`: the fit,
+:meth:`GARCHModel.filter_variance` and the likelihood all run it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
-from scipy import optimize
 
 # Private scipy entry points (both in scipy >= 1.15, requirements.txt):
 # the compiled L-BFGS-B step and lfilter's C core.  A change to either
@@ -57,7 +57,7 @@ __all__ = ["GARCHModel", "GARCHParams"]
 _VARIANCE_FLOOR = 1e-12
 
 #: Upper bound on persistence enforced during estimation; the paper requires
-#: strict stationarity (sum < 1).
+#: strict stationarity (sum < 1).  It also bounds each coefficient.
 _MAX_PERSISTENCE = 0.9995
 
 _TWO_PI = 2.0 * np.pi
@@ -65,33 +65,33 @@ _TWO_PI = 2.0 * np.pi
 #: ``lfilter``'s numerator ``[1.0]`` as the array it would build.
 _NUMERATOR = np.ones(1)
 
-#: The GARCH(1,1) box ``omega >= 1e-10``, ``0 <= alpha, beta <= 0.9995``:
-#: ``_BOX`` clips the start; ``_LOWER`` / ``_UPPER`` / ``_NBD`` are the
-#: ``l`` / ``u`` / ``nbd`` arrays ``minimize`` hands L-BFGS-B (``nbd`` 1:
-#: lower bound only, so ``u[0]`` stays 0; 2: both bounds).
-_BOX = (np.array([1e-10, 0.0, 0.0]),
-        np.array([np.inf, _MAX_PERSISTENCE, _MAX_PERSISTENCE]))
-_LOWER = _BOX[0]
-_UPPER = np.array([0.0, _MAX_PERSISTENCE, _MAX_PERSISTENCE])
-_NBD = np.array([1, 2, 2], dtype=np.int32)
-
 #: ``minimize``'s L-BFGS-B defaults: ``ftol`` as ``factr``, ``gtol``.
 _FACTR = 2.2204460492503131e-09 / np.finfo(float).eps
 _PGTOL = 1e-5
 
 
-def _lbfgsb_11(objective, start: np.ndarray) -> tuple[np.ndarray, float]:
+def _lbfgsb(objective, start: np.ndarray) -> tuple[np.ndarray, float]:
     """``optimize.minimize(objective, start, method="L-BFGS-B", jac=True,
-    bounds=<the GARCH(1,1) box>, options={"maxiter": 200})`` as ``(x, fun)``.
+    bounds=<the GARCH box>, options={"maxiter": 200})`` as ``(x, fun)``.
 
-    Replays ``scipy.optimize._lbfgsb_py._minimize_lbfgsb`` around the
-    compiled ``setulb`` step with its defaults (``m=10``, ``maxls=20``,
+    The GARCH box of ``start.size`` parameters is ``omega >= 1e-10`` and
+    every other coefficient in ``[0, 0.9995]``.  Replays
+    ``scipy.optimize._lbfgsb_py._minimize_lbfgsb`` around the compiled
+    ``setulb`` step with its defaults (``m=10``, ``maxls=20``,
     ``maxfun=15000``), and evaluates ``objective`` as ``ScalarFunction``
     does: once at the clipped start, then only when ``x`` differs
     (``np.array_equal``) from the last point, on a copy of ``x``.
     """
-    x = np.clip(np.array(start, dtype=float), *_BOX)
+    x = np.array(start, dtype=float)
     m, n = 10, x.size
+    lower, upper = np.zeros(n), np.full(n, _MAX_PERSISTENCE)
+    lower[0], upper[0] = 1e-10, np.inf
+    x = np.clip(x, lower, upper)
+    # The l / u / nbd arrays minimize hands L-BFGS-B: nbd 1 is a lower
+    # bound only, so u[0] stays 0; 2 is both bounds.
+    upper[0] = 0.0
+    nbd = np.full(n, 2, dtype=np.int32)
+    nbd[0] = 1
     last = x.copy()
     value, gradient = objective(x.copy())
     nfev, iterations = 1, 0
@@ -104,7 +104,7 @@ def _lbfgsb_11(objective, start: np.ndarray) -> tuple[np.ndarray, float]:
     while True:
         # As minimize does: setulb gets a copy, never the memoised gradient.
         g = g.astype(np.float64)
-        setulb(m, x, _LOWER, _UPPER, _NBD, f, g, _FACTR, _PGTOL, wa, iwa,
+        setulb(m, x, lower, upper, nbd, f, g, _FACTR, _PGTOL, wa, iwa,
                task, lsave, isave, dsave, 20, ln_task)
         if task[0] == 3:  # FG: the objective at the current x.
             if not np.array_equal(x, last):
@@ -167,49 +167,79 @@ class GARCHParams:
             )
 
 
-class _Garch11Likelihood:
-    """Gaussian log-likelihood and gradient of GARCH(1,1) on one window.
+class _GarchLikelihood:
+    """Eq. (5), the Gaussian log-likelihood and its gradient on one window.
 
-    The variance recursion and each parameter sensitivity
-    ``d sigma^2_i / d theta`` are linear filters in C:
+    The variance recursion is a linear filter of the drive
+    ``x_i = omega + sum_j alpha_j a^2_{i-j}`` with denominator
+    ``[1, -beta_1, .., -beta_s]``.  Pre-sample shocks and variances are
+    the sample variance ``sigma^2_0``, the standard convention for
+    short-window estimation; the pre-sample variances enter as the
+    filter's initial state ``zi[j] = sum_{k>j} beta_k sigma^2_0``.  Each
+    parameter sensitivity ``d sigma^2_i / d theta`` is the same filter
+    over its own drive:
 
-        d s2/d omega_i = 1            + beta * d s2/d omega_{i-1}
-        d s2/d alpha_i = a^2_{i-1}    + beta * d s2/d alpha_{i-1}
-        d s2/d beta_i  = sigma^2_{i-1}+ beta * d s2/d beta_{i-1}
+        d s2/d omega_i    = 1             + sum_k beta_k d s2/d omega_{i-k}
+        d s2/d alpha_j,i  = a^2_{i-j}     + sum_k beta_k d s2/d alpha_j,{i-k}
+        d s2/d beta_j,i   = sigma^2_{i-j} + sum_k beta_k d s2/d beta_j,{i-k}
 
-    The three sensitivities share the denominator ``[1, -beta]``, so they
-    run as one filter call over a ``(3, n)`` stack of drives (rows filter
-    independently).  Both calls go to ``lfilter``'s C core with the
-    ``float64`` arrays ``lfilter`` would hand it.  The first two drives,
-    the squared shocks and the pre-sample variance do not depend on the
-    parameters and are built once here; a call fills in the third drive
-    and evaluates one ``(omega, alpha, beta)``.
+    so all ``1 + m + s`` run as one filter call over a stack of drives
+    (rows filter independently), in ``lfilter``'s C core with the arrays
+    ``lfilter`` would hand it.  Everything but the lagged-variance drives
+    is built once here; a call fills those in and evaluates one
+    ``(omega, alpha, beta)``.
     """
 
-    def __init__(self, data: np.ndarray) -> None:
-        self.initial = max(float(np.var(data)), _VARIANCE_FLOOR)
+    def __init__(self, data: np.ndarray, m: int, s: int) -> None:
+        self.m = m
+        self.sample_variance = float(np.var(data))
+        self.initial = max(self.sample_variance, _VARIANCE_FLOOR)
         self.squared = data**2
-        # Rows: d/d omega, d/d alpha, d/d beta (lagged variance, per call).
-        self.drives = np.empty((3, data.size))
+        # Rows: d/d omega, d/d alpha_j (a^2_{i-j}), d/d beta_j (sigma^2_{i-j},
+        # per call); pre-sample terms are the initial variance.
+        self.drives = np.full((1 + m + s, data.size), self.initial)
         self.drives[0] = 1.0
-        self.drives[1:, 0] = self.initial
-        self.drives[1, 1:] = self.squared[:-1]
+        for j in range(1, m + 1):
+            self.drives[j, j:] = self.squared[:-j]
         # Zero initial conditions: the pre-sample variance is a data
         # constant, not a parameter function.
-        self.zero_state = np.zeros((3, 1))
+        self.zero_state = np.zeros((1 + m + s, s))
 
-    def __call__(
-        self, omega: float, alpha: float, beta: float
-    ) -> tuple[float, np.ndarray]:
-        squared, drives, zero = self.squared, self.drives, self.zero_state
-        denominator = np.array([1.0, -beta])
-        drive = omega + alpha * drives[1]
-        state = np.array([beta * self.initial])
+    def variance(self, omega, alpha, beta) -> tuple[np.ndarray, np.ndarray]:
+        """``(sigma^2, denominator)``: eq. (5), unfloored.  Inside the fit's
+        box each ``sigma^2_i >= omega >= 1e-10``, so the floor cannot bind;
+        :meth:`floored` serves parameters from outside it."""
+        drives, initial = self.drives, self.initial
+        drive = omega + alpha[0] * drives[1]
+        for j in range(1, self.m):
+            drive += alpha[j] * drives[1 + j]
+        denominator = np.array([1.0, *[-b for b in beta]])
+        state = np.array([b * initial for b in accumulate(reversed(beta))][::-1])
         variance, _ = _linear_filter(_NUMERATOR, denominator, drive, -1, state)
-        variance = np.maximum(variance, _VARIANCE_FLOOR)
-        drives[2, 1:] = variance[:-1]
-        sensitivity, _ = _linear_filter(_NUMERATOR, denominator, drives, -1, zero)
-        ratio = squared / variance
+        return variance, denominator
+
+    def floored(self, omega, alpha, beta) -> np.ndarray:
+        """:meth:`variance` at any parameters, floored after filtering."""
+        variance = self.variance(omega, alpha, beta)[0]
+        return np.maximum(variance, _VARIANCE_FLOOR, out=variance)
+
+    def loglik(self, omega, alpha, beta) -> float:
+        """The log-likelihood alone (no sensitivities), at any parameters."""
+        variance = self.floored(omega, alpha, beta)
+        return -0.5 * float(
+            (np.log(_TWO_PI * variance) + self.squared / variance).sum()
+        )
+
+    def __call__(self, omega, alpha, beta) -> tuple[float, np.ndarray]:
+        """Log-likelihood and gradient at ``(omega, alpha, beta)``."""
+        variance, denominator = self.variance(omega, alpha, beta)
+        drives, m = self.drives, self.m
+        for j in range(1, len(beta) + 1):
+            drives[m + j, j:] = variance[:-j]
+        sensitivity, _ = _linear_filter(
+            _NUMERATOR, denominator, drives, -1, self.zero_state
+        )
+        ratio = self.squared / variance
         loglik = -0.5 * float((np.log(_TWO_PI * variance) + ratio).sum())
         # d loglik / d sigma^2_i = 0.5 * (a^2_i / sigma^2_i - 1) / sigma^2_i.
         weight = 0.5 * (ratio - 1.0) / variance
@@ -272,23 +302,23 @@ class GARCHModel:
         """
         data = require_finite_array("residuals", residuals,
                                     min_len=max(self.m, self.s) + 2)
-        base_variance = float(np.var(data))
+        likelihood = _GarchLikelihood(data, self.m, self.s)
         self.evaluations_ = 0
-        if base_variance < _VARIANCE_FLOOR:
+        self._residuals = data
+        if likelihood.sample_variance < _VARIANCE_FLOOR:
             # Degenerate window: constant residuals carry no volatility
             # information.  Use a flat-variance parameterisation.
-            self.params_ = self._constant_params(max(base_variance, _VARIANCE_FLOOR))
-            self.conditional_variance_ = np.full(data.size,
-                                                 max(base_variance, _VARIANCE_FLOOR))
-            self.loglik_ = self._log_likelihood(data, self.params_)
-            self._residuals = data
+            self.params_ = self._constant_params(likelihood.initial)
+            self.conditional_variance_ = np.full(data.size, likelihood.initial)
+            self.loglik_ = likelihood.loglik(
+                self.params_.omega, self.params_.alpha, self.params_.beta
+            )
             return self
 
-        best_params, best_loglik = self._optimize(data, base_variance, warm_start)
-        self.params_ = best_params
-        self.conditional_variance_ = self.filter_variance(data, best_params)
-        self.loglik_ = best_loglik
-        self._residuals = data
+        self.params_, self.loglik_ = self._optimize(likelihood, warm_start)
+        self.conditional_variance_ = likelihood.floored(
+            self.params_.omega, self.params_.alpha, self.params_.beta
+        )
         return self
 
     def _constant_params(self, variance: float) -> GARCHParams:
@@ -310,43 +340,27 @@ class GARCHModel:
 
     def _optimize(
         self,
-        data: np.ndarray,
-        base_variance: float,
+        likelihood: _GarchLikelihood,
         warm_start: GARCHParams | None = None,
     ) -> tuple[GARCHParams, float]:
-        analytic = self.m == 1 and self.s == 1
-        if analytic:
-            likelihood = _Garch11Likelihood(data)
+        m = self.m
 
-            def objective(theta: np.ndarray):
-                self.evaluations_ += 1
-                # The clamps of _unpack, on plain floats.
-                omega = max(float(theta[0]), 1e-10)
-                alpha = max(float(theta[1]), 0.0)
-                beta = max(float(theta[2]), 0.0)
-                loglik, gradient = likelihood(omega, alpha, beta)
-                gradient = -gradient
-                penalty = 0.0
-                excess = alpha + beta - _MAX_PERSISTENCE + 1e-6
-                if excess > 0:
-                    # Smooth barrier steering the optimiser back inside
-                    # the stationarity region.
-                    penalty = 1e4 * excess**2
-                    gradient[1] += 2e4 * excess
-                    gradient[2] += 2e4 * excess
-                return -loglik + penalty, gradient
-        else:
-            bounds = [(1e-10, None)]
-            bounds += [(0.0, _MAX_PERSISTENCE)] * (self.m + self.s)
-
-            def objective(theta: np.ndarray):
-                self.evaluations_ += 1
-                params = self._unpack(theta)
-                penalty = 0.0
-                excess = params.persistence - _MAX_PERSISTENCE + 1e-6
-                if excess > 0:
-                    penalty = 1e4 * excess**2
-                return -self._log_likelihood(data, params) + penalty
+        def objective(theta: np.ndarray):
+            self.evaluations_ += 1
+            # The clamps of _unpack, on plain floats (``max(c, 0.0)``).
+            values = theta.tolist()
+            coefficients = [0.0 if c < 0.0 else c for c in values[1:]]
+            loglik, gradient = likelihood(
+                max(values[0], 1e-10), coefficients[:m], coefficients[m:]
+            )
+            gradient = -gradient
+            excess = sum(coefficients) - _MAX_PERSISTENCE + 1e-6
+            if excess <= 0:
+                return -loglik, gradient
+            # Smooth barrier steering the optimiser back inside the
+            # stationarity region.
+            gradient[1:] += 2e4 * excess
+            return -loglik + 1e4 * excess**2, gradient
 
         if warm_start is not None and warm_start.m == self.m and warm_start.s == self.s:
             starting_points = [
@@ -355,19 +369,12 @@ class GARCHModel:
                 )
             ]
         else:
-            starting_points = self._starting_points(base_variance)
+            starting_points = self._starting_points(likelihood.sample_variance)
         best_theta: np.ndarray | None = None
         best_value = math.inf
         for start in starting_points:
             try:
-                if analytic:
-                    theta, value = _lbfgsb_11(objective, start)
-                else:
-                    result = optimize.minimize(
-                        objective, start, method="L-BFGS-B", bounds=bounds,
-                        options={"maxiter": 200},
-                    )
-                    theta, value = result.x, result.fun
+                theta, value = _lbfgsb(objective, start)
             except (ValueError, FloatingPointError):  # pragma: no cover - scipy guard.
                 continue
             if np.all(np.isfinite(theta)) and value < best_value:
@@ -375,8 +382,8 @@ class GARCHModel:
                 best_theta = theta
         if best_theta is None:
             # Optimiser never produced finite parameters: flat fallback.
-            params = self._constant_params(base_variance)
-            return params, self._log_likelihood(data, params)
+            params = self._constant_params(likelihood.sample_variance)
+            return params, likelihood.loglik(params.omega, params.alpha, params.beta)
         params = self._unpack(best_theta)
         if params.persistence >= 1.0:
             # Clamp the rare boundary solution back into stationarity.
@@ -400,56 +407,25 @@ class GARCHModel:
     def filter_variance(self, residuals: np.ndarray, params: GARCHParams) -> np.ndarray:
         """Run the variance recursion of eq. (5) over ``residuals``.
 
-        Pre-sample terms are initialised with the sample variance, the
-        standard convention for short-window estimation.  The recursion is a
-        linear filter in the squared shocks, so for ``s <= 1`` (the paper
-        only ever uses GARCH(1,1)) it runs through ``lfilter``'s C core;
-        higher ``s`` falls back to the straightforward loop.  A fit
-        calls this once, for ``conditional_variance_``; only the
-        finite-difference estimation of orders other than (1, 1) evaluates
-        it on every likelihood call.
+        Pre-sample terms are initialised with the sample variance.  A fit
+        evaluates the same :meth:`_GarchLikelihood.variance` on every
+        likelihood call and once more for ``conditional_variance_``.
         """
-        data = np.asarray(residuals, dtype=float)
-        n = data.size
-        initial = max(float(np.var(data)), _VARIANCE_FLOOR)
-        # Driving term x_i = omega + sum_j alpha_j * a^2_{i-j}, with
-        # pre-sample squared shocks replaced by the initial variance.
-        padded = np.concatenate((np.full(params.m, initial), data**2))
-        drive = np.full(n, params.omega)
-        for j in range(1, params.m + 1):
-            drive += params.alpha[j - 1] * padded[params.m - j : params.m - j + n]
-        if params.s == 0:
-            return np.maximum(drive, _VARIANCE_FLOOR)
-        if params.s == 1:
-            beta = float(params.beta[0])
-            variance, _state = _linear_filter(
-                _NUMERATOR, np.array([1.0, -beta]), drive, -1,
-                np.array([beta * initial]),
-            )
-            return np.maximum(variance, _VARIANCE_FLOOR)
-        variance = np.empty(n)
-        for i in range(n):
-            value = drive[i]
-            for j in range(1, params.s + 1):
-                lagged = variance[i - j] if i - j >= 0 else initial
-                value += params.beta[j - 1] * lagged
-            variance[i] = max(value, _VARIANCE_FLOOR)
-        return variance
+        likelihood = _GarchLikelihood(np.asarray(residuals, float), params.m, params.s)
+        return likelihood.floored(params.omega, params.alpha, params.beta)
 
     def _log_likelihood(self, residuals: np.ndarray, params: GARCHParams) -> float:
-        variance = self.filter_variance(residuals, params)
-        return float(
-            -0.5 * np.sum(np.log(2.0 * np.pi * variance) + residuals**2 / variance)
-        )
+        likelihood = _GarchLikelihood(np.asarray(residuals, float), params.m, params.s)
+        return likelihood.loglik(params.omega, params.alpha, params.beta)
 
     @staticmethod
-    def _loglik_and_grad_11(
+    def _loglik_and_grad(
         residuals: np.ndarray, params: GARCHParams
     ) -> tuple[float, np.ndarray]:
-        """One :class:`_Garch11Likelihood` evaluation at ``params``."""
-        likelihood = _Garch11Likelihood(np.asarray(residuals, dtype=float))
-        alpha, beta = float(params.alpha[0]), float(params.beta[0])
-        return likelihood(params.omega, alpha, beta)
+        """One :class:`_GarchLikelihood` evaluation at ``params``, which
+        must lie in the fit's box (the variance is not floored)."""
+        likelihood = _GarchLikelihood(np.asarray(residuals, float), params.m, params.s)
+        return likelihood(params.omega, params.alpha, params.beta)
 
     # ------------------------------------------------------------------
     # Forecasting.

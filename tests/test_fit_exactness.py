@@ -183,7 +183,7 @@ def test_garch11_loglik_and_gradient_bitwise():
         params = GARCHParams(
             omega=omega, alpha=np.array([alpha]), beta=np.array([beta])
         )
-        loglik, gradient = GARCHModel._loglik_and_grad_11(data, params)
+        loglik, gradient = GARCHModel._loglik_and_grad(data, params)
         reference = _ref_loglik_and_grad(data, omega, alpha, beta)
         assert loglik == reference[0]
         assert _bits(gradient) == _bits(reference[1])

@@ -68,13 +68,50 @@ class TestFilterVariance:
         variance = GARCHModel(m=1, s=2).filter_variance(data, params)
         assert variance.shape == (40,)
         assert np.all(variance > 0)
+        np.testing.assert_allclose(
+            variance, _naive_variance(data, params), rtol=1e-13
+        )
+
+    @pytest.mark.parametrize("order", [(1, 0), (2, 1), (2, 2), (3, 3)])
+    def test_other_orders_match_naive_recursion(self, rng, order):
+        data = rng.standard_normal(50)
+        params = _order_params(*order)
+        variance = GARCHModel(*order).filter_variance(data, params)
+        np.testing.assert_allclose(
+            variance, _naive_variance(data, params), rtol=1e-13
+        )
+
+
+def _naive_variance(data, params):
+    """Eq. (5) term by term, pre-sample shocks and variances at np.var."""
+    initial = float(np.var(data))
+    variance = np.empty(data.size)
+    for i in range(data.size):
+        value = params.omega
+        for j in range(1, params.m + 1):
+            value += params.alpha[j - 1] * (data[i - j] ** 2 if i >= j else initial)
+        for j in range(1, params.s + 1):
+            value += params.beta[j - 1] * (variance[i - j] if i >= j else initial)
+        variance[i] = value
+    return variance
+
+
+def _order_params(m, s, omega=0.3):
+    """Stationary GARCH(m, s) coefficients: ARCH total 0.2, GARCH 0.5."""
+    alpha = np.linspace(2.0, 1.0, m)
+    beta = np.linspace(2.0, 1.0, s) if s else np.empty(0)
+    return GARCHParams(
+        omega=omega,
+        alpha=0.2 * alpha / alpha.sum(),
+        beta=0.5 * beta / beta.sum() if s else beta,
+    )
 
 
 class TestGradient:
     def test_gradient_matches_finite_differences(self, rng):
         data = rng.standard_normal(80)
         params = _make_params(omega=0.3, alpha=0.2, beta=0.5)
-        loglik, gradient = GARCHModel._loglik_and_grad_11(data, params)
+        loglik, gradient = GARCHModel._loglik_and_grad(data, params)
         model = GARCHModel()
         eps = 1e-6
         for index, delta in enumerate(
@@ -88,6 +125,23 @@ class TestGradient:
             fd = (model._log_likelihood(data, shifted) - loglik) / eps
             assert gradient[index] == pytest.approx(fd, rel=1e-3, abs=1e-4)
 
+    @pytest.mark.parametrize("order", [(1, 0), (2, 1), (1, 2), (2, 2)])
+    def test_every_order_matches_finite_differences(self, rng, order):
+        data = rng.standard_normal(80)
+        params = _order_params(*order)
+        loglik, gradient = GARCHModel._loglik_and_grad(data, params)
+        model = GARCHModel(*order)
+        assert loglik == pytest.approx(model._log_likelihood(data, params))
+        theta = np.concatenate(([params.omega], params.alpha, params.beta))
+        assert gradient.shape == theta.shape
+        m, eps = params.m, 1e-6
+        for index in range(theta.size):
+            shifted = theta.copy()
+            shifted[index] += eps
+            moved = GARCHParams(shifted[0], shifted[1 : 1 + m], shifted[1 + m :])
+            fd = (model._log_likelihood(data, moved) - loglik) / eps
+            assert gradient[index] == pytest.approx(fd, rel=1e-3, abs=1e-4)
+
 
 class TestFit:
     def test_recovers_parameters_on_long_sample(self):
@@ -96,6 +150,37 @@ class TestFit:
         model = GARCHModel().fit(shocks)
         assert model.params_.persistence == pytest.approx(0.85, abs=0.08)
         assert model.params_.alpha[0] == pytest.approx(0.15, abs=0.08)
+
+    def test_recovers_garch21_parameters(self):
+        true = GARCHParams(
+            omega=0.2, alpha=np.array([0.1, 0.15]), beta=np.array([0.6])
+        )
+        shocks = GARCHModel.simulate(true, 6000, rng=11)
+        model = GARCHModel(m=2, s=1).fit(shocks)
+        fitted = model.params_
+        assert (fitted.m, fitted.s) == (2, 1)
+        assert fitted.persistence == pytest.approx(0.85, abs=0.08)
+        assert fitted.alpha.sum() == pytest.approx(0.25, abs=0.08)
+        assert fitted.beta[0] == pytest.approx(0.6, abs=0.12)
+        assert fitted.unconditional_variance == pytest.approx(
+            true.unconditional_variance, rel=0.3
+        )
+
+    @pytest.mark.parametrize("order", [(1, 0), (2, 1), (1, 2), (2, 2)])
+    def test_other_orders_fit_and_forecast(self, order):
+        shocks = GARCHModel.simulate(_make_params(), 300, rng=8)
+        model = GARCHModel(*order).fit(shocks)
+        assert (model.params_.m, model.params_.s) == order
+        assert model.params_.persistence < 1.0
+        assert model.evaluations_ > 0
+        assert model.loglik_ == pytest.approx(
+            model._log_likelihood(shocks, model.params_)
+        )
+        np.testing.assert_array_equal(
+            model.conditional_variance_,
+            model.filter_variance(shocks, model.params_),
+        )
+        assert model.forecast_variance() > 0.0
 
     def test_stationarity_always_enforced(self, rng):
         # Integrated-looking input should still give persistence < 1.
@@ -136,16 +221,19 @@ class TestFit:
             GARCHModel().fit(np.array([1.0]))
 
 
-def _recording(kind):
-    """An objective on the GARCH(1,1) box that records every point it sees."""
+def _recording(kind, n=3):
+    """An objective on the n-parameter GARCH box that records every point."""
     seen = []
-    target = np.array([0.3, 0.2, 1.5]) if kind == "bound" else np.array([0.3, 0.2, 0.5])
+    target = np.linspace(0.3, 0.5, n)
+    target[1] = 0.2
+    if kind == "bound":
+        target[-1] = 1.5
 
     def objective(x):
         seen.append(x.copy())
         if kind == "nan" and len(seen) == 1:
             # A NaN gradient at the start sends every later point to NaN.
-            return 1.0, np.array([np.nan, 1.0, 1.0])
+            return 1.0, np.concatenate(([np.nan], np.ones(n - 1)))
         r = x - target
         return float(r @ r + np.sin(x).sum()), 2.0 * r + np.cos(x)
 
@@ -153,23 +241,32 @@ def _recording(kind):
 
 
 class TestLbfgsbReplay:
-    """``_lbfgsb_11`` against ``optimize.minimize`` on the same box."""
+    """``_lbfgsb`` against ``optimize.minimize`` on the same box."""
 
     @pytest.mark.parametrize("kind", ["interior", "bound", "nan"])
-    @pytest.mark.parametrize("start", [(1.0, 0.5, 0.4), (-2.0, -0.1, 3.0)])
+    @pytest.mark.parametrize(
+        "start",
+        [
+            (1.0, 0.5, 0.4), (-2.0, -0.1, 3.0),
+            (1.0, 0.5), (-2.0, 3.0),
+            (1.0, 0.5, 0.1, 0.4), (-2.0, -0.1, 0.5, 3.0),
+            (1.0, 0.5, 0.1, 0.2, 0.4), (-2.0, -0.1, 2.0, 0.5, 3.0),
+        ],
+    )
     def test_same_points_result_and_count(self, kind, start):
         from scipy import optimize
 
-        from repro.timeseries.garch import _MAX_PERSISTENCE, _lbfgsb_11
+        from repro.timeseries.garch import _MAX_PERSISTENCE, _lbfgsb
 
-        bounds = [(1e-10, None)] + [(0.0, _MAX_PERSISTENCE)] * 2
-        objective, seen = _recording(kind)
+        n = len(start)
+        bounds = [(1e-10, None)] + [(0.0, _MAX_PERSISTENCE)] * (n - 1)
+        objective, seen = _recording(kind, n)
         result = optimize.minimize(
             objective, np.array(start), method="L-BFGS-B", jac=True,
             bounds=bounds, options={"maxiter": 200},
         )
-        replay, replay_seen = _recording(kind)
-        x, fun = _lbfgsb_11(replay, np.array(start))
+        replay, replay_seen = _recording(kind, n)
+        x, fun = _lbfgsb(replay, np.array(start))
         assert np.array(replay_seen).tobytes() == np.array(seen).tobytes()
         assert x.tobytes() == result.x.tobytes()
         assert np.array(fun).tobytes() == np.array(result.fun).tobytes()
@@ -177,18 +274,21 @@ class TestLbfgsbReplay:
         nan_points = sum(bool(np.isnan(p).any()) for p in seen)
         assert result.nfev == len(seen) - nan_points // 2
 
-    def test_garch11_fit_calls_neither_minimize_nor_lfilter(self, monkeypatch):
+    @pytest.mark.parametrize("order", [(1, 0), (1, 1), (2, 1), (1, 2)])
+    def test_garch11_fit_calls_neither_minimize_nor_lfilter(
+        self, monkeypatch, order
+    ):
         import scipy.optimize
         import scipy.signal
 
         def refuse(*args, **kwargs):
-            raise AssertionError("GARCH(1,1) went through a scipy wrapper")
+            raise AssertionError("a GARCH fit went through a scipy wrapper")
 
         monkeypatch.setattr(scipy.optimize, "minimize", refuse)
         monkeypatch.setattr(scipy.signal, "lfilter", refuse)
         shocks = GARCHModel.simulate(_make_params(), 120, rng=5)
-        cold = GARCHModel().fit(shocks)
-        warm = GARCHModel().fit(shocks, warm_start=cold.params_)
+        cold = GARCHModel(*order).fit(shocks)
+        warm = GARCHModel(*order).fit(shocks, warm_start=cold.params_)
         assert cold.evaluations_ > 0 and warm.evaluations_ > 0
 
 

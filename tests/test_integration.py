@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
+import repro
 from repro.data.errors import inject_errors
 from repro.data.synthetic import campus_temperature
 from repro.db.engine import Database
@@ -16,6 +18,7 @@ from repro.db.table import Table
 from repro.evaluation.density_distance import density_distance
 from repro.metrics.arma_garch import ARMAGARCHMetric
 from repro.metrics.cgarch import CGARCHMetric
+from repro.metrics.kalman_garch import KalmanGARCHMetric
 from repro.metrics.uniform_threshold import UniformThresholdingMetric
 from repro.pipeline import create_probabilistic_view
 from repro.view.omega import OmegaGrid
@@ -48,6 +51,39 @@ class TestPaperPipeline:
         raw_by_index = {i: campus_series[i] for i in times}
         errors = [abs(expectations[t] - raw_by_index[t]) for t in times]
         assert np.median(errors) < 2.0
+
+    @pytest.mark.parametrize(
+        "clause, metric",
+        [
+            ("arma_garch (m=2)", ARMAGARCHMetric(m=2)),
+            ("kalman_garch (s=2)", KalmanGARCHMetric(s=2)),
+        ],
+    )
+    def test_sql_reaches_other_garch_orders(self, clause, metric):
+        series = campus_temperature(140, rng=3)
+        table = Table("raw_values", ["t", "r"])
+        table.insert_many(
+            zip(series.timestamps.tolist(), series.values.tolist())
+        )
+        with repro.connect() as conn:
+            conn.database.register_table(table)
+            view = conn.execute(
+                "CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=0.5, n=8 "
+                f"METRIC {clause} WINDOW 40 FROM raw_values"
+            ).view
+        expected = create_probabilistic_view(
+            series, metric, H=40, grid=OmegaGrid(delta=0.5, n=8), view_name="pv"
+        )
+        assert view.times == list(range(40, 140))
+        for name in ("t", "low", "high", "probability", "label_code"):
+            assert np.array_equal(
+                getattr(view.columns, name), getattr(expected.columns, name)
+            )
+        # A valid view: each time's probabilities are a (sub-)distribution.
+        masses = np.bincount(
+            view.columns.t - 40, weights=view.columns.probability
+        )
+        assert np.all(masses > 0.5) and np.all(masses <= 1.0 + 1e-9)
 
     def test_expected_value_tracks_series_through_view(self, campus_series):
         grid = OmegaGrid(delta=0.25, n=40)  # Wide, fine grid.

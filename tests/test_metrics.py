@@ -339,6 +339,17 @@ class TestKalmanGARCH:
         forecast = metric.infer(window, t=50)
         assert forecast.mean == pytest.approx(20.0, abs=0.5)
 
+    def test_counts_cold_started_garch_evaluations(self, campus_series):
+        metric = KalmanGARCHMetric(em_max_iter=5)
+        assert metric.garch_evaluations_ == 0
+        window = campus_series.values[:60]
+        first = metric.infer(window, t=60)
+        once = metric.garch_evaluations_
+        assert once > 0
+        # No warm state: the same window costs the same fit again.
+        assert metric.infer(window, t=60) == first
+        assert metric.garch_evaluations_ == 2 * once
+
     def test_em_iter_validation(self):
         with pytest.raises(InvalidParameterError):
             KalmanGARCHMetric(em_max_iter=0)
