@@ -20,6 +20,13 @@ a conjunctive predicate sums its one time's
 :func:`~repro.db.aggregates.range_contribution` in the same left-to-right
 order, after binding through the ``probability_of``
 :class:`~repro.db.aggregates.KernelSpec`, as a ``PROBABILITY OF`` item does.
+
+Which draws of a sampler's stream are selectors depends on every earlier
+branch, so :meth:`WorldSampler.sample_matrix` decodes the stream by
+prediction: each time is assumed to take its likelier branch, and a
+python step runs only at the draws that could overturn that guess.  Its
+cost grows with those candidate draws, not with the ``n_worlds * T``
+slots.
 """
 
 from __future__ import annotations
@@ -100,7 +107,8 @@ class WorldSampler:
 
     The stream contract: worlds in turn, times ascending, each time one
     unit draw ``u`` plus, when ``u`` falls inside its mass, one draw ``d``
-    for the value ``low + (high - low) * d`` — ``Generator.uniform``'s.
+    for the value ``low + (high - low) * d`` — ``Generator.uniform``'s —
+    and the generator left on exactly the draws read.
     """
 
     def __init__(self, view: ProbabilisticView) -> None:
@@ -121,44 +129,116 @@ class WorldSampler:
         """Draw ``n_worlds`` worlds as an ``(n_worlds, T)`` matrix.
 
         ``NaN`` marks OUTSIDE.  Consumes ``rng`` exactly as ``n_worlds``
-        sequential :meth:`sample` calls do, no draw more.
+        sequential :meth:`sample` calls do, no draw more: the matrix is
+        those calls' worlds, and the generator ends on the same draw.
+
+        >>> view = ProbabilisticView.from_columns(
+        ...     "v", np.array([0, 0, 1]), np.array([20.0, 21.0, 20.0]),
+        ...     np.array([21.0, 22.0, 21.0]), np.array([0.5, 0.25, 0.5]))
+        >>> sampler = WorldSampler(view)
+        >>> columnar, scalar = np.random.default_rng(3), np.random.default_rng(3)
+        >>> matrix = sampler.sample_matrix(3, columnar)
+        >>> matrix.round(2)
+        array([[20.24,   nan],
+               [21.09, 20.48],
+               [20.73, 20.39]])
+        >>> rows = [list(sampler.sample(scalar).values.values()) for _ in range(3)]
+        >>> bool(np.array_equal(matrix, np.array(rows, float), equal_nan=True))
+        True
+        >>> bool(columnar.random() == scalar.random())
+        True
         """
         generator = ensure_rng(rng)
         shape = (n_worlds, self._times.size)
-        lasts = np.tile(self._last, n_worlds).tolist()
-        selectors: list[float] = []
-        draws: list[float] = []
-        pending = False  # The last slot still needs its in-range draw.
-        while len(selectors) < len(lasts) or pending:
-            # A lower bound on the draws still needed — every remaining
-            # time takes at least one — so a block never overdraws.
-            block = generator.random(len(lasts) - len(selectors) + pending)
-            for draw in block.tolist():
-                if pending:
-                    draws[-1] = draw
-                    pending = False
-                else:
-                    pending = draw < lasts[len(selectors)]
-                    selectors.append(draw)
-                    draws.append(0.0)
-        u = np.array(selectors).reshape(shape)
+        # Every slot takes at most two draws: decode from that upper bound
+        # (one spare keeps the in-range gather in bounds), then rewind and
+        # redraw exactly what the slots read.
+        state = generator.bit_generator.state
+        stream = generator.random(2 * n_worlds * self._times.size + 1)
+        positions, consumed = self._selectors(stream, n_worlds)
+        generator.bit_generator.state = state
+        generator.random(consumed)
+        u = stream[positions].reshape(shape)
         # count(cum <= u) is searchsorted(side="right"), so a rho = 0 tuple
         # is never selected.  The last column (a total or padding) never
         # counts for an inside u; skipping it keeps OUTSIDE in bounds.
+        # ``index`` is flat: each row's first cell, plus the count.
         index = np.zeros(shape, dtype=np.intp)
+        index += np.arange(shape[1]) * self._cumulative.shape[1]
         for cumulative in self._cumulative.T[:-1]:
             index += cumulative <= u
-        rows = np.arange(shape[1])
-        low = self._lows[rows, index]
-        high = self._highs[rows, index]
-        value = low + (high - low) * np.array(draws).reshape(shape)
+        low = self._lows.take(index)
+        high = self._highs.take(index)
+        value = low + (high - low) * stream[positions + 1].reshape(shape)
         return np.where(u < self._last, value, np.nan)
+
+    def _selectors(
+        self, stream: np.ndarray, n_worlds: int
+    ) -> tuple[np.ndarray, int]:
+        """Each slot's selector position in ``stream``, and the draws read.
+
+        Decodes by prediction.  A time is predicted in range when most of
+        its mass is, so a predicted world takes ``period`` draws, its
+        selectors at ``offsets``, and world ``w`` starts at ``w * period``.
+        Only a draw past the loosest threshold can overturn a prediction,
+        so the python walk visits those candidates alone, in stream order.
+        Under the current shift, candidate ``j`` is read by the slot
+        predicted at ``j - shift``, if any; when that slot's draw disagrees
+        with its prediction, every later selector moves one draw, forward
+        or back.  The positions are then the predicted ones plus the shift
+        of each run between breaks.
+        """
+        lasts = self._last
+        predicted = lasts > 0.5
+        steps = predicted + 1
+        offsets = np.cumsum(steps) - steps
+        period = int(steps.sum())
+        candidates = np.flatnonzero(
+            (stream >= lasts[predicted].min(initial=np.inf))
+            | (stream < lasts[~predicted].max(initial=-np.inf))
+        )
+        # Per predicted position, the threshold its selector breaks on:
+        # ``last`` when predicted OUTSIDE (a draw below it is in range),
+        # ``-last`` when predicted in range (a draw at or above ``last`` is
+        # OUTSIDE), NaN where a predicted in-range draw sits.
+        signed = np.full(period, np.nan)
+        signed[offsets] = np.where(predicted, -lasts, lasts)
+        signed = signed.tolist() * n_worlds
+        end = len(signed)
+        breaks, shifts = [-1], [0]
+        shift = 0
+        for j, draw in zip(candidates.tolist(), stream[candidates].tolist()):
+            at = j - shift
+            if at >= end:
+                break
+            last = signed[at]
+            if last >= 0.0:
+                if draw < last:
+                    shift += 1
+                    # Its in-range draw, next, maps back here: a NaN skips it.
+                    signed[at] = math.nan
+                    breaks.append(at)
+                    shifts.append(shift)
+            elif draw >= -last:
+                shift -= 1
+                breaks.append(at)
+                shifts.append(shift)
+        starts = (np.arange(n_worlds)[:, None] * period + offsets).ravel()
+        run = np.searchsorted(breaks, starts) - 1
+        return starts + np.asarray(shifts)[run], end + shift
 
     def sample(self, rng: int | np.random.Generator | None = None) -> World:
         """Draw one complete world."""
-        row = self.sample_matrix(1, rng)[0].tolist()
-        values = [OUTSIDE if math.isnan(value) else value for value in row]
-        return World(dict(zip(self._times.tolist(), values)))
+        (world,) = self._worlds(self.sample_matrix(1, rng))
+        return world
+
+    def _worlds(self, matrix: np.ndarray) -> list[World]:
+        """The :class:`World` of each row of a :meth:`sample_matrix`."""
+        times = self._times.tolist()
+        return [
+            World(dict(zip(times, [OUTSIDE if math.isnan(v) else v for v in row])))
+            for row in matrix.tolist()
+        ]
 
 
 @dataclass(frozen=True)
@@ -193,11 +273,9 @@ def monte_carlo_query(
     """
     if n_samples < 2:
         raise InvalidParameterError(f"n_samples must be >= 2, got {n_samples}")
-    generator = ensure_rng(rng)
     sampler = WorldSampler(view)
-    samples = np.empty(n_samples)
-    for index in range(n_samples):
-        samples[index] = float(functional(sampler.sample(generator)))
+    worlds = sampler._worlds(sampler.sample_matrix(n_samples, rng))
+    samples = np.array([float(functional(world)) for world in worlds])
     mean = float(np.mean(samples))
     standard_error = float(np.std(samples, ddof=1) / np.sqrt(n_samples))
     return MonteCarloEstimate(

@@ -180,6 +180,27 @@ class TestMonteCarloQuery:
         with pytest.raises(InvalidParameterError):
             monte_carlo_query(_view(), lambda w: 0.0, n_samples=1)
 
+    @pytest.mark.parametrize("leftover", [0.0, 0.3])
+    def test_equals_per_sample_loop(self, leftover):
+        """The worlds of one drawn matrix are those of ``n_samples``
+        sequential ``sample`` calls, and the generator ends on the same
+        draw."""
+        view = _view(p1=0.6, p2=0.3, leftover=leftover)
+
+        def total(world):  # Reads every value, OUTSIDE as -1.
+            return sum(-1.0 if v is None else v for v in world.values.values())
+
+        batched, looped = np.random.default_rng(9), np.random.default_rng(9)
+        estimate = monte_carlo_query(view, total, n_samples=500, rng=batched)
+        sampler = WorldSampler(view)
+        samples = np.array([total(sampler.sample(looped)) for _ in range(500)])
+        assert (samples == -2.0).any() == (leftover > 0.0)
+        assert estimate.mean == float(np.mean(samples))
+        assert estimate.standard_error == float(
+            np.std(samples, ddof=1) / np.sqrt(500)
+        )
+        assert batched.random() == looped.random()
+
 
 class TestConjunctiveRangeQuery:
     def test_product_over_times(self):

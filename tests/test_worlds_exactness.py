@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -242,6 +242,84 @@ def test_sample_matrix_equals_reference_stream(data, n_worlds, seed):
     assert np.array_equal(matrix, expected, equal_nan=True)
     # Exact consumption: both generators stand at the same draw.
     assert columnar.random() == naive.random()
+
+
+@st.composite
+def _lossy_views(draw):
+    """Views past ``_views``' reach, where the sampler's predicted branch
+    (in range when ``sum(rho) > 0.5``) breaks often: up to 40 times, or
+    none; residual in ``[0.5, 1]`` at every time, or anywhere in
+    ``[0, 1]`` time by time; and times whose every tuple has mass zero,
+    so every world is OUTSIDE there."""
+    n_times = draw(st.integers(0, 40))
+    heavy = draw(st.booleans())
+    zero_share = draw(st.sampled_from([0.0, 0.25, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t, low, high, probability = [], [], [], []
+    for time in range(n_times):
+        k = int(rng.integers(1, 7))
+        edges = 15.0 + 0.25 * np.sort(rng.choice(80, k + 1, replace=False))
+        weights = rng.random(k)
+        if rng.random() < zero_share:
+            weights[:] = 0.0
+        elif heavy:
+            weights *= (1.0 - rng.uniform(0.5, 1.0)) / weights.sum()
+        else:
+            residual = rng.choice([0.0, 0.5, 1.0, rng.random()])
+            weights *= (1.0 - residual) / weights.sum()
+        t += [time] * k
+        low += edges[:-1].tolist()
+        high += edges[1:].tolist()
+        probability += weights.tolist()
+    return ProbabilisticView.from_columns(
+        "v", np.array(t, dtype=np.int64), *map(np.array, (low, high, probability))
+    )
+
+
+def _assert_stream_equals_reference(view, n_worlds, seed):
+    columnar = np.random.default_rng(seed)
+    naive = np.random.default_rng(seed)
+    matrix = WorldSampler(view).sample_matrix(n_worlds, columnar)
+    expected = [
+        [np.nan if v is None else v for v in _ref_sample(view, naive).values()]
+        for _ in range(n_worlds)
+    ]
+    assert matrix.shape == (n_worlds, len(view.times))
+    assert np.array_equal(
+        matrix, np.array(expected).reshape(matrix.shape), equal_nan=True
+    )
+    assert columnar.random() == naive.random()
+    return matrix
+
+
+_EMPTY = ProbabilisticView.from_columns(
+    "v", np.array([], dtype=np.int64), np.array([]), np.array([]), np.array([])
+)
+
+
+@settings(max_examples=25, deadline=None)
+@example(view=_EMPTY, n_worlds=3, seed=0)
+@given(
+    view=_lossy_views(),
+    n_worlds=st.integers(1, 64),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sample_matrix_equals_reference_when_predictions_break(view, n_worlds, seed):
+    _assert_stream_equals_reference(view, n_worlds, seed)
+
+
+@settings(max_examples=10, deadline=None)
+@given(n_times=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_sample_matrix_mass_tied_with_its_draw(n_times, seed):
+    """Time ``t``'s one tuple carries exactly the ``t``-th draw of the
+    seeded stream as its mass.  ``u < sum(rho)`` is then false at every
+    time of the first world: each is OUTSIDE and takes one draw, so each
+    time reads its own tie, on either side of the 0.5 prediction."""
+    ties = np.random.default_rng(seed).random(n_times)
+    low = np.full(n_times, 20.0)
+    view = ProbabilisticView.from_columns("v", np.arange(n_times), low, low + 1.0, ties)
+    matrix = _assert_stream_equals_reference(view, 2, seed)
+    assert np.isnan(matrix[0]).all()
 
 
 @settings(max_examples=40, deadline=None)
