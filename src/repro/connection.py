@@ -131,7 +131,8 @@ class Connection:
         *different* ``AS OF`` clause is rejected rather than silently
         overridden.  ``trace=True`` asks a server for the per-stage
         latency breakdown (``result.trace`` is its serialized trace
-        block); local results always carry their
+        block, ending with the client's ``client_decode`` stage); local
+        results always carry their
         :class:`~repro.obs.trace.QueryTrace` on ``result.trace``.
         Traces never enter ``to_dict()`` / ``.json()`` — two runs of one
         statement serialize identically.

@@ -1,18 +1,32 @@
 """Blocking client for the catalog query server.
 
-A thin, dependency-free wrapper over one TCP connection speaking the
-NDJSON protocol (:mod:`repro.server.protocol`).  Engine-side failures
-surface as :class:`ServerError` carrying the structured ``error.type``;
-transport failures surface as :class:`ServerConnectionError`.  The client
-is deliberately synchronous — it is what scripts, the CLI, and the load
-generator use; async callers can speak the one-line protocol directly.
+A thin wrapper over one TCP connection speaking the NDJSON protocol
+(:mod:`repro.server.protocol`).  Engine-side failures surface as
+:class:`ServerError` carrying the structured ``error.type``; transport
+failures (including a reply frame that is not UTF-8 JSON) surface as
+:class:`ServerConnectionError`.  The client is deliberately synchronous —
+it is what scripts, the CLI, and the load generator use; async callers
+can speak the one-line protocol directly.
+
+Reply frames are decoded with ``orjson``, and the decoded object is
+exactly what ``json.loads`` returns for the frame.  orjson refuses some
+frames ``json.loads`` accepts (a lone-surrogate escape that an error
+message echoed from a statement can carry); those are decoded again with
+``json.loads``.  orjson turns an integer outside ``[-2**63, 2**64)`` into
+a float; the only reply integer a caller controls without a bound is the
+echoed request ``id``, so a frame answering such an id is decoded with
+``json.loads`` (a ``SIMULATE`` seed is at most ``2**53``, every other
+integer is a count or an int64 column).
 """
 
 from __future__ import annotations
 
 import json
 import socket
+import time
 from typing import Any
+
+import orjson
 
 from repro.exceptions import ReproError
 from repro.server import protocol
@@ -37,6 +51,23 @@ class ServerError(ReproError):
 
 class ServerConnectionError(ReproError, ConnectionError):
     """The connection failed or closed before a response arrived."""
+
+
+def _orjson_exact(request_id: Any) -> bool:
+    """Whether orjson decodes a reply echoing ``request_id`` as json would."""
+    if isinstance(request_id, int):  # bool included: always in range.
+        return -(1 << 63) <= request_id < 1 << 64
+    return request_id is None or isinstance(request_id, (str, float))
+
+
+def _loads_reply(line: bytes, request_id: Any) -> Any:
+    """One reply frame decoded to exactly ``json.loads(line)``."""
+    if _orjson_exact(request_id):
+        try:
+            return orjson.loads(line)
+        except orjson.JSONDecodeError:
+            pass  # Refused, where json.loads may still accept it.
+    return json.loads(line)
 
 
 class Client:
@@ -70,6 +101,8 @@ class Client:
             ) from exc
         self._file = self._sock.makefile("rwb")
         self._next_id = 0
+        #: Milliseconds the last :meth:`request` spent decoding its reply.
+        self.decode_ms = 0.0
 
     # ------------------------------------------------------------------
     # Wire round-trips.
@@ -88,12 +121,14 @@ class Client:
             raise ServerConnectionError(
                 "server closed the connection before responding"
             )
+        started = time.perf_counter()
         try:
-            response = json.loads(line)
-        except json.JSONDecodeError as exc:
+            response = _loads_reply(line, payload.get("id"))
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError.
             raise ServerConnectionError(
                 f"unparseable response frame: {exc}"
             ) from exc
+        self.decode_ms = (time.perf_counter() - started) * 1e3
         if not isinstance(response, dict):
             raise ServerConnectionError("response frame is not an object")
         return response
@@ -112,7 +147,11 @@ class Client:
 
         ``trace=True`` asks the server to attach its per-stage trace
         block (parse → plan → prune → fan-out → serialize, plus the
-        slowest per-series spans) to the result under ``"trace"``.
+        slowest per-series spans) to the result under ``"trace"``; the
+        client appends its own ``client_decode`` stage (the reply's
+        decode, which happens after the server's wall ends) and adds its
+        milliseconds to ``wall_ms``, so the stages still sum within the
+        block's wall.  Socket and queue time are in neither.
 
         The statement goes on the wire as written; to pin a revision
         frontier, write its ``AS OF <knowledge_time>`` clause or use
@@ -124,7 +163,16 @@ class Client:
         payload: dict[str, Any] = {"statement": statement}
         if trace:
             payload["trace"] = True
-        return self._roundtrip(payload)
+        result = self._roundtrip(payload)
+        block = result.get("trace")
+        if trace and isinstance(block, dict):
+            decode_ms = round(self.decode_ms, 4)
+            wall_ms = block.get("wall_ms", 0.0)
+            block.setdefault("stages", []).append(
+                {"name": "client_decode", "start_ms": wall_ms, "ms": decode_ms}
+            )
+            block["wall_ms"] = round(wall_ms + decode_ms, 4)
+        return result
 
     def ping(self) -> bool:
         return self._roundtrip({"op": "ping"}).get("kind") == "pong"

@@ -488,7 +488,12 @@ class CatalogQueryService:
         """Whether a parsed statement addresses this service's catalog: the
         root's own spelling, or a path (``./``, ``dir/``, a link) resolving to it."""
         path, root = query.catalog_path, str(self.catalog.root)
-        return path == root or Path(path).resolve() == self._root_resolved
+        if path == root:
+            return True
+        try:
+            return Path(path).resolve() == self._root_resolved
+        except ValueError:  # A name no filesystem can hold (lone surrogate).
+            return False
 
     def _coerce(self, statement: str | CatalogQuery) -> CatalogQuery:
         """Parse if needed and pin the statement to this catalog."""

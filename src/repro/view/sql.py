@@ -57,7 +57,9 @@ excepted::
 
 ``SEED`` pins the deterministic per-series sampling streams (omitted: the
 framework default seed); the result is bit-identical across executor
-backends.
+backends.  A seed is at most ``2**53``, the range in which the float the
+parser reads it as is exact; a larger literal is refused rather than
+rounded onto a neighbour's worlds.
 
 Keywords are case-insensitive; identifiers and numbers follow Python rules.
 Parsing produces an inert :class:`ViewQuery` (``CREATE VIEW``) or
@@ -72,6 +74,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, replace
+from decimal import Decimal
 from typing import Any
 
 from repro.exceptions import ParseError, QueryError
@@ -86,6 +89,9 @@ __all__ = [
     "render_statement",
     "with_as_of",
 ]
+
+#: The largest ``SEED``: every integer up to it is exact as a float.
+_MAX_SEED = 1 << 53
 
 _TOKEN_RE = re.compile(
     r"""
@@ -355,9 +361,16 @@ class _Parser:
             )
         arguments: tuple[float, ...] = (float(n_worlds),)
         if self.accept_keyword("seed"):
+            token = self.peek()
             seed = self.expect_int("SEED value")
             if seed < 0:
                 raise ParseError(f"SEED must be >= 0, got {seed}")
+            # The literal, not its float: 2**53 + 1 reads as 2**53.
+            if Decimal(token.text) > _MAX_SEED:
+                raise ParseError(
+                    f"SEED must be <= 2**53 = {_MAX_SEED}, got {token.text}",
+                    token.position,
+                )
             arguments += (float(seed),)
         item = SelectItem(name="simulate", arguments=arguments)
         return self._parse_catalog_tail([item], approx=False, top=False)

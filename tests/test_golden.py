@@ -13,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro.db.aggregates import AGGREGATES
+from repro.server import QueryServer, ServerThread
 from repro.service import CatalogQueryService
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -43,6 +45,18 @@ def test_statement_replies_match_the_golden_digests(golden_catalog, backend):
     root = golden_catalog.root
     with CatalogQueryService(root, backend=backend, max_workers=2) as service:
         assert corpus.statement_digests(service, root) == GOLDEN["statements"]
+
+
+def test_statement_replies_over_tcp_match_the_golden_digests(golden_catalog):
+    # The client decodes each reply; RemoteResult.json() re-encodes it.
+    root = golden_catalog.root
+    with ServerThread(QueryServer(root, port=0)) as (host, port):
+        with repro.connect(f"tcp://{host}:{port}") as conn:
+            digests = {
+                text: corpus.digest(conn.execute(text.format(root=root)).json())
+                for text in corpus.statements()
+            }
+    assert digests == GOLDEN["statements"]
 
 
 def test_one_shot_answers_match_the_golden_digests(golden_catalog):

@@ -735,6 +735,11 @@ class TestWireSurfaces:
         stage_sum = sum(span["ms"] for span in trace["stages"])
         assert stage_sum >= trace["wall_ms"] * 0.90
         assert trace["statement"] == _sql(catalog)
+        # The client's decode of the reply is the last stage.
+        decode = trace["stages"][-1]
+        assert decode["name"] == "client_decode"
+        assert decode["ms"] >= 0
+        assert names.count("client_decode") == 1
 
     def test_untraced_query_has_no_trace_block(self, served):
         catalog, client = served

@@ -11,6 +11,7 @@ statement run through ``Database.execute`` directly.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import socket
 import threading
@@ -430,6 +431,114 @@ class TestErrorPaths:
             with pytest.raises(ServerError):
                 client.query("SELECT nope(1) FROM CATALOG 'x'")
         assert client.ping()
+
+
+@contextlib.contextmanager
+def _answering(reply: bytes):
+    """A listening socket that answers one request line with ``reply``."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+
+        def answer_once() -> None:
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rwb") as stream:
+                stream.readline()
+                stream.write(reply)
+                stream.flush()
+
+        thread = threading.Thread(target=answer_once, daemon=True)
+        thread.start()
+        yield listener.getsockname()[:2]
+        thread.join(timeout=5)
+
+
+def _decoded_and_frame(address, payload) -> tuple[bytes, bytes]:
+    """Canonical text of the client's decode and of ``json.loads`` of the
+    same reply frame, read raw on a second connection."""
+    (frame,) = _raw_frames(address, [payload])
+    with Client(*address) as client:
+        decoded = client.request(dict(payload))
+    return canonical_dumps(decoded), canonical_dumps(json.loads(frame))
+
+
+class TestReplyDecoding:
+    """The client decodes every reply to exactly what ``json.loads`` gives.
+
+    Canonical text is compared, not objects: ``1 == 1.0`` and
+    ``-0.0 == 0.0`` would let a float stand in for an int.
+    """
+
+    @pytest.mark.parametrize(
+        "request_id",
+        [2**70, -(2**64), 2**64, -(2**63) - 1, 2**64 - 1, -(2**63)],
+    )
+    def test_echoed_integer_ids(self, running_server, request_id):
+        _, host, port = running_server
+        decoded, reference = _decoded_and_frame(
+            (host, port), {"id": request_id, "op": "ping"}
+        )
+        assert decoded == reference
+        assert json.loads(decoded)["id"] == request_id
+
+    def test_error_echoing_a_lone_surrogate(self, running_server):
+        # The request frame carries the escape "\ud800"; the store error
+        # names the path, so the reply carries it back (orjson refuses it).
+        _, host, port = running_server
+        statement = "SELECT exceedance(1) FROM CATALOG '/no/\ud800'"
+        decoded, reference = _decoded_and_frame(
+            (host, port), {"id": 4, "statement": statement}
+        )
+        assert decoded == reference
+        error = json.loads(reference)["error"]
+        assert error == {
+            "type": "store_error", "message": "no catalog at /no/\ud800"
+        }
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            b'\xef\xbb\xbf{"id":1,"ok":true,"result":{"kind":"pong"}}\n',
+            b'{"id":1,"ok":true,"result":{"kind":"pong","x":1e400}}\n',
+            b'{"id":1,"ok":true,"result":{"kind":"pong","x":-0.0}}\n',
+        ],
+        ids=["bom", "overflowing-float", "negative-zero"],
+    )
+    def test_frames_no_server_writes(self, frame):
+        with _answering(frame) as address:
+            with Client(*address) as client:
+                decoded = client.request({"id": 1, "op": "ping"})
+        assert repr(decoded) == repr(json.loads(frame))
+
+    def test_simulate_seed_two_to_the_53(self, catalog_root, running_server):
+        _, host, port = running_server
+        statement = (
+            f"SIMULATE 2 SEED 9007199254740992 FROM CATALOG '{catalog_root}'"
+        )
+        decoded, reference = _decoded_and_frame(
+            (host, port), {"id": 5, "statement": statement}
+        )
+        assert decoded == reference
+        result = json.loads(decoded)["result"]
+        assert result["seed"] == 2**53
+        in_process = Database().execute(statement).to_dict()
+        assert canonical_dumps(result) == canonical_dumps(in_process)
+
+    def test_large_exceedance_reply(self, tmp_path):
+        catalog = Catalog(tmp_path / "cat")
+        for index in range(16):
+            _grow(catalog, f"s{index:02d}", _walk(index, 1000))
+        statement = _select(catalog.root, "exceedance(20.0)")
+        with ServerThread(QueryServer(catalog.root, port=0)) as address:
+            decoded, reference = _decoded_and_frame(
+                address, {"id": 6, "statement": statement}
+            )
+        assert len(reference) > 200_000
+        assert decoded == reference
+
+    def test_a_reply_that_is_not_utf8_is_a_connection_error(self):
+        with _answering(b"\xff\n") as address:
+            with Client(*address) as client:
+                with pytest.raises(ServerConnectionError, match="unparseable"):
+                    client.ping()
 
 
 class TestAdmissionAndCoalescing:

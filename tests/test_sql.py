@@ -378,6 +378,22 @@ class TestSimulateStatement:
         with pytest.raises(ParseError, match=pattern):
             parse_statement(bad)
 
+    def test_seed_two_to_the_53_is_exact(self):
+        query = parse_statement("SIMULATE 2 SEED 9007199254740992 FROM CATALOG '/c'")
+        assert query.items[0].arguments == (2.0, float(2**53))
+        assert render_statement(query) == (
+            "SIMULATE 2 SEED 9007199254740992 FROM CATALOG '/c'"
+        )
+
+    @pytest.mark.parametrize(
+        "seed", ["9007199254740993", "9007199254740992.5", "1e300"]
+    )
+    def test_seed_above_two_to_the_53_raises(self, seed):
+        # 2**53 + 1 reads as the float 2**53: accepting it would run a
+        # different statement's worlds.
+        with pytest.raises(ParseError, match=r"<= 2\*\*53 = 9007199254740992"):
+            parse_statement(f"SIMULATE 2 SEED {seed} FROM CATALOG '/c'")
+
 
 class TestStatementRoundTrips:
     """parse → render → parse is the identity on query objects."""
