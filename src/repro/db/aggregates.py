@@ -3,18 +3,20 @@
 A :class:`KernelSpec` is the one definition of an aggregate: its name,
 its arguments (arity and domains, :meth:`KernelSpec.bind`), its ``TOP k``
 score (:attr:`KernelSpec.score`, rendered under ``score_label``), and its
-computation — ``threshold``'s row selection (``probability >= tau``), or
-a per-time **core** over the view's columns (:func:`per_time_expected_value`,
+computation — ``threshold``'s row selection (``probability >= tau``),
+seeded possible worlds (``SIMULATE``), or a per-time **core** over the
+view's columns (:func:`per_time_expected_value`,
 :func:`per_time_exceedance` or :func:`per_time_range_mass`, all defined
 here) followed by an optional **window pass**: the ``sum``, ``mean`` or
 ``product`` of every ``window`` consecutive per-time values, keyed by the
-window's last time.  Every route runs through it: the planner binds
-SELECT items against it, the service kernels (one series at a time) and
-standing queries compute and score with it, and the one-shot python functions of
+window's last time.  The planner binds SELECT items against the specs;
+:meth:`KernelSpec.evaluate`, whose answer is a :class:`SeriesResult`, is
+the one evaluator: the service kernels (one series at a time), the
+executor's pruned series (an empty view), standing queries (one suffix
+at a time) and the one-shot python functions of
 :mod:`repro.db.queries`, :mod:`repro.db.stream_queries` and
-:func:`repro.db.worlds.conjunctive_range_query` are
-:meth:`KernelSpec.one_shot` calls — so the routes validate alike and
-agree bit for bit.
+:func:`repro.db.worlds.conjunctive_range_query` (:meth:`KernelSpec.one_shot`)
+all call it — so the routes validate alike and agree bit for bit.
 
 :meth:`KernelSpec.reduce` is the one windowed reduction.  Its explicit
 :class:`WindowCarry` lets the same arithmetic serve a whole view (no
@@ -29,20 +31,22 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.db.prob_view import ProbabilisticView, ViewColumns
+from repro.db.prob_view import ProbabilisticView, ProbTuple, ViewColumns, tuple_rows
 from repro.exceptions import InvalidParameterError, QueryError
+from repro.view.sql import MAX_WORLD_CELLS
 
 __all__ = [
     "AGGREGATES",
     "KERNELS",
     "KernelSpec",
     "SIMULATE_KERNEL",
+    "SeriesResult",
     "WindowCarry",
     "check_window",
     "per_time_exceedance",
@@ -118,6 +122,116 @@ def _count(values: np.ndarray) -> float:
     return float(values.shape[-1])
 
 
+@dataclass(eq=False)
+class SeriesResult:
+    """One series' answer to a statement item, kept as the kernel's arrays.
+
+    :meth:`KernelSpec.evaluate` builds every kernel answer; the executor
+    builds only ``"approx"`` and ``"error"`` entries.  ``kind`` names the
+    layout of ``arrays``:
+
+    * ``"mapping"`` — ``times`` (int64, ascending) and ``values``: a
+      per-time core's answer, after its window pass;
+    * ``"rows"`` — ``t`` / ``low`` / ``high`` / ``probability`` / ``code``
+      columns of a row selection's hits, the label pool in ``meta[0]``;
+    * ``"worlds"`` — ``times`` plus an ``(n_worlds, len(times))``
+      ``values`` matrix, ``NaN`` marking the OUTSIDE alternative;
+    * ``"approx"`` — no arrays: the executor's synopsis estimate, its
+      estimate/error-bound mapping in ``meta[0]``;
+    * ``"error"`` — no arrays; ``error`` is the one-line diagnostic (a
+      message, never an exception object, so the result pickles the same
+      from any backend).
+
+    ``score`` is the scalar ``TOP k`` ranks by.  ``load_s`` /
+    ``compute_s`` / ``cache_hit`` are the worker-side trace span as three
+    plain numbers; the executor merges them into the parent
+    :class:`~repro.obs.trace.QueryTrace`.  The process backend pickles
+    these objects as they are through its pool's result pipe, and the
+    executor ranks and renders the same objects: :meth:`rows` builds the
+    JSON payload straight from the arrays.  ``result`` is the one python
+    rendering — what :meth:`KernelSpec.one_shot` and a standing query
+    return: for ``threshold`` a :class:`~repro.db.prob_view.ProbTuple`
+    record per :meth:`rows` row, a per-time dict for the other
+    aggregates, a list of ``[t, value]`` worlds for ``SIMULATE`` — built on
+    first access and kept; an ``"error"`` entry's is ``None``, its
+    ``size`` 0, and ``==`` compares ``error`` too.
+    """
+
+    series_id: str
+    kind: str
+    arrays: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
+    meta: tuple[Any, ...] = field(default=(), repr=False)
+    score: float = 0.0
+    error: str | None = None
+    load_s: float = 0.0
+    compute_s: float = 0.0
+    cache_hit: bool = True
+    _result: Any = field(default=None, init=False, repr=False)
+
+    def rows(self) -> Any:
+        """This entry's JSON-ready payload, no per-row objects built.
+
+        Mapping rows are ``[t, value]`` in the arrays' (ascending-time)
+        order; ``threshold`` rows are 5-column; worlds are ``[t, value]``
+        lists with ``None`` for the OUTSIDE alternative.
+        """
+        arrays = self.arrays
+        if self.kind == "mapping":
+            return [
+                list(pair)
+                for pair in zip(arrays["times"].tolist(), arrays["values"].tolist())
+            ]
+        if self.kind == "rows":
+            return tuple_rows(
+                arrays["t"],
+                arrays["low"],
+                arrays["high"],
+                arrays["probability"],
+                arrays["code"],
+                self.meta[0],
+            )
+        if self.kind == "worlds":
+            times = arrays["times"].tolist()
+            # NaN (the only value unequal to itself) marks OUTSIDE.
+            return [
+                [[t, v if v == v else None] for t, v in zip(times, world)]
+                for world in arrays["values"].tolist()
+            ]
+        return {key: float(value) for key, value in sorted(self.meta[0].items())}
+
+    @property
+    def result(self) -> Any:
+        if self._result is None:
+            if self.kind == "mapping":
+                times, values = self.arrays["times"], self.arrays["values"]
+                self._result = dict(zip(times.tolist(), values.tolist()))
+            elif self.kind == "rows":
+                self._result = [ProbTuple(*row) for row in self.rows()]
+            elif self.kind == "worlds":
+                self._result = self.rows()
+            elif self.kind == "approx":
+                self._result = self.meta[0]
+        return self._result
+
+    @property
+    def size(self) -> int:
+        if self.kind == "error":
+            return 0
+        if self.kind == "approx":
+            return len(self.meta[0])
+        return len(self.arrays["t" if self.kind == "rows" else "values"])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SeriesResult):
+            return NotImplemented
+        return (self.series_id, self.score, self.error, self.result) == (
+            other.series_id,
+            other.score,
+            other.error,
+            other.result,
+        )
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """One aggregate: its name, signature, score and computation.
@@ -170,8 +284,9 @@ class KernelSpec:
         return arguments
 
     def one_shot(self, view: ProbabilisticView, *arguments: float) -> Any:
-        """This aggregate over the whole of ``view``, arguments bound first."""
-        return self.evaluate(view, self.bind(arguments), whole=True)[0]
+        """This aggregate over the whole of ``view``, arguments bound first,
+        as its python :attr:`SeriesResult.result`."""
+        return self.evaluate(view, self.bind(arguments), whole=True)[0].result
 
     def evaluate(
         self,
@@ -180,21 +295,56 @@ class KernelSpec:
         carry: WindowCarry | None = None,
         *,
         whole: bool = False,
-    ) -> tuple[Any, WindowCarry | None]:
+        series_id: str | None = None,
+    ) -> tuple[SeriesResult, WindowCarry | None]:
         """The answer over ``view`` after ``carry``, and the next carry.
 
-        The answer is the selected :class:`~repro.db.prob_view.ProbTuple`
-        records, built by one :meth:`~repro.db.prob_view.ProbabilisticView.take`
-        gather, or a dict of per-time (per-window-end) values.
+        The one evaluator: a per-time core plus its window pass
+        (:meth:`reduce`, ``whole`` as there), the row selection's gathered
+        columns, or seeded worlds.  The answer is keyed, and a world
+        stream seeded, by ``series_id`` (default ``view.name``): the
+        stream depends on ``(seed, series_id)`` alone, so the drawn worlds
+        are bit-identical whichever backend, worker or fan-out order ran
+        the series.  A series whose worlds would exceed
+        :data:`~repro.view.sql.MAX_WORLD_CELLS` cells raises
+        :class:`~repro.exceptions.QueryError` before anything is drawn.
         """
         cols = view.columns
-        if self.selection is not None:
-            return view.take(self.selection(cols, arguments)), None
-        values = self.per_time(cols, arguments)
-        times, values, carry = self.reduce(
-            values, cols.times, arguments, carry, whole=whole
-        )
-        return dict(zip(times.tolist(), values.tolist())), carry
+        series_id = view.name if series_id is None else series_id
+        meta = ()
+        if self.core is not None:
+            values = self.per_time(cols, arguments)
+            times, values, carry = self.reduce(
+                values, cols.times, arguments, carry, whole=whole
+            )
+            arrays = {"times": times, "values": values}
+        elif self.selection is not None:
+            hits = self.selection(cols, arguments)
+            arrays = {
+                "t": cols.t[hits],
+                "low": cols.low[hits],
+                "high": cols.high[hits],
+                "probability": cols.probability[hits],
+                "code": cols.label_code[hits],
+            }
+            values, meta = arrays["probability"], (cols.labels,)
+        else:
+            # db.worlds imports this module.
+            from repro.db.worlds import WorldSampler, derive_series_seed
+
+            n_worlds = int(arguments[0])
+            if n_worlds * cols.times.size > MAX_WORLD_CELLS:
+                raise QueryError(
+                    f"SIMULATE {n_worlds} over the {cols.times.size} times of "
+                    f"series {series_id!r} exceeds the budget of "
+                    f"MAX_WORLD_CELLS = {MAX_WORLD_CELLS} world cells per series"
+                )
+            seed = derive_series_seed(int(arguments[1]), series_id)
+            rng = np.random.default_rng(seed)
+            values = WorldSampler(view).sample_matrix(n_worlds, rng)
+            arrays = {"times": cols.times, "values": values}
+        score = self.score(values)
+        return SeriesResult(series_id, self.kind, arrays, meta, score), carry
 
     def per_time(self, columns: ViewColumns, arguments: Arguments) -> np.ndarray:
         """The core over ``columns``, aligned with their distinct times."""
@@ -381,6 +531,11 @@ def _check_simulate(arguments: Arguments) -> Arguments:
                 f"simulate(n_worlds, seed) needs an integer {label} >= {least}, "
                 f"got {value}"
             )
+    if arguments[0] > MAX_WORLD_CELLS:
+        raise InvalidParameterError(
+            f"simulate(n_worlds, seed) needs n_worlds <= MAX_WORLD_CELLS = "
+            f"{MAX_WORLD_CELLS}, got {arguments[0]:.0f}"
+        )
     return tuple(float(int(value)) for value in arguments)
 
 

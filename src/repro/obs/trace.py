@@ -13,7 +13,7 @@ reported separately — they overlap each other under the process backend
 and must not be summed with the stages.
 
 Worker-side spans cross backend boundaries as three plain numbers on each
-:class:`~repro.service.kernels.SeriesResult` (``load_s``,
+:class:`~repro.db.aggregates.SeriesResult` (``load_s``,
 ``compute_s``, ``cache_hit``) — picklable under any multiprocessing start
 method — and are merged into the parent trace by the executor, so a trace
 looks the same whether the work ran inline or in spawn-started worker

@@ -17,8 +17,10 @@ LRU under budget and admits at the cold end under pressure).
   checks + pruned snapshot fan-out list per select-list item, plus the
   picklable per-series task envelopes backends consume;
 * :mod:`repro.service.kernels` — the one compute path:
-  ``compute_chunk`` turns a chunk of envelopes into
-  :class:`SeriesResult` records, the one per-series answer (each
+  ``compute_chunk`` loads and restricts each envelope's view and runs
+  its kernel's :meth:`~repro.db.aggregates.KernelSpec.evaluate`, the one
+  evaluator, into a :class:`SeriesResult` — the one per-series answer,
+  defined in :mod:`repro.db.aggregates` and re-exported here (each
   series' kernel run alone over its own view, scores included);
 * :mod:`repro.service.backends` — the executor backends: two
   schedulers for that one function (the process pool returns those

@@ -18,7 +18,7 @@ differ only in who calls it:
   spawn-safe initializer, and return each chunk's results pickled
   through the pool's own pipe.
 
-Both backends return :class:`~repro.service.kernels.SeriesResult` records
+Both backends return :class:`~repro.db.aggregates.SeriesResult` records
 in input order — the same records the executor ranks and renders.
 Per-series failures travel *inside* the result (as a message, never a
 pickled traceback) so one broken series aborts the statement with a

@@ -11,12 +11,15 @@ pool's pipe.  Results come back in deterministic order: series id, or
 score-descending when ``TOP k`` ranks.
 
 Both backends run the same kernel code
-(:func:`repro.service.kernels.compute_chunk`) and hand back its
-:class:`~repro.service.kernels.SeriesResult` records; the executor merges
-their worker spans, ranks them and keeps them as the statement's
-results, so a statement's JSON payload is built straight from
-``ndarray.tolist()`` and the per-series python objects of the one-shot
-query API exist only for callers that ask for ``entry.result``.
+(:func:`repro.service.kernels.compute_chunk`) and hand back the
+:class:`~repro.db.aggregates.SeriesResult` records of
+:meth:`~repro.db.aggregates.KernelSpec.evaluate`, the one evaluator —
+which also answers the series the prune phase skipped, over an empty
+view; the executor merges their worker spans, ranks them and keeps them
+as the statement's results, so a statement's JSON payload is built
+straight from ``ndarray.tolist()`` and the per-series python objects of
+the one-shot query API exist only for callers that ask for
+``entry.result``.
 
 :meth:`CatalogQueryService.reply` is the server's entry: the same plan
 and execution, answered as canonical JSON bytes that are rendered once
@@ -32,18 +35,17 @@ from operator import add
 from pathlib import Path
 from typing import Any
 
-from repro.db.aggregates import SIMULATE_KERNEL
+import numpy as np
+
+from repro.db.aggregates import SIMULATE_KERNEL, SeriesResult
+from repro.db.prob_view import ProbabilisticView
 from repro.exceptions import QueryError, ReproError
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.slowlog import DEFAULT_SLOW_QUERY_MS, SlowQueryLog
 from repro.obs.trace import QueryTrace
 from repro.service.backends import ExecutorBackend, make_backend
 from repro.service.cache import MatrixCache
-from repro.service.kernels import (
-    SeriesResult,
-    empty_result,
-    restrict_time_range,
-)
+from repro.service.kernels import restrict_time_range
 from repro.service.planner import (
     ItemPlan,
     PlanStats,
@@ -545,16 +547,17 @@ class CatalogQueryService:
     ) -> StatementResult:
         """Rank, truncate, and wrap one item's gathered results.
 
-        Series the prune phase skipped entirely contribute their
-        synthesised empty result (the exact value the kernel returns
-        over an empty restricted view) at the correct position — callers
-        cannot tell a skipped series from a scanned-and-empty one.
+        Series the prune phase skipped entirely answer with their
+        kernel evaluated over an empty view under their series id — what
+        a scanned series whose restricted view is empty answers, at the
+        correct position: callers cannot tell the two apart.
         """
         if item.skipped:
             by_id = {entry.series_id: entry for entry in gathered}
+            empty = ProbabilisticView.from_columns("skipped", *[np.empty(0)] * 4)
             for series_id in item.skipped:
-                by_id[series_id] = empty_result(
-                    series_id, item.kernel.name, item.arguments
+                by_id[series_id], _ = item.kernel.evaluate(
+                    empty, item.arguments, whole=True, series_id=series_id
                 )
             gathered = [by_id[series_id] for series_id in item.series_ids]
         if query.top_k is not None:

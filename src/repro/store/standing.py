@@ -3,15 +3,16 @@
 A standing query is one select-list item — ``exceedance(21)``,
 ``sustained_exceedance(21, 5)`` — registered against a catalog series.
 After every append it runs **only over the new suffix**, through the
-same :class:`~repro.db.aggregates.KernelSpec` a ``SELECT`` runs
-(:meth:`~repro.db.aggregates.KernelSpec.evaluate`): the
-per-time core on the suffix (a time's value depends only on its own
-tuples), then the window reduction continued from the handle's carry;
-``threshold`` hits arrive in (time, range) order, as
-:class:`~repro.db.prob_view.ProbTuple` records gathered from the
-suffix's columns, and append.  The
-accumulated result therefore *equals* the one-shot query over the full
-view, at ``O(batch + window)`` per append however long the series grows.
+one evaluator a ``SELECT`` runs
+(:meth:`~repro.db.aggregates.KernelSpec.evaluate`): the per-time core on
+the suffix (a time's value depends only on its own tuples), then the
+window reduction continued from the handle's carry; the delta is the
+suffix answer's :attr:`~repro.db.aggregates.SeriesResult.result` —
+``threshold`` hits in (time, range) order as
+:class:`~repro.db.prob_view.ProbTuple` records, which append, or a
+per-time dict, which updates.  The accumulated result therefore *equals*
+the one-shot query over the full view, at ``O(batch + window)`` per
+append however long the series grows.
 """
 
 from __future__ import annotations
@@ -71,9 +72,10 @@ class StandingQueryHandle:
 
     def update(self, suffix: ProbabilisticView) -> Any:
         """Feed the view's new suffix; returns (and records) the delta."""
-        delta, self._carry = self._spec.evaluate(
+        answer, self._carry = self._spec.evaluate(
             suffix, self.query.arguments, self._carry
         )
+        delta = answer.result
         if isinstance(delta, list):
             self._result.extend(delta)
         else:

@@ -59,7 +59,10 @@ excepted::
 framework default seed); the result is bit-identical across executor
 backends.  A seed is at most ``2**53``, the range in which the float the
 parser reads it as is exact; a larger literal is refused rather than
-rounded onto a neighbour's worlds.
+rounded onto a neighbour's worlds.  A world count is at most
+:data:`MAX_WORLD_CELLS` (``2**20``), the world cells (worlds × times) one
+series may draw; a series with more times than that allows is refused by
+its kernel before it draws.
 
 Keywords are case-insensitive; identifiers and numbers follow Python rules.
 Parsing produces an inert :class:`ViewQuery` (``CREATE VIEW``) or
@@ -82,6 +85,7 @@ from repro.view.omega import OmegaGrid
 
 __all__ = [
     "CatalogQuery",
+    "MAX_WORLD_CELLS",
     "SelectItem",
     "ViewQuery",
     "parse_statement",
@@ -92,6 +96,10 @@ __all__ = [
 
 #: The largest ``SEED``: every integer up to it is exact as a float.
 _MAX_SEED = 1 << 53
+
+#: The most world cells (``n_worlds`` × the series' times) one series'
+#: ``SIMULATE`` may draw, so the world count alone is at most this too.
+MAX_WORLD_CELLS = 1 << 20
 
 _TOKEN_RE = re.compile(
     r"""
@@ -354,10 +362,17 @@ class _Parser:
     def parse_simulate(self) -> CatalogQuery:
         """``SIMULATE n [SEED s] FROM CATALOG '<path>' [SERIES ...] [WHERE ...]``."""
         self.expect_keyword("simulate")
+        token = self.peek()
         n_worlds = self.expect_int("SIMULATE world count")
         if n_worlds < 1:
             raise ParseError(
                 f"SIMULATE world count must be >= 1, got {n_worlds}"
+            )
+        if n_worlds > MAX_WORLD_CELLS:
+            raise ParseError(
+                f"SIMULATE world count must be <= MAX_WORLD_CELLS = "
+                f"{MAX_WORLD_CELLS} (world cells per series), got {token.text}",
+                token.position,
             )
         arguments: tuple[float, ...] = (float(n_worlds),)
         if self.accept_keyword("seed"):

@@ -196,6 +196,18 @@ class TestPrunedPlanParity:
     ``pruning`` stats block.
     """
 
+    # A WHERE range outside every series' times: each kernel kind answers
+    # every series from the evaluator over an empty view.
+    OUTSIDE_STATEMENTS = tuple(
+        f"{head} FROM CATALOG '{{root}}' WHERE t BETWEEN 100 AND 200"
+        for head in (
+            "SIMULATE 3 SEED 5",
+            "SELECT probability_of(20.0, 20.5)",
+            "SELECT sustained_exceedance(20.3, 4)",
+            "SELECT windowed_expected_value(4)",
+        )
+    )
+
     PRUNING_STATEMENTS = (
         "SELECT threshold(0.2) FROM CATALOG '{root}' "
         "WHERE t BETWEEN 20 AND 40",
@@ -206,6 +218,7 @@ class TestPrunedPlanParity:
         "WHERE t BETWEEN 16 AND 30 TOP 3",
         "SELECT time_above(20.3, 4) FROM CATALOG '{root}' "
         "WHERE t BETWEEN 20 AND 44",
+        *OUTSIDE_STATEMENTS,
     )
 
     def _pruning_statements(self, root) -> list[str]:
@@ -255,16 +268,29 @@ class TestPrunedPlanParity:
             for statement, reference in zip(statements, references):
                 assert _canonical(service.execute(statement)) == reference
 
-    def test_skipped_series_keep_their_result_slot(self, seg_root):
-        # tau=0.999 prunes every segment of every series: all series are
+    @pytest.mark.parametrize(
+        "statement, empty",
+        [
+            ("SELECT threshold(0.999) FROM CATALOG '{root}'", []),
+            # SIMULATE 3 answers three worlds of no times.
+            *zip(OUTSIDE_STATEMENTS, ([[], [], []], {}, {}, {})),
+        ],
+    )
+    def test_skipped_series_keep_their_result_slot(
+        self, seg_root, statement, empty
+    ):
+        # tau=0.999 prunes every segment of every series, and so does a
+        # WHERE range outside every series' times: all series are
         # skipped, yet each still answers with its exact empty result.
         result = CatalogQueryService(seg_root, backend="sequential").execute(
-            f"SELECT threshold(0.999) FROM CATALOG '{seg_root}'"
+            statement.format(root=seg_root)
         )
         assert result.stats is not None
         assert result.stats.series_skipped == SERIES
-        assert len(result.results) == SERIES
-        assert all(entry.result == [] for entry in result.results)
+        assert [entry.series_id for entry in result.results] == [
+            f"s-{index}" for index in range(SERIES)
+        ]
+        assert all(entry.result == empty for entry in result.results)
         assert all(entry.score == 0.0 for entry in result.results)
 
 

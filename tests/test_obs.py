@@ -628,6 +628,29 @@ class TestServiceMetrics:
         after = registry.snapshot()["repro_cache_misses"]["values"]
         assert after == before
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="collector-fed gauges are last-writer-wins: every live "
+        "service's cache collector writes the same scope=\"service\" series",
+    )
+    def test_cache_gauges_survive_a_second_live_service(self, catalog):
+        registry = MetricsRegistry()
+        sql = _sql(catalog, "exceedance(21.0)") + " SERIES 'sensor-00'"
+        with CatalogQueryService(
+            catalog, backend="sequential", registry=registry
+        ) as first, CatalogQueryService(
+            catalog, backend="sequential", registry=registry
+        ):
+            for _ in range(3):
+                first.execute(sql)
+            stats = first.cache.stats
+            snapshot = registry.snapshot()
+        assert (stats.hits, stats.misses) == (2, 1)
+        assert sum(snapshot["repro_queries_total"]["values"].values()) == 3
+        hits = snapshot["repro_cache_hits"]["values"]['{scope="service"}']
+        misses = snapshot["repro_cache_misses"]["values"]['{scope="service"}']
+        assert (hits, misses) == (2.0, 1.0)
+
     def test_slow_log_records_with_stage_breakdown(self, catalog):
         with CatalogQueryService(
             catalog, backend="sequential", slow_query_ms=0.0

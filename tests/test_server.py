@@ -424,6 +424,24 @@ class TestErrorPaths:
         assert excinfo.value.type == "parse_error"
         assert "finite" in excinfo.value.message
 
+    @pytest.mark.parametrize(
+        "count, expected",
+        [
+            ("2000000000000", "parse_error"),
+            ("99999999999999999999999", "parse_error"),
+            (str(2**20), "query_error"),
+        ],
+    )
+    def test_oversized_world_count_is_a_named_error(
+        self, catalog_root, client, count, expected
+    ):
+        # Once a 1.14 PiB allocation failure, reported as "internal".
+        with pytest.raises(ServerError) as excinfo:
+            client.query(f"SIMULATE {count} FROM CATALOG '{catalog_root}'")
+        assert excinfo.value.type == expected != "internal"
+        assert "MAX_WORLD_CELLS = 1048576" in excinfo.value.message
+        assert client.ping()
+
     def test_engine_errors_do_not_kill_the_server(
         self, catalog_root, client
     ):

@@ -11,6 +11,7 @@ import pytest
 
 from repro.db.aggregates import AGGREGATES, KERNELS
 from repro.db.engine import Database
+from repro.db.prob_view import ProbabilisticView
 from repro.db.queries import expected_value_query, threshold_query
 from repro.db.stream_queries import (
     exceedance_probability,
@@ -40,7 +41,7 @@ from repro.service import (
 )
 from repro.service.cache import view_nbytes
 from repro.service.executor import restrict_time_range
-from repro.service.kernels import compute_chunk, empty_result
+from repro.service.kernels import compute_chunk
 from repro.service.planner import TaskEnvelope
 from repro.store import Catalog
 from repro.view.omega import OmegaGrid
@@ -425,7 +426,11 @@ class TestComputeChunk:
         assert entry.size == 0
         assert entry == dataclasses.replace(entry)
         assert entry != dataclasses.replace(entry, error="another failure")
-        assert entry != empty_result(series_id, "time_above", (21.0, 5000.0))
+        empty = ProbabilisticView.from_columns(series_id, *[np.empty(0)] * 4)
+        answer, _ = KERNELS["time_above"].evaluate(
+            empty, (21.0, 5000.0), whole=True
+        )
+        assert entry != answer
 
 
 class TestServiceWiring:

@@ -14,7 +14,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.db.aggregates import SIMULATE_KERNEL
 from repro.db.engine import Database
+from repro.db.prob_view import ProbabilisticView
 from repro.db.worlds import (
     WorldSampler,
     conjunctive_range_query,
@@ -29,7 +31,7 @@ from repro.service import (
 )
 from repro.store import Catalog
 from repro.view.omega import OmegaGrid
-from repro.view.sql import SelectItem, parse_statement
+from repro.view.sql import MAX_WORLD_CELLS, SelectItem, parse_statement
 
 H = 20
 GRID = OmegaGrid(delta=0.5, n=4)
@@ -139,6 +141,36 @@ class TestSimulate:
         )
         with pytest.raises(InvalidParameterError, match="n_worlds"):
             plan_statement(catalog, bad)
+
+    def test_world_cell_budget_is_checked_before_drawing(self):
+        # 1024 times x 1024 worlds is exactly the budget and draws; one
+        # world more is refused by name before the sampler allocates.
+        times = 1024
+        view = ProbabilisticView.from_columns(
+            "room",
+            np.arange(times),
+            np.full(times, 20.0),
+            np.full(times, 21.0),
+            np.ones(times),
+        )
+        assert times * times == MAX_WORLD_CELLS
+        answer, _ = SIMULATE_KERNEL.evaluate(view, (1024.0, 5.0), whole=True)
+        assert answer.arrays["values"].shape == (1024, times)
+        with pytest.raises(
+            QueryError, match=r"1025 .* 1024 times of series 'room' .* 1048576"
+        ):
+            SIMULATE_KERNEL.evaluate(view, (1025.0, 5.0), whole=True)
+
+    def test_world_count_over_the_budget_is_refused(self, catalog):
+        with pytest.raises(InvalidParameterError, match="MAX_WORLD_CELLS"):
+            SIMULATE_KERNEL.bind((MAX_WORLD_CELLS + 1.0, 0.0))
+        # At the budget the count binds; the catalog's 70-time series
+        # then refuse it in their kernel, naming the series.
+        with CatalogQueryService(catalog, backend="sequential") as service:
+            with pytest.raises(QueryError, match=r"series 'sensor-0\d'"):
+                service.execute(
+                    f"SIMULATE {MAX_WORLD_CELLS} FROM CATALOG '{catalog.root}'"
+                )
 
     def test_simulate_is_not_a_select_list_aggregate(self, catalog):
         # Built directly (the grammar cannot write it): simulate beside

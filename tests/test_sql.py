@@ -8,6 +8,7 @@ import pytest
 
 from repro.exceptions import ParseError
 from repro.view.sql import (
+    MAX_WORLD_CELLS,
     CatalogQuery,
     SelectItem,
     ViewQuery,
@@ -393,6 +394,22 @@ class TestSimulateStatement:
         # different statement's worlds.
         with pytest.raises(ParseError, match=r"<= 2\*\*53 = 9007199254740992"):
             parse_statement(f"SIMULATE 2 SEED {seed} FROM CATALOG '/c'")
+
+    def test_world_count_at_the_cell_budget_parses(self):
+        query = parse_statement(f"SIMULATE {MAX_WORLD_CELLS} FROM CATALOG '/c'")
+        assert MAX_WORLD_CELLS == 2**20
+        assert query.items[0].arguments == (float(MAX_WORLD_CELLS),)
+
+    @pytest.mark.parametrize(
+        "count", [str(MAX_WORLD_CELLS + 1), "99999999999999999999999"]
+    )
+    def test_world_count_above_the_cell_budget_raises(self, count):
+        # Refused by name before anything allocates: 10**23 once failed
+        # with numpy's bare "Maximum allowed dimension exceeded".
+        with pytest.raises(
+            ParseError, match=rf"<= MAX_WORLD_CELLS = 1048576 .*got {count}"
+        ):
+            parse_statement(f"SIMULATE {count} FROM CATALOG '/c'")
 
 
 class TestStatementRoundTrips:
